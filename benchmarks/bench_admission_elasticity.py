@@ -371,7 +371,6 @@ def run_load_leg(seed, variant, lifetime):
     t0 = handle.t0
     arrivals = {}
     extras = {"xbp": 0, "hot": 0}
-    inner_deliver = net.net._deliver
 
     def deliver(src, dst, payload):
         inner = getattr(payload, "payload", None)
@@ -386,9 +385,8 @@ def run_load_leg(seed, variant, lifetime):
                     extras["hot"] += 1
             elif op == "xbp":
                 extras["xbp"] += 1
-        inner_deliver(src, dst, payload)
 
-    net.net._deliver = deliver
+    net.net.on_deliver = deliver
     net.advance(lifetime + handle.plan.deadline + 5.0)
     counters = net.message_counters()
 
@@ -445,7 +443,6 @@ def run_split_parity(seed):
         handle = net.submit_sql(SPLIT_SQL.format(l=int(SPLIT_LIFETIME)),
                                 on_epoch=results.append)
         hot = [0]
-        inner_deliver = net.net._deliver
 
         def deliver(src, dst, payload, _hot=hot):
             inner = getattr(payload, "payload", None)
@@ -453,9 +450,8 @@ def run_split_parity(seed):
                 rid = inner.get("rid")
                 if isinstance(rid, tuple) and rid and rid[0] == "hot":
                     _hot[0] += 1
-            inner_deliver(src, dst, payload)
 
-        net.net._deliver = deliver
+        net.net.on_deliver = deliver
         net.advance(SPLIT_LIFETIME + handle.plan.deadline + 5.0)
         out[variant] = {
             "epochs": {r.epoch: sorted(r.rows) for r in results},

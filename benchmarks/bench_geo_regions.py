@@ -137,7 +137,6 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
     # and a single (often hop-shortcut) backbone send.
     t0 = handle.t0
     arrivals = {}
-    inner_deliver = net.net._deliver
 
     def deliver(src, dst, payload):
         inner = getattr(payload, "payload", None)
@@ -146,9 +145,8 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
             epoch = inner.get("epoch")
             if epoch is not None:
                 arrivals[epoch] = net.now
-        inner_deliver(src, dst, payload)
 
-    net.net._deliver = deliver
+    net.net.on_deliver = deliver
 
     if disturb is not None:
         for at, action, region in disturb(t0):

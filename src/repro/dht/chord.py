@@ -325,8 +325,26 @@ class ChordNode(SimNode, RpcNode):
         return in_interval(key, self.predecessor.id, self.id, inclusive_hi=True)
 
     def _candidates(self):
-        yield from self.fingers
-        yield from self.successors
+        """Each distinct known peer once: fingers, then successors.
+
+        The 160-slot finger table holds about log2(N) distinct nodes in
+        long runs of one ``NodeRef``, most of them repeated in the
+        successor list. This yields the first occurrence of every id
+        but our own, in table order, skipping a repeated slot on object
+        identity alone, so callers pay ``__eq__``, suspicion and
+        interval checks per peer rather than per slot.
+        """
+        seen = {self.id}
+        last = None
+        for table in (self.fingers, self.successors):
+            for ref in table:
+                if ref is last:
+                    continue
+                last = ref
+                if ref is None or ref.id in seen:
+                    continue
+                seen.add(ref.id)
+                yield ref
 
     def closest_preceding(self, target, exclude=()):
         """Best next hop toward ``target``: closest known predecessor of it.
@@ -347,8 +365,6 @@ class ChordNode(SimNode, RpcNode):
         local_distance = None
         proximity = self._proximity_on()
         for candidate in self._candidates():
-            if candidate is None or candidate == self.ref:
-                continue
             if candidate.address in exclude or self._is_suspect(candidate.address):
                 continue
             if in_interval(candidate.id, self.id, target):
@@ -838,11 +854,9 @@ class ChordNode(SimNode, RpcNode):
 
     def _distinct_fingers(self):
         """Finger + successor entries, deduped, ascending from self."""
-        seen = {}
-        for ref in list(self.successors) + [f for f in self.fingers if f]:
-            if ref != self.ref and not self._is_suspect(ref.address):
-                seen[ref.id] = ref
-        return sorted(seen.values(), key=lambda r: distance_cw(self.id, r.id))
+        live = [ref for ref in self._candidates()
+                if not self._is_suspect(ref.address)]
+        return sorted(live, key=lambda r: distance_cw(self.id, r.id))
 
     def _handle_broadcast(self, message):
         if message.ack_to is not None:
@@ -1064,13 +1078,7 @@ class ChordNode(SimNode, RpcNode):
         span = 1 << index
         best = canonical
         best_distance = None
-        seen = set()
         for candidate in self._candidates():
-            if candidate is None or candidate == self.ref:
-                continue
-            if candidate.address in seen:
-                continue
-            seen.add(candidate.address)
             if self._is_suspect(candidate.address):
                 continue
             if self._region_of(candidate.address) != self.region:

@@ -29,7 +29,7 @@ class SimClock:
     @property
     def pending(self):
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     @property
     def events_fired(self):
@@ -47,9 +47,12 @@ class SimClock:
             raise SimulationError(
                 "cannot schedule at t={} before now={}".format(time, self._now)
             )
-        event = Event(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, args)
+        # Tuples order in C and ``seq`` is unique, so the heap never
+        # compares two events.
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def run_until(self, time):
@@ -58,13 +61,14 @@ class SimClock:
             raise SimulationError(
                 "cannot run backwards to t={} from now={}".format(time, self._now)
             )
-        while self._heap and self._heap[0].time <= time:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= time:
+            when, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = when
             self._events_fired += 1
-            event.fire()
+            event.callback(*event.args)
         self._now = time
 
     def run_for(self, duration):
@@ -77,12 +81,12 @@ class SimClock:
         while self._heap:
             if max_events is not None and fired >= max_events:
                 break
-            event = heapq.heappop(self._heap)
+            when, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = when
             self._events_fired += 1
-            event.fire()
+            event.callback(*event.args)
             fired += 1
         return fired
 

@@ -1,15 +1,14 @@
 """Event records for the simulator's priority queue."""
 
-import functools
 
-
-@functools.total_ordering
 class Event:
     """A scheduled callback.
 
-    Events order by ``(time, seq)``; the sequence number makes ties
-    deterministic (FIFO among events scheduled for the same instant),
-    which in turn makes whole experiments reproducible from a seed.
+    The clock's heap holds ``(time, seq, event)`` tuples, so events
+    order by ``(time, seq)`` without ever being compared themselves;
+    the sequence number makes ties deterministic (FIFO among events
+    scheduled for the same instant), which in turn makes whole
+    experiments reproducible from a seed.
 
     Cancellation is lazy: :meth:`cancel` marks the event and the clock
     skips it when popped, which is O(1) instead of an O(n) heap removal.
@@ -30,21 +29,6 @@ class Event:
         # keep large payloads (query state, tuples) alive.
         self.callback = None
         self.args = ()
-
-    def fire(self):
-        if not self.cancelled:
-            self.callback(*self.args)
-
-    def __eq__(self, other):
-        return (self.time, self.seq) == (other.time, other.seq)
-
-    def __hash__(self):
-        # seq is globally unique per clock, so this is stable even
-        # though ``cancelled`` mutates.
-        return self.seq
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"

@@ -50,6 +50,14 @@ class Network:
         # Per-destination service queue (config.service_time > 0):
         # when each receiver is busy-until.
         self._busy_until = {}
+        # kind -> its ("messages_kind_<kind>", "bytes_kind_<kind>")
+        # counter names, formatted once per kind instead of per message.
+        self._kind_counters = {}
+        # Optional observer ``on_deliver(src, dst, payload)``, called
+        # for every message whose latency has elapsed -- before the
+        # liveness check, so it also sees arrivals at dead nodes. The
+        # taps benches and tests hang on delivery go here.
+        self.on_deliver = None
 
     # ------------------------------------------------------------------
     # Node registry
@@ -118,8 +126,14 @@ class Network:
             size = wire_size(payload)
             self.counters.add("bytes_sent", size)
             if kind is not None:
-                self.counters.add("messages_kind_{}".format(kind))
-                self.counters.add("bytes_kind_{}".format(kind), size)
+                names = self._kind_counters.get(kind)
+                if names is None:
+                    names = self._kind_counters[kind] = (
+                        "messages_kind_{}".format(kind),
+                        "bytes_kind_{}".format(kind),
+                    )
+                self.counters.add(names[0])
+                self.counters.add(names[1], size)
         else:
             size = None
         cross = False
@@ -159,7 +173,7 @@ class Network:
             self._busy_until[dst] = done
             self.counters.add("service_wait", start - arrival)
             delay = done - now
-        self.clock.schedule(delay, self._deliver, src, dst, payload)
+        self.clock.schedule(delay, self._deliver, src, dst, payload, size)
 
     def _count_exchange_hop(self, message, size, cross=False):
         """Per-hop accounting of exchange traffic (batched vs not).
@@ -215,16 +229,19 @@ class Network:
             if cross:
                 self.counters.add("exchange_cross_region_bytes", size)
 
-    def _deliver(self, src, dst, payload):
+    def _deliver(self, src, dst, payload, size):
+        """Hand ``payload`` to ``dst``. ``size`` is what :meth:`send`
+        measured (None with byte accounting off): a payload is sized
+        once, and must not change between ``send`` and delivery."""
+        if self.on_deliver is not None:
+            self.on_deliver(src, dst, payload)
         node = self._nodes.get(dst)
         if node is None or not node.alive:
             self.counters.add("messages_to_dead_node")
             return
         self.counters.add("messages_delivered")
-        if self.config.count_bytes:
-            self.inbound_bytes[dst] = (
-                self.inbound_bytes.get(dst, 0) + wire_size(payload)
-            )
+        if size is not None:
+            self.inbound_bytes[dst] = self.inbound_bytes.get(dst, 0) + size
             self.inbound_messages[dst] = self.inbound_messages.get(dst, 0) + 1
         node.handle_message(src, payload)
 

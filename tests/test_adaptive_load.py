@@ -427,7 +427,6 @@ class TestHotGroupSplit:
                 "LIFETIME 20 SECONDS",
                 on_epoch=results.append)
             hot = [0]
-            inner_deliver = net.net._deliver
 
             def deliver(src, dst, payload):
                 inner = getattr(payload, "payload", None)
@@ -435,9 +434,8 @@ class TestHotGroupSplit:
                     rid = inner.get("rid")
                     if isinstance(rid, tuple) and rid and rid[0] == "hot":
                         hot[0] += 1
-                inner_deliver(src, dst, payload)
 
-            net.net._deliver = deliver
+            net.net.on_deliver = deliver
             net.advance(20 + handle.plan.deadline + 3)
             return {r.epoch: sorted(r.rows) for r in results}, hot[0]
 

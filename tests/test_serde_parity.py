@@ -1,0 +1,225 @@
+"""``wire_size`` dispatches on exact type -- and sizes everything as before.
+
+The recursive ``isinstance`` chain it replaced is kept here verbatim as
+the oracle. Every baseline under ``benchmarks/baselines/`` is a function
+of this size model, so the two must agree byte for byte on every value.
+"""
+
+import collections
+import enum
+
+import pytest
+
+from repro.core.batch import columnar_wire
+from repro.dht import messages as msg
+from repro.dht.chord import NodeRef
+from repro.dht.storage import StoredItem
+from repro.util import serde
+from repro.util.bloom import BloomFilter
+from repro.util.rng import SeededRng
+from repro.util.serde import wire_size
+from repro.util.sketches import CountMinSketch, HyperLogLog
+
+
+def oracle_wire_size(value):
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        return 8
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, str):
+        return 4 + len(value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return 4 + len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 4 + sum(oracle_wire_size(v) for v in value)
+    if isinstance(value, dict):
+        return 4 + sum(oracle_wire_size(k) + oracle_wire_size(v) for k, v in value.items())
+    size_hint = getattr(value, "wire_size", None)
+    if callable(size_hint):
+        return size_hint()
+    return 4 + len(repr(value).encode("utf-8"))
+
+
+@pytest.fixture
+def expected(monkeypatch):
+    """Size a value entirely the old way.
+
+    The message types import ``wire_size`` from ``repro.util.serde``
+    when called, so with the oracle patched in there even the payload
+    inside a ``Route`` inside an ``RpcRequest`` is sized by the oracle.
+    """
+    def size(value):
+        with monkeypatch.context() as patch:
+            patch.setattr(serde, "wire_size", oracle_wire_size)
+            return oracle_wire_size(value)
+    return size
+
+
+class Severity(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+Point = collections.namedtuple("Point", "x y label")
+
+
+class Bag(dict):
+    pass
+
+
+class Words(list):
+    pass
+
+
+class Tag(str):
+    pass
+
+
+class Blob(bytes):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class SizedDict(dict):
+    """A builtin subclass takes the builtin's size, not its own hook."""
+
+    def wire_size(self):
+        return 999
+
+
+class Opaque:
+    def __repr__(self):
+        return "Opaque<éè>"  # non-ASCII repr: sized in UTF-8
+
+
+SCALARS = [
+    None, True, False, 0, 1, -7, 2 ** 70, 0.0, -2.5, float("inf"),
+    "", "abc", "host-17", "café", "日本語", "\U0001f600 ok",
+    b"", b"\x00\xff" * 5,
+    Severity.HIGH, Tag("täg"), Tag("tag"), Blob(b"xyz"), Ratio(0.5),
+]
+
+
+def random_value(rng, depth=0):
+    roll = rng.random()
+    if depth >= 3 or roll < 0.45:
+        return rng.choice(SCALARS)
+    size = rng.randint(0, 5)
+    items = [random_value(rng, depth + 1) for _ in range(size)]
+    shape = rng.randint(0, 8)
+    if shape == 0:
+        return items
+    if shape == 1:
+        return tuple(items)
+    if shape == 2:
+        return Words(items)
+    if shape == 3:
+        return Point(*(items + [None, 1, "p"])[:3])
+    if shape in (4, 5):
+        flat = [rng.choice(SCALARS) for _ in range(size)]
+        return (set if shape == 4 else frozenset)(flat)
+    keys = [rng.choice(("op", "ns", "rid", "kéy", 3, (1, "a"), None, Tag("t")))
+            for _ in range(size)]
+    pairs = dict(zip(keys, items))
+    return {6: pairs, 7: Bag(pairs), 8: SizedDict(pairs)}[shape]
+
+
+def test_scalars_and_subclasses(expected):
+    for value in SCALARS + [Point(1, 2.0, "p"), Bag(a=1), Words("ab"),
+                            SizedDict(a=[1, "x"]), Opaque(), object]:
+        assert wire_size(value) == expected(value), repr(value)
+    assert wire_size(True) == 1 and wire_size(1) == 8  # bool before int
+    assert wire_size(Severity.LOW) == 8
+    assert wire_size(SizedDict(a=1)) != 999
+
+
+def test_random_nested_values(expected):
+    rng = SeededRng(20240926, "serde-parity")
+    for _ in range(2000):
+        value = random_value(rng)
+        assert wire_size(value) == expected(value), repr(value)
+
+
+def _sketches():
+    bloom = BloomFilter.for_capacity(50)
+    bloom.add("x")
+    return [bloom, CountMinSketch(depth=3, width=64), HyperLogLog(p=6)]
+
+
+def test_size_hooks(expected):
+    ref = NodeRef(2 ** 159 + 5, "h1")
+    hooked = _sketches() + [ref, msg.Message()]
+    for value in hooked:
+        assert wire_size(value) == expected(value) == value.wire_size()
+    # Hook bearers nested inside plain containers.
+    nested = {"op": "bloom", "filters": hooked, "refs": (ref, ref, None)}
+    assert wire_size(nested) == expected(nested)
+
+
+def exchange_payloads(rng):
+    """The shapes ``Exchange._route`` and ``ExchangeMux`` put on the wire."""
+    rows = [(rng.randint(0, 63), rng.random(), "host-{}".format(rng.randint(0, 99)))
+            for _ in range(rng.randint(2, 40))]
+    states = [((rng.randint(0, 9),), [rng.random(), rng.randint(1, 50)])
+              for _ in range(rng.randint(2, 12))]
+    deliver = {"op": "deliver", "ns": "q7/x0", "rid": ("hot", 3, 1),
+               "data": rows[0], "mid": ("h4", 17), "epoch": 3, "pane": 9,
+               "qsrc": "q7", "learn": True}
+    by_rows = {"op": "deliver_batch", "ns": "q7/x0", "rid": 5, "rows": rows,
+               "mid": ("h4", 18), "epoch": 3}
+    by_cols = {"op": "deliver_batch", "ns": "q7/x1", "rid": (2, "a"),
+               "cols": columnar_wire(states), "epoch": None}
+    scan_cols = dict(by_rows, cols=columnar_wire(rows))
+    del scan_cols["rows"]
+    empty_cols = {"op": "deliver_batch", "ns": "q", "rid": 0, "cols": []}
+    mux = {"op": "deliver_mux", "mid": ("h4", 19),
+           "parts": [deliver, by_rows, by_cols, scan_cols]}
+    return [deliver, by_rows, by_cols, scan_cols, empty_cols, mux]
+
+
+def test_exchange_payload_shapes(expected):
+    rng = SeededRng(7, "serde-shapes")
+    for _ in range(25):
+        for payload in exchange_payloads(rng):
+            assert wire_size(payload) == expected(payload), payload["op"]
+
+
+def test_every_dht_message_type(expected):
+    rng = SeededRng(11, "serde-messages")
+    ref = NodeRef(12345, "h2")
+    payloads = exchange_payloads(rng) + [
+        {"kind": "get_neighbors"},
+        {"predecessor": ref, "successors": [ref, NodeRef(6, "h3")]},
+        {"op": "put", "ns": "inverted", "rid": "térm", "iid": 4,
+         "value": ("term", 17, "h2"), "ttl": 120.0},
+    ]
+    items = [StoredItem("ns", "r{}".format(i), i, payload, 100.0)
+             for i, payload in enumerate(payloads)]
+    seen = set()
+    for payload in payloads:
+        route = msg.Route(99, payload, ref, hops=2, upcall="combine")
+        messages = [
+            msg.RpcRequest(3, "h1", payload),
+            msg.RpcReply(3, payload),
+            msg.Lookup(99, ref, 4),
+            msg.LookupDone(4, ref, 3),
+            route,
+            msg.Broadcast(payload, 77, ref, 1, ack_to="h1", req=9),
+            msg.StoreItems(items, mids={("h4", 1): 30.0, ("h4", 2): 31.0}),
+            msg.Direct(payload),
+            msg.RpcRequest(5, "h1", {"kind": "wrap", "inner": [route, ref]}),
+        ]
+        for message in messages:
+            seen.add(type(message))
+            assert wire_size(message) == expected(message), message.kind
+    concrete = {cls for cls in vars(msg).values()
+                if isinstance(cls, type) and issubclass(cls, msg.Message)
+                and cls is not msg.Message}
+    assert seen == concrete

@@ -76,6 +76,55 @@ class TestDelivery:
         assert net.counters.get("messages_delivered") == 2
         assert net.counters.get("bytes_sent") > 0
 
+    def test_payload_is_sized_once_and_delivery_reuses_it(self, net, clock, monkeypatch):
+        import repro.sim.network as network_module
+
+        sized = []
+
+        def counting_wire_size(payload):
+            sized.append(payload)
+            return 123
+
+        monkeypatch.setattr(network_module, "wire_size", counting_wire_size)
+        Recorder(net, "a")
+        Recorder(net, "b")
+        payload = {"kind": "x", "rows": [1, 2, 3]}
+        net.send("a", "b", payload)
+        net.send("a", "b", payload)
+        clock.run_until(1)
+        assert sized == [payload, payload]  # once per send, none on delivery
+        assert net.counters.get("bytes_sent") == 246
+        assert net.counters.get("messages_kind_x") == 2
+        assert net.counters.get("bytes_kind_x") == 246
+        assert net.inbound_bytes == {"b": 246}
+        assert net.inbound_messages == {"b": 2}
+
+    def test_inbound_accounting_off_without_byte_counting(self, clock):
+        net = Network(clock, ConstantLatency(0.1),
+                      config=NetworkConfig(count_bytes=False))
+        Recorder(net, "a")
+        b = Recorder(net, "b")
+        net.send("a", "b", "x")
+        clock.run_until(1)
+        assert len(b.received) == 1
+        assert net.inbound_bytes == {} and net.inbound_messages == {}
+
+    def test_on_deliver_observes_every_arrival(self, net, clock):
+        Recorder(net, "a")
+        b = Recorder(net, "b")
+        c = Recorder(net, "c")
+        c.crash()
+        seen = []
+        net.on_deliver = lambda src, dst, payload: seen.append(
+            (src, dst, payload, clock.now))
+        net.send("a", "b", "x")
+        net.send("a", "c", "y")  # to a dead node: arrives, then dropped
+        clock.run_until(1)
+        assert seen == [("a", "b", "x", pytest.approx(0.1)),
+                        ("a", "c", "y", pytest.approx(0.1))]
+        assert len(b.received) == 1 and c.received == []
+        assert net.inbound_bytes.keys() == {"b"}
+
     def test_broadcast_local_reaches_all_but_sender(self, net, clock):
         Recorder(net, "a")
         b = Recorder(net, "b")
