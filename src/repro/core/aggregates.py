@@ -440,15 +440,9 @@ class AggSpec:
         self.arg = arg
         self.output_name = output_name
 
-    def compile_arg(self, schema):
-        """Compile ``arg`` against ``schema`` into a row -> value callable
-        (a constant ``None`` extractor for COUNT(*))."""
-        if self.arg is None:
-            return lambda row: None
-        return self.arg.compile(schema)
-
     def compile_arg_batch(self, schema):
-        """Batch form of :meth:`compile_arg`: RowBatch -> value list."""
+        """Compile ``arg`` against ``schema`` into a RowBatch -> value
+        list callable (all ``None`` for COUNT(*))."""
         if self.arg is None:
             return lambda batch: [None] * len(batch)
         return self.arg.compile_batch(schema)

@@ -1,4 +1,4 @@
-"""Columnar row batches: the unit flowing between hot-path operators.
+"""Columnar row batches: the only unit rows move in between operators.
 
 Rows everywhere else in the engine are positional tuples resolved
 against a :class:`repro.db.schema.Schema`. A :class:`RowBatch` is a
@@ -6,21 +6,20 @@ group of such rows carried *together*, with a dual representation:
 
 * **rows** -- a list of positional tuples (what scans buffer, what the
   wire's row shape decodes to);
-* **columns** -- one Python list per attribute (what vectorized
-  operators loop over, and what the columnar wire shape serializes).
+* **columns** -- one Python list per attribute (what column kernels
+  loop over, and what the columnar wire shape serializes).
 
 Either side is materialized lazily from the other on first access, so
-a batch built from a scan's pending buffer costs nothing until a
-vectorized operator asks for columns, and a column-built batch (a
-vectorized Project's output) costs nothing until a row-at-a-time
-consumer iterates it. Batches are *immutable by convention*: operators
-never mutate a batch they received, and derived batches (``take``,
-``project``) share column lists with their source where possible.
+a batch built from a scan's pending buffer costs nothing until an
+operator asks for columns, and a column-built batch (a Project's
+output) costs nothing until a consumer iterates its rows. Batches are
+*immutable by convention*: operators never mutate a batch they
+received, and derived batches (``take``, ``project``) share column
+lists with their source where possible.
 
 The row-dict adapter seam lives here too (``from_dicts`` /
 ``to_dicts``), delegating to the schema's positional adapters -- the
-boundary where external dict-shaped rows enter or leave the columnar
-hot path.
+boundary where external dict-shaped rows enter or leave the dataflow.
 """
 
 
@@ -78,7 +77,7 @@ class RowBatch:
         return self._rows
 
     def iter_rows(self):
-        """Iterate positional tuples (the row-at-a-time adapter)."""
+        """Iterate positional tuples."""
         return iter(self.rows())
 
     def columns(self):
@@ -105,8 +104,8 @@ class RowBatch:
         """Rows where ``mask`` is truthy, as a new batch.
 
         Truthiness -- not ``is True`` -- so a predicate column holding
-        ``None`` (SQL three-valued logic) filters exactly like the
-        row-at-a-time ``if predicate(row)`` test. Returns ``self`` when
+        ``None`` (SQL three-valued logic) filters exactly like an
+        ``if predicate(row)`` test. Returns ``self`` when
         everything passes (the common all-match fast path).
         """
         if self._columns is not None and self._rows is None:

@@ -298,10 +298,16 @@ class Operator:
     """Base class for operator instances.
 
     Lifecycle: ``start`` (once, after wiring; scans emit here), then any
-    number of ``push(row, port)`` calls, then ``flush`` at the plan's
-    deadline for this op (stateful ops emit held state), finally
+    number of ``push_batch(batch, port)`` calls, then ``flush`` at the
+    plan's deadline for this op (stateful ops emit held state), finally
     ``teardown``. ``control`` receives coordinator control messages
     (e.g. a merged Bloom filter).
+
+    An operator sees rows only through ``push_batch``: it is the one
+    data entry point every operator implements, and rows move between
+    operators only as :class:`~repro.core.batch.RowBatch`. ``push`` and
+    ``emit`` exist once, here, as one-row-batch conveniences; no
+    subclass overrides them.
 
     Standing executions add the epoch lifecycle. ``open_epoch(k, t_k)``
     begins epoch ``k``: sources emit the new epoch's delta, stateful
@@ -324,17 +330,10 @@ class Operator:
     pane-aware consumer switches its accumulation bucket.
     """
 
-    #: Engine batch counter, resolved once at construction (class-level
-    #: default so stub operators that skip ``__init__`` still emit).
-    _note_batches = None
-
     def __init__(self, ctx, spec):
         self.ctx = ctx
         self.spec = spec
         self.consumers = []  # (operator instance, port)
-        self._note_batches = getattr(
-            getattr(ctx, "engine", None), "note_batches_pushed", None
-        )
 
     def wire(self, consumer, port):
         """Connect this operator's output to ``consumer``'s input port."""
@@ -344,25 +343,22 @@ class Operator:
         """Run once after the graph is wired; sources emit here."""
         pass
 
-    def push(self, row, port=0):
-        """Receive one row on ``port`` (operators without inputs raise)."""
+    def push_batch(self, batch, port=0):
+        """Receive a :class:`RowBatch` on ``port`` -- the one data entry
+        point (operators without inputs raise).
+
+        An implementation must not depend on how its input was chunked:
+        N one-row batches and one N-row batch leave the same state
+        behind and the same rows downstream (the chunking-invariance
+        suite holds every operator to it).
+        """
         raise NotImplementedError(
             "{} does not accept input".format(type(self).__name__)
         )
 
-    def push_batch(self, batch, port=0):
-        """Receive a :class:`RowBatch` on ``port``.
-
-        The default unrolls to row-at-a-time ``push`` so the long tail
-        of operators keeps working unchanged; hot-path operators
-        (select, project, group-by partial, top-k, exchange) override
-        it with column loops. Overrides must produce *row-identical*
-        output to the unrolled default -- the property tests hold them
-        to it.
-        """
-        push = self.push
-        for row in batch.iter_rows():
-            push(row, port)
+    def push(self, row, port=0):
+        """Receive one row on ``port``: a one-row ``push_batch``."""
+        self.push_batch(RowBatch(rows=[row]), port)
 
     def flush(self):
         """Plan deadline for this op: emit held state downstream.
@@ -389,18 +385,11 @@ class Operator:
         pass
 
     def emit(self, row):
-        """Push ``row`` to every wired consumer."""
-        for consumer, port in self.consumers:
-            consumer.push(row, port)
+        """Push ``row`` to every wired consumer: a one-row ``emit_batch``."""
+        self.emit_batch(RowBatch(rows=[row]))
 
     def emit_batch(self, batch):
-        """Push a :class:`RowBatch` to every wired consumer.
-
-        Counted once per producing operator call (``batches_pushed``),
-        however many consumers receive it.
-        """
-        if self._note_batches is not None:
-            self._note_batches(1)
+        """Push a :class:`RowBatch` to every wired consumer."""
         for consumer, port in self.consumers:
             consumer.push_batch(batch, port)
 
@@ -572,31 +561,20 @@ class _ExecutionBase:
         """
         self._flush_op(op_id, epoch)
 
-    def deliver(self, op_id, port, row):
-        """A row arrived over an exchange for one of our operators."""
-        if not self.closed:
-            self.ops[op_id].push(row, port)
-
     def deliver_batch(self, op_id, port, rows, pane=None):
-        """A batched exchange message arrived: feed the consumer batch.
+        """An exchange message arrived: feed the consumer its rows as
+        one batch.
 
         ``pane`` is the batch's pane tag (pane-tagged exchanges of
         paned plans); it is re-announced to the receiving operator
         before the rows so per-pane state lands in the right bucket.
-        Multi-row arrivals go through the consumer's ``push_batch``
-        (vectorized operators process them as one batch); single rows
-        skip the batch wrapper.
         """
         if self.closed:
             return
         op = self.ops[op_id]
         if pane is not None:
             op.open_pane(pane)
-        rows = list(rows)
-        if len(rows) == 1:
-            op.push(rows[0], port)
-        else:
-            op.push_batch(RowBatch(rows=rows), port)
+        op.push_batch(RowBatch(rows=list(rows)), port)
 
     def control(self, op_id, payload, epoch=None):
         """Deliver a control payload to one op, or to a filter group.
@@ -820,10 +798,6 @@ class StandingExecution(_ExecutionBase):
                 self.ops[op_id].seal_epoch(e)
         self._sealed_through = max(self._sealed_through, e)
 
-    def deliver(self, op_id, port, row, epoch=None, pane=None):
-        """Single-row exchange arrival (see :meth:`deliver_batch`)."""
-        self.deliver_batch(op_id, port, (row,), epoch, pane)
-
     def deliver_batch(self, op_id, port, rows, epoch=None, pane=None):
         """Exchange arrival tagged ``epoch``: deliver into that epoch's
         state if it is open here, drop it as late if already sealed,
@@ -866,11 +840,7 @@ class StandingExecution(_ExecutionBase):
         with self.ctx.in_epoch(epoch):
             if pane is not None:
                 op.open_pane(pane)
-            rows = list(rows)
-            if len(rows) == 1:
-                op.push(rows[0], port)
-            else:
-                op.push_batch(RowBatch(rows=rows), port)
+            op.push_batch(RowBatch(rows=list(rows)), port)
 
     def deliver_scan(self, rows, epoch, pane=None):
         """Scan rows arrived from a shared prefix stage for ``epoch``.

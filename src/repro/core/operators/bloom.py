@@ -42,6 +42,7 @@ would have shipped.
 from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochStateRing, Operator, plan_live_epochs
 from repro.core.operators import register_operator
+from repro.core.operators.joins import batch_key_fn
 from repro.db.window import window_pane_range
 from repro.util.bloom import BloomFilter
 
@@ -54,29 +55,8 @@ class BloomStage(Operator):
 
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
-        schema = spec.params["schema"]
-        compiled = [e.compile(schema) for e in spec.params["key_exprs"]]
-        if len(compiled) == 1:
-            fn = compiled[0]
-
-            def key_fn(row):
-                return (fn(row),)
-        else:
-            def key_fn(row):
-                return tuple(f(row) for f in compiled)
-        self._key_fn = key_fn
-        batch_compiled = [
-            e.compile_batch(schema) for e in spec.params["key_exprs"]
-        ]
-        if len(batch_compiled) == 1:
-            bfn = batch_compiled[0]
-
-            def batch_key_fn(batch):
-                return [(v,) for v in bfn(batch)]
-        else:
-            def batch_key_fn(batch):
-                return list(zip(*(f(batch) for f in batch_compiled)))
-        self._batch_key_fn = batch_key_fn
+        self._batch_key_fn = batch_key_fn(
+            spec.params["key_exprs"], spec.params["schema"])
         self.side = spec.params["side"]
         # epoch -> {"filter", "buffered", "released"}
         self._epochs = EpochStateRing(self._fresh_state)
@@ -118,26 +98,11 @@ class BloomStage(Operator):
             epoch, self._panes_per_every, self._panes_per_window
         )
 
-    def push(self, row, port=0):
-        if self._paned:
-            pane = self._current_pane
-            self._pane_rows.setdefault(pane, []).append(row)
-            held = self._pane_filters.get(pane)
-            if held is None:
-                held = self._pane_filters[pane] = self._fresh_filter()
-            held.add(self._key_fn(row))
-            return
-        state = self._epochs.state(self._active_epoch())
-        state["buffered"].append(row)
-        state["filter"].add(self._key_fn(row))
-
     def push_batch(self, batch, port=0):
-        """Vectorized buffer+fold: evaluate the join keys as whole
-        columns, then extend the buffer and fold the filter in one
-        pass each -- a pane (or epoch) is constant for the batch's
-        duration, so its buffer and filter are looked up once instead
-        of once per row. Filter bits and buffered rows are identical
-        to the row-at-a-time path.
+        """Buffer+fold: evaluate the join keys as whole columns, then
+        extend the buffer and fold the filter in one pass each -- a
+        pane (or epoch) is constant for the batch's duration, so its
+        buffer and filter are looked up once per batch.
         """
         if len(batch) == 0:
             return
@@ -220,19 +185,14 @@ class BloomStage(Operator):
         if not rows:
             return
         # Release at batch granularity: one columnar key pass over the
-        # whole buffer, one membership test per row, one batch out --
-        # kept rows and their order match the per-row emit exactly.
+        # whole buffer, one membership test per row, one batch out.
         if other_filter is None:
             kept = rows
         else:
             keys = self._batch_key_fn(RowBatch(rows=rows))
             kept = [row for row, key in zip(rows, keys)
                     if key in other_filter]
-        if not kept:
-            return
-        if len(kept) == 1:
-            self.emit(kept[0])
-        else:
+        if kept:
             self.emit_batch(RowBatch(rows=kept))
 
     def seal_epoch(self, k):

@@ -42,6 +42,7 @@ Params (partial): ``group_exprs``, ``agg_specs``, ``schema``, optional
 ``paned_ship``. Params (final): ``agg_specs``, optional ``paned``.
 """
 
+from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochStateRing, Operator, plan_live_epochs
 from repro.core.operators import register_operator
 from repro.db.window import window_pane_range
@@ -187,16 +188,21 @@ class PaneWindow:
         self._hi = None
 
 
+def _emit_states(op, pairs):
+    """One flush's ``(gvals, states)`` pairs, out of ``op`` as one batch."""
+    rows = [(tuple(gvals), tuple(states)) for gvals, states in pairs]
+    if rows:
+        op.emit_batch(RowBatch(rows=rows))
+
+
 @register_operator("groupby_partial")
 class GroupByPartial(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         schema = spec.params["schema"]
         group_exprs = spec.params["group_exprs"]
-        self._group_fns = [e.compile(schema) for e in group_exprs]
         self._batch_group_fns = [e.compile_batch(schema) for e in group_exprs]
         self._agg_specs = spec.params["agg_specs"]
-        self._arg_fns = [a.compile_arg(schema) for a in self._agg_specs]
         self._batch_arg_fns = [
             a.compile_arg_batch(schema) for a in self._agg_specs
         ]
@@ -222,23 +228,15 @@ class GroupByPartial(Operator):
     def open_pane(self, pane):
         self._current_pane = pane
 
-    def push(self, row, port=0):
-        gvals = tuple(fn(row) for fn in self._group_fns)
-        states = self._group_states(gvals)
-        for i, spec in enumerate(self._agg_specs):
-            states[i] = spec.agg.add(states[i], self._arg_fns[i](row))
-        if self._note is not None:
-            self._note(1)
-
     def push_batch(self, batch, port=0):
-        """Vectorized fold: evaluate group keys and aggregate inputs as
-        whole columns, then fold each group's run of values in one pass.
+        """Evaluate group keys and aggregate inputs as whole columns,
+        then fold each group's run of values in one pass.
 
         Rows are bucketed by group key first (preserving arrival order
         within each group), so per-group accumulation order -- and thus
-        every state, float sums included -- matches the row-at-a-time
-        path exactly. State-store lookups happen once per group per
-        batch instead of once per row.
+        every state, float sums included -- does not depend on how the
+        input was chunked. State-store lookups happen once per group
+        per batch.
         """
         n = len(batch)
         if n == 0:
@@ -286,8 +284,7 @@ class GroupByPartial(Operator):
             # Emit-and-clear: post-flush stragglers die with their epoch,
             # exactly as they did inside a torn-down execution.
             held = self._epochs.seal(self._active_epoch())
-            for gvals, states in (held or {}).items():
-                self.emit((gvals, tuple(states)))
+            _emit_states(self, (held or {}).items())
             return
         lo, hi = window_pane_range(
             self._active_epoch(), self._panes_per_every,
@@ -304,11 +301,9 @@ class GroupByPartial(Operator):
                 if pane < lo:
                     continue
                 self.announce_pane(pane)
-                for gvals, states in store.items():
-                    self.emit((gvals, tuple(states)))
+                _emit_states(self, store.items())
             return
-        for gvals, states in self._window.assemble(lo, hi):
-            self.emit((gvals, states))
+        _emit_states(self, self._window.assemble(lo, hi))
 
     def seal_epoch(self, k):
         # Unpaned: whatever survived the flush dies with its epoch.
@@ -388,20 +383,24 @@ class GroupByFinal(Operator):
             epoch, self._panes_per_every, self._panes_per_window
         )
 
-    def push(self, row, port=0):
+    def push_batch(self, batch, port=0):
+        rows = batch.rows()
+        if not rows:
+            return
         epoch = self._active_epoch()
-        gvals, states = row
         if self._note is not None:
-            self._note(1)
+            self._note(len(rows))
+        specs = self._agg_specs
         if self._paned:
             pane = self._current_pane
             if pane is None:
                 # Untagged arrival (defensive): file it under the
                 # epoch's newest pane so it is never silently dropped.
                 pane = self._window_range(epoch)[1] - 1
-            held = self._window.entry(pane, tuple(gvals))
-            for i, spec in enumerate(self._agg_specs):
-                held[i] = spec.agg.merge(held[i], states[i])
+            for gvals, states in rows:
+                held = self._window.entry(pane, tuple(gvals))
+                for i, spec in enumerate(specs):
+                    held[i] = spec.agg.merge(held[i], states[i])
             # Streaming refinement: every flushed, still-open epoch
             # whose window covers this pane now has a stale answer.
             for e, entry in self._epochs.items():
@@ -414,12 +413,14 @@ class GroupByFinal(Operator):
                     )
             return
         entry = self._epochs.state(epoch)
-        held = entry["groups"].get(gvals)
-        if held is None:
-            entry["groups"][gvals] = list(states)
-        else:
-            for i, spec in enumerate(self._agg_specs):
-                held[i] = spec.agg.merge(held[i], states[i])
+        groups = entry["groups"]
+        for gvals, states in rows:
+            held = groups.get(gvals)
+            if held is None:
+                groups[gvals] = list(states)
+            else:
+                for i, spec in enumerate(specs):
+                    held[i] = spec.agg.merge(held[i], states[i])
         if entry["flushed"] and entry["timer"] is None:
             entry["timer"] = self.ctx.dht.set_timer(
                 0.4, self._reflush, epoch
@@ -435,14 +436,13 @@ class GroupByFinal(Operator):
         self.reset_batch()
         if self._paned:
             lo, hi = self._window_range(self._active_epoch())
-            for gvals, states in self._window.assemble(lo, hi):
-                self.emit((tuple(gvals), tuple(states)))
-            return
-        for gvals, states in entry["groups"].items():
-            # Ship mergeable *states*, not finalized values: during ring
-            # healing two nodes can both act as a group's owner, and the
-            # query site can only reconcile them if states stay algebraic.
-            self.emit((tuple(gvals), tuple(states)))
+            pairs = self._window.assemble(lo, hi)
+        else:
+            pairs = entry["groups"].items()
+        # Ship mergeable *states*, not finalized values: during ring
+        # healing two nodes can both act as a group's owner, and the
+        # query site can only reconcile them if states stay algebraic.
+        _emit_states(self, pairs)
 
     def seal_epoch(self, k):
         # The pane store outlives epochs by design (later windows reuse

@@ -50,44 +50,30 @@ class SymmetricHashJoin(Operator):
         super().__init__(ctx, spec)
         left_schema = spec.params["left_schema"]
         right_schema = spec.params["right_schema"]
-        self._left_key = _key_fn(spec.params["left_keys"], left_schema)
-        self._right_key = _key_fn(spec.params["right_keys"], right_schema)
-        self._left_batch_key = _batch_key_fn(
+        self._left_batch_key = batch_key_fn(
             spec.params["left_keys"], left_schema)
-        self._right_batch_key = _batch_key_fn(
+        self._right_batch_key = batch_key_fn(
             spec.params["right_keys"], right_schema)
         # epoch -> ({}, {}): key -> [rows], by port
         self._epochs = EpochStateRing(lambda: ({}, {}))
         residual = spec.params.get("residual")
         if residual is not None:
             out_schema = left_schema.concat(right_schema)
-            self._residual = residual.compile(out_schema)
             self._batch_residual = residual.compile_batch(out_schema)
         else:
-            self._residual = None
             self._batch_residual = None
 
-    def push(self, row, port=0):
-        tables = self._epochs.state(self._active_epoch())
-        key = self._left_key(row) if port == 0 else self._right_key(row)
-        mine, other = tables[port], tables[1 - port]
-        mine.setdefault(key, []).append(row)
-        for match in other.get(key, ()):
-            # Column order is left-then-right regardless of arrival side.
-            joined = (row + match) if port == 0 else (match + row)
-            if self._residual is None or self._residual(joined):
-                self.emit(joined)
-
     def push_batch(self, batch, port=0):
-        """Vectorized build+probe: evaluate the join keys as whole
-        columns, then run one combined build/probe pass.
+        """Build+probe: evaluate the join keys as whole columns, then
+        run one combined build/probe pass.
 
         A batch arrives on a single port, so the opposite side's table
         is constant for the batch's duration and per-row work shrinks
         to one build append plus one probe lookup over already-computed
-        keys. The pass still walks rows in batch order and matches in
-        table insertion order -- joined output (and every table state
-        left behind) is row-identical to the default unrolled path.
+        keys. The pass walks rows in batch order and matches in table
+        insertion order, and everything one call joins -- a single
+        arrival fanning out to k matches included -- leaves as one
+        batch.
         """
         n = len(batch)
         if n == 0:
@@ -110,10 +96,7 @@ class SymmetricHashJoin(Operator):
             joined = out.take(self._batch_residual(out)).rows()
             if not joined:
                 return
-        if len(joined) == 1:
-            self.emit(joined[0])
-        else:
-            self.emit_batch(RowBatch(rows=joined))
+        self.emit_batch(RowBatch(rows=joined))
 
     def seal_epoch(self, k):
         self._epochs.seal(k)
@@ -122,16 +105,8 @@ class SymmetricHashJoin(Operator):
         self._epochs.clear()
 
 
-def _key_fn(exprs, schema):
-    compiled = [e.compile(schema) for e in exprs]
-    if len(compiled) == 1:
-        fn = compiled[0]
-        return lambda row: (fn(row),)
-    return lambda row: tuple(fn(row) for fn in compiled)
-
-
-def _batch_key_fn(exprs, schema):
-    """Batch variant of :func:`_key_fn`: batch -> list of key tuples."""
+def batch_key_fn(exprs, schema):
+    """Compile join key expressions: batch -> list of key tuples."""
     compiled = [e.compile_batch(schema) for e in exprs]
     if len(compiled) == 1:
         fn = compiled[0]
@@ -153,7 +128,6 @@ class FetchMatches(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         probe_schema = spec.params["probe_schema"]
-        self._probe_key = spec.params["probe_key"].compile(probe_schema)
         self._batch_probe_key = spec.params["probe_key"].compile_batch(
             probe_schema)
         self._table = spec.params["table"]
@@ -179,33 +153,12 @@ class FetchMatches(Operator):
         else:
             super().open_pane(pane)
 
-    def push(self, row, port=0):
-        epoch = self._active_epoch()
-        entry = self._epochs.state(epoch)
-        key = self._probe_key(row)
-        if self._dedup and key in entry["cache"]:
-            if self._paned and self._current_pane is not None:
-                self.announce_pane(self._current_pane)
-            self._join(row, entry["cache"][key])
-            return
-        pending = (row, self._current_pane if self._paned else None)
-        if key in entry["waiting"]:
-            entry["waiting"][key].append(pending)
-            return
-        entry["waiting"][key] = [pending]
-        self.ctx.dht.get(
-            self._table, key,
-            lambda values: self._fetched(epoch, key, values),
-        )
-
     def push_batch(self, batch, port=0):
-        """Vectorized probe: evaluate the probe keys as one column,
-        then split the batch into cache hits (joined immediately),
-        piggybacks on an in-flight fetch, and novel keys -- issuing a
-        single ``get`` per distinct novel key instead of one dispatch
-        round per row. Cache hits release in batch-row order and
-        waiting lists grow in batch-row order, so emitted output and
-        the state left behind are row-identical to the unrolled path.
+        """Evaluate the probe keys as one column, then split the batch
+        into cache hits (joined immediately), piggybacks on an
+        in-flight fetch, and novel keys -- issuing a single ``get`` per
+        distinct novel key. Cache hits release in batch-row order and
+        waiting lists grow in batch-row order.
         """
         n = len(batch)
         if n == 0:
@@ -262,10 +215,12 @@ class FetchMatches(Operator):
         self._run_in_epoch(epoch, deliver)
 
     def _join(self, probe_row, table_rows):
-        for table_row in table_rows:
-            joined = probe_row + table_row
-            if self._residual is None or self._residual(joined):
-                self.emit(joined)
+        """One probe row against its fetched matches, out as one batch."""
+        joined = [probe_row + table_row for table_row in table_rows]
+        if self._residual is not None:
+            joined = [row for row in joined if self._residual(row)]
+        if joined:
+            self.emit_batch(RowBatch(rows=joined))
 
     def seal_epoch(self, k):
         self._epochs.seal(k)

@@ -34,28 +34,17 @@ class Distinct(Operator):
         self._seen = EpochStateRing(set)  # epoch -> set of rows
         self._report = spec.params.get("report_progress", False)
 
-    def push(self, row, port=0):
-        seen = self._seen.state(self._active_epoch())
-        if row in seen:
-            return
-        seen.add(row)
-        if self._report:
-            self.ctx.engine.note_progress(self.ctx.query_id, self.ctx.epoch, 1)
-        self.emit(row)
-
     def push_batch(self, batch, port=0):
-        """Column kernel: one membership pass, one batched emission.
+        """One membership pass, one batched emission.
 
         The novel rows leave in first-occurrence order as a single
-        RowBatch (downstream vectorized operators process one batch
-        instead of N pushes) and the progress note aggregates the whole
-        wave -- row-identical to the default loop by construction.
+        RowBatch and the progress note aggregates the whole wave.
         """
         seen = self._seen.state(self._active_epoch())
         seen_add = seen.add
         novel = []
         append = novel.append
-        for row in batch.iter_rows():
+        for row in batch.rows():
             if row not in seen:
                 seen_add(row)
                 append(row)
@@ -65,10 +54,7 @@ class Distinct(Operator):
             self.ctx.engine.note_progress(
                 self.ctx.query_id, self.ctx.epoch, len(novel)
             )
-        if len(novel) == 1:
-            self.emit(novel[0])
-        else:
-            self.emit_batch(RowBatch(rows=novel))
+        self.emit_batch(RowBatch(rows=novel))
 
     def seal_epoch(self, k):
         self._seen.seal(k)
@@ -125,13 +111,8 @@ class Demux(Operator):
     def open_pane(self, pane):
         self._pane = pane  # marker consumed here, not propagated
 
-    def push(self, row, port=0):
-        self._fan([row])
-
     def push_batch(self, batch, port=0):
-        self._fan(list(batch.iter_rows()))
-
-    def _fan(self, rows):
+        rows = batch.rows()
         record = self._record()
         if record is None or not rows:
             return
@@ -190,8 +171,9 @@ class Demux(Operator):
 class Union(Operator):
     """Bag union: forward rows from any port unchanged."""
 
-    def push(self, row, port=0):
-        self.emit(row)
+    def push_batch(self, batch, port=0):
+        if len(batch):
+            self.emit_batch(batch)
 
 
 @register_operator("limit")
@@ -208,11 +190,12 @@ class Limit(Operator):
         # epoch -> [rows still allowed through] (one-slot mutable cell)
         self._remaining = EpochStateRing(lambda: [limit])
 
-    def push(self, row, port=0):
+    def push_batch(self, batch, port=0):
         cell = self._remaining.state(self._active_epoch())
-        if cell[0] > 0:
-            cell[0] -= 1
-            self.emit(row)
+        rows = batch.rows()[:cell[0]]
+        if rows:
+            cell[0] -= len(rows)
+            self.emit_batch(RowBatch(rows=rows))
 
     def seal_epoch(self, k):
         self._remaining.seal(k)
@@ -247,8 +230,10 @@ class ResultReturn(Operator):
         self._timer = None
         self._delay = spec.params.get("batch_delay", 0.25)
 
-    def push(self, row, port=0):
-        self._batches.state(self._active_epoch()).append(row)
+    def push_batch(self, batch, port=0):
+        if len(batch) == 0:
+            return
+        self._batches.state(self._active_epoch()).extend(batch.rows())
         if self._timer is None:
             self._timer = self.ctx.dht.set_timer(self._delay, self._send)
 

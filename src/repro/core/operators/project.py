@@ -3,11 +3,10 @@
 Params: ``exprs`` (list of Expr), ``schema`` (input Schema). Output
 column names are a planning-time concern; rows stay positional.
 
-Batches take the vectorized path: each output expression's batch
-evaluator produces one whole column, and the results are re-wrapped as
-a column-built batch -- bare column references pass their input column
-through by reference, so a pure reorder/narrowing projection copies
-nothing.
+Each output expression's batch evaluator produces one whole column,
+and the results are re-wrapped as a column-built batch -- bare column
+references pass their input column through by reference, so a pure
+reorder/narrowing projection copies nothing.
 """
 
 from repro.core.batch import RowBatch
@@ -21,11 +20,7 @@ class Project(Operator):
         super().__init__(ctx, spec)
         schema = spec.params["schema"]
         exprs = spec.params["exprs"]
-        self._fns = [e.compile(schema) for e in exprs]
         self._batch_fns = [e.compile_batch(schema) for e in exprs]
-
-    def push(self, row, port=0):
-        self.emit(tuple(fn(row) for fn in self._fns))
 
     def push_batch(self, batch, port=0):
         if len(batch) == 0:

@@ -67,15 +67,6 @@ class Scan(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         self._standing = bool(getattr(ctx, "standing", False))
-        config = getattr(getattr(ctx, "engine", None), "config", None)
-        # Columnar batching: each emission wave leaves as one RowBatch
-        # feeding consumers' push_batch. The planner stamps
-        # batch-capable pipelines (params["batch"]); the engine knob is
-        # the global row-mode ablation for benchmarks.
-        self._batch = bool(
-            spec.params.get("batch", True)
-            and getattr(config, "columnar_batches", True)
-        )
         self._paned = bool(spec.params.get("paned")) and self._standing
         # Admission-control sampling: emit only a deterministic
         # hash-sampled fraction of scanned rows. Every row is still
@@ -115,20 +106,15 @@ class Scan(Operator):
         self.ctx.engine.note_rows_scanned(n)
 
     def _emit_rows(self, rows):
-        """Emit one scan wave: a single RowBatch in columnar mode, a
-        row loop otherwise. ``rows`` is taken over by the batch."""
+        """Emit one scan wave as a single RowBatch (``rows`` is taken
+        over by the batch)."""
         if self._sample_threshold is not None and rows:
             threshold = self._sample_threshold
             rows = [r for r in rows if _sample_keep(r, threshold)]
-        if not rows:
-            return
-        if self._batch and len(rows) > 1:
+        if rows:
             self.emit_batch(
                 RowBatch(rows=rows, schema=self._table_def.schema)
             )
-        else:
-            for row in rows:
-                self.emit(row)
 
     def _window(self):
         window = self.spec.params.get("window") or self.ctx.plan.window

@@ -379,15 +379,6 @@ def _plan_flat(lq, catalog, timing):
                     if prefix is not None:
                         metadata["prefix"] = prefix
 
-    # Columnar batch capability: every lowered pipeline moves rows as
-    # RowBatches (scan deltas emit batched, hot operators vectorize).
-    # Stamped explicitly so EXPLAIN output and the engine's row-mode
-    # ablation (EngineConfig.columnar_batches) stay introspectable.
-    metadata["columnar"] = True
-    for spec in b.specs:
-        if spec.kind == "scan":
-            spec.params["batch"] = True
-
     finishing = {}
     if agg_finishing is not None:
         finishing["aggregate"] = agg_finishing
@@ -887,11 +878,7 @@ def _plan_recursive(lq, catalog, timing):
         "columns": [name for _item, name in lq.select_items],
         "quiet_period": lq.options.get("quiet_period", 3.0),
         "min_runtime": lq.options.get("min_runtime", 3.0),
-        "columnar": True,
     }
-    for spec in b.specs:
-        if spec.kind == "scan":
-            spec.params["batch"] = True
     return QueryPlan(
         b.specs, result_id, mode="recursive", flush_offsets={},
         deadline=deadline, finishing={}, metadata=metadata,

@@ -34,8 +34,8 @@ class LoadProbe(Operator):
     def seal_epoch(self, k):
         self.ring.seal(k)
 
-    def push(self, row, port=0):
-        self.pushed.append(row)
+    def push_batch(self, batch, port=0):
+        self.pushed.extend(batch.rows())
 
 
 class _StubTimer:

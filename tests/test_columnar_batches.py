@@ -1,19 +1,19 @@
-"""Columnar hot path: RowBatch mechanics and push/push_batch parity.
+"""RowBatch mechanics and the chunking-invariance contract.
 
 Two layers:
 
 * :class:`repro.core.batch.RowBatch` unit tests -- lazy rows<->columns
   duality, truthy ``take``, ``project``, the dict adapter seam, and the
   ``columnar_wire`` encoder's uniform-arity gate;
-* the vectorization contract: for EVERY operator, ``push_batch`` must
-  be row-identical to feeding the same rows through ``push`` one at a
-  time -- both the default loop and each vectorized override
-  (Select/Project/TopK/GroupByPartial/SymmetricHashJoin/BloomStage/
-  Exchange), on randomized batches
-  including empty and single-row ones, and under pane/epoch-tagged
-  delivery. The Select cases pin the null-semantics fast path: a
-  predicate evaluating to None, False or 0 filters the row out in both
-  modes (SQL three-valued logic must survive vectorization).
+* chunking invariance: ``push_batch`` is every operator's one data
+  entry point, and what an operator emits (and the state it leaves
+  behind) must not depend on how its input was chunked. Each case
+  feeds the same rows twice -- as N one-row batches through the base
+  class's ``push`` wrapper (``batch_mode=False``) and as one N-row
+  batch (``batch_mode=True``) -- on randomized inputs including empty
+  and single-row ones, and under pane/epoch-tagged delivery. The Select
+  cases pin SQL three-valued logic: a predicate evaluating to None,
+  False or 0 filters the row out under either chunking.
 """
 
 import random
@@ -35,30 +35,27 @@ SCHEMA = Schema.of(("a", INT), ("b", INT), ("s", STR))
 
 
 class Sink(Operator):
-    """Row-at-a-time consumer: batches reach it via the default loop."""
+    """Consumer recording the rows it received, in order."""
 
     def __init__(self):
         self.rows = []
         self.consumers = []
         self.resets = 0
 
-    def push(self, row, port=0):
-        self.rows.append(row)
+    def push_batch(self, batch, port=0):
+        self.rows.extend(batch.rows())
 
     def reset_batch(self):
         self.resets += 1
 
 
 class BatchSink(Operator):
-    """Batch-aware consumer recording delivery granularity."""
+    """Consumer recording delivery granularity."""
 
     def __init__(self):
         self.rows = []
         self.batches = 0
         self.consumers = []
-
-    def push(self, row, port=0):
-        self.rows.append(row)
 
     def push_batch(self, batch, port=0):
         self.batches += 1
@@ -170,7 +167,7 @@ class TestRowBatch:
 
 
 # ----------------------------------------------------------------------
-# Select null semantics: None / False / 0 filter in BOTH modes
+# Select null semantics: None / False / 0 filter under either chunking
 # ----------------------------------------------------------------------
 class TestSelectNullSemantics:
     def _run(self, predicate, rows, batch_mode):
@@ -206,7 +203,7 @@ class TestSelectNullSemantics:
         kept = self._run(col("a"), rows, batch_mode)
         assert [r[2] for r in kept] == ["one", "neg", "true"]
 
-    def test_row_and_batch_agree_on_random_predicates(self):
+    def test_chunkings_agree_on_random_predicates(self):
         rng = random.Random(77)
         predicate = BinaryOp(
             "AND",
@@ -220,14 +217,16 @@ class TestSelectNullSemantics:
 
 
 # ----------------------------------------------------------------------
-# Parity property: push_batch == row-at-a-time push, every operator
+# Chunking invariance: N one-row batches == one N-row batch, every operator
 # ----------------------------------------------------------------------
 def drive(make_op, rows, batch_mode, flush=True, epochs=None, panes=None):
     """Feed rows through one operator instance and return the sink rows.
 
-    ``epochs`` / ``panes`` optionally tag each batch: the rows are
-    split into per-(epoch, pane) chunks fed in order, mimicking
-    epoch/pane-tagged deliver_batch.
+    ``batch_mode=False`` feeds N one-row batches through the base
+    ``push`` wrapper, ``batch_mode=True`` one N-row batch (an empty
+    batch when there are no rows). ``epochs`` / ``panes`` optionally
+    tag each batch: the rows are split into per-(epoch, pane) chunks
+    fed in order, mimicking epoch/pane-tagged deliver_batch.
     """
     op, sink = make_op()
     chunks = [(None, None, rows)]
@@ -255,9 +254,9 @@ def drive(make_op, rows, batch_mode, flush=True, epochs=None, panes=None):
     return sink.rows
 
 
-class TestPushBatchParity:
+class TestChunkingInvariance:
     @pytest.mark.parametrize("n", SIZES)
-    def test_select_override(self, n):
+    def test_select(self, n):
         rows = random_rows(random.Random(100 + n), n)
 
         def build():
@@ -270,7 +269,7 @@ class TestPushBatchParity:
                 == drive(build, rows, True, flush=False))
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_project_override(self, n):
+    def test_project(self, n):
         rows = random_rows(random.Random(200 + n), n)
 
         def build():
@@ -284,7 +283,7 @@ class TestPushBatchParity:
                 == drive(build, rows, True, flush=False))
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_topk_override(self, n):
+    def test_topk(self, n):
         rows = random_rows(random.Random(300 + n), n)
 
         def build():
@@ -295,7 +294,7 @@ class TestPushBatchParity:
 
         assert drive(build, rows, False) == drive(build, rows, True)
 
-    def test_topk_paned_override(self):
+    def test_topk_paned(self):
         rng = random.Random(301)
         rows = random_rows(rng, 12)
         panes = sorted(rng.randint(0, 2) for _ in rows)
@@ -324,7 +323,7 @@ class TestPushBatchParity:
         assert run(False) == run(True)
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_groupby_partial_override(self, n):
+    def test_groupby_partial(self, n):
         rows = random_rows(random.Random(400 + n), n)
         specs = [AggSpec("SUM", col("b"), "total"),
                  AggSpec("COUNT", col("a"), "n"),
@@ -427,9 +426,10 @@ class TestPushBatchParity:
     @pytest.mark.parametrize("kind,params", [
         ("distinct", {}),
         ("limit", {"limit": 4}),
+        ("union", {}),
     ])
     @pytest.mark.parametrize("n", SIZES)
-    def test_default_loop_operators(self, kind, params, n):
+    def test_small_operators(self, kind, params, n):
         rows = random_rows(random.Random(600 + n), n)
 
         def build():
@@ -439,9 +439,9 @@ class TestPushBatchParity:
                 == drive(build, rows, True, flush=False))
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_distinct_override_duplicate_heavy(self, n):
-        # The distinct column kernel must agree with the row loop when
-        # most of the batch is repeats (tiny value pool).
+    def test_distinct_duplicate_heavy(self, n):
+        # Chunking must not matter when most of the input is repeats
+        # (tiny value pool).
         rng = random.Random(700 + n)
         rows = [(rng.randint(0, 2), rng.randint(0, 1),
                  rng.choice(["x", "y"])) for _ in range(n)]
@@ -454,7 +454,7 @@ class TestPushBatchParity:
 
     def test_distinct_epoch_tagged_batches(self):
         # Standing mode: each epoch's seen-set is its own; a row
-        # deduped in epoch 1 is novel again in epoch 2, in both modes.
+        # deduped in epoch 1 is novel again in epoch 2, either way.
         rng = random.Random(701)
         rows = [(rng.randint(0, 2), 0, "x") for _ in range(12)]
         epochs = [1 + (i // 6) for i in range(12)]
@@ -462,10 +462,10 @@ class TestPushBatchParity:
         def build():
             return make("distinct", {}, standing=True)
 
-        row_mode = drive(build, rows, False, flush=False, epochs=epochs)
-        batch_mode = drive(build, rows, True, flush=False, epochs=epochs)
-        assert row_mode == batch_mode
-        assert len(batch_mode) == (len(set(rows[:6])) + len(set(rows[6:])))
+        one_by_one = drive(build, rows, False, flush=False, epochs=epochs)
+        batched = drive(build, rows, True, flush=False, epochs=epochs)
+        assert one_by_one == batched
+        assert len(batched) == (len(set(rows[:6])) + len(set(rows[6:])))
 
     def test_distinct_seal_epoch_releases_state(self):
         op, sink = make("distinct", {}, standing=True)
@@ -496,31 +496,39 @@ class TestPushBatchParity:
         assert op.ctx.engine.notes == [3]
 
     def test_distinct_emission_granularity(self):
-        # A single novel row leaves row-wise; several leave as ONE
-        # batch, so downstream vectorized operators stay batched.
+        # One call's novel rows leave as ONE batch (nothing leaves when
+        # nothing is novel), so downstream operators stay batched.
         op, _sink = make("distinct", {})
         bsink = BatchSink()
         op.consumers = []
         op.wire(bsink, 0)
         op.push_batch(RowBatch.from_rows([(1, 1, "x"), (1, 1, "x")], SCHEMA))
         assert bsink.rows == [(1, 1, "x")]
-        assert bsink.batches == 0
-        op.push_batch(RowBatch.from_rows([(2, 1, "x"), (3, 1, "x")], SCHEMA))
         assert bsink.batches == 1
+        op.push_batch(RowBatch.from_rows([(2, 1, "x"), (3, 1, "x")], SCHEMA))
+        assert bsink.batches == 2
+        op.push_batch(RowBatch.from_rows([(2, 1, "x")], SCHEMA))
+        assert bsink.batches == 2
         assert bsink.rows == [(1, 1, "x"), (2, 1, "x"), (3, 1, "x")]
 
-    def test_default_push_batch_preserves_port(self):
+    def test_base_push_and_emit_are_one_row_batches(self):
+        # push/emit exist once, on the base: each wraps its row in a
+        # one-row batch, port preserved.
         class TwoPort(Operator):
             def __init__(self):
                 self.got = []
                 self.consumers = []
 
-            def push(self, row, port=0):
-                self.got.append((port, row))
+            def push_batch(self, batch, port=0):
+                self.got.append((port, batch.rows()))
 
         op = TwoPort()
-        op.push_batch(RowBatch.from_rows([(1,), (2,)]), port=1)
-        assert op.got == [(1, (1,)), (1, (2,))]
+        op.push((1,), port=1)
+        assert op.got == [(1, [(1,)])]
+        source = TwoPort()
+        source.wire(op, 1)
+        source.emit((2,))
+        assert op.got == [(1, [(1,)]), (1, [(2,)])]
 
     def test_emit_batch_feeds_batch_consumers_whole(self):
         class Source(Operator):
@@ -536,7 +544,7 @@ class TestPushBatchParity:
 
 
 # ----------------------------------------------------------------------
-# Symmetric hash join: vectorized build+probe == row-at-a-time
+# Symmetric hash join: build+probe is chunking-invariant
 # ----------------------------------------------------------------------
 class TestSymmetricHashJoinParity:
     RIGHT = Schema.of(("k", INT), ("t", STR))
@@ -613,25 +621,41 @@ class TestSymmetricHashJoinParity:
         assert self._run(feeds, True) == expected
 
     def test_emission_granularity(self):
-        # Several joins from one batch leave as ONE batch downstream;
-        # a single join leaves row-wise.
+        # Everything one call joins leaves as ONE batch downstream; a
+        # call that joins nothing emits nothing.
         op, _sink = self._build()
         bsink = BatchSink()
         op.consumers = []
         op.wire(bsink, 0)
         op.push_batch(RowBatch.from_rows([(7, "p"), (7, "q")], self.RIGHT),
                       port=1)
+        assert bsink.batches == 0
         op.push_batch(RowBatch.from_rows([(1, 7, "x")], SCHEMA), port=0)
         assert bsink.batches == 1
         assert bsink.rows == [(1, 7, "x", 7, "p"), (1, 7, "x", 7, "q")]
         op.push_batch(RowBatch.from_rows([(8, "p")], self.RIGHT), port=1)
         op.push_batch(RowBatch.from_rows([(2, 8, "y")], SCHEMA), port=0)
-        assert bsink.batches == 1  # the lone join went out row-wise
+        assert bsink.batches == 2
         assert bsink.rows[-1] == (2, 8, "y", 8, "p")
+
+    def test_one_row_arrival_fans_out_as_one_batch(self):
+        # A single row landing on the build side with k matches already
+        # on the other side reaches the consumer as one k-row batch.
+        op, _sink = self._build()
+        bsink = BatchSink()
+        op.consumers = []
+        op.wire(bsink, 0)
+        op.push_batch(RowBatch.from_rows(
+            [(1, 7, "x"), (2, 7, "y"), (3, 7, "z")], SCHEMA), port=0)
+        assert bsink.batches == 0
+        op.push((7, "p"), port=1)
+        assert bsink.batches == 1
+        assert bsink.rows == [(1, 7, "x", 7, "p"), (2, 7, "y", 7, "p"),
+                              (3, 7, "z", 7, "p")]
 
 
 # ----------------------------------------------------------------------
-# Fetch-matches: vectorized probe == row-at-a-time, async replies incl.
+# Fetch-matches: the probe is chunking-invariant, async replies included
 # ----------------------------------------------------------------------
 class FetchDht(StubDht):
     """DHT stub capturing ``get`` calls for deterministic release."""
@@ -663,9 +687,9 @@ class PaneSink(Sink):
     def open_pane(self, pane):
         self.events.append(("pane", pane))
 
-    def push(self, row, port=0):
-        super().push(row)
-        self.events.append(("row", row))
+    def push_batch(self, batch, port=0):
+        super().push_batch(batch)
+        self.events.extend(("row", row) for row in batch.rows())
 
 
 class TestFetchMatchesParity:
@@ -727,7 +751,7 @@ class TestFetchMatchesParity:
         _op, by_batch, dht_batch = self._run(rows, True, table_rows,
                                              release=release)
         assert by_row.rows == by_batch.rows
-        # One get per distinct in-flight key in both modes: repeats
+        # One get per distinct in-flight key either way: repeats
         # piggyback on the waiting list, never re-dispatch.
         assert dht_row.gets == dht_batch.gets
 
@@ -782,8 +806,8 @@ class TestFetchMatchesParity:
 
     def test_pane_announcements_replay_parity(self):
         # Paned standing plan: joins released by an async reply must be
-        # re-announced under their probe row's pane, identically in
-        # both modes.
+        # re-announced under their probe row's pane, identically
+        # under either chunking.
         rng = random.Random(995)
         table_rows = self._table_for(rng)
         rows = random_rows(rng, 10)
@@ -819,7 +843,7 @@ class TestFetchMatchesParity:
 
 
 # ----------------------------------------------------------------------
-# Bloom stage: vectorized buffer/fold + batch-granularity release
+# Bloom stage: chunking-invariant buffer/fold, batch-granularity release
 # ----------------------------------------------------------------------
 class TestBloomStageParity:
     def _build(self, paned=False):
@@ -857,8 +881,8 @@ class TestBloomStageParity:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_filter_bits_identical(self, n):
-        # The vectorized fold must set exactly the bits the row loop
-        # sets -- the filter goes on the wire, so bit identity matters.
+        # Either chunking must set exactly the same bits -- the filter
+        # goes on the wire, so bit identity matters.
         rows = random_rows(random.Random(950 + n), n)
 
         def bits(batch_mode):
@@ -904,8 +928,7 @@ class TestBloomStageParity:
         assert sink.rows == rows
 
     def test_release_granularity(self):
-        # Multiple passing rows leave as ONE batch; a single passer
-        # leaves row-wise (the DistinctOp emission convention).
+        # One release's passing rows leave as ONE batch.
         other = self._filter_of(["x"])
         op, _sink = self._build()
         bsink = BatchSink()
@@ -919,18 +942,22 @@ class TestBloomStageParity:
 
 
 # ----------------------------------------------------------------------
-# Exchange parity: batched pushes ship byte-identical messages
+# Exchange: chunking never changes the shipped messages
 # ----------------------------------------------------------------------
-class TestExchangeBatchParity:
-    def _exchange(self, sent, flush_delay=5.0, columnar=True):
+class TestExchangeChunkingInvariance:
+    def _exchange(self, sent, flush_delay=5.0, key=None, muted=None,
+                  adaptive=False):
         from repro.core.engine import EngineConfig
         from repro.core.exchange import Exchange
 
         class CaptureDht:
+            timers = 0
+
             def route(self, key, payload, upcall=None):
                 sent.append((key, payload))
 
             def set_timer(self, delay, callback, *args):
+                CaptureDht.timers += 1
                 return object()
 
             def cancel_timer(self, timer):
@@ -943,13 +970,21 @@ class TestExchangeBatchParity:
         class Engine:
             config = EngineConfig(
                 flush_delay=flush_delay, max_batch_rows=4,
-                columnar_batches=columnar,
+                adaptive_flush=adaptive,
             )
+
+            @staticmethod
+            def exchange_muted(ns, rid):
+                return muted is not None and rid in muted
+
+        class Clock:
+            now = 0.0
 
         class Ctx:
             plan = StubPlan()
             dht = CaptureDht()
             engine = Engine()
+            clock = Clock()
 
             def namespace(self, op_id, port):
                 return "ns|{}|{}".format(op_id, port)
@@ -960,8 +995,8 @@ class TestExchangeBatchParity:
         class Spec:
             op_id = "x1"
             params = {"mode": "rehash",
-                      "key": {"kind": "exprs", "exprs": [col("s")],
-                              "schema": SCHEMA}}
+                      "key": key or {"kind": "exprs", "exprs": [col("s")],
+                                     "schema": SCHEMA}}
 
         return Exchange(Ctx(), Spec())
 
@@ -973,25 +1008,27 @@ class TestExchangeBatchParity:
             for key, payload in sent
         ]
 
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("muted", [None, {("x",), ("",)}])
     @pytest.mark.parametrize("n", SIZES)
-    def test_push_batch_ships_identical_messages(self, columnar, n):
+    def test_chunking_ships_identical_messages(self, n, muted):
         rows = random_rows(random.Random(700 + n), n)
-        sent_rowwise, sent_batched = [], []
-        by_row = self._exchange(sent_rowwise, columnar=columnar)
+        sent_one_by_one, sent_batched = [], []
+        one_by_one = self._exchange(sent_one_by_one, muted=muted)
         for row in rows:
-            by_row.push(row)
-        by_row.flush()
-        batched = self._exchange(sent_batched, columnar=columnar)
+            one_by_one.push(row)
+        one_by_one.flush()
+        batched = self._exchange(sent_batched, muted=muted)
         batched.push_batch(RowBatch.from_rows(rows, SCHEMA))
         batched.flush()
-        assert (self._normalize(sent_rowwise)
+        assert (self._normalize(sent_one_by_one)
                 == self._normalize(sent_batched))
+        if muted:
+            assert all(p["rid"] not in muted for _k, p in sent_batched)
 
     def test_columnar_wire_shape_decodes(self):
         rows = [(1, 2, "x"), (3, 4, "y"), (5, 6, "x")]
         sent = []
-        exchange = self._exchange(sent, columnar=True)
+        exchange = self._exchange(sent)
         exchange.push_batch(RowBatch.from_rows(rows, SCHEMA))
         exchange.flush()
         shapes = {p["op"] for _k, p in sent}
@@ -1002,15 +1039,18 @@ class TestExchangeBatchParity:
         decoded = [r for _k, p in sent for r in payload_rows(p)]
         assert sorted(decoded) == sorted(rows)
 
-    def test_row_wire_shape_when_columnar_off(self):
-        rows = [(1, 2, "x"), (3, 4, "x")]
+    def test_ragged_rows_fall_back_to_the_rows_wire_shape(self):
+        # Rows of unequal arity cannot transpose into columns: the
+        # message keeps the row shape and still decodes to the rows.
+        rows = [(1, 2, "x"), (3, 4), (5,)]
         sent = []
-        exchange = self._exchange(sent, columnar=False)
-        exchange.push_batch(RowBatch.from_rows(rows, SCHEMA))
+        exchange = self._exchange(sent, key={"kind": "const"})
+        exchange.push_batch(RowBatch.from_rows(rows))
         exchange.flush()
-        for _key, payload in sent:
-            if payload["op"] == "deliver_batch":
-                assert "rows" in payload and "cols" not in payload
+        [(_key, payload)] = sent
+        assert payload["op"] == "deliver_batch"
+        assert payload["rows"] == rows and "cols" not in payload
+        assert list(payload_rows(payload)) == rows
 
     def test_unbatched_exchange_routes_batch_rows_singly(self):
         rows = [(1, 2, "x"), (3, 4, "y")]
@@ -1019,3 +1059,23 @@ class TestExchangeBatchParity:
         exchange.push_batch(RowBatch.from_rows(rows, SCHEMA))
         assert [p["op"] for _k, p in sent] == ["deliver", "deliver"]
         assert [p["data"] for _k, p in sent] == rows
+
+    def test_all_muted_batch_touches_nothing(self):
+        # Muted rows are filtered before anything is counted or
+        # allocated: no pending state, no flush timer, no arrivals
+        # folded into the adaptive-flush rate.
+        sent = []
+        exchange = self._exchange(sent, muted={("x",), ("y",)},
+                                  adaptive=True)
+        exchange.push_batch(RowBatch.from_rows(
+            [(1, 2, "x"), (3, 4, "y"), (5, 6, "x")], SCHEMA))
+        assert len(exchange._pending) == 0
+        assert exchange._timer is None and exchange.ctx.dht.timers == 0
+        assert exchange._rate_count == 0
+        exchange.flush()
+        assert sent == []
+        # A partly muted batch counts only the rows that survive.
+        exchange.push_batch(RowBatch.from_rows(
+            [(1, 2, "x"), (3, 4, "z")], SCHEMA))
+        assert exchange._rate_count == 1
+        assert len(exchange._pending) == 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.aggregates import AggSpec, aggregate_by_name
+from repro.core.batch import RowBatch
 from repro.db.expressions import col
 from repro.db.schema import Schema
 from repro.db.types import FLOAT
@@ -99,14 +100,17 @@ class TestAggSpec:
         spec = AggSpec("COUNT", None, "n")
         assert spec.agg.name == "COUNT(*)"
 
-    def test_compile_arg(self):
+    def test_compile_arg_batch(self):
         schema = Schema.of(("v", FLOAT))
         spec = AggSpec("SUM", col("v"), "total")
-        assert spec.compile_arg(schema)((3.5,)) == 3.5
+        batch = RowBatch.from_rows([(3.5,), (1.0,)], schema)
+        assert spec.compile_arg_batch(schema)(batch) == [3.5, 1.0]
 
     def test_compile_no_arg_returns_none(self):
         spec = AggSpec("COUNT", None, "n")
-        assert spec.compile_arg(Schema.of(("v", FLOAT)))((1,)) is None
+        schema = Schema.of(("v", FLOAT))
+        batch = RowBatch.from_rows([(1,), (2,)], schema)
+        assert spec.compile_arg_batch(schema)(batch) == [None, None]
 
     def test_repr_readable(self):
         assert "SUM" in repr(AggSpec("SUM", col("v"), "total"))

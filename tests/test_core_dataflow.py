@@ -68,7 +68,7 @@ class TestLifecycle:
         assert execution.closed
         assert not execution._flush_timers
         # Deliveries after close are ignored, not errors.
-        execution.deliver(plan.root_id, 0, (1,))
+        execution.deliver_batch(plan.root_id, 0, [(1,)])
 
     def test_double_close_is_noop(self, net):
         plan = net.compile_sql("SELECT v FROM t")
@@ -108,6 +108,47 @@ class TestLifecycle:
         engine.register_exchange_input("q|fake|0|op9|0", fake, "op9", 0)
         assert fake.delivered == [("op9", 0, (42,))]
         engine.unregister_exchange_input("q|fake|0|op9|0")
+
+    def test_registration_with_nothing_buffered_calls_no_operator(self, net):
+        engine = net.node("node0").engine
+
+        class FakeExecution:
+            calls = 0
+
+            def deliver_batch(self, op_id, port, rows):
+                self.calls += 1
+
+        fake = FakeExecution()
+        engine.register_exchange_input("q|fake|0|op9|0", fake, "op9", 0)
+        assert fake.calls == 0
+        engine.unregister_exchange_input("q|fake|0|op9|0")
+
+    def test_standing_replay_batches_runs_of_equal_tags(self, net):
+        # Early rows replay as one delivery per run of consecutive rows
+        # with equal (epoch, pane) tags, arrival order preserved.
+        engine = net.node("node0").engine
+        ns = "q|fake|op9|0"
+        for epoch, data in [(1, (10,)), (1, (11,)), (2, (20,))]:
+            engine._on_unclaimed_delivery(
+                {"ns": ns, "data": data, "epoch": epoch}, None
+            )
+
+        class FakeExecution:
+            delivered = []
+
+            def deliver_batch(self, op_id, port, rows, epoch, pane):
+                self.delivered.append((list(rows), epoch, pane))
+
+            def flush_input(self, op_id, epoch):
+                pass
+
+        fake = FakeExecution()
+        engine.register_exchange_input(ns, fake, "op9", 0, standing=True)
+        assert fake.delivered == [
+            ([(10,), (11,)], 1, None),
+            ([(20,)], 2, None),
+        ]
+        engine.unregister_exchange_input(ns)
 
     def test_context_namespace_format(self, net):
         plan = net.compile_sql("SELECT SUM(v) AS s FROM t")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.aggregates import AggSpec
+from repro.core.batch import RowBatch
 from repro.core.dataflow import Operator
 from repro.core.opgraph import OpSpec
 from repro.core.operators import create_operator, registered_kinds
@@ -19,8 +20,8 @@ class Sink(Operator):
         self.consumers = []
         self.resets = 0
 
-    def push(self, row, port=0):
-        self.rows.append(row)
+    def push_batch(self, batch, port=0):
+        self.rows.extend(batch.rows())
 
     def reset_batch(self):
         self.resets += 1
@@ -69,9 +70,25 @@ class TestRegistry:
         with pytest.raises(PlanError):
             create_operator(StubCtx(), OpSpec("x", "teleport", {}))
 
-    def test_base_push_not_implemented(self):
+    def test_base_push_batch_not_implemented(self):
+        base = Operator(StubCtx(), OpSpec("x", "abstract", {}))
         with pytest.raises(NotImplementedError):
-            Operator(StubCtx(), OpSpec("x", "abstract", {})).push((1,))
+            base.push_batch(RowBatch.from_rows([(1,)]))
+        with pytest.raises(NotImplementedError):
+            base.push((1,))  # the one-row wrapper lands in push_batch
+
+    def test_push_and_emit_live_only_on_the_base(self):
+        # One entry point: every registered operator implements
+        # push_batch and none re-implements the one-row conveniences.
+        from repro.core.operators import _REGISTRY
+
+        for kind, cls in _REGISTRY.items():
+            assert "push" not in vars(cls), kind
+            assert "emit" not in vars(cls), kind
+            # Sources take no input; neither do the probe operators
+            # other test modules register.
+            if kind != "scan" and cls.__module__.startswith("repro."):
+                assert cls.push_batch is not Operator.push_batch, kind
 
 
 class TestSelect:

@@ -96,8 +96,8 @@ class Sink:
         self.rows = []
         self.consumers = []
 
-    def push(self, row, port=0):
-        self.rows.append(row)
+    def push_batch(self, batch, port=0):
+        self.rows.extend(batch.rows())
 
     def reset_batch(self):
         pass
