@@ -32,7 +32,10 @@ a large burst toward ONE owner: static fragments each burst into
 cap-sized messages and the owner's service queue collapses into a
 retransmit-amplified meltdown, while the adaptive leg's backpressure
 stretch raises the origins' batch caps (few large messages) and keeps
-the owner under its service capacity. Gates: the adaptive leg's p95
+the owner under its service capacity. (The overload is of the
+receiver's message queue, which Chord's own keep-alives share: making
+ring maintenance cheaper un-melted the static leg at the old load
+point -- see ``LOAD_ROWS_PER_TICK``.) Gates: the adaptive leg's p95
 epoch lag (last exchange delivery behind its epoch boundary) is
 >= 1.2x lower, it ships fewer exchange messages, and it loses no
 result rows relative to the static leg.
@@ -74,13 +77,20 @@ DISTINCT_SQL = ("SELECT COUNT(DISTINCT v) AS d FROM load "
 # -- static vs adaptive legs at peak ------------------------------------
 LOAD_NODES = 8
 LOAD_TICK = 0.1  # seconds between source ticks on each node
-LOAD_ROWS_PER_TICK = 20  # 200 rows/sec per node
+# 220 rows/sec per node. The static leg's meltdown is a capacity
+# statement: its 64-row messages toward the hot owner must outrun the
+# owner's 25 msg/s. At 200 rows/s they did so only together with the
+# ring's keep-alive RPCs sharing that queue; since maintenance costs
+# one exchange per ring edge (PR 16) 200 rows/s sits just *under*
+# capacity (static p95 36 s -> 8 s) and 240 drowns the adaptive leg
+# too, so the load point moved to where static alone is over.
+LOAD_ROWS_PER_TICK = 22
 SERVICE_TIME = 0.04  # receiver handles 25 msg/s: overload queues
 LOAD_LIFETIME = 60.0
 SMOKE_LOAD_LIFETIME = 35.0
 HOT_SHARE = 9  # 9 of every 10 rows land in group 0
 # Owner backpressure sizing for the join legs: the hot group's owner
-# sees ~1400 rows/s, far over the threshold, so the xbp factor pegs at
+# sees ~1600 rows/s, far over the threshold, so the xbp factor pegs at
 # its cap and the origins' batch caps stretch 8x (64 -> 512-row
 # batches). The TTL must outlive the 5s epoch cadence -- stream scans
 # deliver in per-epoch bursts, so a shorter TTL would expire between

@@ -77,6 +77,9 @@ class ChordNode(SimNode, RpcNode):
         self.predecessor = None
         self.fingers = [None] * ID_BITS
         self._next_finger = 0
+        # When the current predecessor last proved itself alive (its
+        # stabilise probe, a notify, or an answered ping).
+        self._predecessor_heard = 0.0
 
         self.store = SoftStateStore(self.clock)
         self.lookup_hops = RunningStat()
@@ -517,14 +520,20 @@ class ChordNode(SimNode, RpcNode):
         """
         self._lookup_attempt(key, on_done, self.config.lookup_retries)
 
-    def _lookup_attempt(self, key, on_done, retries_left):
+    def _local_owner(self, key):
+        """``(owner, hops)`` when this node can name ``key``'s owner
+        without asking anyone -- itself or its successor -- else None."""
         if self.owns(key) or self.successor == self.ref:
-            self.lookup_hops.add(0)
-            on_done(self.ref, 0)
-            return
+            return self.ref, 0
         if in_interval(key, self.id, self.successor.id, inclusive_hi=True):
-            self.lookup_hops.add(1)
-            on_done(self.successor, 1)
+            return self.successor, 1
+        return None
+
+    def _lookup_attempt(self, key, on_done, retries_left):
+        local = self._local_owner(key)
+        if local is not None:
+            self.lookup_hops.add(local[1])
+            on_done(*local)
             return
         req_id = self._fresh_req()
 
@@ -956,31 +965,47 @@ class ChordNode(SimNode, RpcNode):
         self.rpc_handler("get_neighbors", self._rpc_get_neighbors)
         self.rpc_handler("notify", self._rpc_notify)
         self.rpc_handler("ping", self._rpc_ping)
+        self.rpc_handler("owns", self._rpc_owns)
         self.rpc_handler("successor_leaving", self._rpc_successor_leaving)
 
     def _rpc_get_neighbors(self, src, request, respond):
+        # The stabilise probe is also the prober's notify (it names us
+        # as its successor) and, from our predecessor, its keep-alive:
+        # one exchange per ring edge per period. Apply the notify rule
+        # first so the answer already reflects it.
+        self._consider_predecessor(request["node"])
         respond({
             "predecessor": self.predecessor,
             "successors": list(self.successors),
         })
 
     def _rpc_notify(self, src, request, respond):
-        # No liveness oracle here: a dead predecessor is evicted by
-        # check_predecessor's ping timeout, after which any notifier is
-        # accepted. This keeps failure detection purely timeout-driven.
-        candidate = request["node"]
-        accepted = False
-        if self.predecessor is None or in_interval(
+        respond({"accepted": self._consider_predecessor(request["node"])})
+
+    def _consider_predecessor(self, candidate):
+        """Chord's notify rule; True if ``candidate`` was adopted.
+
+        No liveness oracle here: a dead predecessor is evicted by
+        check_predecessor's ping timeout, after which any notifier is
+        accepted. This keeps failure detection purely timeout-driven.
+        Hearing from the node that is (now) our predecessor restarts
+        its silence clock -- see :meth:`_check_predecessor`.
+        """
+        accepted = self.predecessor is None or in_interval(
             candidate.id, self.predecessor.id, self.id
-        ):
-            self.predecessor = candidate
-            accepted = True
+        )
         if accepted:
+            self.predecessor = candidate
             self._handoff_keys_to(candidate)
-        respond({"accepted": accepted})
+        if candidate == self.predecessor:
+            self._predecessor_heard = self.clock.now
+        return accepted
 
     def _rpc_ping(self, src, request, respond):
         respond({"alive": True})
+
+    def _rpc_owns(self, src, request, respond):
+        respond({"owns": self.owns(request["key"])})
 
     def _rpc_successor_leaving(self, src, request, respond):
         replacements = [r for r in request["successors"] if r != self.ref]
@@ -1005,6 +1030,16 @@ class ChordNode(SimNode, RpcNode):
             )
 
     def _stabilize(self):
+        """Probe the successor: one request, one reply, per period.
+
+        The request carries our ref, so the successor applies the
+        notify rule before it answers; a separate ``notify`` follows
+        only when the answer put a *different* node at the head of the
+        successor list (that node has not heard from us yet). A
+        successor that stays silent for ``rpc_timeout`` is suspected
+        and the next list entry takes over, so a dead successor is
+        noticed within ``stabilize_period + rpc_timeout``.
+        """
         succ = self.successor
         if succ == self.ref:
             if self.predecessor is not None and self.predecessor != self.ref:
@@ -1012,20 +1047,22 @@ class ChordNode(SimNode, RpcNode):
             return
 
         def on_reply(reply):
-            self._absolve(succ.address)
+            head = self.successor
+            fresh = [head]
             pred = reply["predecessor"]
             if pred is not None and pred != self.ref and in_interval(
                 pred.id, self.id, succ.id
             ) and not self._is_suspect(pred.address):
-                self.successors.insert(0, pred)
-            fresh = [self.successor]
+                # A node sits between us and succ. succ's own list
+                # never names succ, so seed both or succ drops out of
+                # our list for a round.
+                fresh = [pred, succ]
             for ref in reply["successors"]:
                 if ref not in fresh and ref != self.ref:
                     fresh.append(ref)
-                if len(fresh) >= self.config.successor_list_length:
-                    break
-            self.successors = fresh
-            self._notify_successor()
+            self.successors = fresh[: self.config.successor_list_length]
+            if self.successor != head:
+                self._notify_successor()
 
         def on_timeout():
             self._suspect(succ.address)
@@ -1035,7 +1072,10 @@ class ChordNode(SimNode, RpcNode):
             else:
                 self.successors = [self.ref]
 
-        self.rpc(succ.address, {"kind": "get_neighbors"}, on_reply, on_timeout)
+        self.rpc(
+            succ.address, {"kind": "get_neighbors", "node": self.ref},
+            on_reply, on_timeout,
+        )
 
     def _notify_successor(self):
         if self.successor == self.ref:
@@ -1048,18 +1088,52 @@ class ChordNode(SimNode, RpcNode):
         )
 
     def _fix_fingers(self):
+        """Refresh the next ``fingers_per_round`` finger slots.
+
+        Most slots start inside ``(self, successor]``; ``lookup``
+        answers those on the spot. A slot further out that already
+        names an unsuspected node is *verified*: one ``owns(start)``
+        RPC to that node, which is also the only liveness probe a
+        finger ever gets. The routed ``lookup`` (several acked hops)
+        runs only when there is nothing to verify -- an empty slot, a
+        suspected finger -- or the finger says no (ownership moved, or
+        it is a proximity choice rather than the owner) or stays
+        silent, which also makes it a suspect.
+        """
         for _ in range(self.config.fingers_per_round):
             index = self._next_finger
             self._next_finger = (self._next_finger + 1) % ID_BITS
             start = (self.id + (1 << index)) % (1 << ID_BITS)
+            finger = self.fingers[index]
+            if (finger is None or finger == self.ref
+                    or self._is_suspect(finger.address)
+                    or self._local_owner(start) is not None):
+                self._lookup_finger(index, start)
+            else:
+                self._verify_finger(index, start, finger)
 
-            def set_finger(owner, hops, index=index, start=start):
-                if owner is not None:
-                    self.fingers[index] = self._proximity_finger(
-                        index, start, owner
-                    )
+    def _lookup_finger(self, index, start):
+        def set_finger(owner, hops):
+            if owner is not None:
+                self.fingers[index] = self._proximity_finger(
+                    index, start, owner
+                )
 
-            self.lookup(start, set_finger)
+        self.lookup(start, set_finger)
+
+    def _verify_finger(self, index, start, finger):
+        def on_reply(reply):
+            if not reply["owns"]:
+                self._lookup_finger(index, start)
+
+        def on_timeout():
+            self._suspect(finger.address)
+            self._lookup_finger(index, start)
+
+        self.rpc(
+            finger.address, {"kind": "owns", "key": start},
+            on_reply, on_timeout,
+        )
 
     def _proximity_finger(self, index, start, canonical):
         """Proximity neighbor selection for one finger slot.
@@ -1090,21 +1164,33 @@ class ChordNode(SimNode, RpcNode):
         return best
 
     def _check_predecessor(self):
-        if self.predecessor is None or self.predecessor == self.ref:
-            return
+        """Ping the predecessor only if it has gone quiet.
+
+        Its stabilise probe reaches us every ``stabilize_period`` and
+        counts as the ping, so in a settled ring this sends nothing. A
+        predecessor silent for a whole ``check_predecessor_period`` is
+        pinged and cleared ``rpc_timeout`` later if that goes
+        unanswered too. Worst case from its last probe to eviction:
+        the check just misses a full period of silence, so the *next*
+        one pings -- ``2 * check_predecessor_period + rpc_timeout``.
+        """
         pred = self.predecessor
+        if pred is None or pred == self.ref:
+            return
+        silent = self.clock.now - self._predecessor_heard
+        if silent < self.config.check_predecessor_period:
+            return
 
         def on_timeout():
             self._suspect(pred.address)
             if self.predecessor == pred:
                 self.predecessor = None
 
-        self.rpc(
-            pred.address,
-            {"kind": "ping"},
-            on_reply=lambda reply: self._absolve(pred.address),
-            on_timeout=on_timeout,
-        )
+        def on_reply(reply):
+            if self.predecessor == pred:
+                self._predecessor_heard = self.clock.now
+
+        self.rpc(pred.address, {"kind": "ping"}, on_reply, on_timeout)
 
     # ------------------------------------------------------------------
     # Message dispatch

@@ -4,6 +4,27 @@ Defaults are scaled to the simulator's wide-area latency model (one-way
 delays of 2-150 ms): RPC timeouts comfortably above the worst RTT,
 maintenance periods matching Bamboo's defaults from the churn paper the
 demo cites (periodic, not reactive, recovery).
+
+The three maintenance periods are three clocks over *one* conversation
+per ring edge, not three independent probes:
+
+* ``stabilize_period`` -- every node probes its successor
+  (``get_neighbors``, one request and one reply). The probe names the
+  prober, so it is also the notify and, for the receiver, its
+  predecessor's keep-alive. A silent successor is replaced
+  ``rpc_timeout`` after the probe.
+* ``check_predecessor_period`` -- how long a predecessor may stay
+  silent before it is pinged; a settled ring never pings, because the
+  predecessor's probe arrives every ``stabilize_period``. Keep it
+  above ``stabilize_period``, or every check finds a "silent"
+  predecessor and pings as the old protocol did. Worst case from a
+  predecessor's last probe to its eviction:
+  ``2 * check_predecessor_period + rpc_timeout``.
+* ``fix_fingers_period`` -- ``fingers_per_round`` finger slots are
+  refreshed per round: slots the successor covers cost nothing, a
+  populated slot further out costs one ``owns`` RPC to the finger
+  (its only liveness probe), and the routed lookup runs only when
+  that says no or times out, or the slot is empty or suspected.
 """
 
 
