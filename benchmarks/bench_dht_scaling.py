@@ -4,8 +4,6 @@
 small set of neighbors" (paper §2). The measurable consequence:
 
 * Chord lookups take O(log N) hops as N grows 16 -> 512,
-* CAN (the other scheme the paper cites) takes O(d * N^(1/d)) hops --
-  worse asymptotics at d=2, crossing Chord only at small N,
 * per-node maintenance traffic stays roughly flat in N (each node
   talks to O(log N) neighbors, not to everyone).
 """
@@ -14,7 +12,6 @@ import math
 
 from benchmarks._harness import fmt_table, full_scale, report, run_once
 from repro.dht.bootstrap import build_chord_ring
-from repro.dht.can import CanNode, build_can_overlay
 from repro.dht.chord import ChordNode, storage_key
 from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock
@@ -48,19 +45,6 @@ def chord_mean_hops(n, seed):
     return sum(hops) / len(hops), len(hops), max(0.0, maintenance_rate)
 
 
-def can_mean_hops(n, dims, seed):
-    clock = SimClock()
-    rng = SeededRng(seed, "can-scale")
-    net = Network(clock, ConstantLatency(0.02), rng.fork("net"))
-    nodes = [CanNode(net, "c{}".format(i), dims=dims) for i in range(n)]
-    build_can_overlay(nodes, rng.fork("zones"))
-    hops = []
-    for i in range(PROBES):
-        nodes[i % n].probe(("probe", i), hops.append)
-    clock.run_for(60)
-    return sum(hops) / len(hops), len(hops)
-
-
 def test_dht_scaling(benchmark):
     sizes = [16, 32, 64, 128, 256, 512] if full_scale() else [16, 32, 64, 128, 256]
 
@@ -68,38 +52,28 @@ def test_dht_scaling(benchmark):
         rows = []
         for n in sizes:
             chord_hops, chord_done, upkeep = chord_mean_hops(n, seed=3)
-            can2_hops, can2_done = can_mean_hops(n, dims=2, seed=3)
-            can4_hops, can4_done = can_mean_hops(n, dims=4, seed=3)
             rows.append((
-                n, round(chord_hops, 2), round(can2_hops, 2),
-                round(can4_hops, 2), round(math.log2(n), 1),
-                round(upkeep, 1), chord_done, can2_done,
+                n, round(chord_hops, 2), round(math.log2(n), 1),
+                round(upkeep, 1), chord_done,
             ))
         return rows
 
     rows = run_once(benchmark, run)
 
     text = "Ext-C: DHT routing scalability (mean lookup hops)\n"
-    text += "({} probes per point; Chord vs CAN d=2 / d=4)\n\n".format(PROBES)
+    text += "({} probes per point)\n\n".format(PROBES)
     text += fmt_table(
-        ["nodes", "chord hops", "can d=2 hops", "can d=4 hops",
-         "log2(N)", "upkeep msg/s/node", "chord ok", "can ok"],
+        ["nodes", "chord hops", "log2(N)", "upkeep msg/s/node", "chord ok"],
         rows,
     )
     report("dht_scaling", text)
 
     # Completeness: essentially every probe resolved.
     for row in rows:
-        assert row[6] >= PROBES * 0.99
-        assert row[7] >= PROBES * 0.99
+        assert row[4] >= PROBES * 0.99
     # Chord grows logarithmically: hops bounded by log2(N) and the
     # increase from N to 16N is mild.
     for row in rows:
-        assert row[1] <= row[4] + 1
+        assert row[1] <= row[2] + 1
     first, last = rows[0], rows[-1]
     assert last[1] / first[1] < math.log2(last[0]) / math.log2(first[0]) + 1.0
-    # CAN d=2 grows polynomially: by 256 nodes it is clearly worse
-    # than Chord; higher dimensionality closes the gap.
-    big = rows[-1]
-    assert big[2] > big[1]
-    assert big[3] < big[2]

@@ -26,7 +26,7 @@ must accumulate at a stable owner across the epochs that share them,
 so the combiner forwards under the plain routing namespace too.
 
 Unpaned standing edges follow the exchange's stable-rendezvous
-discipline when the engine's owner cache is live (``suspect_fn`` set):
+discipline, vouched for by the engine's owner cache (``suspect_fn``):
 forwards stay unsalted unless the sender marked the partial salted
 (``payload["salted"]``) or this node's cached owner for the group is
 currently suspect, in which case the forward re-salts to rendezvous
@@ -35,8 +35,7 @@ partial that ever travelled under the epoch-salted key keeps the mark
 through every re-forward. Each hop re-deciding from its own cache
 would let two nodes that disagree about the owner's health bounce a
 combined partial between the stable and salted keys forever -- a
-routing livelock that silently holes the epoch. Without a cache the
-per-epoch salt applies to every forward, matching the senders.
+routing livelock that silently holes the epoch.
 """
 
 from repro.core.exchange import epoch_route_ns, payload_rows
@@ -47,7 +46,7 @@ class TreeCombiner:
     """Hold-and-merge relay for partial aggregate states."""
 
     def __init__(self, dht, ns, route_ns, upcall, agg_specs, hold_delay,
-                 paned=False, suspect_fn=None, qsrc_fn=None, owner_fn=None,
+                 suspect_fn, owner_fn, paned=False, qsrc_fn=None,
                  regional=False):
         self.dht = dht
         self.ns = ns  # delivery namespace (dispatch tag on arrival)
@@ -56,9 +55,11 @@ class TreeCombiner:
         self.agg_specs = agg_specs
         self.hold_delay = hold_delay
         self.paned = paned  # pane-tagged edge: stable (unsalted) routing
-        self.suspect_fn = suspect_fn  # owner-cache suspicion (stable edges)
+        # The engine's owner cache, consulted for epoch-tagged (standing)
+        # partials only: is the learned owner suspect / who is it.
+        self.suspect_fn = suspect_fn
         self.qsrc_fn = qsrc_fn  # representative qid for shared executions
-        self.owner_fn = owner_fn  # learned terminal owner (hop caching)
+        self.owner_fn = owner_fn
         # Two-level regional trees: this node only ever absorbs as its
         # region's rendezvous (senders route *through* it), so its
         # forwards are already one-partial-per-region -- they go to
@@ -128,25 +129,21 @@ class TreeCombiner:
                     # Stable rendezvous: pane partials for a group must
                     # keep converging on one owner across epochs.
                     payload["pane"] = pane
-                elif self.suspect_fn is not None:
+                elif salted or self.suspect_fn(self.ns, gvals):
                     # Stable unless any absorbed partial was already
                     # salted or the learned owner is suspect here, then
                     # the forward re-salts -- sticky, promotion-only,
                     # so every re-forward of the partial converges on
                     # the one salted rendezvous instead of bouncing
                     # between keys as hops disagree about the owner.
-                    if salted or self.suspect_fn(self.ns, gvals):
-                        route_ns = epoch_route_ns(route_ns, epoch)
-                        payload["salted"] = True
-                else:
                     route_ns = epoch_route_ns(route_ns, epoch)
+                    payload["salted"] = True
             if self.qsrc_fn is not None:
                 qsrc = self.qsrc_fn()
                 if qsrc is not None:
                     payload["qsrc"] = qsrc
             key = storage_key(route_ns, gvals)
-            if (self.owner_fn is not None and epoch is not None
-                    and not payload.get("salted")):
+            if epoch is not None and not payload.get("salted"):
                 # Tree-edge hop caching: an unsalted standing forward
                 # whose terminal owner is already learned goes direct
                 # (one hop) instead of re-walking the O(log N) stable
@@ -160,9 +157,9 @@ class TreeCombiner:
                 # existing re-salt/suspect machinery. The cache entry
                 # also records the owner's *region* and expires faster
                 # when it is across the backbone (see
-                # ``EngineConfig.cross_region_cache_ttl``) -- a cross-
-                # region owner learned just before a partition must not
-                # pin post-rejoin forwards onto the backbone.
+                # ``engine.CROSS_REGION_CACHE_TTL``) -- a cross-region
+                # owner learned just before a partition must not pin
+                # post-rejoin forwards onto the backbone.
                 owner = self.owner_fn(self.ns, gvals)
                 if owner is not None:
                     self.hop_shortcuts += 1

@@ -23,6 +23,10 @@ on quiescence: no node has produced a novel tuple for ``quiet_period``
 seconds means the fixpoint is reached.
 """
 
+# A continuous query's plan is re-broadcast this often, so nodes that
+# crashed and recovered (or that the first broadcast missed) re-adopt it.
+PLAN_REFRESH_PERIOD = 60.0
+
 
 class EpochResult:
     """What one epoch of one query produced.
@@ -127,7 +131,7 @@ class Coordinator:
         })
 
     def _schedule_refresh(self, handle, n):
-        period = self.engine.config.plan_refresh_period
+        period = PLAN_REFRESH_PERIOD
         plan = handle.plan
         if plan.lifetime is not None and n * period >= plan.lifetime:
             return

@@ -54,6 +54,13 @@ from contextlib import contextmanager
 from repro.core.batch import RowBatch
 from repro.util.errors import PlanError
 
+# Adaptive epoch ring: a standing execution never keeps more than
+# RING_MAX_OVERLAP epoch states live (this replaced the planner's
+# retired static cap of 16), and narrows a widened ring by one after
+# RING_QUIET_BOUNDARIES drop-free boundaries.
+RING_MAX_OVERLAP = 64
+RING_QUIET_BOUNDARIES = 4
+
 
 def plan_live_epochs(plan):
     """A plan's epoch ring width N, clamped the way executions use it.
@@ -657,7 +664,6 @@ class StandingExecution(_ExecutionBase):
                  spine=None, prefix_key=None):
         super().__init__(engine, plan, query_id, epoch, t0, origin,
                          spine=spine, prefix_key=prefix_key)
-        self.live_epochs = plan_live_epochs(plan)
         self._early = {}  # epoch -> [(op_id, port, rows)]
         self._early_scan = {}  # epoch -> [(rows, pane)] from a prefix stage
         self._open_epochs = {epoch: t0}  # epoch -> t_k, ascending
@@ -665,23 +671,11 @@ class StandingExecution(_ExecutionBase):
         # Adaptive ring: the planner records the plan's *true* flush
         # horizon (no static cap since it was retired); the execution
         # decides how many epoch states actually stay live. Start
-        # clamped at ring_max_overlap, widen by one whenever a boundary
+        # clamped at RING_MAX_OVERLAP, widen by one whenever a boundary
         # saw late-straggler drops, narrow after a run of quiet
         # boundaries -- but never below what the tail demonstrably
         # needs (the staleness high-water mark of recent deliveries).
-        # Paned plans opt out: their pane retention is sized from the
-        # planned width, so the ring must not outgrow it.
-        config = getattr(engine, "config", None)
-        self._adaptive_ring = (
-            bool(getattr(config, "adaptive_ring", True))
-            and getattr(plan, "pane", None) is None
-        )
-        self._ring_max = max(1, int(getattr(config, "ring_max_overlap", 64)))
-        self._ring_quiet = max(1, int(
-            getattr(config, "ring_quiet_boundaries", 4)
-        ))
-        if self._adaptive_ring or self.live_epochs > self._ring_max:
-            self.live_epochs = min(self.live_epochs, self._ring_max)
+        self.live_epochs = min(plan_live_epochs(plan), RING_MAX_OVERLAP)
         # The planned width stays the floor: it is the flush horizon
         # the timing walk proved the plan needs, so narrowing below it
         # would seal epochs before their own flushes fire. Adaptation
@@ -708,7 +702,9 @@ class StandingExecution(_ExecutionBase):
         """Epoch boundary: open ``k``, sealing every epoch <= ``k - N``."""
         if self.closed:
             return
-        if self._adaptive_ring:
+        if self.plan.pane is None:
+            # Paned plans opt out: their pane retention is sized from
+            # the planned width, so the ring must not outgrow it.
             self._resize_ring()
         for stale in sorted(
             e for e in self._open_epochs if e <= k - self.live_epochs
@@ -739,9 +735,10 @@ class StandingExecution(_ExecutionBase):
         """Adapt the ring width to the observed straggler tail.
 
         Widen by one after any boundary interval that dropped late
-        rows (capped at ``ring_max_overlap``); after ``ring_quiet``
-        drop-free boundaries, narrow by one back toward the planned
-        floor -- but never below the recent delivery-staleness
+        rows (capped at ``RING_MAX_OVERLAP``); after
+        ``RING_QUIET_BOUNDARIES`` drop-free boundaries, narrow by one
+        back toward the planned floor -- but never below the recent
+        delivery-staleness
         high-water mark + 1, so a tail that genuinely uses the extra
         width keeps it and the widen/narrow pair cannot oscillate
         against real stragglers. The staleness mark decays one epoch
@@ -750,14 +747,13 @@ class StandingExecution(_ExecutionBase):
         if self._drops_since_boundary:
             self._drops_since_boundary = 0
             self._quiet_boundaries = 0
-            if self.live_epochs < self._ring_max:
+            if self.live_epochs < RING_MAX_OVERLAP:
                 self.live_epochs += 1
-                if hasattr(self.engine, "ring_widenings"):
-                    self.engine.ring_widenings += 1
+                self.engine.ring_widenings += 1
         else:
             self._quiet_boundaries += 1
             needed = max(self._ring_floor, self._stale_high + 1)
-            if (self._quiet_boundaries >= self._ring_quiet
+            if (self._quiet_boundaries >= RING_QUIET_BOUNDARIES
                     and self.live_epochs > needed):
                 self.live_epochs -= 1
                 self._quiet_boundaries = 0
@@ -767,8 +763,7 @@ class StandingExecution(_ExecutionBase):
     def _note_late_drop(self):
         self.late_drops += 1
         self._drops_since_boundary += 1
-        if hasattr(self.engine, "ring_late_drops"):
-            self.engine.ring_late_drops += 1
+        self.engine.ring_late_drops += 1
 
     def _move_context(self, k, t_k):
         self.ctx.epoch = k

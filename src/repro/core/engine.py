@@ -58,126 +58,94 @@ from repro.db.table import make_fragment
 from repro.util.serde import wire_size
 
 
+# Timings and caps no bench, example or app ever set: a knob nobody
+# turns is a constant. Tests that need a small value monkeypatch it.
+TEARDOWN_SLACK = 2.0  # straggler grace past plan.deadline before teardown
+TREE_HOLD_DELAY = 0.8  # how long a combiner holds partials to merge them
+PROGRESS_BATCH_DELAY = 0.5  # recursion progress notes coalesce this long
+PUBLISH_TTL = 120.0  # DHT-table row lifetime when the table names none
+# Rows that arrive before their query's plan does are buffered per
+# namespace: dropped UNDELIVERED_TTL after the first early row, never
+# more than UNDELIVERED_CAP held. Dropped rows are NACKed to their
+# origin exchanges *only when the query carries a stop tombstone here*
+# (an authoritative rejection); a node that merely missed the plan
+# broadcast drops silently, since the refresh (or plan fetch) will
+# enroll it and muting a live query's keys would hole the answer.
+UNDELIVERED_TTL = 15.0
+UNDELIVERED_CAP = 512
+NACK_MUTE_TTL = 30.0  # a NACKed routing key stays muted this long
+# How long a standing exchange may trust a learned terminal owner
+# before re-walking the ring. Owners in another region expire on the
+# shorter TTL: a cross-region owner cached just before a partition
+# would otherwise pin post-rejoin forwards onto the backbone.
+ROUTE_CACHE_TTL = 120.0
+CROSS_REGION_CACHE_TTL = 30.0
+# How long a stopped qid is remembered to fend off stale plan-refresh
+# broadcasts.
+STOP_TOMBSTONE_TTL = 120.0
+
+
 class EngineConfig:
-    """Per-engine timing knobs (plan-independent).
+    """Per-engine knobs (plan-independent).
 
-    The ``flush_delay`` / ``max_batch_rows`` / ``max_batch_bytes`` trio
-    controls exchange batching: rehashed rows sharing a routing key are
-    held up to ``flush_delay`` seconds and shipped as one
-    ``deliver_batch`` message, bounded by the row/byte caps.
-    ``flush_delay = 0`` disables batching (one route message per row).
+    Each survivor is set to a non-default value by a gated exhibit or
+    is the reference leg of a differential test; everything nobody set
+    is a module constant beside its one reader.
 
-    ``undelivered_ttl`` / ``undelivered_cap`` bound the buffer of rows
-    that arrive before their query's plan does: a namespace's early rows
-    are dropped after the TTL, and no namespace holds more than the cap.
-    Dropped rows are NACKed to their origin exchanges *only when the
-    query carries a stop tombstone here* (an authoritative rejection);
-    a node that merely missed the plan broadcast drops silently, since
-    the refresh (or plan fetch) will enroll it and muting a live
-    query's keys would hole the answer. Receiving a NACK mutes the
-    affected routing keys for ``nack_mute_ttl`` seconds.
-
-    ``route_cache_ttl`` bounds how long a standing exchange may trust
-    a learned terminal owner before re-walking the ring; 0 disables
-    owner caching (and with it the stable-rendezvous discipline on
-    standing tree edges, which needs the cache to detect suspects).
-    ``stop_tombstone_ttl`` is how long a stopped qid is remembered to
-    fend off stale refresh broadcasts.
-
-    ``shared_dataflows`` turns on every multi-query sharing layer:
-    spine co-execution of canonically identical standing queries,
-    prefix (scan-stage) sharing of different queries over the same
-    (table, geometry), shared per-table scan hosts, and exchange
-    multiplexing of co-routed batches. Off is the fully-private
-    ablation the differential fuzz suite compares against; results are
-    identical either way.
+    ============================== ======= ==============================
+    knob                           default who sets it otherwise, and why
+    ============================== ======= ==============================
+    ``flush_delay``                0.25    ``bench_exchange_batching``: 0
+                                           ships one route message per
+                                           row, the unbatched baseline
+    ``max_batch_rows``             64      ``bench_exchange_batching``
+                                           sweeps the per-message cap
+    ``shared_dataflows``           True    sharing fuzz suite and
+                                           ``bench_multi_query``: False
+                                           is the fully private reference
+                                           (no spines, prefix stages,
+                                           shared scan hosts or exchange
+                                           mux); answers are identical
+    ``regional_trees``             True    ``bench_geo_regions`` and
+                                           ``tests/test_geo_regions.py``:
+                                           False is the flat-tree
+                                           reference. On engages only on
+                                           a region-labelled topology
+    ``adaptive_flush``             False   ``bench_admission_elasticity``
+                                           (rate-sized flush windows; on
+                                           by default it stretches sparse
+                                           edges' p95 lag, ROADMAP 4a)
+    ``backpressure``               False   ``bench_admission_elasticity``
+    ``backpressure_rows_per_sec``  2000.0  same: the owner's overload line
+    ``backpressure_factor``        4.0     same: the largest flush stretch
+    ``backpressure_ttl``           3.0     same: "xbp" lifetime and resend
+                                           limit
+    ``hot_group_threshold``        0       ``bench_admission_elasticity``:
+                                           rows per key per epoch before
+                                           a group shards; 0 never splits
+    ``hot_group_shards``           4       same: owners per hot group
+    ============================== ======= ==============================
     """
 
     def __init__(
         self,
-        teardown_slack=2.0,
-        tree_hold_delay=0.8,
-        progress_batch_delay=0.5,
-        plan_refresh_period=60.0,
-        publish_ttl=120.0,
         flush_delay=0.25,
         max_batch_rows=64,
-        max_batch_bytes=8192,
-        undelivered_ttl=15.0,
-        undelivered_cap=512,
-        route_cache_ttl=120.0,
-        nack_mute_ttl=30.0,
-        stop_tombstone_ttl=120.0,
         shared_dataflows=True,
-        # Region-aware two-level aggregation trees: standing tree-mode
-        # exchanges on a region-labelled topology send partials through
-        # their region's combiner rendezvous first, so one combined
-        # partial per region crosses the backbone per flush. Off by
-        # default -- the flat single-level tree stays the baseline.
-        regional_trees=False,
-        # Learned owners in another region expire on this shorter TTL
-        # (the plain route_cache_ttl still caps same-region entries): a
-        # cross-region owner cached just before a partition would
-        # otherwise pin post-rejoin forwards onto the backbone for the
-        # full TTL.
-        cross_region_cache_ttl=30.0,
-        # Adaptive epoch ring: standing executions start their ring at
-        # min(planned width, ring_max_overlap), widen by one on
-        # boundaries that saw late-straggler drops, and narrow back
-        # toward the staleness the tail actually exhibits after
-        # ring_quiet_boundaries drop-free boundaries. This replaces the
-        # planner's retired static cap of 16. Paned plans keep the
-        # planned width (their pane retention is sized from it).
-        adaptive_ring=True,
-        ring_max_overlap=64,
-        ring_quiet_boundaries=4,
-        # Adaptive exchange flush windows: size each exchange's batch
-        # caps from its observed arrival rate, so a hot edge gathers
-        # one flush window's worth of rows into few large messages
-        # instead of capping out at max_batch_rows-sized ones. Off by
-        # default -- the fixed caps are the baseline discipline.
+        regional_trees=True,
         adaptive_flush=False,
-        adaptive_flush_max_rows=2048,
-        adaptive_flush_max_bytes=262144,
-        # Owner backpressure: a node whose standing exchange inputs
-        # exceed backpressure_rows_per_sec tells the origins to stretch
-        # their flush windows (and caps) by up to backpressure_factor
-        # for backpressure_ttl seconds ("xbp" direct messages, resent
-        # at most once per TTL). Off by default.
         backpressure=False,
         backpressure_rows_per_sec=2000.0,
         backpressure_factor=4.0,
         backpressure_ttl=3.0,
-        # Hot-group splitting: when one routing key of a standing
-        # group-partial exchange pushes more than hot_group_threshold
-        # rows in an epoch, later partials shard across
-        # hot_group_shards salted keys (k owners); the coordinator's
-        # duplicate-owner merge re-unifies the group. 0 disables.
         hot_group_threshold=0,
         hot_group_shards=4,
     ):
-        self.teardown_slack = teardown_slack
-        self.tree_hold_delay = tree_hold_delay
-        self.progress_batch_delay = progress_batch_delay
-        self.plan_refresh_period = plan_refresh_period
-        self.publish_ttl = publish_ttl
         self.flush_delay = flush_delay
         self.max_batch_rows = max_batch_rows
-        self.max_batch_bytes = max_batch_bytes
-        self.undelivered_ttl = undelivered_ttl
-        self.undelivered_cap = undelivered_cap
-        self.route_cache_ttl = route_cache_ttl
-        self.nack_mute_ttl = nack_mute_ttl
-        self.stop_tombstone_ttl = stop_tombstone_ttl
         self.shared_dataflows = shared_dataflows
         self.regional_trees = regional_trees
-        self.cross_region_cache_ttl = cross_region_cache_ttl
-        self.adaptive_ring = adaptive_ring
-        self.ring_max_overlap = ring_max_overlap
-        self.ring_quiet_boundaries = ring_quiet_boundaries
         self.adaptive_flush = adaptive_flush
-        self.adaptive_flush_max_rows = adaptive_flush_max_rows
-        self.adaptive_flush_max_bytes = adaptive_flush_max_bytes
         self.backpressure = backpressure
         self.backpressure_rows_per_sec = backpressure_rows_per_sec
         self.backpressure_factor = backpressure_factor
@@ -211,7 +179,12 @@ class PierEngine:
         self.rng = rng
         self.clock = dht.clock
         self.address = dht.address
-        self.region = getattr(dht, "region", None)
+        self.region = dht.region
+        # Two-level aggregation trees take their shape from the
+        # topology: on wherever this node has a region label.
+        self.regional_trees = (
+            self.config.regional_trees and self.region is not None
+        )
 
         self.fragments = {}
         self.executions = {}  # (qid, epoch) -> execution serving that epoch
@@ -230,7 +203,7 @@ class PierEngine:
         self._exchange_mutes = {}  # (ns, rid) -> mute expiry (NACKed keys)
         # Learned-owner cache: (ns, rid) -> (NodeRef, expiry, region).
         # The region rides along so cross-region owners can expire on
-        # the shorter cross_region_cache_ttl.
+        # the shorter CROSS_REGION_CACHE_TTL.
         self._route_owners = {}
         # Backpressure: inbound standing-exchange row accounting per
         # namespace (detection side, this node as owner) and TTL'd
@@ -299,7 +272,7 @@ class PierEngine:
         self._publish_seq += 1
         instance_id = (self.address, self._publish_seq)
         if ttl is None:
-            ttl = table_def.ttl if table_def.ttl is not None else self.config.publish_ttl
+            ttl = table_def.ttl if table_def.ttl is not None else PUBLISH_TTL
         self.dht.put(table_name, rid, instance_id, row, ttl)
         if keep_alive:
             self._keep_alive(table_name, rid, instance_id, row, ttl)
@@ -391,7 +364,7 @@ class PierEngine:
             if plan.lifetime is not None and k_now * plan.every > plan.lifetime:
                 self.queries.pop(qid, None)  # adopted after expiry
                 return
-            key = self._spine_key(plan, record.t0)
+            key = self._share_key(plan, record.t0, "spine")
             if key is not None:
                 self._join_spine(record, key)
             elif k_now >= 1:
@@ -424,7 +397,7 @@ class PierEngine:
                 # epoch-free namespaces. Stragglers get the same grace a
                 # rebuilt epoch's close timer gave them.
                 self.set_timer(
-                    plan.deadline + self.config.teardown_slack,
+                    plan.deadline + TEARDOWN_SLACK,
                     self._retire_standing, record,
                 )
             else:
@@ -447,7 +420,7 @@ class PierEngine:
             )
             self.executions[(record.qid, k)] = execution
             execution.start()
-            close_at = t_k + record.plan.deadline + self.config.teardown_slack
+            close_at = t_k + record.plan.deadline + TEARDOWN_SLACK
             self.set_timer(max(0.0, close_at - self.clock.now),
                            self._close_epoch, record.qid, k)
         if record.plan.mode == "continuous":
@@ -481,12 +454,7 @@ class PierEngine:
         record.execution = None
         self.executions.pop((record.qid, execution.current_epoch), None)
         execution.close()
-        # The query is gone for good: reclaim its per-key soft state.
-        prefix = "q|{}|".format(record.qid)
-        for key in [k for k in self._route_owners if k[0].startswith(prefix)]:
-            del self._route_owners[key]
-        for key in [k for k in self._exchange_mutes if k[0].startswith(prefix)]:
-            del self._exchange_mutes[key]
+        self._forget_route_state("q|{}|".format(record.qid))
 
     def _close_epoch(self, qid, epoch):
         execution = self.executions.pop((qid, epoch), None)
@@ -500,37 +468,26 @@ class PierEngine:
     # ------------------------------------------------------------------
     # Shared spines (multi-query standing dataflows)
     # ------------------------------------------------------------------
-    def _spine_key(self, plan, t0):
-        """Spine identity for a plan at submission time ``t0``.
+    def _share_key(self, plan, t0, kind):
+        """Sharing identity for a plan at submission time ``t0``.
 
-        The logical share signature alone is not enough: two identical
-        queries submitted half a period apart tick on different grids.
-        The key therefore pairs the signature with the epoch *phase*
+        ``kind`` names the planner's stamp in ``plan.metadata``:
+        ``"spine"`` is the logical share signature (identical bodies
+        share the whole dataflow), ``"prefix"`` the logical *prefix*
+        signature (plans that differ in predicates/groups yet scan the
+        same stream table on the same grid share one scan stage; it is
+        checked only after the spine key missed).
+
+        The signature alone is not enough: two identical queries
+        submitted half a period apart tick on different grids. The key
+        therefore pairs the signature with the epoch *phase*
         ``t0 % every`` (in integer milliseconds, so float noise cannot
         split a spine). Plans the planner left unstamped (one-shot,
         bloom-staged, ``shared=False``) return None and run privately.
         """
         if not self.config.shared_dataflows:
             return None
-        sig = plan.metadata.get("spine") if plan.metadata else None
-        if sig is None:
-            return None
-        phase_ms = int(round((t0 % plan.every) * 1000))
-        return "{}@{}".format(sig, phase_ms)
-
-    def _prefix_key(self, plan, t0):
-        """Prefix-stage identity for a plan at submission time ``t0``.
-
-        Same shape as :meth:`_spine_key` (signature + epoch phase in
-        integer milliseconds), but over the logical *prefix* signature:
-        plans that differ in predicates/groups yet scan the same stream
-        table on the same grid share one scan stage. Checked only after
-        the spine key missed -- identical bodies share the whole
-        dataflow instead.
-        """
-        if not self.config.shared_dataflows:
-            return None
-        sig = plan.metadata.get("prefix") if plan.metadata else None
+        sig = plan.metadata.get(kind) if plan.metadata else None
         if sig is None:
             return None
         phase_ms = int(round((t0 % plan.every) * 1000))
@@ -548,7 +505,7 @@ class PierEngine:
         srec = self._spines.get(key)
         if srec is None:
             srec = SpineRecord(key, plan, record.t0 % plan.every)
-            srec.prefix = self._prefix_key(plan, record.t0)
+            srec.prefix = self._share_key(plan, record.t0, "prefix")
             self._spines[key] = srec
         offset = int(round((record.t0 - srec.t0) / plan.every))
         last_epoch = None
@@ -563,7 +520,7 @@ class PierEngine:
             # The subscriber retires on its own clock; the spine stalls
             # (or closes) only when no subscriber needs the next epoch.
             retire_at = (record.t0 + plan.lifetime + plan.deadline
-                         + self.config.teardown_slack)
+                         + TEARDOWN_SLACK)
             record.next_epoch_timer = self.set_timer(
                 max(0.0, retire_at - self.clock.now),
                 self._retire_spine_subscriber, record.qid, key,
@@ -607,7 +564,7 @@ class PierEngine:
         if not srec.subscribers:
             self._close_spine(key)
             return
-        last = srec.last_spine_epoch()
+        last = srec.last_needed_epoch()
         if last is not None and k > last:
             # Nobody needs this epoch; hold the grid until a new
             # subscriber joins (which re-enters at its current epoch).
@@ -661,14 +618,7 @@ class PierEngine:
         execution, srec.execution = srec.execution, None
         if execution is not None:
             execution.close()
-        # The spine is gone for good: reclaim its per-key soft state.
-        prefix = "s|{}|".format(key)
-        for entry in [k for k in self._route_owners
-                      if k[0].startswith(prefix)]:
-            del self._route_owners[entry]
-        for entry in [k for k in self._exchange_mutes
-                      if k[0].startswith(prefix)]:
-            del self._exchange_mutes[entry]
+        self._forget_route_state("s|{}|".format(key))
 
     # ------------------------------------------------------------------
     # Shared prefix stages (common-subplan sharing)
@@ -705,7 +655,7 @@ class PierEngine:
         if sub is None:
             sub = PrefixSubscriber(sid, offset, None, 0, False)
             prec.subscribers[sid] = sub
-        sub.last_epoch = srec.last_spine_epoch()
+        sub.last_epoch = srec.last_needed_epoch()
         sub.start_epoch = offset + k_now + 1
         sub.needs_backfill = plan.pane is not None and k_now == 0
         if k_now >= 1 and prec.execution is not None:
@@ -740,7 +690,7 @@ class PierEngine:
             return
         sub = prec.subscribers.get("s|" + srec.key)
         if sub is not None:
-            sub.last_epoch = srec.last_spine_epoch()
+            sub.last_epoch = srec.last_needed_epoch()
 
     def _backfill_from_stage(self, prec, sub, execution, j):
         """Inject the stage's retained panes into a (re)joining member.
@@ -793,7 +743,7 @@ class PierEngine:
         if not prec.subscribers:
             self._close_prefix(key)
             return
-        last = prec.last_stage_epoch()
+        last = prec.last_needed_epoch()
         if last is not None and k > last:
             prec.stalled = True
             return
@@ -840,16 +790,15 @@ class PierEngine:
         execution, prec.execution = prec.execution, None
         if execution is not None:
             execution.close()
-        # The stage is gone for good: reclaim the co-routing soft state
-        # its members' exchanges accumulated under the prefix route
-        # namespace.
-        prefix = "p|{}|".format(key)
-        for entry in [k for k in self._route_owners
-                      if k[0].startswith(prefix)]:
-            del self._route_owners[entry]
-        for entry in [k for k in self._exchange_mutes
-                      if k[0].startswith(prefix)]:
-            del self._exchange_mutes[entry]
+        # Members' exchanges co-routed under the prefix namespace.
+        self._forget_route_state("p|{}|".format(key))
+
+    def _forget_route_state(self, ns_prefix):
+        """A query, spine or stage is gone for good: reclaim the learned
+        owners and NACK mutes filed under its namespace prefix."""
+        for soft_map in (self._route_owners, self._exchange_mutes):
+            for key in [k for k in soft_map if k[0].startswith(ns_prefix)]:
+                del soft_map[key]
 
     def _sweep_soft_maps(self):
         """Reclaim expired tombstones / mutes / owner-cache entries.
@@ -874,7 +823,7 @@ class PierEngine:
         # missed the stop for) must not re-adopt a stopped query.
         self._sweep_soft_maps()
         self._stop_tombstones[qid] = (
-            self.clock.now + self.config.stop_tombstone_ttl
+            self.clock.now + STOP_TOMBSTONE_TTL
         )
         # Early rows held for this query's namespaces will never find a
         # subscriber now; drop them instead of waiting out their TTL.
@@ -884,10 +833,7 @@ class PierEngine:
         for ns in [n for n in self._undelivered if n.startswith(prefix)]:
             self._send_nacks(ns)  # authoritative: the query is stopped
             self._drop_undelivered(ns)
-        for key in [k for k in self._exchange_mutes if k[0].startswith(prefix)]:
-            del self._exchange_mutes[key]
-        for key in [k for k in self._route_owners if k[0].startswith(prefix)]:
-            del self._route_owners[key]
+        self._forget_route_state(prefix)
         record = self.queries.pop(qid, None)
         if record is None:
             return
@@ -940,42 +886,30 @@ class PierEngine:
 
         self.dht.register_delivery(ns, deliver)
         if combine is not None:
-            upcall = execution.ctx.upcall_name(op_id, port)
-            route_ns = execution.ctx.route_namespace(op_id)
-            # Standing tree edges with a live owner cache get the
-            # stable-rendezvous discipline: the combiner (like the
-            # exchange) re-salts a group's route only while its cached
-            # owner is suspect. Shared executions also stamp a
+            # The combiner follows the exchange's stable-rendezvous
+            # discipline on standing edges: it re-salts a group's route
+            # only while the cached owner is suspect, and a forward may
+            # go direct to the learned terminal owner instead of
+            # re-walking the O(log N) stable-key route every epoch.
+            # Unlearned keys walk with learn set (warming the cache);
+            # salted forwards always walk (the re-salt IS the
+            # invalidation). Disposable edges carry no epoch tag and
+            # never consult the cache. Under regional trees, absorption
+            # only happens at region rendezvous (senders route through
+            # them), so forwards are level-2 sends that skip further
+            # mid-route absorption. Shared executions also stamp a
             # representative qid on forwards for plan-pull provenance.
-            caching = standing and self.config.route_cache_ttl > 0
-            suspect_fn = self.route_owner_suspect if caching else None
-            # Hop caching: a standing combiner's forward may go direct
-            # to the learned terminal owner instead of re-walking the
-            # O(log N) stable-key route every epoch. Unlearned keys
-            # walk with learn set (warming the cache); salted forwards
-            # always walk (the re-salt IS the invalidation).
-            owner_fn = self.cached_owner if caching else None
-            qsrc_fn = (
-                execution.ctx.rep_qid
-                if getattr(execution.ctx, "shared", False) else None
-            )
-            # Under regional trees, absorption only happens at region
-            # rendezvous (senders route through them), so forwards are
-            # level-2 sends that skip further mid-route absorption.
-            regional = (
-                standing
-                and bool(getattr(self.config, "regional_trees", False))
-                and self.region is not None
-            )
+            ctx = execution.ctx
             combiner = TreeCombiner(
-                self.dht, ns, route_ns, upcall, combine["agg_specs"],
-                combine.get("hold", self.config.tree_hold_delay),
-                paned=combine.get("paned", False),
-                suspect_fn=suspect_fn, qsrc_fn=qsrc_fn,
-                owner_fn=owner_fn, regional=regional,
+                self.dht, ns, ctx.route_namespace(op_id),
+                ctx.upcall_name(op_id, port), combine["agg_specs"],
+                TREE_HOLD_DELAY, self.route_owner_suspect,
+                self.cached_owner, paned=combine.get("paned", False),
+                qsrc_fn=ctx.rep_qid if ctx.shared else None,
+                regional=standing and self.regional_trees,
             )
             self.combiners[ns] = combiner
-            self.dht.register_intercept(upcall, combiner.handler)
+            self.dht.register_intercept(combiner.upcall, combiner.handler)
         rows = self._undelivered.pop(ns, ())
         tags = self._undelivered_tags.pop(ns, ())
         self._undelivered_origins.pop(ns, None)
@@ -1090,8 +1024,8 @@ class PierEngine:
         # the execution registers. Nothing guarantees a plan ever
         # arrives (the broadcast can miss this node, or the query may
         # already be stopping), so the buffer is bounded two ways: each
-        # namespace is dropped ``undelivered_ttl`` after its first early
-        # row, and holds at most ``undelivered_cap`` rows. Whenever the
+        # namespace is dropped ``UNDELIVERED_TTL`` after its first early
+        # row, and holds at most ``UNDELIVERED_CAP`` rows. Whenever the
         # buffer sheds rows it NACKs the exchanges that sent them.
         ns = payload["ns"]
         incoming = payload_rows(payload)
@@ -1101,11 +1035,11 @@ class PierEngine:
             self._undelivered_tags[ns] = []
             self._undelivered_origins[ns] = {}
             self._undelivered_expiry[ns] = (
-                self.clock.now + self.config.undelivered_ttl
+                self.clock.now + UNDELIVERED_TTL
             )
             if self._undelivered_timer is None:
                 self._undelivered_timer = self.set_timer(
-                    self.config.undelivered_ttl, self._expire_undelivered
+                    UNDELIVERED_TTL, self._expire_undelivered
                 )
             if payload.get("epoch") is not None:
                 # A standing query is live somewhere and its epoch-free
@@ -1124,7 +1058,7 @@ class PierEngine:
             self._undelivered_origins[ns].setdefault(
                 origin.address, set()
             ).add(rid)
-        space = self.config.undelivered_cap - len(rows)
+        space = UNDELIVERED_CAP - len(rows)
         if space > 0:
             taken = list(incoming[:space])
             rows.extend(taken)
@@ -1264,7 +1198,7 @@ class PierEngine:
         self._progress_pending[key] = self._progress_pending.get(key, 0) + count
         if self._progress_timer is None:
             self._progress_timer = self.set_timer(
-                self.config.progress_batch_delay, self._send_progress
+                PROGRESS_BATCH_DELAY, self._send_progress
             )
 
     def _send_progress(self):
@@ -1293,7 +1227,7 @@ class PierEngine:
             ns = payload["ns"]
             qid = ns.split("|")[1] if ns.startswith("q|") else None
             if qid in self.queries:
-                expiry = self.clock.now + self.config.nack_mute_ttl
+                expiry = self.clock.now + NACK_MUTE_TTL
                 for rid in payload["rids"]:
                     self._exchange_mutes[(ns, rid)] = expiry
             return
@@ -1301,13 +1235,13 @@ class PierEngine:
             if payload.get("rid") is not None:
                 ns, rid = payload["ns"], payload["rid"]
                 region = payload.get("region")
-                ttl = self.config.route_cache_ttl
+                ttl = ROUTE_CACHE_TTL
                 if (region is not None and self.region is not None
                         and region != self.region):
                     # A backbone owner: trust it for less time, so a
                     # partition cannot leave a cross-region entry
                     # pinning forwards long after the region rejoined.
-                    ttl = min(ttl, self.config.cross_region_cache_ttl)
+                    ttl = min(ttl, CROSS_REGION_CACHE_TTL)
                 self._route_owners[(ns, rid)] = (
                     payload["ref"], self.clock.now + ttl, region,
                 )

@@ -24,7 +24,7 @@ Rows are not shipped one message at a time: pushes buffer per routing
 key for a short flush window (``EngineConfig.flush_delay``) and travel
 as one ``deliver_batch`` route message per key, so a rehash that moves
 k co-keyed rows costs one multi-hop route (and one hop-ack per hop)
-instead of k. ``max_batch_rows`` / ``max_batch_bytes`` bound how much
+instead of k. ``max_batch_rows`` / ``MAX_BATCH_BYTES`` bound how much
 a single message can carry; ``flush_delay = 0`` restores the original
 message-per-row behaviour (the benchmarks' unbatched baseline).
 
@@ -55,16 +55,24 @@ from repro.util.errors import PlanError
 from repro.util.serde import wire_size
 
 
+# A pending batch ships once it holds max_batch_rows rows or this many
+# (modelled) bytes, whichever comes first.
+MAX_BATCH_BYTES = 8192
+# Ceilings for the caps adaptive flush and backpressure may raise: one
+# message never carries more than this, however hot the edge.
+ADAPTIVE_FLUSH_MAX_ROWS = 2048
+ADAPTIVE_FLUSH_MAX_BYTES = 262144
+
+
 def epoch_route_ns(route_ns, epoch):
     """Per-epoch salted routing namespace for a standing exchange.
 
-    Standing delivery namespaces are epoch-free; the salt rotates a
-    key's rendezvous owner between epochs. It is the *fallback*
-    discipline: tree edges with a live owner cache pin a stable
-    rendezvous per key and re-salt only while the cached owner is
-    suspect (see ``Exchange._route``); cacheless configurations salt
-    every epoch. The combiner forwards under the same namespace choice
-    so combined partials converge with the originals.
+    Standing delivery namespaces are epoch-free, and standing tree
+    edges pin a stable rendezvous per key; the salt is the *fallback*
+    that moves a key's rendezvous for one epoch while its learned owner
+    is suspect (see ``Exchange._route``). The combiner forwards under
+    the same namespace choice so combined partials converge with the
+    originals.
     """
     return "{}|e{}".format(route_ns, epoch)
 
@@ -105,11 +113,7 @@ class Exchange(Operator):
         # shared namespace and only the delivery tag carries the port.
         # Prefix-sharing members route under the shared prefix key (see
         # LocalQueryContext.route_namespace) so co-tenants co-locate.
-        route_ns_fn = getattr(ctx, "route_namespace", None)
-        self._route_ns = (
-            route_ns_fn(consumer_id) if route_ns_fn is not None
-            else ctx.namespace(consumer_id, "x")
-        )
+        self._route_ns = ctx.route_namespace(consumer_id)
         self.mode = spec.params.get("mode", "rehash")
         if self.mode not in ("rehash", "tree"):
             raise PlanError("unknown exchange mode {!r}".format(self.mode))
@@ -117,15 +121,11 @@ class Exchange(Operator):
             ctx.upcall_name(consumer_id, port) if self.mode == "tree" else None
         )
         self._batch_key_fn = self._build_batch_key_fn(spec.params["key"])
-        config = ctx.engine.config
-        self._flush_delay = spec.params.get("flush_delay", config.flush_delay)
-        self._max_batch_rows = spec.params.get(
-            "max_batch_rows", config.max_batch_rows
-        )
-        self._max_batch_bytes = spec.params.get(
-            "max_batch_bytes", config.max_batch_bytes
-        )
-        self._standing = bool(getattr(ctx, "standing", False))
+        engine = ctx.engine
+        config = engine.config
+        self._flush_delay = config.flush_delay
+        self._max_batch_rows = config.max_batch_rows
+        self._standing = ctx.standing
         # Pane-tagged mode (paned plans whose pane-aware aggregate sits
         # *above* this exchange): remember the pane announced by the
         # upstream producer and stamp every batch with it, so delivery
@@ -135,57 +135,34 @@ class Exchange(Operator):
         # Owner caching only pays off when the routing key is stable
         # across epochs (standing, epoch-free namespaces) and no
         # per-hop combining would be skipped (rehash mode only).
-        self._cache_owners = (
-            self._standing and self.mode == "rehash"
-            and getattr(config, "route_cache_ttl", 0) > 0
-        )
-        # Resolved via getattr so harness stubs without the full engine
-        # surface (unit tests) still drive the batching logic.
-        self._muted_fn = getattr(ctx.engine, "exchange_muted", None)
-        self._owner_fn = getattr(ctx.engine, "cached_owner", None)
-        self._suspect_fn = getattr(ctx.engine, "route_owner_suspect", None)
-        self._mid_fn = getattr(ctx.dht, "fresh_mid", None)
-        if self._owner_fn is None:
-            self._cache_owners = False
-        # Unpaned standing tree edges pin a stable per-query rendezvous
-        # (matching the paned discipline) when the owner cache can
-        # vouch for the owner's health; without a cache there is no
-        # suspect signal, so those configurations keep the per-epoch
-        # salt.
-        self._stable_tree = (
-            self._standing and self.mode == "tree"
-            and getattr(config, "route_cache_ttl", 0) > 0
-            and self._suspect_fn is not None and self._owner_fn is not None
-        )
+        self._cache_owners = self._standing and self.mode == "rehash"
+        self._muted_fn = engine.exchange_muted
+        self._owner_fn = engine.cached_owner
+        self._suspect_fn = engine.route_owner_suspect
+        self._mid_fn = ctx.dht.fresh_mid
         # Region-aware two-level trees: a standing tree edge on a
         # region-labelled topology routes each partial through its own
         # region's combiner rendezvous first. The rendezvous absorbs
         # same-region partials into one level-1 combiner, which then
         # ships ONE combined partial per region across the backbone
         # toward the global owner (level 2 -- the ordinary combiner
-        # forward machinery). Resolved via getattr so harness stubs
-        # and flat topologies degrade to single-level trees.
-        self._rendezvous_fn = getattr(ctx.dht, "region_rendezvous", None)
+        # forward machinery). Flat topologies have no region label and
+        # keep the single-level tree.
         self._regional = (
-            self._standing and self.mode == "tree"
-            and bool(getattr(config, "regional_trees", False))
-            and getattr(ctx.engine, "region", None) is not None
-            and self._rendezvous_fn is not None
-            and hasattr(ctx.dht, "route_through")
+            self._standing and self.mode == "tree" and engine.regional_trees
         )
         # Spine executions stamp a live subscriber qid on every batch:
         # the s| namespace embeds no address, so this is the receiving
         # side's only lead for pulling a plan it missed.
-        self._rep_qid_fn = (
-            ctx.rep_qid if getattr(ctx, "shared", False) else None
-        )
+        self._rep_qid_fn = ctx.rep_qid if ctx.shared else None
         # Prefix-sharing members hand their outbound route messages to
         # the engine's per-instant multiplexer: co-tenant queries push
         # at the same instants (one demux fan feeds them all), so
         # same-destination messages coalesce into one deliver_mux.
-        self._mux = None
-        if self._standing and getattr(ctx, "prefix_key", None) is not None:
-            self._mux = getattr(ctx.engine, "exchange_mux", None)
+        self._mux = (
+            engine.exchange_mux
+            if self._standing and ctx.prefix_key is not None else None
+        )
         # Pending batches are keyed by epoch tag, then routing id: a
         # standing overlapping-epoch plan can push rows for several
         # live epochs through the same exchange instance, and each
@@ -199,18 +176,9 @@ class Exchange(Operator):
         # into few large messages, sparse edges stretch the window to
         # fill batches. Backpressure ("xbp" from an overloaded owner)
         # stretches both further via the engine's per-namespace factor.
-        self._clock = getattr(ctx, "clock", None)
-        self._adaptive_flush = (
-            bool(getattr(config, "adaptive_flush", False))
-            and self._flush_delay > 0 and self._clock is not None
-        )
-        self._adaptive_max_rows = getattr(
-            config, "adaptive_flush_max_rows", 2048
-        )
-        self._adaptive_max_bytes = getattr(
-            config, "adaptive_flush_max_bytes", 262144
-        )
-        self._stretch_fn = getattr(ctx.engine, "exchange_flush_stretch", None)
+        self._clock = ctx.clock
+        self._adaptive_flush = config.adaptive_flush and self._flush_delay > 0
+        self._stretch_fn = engine.exchange_flush_stretch
         self._rate = 0.0  # EWMA rows/sec through this exchange
         self._rate_count = 0
         self._rate_t0 = None
@@ -219,13 +187,12 @@ class Exchange(Operator):
         # partials across k salted keys (k owners); the query site's
         # duplicate-owner merge re-unifies the group. Paned edges shard
         # by pane so each pane's history accumulates at one owner.
-        hot = int(getattr(config, "hot_group_threshold", 0) or 0)
         self._hot_threshold = (
-            hot if (self._standing
-                    and spec.params.get("key", {}).get("kind") == "group")
+            config.hot_group_threshold
+            if self._standing and spec.params["key"]["kind"] == "group"
             else 0
         )
-        self._hot_shards = max(2, int(getattr(config, "hot_group_shards", 4)))
+        self._hot_shards = max(2, config.hot_group_shards)
         self._hot_counts = EpochStateRing(dict)  # epoch -> {rid: rows}
         self.hot_splits = 0  # rows routed under a shard key (introspection)
 
@@ -282,26 +249,24 @@ class Exchange(Operator):
         """
         delay = self._flush_delay
         max_rows = self._max_batch_rows
-        max_bytes = self._max_batch_bytes
+        max_bytes = MAX_BATCH_BYTES
         if self._adaptive_flush and self._rate > 0.0:
             desired = self._max_batch_rows / self._rate
             delay = min(max(delay, desired), self._flush_delay * 8.0)
             target_rows = self._rate * delay
             if target_rows > max_rows:
-                max_rows = int(min(target_rows, self._adaptive_max_rows))
+                max_rows = int(min(target_rows, ADAPTIVE_FLUSH_MAX_ROWS))
                 per_row = max(1, max_bytes // max(1, self._max_batch_rows))
                 max_bytes = int(min(
                     max(max_bytes, max_rows * per_row),
-                    self._adaptive_max_bytes,
+                    ADAPTIVE_FLUSH_MAX_BYTES,
                 ))
-        if self._stretch_fn is not None:
-            stretch = self._stretch_fn(self._ns)
-            if stretch > 1.0:
-                delay *= stretch
-                max_rows = int(min(max_rows * stretch,
-                                   self._adaptive_max_rows))
-                max_bytes = int(min(max_bytes * stretch,
-                                    self._adaptive_max_bytes))
+        stretch = self._stretch_fn(self._ns)
+        if stretch > 1.0:
+            delay *= stretch
+            max_rows = int(min(max_rows * stretch, ADAPTIVE_FLUSH_MAX_ROWS))
+            max_bytes = int(min(max_bytes * stretch,
+                                ADAPTIVE_FLUSH_MAX_BYTES))
         return delay, max_rows, max_bytes
 
     def _hot_rid(self, rid, epoch, pane):
@@ -331,18 +296,15 @@ class Exchange(Operator):
         """
         if len(batch) == 0:
             return
-        pairs = zip(batch.rows(), self._batch_key_fn(batch))
+        # Receivers NACKed these keys: they would only drop the rows.
+        # Filter before anything is counted or allocated.
         muted_fn = self._muted_fn
-        if muted_fn is None:
-            live = list(pairs)
-        else:
-            # Receivers NACKed these keys: they would only drop the rows.
-            # Filter before anything is counted or allocated.
-            ns = self._ns
-            live = [(row, rid) for row, rid in pairs
-                    if not muted_fn(ns, rid)]
-            if not live:
-                return
+        ns = self._ns
+        live = [(row, rid)
+                for row, rid in zip(batch.rows(), self._batch_key_fn(batch))
+                if not muted_fn(ns, rid)]
+        if not live:
+            return
         epoch = self._active_epoch() if self._standing else None
         pane = self._current_pane if self._paned else None
         if self._adaptive_flush:
@@ -400,11 +362,10 @@ class Exchange(Operator):
                 payload["cols"] = cols
             else:
                 payload["rows"] = rows
-        if self._mid_fn is not None:
-            # Per-message dedup id: survives re-forwards of this exact
-            # message, so the delivery layer drops at-least-once
-            # replays (a delivered hop whose ack was lost).
-            payload["mid"] = self._mid_fn()
+        # Per-message dedup id: survives re-forwards of this exact
+        # message, so the delivery layer drops at-least-once replays (a
+        # delivered hop whose ack was lost).
+        payload["mid"] = self._mid_fn()
         if self._standing:
             payload["epoch"] = epoch
             if self._paned:
@@ -431,41 +392,28 @@ class Exchange(Operator):
                 key = storage_key(self._route_ns, rid)
                 self._ship(key, payload)
                 return
-            if self._stable_tree:
-                # Stable per-query rendezvous for tree edges, like the
-                # paned discipline: the combining tree re-converges on
-                # the same owner every epoch, so hop caches and learned
-                # owners keep paying off. Fallback: while the learned
-                # owner is suspect, re-salt this key's route for the
-                # epoch -- a fresh rendezvous away from the dying node
-                # -- without forgetting the stable owner, whose
-                # suspicion may clear. The salt decision rides on the
-                # payload, and combiners only ever *promote* partials
-                # to the salted key (never demote): if each hop
-                # re-decided from its own cache, two nodes disagreeing
-                # about the owner's health would bounce a combined
-                # partial between the two rendezvous keys forever.
-                if self._suspect_fn(self._ns, rid):
-                    key = storage_key(
-                        epoch_route_ns(self._route_ns, epoch), rid
-                    )
-                    payload["salted"] = True
-                else:
-                    key = storage_key(self._route_ns, rid)
-                    if self._owner_fn(self._ns, rid) is None:
-                        payload["learn"] = True
-                self._ship(key, payload)
-                return
-            # No owner cache (tree mode): salt the routing key with the
-            # epoch so successive epochs rendezvous at *different*
-            # nodes. Without a cache there is no suspect signal to
-            # trigger a fallback, so a fixed rendezvous would correlate
-            # every epoch's owner risk onto one node -- one flaky host
-            # could hole a standing query's answer epoch after epoch.
-            # Delivery stays keyed by the epoch-free namespace, so
-            # whoever terminates the salted key dispatches to the same
-            # standing registration.
-            key = storage_key(epoch_route_ns(self._route_ns, epoch), rid)
+            # Stable per-query rendezvous for tree edges, like the
+            # paned discipline: the combining tree re-converges on the
+            # same owner every epoch, so hop caches and learned owners
+            # keep paying off. Fallback: while the learned owner is
+            # suspect, re-salt this key's route for the epoch -- a
+            # fresh rendezvous away from the dying node -- without
+            # forgetting the stable owner, whose suspicion may clear.
+            # The salt decision rides on the payload, and combiners
+            # only ever *promote* partials to the salted key (never
+            # demote): if each hop re-decided from its own cache, two
+            # nodes disagreeing about the owner's health would bounce
+            # a combined partial between the two rendezvous keys
+            # forever.
+            if self._suspect_fn(self._ns, rid):
+                key = storage_key(
+                    epoch_route_ns(self._route_ns, epoch), rid
+                )
+                payload["salted"] = True
+            else:
+                key = storage_key(self._route_ns, rid)
+                if self._owner_fn(self._ns, rid) is None:
+                    payload["learn"] = True
             self._ship(key, payload)
             return
         key = storage_key(self._route_ns, rid)
@@ -484,7 +432,7 @@ class Exchange(Operator):
         skip the level-1 absorption.
         """
         if self._regional:
-            via = self._rendezvous_fn(key)
+            via = self.ctx.dht.region_rendezvous(key)
             if via is not None:
                 self.ctx.dht.route_through(via, key, payload,
                                            upcall=self._upcall)
@@ -579,7 +527,6 @@ class ExchangeMux:
         self._timer = None
         buckets, self._buckets = self._buckets, {}
         dht = self.engine.dht
-        mid_fn = getattr(dht, "fresh_mid", None)
         for entries in buckets.values():
             payload, upcall, owner, key = entries[0]
             if len(entries) == 1:
@@ -591,9 +538,8 @@ class ExchangeMux:
             bundle = {
                 "op": "deliver_mux",
                 "parts": [e[0] for e in entries],
+                "mid": dht.fresh_mid(),
             }
-            if mid_fn is not None:
-                bundle["mid"] = mid_fn()
             self.bundles += 1
             self.bundled_parts += len(entries)
             if owner is not None:

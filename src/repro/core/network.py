@@ -37,7 +37,6 @@ from repro.sim.churn import ChurnConfig, ChurnProcess
 from repro.sim.clock import SimClock
 from repro.sim.latency import GeoLatency, RegionalLatency
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.trace import TraceRecorder
 from repro.util.errors import PierError
 from repro.util.rng import SeededRng
 
@@ -47,7 +46,7 @@ class PierConfig:
 
     def __init__(self, dht=None, engine=None, timing=None, network=None,
                  bootstrap="oracle", latency_scale=0.15, loss_rate=0.0,
-                 trace=False, admission=None):
+                 admission=None):
         self.dht = dht if dht is not None else DhtConfig()
         self.engine = engine if engine is not None else EngineConfig()
         self.timing = timing if timing is not None else PlannerTiming()
@@ -56,7 +55,6 @@ class PierConfig:
             raise PierError("bootstrap must be 'oracle' or 'protocol'")
         self.bootstrap = bootstrap
         self.latency_scale = latency_scale
-        self.trace = trace
         # An AdmissionPolicy (core.admission), or None to admit all.
         self.admission = admission
 
@@ -104,7 +102,6 @@ class PierNetwork:
         self.net = Network(
             self.clock, self.latency, self.rng.fork("net"), self.config.network
         )
-        self.trace = TraceRecorder(self.clock, enabled=self.config.trace)
         self.catalog = Catalog()
         # Runtime stats ride on the shared schema catalog: every
         # engine's stream_append and the coordinators' epoch-close
@@ -137,7 +134,6 @@ class PierNetwork:
         chord = ChordNode(
             self.net, address, self.config.dht,
             self.rng.fork("chord/{}".format(address)),
-            trace=self.trace if self.config.trace else None,
         )
         api = DhtApi(chord)
         engine = PierEngine(

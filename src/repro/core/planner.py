@@ -443,11 +443,11 @@ def _epoch_overlap(b, lq):
         margin = _STANDING_XFER_MARGIN if feeds_exchange(op_id) else 0.0
         horizon = max(horizon, offset + margin)
     # No static ceiling here: the plan records the *true* horizon, and
-    # the engine's adaptive ring (EngineConfig.adaptive_ring /
-    # ring_max_overlap) decides how many epoch states to actually keep
-    # live -- starting clamped, widening on observed late-straggler
-    # drops, narrowing when the tail is quiet. The retired static cap
-    # of 16 lives on only as history in benchmarks/baselines/.
+    # the execution's adaptive ring (dataflow.RING_MAX_OVERLAP) decides
+    # how many epoch states to actually keep live -- starting clamped,
+    # widening on observed late-straggler drops, narrowing when the
+    # tail is quiet. The retired static cap of 16 lives on only as
+    # history in benchmarks/baselines/.
     return max(1, math.ceil(horizon / lq.every - 1e-9))
 
 

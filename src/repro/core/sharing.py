@@ -141,20 +141,41 @@ class SpineSubscriber:
         self.last_epoch = last_epoch  # my last epoch (None = unbounded)
 
 
-class SpineRecord:
-    """Engine-side state for one shared standing execution."""
+class _GridRecord:
+    """What spines and prefix stages share: one engine-side execution
+    on the absolute epoch grid (``t0`` = phase) and the subscribers
+    that still need it."""
 
     __slots__ = ("key", "plan", "t0", "subscribers", "execution",
-                 "next_timer", "stalled", "prefix")
+                 "next_timer", "stalled")
 
     def __init__(self, key, plan, t0):
         self.key = key
         self.plan = plan
-        self.t0 = t0  # = phase: absolute instant of spine epoch 0
-        self.subscribers = {}  # qid -> SpineSubscriber
+        self.t0 = t0  # = phase: absolute instant of grid epoch 0
+        self.subscribers = {}  # qid -> SpineSubscriber / PrefixSubscriber
         self.execution = None
         self.next_timer = None
         self.stalled = False
+
+    def last_needed_epoch(self):
+        """Last grid epoch any member still needs, or None if some
+        member is unbounded (no LIFETIME)."""
+        last = 0
+        for sub in self.subscribers.values():
+            if sub.last_epoch is None:
+                return None
+            last = max(last, sub.offset + sub.last_epoch)
+        return last
+
+
+class SpineRecord(_GridRecord):
+    """Engine-side state for one shared standing execution."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, key, plan, t0):
+        super().__init__(key, plan, t0)
         self.prefix = None  # prefix-stage key when the scan is staged
 
     def rep_qid(self):
@@ -163,16 +184,6 @@ class SpineRecord:
         for qid in self.subscribers:
             return qid
         return None
-
-    def last_spine_epoch(self):
-        """Last spine epoch any member still needs, or None if some
-        member is unbounded (no LIFETIME)."""
-        last = 0
-        for sub in self.subscribers.values():
-            if sub.last_epoch is None:
-                return None
-            last = max(last, sub.offset + sub.last_epoch)
-        return last
 
 
 class PrefixSubscriber:
@@ -199,36 +210,17 @@ class PrefixSubscriber:
         self.needs_backfill = needs_backfill
 
 
-class PrefixRecord:
+class PrefixRecord(_GridRecord):
     """Engine-side state for one shared scan-stage execution.
 
-    The stage runs a two-op plan (scan -> demux) on the same absolute
-    epoch grid as spines (``t0`` = phase); the demux operator holds the
-    subscriber map and fans each stage epoch's rows into every member
-    spine's execution via ``StandingExecution.deliver_scan``. Spines
-    whose logical plans *differ* (different predicates, groups, or
-    output shapes) but scan the same stream table on the same epoch
-    grid all ride one stage -- the fleet pays for one scan.
+    The stage runs a two-op plan (scan -> demux; ``plan`` is that stage
+    plan, not a member plan) on the same absolute epoch grid as spines;
+    the demux operator holds the subscriber map and fans each stage
+    epoch's rows into every member spine's execution via
+    ``StandingExecution.deliver_scan``. Spines whose logical plans
+    *differ* (different predicates, groups, or output shapes) but scan
+    the same stream table on the same epoch grid all ride one stage --
+    the fleet pays for one scan.
     """
 
-    __slots__ = ("key", "plan", "t0", "subscribers", "execution",
-                 "next_timer", "stalled")
-
-    def __init__(self, key, plan, t0):
-        self.key = key
-        self.plan = plan  # the two-op stage plan, not a member plan
-        self.t0 = t0  # = phase: absolute instant of stage epoch 0
-        self.subscribers = {}  # qid -> PrefixSubscriber
-        self.execution = None
-        self.next_timer = None
-        self.stalled = False
-
-    def last_stage_epoch(self):
-        """Last stage epoch any member still needs, or None if some
-        member is unbounded (no LIFETIME)."""
-        last = 0
-        for sub in self.subscribers.values():
-            if sub.last_epoch is None:
-                return None
-            last = max(last, sub.offset + sub.last_epoch)
-        return last
+    __slots__ = ()

@@ -5,8 +5,6 @@ This package provides:
 
 * :mod:`repro.dht.chord` -- the primary overlay (Chord rings: successor
   lists, finger tables, recursive multi-hop routing, stabilization).
-* :mod:`repro.dht.can` -- a d-dimensional CAN overlay, the alternative
-  scheme the paper cites, used in the DHT-scaling comparison bench.
 * :mod:`repro.dht.storage` -- soft-state storage (TTL + renewal), the
   mechanism that lets PIER survive churn without distributed deletion.
 * :mod:`repro.dht.broadcast` -- O(log N)-depth query dissemination over
@@ -19,20 +17,17 @@ This package provides:
 
 from repro.dht.api import DhtApi
 from repro.dht.bootstrap import build_chord_ring, join_chord_ring
-from repro.dht.can import CanNode, build_can_overlay
 from repro.dht.chord import ChordNode, NodeRef
 from repro.dht.config import DhtConfig
 from repro.dht.storage import SoftStateStore, StoredItem
 
 __all__ = [
-    "CanNode",
     "ChordNode",
     "DhtApi",
     "DhtConfig",
     "NodeRef",
     "SoftStateStore",
     "StoredItem",
-    "build_can_overlay",
     "build_chord_ring",
     "join_chord_ring",
 ]

@@ -20,8 +20,8 @@ Exchange traffic rides ``route`` with ``deliver`` (one row) or
 registered delivery handler receives either shape.
 
 The facade keeps the query engine honest: ``repro.core`` imports only
-this class, never the overlay internals, so swapping Chord for CAN (or
-a future overlay) cannot leak into the engine.
+this class, never the overlay internals, so swapping Chord for another
+overlay cannot leak into the engine.
 """
 
 

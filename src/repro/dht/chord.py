@@ -64,12 +64,11 @@ def storage_key(namespace, resource_id):
 class ChordNode(SimNode, RpcNode):
     """One Chord participant with PIER's storage API grafted on."""
 
-    def __init__(self, network, address, config, rng, trace=None):
+    def __init__(self, network, address, config, rng):
         super().__init__(network, address)
         self._init_rpc(config.rpc_timeout)
         self.config = config
         self.rng = rng
-        self.trace = trace
         self.id = node_id_for(address)
         self.ref = NodeRef(self.id, address)
 
@@ -574,8 +573,6 @@ class ChordNode(SimNode, RpcNode):
         on_done, timer = entry
         self.cancel_timer(timer)
         self.lookup_hops.add(message.hops)
-        if self.trace is not None:
-            self.trace.record("lookup_done", node=self.address, hops=message.hops)
         on_done(message.owner, message.hops)
 
     # ------------------------------------------------------------------
@@ -880,8 +877,6 @@ class ChordNode(SimNode, RpcNode):
             if token in self._seen_broadcasts:
                 return False
             self._seen_broadcasts.add(token)
-        if self.trace is not None:
-            self.trace.record("broadcast_deliver", node=self.address, depth=message.depth)
         for handler in self._broadcast_handlers:
             handler(message.payload, message.origin, message.depth)
         return True

@@ -20,7 +20,6 @@ from repro.sim.latency import (
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import SimNode
 from repro.sim.processes import PeriodicProcess
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "ChurnConfig",
@@ -34,6 +33,5 @@ __all__ = [
     "PeriodicProcess",
     "SimClock",
     "SimNode",
-    "TraceRecorder",
     "UniformLatency",
 ]

@@ -3,9 +3,10 @@ rate-sized exchange flush windows, owner backpressure, hot-group
 splitting, and the simulator's receive-side service queue."""
 
 import pytest
+from stubs import make_engine, make_exchange, make_standing
 
-from repro.core.dataflow import EpochStateRing, Operator, StandingExecution
-from repro.core.exchange import Exchange
+from repro.core import dataflow, exchange as exchange_module
+from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.network import PierConfig, PierNetwork
 from repro.core.engine import EngineConfig
 from repro.core.operators import register_operator
@@ -38,50 +39,18 @@ class LoadProbe(Operator):
         self.pushed.extend(batch.rows())
 
 
-class _StubTimer:
-    def __init__(self, time):
-        self.time = time
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class _StubClock:
-    def __init__(self):
-        self.now = 0.0
-
-
-class _StubEngine:
-    """Engine surface StandingExecution needs, ring counters included."""
-
-    def __init__(self, config=None):
-        self.clock = _StubClock()
-        self.dht = self
-        self.address = "stub"
-        self.ring_late_drops = 0
-        self.ring_widenings = 0
-        if config is not None:
-            self.config = config
-
-    def set_timer(self, delay, callback, *args):
-        return _StubTimer(self.clock.now + delay)
-
-
-def make_execution(planned_width=2, config=None):
+def make_execution(planned_width=2):
     plan = QueryPlan(
         [OpSpec("p", "load_probe")], "p", mode="continuous", every=5.0,
         flush_offsets={"p": 2.0}, standing=True,
         epoch_overlap=planned_width,
     )
-    engine = _StubEngine(config)
-    execution = StandingExecution(engine, plan, "q#1", 0, 0.0, "site")
-    execution.start()
-    return engine, execution
+    engine = make_engine()
+    return engine, make_standing(engine, plan)
 
 
 def advance(engine, execution, k):
-    engine.clock.now = k * 5.0
+    engine.clock.run_until(k * 5.0)
     execution.advance_epoch(k, k * 5.0)
 
 
@@ -109,7 +78,7 @@ class TestAdaptiveRing:
         execution.deliver_batch("p", 0, [(1,)], epoch=1)  # drop -> widen
         advance(engine, execution, 5)
         assert execution.live_epochs == 4
-        # Default ring_quiet_boundaries = 4: each narrow step takes a
+        # RING_QUIET_BOUNDARIES = 4: each narrow step takes a
         # quiet run; the width decays back to the planned 2, no lower.
         for k in range(6, 30):
             advance(engine, execution, k)
@@ -129,9 +98,9 @@ class TestAdaptiveRing:
                                     epoch=min(execution._open_epochs))
         assert execution.live_epochs == 3
 
-    def test_ring_max_overlap_caps_widening(self):
-        config = EngineConfig(ring_max_overlap=3)
-        engine, execution = make_execution(planned_width=2, config=config)
+    def test_ring_max_overlap_caps_widening(self, monkeypatch):
+        monkeypatch.setattr(dataflow, "RING_MAX_OVERLAP", 3)
+        engine, execution = make_execution(planned_width=2)
         for k in range(1, 10):
             advance(engine, execution, k)
             sealed = execution._sealed_through
@@ -139,19 +108,9 @@ class TestAdaptiveRing:
                 execution.deliver_batch("p", 0, [(1,)], epoch=sealed)
         assert execution.live_epochs == 3
 
-    def test_adaptive_off_keeps_the_static_width(self):
-        config = EngineConfig(adaptive_ring=False)
-        engine, execution = make_execution(planned_width=2, config=config)
-        for k in (1, 2, 3):
-            advance(engine, execution, k)
-        execution.deliver_batch("p", 0, [(1,)], epoch=1)
-        advance(engine, execution, 4)
-        assert execution.live_epochs == 2  # drops counted, no widening
-        assert execution.late_drops == 1
-
-    def test_planned_width_over_engine_cap_is_clamped(self):
-        config = EngineConfig(ring_max_overlap=4)
-        engine, execution = make_execution(planned_width=40, config=config)
+    def test_planned_width_over_engine_cap_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(dataflow, "RING_MAX_OVERLAP", 4)
+        engine, execution = make_execution(planned_width=40)
         assert execution.live_epochs == 4
         assert execution._ring_floor == 4
 
@@ -159,70 +118,16 @@ class TestAdaptiveRing:
 # ----------------------------------------------------------------------
 # Adaptive exchange flush windows
 # ----------------------------------------------------------------------
-def make_exchange(config, stretch=None, clock=None, key_kind="row",
-                  sent=None):
-    sent = sent if sent is not None else []
-
-    class StubDht:
-        def set_timer(self, delay, fn, *args):
-            t = _StubTimer(delay)
-            t.delay = delay
-            return t
-
-        def cancel_timer(self, timer):
-            pass
-
-        def route(self, key, payload, upcall=None):
-            sent.append(payload)
-
-    class StubPlan:
-        def consumers_of(self, op_id):
-            return [("sink", 0)]
-
-    class StubEngine:
-        pass
-
-    engine = StubEngine()
-    engine.config = config
-    if stretch is not None:
-        engine.exchange_flush_stretch = stretch
-
-    class StubCtx:
-        plan = StubPlan()
-        dht = StubDht()
-        standing = True
-        epoch = 3
-        active_epoch = 3
-
-        def namespace(self, op_id, port):
-            return "ns|{}|{}".format(op_id, port)
-
-        def upcall_name(self, op_id, port):
-            return "up|{}|{}".format(op_id, port)
-
-    ctx = StubCtx()
-    ctx.engine = engine
-    if clock is not None:
-        ctx.clock = clock
-
-    class StubSpec:
-        op_id = "x1"
-        params = {"mode": "rehash", "key": {"kind": key_kind}}
-
-    return Exchange(ctx, StubSpec()), sent
-
-
 class TestAdaptiveFlush:
     def test_static_config_returns_the_configured_trio(self):
-        config = EngineConfig(flush_delay=0.25, max_batch_rows=64,
-                              max_batch_bytes=8192)
-        exchange, _sent = make_exchange(config, clock=_StubClock())
+        config = EngineConfig(flush_delay=0.25, max_batch_rows=64)
+        exchange = make_exchange(make_engine(config))
         assert exchange._flush_plan() == (0.25, 64, 8192)
 
     def test_sparse_edge_stretches_the_window_to_fill_batches(self):
         config = EngineConfig(adaptive_flush=True, flush_delay=0.25,
                               max_batch_rows=64)
-        exchange, _sent = make_exchange(config, clock=_StubClock())
+        exchange = make_exchange(make_engine(config))
         exchange._rate = 10.0  # rows/sec: 64-row batches want 6.4s
         delay, max_rows, _ = exchange._flush_plan()
         assert delay == 0.25 * 8.0  # clamped at the 8x stretch
@@ -230,36 +135,38 @@ class TestAdaptiveFlush:
 
     def test_hot_edge_raises_caps_to_one_window(self):
         config = EngineConfig(adaptive_flush=True, flush_delay=0.25,
-                              max_batch_rows=64, max_batch_bytes=8192)
-        exchange, _sent = make_exchange(config, clock=_StubClock())
+                              max_batch_rows=64)
+        exchange = make_exchange(make_engine(config))
         exchange._rate = 4000.0  # 1000 rows per base window
         delay, max_rows, max_bytes = exchange._flush_plan()
         assert delay == 0.25  # hot edges keep the base cadence
         assert max_rows == 1000
         assert max_bytes > 8192
 
-    def test_adaptive_caps_clamp_at_the_ceiling(self):
+    def test_adaptive_caps_clamp_at_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(exchange_module, "ADAPTIVE_FLUSH_MAX_ROWS", 512)
         config = EngineConfig(adaptive_flush=True, flush_delay=0.25,
-                              max_batch_rows=64,
-                              adaptive_flush_max_rows=512)
-        exchange, _sent = make_exchange(config, clock=_StubClock())
+                              max_batch_rows=64)
+        exchange = make_exchange(make_engine(config))
         exchange._rate = 100000.0
         _delay, max_rows, _ = exchange._flush_plan()
         assert max_rows == 512
 
     def test_rate_ewma_tracks_pushed_rows(self):
-        clock = _StubClock()
         config = EngineConfig(adaptive_flush=True, flush_delay=0.25)
-        exchange, _sent = make_exchange(config, clock=clock)
+        engine = make_engine(config)
+        exchange = make_exchange(engine)
         for i in range(30):
-            clock.now = i * 0.1
+            engine.clock.run_until(i * 0.1)
             exchange._note_arrivals(10)  # 100 rows/sec
         assert exchange._rate == pytest.approx(100.0, rel=0.2)
 
     def test_backpressure_stretch_multiplies_everything(self):
-        config = EngineConfig(flush_delay=0.25, max_batch_rows=64,
-                              max_batch_bytes=8192)
-        exchange, _sent = make_exchange(config, stretch=lambda ns: 4.0)
+        config = EngineConfig(flush_delay=0.25, max_batch_rows=64)
+        engine = make_engine(config)
+        exchange = make_exchange(engine)
+        engine._on_direct({"op": "xbp", "ns": exchange._ns, "factor": 4.0,
+                           "ttl": 10.0}, src="owner")
         delay, max_rows, max_bytes = exchange._flush_plan()
         assert delay == 1.0
         assert max_rows == 256 and max_bytes == 32768
@@ -359,11 +266,11 @@ class TestHotGroupSplit:
     def test_hot_key_shards_after_the_threshold(self):
         config = EngineConfig(flush_delay=0.0, hot_group_threshold=5,
                               hot_group_shards=2)
-        sent = []
-        exchange, _ = make_exchange(config, key_kind="group", sent=sent)
+        engine = make_engine(config)
+        exchange = make_exchange(engine, key={"kind": "group"})
         for i in range(20):
             exchange.push((("g",), (float(i),)))
-        rids = [p["rid"] for p in sent]
+        rids = [p["rid"] for _key, p in engine.dht.routed]
         assert rids[:5] == [("g",)] * 5  # under threshold: untouched
         sharded = rids[5:]
         assert all(r[0] == "hot" and r[1] == ("g",) for r in sharded)
@@ -373,18 +280,18 @@ class TestHotGroupSplit:
     def test_cold_keys_never_shard(self):
         config = EngineConfig(flush_delay=0.0, hot_group_threshold=5,
                               hot_group_shards=2)
-        sent = []
-        exchange, _ = make_exchange(config, key_kind="group", sent=sent)
+        engine = make_engine(config)
+        exchange = make_exchange(engine, key={"kind": "group"})
         for g in range(10):  # ten groups, one row each
             exchange.push((("g{}".format(g),), (1.0,)))
-        assert all(p["rid"][0].startswith("g") for p in sent)
+        assert all(p["rid"][0].startswith("g")
+                   for _key, p in engine.dht.routed)
         assert exchange.hot_splits == 0
 
     def test_counts_reset_per_epoch(self):
         config = EngineConfig(flush_delay=0.0, hot_group_threshold=5,
                               hot_group_shards=2)
-        sent = []
-        exchange, _ = make_exchange(config, key_kind="group", sent=sent)
+        exchange = make_exchange(make_engine(config), key={"kind": "group"})
         for i in range(5):
             exchange.push((("g",), (1.0,)))
         exchange.seal_epoch(3)

@@ -19,6 +19,7 @@ Two layers:
 import random
 
 import pytest
+from stubs import make_engine, make_exchange
 
 from repro.core.aggregates import AggSpec
 from repro.core.batch import RowBatch, columnar_wire
@@ -948,57 +949,18 @@ class TestExchangeChunkingInvariance:
     def _exchange(self, sent, flush_delay=5.0, key=None, muted=None,
                   adaptive=False):
         from repro.core.engine import EngineConfig
-        from repro.core.exchange import Exchange
 
-        class CaptureDht:
-            timers = 0
-
-            def route(self, key, payload, upcall=None):
-                sent.append((key, payload))
-
-            def set_timer(self, delay, callback, *args):
-                CaptureDht.timers += 1
-                return object()
-
-            def cancel_timer(self, timer):
-                pass
-
-        class StubPlan:
-            def consumers_of(self, op_id):
-                return [("sink", 0)]
-
-        class Engine:
-            config = EngineConfig(
-                flush_delay=flush_delay, max_batch_rows=4,
-                adaptive_flush=adaptive,
-            )
-
-            @staticmethod
-            def exchange_muted(ns, rid):
-                return muted is not None and rid in muted
-
-        class Clock:
-            now = 0.0
-
-        class Ctx:
-            plan = StubPlan()
-            dht = CaptureDht()
-            engine = Engine()
-            clock = Clock()
-
-            def namespace(self, op_id, port):
-                return "ns|{}|{}".format(op_id, port)
-
-            def upcall_name(self, op_id, port):
-                return "up|{}|{}".format(op_id, port)
-
-        class Spec:
-            op_id = "x1"
-            params = {"mode": "rehash",
-                      "key": key or {"kind": "exprs", "exprs": [col("s")],
-                                     "schema": SCHEMA}}
-
-        return Exchange(Ctx(), Spec())
+        engine = make_engine(EngineConfig(
+            flush_delay=flush_delay, max_batch_rows=4,
+            adaptive_flush=adaptive,
+        ), routed=sent)
+        exchange = make_exchange(
+            engine, standing=False,
+            key=key or {"kind": "exprs", "exprs": [col("s")],
+                        "schema": SCHEMA})
+        for rid in muted or ():  # as if a receiver had NACKed these keys
+            engine._exchange_mutes[(exchange._ns, rid)] = float("inf")
+        return exchange
 
     @staticmethod
     def _normalize(sent):

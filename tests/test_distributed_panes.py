@@ -16,6 +16,7 @@ Coverage layers:
 """
 
 import pytest
+from stubs import make_engine, make_exchange
 
 from repro.core.network import PierNetwork
 
@@ -328,56 +329,12 @@ class TestDistributedParity:
 
 class TestPaneMechanics:
     def test_exchange_batches_never_mix_panes(self):
-        from repro.core.exchange import Exchange
+        from repro.core.engine import EngineConfig
 
-        sent = []
-
-        class StubDht:
-            def set_timer(self, delay, fn, *args):
-                class T:
-                    def cancel(self):
-                        pass
-                return T()
-
-            def cancel_timer(self, timer):
-                pass
-
-            def route(self, key, payload, upcall=None):
-                sent.append(payload)
-
-        class StubPlan:
-            def consumers_of(self, op_id):
-                return [("sink", 0)]
-
-        class StubEngineCfg:
-            flush_delay = 5.0
-            max_batch_rows = 64
-            max_batch_bytes = 1 << 20
-            route_cache_ttl = 0
-
-        class StubEngine:
-            config = StubEngineCfg()
-
-        class StubCtx:
-            plan = StubPlan()
-            dht = StubDht()
-            engine = StubEngine()
-            standing = True
-            epoch = 3
-            active_epoch = 3
-
-            def namespace(self, op_id, port):
-                return "ns|{}|{}".format(op_id, port)
-
-            def upcall_name(self, op_id, port):
-                return "up|{}|{}".format(op_id, port)
-
-        class StubSpec:
-            op_id = "x1"
-            params = {"mode": "rehash", "key": {"kind": "group"},
-                      "paned": {"width": 1.0, "every": 1, "window": 4}}
-
-        exchange = Exchange(StubCtx(), StubSpec())
+        engine = make_engine(EngineConfig(flush_delay=5.0))
+        exchange = make_exchange(
+            engine, key={"kind": "group"},
+            paned={"width": 1.0, "every": 1, "window": 4})
         exchange.open_pane(7)
         exchange.push((("g",), (1,)))
         exchange.push((("g",), (2,)))
@@ -387,7 +344,7 @@ class TestPaneMechanics:
         by_pane = {}
         from repro.core.exchange import payload_rows
 
-        for payload in sent:
+        for _key, payload in engine.dht.routed:
             rows = payload_rows(payload)
             by_pane.setdefault(payload["pane"], []).extend(rows)
             assert payload["epoch"] == 3
@@ -403,28 +360,10 @@ class TestPaneMechanics:
 
         schema = Schema.of(("v", FLOAT))
         specs = [AggSpec("SUM", col("v"), "total")]
-        routed = []
-
-        class StubDht:
-            def set_timer(self, delay, fn, *args):
-                class T:
-                    cancelled = False
-
-                    def cancel(self):
-                        pass
-                return T()
-
-            def cancel_timer(self, timer):
-                pass
-
-            def fresh_mid(self):
-                return ("stub", len(routed))
-
-            def route(self, key, payload, upcall=None):
-                routed.append(payload)
-
-        combiner = TreeCombiner(StubDht(), "ns", "route", "up", specs,
-                                hold_delay=0.5, paned=True)
+        engine = make_engine()
+        combiner = TreeCombiner(
+            engine.dht, "ns", "route", "up", specs, 0.5,
+            engine.route_owner_suspect, engine.cached_owner, paned=True)
 
         class Node:
             def accept_delivery_once(self, mid):
@@ -439,6 +378,7 @@ class TestPaneMechanics:
         for pane, value in ((5, 1.0), (5, 2.0), (6, 10.0)):
             assert combiner.handler(Node(), Msg(pane, value), False) is False
         combiner._forward()
+        routed = [payload for _key, payload in engine.dht.routed]
         held = {p["pane"]: p["data"][1][0] for p in routed}
         assert held == {5: 3.0, 6: 10.0}
         assert all(p["epoch"] == 2 for p in routed)

@@ -1,8 +1,11 @@
 """Engine and coordinator internals: adoption, lifecycle, soft state."""
 
+import inspect
+
 import pytest
 
-from repro.core.network import PierNetwork
+from repro.core.engine import EngineConfig
+from repro.core.network import PierConfig, PierNetwork
 
 
 @pytest.fixture
@@ -12,6 +15,28 @@ def net():
     for i in range(8):
         n.insert("node{}".format(i), "t", [(i, float(i))])
     return n
+
+
+class TestKnobs:
+    def test_config_parameter_sets_are_pinned(self):
+        """Every knob doubles the configurations tests and benches must
+        cover, so adding one has to show up as a reviewed diff here
+        (and in the ``EngineConfig`` docstring's table of who sets it).
+        A value nothing outside tests sets is a module constant."""
+        def knobs(cls):
+            return list(inspect.signature(cls.__init__).parameters)[1:]
+
+        assert knobs(EngineConfig) == [
+            "flush_delay", "max_batch_rows", "shared_dataflows",
+            "regional_trees", "adaptive_flush", "backpressure",
+            "backpressure_rows_per_sec", "backpressure_factor",
+            "backpressure_ttl", "hot_group_threshold", "hot_group_shards",
+        ]
+        assert knobs(PierConfig) == [
+            "dht", "engine", "timing", "network", "bootstrap",
+            "latency_scale", "loss_rate", "admission",
+        ]
+        assert vars(EngineConfig()).keys() == set(knobs(EngineConfig))
 
 
 class TestPlanAdoption:

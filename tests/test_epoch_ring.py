@@ -5,7 +5,9 @@ fetch on storage probes, and exactly-once exchange delivery."""
 import random
 
 import pytest
+from stubs import make_engine, make_standing
 
+from repro.core import dataflow
 from repro.core.dataflow import EpochStateRing, Operator, StandingExecution
 from repro.core.network import PierNetwork
 from repro.core.operators import register_operator
@@ -104,16 +106,13 @@ class TestPlannerRingWidth:
         assert plan.ops_of_kind("bloom_stage")
         assert plan.standing
 
-    def test_absurd_ratio_plans_true_horizon_engine_clamps(self):
+    def test_absurd_ratio_plans_true_horizon_engine_clamps(self, monkeypatch):
         # Sub-~0.6s periods against a ~9.1s horizon want dozens of live
         # epoch states. The plan now records the *true* horizon (the
         # static cap of 16 is retired); the engine's adaptive ring
-        # clamps the live width at EngineConfig.ring_max_overlap.
-        from repro.core.engine import EngineConfig
-        from repro.core.network import PierConfig
-
-        net = PierNetwork(nodes=8, seed=321, config=PierConfig(
-            engine=EngineConfig(ring_max_overlap=8)))
+        # clamps the live width at dataflow.RING_MAX_OVERLAP.
+        monkeypatch.setattr(dataflow, "RING_MAX_OVERLAP", 8)
+        net = PierNetwork(nodes=8, seed=321)
         net.create_stream_table("s", [("v", "FLOAT")], window=60.0)
         plan = net.compile_sql(GROUPED_SQL.format(0.5))
         assert plan.standing
@@ -148,46 +147,18 @@ class RingProbe(Operator):
         self.ring.seal(k)
 
 
-class _StubTimer:
-    def __init__(self, time):
-        self.time = time
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class _StubClock:
-    def __init__(self):
-        self.now = 0.0
-
-
-class _StubEngine:
-    def __init__(self):
-        self.clock = _StubClock()
-        self.dht = self
-        self.address = "stub"
-        self.timers = []
-
-    def set_timer(self, delay, callback, *args):
-        timer = _StubTimer(self.clock.now + delay)
-        self.timers.append(timer)
-        return timer
-
-
 def drive_standing(n_live, every, offsets, boundaries):
     plan = QueryPlan(
         [OpSpec("p", "ring_probe")], "p", mode="continuous", every=every,
         flush_offsets={"p": o for o in offsets[:1]}, standing=True,
         epoch_overlap=n_live,
     )
-    engine = _StubEngine()
-    execution = StandingExecution(engine, plan, "q#1", 0, 0.0, "site")
-    execution.start()
+    engine = make_engine()
+    execution = make_standing(engine, plan)
     probe = execution.ops["p"]
     max_live = 0
     for k in range(1, boundaries + 1):
-        engine.clock.now = k * every
+        engine.clock.run_until(k * every)
         execution.advance_epoch(k, k * every)
         max_live = max(max_live, len(execution._open_epochs))
         assert len(probe.ring) <= n_live

@@ -8,7 +8,9 @@ What may change is the message count, which is the whole point.
 """
 
 import pytest
+from stubs import make_engine, make_exchange
 
+from repro.core import engine as engine_module
 from repro.core.engine import EngineConfig
 from repro.core.network import PierConfig, PierNetwork
 
@@ -206,91 +208,28 @@ class TestRecursiveEquivalence:
 
 
 class TestBatchLimits:
-    def test_row_cap_ships_batch_early(self, clock):
-        from repro.core.exchange import Exchange
-
-        sent = []
-
-        class StubDht:
-            def route(self, key, payload, upcall=None):
-                sent.append(payload)
-
-            def set_timer(self, delay, callback, *args):
-                return clock.schedule(delay, callback, *args)
-
-            def cancel_timer(self, event):
-                event.cancel()
-
-        class StubPlan:
-            def consumers_of(self, op_id):
-                return [("sink", 0)]
-
-        class StubCtx:
-            plan = StubPlan()
-            dht = StubDht()
-
-            class engine:
-                config = EngineConfig(flush_delay=5.0, max_batch_rows=3)
-
-            def namespace(self, op_id, port):
-                return "ns|{}|{}".format(op_id, port)
-
-            def upcall_name(self, op_id, port):
-                return "up|{}|{}".format(op_id, port)
-
-        class StubSpec:
-            op_id = "x1"
-            params = {"mode": "rehash", "key": {"kind": "row"}}
-
-        exchange = Exchange(StubCtx(), StubSpec())
+    def test_row_cap_ships_batch_early(self):
+        engine = make_engine(EngineConfig(flush_delay=5.0, max_batch_rows=3))
+        exchange = make_exchange(engine, standing=False)
+        sent = engine.dht.routed
         for i in range(7):
             exchange.push(("same-key",))  # one routing key, seven rows
         # Row cap is 3: two full batches ship immediately, one row waits.
         from repro.core.exchange import payload_rows
 
-        assert [p["op"] for p in sent] == ["deliver_batch", "deliver_batch"]
-        assert all(len(payload_rows(p)) == 3 for p in sent)
-        clock.run_for(6.0)  # flush window fires for the remainder
-        assert sent[-1]["op"] == "deliver"
-        assert sent[-1]["data"] == ("same-key",)
+        assert [p["op"] for _k, p in sent] == ["deliver_batch", "deliver_batch"]
+        assert all(len(payload_rows(p)) == 3 for _k, p in sent)
+        engine.clock.run_for(6.0)  # flush window fires for the remainder
+        assert sent[-1][1]["op"] == "deliver"
+        assert sent[-1][1]["data"] == ("same-key",)
 
-    def test_flush_delay_zero_is_unbatched(self, clock):
-        from repro.core.exchange import Exchange
-
-        sent = []
-
-        class StubDht:
-            def route(self, key, payload, upcall=None):
-                sent.append(payload)
-
-            def set_timer(self, delay, callback, *args):  # pragma: no cover
-                raise AssertionError("unbatched exchange must not set timers")
-
-        class StubPlan:
-            def consumers_of(self, op_id):
-                return [("sink", 0)]
-
-        class StubCtx:
-            plan = StubPlan()
-            dht = StubDht()
-
-            class engine:
-                config = EngineConfig(flush_delay=0.0)
-
-            def namespace(self, op_id, port):
-                return "ns|{}|{}".format(op_id, port)
-
-            def upcall_name(self, op_id, port):
-                return "up|{}|{}".format(op_id, port)
-
-        class StubSpec:
-            op_id = "x1"
-            params = {"mode": "rehash", "key": {"kind": "row"}}
-
-        exchange = Exchange(StubCtx(), StubSpec())
+    def test_flush_delay_zero_is_unbatched(self):
+        engine = make_engine(EngineConfig(flush_delay=0.0))
+        exchange = make_exchange(engine, standing=False)
         for i in range(4):
             exchange.push((i,))
-        assert [p["op"] for p in sent] == ["deliver"] * 4
+        assert [p["op"] for _k, p in engine.dht.routed] == ["deliver"] * 4
+        assert engine.dht.timers == 0  # unbatched exchanges set no timers
 
 
 class TestExchangeCounters:
@@ -317,9 +256,10 @@ class TestExchangeCounters:
 
 class TestUndeliveredBuffer:
     @pytest.fixture
-    def net(self):
-        engine = EngineConfig(undelivered_ttl=5.0, undelivered_cap=10)
-        return PierNetwork(nodes=4, seed=51, config=PierConfig(engine=engine))
+    def net(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "UNDELIVERED_TTL", 5.0)
+        monkeypatch.setattr(engine_module, "UNDELIVERED_CAP", 10)
+        return PierNetwork(nodes=4, seed=51)
 
     def test_early_rows_age_out(self, net):
         engine = net.node(net.any_address()).engine

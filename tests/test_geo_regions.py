@@ -20,7 +20,12 @@ Four layers under test:
 
 import pytest
 
-from repro.core.engine import EngineConfig
+from repro.core.engine import (
+    CROSS_REGION_CACHE_TTL,
+    ROUTE_CACHE_TTL,
+    EngineConfig,
+)
+from repro.core.exchange import Exchange
 from repro.core.network import PierConfig, PierNetwork
 from repro.dht.chord import ChordNode, NodeRef
 from repro.dht.config import DhtConfig
@@ -250,8 +255,12 @@ def _standing_net(seed, variant, per_region=3, window=2 * EVERY):
         dht=DhtConfig(proximity_routing=(variant != "flat")),
         engine=EngineConfig(regional_trees=(variant == "regional")),
     )
-    net = PierNetwork(seed=seed, config=config,
-                      regions=two_region_map(per_region))
+    return _install_events(
+        PierNetwork(seed=seed, config=config,
+                    regions=two_region_map(per_region)), window)
+
+
+def _install_events(net, window=2 * EVERY):
     net.create_stream_table(
         "events", [("bucket", "INT"), ("v", "FLOAT")], window=window + EVERY,
     )
@@ -287,6 +296,28 @@ def _epoch_rows(results):
             for r in results}
 
 
+def _tap_backbone(net, region_of):
+    """Record every standing exchange message that crosses a region
+    boundary: ``(epoch, pane, rid, source region) -> {mid}`` (a
+    multi-hop or retransmitted forward reuses its id)."""
+    crossing = {}
+    inner_send = net.net.send
+
+    def send(src, dst, payload):
+        inner = getattr(payload, "payload", None)
+        if (isinstance(inner, dict)
+                and inner.get("op") in ("deliver", "deliver_batch")
+                and inner.get("epoch") is not None
+                and region_of(src) != region_of(dst)):
+            key = (inner["epoch"], inner.get("pane"), inner.get("rid"),
+                   region_of(src))
+            crossing.setdefault(key, set()).add(inner.get("mid"))
+        inner_send(src, dst, payload)
+
+    net.net.send = send
+    return crossing
+
+
 class TestRegionalTrees:
     def test_one_partial_per_region_mid_run(self):
         """Backbone discipline: per (epoch, pane, group), each region
@@ -299,21 +330,7 @@ class TestRegionalTrees:
         results = []
         _submit(net, lifetime=60.0, results=results)
 
-        crossing = {}  # (epoch, pane, rid, src_region) -> {mid}
-        inner_send = net.net.send
-
-        def send(src, dst, payload):
-            inner = getattr(payload, "payload", None)
-            if (isinstance(inner, dict)
-                    and inner.get("op") in ("deliver", "deliver_batch")
-                    and inner.get("epoch") is not None
-                    and net.region_of(src) != net.region_of(dst)):
-                key = (inner["epoch"], inner.get("pane"), inner.get("rid"),
-                       net.region_of(src))
-                crossing.setdefault(key, set()).add(inner.get("mid"))
-            inner_send(src, dst, payload)
-
-        net.net.send = send
+        crossing = _tap_backbone(net, net.region_of)
         net.advance(45.0)  # mid-run: the query is still standing
         assert results, "no epochs reported mid-run"
         assert crossing, "nothing crossed the backbone"
@@ -324,6 +341,48 @@ class TestRegionalTrees:
         assert sizes[-1] <= 2
         ones = sum(1 for s in sizes if s == 1)
         assert ones >= 0.9 * len(sizes)
+
+    def test_tree_shape_follows_the_topology_not_a_flag(self):
+        """Default config: a standing tree edge is two-level exactly
+        when the testbed has region labels -- one partial per region
+        crosses the backbone -- and single-level on an unlabelled one;
+        ``regional_trees=False`` is the flat reference on the labelled
+        testbed. All three give the same answers."""
+        regions = two_region_map()
+        flat_config = PierConfig(engine=EngineConfig(regional_trees=False))
+        legs = {}
+        for leg, kwargs in (
+            ("labelled", {"regions": regions}),
+            ("unlabelled", {"addresses": list(regions)}),
+            ("flat", {"regions": regions, "config": flat_config}),
+        ):
+            net = _install_events(PierNetwork(seed=37, **kwargs))
+            net.advance(2 * EVERY)
+            results = []
+            handle = _submit(net, lifetime=40.0, results=results)
+            crossing = _tap_backbone(net, regions.get)
+            net.advance(25.0)
+            execution = net.node("us0").engine.queries[handle.qid].execution
+            legs[leg] = {
+                "regional": {op._regional for op in execution.ops.values()
+                             if isinstance(op, Exchange)
+                             and op.mode == "tree"},
+                "crossing": crossing,
+            }
+            net.advance(15.0 + handle.plan.deadline + 5.0)
+            legs[leg]["epochs"] = _epoch_rows(results)
+        assert legs["labelled"]["regional"] == {True}
+        assert legs["unlabelled"]["regional"] == {False}
+        assert legs["flat"]["regional"] == {False}
+        sizes = [len(m) for m in legs["labelled"]["crossing"].values()]
+        assert sizes and max(sizes) <= 2
+        assert sizes.count(1) >= 0.9 * len(sizes)
+        # The flat tree ships more distinct partials over the same cut.
+        assert (sum(len(m) for m in legs["flat"]["crossing"].values())
+                > sum(sizes))
+        assert len(legs["labelled"]["epochs"]) >= 3
+        assert (legs["labelled"]["epochs"] == legs["unlabelled"]["epochs"]
+                == legs["flat"]["epochs"])
 
     def test_regional_ships_fewer_cross_region_bytes(self):
         """Same seed, same workload: the two-level tree moves fewer
@@ -400,19 +459,17 @@ class TestRegionOwnerCache:
         engine._on_direct({"op": "xowner", "ns": "q|x|1", "rid": ("h",),
                            "ref": remote_ref, "region": "eu"}, "eu1")
         now = net.now
-        config = engine.config
-        assert config.cross_region_cache_ttl < config.route_cache_ttl
+        assert CROSS_REGION_CACHE_TTL < ROUTE_CACHE_TTL
         _, local_expiry, local_region = engine._route_owners[
             ("q|x|1", ("g",))]
         _, remote_expiry, remote_region = engine._route_owners[
             ("q|x|1", ("h",))]
         assert local_region == "us" and remote_region == "eu"
-        assert local_expiry == pytest.approx(now + config.route_cache_ttl)
-        assert remote_expiry == pytest.approx(
-            now + config.cross_region_cache_ttl)
+        assert local_expiry == pytest.approx(now + ROUTE_CACHE_TTL)
+        assert remote_expiry == pytest.approx(now + CROSS_REGION_CACHE_TTL)
         # Past the short TTL the backbone owner is forgotten, the
         # same-region one still trusted.
-        net.advance(config.cross_region_cache_ttl + 1.0)
+        net.advance(CROSS_REGION_CACHE_TTL + 1.0)
         assert engine.cached_owner("q|x|1", ("h",)) is None
         assert engine.cached_owner("q|x|1", ("g",)) == local_ref
 
@@ -428,7 +485,7 @@ class TestRegionOwnerCache:
         _submit(net, lifetime=120.0, results=results)
         net.advance(30.0)  # warm the hop-shortcut caches mid-run
 
-        ttl = net.node("us0").engine.config.cross_region_cache_ttl
+        ttl = CROSS_REGION_CACHE_TTL
         cross = [
             (address, entry)
             for address, node in net.nodes.items()

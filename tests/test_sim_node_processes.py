@@ -1,4 +1,4 @@
-"""Node lifecycle, timers, periodic processes, churn, tracing."""
+"""Node lifecycle, timers, periodic processes, churn."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
 from repro.sim.node import SimNode
 from repro.sim.processes import PeriodicProcess
-from repro.sim.trace import TraceRecorder
 from repro.util.rng import SeededRng
 
 
@@ -160,31 +159,3 @@ class TestChurn:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChurnConfig(mean_session=0)
-
-
-class TestTrace:
-    def test_records_with_time(self, clock):
-        trace = TraceRecorder(clock)
-        clock.schedule(2.0, trace.record, "tick")
-        clock.run_until(3)
-        assert trace.entries[0]["t"] == 2.0
-        assert trace.entries[0]["kind"] == "tick"
-
-    def test_filter_and_count(self, clock):
-        trace = TraceRecorder(clock)
-        trace.record("a", v=1)
-        trace.record("b")
-        trace.record("a", v=2)
-        assert trace.count("a") == 2
-        assert [e["v"] for e in trace.of_kind("a")] == [1, 2]
-
-    def test_disabled_is_noop(self, clock):
-        trace = TraceRecorder(clock, enabled=False)
-        trace.record("x")
-        assert len(trace) == 0
-
-    def test_max_entries_cap(self, clock):
-        trace = TraceRecorder(clock, max_entries=2)
-        for _ in range(5):
-            trace.record("x")
-        assert len(trace) == 2

@@ -2,9 +2,17 @@
 epoch tags, stop tombstones, and NACKed early rows."""
 
 import pytest
+from stubs import make_engine, make_exchange
 
+from repro.core.engine import (
+    NACK_MUTE_TTL,
+    STOP_TOMBSTONE_TTL,
+    UNDELIVERED_TTL,
+    EngineConfig,
+)
+from repro.core.exchange import epoch_route_ns
 from repro.core.network import PierNetwork
-from repro.dht.chord import NodeRef, node_id_for
+from repro.dht.chord import NodeRef, node_id_for, storage_key
 
 
 def install_ticker(net, address, value, period=2.0, table="s"):
@@ -308,7 +316,7 @@ class TestStopTombstone:
         engine = net.node(net.addresses()[2]).engine
         engine._stop_query("ghost#1")
         assert "ghost#1" in engine._stop_tombstones
-        net.advance(engine.config.stop_tombstone_ttl + 1)
+        net.advance(STOP_TOMBSTONE_TTL + 1)
         # After the TTL a (hypothetical) fresh adoption is allowed again.
         plan = net.compile_sql(CONTINUOUS_SQL)
         engine._adopt_query({
@@ -352,11 +360,11 @@ class TestNack:
             {"ns": ns, "rid": ("z",), "data": (1,), "epoch": 2},
             self._route_msg_from(sender.address),
         )
-        net.advance(receiver.config.undelivered_ttl + 2)
+        net.advance(UNDELIVERED_TTL + 2)
         assert ns not in receiver._undelivered
         assert sender.exchange_muted(ns, ("z",))
         # The mute itself ages out.
-        net.advance(sender.config.nack_mute_ttl + 1)
+        net.advance(NACK_MUTE_TTL + 1)
         assert not sender.exchange_muted(ns, ("z",))
 
     def test_missed_plan_is_not_nacked(self, net):
@@ -369,7 +377,7 @@ class TestNack:
             {"ns": ns, "rid": ("q",), "data": (1,)},
             self._route_msg_from(sender.address),
         )
-        net.advance(receiver.config.undelivered_ttl + 2)
+        net.advance(UNDELIVERED_TTL + 2)
         assert ns not in receiver._undelivered
         assert not sender.exchange_muted(ns, ("q",))
 
@@ -408,3 +416,39 @@ class TestPlanFetch:
         net.advance(2)  # request + reply round-trip
         assert handle.qid in engine.queries
         handle.stop()
+
+
+class TestStableRendezvous:
+    def test_only_a_suspect_owner_salts_the_route(self):
+        """A standing tree edge rendezvouses at the same epoch-free key
+        every epoch; the per-epoch ``|e<k>`` salt appears only while the
+        learned owner is suspect, and goes away when suspicion clears."""
+        engine = make_engine(EngineConfig(flush_delay=0.0))
+        exchange = make_exchange(engine, key={"kind": "group"}, mode="tree")
+        rid, row = ("g",), (("g",), (1.0,))
+        stable = storage_key(exchange._route_ns, rid)
+
+        def ship(epoch):
+            with exchange.ctx.in_epoch(epoch):
+                exchange.push(row)
+            return engine.dht.routed[-1]
+
+        for epoch in (3, 4, 5):  # nothing learned: nothing to distrust
+            key, payload = ship(epoch)
+            assert key == stable and "salted" not in payload
+            assert payload["learn"] and payload["epoch"] == epoch
+        owner = NodeRef(node_id_for("owner"), "owner")
+        engine._on_direct({"op": "xowner", "ns": exchange._ns, "rid": rid,
+                           "ref": owner, "region": None}, "owner")
+        key, payload = ship(6)
+        assert key == stable and "salted" not in payload
+        assert "learn" not in payload
+        engine.dht.suspects.add("owner")
+        assert engine.route_owner_suspect(exchange._ns, rid)
+        key, payload = ship(7)
+        assert key == storage_key(
+            epoch_route_ns(exchange._route_ns, 7), rid)
+        assert payload["salted"] is True
+        engine.dht.suspects.clear()
+        key, payload = ship(8)
+        assert key == stable and "salted" not in payload
