@@ -6,9 +6,9 @@ submit *the same* continuous query, each written slightly differently
 conjuncts, different output column names). The logical-plan phase
 canonicalizes all of them to one DAG, so every submission carries the
 same ``share_signature`` and the engines run the whole fleet on ONE
-shared dataflow spine per node (``core/sharing.py``): one stream-scan
-append hook, one StandingExecution, one set of exchange flows -- only
-the result operator fans per-epoch rows out to each subscriber.
+shared dataflow spine per node (``core/sharing.py``): one
+StandingExecution, hence one stream scan and one set of exchange flows
+-- only the result operator fans per-epoch rows out to each subscriber.
 
 The sweep submits Q in {1, 100, 1000} near-duplicates at the same sim
 instant and measures rows scanned and exchange hops for the whole
@@ -36,8 +36,8 @@ shared prefix stage (scan -> demux) per node and fan each epoch's scan
 waves into every query's private tail. The sweep submits Q in
 {1, 10, 100} different-predicate queries, measures fleet rows scanned
 (bar: the 100-query fleet scans <= 1.5x ONE query's rows), and runs
-the same fleet under ``EngineConfig(shared_dataflows=False)`` as the
-per-query parity reference -- sharing must be invisible to answers.
+the same fleet with every query opted out (``{"shared": False}``) as
+the per-query parity reference -- sharing must be invisible to answers.
 
 Run standalone with ``python benchmarks/bench_multi_query.py``
 (``--smoke`` for a quick pass usable next to tier-1).
@@ -46,8 +46,8 @@ Run standalone with ``python benchmarks/bench_multi_query.py``
 import math
 import sys
 
-from repro.core.engine import EngineConfig
-from repro.core.network import PierConfig, PierNetwork
+from repro.core.network import PierNetwork
+from repro.core.sharing import SpineRecord, StageRecord
 
 NODES = 12
 QS = (1, 100, 1000)
@@ -107,9 +107,8 @@ def prefix_sql(i):
     )
 
 
-def build_net(seed, nodes, shared=True):
-    config = PierConfig(engine=EngineConfig(shared_dataflows=shared))
-    net = PierNetwork(nodes=nodes, seed=seed, config=config)
+def build_net(seed, nodes):
+    net = PierNetwork(nodes=nodes, seed=seed)
     net.create_stream_table(
         "node_stats", [("rate_kbps", "FLOAT")], window=2 * WINDOW
     )
@@ -161,12 +160,9 @@ def run_fleet(seed, nodes, q, shared):
         # The whole fleet rides one StandingExecution per node.
         for address in net.addresses():
             engine = net.node(address).engine
-            spines = [
-                rec for rec in engine._spines.values()
-                if rec.execution is not None
-            ]
-            for rec in spines:
-                if rec.plan.window == WINDOW:
+            for rec in engine._shared.values():
+                if (isinstance(rec, SpineRecord) and rec.execution is not None
+                        and rec.plan.window == WINDOW):
                     assert len(rec.subscribers) == q, (
                         "{}: spine carries {} of {} subscribers".format(
                             address, len(rec.subscribers), q)
@@ -222,11 +218,11 @@ def run_control(seed, nodes):
 def run_prefix_fleet(seed, nodes, q, shared):
     """Submit ``q`` different-predicate queries at one instant.
 
-    ``shared=False`` runs the identical fleet under
-    ``EngineConfig(shared_dataflows=False)`` -- every query fully
-    private -- as the parity reference and the cost exhibit.
+    ``shared=False`` submits the identical fleet under
+    ``{"shared": False}`` -- every query fully private -- as the parity
+    reference and the cost exhibit.
     """
-    net = build_net(seed, nodes, shared=shared)
+    net = build_net(seed, nodes)
     net.advance(WINDOW)  # fill the first window
     before = dict(net.message_counters())
     scans_before = sum(n.engine.rows_scanned for n in net.nodes.values())
@@ -235,7 +231,8 @@ def run_prefix_fleet(seed, nodes, q, shared):
     for i in range(q):
         results = []
         handle = net.submit_sql(prefix_sql(i), node=site,
-                                on_epoch=results.append)
+                                on_epoch=results.append,
+                                options=None if shared else {"shared": False})
         assert handle.plan.standing
         if shared:
             assert handle.plan.metadata.get("prefix"), (
@@ -251,25 +248,27 @@ def run_prefix_fleet(seed, nodes, q, shared):
             "distinct predicates should NOT canonicalize to one spine"
         )
     # Probe mid-run, while the stage is alive: the whole fleet's scans
-    # ride ONE prefix stage (and one scan host) per node.
+    # ride ONE prefix stage (and one append hook) per node.
     net.advance(2 * EVERY + 1.0)
     for address in net.addresses():
         engine = net.node(address).engine
+        hooks = len(engine.fragment("node_stats")._hooks)
         if shared:
-            assert len(engine._prefixes) == 1, (
+            stages = [rec for rec in engine._shared.values()
+                      if isinstance(rec, StageRecord)]
+            assert len(stages) == 1, (
                 "{}: {} prefix stages for one fleet".format(
-                    address, len(engine._prefixes))
+                    address, len(stages))
             )
-            prec = next(iter(engine._prefixes.values()))
-            assert len(prec.subscribers) == min(q, DISTINCT_PREDICATES), (
+            members = len(stages[0].members())
+            assert members == min(q, DISTINCT_PREDICATES), (
                 "{}: stage carries {} of {} member spines".format(
-                    address, len(prec.subscribers),
-                    min(q, DISTINCT_PREDICATES))
+                    address, members, min(q, DISTINCT_PREDICATES))
             )
-            assert engine.shared_scans.host_count("node_stats") == 1
+            assert hooks == 1
         else:
-            assert not engine._prefixes
-            assert not engine._spines
+            assert not engine._shared
+            assert hooks == q  # every private scan hooks the table itself
     net.advance(LIFETIME + fleet[0][0].plan.deadline + 5.0 - 2 * EVERY - 1.0)
     after = net.message_counters()
     scans_after = sum(n.engine.rows_scanned for n in net.nodes.values())
@@ -452,7 +451,7 @@ def prefix_exhibit(nodes, qs, stats, ratios):
     )
     text += (
         "\n\nper-query results: every staged query identical to its "
-        "shared_dataflows=False twin\n"
+        "private (shared: False) twin\n"
         "{} different predicates vs 1 (staged): rows scanned {:.2f}x "
         "(bar: <= 1.5x), exchange hops {:.2f}x\n"
         "sharing off at Q={}: {:.2f}x the scans of the staged fleet\n"

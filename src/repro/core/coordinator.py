@@ -167,7 +167,7 @@ class Coordinator:
             # Close the cardinality feedback loop: observed group counts
             # feed the admission cost bounder's exchange/fold terms.
             stats_key = metadata.get("stats_key")
-            stats = getattr(self.engine.catalog, "stats", None)
+            stats = self.engine.catalog.stats
             if stats_key and stats is not None:
                 stats.note_group_count(stats_key, len(rows))
         admission = metadata.get("admission")

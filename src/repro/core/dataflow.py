@@ -22,7 +22,9 @@ Two execution disciplines share the machinery:
   serving many canonically identical queries at once: it is then built
   with ``spine`` set and sees a :class:`SharedQueryContext`, whose
   ``s|``-prefixed namespaces and ``result_targets`` fan each epoch's
-  answer out to every subscriber (see :mod:`repro.core.sharing`).
+  answer out to every subscriber; a spine fed by a scan *stage* takes
+  its scan waves through :meth:`StandingExecution.deliver_scan` (see
+  :mod:`repro.core.sharing`).
 
 Epoch rollover is a *two-phase open/seal lifecycle*. Opening epoch
 ``k`` (``Operator.open_epoch``) starts fresh per-epoch state and lets
@@ -63,7 +65,7 @@ RING_QUIET_BOUNDARIES = 4
 
 
 def plan_live_epochs(plan):
-    """A plan's epoch ring width N, clamped the way executions use it.
+    """A plan's epoch ring width N (``QueryPlan`` keeps it >= 1).
 
     The single definition of "how many epoch states stay live at
     once": :class:`StandingExecution` bounds its open-epoch map with
@@ -71,9 +73,9 @@ def plan_live_epochs(plan):
     stages) size their pane retention from it -- an older still-open
     epoch may re-read panes after the newest epoch advanced the
     window, so ``(N - 1) * panes_per_every`` extra pane ranges must
-    survive pruning. Accepts a missing/stub plan (treated as N = 1).
+    survive pruning.
     """
-    return max(1, int(getattr(plan, "epoch_overlap", 1) or 1))
+    return plan.epoch_overlap
 
 
 class LocalQueryContext:
@@ -92,14 +94,18 @@ class LocalQueryContext:
     #: provenance stamps) test this rather than the class.
     shared = False
 
-    #: Prefix-sharing knobs (set by the engine on member executions).
-    #: ``prefix_fed`` makes the plan's scan passive -- rows arrive via
+    #: Stage-sharing knobs (set when the engine builds the execution).
+    #: ``prefix_fed`` makes a member's scan passive -- rows arrive via
     #: :meth:`StandingExecution.deliver_scan` from the shared stage
     #: instead of a private table subscription. ``prefix_key`` lets
     #: standing exchanges co-route co-tenant queries' rows to one owner
     #: (see :meth:`Exchange route namespaces <repro.core.exchange>`).
+    #: ``stage`` is set on the stage's own execution: the
+    #: :class:`~repro.core.sharing.StageRecord` whose members its demux
+    #: feeds.
     prefix_fed = False
     prefix_key = None
+    stage = None
 
     def __init__(self, engine, plan, query_id, epoch, t0, origin,
                  standing=False):
@@ -435,9 +441,8 @@ class Operator:
             consumer.reset_batch()
 
     def _active_epoch(self):
-        """Epoch tag for the current push/flush (stub-context safe)."""
-        ctx = self.ctx
-        return getattr(ctx, "active_epoch", getattr(ctx, "epoch", 0))
+        """Epoch tag for the current push/flush."""
+        return self.ctx.active_epoch
 
     def _run_in_epoch(self, epoch, fn):
         """Run ``fn`` with ``ctx.active_epoch`` scoped to ``epoch``.
@@ -446,11 +451,7 @@ class Operator:
         replies) fire outside the execution's own epoch scoping and use
         this to restore the epoch their state belongs to.
         """
-        scope = getattr(self.ctx, "in_epoch", None)
-        if scope is None:
-            fn()
-            return
-        with scope(epoch):
+        with self.ctx.in_epoch(epoch):
             fn()
 
     def __repr__(self):
@@ -644,7 +645,9 @@ class StandingExecution(_ExecutionBase):
     early-row buffering window shrinks to first adoption only, and
     arrivals carry an epoch tag checked here: tags for sealed epochs
     are dropped as late, early tags (a sender whose boundary timer
-    fired first) are parked until this node advances.
+    fired first) are parked until this node advances. Scan waves from
+    a shared stage need neither: the stage opens the epoch here before
+    it emits (:meth:`deliver_scan`).
 
     The execution keeps an ordered map of open epochs bounded by the
     plan's ring width ``N = plan.epoch_overlap``: opening epoch ``k``
@@ -665,7 +668,6 @@ class StandingExecution(_ExecutionBase):
         super().__init__(engine, plan, query_id, epoch, t0, origin,
                          spine=spine, prefix_key=prefix_key)
         self._early = {}  # epoch -> [(op_id, port, rows)]
-        self._early_scan = {}  # epoch -> [(rows, pane)] from a prefix stage
         self._open_epochs = {epoch: t0}  # epoch -> t_k, ascending
         self._sealed_through = epoch - 1  # epochs <= this are closed here
         # Adaptive ring: the planner records the plan's *true* flush
@@ -728,8 +730,6 @@ class StandingExecution(_ExecutionBase):
             self.ops[op_id].open_epoch(k, t_k)
         for op_id, port, rows, pane in self._early.pop(k, ()):
             self.deliver_batch(op_id, port, rows, k, pane)
-        for rows, pane in self._early_scan.pop(k, ()):
-            self.deliver_scan(rows, k, pane)
 
     def _resize_ring(self):
         """Adapt the ring width to the observed straggler tail.
@@ -776,7 +776,6 @@ class StandingExecution(_ExecutionBase):
         """Close epoch ``e`` everywhere: ship leftovers, drop its state."""
         self._open_epochs.pop(e, None)
         self._early.pop(e, None)
-        self._early_scan.pop(e, None)
         kept = []
         for epoch, timer in self._flush_timers:
             if epoch == e:
@@ -838,45 +837,21 @@ class StandingExecution(_ExecutionBase):
             op.push_batch(RowBatch(rows=list(rows)), port)
 
     def deliver_scan(self, rows, epoch, pane=None):
-        """Scan rows arrived from a shared prefix stage for ``epoch``.
+        """One scan wave from the shared stage, for ``epoch``.
 
-        A prefix-fed member's scan is passive; the stage's demux calls
-        this instead, with the member's own epoch number. Guards mirror
-        :meth:`deliver_batch`: sealed epochs drop (pane-tagged rows
-        re-file under the oldest open epoch -- the pane, not the epoch,
-        decides where windowed state lands), epochs this member has not
-        opened yet park in ``_early_scan`` until its boundary timer
-        fires (the stage timer can fire first at a shared instant), and
-        implausibly far-ahead tags drop.
+        A stage-fed member's scan is passive; the stage's demux calls
+        this instead. Unlike :meth:`deliver_batch` there is nothing to
+        drop or park: the wave comes from this node's own stage, which
+        advances every member to ``epoch`` before it emits (and builds
+        a joiner before backfilling it), so the epoch is open here. A
+        stage-stamped plan has exactly one scan.
         """
-        if self.closed:
-            return
-        if epoch not in self._open_epochs:
-            if epoch <= self._sealed_through:
-                if pane is None or not self._open_epochs:
-                    self._note_late_drop()
-                    return
-                epoch = min(self._open_epochs)
-            elif epoch > self.ctx.epoch + 2:
-                return
-            else:
-                self._early_scan.setdefault(epoch, []).append(
-                    (list(rows), pane)
-                )
-                return
-        scan_id = self._prefix_scan_id()
-        if scan_id is None:
-            return
+        (scan,) = self.plan.ops_of_kind("scan")
         with self.ctx.in_epoch(epoch):
-            self.ops[scan_id].inject_rows(list(rows), pane)
-
-    def _prefix_scan_id(self):
-        scans = [s.op_id for s in self.plan.ops_of_kind("scan")]
-        return scans[0] if len(scans) == 1 else None
+            self.ops[scan.op_id].inject_rows(rows, pane)
 
     def close(self):
         self._early = {}
-        self._early_scan = {}
         self._open_epochs = {}
         super().close()
 

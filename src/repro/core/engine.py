@@ -15,16 +15,17 @@ One engine runs on every node, glued to that node's DHT API. It:
   spanning several periods -- and bloom-stage plans, whose filter
   round-trip is driven per epoch by the query site -- run standing
   too,
-* multiplexes canonically identical standing queries onto shared
-  *spines*: a continuous plan stamped with a logical share signature
-  (``plan.metadata["spine"]``) joins the engine-wide
-  :class:`~repro.core.sharing.SpineRecord` for that signature and
-  epoch phase instead of building its own dataflow. One execution
-  scans, exchanges, and aggregates; the result operator fans each
-  epoch's answer to every subscriber's query site under its own qid
-  and epoch number. Stream scans additionally share one append hook
-  per table through the :class:`~repro.core.sharing.SharedScanRegistry`
-  whatever plan they belong to,
+* multiplexes standing queries onto shared executions, each one
+  :class:`~repro.core.sharing.GridRecord` in ``_shared`` with one
+  lifecycle (join, advance, drop, close): a continuous plan stamped
+  with a logical share signature (``plan.metadata["spine"]``) joins
+  the *spine* for that signature and epoch phase instead of building
+  its own dataflow -- one execution scans, exchanges, and aggregates;
+  the result operator fans each epoch's answer to every subscriber's
+  query site under its own qid and epoch number -- and spines whose
+  plans differ but scan one stream table alike
+  (``plan.metadata["prefix"]``) are fed by one scan *stage*, which
+  holds them by reference and advances them at its own boundary,
 * registers exchange namespaces with the DHT so rehashed rows reach
   the right operator instance -- once per epoch for disposable
   executions, once per *query* for standing ones -- and buffers early
@@ -46,14 +47,7 @@ from operator import itemgetter
 from repro.core.aggregation_tree import TreeCombiner
 from repro.core.dataflow import EpochExecution, StandingExecution
 from repro.core.exchange import ExchangeMux, payload_rows
-from repro.core.opgraph import OpSpec, QueryPlan
-from repro.core.sharing import (
-    PrefixRecord,
-    PrefixSubscriber,
-    SharedScanRegistry,
-    SpineRecord,
-    SpineSubscriber,
-)
+from repro.core.sharing import SpineRecord, SpineSubscriber, StageRecord
 from repro.db.table import make_fragment
 from repro.util.serde import wire_size
 
@@ -100,12 +94,6 @@ class EngineConfig:
                                            row, the unbatched baseline
     ``max_batch_rows``             64      ``bench_exchange_batching``
                                            sweeps the per-message cap
-    ``shared_dataflows``           True    sharing fuzz suite and
-                                           ``bench_multi_query``: False
-                                           is the fully private reference
-                                           (no spines, prefix stages,
-                                           shared scan hosts or exchange
-                                           mux); answers are identical
     ``regional_trees``             True    ``bench_geo_regions`` and
                                            ``tests/test_geo_regions.py``:
                                            False is the flat-tree
@@ -131,7 +119,6 @@ class EngineConfig:
         self,
         flush_delay=0.25,
         max_batch_rows=64,
-        shared_dataflows=True,
         regional_trees=True,
         adaptive_flush=False,
         backpressure=False,
@@ -143,7 +130,6 @@ class EngineConfig:
     ):
         self.flush_delay = flush_delay
         self.max_batch_rows = max_batch_rows
-        self.shared_dataflows = shared_dataflows
         self.regional_trees = regional_trees
         self.adaptive_flush = adaptive_flush
         self.backpressure = backpressure
@@ -158,7 +144,7 @@ class _QueryRecord:
     """An engine's view of one adopted query."""
 
     __slots__ = ("qid", "plan", "t0", "origin", "stopped",
-                 "next_epoch_timer", "execution", "spine")
+                 "next_epoch_timer", "_execution", "spine")
 
     def __init__(self, qid, plan, t0, origin):
         self.qid = qid
@@ -167,8 +153,20 @@ class _QueryRecord:
         self.origin = origin
         self.stopped = False
         self.next_epoch_timer = None
-        self.execution = None  # the StandingExecution, once started
-        self.spine = None  # spine key when riding a shared execution
+        self._execution = None  # own StandingExecution, once started
+        self.spine = None  # SpineRecord when riding a shared execution
+
+    @property
+    def execution(self):
+        """The standing execution serving this query: the spine's when
+        it rides one, else its own."""
+        if self.spine is not None:
+            return self.spine.execution
+        return self._execution
+
+    @execution.setter
+    def execution(self, execution):
+        self._execution = execution
 
 
 class PierEngine:
@@ -189,9 +187,7 @@ class PierEngine:
         self.fragments = {}
         self.executions = {}  # (qid, epoch) -> execution serving that epoch
         self.queries = {}  # qid -> _QueryRecord
-        self._spines = {}  # spine key -> SpineRecord (shared executions)
-        self._prefixes = {}  # prefix key -> PrefixRecord (shared scan stages)
-        self.shared_scans = SharedScanRegistry(self)
+        self._shared = {}  # share key -> GridRecord (spines and stages)
         self.exchange_mux = ExchangeMux(self)  # prefix-member coalescing
         self.combiners = {}  # ns -> TreeCombiner
         self._undelivered = {}  # ns -> [rows arriving before registration]
@@ -249,7 +245,7 @@ class PierEngine:
         # Feed the shared runtime-stats catalog (admission control's
         # arrival-rate view); the schema catalog carries it when the
         # testbed enabled stats.
-        stats = getattr(self.catalog, "stats", None)
+        stats = self.catalog.stats
         if stats is not None:
             stats.note_append(table_name, wire_size(row), self.clock.now)
 
@@ -366,7 +362,7 @@ class PierEngine:
                 return
             key = self._share_key(plan, record.t0, "spine")
             if key is not None:
-                self._join_spine(record, key)
+                self._join_shared(record, key)
             elif k_now >= 1:
                 # Standing queries join the epoch *in progress*: the
                 # rendezvous for their epoch-free exchange keys may hash
@@ -466,7 +462,7 @@ class PierEngine:
             self.queries.pop(qid, None)
 
     # ------------------------------------------------------------------
-    # Shared spines (multi-query standing dataflows)
+    # Shared executions: one grid record, one lifecycle
     # ------------------------------------------------------------------
     def _share_key(self, plan, t0, kind):
         """Sharing identity for a plan at submission time ``t0``.
@@ -475,8 +471,8 @@ class PierEngine:
         ``"spine"`` is the logical share signature (identical bodies
         share the whole dataflow), ``"prefix"`` the logical *prefix*
         signature (plans that differ in predicates/groups yet scan the
-        same stream table on the same grid share one scan stage; it is
-        checked only after the spine key missed).
+        same stream table on the same grid share one scan stage). The
+        two are hashed in separate domains, so one dict holds both.
 
         The signature alone is not enough: two identical queries
         submitted half a period apart tick on different grids. The key
@@ -485,313 +481,153 @@ class PierEngine:
         split a spine). Plans the planner left unstamped (one-shot,
         bloom-staged, ``shared=False``) return None and run privately.
         """
-        if not self.config.shared_dataflows:
-            return None
         sig = plan.metadata.get(kind) if plan.metadata else None
         if sig is None:
             return None
         phase_ms = int(round((t0 % plan.every) * 1000))
         return "{}@{}".format(sig, phase_ms)
 
-    def _join_spine(self, record, key):
+    def _join_shared(self, record, key):
         """Enroll an adopted query as a subscriber of spine ``key``.
 
-        First subscriber creates the spine record; the grid origin is
-        the phase instant, so spine epoch ``k`` is always ``phase +
-        k * every`` on every node regardless of adoption order. The
-        subscriber's own epochs map onto the grid through its offset.
+        The first subscriber creates the spine record and, when the
+        plan carries a prefix stamp, makes it a member of that stage
+        (created likewise). The grid origin is the phase instant, so
+        grid epoch ``k`` is always ``phase + k * every`` on every node
+        regardless of adoption order; the subscriber's own epochs map
+        onto the grid through its offset.
         """
         plan = record.plan
-        srec = self._spines.get(key)
-        if srec is None:
-            srec = SpineRecord(key, plan, record.t0 % plan.every)
-            srec.prefix = self._share_key(plan, record.t0, "prefix")
-            self._spines[key] = srec
-        offset = int(round((record.t0 - srec.t0) / plan.every))
+        spine = self._shared.get(key)
+        if spine is None:
+            phase = record.t0 % plan.every
+            spine = self._shared[key] = SpineRecord(key, plan, phase)
+            stage_key = self._share_key(plan, record.t0, "prefix")
+            if stage_key is not None:
+                stage = self._shared.get(stage_key)
+                if stage is None:
+                    stage = self._shared[stage_key] = StageRecord(
+                        stage_key, plan, phase
+                    )
+                stage.subscribers[key] = spine
+                spine.stage = stage
+        offset = int(round((record.t0 - spine.t0) / plan.every))
         last_epoch = None
         if plan.lifetime is not None:
             last_epoch = int(plan.lifetime / plan.every + 1e-9)
-        srec.subscribers[record.qid] = SpineSubscriber(
-            record.qid, record.origin, offset, last_epoch
-        )
-        record.spine = key
-        record.execution = srec.execution
-        if last_epoch is not None:
-            # The subscriber retires on its own clock; the spine stalls
+            # The subscriber retires on its own clock; the spine holds
             # (or closes) only when no subscriber needs the next epoch.
             retire_at = (record.t0 + plan.lifetime + plan.deadline
                          + TEARDOWN_SLACK)
             record.next_epoch_timer = self.set_timer(
                 max(0.0, retire_at - self.clock.now),
-                self._retire_spine_subscriber, record.qid, key,
+                self._retire_subscriber, record,
             )
-        if srec.next_timer is None:
-            # New spine, or one stalled past every member's lifetime:
-            # (re)enter the grid at the current epoch. For the common
-            # first-subscriber-at-submission case this runs spine epoch
-            # ``offset`` immediately -- the subscriber's epoch 0, which
-            # fan-out filters, but whose window history gets seeded
-            # exactly like a private adoption would (by its own scan,
-            # or by its shared scan stage).
-            srec.stalled = False
-            elapsed = max(0.0, self.clock.now - srec.t0)
-            k_now = int(elapsed // plan.every)
-            if srec.prefix is not None and srec.execution is not None:
-                # Stage-fed spine re-entering after a stall: waves the
-                # stage fanned past this spine's horizon were skipped,
-                # so its retained pane state has gaps. Soft-state
-                # answer: rebuild the execution from scratch; it is
-                # re-seeded from the stage's retained panes below.
-                old, srec.execution = srec.execution, None
-                old.close()
-                for sub_qid in srec.subscribers:
-                    rec = self.queries.get(sub_qid)
-                    if rec is not None and rec.spine == key:
-                        rec.execution = None
-            self._advance_spine(key, k_now, srec.t0 + k_now * plan.every)
-            if srec.prefix is not None and srec.execution is not None:
-                self._enroll_spine_in_stage(srec, k_now)
-        elif srec.prefix is not None:
-            self._sync_stage_horizon(srec)
-
-    def _advance_spine(self, key, k, t_k):
-        """Spine epoch boundary: build once, then roll; stall when no
-        subscriber's lifetime reaches ``k``."""
-        srec = self._spines.get(key)
-        if srec is None:
-            return
-        srec.next_timer = None
-        if not srec.subscribers:
-            self._close_spine(key)
-            return
-        last = srec.last_needed_epoch()
-        if last is not None and k > last:
-            # Nobody needs this epoch; hold the grid until a new
-            # subscriber joins (which re-enters at its current epoch).
-            srec.stalled = True
-            return
-        if srec.execution is None:
-            execution = StandingExecution(
-                self, srec.plan, key, k, t_k, self.address, spine=srec,
-                prefix_key=srec.prefix,
-            )
-            srec.execution = execution
-            execution.start()
-            for qid in srec.subscribers:
-                rec = self.queries.get(qid)
-                if rec is not None and rec.spine == key:
-                    rec.execution = execution
-        else:
-            srec.execution.advance_epoch(k, t_k)
-        srec.next_timer = self.set_timer(
-            max(0.0, t_k + srec.plan.every - self.clock.now),
-            self._advance_spine, key, k + 1, t_k + srec.plan.every,
+        spine.subscribers[record.qid] = SpineSubscriber(
+            record.qid, record.origin, offset, last_epoch
         )
+        record.spine = spine
+        if not spine.on_grid:
+            self._enter_grid(spine)
 
-    def _retire_spine_subscriber(self, qid, key):
-        """A subscriber's lifetime (plus straggler grace) is up."""
-        record = self.queries.get(qid)
-        if record is not None and record.spine == key:
-            self.queries.pop(qid, None)  # soft-state expiry
-            record.execution = None
-        self._drop_spine_subscriber(qid, key)
+    def _enter_grid(self, rec, k_now=None):
+        """(Re)enter the grid at the current epoch: a new record, or
+        one held past every subscriber's horizon.
 
-    def _drop_spine_subscriber(self, qid, key):
-        srec = self._spines.get(key)
-        if srec is None:
-            return
-        srec.subscribers.pop(qid, None)
-        if not srec.subscribers:
-            self._close_spine(key)
-        elif srec.prefix is not None:
-            self._sync_stage_horizon(srec)
+        For the common first-subscriber-at-submission case this runs
+        the subscriber's epoch 0, which result fan-out filters, but
+        whose window history gets seeded exactly like a private
+        adoption would -- by the record's own scan, or by its stage.
 
-    def _close_spine(self, key):
-        srec = self._spines.pop(key, None)
-        if srec is None:
-            return
-        if srec.prefix is not None:
-            self._drop_prefix_subscriber("s|" + key, srec.prefix)
-        if srec.next_timer is not None:
-            srec.next_timer.cancel()
-            srec.next_timer = None
-        execution, srec.execution = srec.execution, None
-        if execution is not None:
-            execution.close()
-        self._forget_route_state("s|{}|".format(key))
-
-    # ------------------------------------------------------------------
-    # Shared prefix stages (common-subplan sharing)
-    # ------------------------------------------------------------------
-    def _enroll_spine_in_stage(self, srec, k_now):
-        """Subscribe spine ``srec``'s execution to its shared scan stage.
-
-        Every stage-stamped spine -- single-subscriber (one lone query)
-        or a whole identical-query fleet -- is one stage member: its
-        scan is passive (``prefix_fed``) and the stage's demux injects
-        each epoch's rows via ``deliver_scan``. Spines of *different*
-        signatures over the same (table, geometry, phase) land on the
-        same stage; that is the common-subplan sharing: one scan feeds
-        every tail. Spine grids are absolute (origin = phase), so a
-        spine always sits at stage offset 0 and stage epoch ``k`` feeds
-        spine epoch ``k`` directly.
-
-        Seeding mirrors a private adoption: a spine entering at epoch 0
-        reports nothing before its first boundary, where the stage
-        backfills its retained panes; one entering mid-grid (``k_now >=
-        1``) gets the current window immediately -- from the stage's
-        initial full-history emission when the stage is new, or from
-        the demux's retained-pane store when it joins a running stage.
+        Seeding from a stage mirrors a private adoption too: a spine
+        entering at epoch 0 reports nothing before its first boundary,
+        where the demux backfills its retained panes; one entering
+        mid-grid gets the current window immediately -- from the
+        stage's initial full-history emission when the stage is new,
+        or from the demux's retained panes when it joins a running
+        stage. Stage and member are on one grid, so they enter at one
+        epoch: the running stage's, else the one the member read off
+        the clock and hands down as ``k_now``.
         """
-        key = srec.prefix
-        plan = srec.plan
-        prec = self._prefixes.get(key)
-        if prec is None:
-            prec = PrefixRecord(key, self._stage_plan(plan), srec.t0)
-            self._prefixes[key] = prec
-        sid = "s|" + srec.key
-        offset = int(round((srec.t0 - prec.t0) / plan.every))
-        sub = prec.subscribers.get(sid)
-        if sub is None:
-            sub = PrefixSubscriber(sid, offset, None, 0, False)
-            prec.subscribers[sid] = sub
-        sub.last_epoch = srec.last_needed_epoch()
-        sub.start_epoch = offset + k_now + 1
-        sub.needs_backfill = plan.pane is not None and k_now == 0
-        if k_now >= 1 and prec.execution is not None:
-            if prec.next_timer is not None:
-                # Running stage, joined mid-epoch: this epoch's waves
-                # already fanned past us. Re-seed the current window
-                # from the demux's retained panes now.
-                self._backfill_from_stage(prec, sub, srec.execution,
-                                          k_now)
+        stage = rec.stage
+        if stage is not None and stage.on_grid:
+            k_now = stage.execution.current_epoch
+        elif k_now is None:
+            elapsed = max(0.0, self.clock.now - rec.t0)
+            k_now = int(elapsed // rec.plan.every)
+        if stage is not None and rec.execution is not None:
+            # Stage-fed and back after a hold: the waves fanned past
+            # its horizon skipped it, so its retained pane state has
+            # gaps. Soft-state answer: rebuild the execution from
+            # scratch; it is re-seeded from the stage below.
+            old, rec.execution = rec.execution, None
+            old.close()
+        self._advance_shared(rec, k_now)
+        if stage is None or not rec.on_grid:
+            return
+        paned = rec.plan.pane is not None
+        if stage.on_grid:
+            # Running stage: this epoch's waves already fanned past us.
+            if k_now >= 1:
+                stage.demux().backfill(rec, k_now)
             else:
-                # Stalled stage: re-entering the grid below emits the
-                # stall-gap panes itself, but panes emitted before the
-                # stall live only in its store -- flag a backfill at
-                # the re-entry open.
-                sub.needs_backfill = plan.pane is not None
-                sub.start_epoch = offset + k_now
-        if prec.next_timer is None:
-            # New stage, or one stalled past every member's horizon:
-            # (re)enter the grid at the current epoch. A new stage's
-            # initial emission seeds the full window history exactly
-            # like a private adoption's first scan would.
-            prec.stalled = False
-            elapsed = max(0.0, self.clock.now - prec.t0)
-            k = int(elapsed // plan.every)
-            self._advance_prefix(key, k, prec.t0 + k * plan.every)
-
-    def _sync_stage_horizon(self, srec):
-        """Keep the stage subscriber's horizon in step with the spine's
-        (membership changed: the last epoch any member needs moved)."""
-        prec = self._prefixes.get(srec.prefix)
-        if prec is None:
-            return
-        sub = prec.subscribers.get("s|" + srec.key)
-        if sub is not None:
-            sub.last_epoch = srec.last_needed_epoch()
-
-    def _backfill_from_stage(self, prec, sub, execution, j):
-        """Inject the stage's retained panes into a (re)joining member.
-
-        ``j`` is the member epoch the current stage epoch answers; the
-        store holds exactly the already-emitted panes of that epoch's
-        window (pruned at each boundary). Unpaned stages retain nothing
-        -- their next boundary re-emits the full window anyway.
-        """
-        sub.needs_backfill = False
-        if prec.execution is None:
-            return
-        geometry = prec.plan.ops_of_kind("scan")[0].params.get("paned")
-        shift = sub.offset * geometry["every"] if geometry else 0
-        for op in prec.execution.ops.values():
-            if op.spec.kind == "demux":
-                for pane in sorted(op._store):
-                    execution.deliver_scan(
-                        list(op._store[pane]), j, pane - shift
-                    )
-
-    def _stage_plan(self, plan):
-        """The two-op stage plan (scan -> demux) for prefix ``plan``.
-
-        Cloned from the member plan's scan spec, so pane geometry,
-        shared-scan host key and batching carry over; every co-tenant
-        lowers an identical scan spec by construction (it is covered by
-        the prefix signature).
-        """
-        scan_spec = plan.ops_of_kind("scan")[0]
-        stage_scan = OpSpec("stage_scan", "scan", dict(scan_spec.params))
-        demux_params = {}
-        if scan_spec.params.get("paned"):
-            demux_params["paned"] = scan_spec.params["paned"]
-        stage_demux = OpSpec("stage_demux", "demux", demux_params,
-                             ["stage_scan"])
-        return QueryPlan(
-            [stage_scan, stage_demux], "stage_demux", mode="continuous",
-            every=plan.every, window=plan.window, deadline=plan.deadline,
-            standing=True, epoch_overlap=1, pane=plan.pane,
-        )
-
-    def _advance_prefix(self, key, k, t_k):
-        """Stage epoch boundary: build once, then roll; stall when no
-        subscriber's lifetime reaches ``k``."""
-        prec = self._prefixes.get(key)
-        if prec is None:
-            return
-        prec.next_timer = None
-        if not prec.subscribers:
-            self._close_prefix(key)
-            return
-        last = prec.last_needed_epoch()
-        if last is not None and k > last:
-            prec.stalled = True
-            return
-        if prec.execution is None:
-            execution = StandingExecution(
-                self, prec.plan, "p|" + key, k, t_k, self.address
-            )
-            # The demux reads the subscriber map through the record;
-            # parked before start() so the initial scan wave fans.
-            execution.ctx.prefix_record = prec
-            prec.execution = execution
-            execution.start()
+                rec.needs_backfill = paned
         else:
-            prec.execution.advance_epoch(k, t_k)
-        prec.next_timer = self.set_timer(
-            max(0.0, t_k + prec.plan.every - self.clock.now),
-            self._advance_prefix, key, k + 1, t_k + prec.plan.every,
-        )
+            # A new stage's initial emission seeds the full window. A
+            # held one emits the gap panes itself on re-entry, but the
+            # panes from before the hold live only in its store.
+            rec.needs_backfill = paned and (
+                k_now == 0 or stage.execution is not None
+            )
+            self._enter_grid(stage, k_now)
 
-    def prefix_member_execution(self, member_id):
-        """A stage member's execution (demux fan-out hook). Members are
-        spines, identified in the subscriber map as ``s|<spine key>``."""
-        if member_id.startswith("s|"):
-            srec = self._spines.get(member_id[2:])
-            return srec.execution if srec is not None else None
-        record = self.queries.get(member_id)
-        return record.execution if record is not None else None
+    def _on_boundary(self, rec, k):
+        """``rec``'s boundary timer: its members open epoch ``k`` first
+        (join order), so every wave the record then emits lands in an
+        execution that is already there."""
+        rec.next_timer = None
+        for member in rec.members():
+            self._advance_shared(member, k)
+        self._advance_shared(rec, k)
 
-    def _drop_prefix_subscriber(self, qid, key):
-        prec = self._prefixes.get(key)
-        if prec is None:
+    def _advance_shared(self, rec, k):
+        """Grid epoch ``k`` at ``rec``: build once, then roll; hold the
+        grid when no subscriber's lifetime reaches ``k``."""
+        last = rec.last_needed_epoch()
+        rec.on_grid = last is None or k <= last
+        if not rec.on_grid:
+            return  # until a joiner re-enters at its current epoch
+        every = rec.plan.every
+        t_k = rec.t0 + k * every
+        if rec.execution is None:
+            rec.execution = rec.build(self, k, t_k)
+            rec.execution.start()
+        else:
+            rec.execution.advance_epoch(k, t_k)
+        if rec.stage is None:
+            rec.next_timer = self.set_timer(
+                max(0.0, t_k + every - self.clock.now),
+                self._on_boundary, rec, k + 1,
+            )
+
+    def _retire_subscriber(self, record):
+        """A subscriber's lifetime (plus straggler grace) is up."""
+        self.queries.pop(record.qid, None)  # soft-state expiry
+        self._drop_subscriber(record.spine, record.qid)
+
+    def _drop_subscriber(self, rec, sub_id):
+        """Leave the shared execution to its co-tenants; the last one
+        out closes it."""
+        rec.subscribers.pop(sub_id, None)
+        if rec.subscribers:
             return
-        prec.subscribers.pop(qid, None)
-        if not prec.subscribers:
-            self._close_prefix(key)
-
-    def _close_prefix(self, key):
-        prec = self._prefixes.pop(key, None)
-        if prec is None:
-            return
-        if prec.next_timer is not None:
-            prec.next_timer.cancel()
-            prec.next_timer = None
-        execution, prec.execution = prec.execution, None
+        del self._shared[rec.key]
+        if rec.next_timer is not None:
+            rec.next_timer.cancel()
+        execution, rec.execution = rec.execution, None
         if execution is not None:
             execution.close()
-        # Members' exchanges co-routed under the prefix namespace.
-        self._forget_route_state("p|{}|".format(key))
+        rec.left(self)
 
     def _forget_route_state(self, ns_prefix):
         """A query, spine or stage is gone for good: reclaim the learned
@@ -842,10 +678,7 @@ class PierEngine:
             record.next_epoch_timer.cancel()
         record.execution = None
         if record.spine is not None:
-            # Leave the shared execution to its co-tenants; it closes
-            # only when the last subscriber leaves (which in turn drops
-            # the spine's shared-scan-stage membership).
-            self._drop_spine_subscriber(qid, record.spine)
+            self._drop_subscriber(record.spine, qid)
         for (open_qid, epoch) in list(self.executions):
             if open_qid == qid:
                 self.executions.pop((open_qid, epoch)).close()
@@ -1284,9 +1117,7 @@ class PierEngine:
         self.fragments = {}
         self.executions = {}
         self.queries = {}
-        self._spines = {}  # spine timers die with the crash
-        self._prefixes = {}  # stage timers die with the crash
-        self.shared_scans.reset()
+        self._shared = {}  # boundary timers die with the crash
         self.exchange_mux = ExchangeMux(self)  # held bundles die too
         self.combiners = {}
         self._undelivered = {}

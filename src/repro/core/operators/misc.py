@@ -65,23 +65,24 @@ class Distinct(Operator):
 
 @register_operator("demux")
 class Demux(Operator):
-    """Fan a shared prefix stage's scan waves into member executions.
+    """Fan a shared scan stage's waves into its member executions.
 
-    The stage plan is scan -> demux; the engine parks the owning
-    :class:`~repro.core.sharing.PrefixRecord` on the stage context
-    (``ctx.prefix_record``) and this operator fans every wave of stage
-    epoch ``k`` to each subscriber as *its* epoch ``j = k - offset``
-    via ``StandingExecution.deliver_scan`` (which re-applies the
-    member-side open/sealed/early guards). Pane markers from the stage
-    scan ride along so pane-aware tails bucket waves exactly as a
-    private scan would announce them.
+    The stage plan is scan -> demux; ``ctx.stage`` is the owning
+    :class:`~repro.core.sharing.StageRecord`, whose ``subscribers`` are
+    the member spines themselves. Stage and members tick on one grid,
+    so every wave of epoch ``k`` goes to each member advancing with the
+    grid as *its* epoch ``k`` via ``StandingExecution.deliver_scan`` --
+    which needs no guards, because the engine advances the members
+    before the stage at a boundary: whoever is ``on_grid`` has already
+    opened ``k``. Pane markers from the stage scan ride along so
+    pane-aware tails bucket waves exactly as a private scan would
+    announce them.
 
     Paned stages also retain each emitted pane's rows (pruned below the
-    newest window) so a subscriber that joins an already-running stage
-    can be backfilled: at its first full boundary the retained panes
-    its window still covers are injected once, making its epoch-1
-    window identical to a private twin's -- exact parity from the first
-    reported epoch onward.
+    newest window) so a member that joins an already-running stage can
+    be backfilled: the retained panes its window still covers are
+    injected once, making its first window identical to a private
+    twin's -- exact parity from the first reported epoch onward.
     """
 
     def __init__(self, ctx, spec):
@@ -94,74 +95,50 @@ class Demux(Operator):
         self._pane = None  # current pane marker from the stage scan
         self._store = {}  # pane -> [rows] retained for joiner backfill
 
-    def _record(self):
-        return getattr(self.ctx, "prefix_record", None)
-
-    def _member_pane(self, pane, sub):
-        """Translate a stage pane index into the subscriber's numbering.
-
-        Pane indices are aligned to a query's own t0; a member that
-        joined ``offset`` epochs after the stage's grid origin numbers
-        the same wall-clock pane ``offset * panes_per_every`` lower.
-        """
-        if pane is None:
-            return None
-        return pane - sub.offset * self._panes_per_every
-
     def open_pane(self, pane):
         self._pane = pane  # marker consumed here, not propagated
 
     def push_batch(self, batch, port=0):
         rows = batch.rows()
-        record = self._record()
-        if record is None or not rows:
+        if not rows:
             return
         k = self._active_epoch()
         pane = self._pane if self._paned else None
         if pane is not None:
             self._store.setdefault(pane, []).extend(rows)
-        engine = self.ctx.engine
-        for sub in list(record.subscribers.values()):
-            j = k - sub.offset
-            if j < 1:
-                # Members never run their epoch 0 (submission instant);
-                # the first boundary's open drains backfill instead.
-                continue
-            if sub.last_epoch is not None and j > sub.last_epoch:
-                continue
-            execution = engine.prefix_member_execution(sub.qid)
-            if execution is not None:
-                execution.deliver_scan(
-                    list(rows), j, self._member_pane(pane, sub)
-                )
+        if k < 1:
+            # Grid epoch 0 is its members' submission instant, which
+            # they never report; the first boundary's open drains
+            # backfill instead.
+            return
+        for member in self.ctx.stage.members():
+            if member.on_grid:
+                member.execution.deliver_scan(rows, k, pane)
+
+    def backfill(self, member, k):
+        """Inject the retained panes into a (re)joining member as its
+        epoch ``k``. Unpaned stages retain nothing -- their next
+        boundary re-emits the full window anyway."""
+        member.needs_backfill = False
+        for p in sorted(self._store):
+            member.execution.deliver_scan(self._store[p], k, p)
 
     def open_epoch(self, k, t_k):
-        record = self._record()
-        if record is None or not self._paned:
+        if not self._paned:
             return
-        lo, hi = window_pane_range(
+        lo, _hi = window_pane_range(
             k, self._panes_per_every, self._panes_per_window
         )
-        engine = self.ctx.engine
-        for sub in list(record.subscribers.values()):
-            if not sub.needs_backfill or k < sub.start_epoch:
-                continue
-            sub.needs_backfill = False
-            execution = engine.prefix_member_execution(sub.qid)
-            if execution is None:
-                continue
-            j = k - sub.offset
-            # Panes emitted at stage epochs < k that epoch k's window
-            # still covers: [lo, hi - panes_per_every). The top
-            # panes_per_every panes are epoch k's own wave, which fans
-            # normally right after this open (sources open last).
-            for p in sorted(self._store):
-                if lo <= p < hi - self._panes_per_every:
-                    execution.deliver_scan(
-                        list(self._store[p]), j, self._member_pane(p, sub)
-                    )
         for p in [p for p in self._store if p < lo]:
             del self._store[p]
+        # What is left was emitted at stage epochs < k and epoch k's
+        # window still covers it: [lo, hi - panes_per_every). The top
+        # panes_per_every panes are epoch k's own wave, which is not
+        # in the store yet -- it fans normally right after this open
+        # (sources open last).
+        for member in self.ctx.stage.members():
+            if member.needs_backfill and member.on_grid:
+                self.backfill(member, k)
 
     def teardown(self):
         self._store = {}
@@ -257,15 +234,7 @@ class ResultReturn(Operator):
         # this epoch answers, each under its own qid and epoch number.
         # Each message gets its own list: replace-mode keeps the batch
         # for refinement re-sends, and receivers must never alias it.
-        targets_fn = getattr(self.ctx, "result_targets", None)
-        if targets_fn is None:
-            self.ctx.send_to_origin({
-                "op": "qres", "qid": self.ctx.query_id, "epoch": epoch,
-                "node": self.ctx.engine.address, "rows": list(rows),
-                "replace": self._replace,
-            })
-            return
-        for qid, origin, their_epoch in targets_fn(epoch):
+        for qid, origin, their_epoch in self.ctx.result_targets(epoch):
             self.ctx.dht.direct(origin, {
                 "op": "qres",
                 "qid": qid,

@@ -13,11 +13,16 @@ Under a disposable per-epoch execution the scan runs once, at start.
 Under a :class:`~repro.core.dataflow.StandingExecution` it *subscribes*
 instead of re-scanning:
 
-* stream tables: an append hook on the fragment feeds a pending buffer;
-  each ``open_epoch`` emits the buffered rows falling in the new
-  epoch's window and prunes what can never appear in a later one, so a
-  row is touched O(1) times instead of once per epoch it survives in
-  the retention deque;
+* stream tables: the scan seeds a pending buffer from the fragment's
+  retained rows and hooks ``fragment.on_append`` itself; each
+  ``open_epoch`` emits the buffered rows falling in the new epoch's
+  window and prunes what can never appear in a later one, so a row is
+  touched O(1) times instead of once per epoch it survives in the
+  retention deque. Queries share a scan by sharing the execution it
+  belongs to (a spine, or the scan stage under many spines -- see
+  :mod:`repro.core.sharing`); the scan of a stage-fed member is
+  *passive* (``ctx.prefix_fed``): no subscription, it only relays the
+  waves the stage injects;
 * dht tables: a TTL'd ``newData`` subscription (renewed every epoch)
   tracks arriving items by reference; each epoch emits the tracked
   items still live -- identical to a fresh ``lscan`` because renewals
@@ -66,7 +71,7 @@ def _sample_keep(row, threshold):
 class Scan(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
-        self._standing = bool(getattr(ctx, "standing", False))
+        self._standing = ctx.standing
         self._paned = bool(spec.params.get("paned")) and self._standing
         # Admission-control sampling: emit only a deterministic
         # hash-sampled fraction of scanned rows. Every row is still
@@ -81,15 +86,12 @@ class Scan(Operator):
         # StandingExecution.deliver_scan; this scan goes passive (no
         # subscription, no per-epoch emission) and only relays injected
         # waves. Examinations are charged once at the stage.
-        self._prefix_fed = (
-            self._standing and bool(getattr(ctx, "prefix_fed", False))
-        )
+        self._prefix_fed = self._standing and ctx.prefix_fed
         self._table_def = None
         self._pending = []  # stream mode: [(ts, row)] not yet aged out
         self._tracked = {}  # dht mode: item key -> StoredItem (by ref)
         self._sub_token = None
         self._append_token = None
-        self._share_token = None  # SharedScanRegistry subscription
         if self._paned:
             geometry = spec.params["paned"]  # set by the planner
             self._pane = geometry["width"]
@@ -151,29 +153,14 @@ class Scan(Operator):
     def _start_standing(self, table_name):
         source = self._table_def.source
         if source == "stream":
+            # Seed with history already retained, then hear about
+            # each future append exactly once. Sharing happens a level
+            # up: a spine or a stage is one execution, hence one scan
+            # and one hook, however many queries it serves.
             fragment = self.ctx.fragment(table_name)
-            registry = getattr(self.ctx.engine, "shared_scans", None)
-            share_key = self.spec.params.get("share_scan")
-            config = getattr(self.ctx.engine, "config", None)
-            if not getattr(config, "shared_dataflows", True):
-                share_key = None  # ablation: fully private plumbing
-            if share_key and registry is not None:
-                # Shared host: ONE append hook per table per node fans
-                # rows to every subscribed standing scan, and the host
-                # charges the seed/append examinations once however
-                # many queries listen. Per-epoch window examinations
-                # below still count per scan. The host hands over the
-                # retained history as one batch to seed the buffer.
-                self._share_token = registry.acquire(
-                    share_key, fragment, self._on_shared_append
-                )
-                self._pending = registry.seed_rows(share_key)
-            else:
-                # Seed with history already retained, then hear about
-                # each future append exactly once.
-                self._pending = fragment.items()
-                self._count(len(self._pending))
-                self._append_token = fragment.on_append(self._on_append)
+            self._pending = fragment.items()
+            self._count(len(self._pending))
+            self._append_token = fragment.on_append(self._on_append)
             if self._paned:
                 self._emit_paned_epoch(self.ctx.epoch)
             else:
@@ -198,10 +185,6 @@ class Scan(Operator):
     def _on_append(self, timestamp, row):
         self._pending.append((timestamp, row))
         self._count(1)
-
-    def _on_shared_append(self, timestamp, row):
-        # The shared host already charged the examination.
-        self._pending.append((timestamp, row))
 
     def _on_new_item(self, item):
         self._tracked[item.key()] = item
@@ -294,7 +277,9 @@ class Scan(Operator):
         The caller (``StandingExecution.deliver_scan``) has already
         scoped the epoch; rows were examined and charged once at the
         stage, so no ``_count`` here. The pane marker is re-announced
-        first so pane-aware consumers bucket the wave correctly.
+        first so pane-aware consumers bucket the wave correctly. The
+        stage hands every member the same list (and may keep it as a
+        retained pane), so the batch gets this member's own copy.
         """
         if pane is not None:
             self.announce_pane(pane)
@@ -314,9 +299,6 @@ class Scan(Operator):
         self._emit_rows(out)
 
     def teardown(self):
-        if self._share_token is not None:
-            self.ctx.engine.shared_scans.release(self._share_token)
-            self._share_token = None
         if self._append_token is not None:
             fragment = self.ctx.fragment(self.spec.params["table"])
             fragment.remove_append_hook(self._append_token)

@@ -22,9 +22,10 @@ The logical phase's canonical signatures also drive **dataflow
 sharing**: an eligible standing plan is stamped with its
 ``share_signature`` (``metadata["spine"]``) so the engine can run all
 concurrent queries with the same signature and epoch phase on one
-shared spine (see ``core/sharing.py``), and stream scans are stamped
-``share_scan`` so co-located queries subscribe through one
-per-(node, table) append hook.
+shared spine, and single-stream-scan plans with their
+``prefix_signature`` (``metadata["prefix"]``) so spines that differ
+only above the scan are fed by one scan stage (see
+``core/sharing.py``).
 
 Recursive queries (transitive-closure shape) become cyclic graphs:
 base rows enter a DHT-partitioned ``distinct``; novel rows feed both
@@ -354,14 +355,6 @@ def _plan_flat(lq, catalog, timing):
                 spec.params["standing"] = True
         pane = _mark_paned(b, logical, lowered, lq)
         if lq.options.get("shared") is not False:
-            # Stream scans share one per-(node, table) append hook via
-            # the engine's SharedScanRegistry even when the plans
-            # themselves differ.
-            for node in logical.nodes:
-                if (node.kind == "scan"
-                        and node.attrs["table_def"].source == "stream"):
-                    spec = b.spec(lowered[id(node)]["op"])
-                    spec.params["share_scan"] = node.attrs["table"]
             # Whole-dataflow sharing: queries whose canonical DAGs and
             # epoch geometry match run on one spine, demultiplexed only
             # at result return. Bloom plans stay private -- their

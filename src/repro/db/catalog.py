@@ -52,6 +52,10 @@ class TableDef:
 class Catalog:
     """Name -> TableDef registry shared by all engines."""
 
+    #: Runtime stats (``core.catalog.StatsCatalog``) ride along when the
+    #: testbed enabled them; engines and coordinators feed it.
+    stats = None
+
     def __init__(self):
         self._tables = {}
 

@@ -7,6 +7,8 @@ has to tolerate a half-built stub. The one fake is the DHT:
 :class:`RecordingDht` offers the ``DhtApi`` surface with no overlay
 behind it and records what would have gone on the wire. Timers run on a
 real ``SimClock``; advance it with ``engine.clock.run_until(t)``.
+Operator unit tests get their context from :class:`StubCtx`, the one
+definition of "a query context with nothing behind it".
 """
 
 from repro.core.dataflow import LocalQueryContext, StandingExecution
@@ -73,6 +75,24 @@ def make_engine(config=None, routed=None, region=None):
     a :class:`RecordingDht`; ``engine.dht.routed`` is what it shipped."""
     dht = RecordingDht(SimClock(), routed=routed, region=region)
     return PierEngine(dht, Catalog(), config)
+
+
+class StubCtx(LocalQueryContext):
+    """A real query context (one-op plan, query ``q``, epoch 0) on its
+    own :func:`make_engine`, for operators built without an execution.
+
+    Tests re-point ``epoch`` / ``active_epoch`` by hand where an
+    execution would, and may swap ``dht`` or ``engine`` for a probe.
+    """
+
+    def __init__(self, standing=False):
+        plan = QueryPlan(
+            [OpSpec("x", "result")], "x",
+            mode="continuous" if standing else "oneshot",
+            every=5.0 if standing else None, standing=standing,
+        )
+        super().__init__(make_engine(), plan, "q", 0, 0.0, "site",
+                         standing=standing)
 
 
 def make_exchange(engine, key=None, mode="rehash", standing=True, epoch=3,

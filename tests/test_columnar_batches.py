@@ -19,7 +19,7 @@ Two layers:
 import random
 
 import pytest
-from stubs import make_engine, make_exchange
+from stubs import RecordingDht, StubCtx, make_engine, make_exchange
 
 from repro.core.aggregates import AggSpec
 from repro.core.batch import RowBatch, columnar_wire
@@ -30,6 +30,7 @@ from repro.core.operators import create_operator
 from repro.db.expressions import BinaryOp, FuncCall, col, lit
 from repro.db.schema import Schema
 from repro.db.types import INT, STR
+from repro.sim.clock import SimClock
 from repro.util.bloom import BloomFilter
 
 SCHEMA = Schema.of(("a", INT), ("b", INT), ("s", STR))
@@ -61,28 +62,6 @@ class BatchSink(Operator):
     def push_batch(self, batch, port=0):
         self.batches += 1
         self.rows.extend(batch.iter_rows())
-
-
-class StubDht:
-    def set_timer(self, delay, callback, *args):
-        return object()
-
-    def cancel_timer(self, timer):
-        pass
-
-
-class StubCtx:
-    """Network-free operator context; standing/epoch knobs per test."""
-
-    def __init__(self, standing=False):
-        self.engine = None
-        self.dht = StubDht()
-        self.plan = None
-        self.query_id = "q"
-        self.epoch = 0
-        self.active_epoch = 0
-        self.t0 = 0.0
-        self.standing = standing
 
 
 def make(kind, params, standing=False):
@@ -658,10 +637,11 @@ class TestSymmetricHashJoinParity:
 # ----------------------------------------------------------------------
 # Fetch-matches: the probe is chunking-invariant, async replies included
 # ----------------------------------------------------------------------
-class FetchDht(StubDht):
+class FetchDht(RecordingDht):
     """DHT stub capturing ``get`` calls for deterministic release."""
 
     def __init__(self, table_rows):
+        super().__init__(SimClock())
         self.table_rows = table_rows  # key -> [row tuples]
         self.pending = []  # (key, callback) in dispatch order
         self.gets = 0

@@ -1,6 +1,7 @@
 """Operator unit tests with a stub context (no network)."""
 
 import pytest
+from stubs import StubCtx
 
 from repro.core.aggregates import AggSpec
 from repro.core.batch import RowBatch
@@ -25,27 +26,6 @@ class Sink(Operator):
 
     def reset_batch(self):
         self.resets += 1
-
-
-class StubDht:
-    """Timer stubs for operators that schedule re-flushes."""
-
-    def set_timer(self, delay, callback, *args):
-        return object()
-
-    def cancel_timer(self, timer):
-        pass
-
-
-class StubCtx:
-    """Just enough context for network-free operators."""
-
-    engine = None
-    dht = StubDht()
-    plan = None
-    query_id = "q"
-    epoch = 0
-    t0 = 0.0
 
 
 def make(kind, params, ports=1):

@@ -27,8 +27,8 @@ class TestKnobs:
             return list(inspect.signature(cls.__init__).parameters)[1:]
 
         assert knobs(EngineConfig) == [
-            "flush_delay", "max_batch_rows", "shared_dataflows",
-            "regional_trees", "adaptive_flush", "backpressure",
+            "flush_delay", "max_batch_rows", "regional_trees",
+            "adaptive_flush", "backpressure",
             "backpressure_rows_per_sec", "backpressure_factor",
             "backpressure_ttl", "hot_group_threshold", "hot_group_shards",
         ]

@@ -1,14 +1,16 @@
 """Multi-query sharing: logical canonicalization, subscription spines,
-prefix (scan-stage) sharing across different queries, shared-scan
-refcounts, and parity with private executions."""
+prefix (scan-stage) sharing across different queries, the one grid
+record lifecycle both go through (one boundary timer, one append hook),
+and parity with private executions."""
 
 import math
 
 import pytest
 
 from repro.core.dataflow import StandingExecution
-from repro.core.engine import EngineConfig
-from repro.core.network import PierConfig, PierNetwork
+from repro.core.engine import PierEngine
+from repro.core.network import PierNetwork
+from repro.core.sharing import SpineRecord, StageRecord
 
 
 def install_ticker(net, address, value, period=2.0, table="s"):
@@ -22,13 +24,30 @@ def install_ticker(net, address, value, period=2.0, table="s"):
     net.node(address).engine.set_timer(0.1, tick)
 
 
-@pytest.fixture
-def net():
+def twin_net():
     n = PierNetwork(nodes=8, seed=321)
     n.create_stream_table("s", [("v", "FLOAT")], window=30.0)
     for i, address in enumerate(n.addresses()):
         install_ticker(n, address, float(i + 1))
     return n
+
+
+@pytest.fixture
+def net():
+    return twin_net()
+
+
+def spines(engine):
+    return [r for r in engine._shared.values() if isinstance(r, SpineRecord)]
+
+
+def stages(engine):
+    return [r for r in engine._shared.values() if isinstance(r, StageRecord)]
+
+
+def append_hooks(engine, table="s"):
+    """Append hooks on this node's fragment: one per standing scan."""
+    return len(engine.fragment(table)._hooks)
 
 
 TAIL = "EVERY 10 SECONDS WINDOW 10 SECONDS LIFETIME 40 SECONDS"
@@ -128,12 +147,11 @@ class TestSpineRuntime:
         net.advance(12.0)  # inside epoch 1
         for address in net.addresses():
             engine = net.node(address).engine
-            assert len(engine._spines) == 1
-            (srec,) = engine._spines.values()
+            (srec,) = spines(engine)
             assert isinstance(srec.execution, StandingExecution)
             assert set(srec.subscribers) == {h.qid for h in fleet}
             # One append hook on the stream table, however many queries.
-            assert engine.shared_scans.host_count("s") == 1
+            assert append_hooks(engine) == 1
             for handle in fleet:
                 assert engine.queries[handle.qid].execution is srec.execution
 
@@ -174,10 +192,11 @@ class TestSpineRuntime:
                 != fleet.plan.metadata["spine"])
         net.advance(12.0)
         engine = net.node(site).engine
-        assert len(engine._spines) == 2
-        keys = {engine.queries[fleet.qid].spine,
-                engine.queries[control.qid].spine}
-        assert len(keys) == 2
+        assert len(spines(engine)) == 2
+        assert (engine.queries[fleet.qid].spine
+                is not engine.queries[control.qid].spine)
+        # Two geometries, two scans: each hooks the table itself.
+        assert append_hooks(engine) == 2
         net.advance(40.0 + control.plan.deadline + 5.0 - 12.0)
         assert len({r.epoch for r in fleet_results}) >= 3
         assert len({r.epoch for r in control_results}) >= 3
@@ -193,7 +212,7 @@ class TestSpineRuntime:
             outs.append(results)
         net.advance(12.0)
         engine = net.node(site).engine
-        (srec,) = engine._spines.values()
+        (srec,) = spines(engine)
         assert len(srec.subscribers) == 3
 
         # Two members leave mid-flight: the spine survives for the
@@ -201,24 +220,23 @@ class TestSpineRuntime:
         fleet[0].stop()
         fleet[1].stop()
         net.advance(2.0)
-        assert len(engine._spines) == 1
-        (srec,) = engine._spines.values()
+        (srec,) = spines(engine)
         assert set(srec.subscribers) == {fleet[2].qid}
-        assert engine.shared_scans.host_count("s") == 1
+        assert append_hooks(engine) == 1
         epochs_before = {r.epoch for r in outs[2]}
         net.advance(10.0)
         assert {r.epoch for r in outs[2]} - epochs_before, (
             "surviving subscriber stopped receiving epochs"
         )
 
-        # The last member leaving closes the execution and releases the
-        # scan host on every node.
+        # The last member leaving closes the execution and unhooks the
+        # table on every node.
         fleet[2].stop()
         net.advance(2.0)
         for address in net.addresses():
             eng = net.node(address).engine
-            assert not eng._spines
-            assert eng.shared_scans.host_count("s") == 0
+            assert not eng._shared
+            assert append_hooks(eng) == 0
 
     def test_staggered_submission_joins_by_epoch_phase(self, net):
         # A near-duplicate submitted whole periods later lands on the
@@ -229,15 +247,15 @@ class TestSpineRuntime:
         net.advance(10.0)  # exactly one period: same phase
         second = net.submit_sql(VARIANTS[1], node=site)
         engine = net.node(site).engine
-        assert engine.queries[first.qid].spine == engine.queries[second.qid].spine
-        sub = engine._spines[engine.queries[second.qid].spine]
+        assert engine.queries[first.qid].spine is engine.queries[second.qid].spine
+        sub = engine.queries[second.qid].spine
         assert sub.subscribers[second.qid].offset == 1
         assert sub.subscribers[first.qid].offset == 0
         net.advance(3.3)  # mid-period: different phase
         third = net.submit_sql(VARIANTS[2], node=site)
         assert (engine.queries[third.qid].spine
-                != engine.queries[first.qid].spine)
-        assert len(engine._spines) == 2
+                is not engine.queries[first.qid].spine)
+        assert len(spines(engine)) == 2
 
 
 def predicate_sql(threshold):
@@ -247,14 +265,7 @@ def predicate_sql(threshold):
             "WHERE v > {} ".format(threshold) + TAIL)
 
 
-def twin_net(shared):
-    """A network identical to the ``net`` fixture, with sharing on/off."""
-    n = PierNetwork(nodes=8, seed=321, config=PierConfig(
-        engine=EngineConfig(shared_dataflows=shared)))
-    n.create_stream_table("s", [("v", "FLOAT")], window=30.0)
-    for i, address in enumerate(n.addresses()):
-        install_ticker(n, address, float(i + 1))
-    return n
+PRIVATE = {"shared": False}  # the per-query opt-out: the reference leg
 
 
 class TestPrefixSignatures:
@@ -330,37 +341,36 @@ class TestPrefixStageRuntime:
         net.advance(12.0)  # inside epoch 1
         for address in net.addresses():
             engine = net.node(address).engine
-            assert len(engine._spines) == 4
-            assert len(engine._prefixes) == 1
-            (prec,) = engine._prefixes.values()
+            assert len(spines(engine)) == 4
+            (prec,) = stages(engine)
             assert isinstance(prec.execution, StandingExecution)
-            # Every spine is enrolled as a stage member...
-            assert set(prec.subscribers) == {
-                "s|" + key for key in engine._spines
-            }
+            # Every spine is enrolled as a stage member, by reference...
+            assert prec.members() == spines(engine)
             # ...runs its own (passively scanned) execution...
-            for srec in engine._spines.values():
+            for srec in spines(engine):
+                assert srec.stage is prec
                 assert srec.execution is not None
                 assert srec.execution is not prec.execution
                 assert srec.execution.ctx.prefix_fed
             # ...and the table carries ONE append hook: the stage's.
-            assert engine.shared_scans.host_count("s") == 1
+            assert append_hooks(engine) == 1
 
     def test_fleet_results_match_ablation_twin(self):
         thresholds = (1.5, 2.5, 3.5, 4.5)
         legs = []
         for shared in (True, False):
-            n = twin_net(shared)
+            n = twin_net()
             site = n.any_address()
             outs = []
             for thr in thresholds:
                 results = []
                 n.submit_sql(predicate_sql(thr), node=site,
-                             on_epoch=results.append)
+                             on_epoch=results.append,
+                             options=None if shared else PRIVATE)
                 outs.append(results)
             deadline = n.compile_sql(predicate_sql(0)).deadline
             n.advance(12.0)  # mid-flight: the stage (only) exists when shared
-            assert bool(n.node(site).engine._prefixes) == shared
+            assert bool(stages(n.node(site).engine)) == shared
             n.advance(40.0 + deadline + 5.0 - 12.0)
             legs.append([
                 {r.epoch: sorted(r.rows) for r in results}
@@ -384,7 +394,7 @@ class TestPrefixStageRuntime:
             outs.append(results)
         net.advance(12.0)
         engine = net.node(site).engine
-        (prec,) = engine._prefixes.values()
+        (prec,) = stages(engine)
         assert len(prec.subscribers) == 3
 
         # Two members leave mid-flight: their spines close and leave
@@ -392,10 +402,9 @@ class TestPrefixStageRuntime:
         fleet[0].stop()
         fleet[1].stop()
         net.advance(2.0)
-        assert len(engine._prefixes) == 1
-        (prec,) = engine._prefixes.values()
+        (prec,) = stages(engine)
         assert len(prec.subscribers) == 1
-        assert engine.shared_scans.host_count("s") == 1
+        assert append_hooks(engine) == 1
         epochs_before = {r.epoch for r in outs[2]}
         net.advance(10.0)
         assert {r.epoch for r in outs[2]} - epochs_before, (
@@ -407,9 +416,8 @@ class TestPrefixStageRuntime:
         net.advance(2.0)
         for address in net.addresses():
             eng = net.node(address).engine
-            assert not eng._spines
-            assert not eng._prefixes
-            assert eng.shared_scans.host_count("s") == 0
+            assert not eng._shared
+            assert append_hooks(eng) == 0
 
     def test_staggered_join_lands_on_the_running_stage(self, net):
         site = net.any_address()
@@ -421,28 +429,183 @@ class TestPrefixStageRuntime:
         net.submit_sql(predicate_sql(4.5), node=site,
                        on_epoch=second_results.append)
         engine = net.node(site).engine
-        assert len(engine._spines) == 2
-        assert len(engine._prefixes) == 1
+        assert len(spines(engine)) == 2
+        assert len(stages(engine)) == 1
         net.advance(3.3)  # mid-period: different phase
         net.submit_sql(predicate_sql(6.5), node=site)
-        assert len(engine._prefixes) == 2, (
+        assert len(stages(engine)) == 2, (
             "off-phase query must get its own stage grid"
         )
         net.advance(45.0)
         assert len({r.epoch for r in first_results}) >= 3
         assert len({r.epoch for r in second_results}) >= 3
 
-    def test_ablation_runs_every_query_private(self):
-        n = twin_net(False)
-        site = n.any_address()
+    def test_ablation_runs_every_query_private(self, net):
+        site = net.any_address()
         results = []
-        handle = n.submit_sql(predicate_sql(1.5), node=site,
-                              on_epoch=results.append)
-        # The planner still stamps the plan; the engine opts out.
-        assert handle.plan.metadata.get("prefix")
-        n.advance(20.0 + handle.plan.deadline + 2.0)
-        for address in n.addresses():
-            engine = n.node(address).engine
-            assert not engine._prefixes
-            assert not engine._spines
+        handle = net.submit_sql(predicate_sql(1.5), node=site,
+                                on_epoch=results.append, options=PRIVATE)
+        # The opt-out leaves the plan unstamped: nothing to share by.
+        assert handle.plan.metadata.get("prefix") is None
+        net.advance(20.0 + handle.plan.deadline + 2.0)
+        for address in net.addresses():
+            assert not net.node(address).engine._shared
         assert {r.epoch for r in results} >= {1, 2}
+
+
+def life_sql(threshold, lifetime, window=10):
+    return ("SELECT SUM(v) AS total, COUNT(*) AS n FROM s WHERE v > {} "
+            "EVERY 10 SECONDS WINDOW {} SECONDS LIFETIME {} SECONDS"
+            .format(threshold, window, lifetime))
+
+
+class TestOneLifecycle:
+    """Spines and stages are one grid record with one lifecycle; a
+    stage advances its own members, so a node runs ONE boundary timer
+    per stage and no wave ever waits for its member to catch up."""
+
+    def test_stage_owns_the_one_boundary_timer(self, net, monkeypatch):
+        site = net.any_address()
+        for i in range(4):
+            net.submit_sql(predicate_sql(1.5 + i), node=site)
+        net.advance(12.0)  # inside epoch 1
+        for address in net.addresses():
+            (stage,) = stages(net.node(address).engine)
+            assert len(stage.members()) == 4
+            # One pending boundary timer on the node: the stage's.
+            assert not stage.next_timer.cancelled
+            assert [m.next_timer for m in stage.members()] == [None] * 4
+
+        log = []  # (clock event, what, execution or record, epoch)
+
+        def fired():
+            return net.clock.events_fired
+
+        real_advance = StandingExecution.advance_epoch
+        real_wave = StandingExecution.deliver_scan
+        real_timer = PierEngine.set_timer
+
+        def advance(execution, k, t_k):
+            log.append((fired(), "advance", execution, k))
+            real_advance(execution, k, t_k)
+
+        def wave(execution, rows, k, pane=None):
+            log.append((fired(), "wave", execution, k))
+            real_wave(execution, rows, k, pane)
+
+        def set_timer(engine, delay, callback, *args):
+            if callback == engine._on_boundary:
+                log.append((fired(), "timer") + args)
+            return real_timer(engine, delay, callback, *args)
+
+        monkeypatch.setattr(StandingExecution, "advance_epoch", advance)
+        monkeypatch.setattr(StandingExecution, "deliver_scan", wave)
+        monkeypatch.setattr(PierEngine, "set_timer", set_timer)
+        net.advance(10.0)  # across the epoch-2 boundary
+        for address in net.addresses():
+            (stage,) = stages(net.node(address).engine)
+            members = [m.execution for m in stage.members()]
+            mine = [e for e in log
+                    if e[2] in members + [stage, stage.execution]]
+            # Members open epoch 2 in join order, then the stage, whose
+            # scan hands every member its wave; the node's one timer is
+            # re-armed -- all inside one clock event.
+            assert [e[1:] for e in mine] == (
+                [("advance", m, 2) for m in members]
+                + [("advance", stage.execution, 2)]
+                + [("wave", m, 2) for m in members]
+                + [("timer", stage, 3)]
+            )
+            assert len({e[0] for e in mine}) == 1
+
+    @pytest.mark.parametrize("window", [10, 30])  # unpaned, paned
+    @pytest.mark.parametrize("join_at", [30.0, 40.0])
+    def test_held_member_is_skipped_and_rejoined_exactly(self, net, window,
+                                                         join_at):
+        site = net.any_address()
+        short = life_sql(1.5, 20, window)
+        net.submit_sql(short, node=site)
+        long_results = []
+        net.submit_sql(life_sql(2.5, 80, window), node=site,
+                       on_epoch=long_results.append)
+        net.advance(25.0)  # epoch 2: the short query's last
+        engine = net.node(site).engine
+        held, running = spines(engine)
+        (stage,) = stages(engine)
+        assert held.on_grid and running.on_grid
+        net.advance(join_at - 25.0)  # epoch 3 or 4
+        # Past its last needed epoch the member sits out the stage's
+        # advances while its co-tenant runs on...
+        assert running.on_grid and stage.on_grid
+        assert running.execution.current_epoch == int(join_at // 10)
+        # ...until its subscriber retires (lifetime + deadline + slack)
+        # and the record goes, between the two join instants.
+        if join_at == 30.0:
+            assert spines(engine) == [held, running]
+            assert not held.on_grid
+            assert held.execution.current_epoch == 2
+        else:
+            assert spines(engine) == [running]
+        # A twin joins afterwards, beside a private reference.
+        twin_results, private_results = [], []
+        net.submit_sql(short, node=site, on_epoch=twin_results.append)
+        private = net.submit_sql(short, node=site, options=PRIVATE,
+                                 on_epoch=private_results.append)
+        net.advance(20.0 + private.plan.deadline + 5.0)
+        twin = {r.epoch: sorted(r.rows) for r in twin_results}
+        reference = {r.epoch: sorted(r.rows) for r in private_results}
+        assert set(twin) == set(reference) == {1, 2}
+        for k in reference:
+            assert _rows_match(twin[k], reference[k])
+        assert {r.epoch for r in long_results} >= set(range(1, 6))
+
+    def test_last_member_out_leaves_nothing_behind(self, net):
+        site = net.any_address()
+        outs = []
+        fleet = []
+        for i in range(3):
+            results = []
+            fleet.append(net.submit_sql(predicate_sql(1.5 + i), node=site,
+                                        on_epoch=results.append))
+            outs.append(results)
+        net.advance(12.0)
+        timers = {}
+        for address in net.addresses():
+            (stage,) = stages(net.node(address).engine)
+            timers[address] = stage.next_timer
+        for handle in fleet:
+            handle.stop()
+        net.advance(2.0)
+        seen = [len(results) for results in outs]
+        for address in net.addresses():
+            engine = net.node(address).engine
+            assert not engine._shared
+            assert not engine.executions
+            assert timers[address].cancelled
+            assert append_hooks(engine) == 0
+        net.advance(25.0)
+        assert [len(results) for results in outs] == seen
+
+    def test_crash_and_recover_reforms_one_stage(self, net):
+        site = net.any_address()
+        for i in range(3):
+            net.submit_sql(life_sql(1.5 + i, 200), node=site)
+        victim = [a for a in net.addresses() if a != site][0]
+        net.advance(15.0)
+        before = {m.key for m in stages(net.node(victim).engine)[0].members()}
+        net.crash_node(victim)
+        assert not net.node(victim).engine._shared
+        net.advance(10.0)
+        net.recover_node(victim)
+        install_ticker(net, victim, 9.0)
+        net.advance(65.0)  # past the coordinator's next plan refresh
+        engine = net.node(victim).engine
+        (stage,) = stages(engine)
+        assert {m.key for m in stage.members()} == before
+        assert len(before) == 3
+        assert spines(engine) == stage.members()
+        assert all(m.on_grid and m.next_timer is None
+                   for m in stage.members())
+        assert stage.on_grid and not stage.next_timer.cancelled
+        assert append_hooks(engine) == 1
+

@@ -16,6 +16,7 @@ Three layers of coverage:
 import random
 
 import pytest
+from stubs import StubCtx
 
 from repro.core.aggregates import AggSpec
 from repro.core.dataflow import StandingExecution
@@ -66,29 +67,6 @@ ALL_AGGS = [
     ("MAX", "v"),
     ("COUNT_DISTINCT", "v"),
 ]
-
-
-class StubEngine:
-    def __init__(self):
-        self.rows_aggregated = 0
-
-    def note_rows_aggregated(self, n):
-        self.rows_aggregated += n
-
-
-class StubCtx:
-    """Enough context for a network-free paned GroupByPartial."""
-
-    dht = None
-    plan = None
-    query_id = "q"
-    t0 = 0.0
-    standing = True
-
-    def __init__(self):
-        self.engine = StubEngine()
-        self.epoch = 0
-        self.active_epoch = 0
 
 
 class Sink:
@@ -149,7 +127,7 @@ class TestPanedPropertyParity:
         e = rng.randint(1, 4)  # panes per epoch period
         w = e * rng.randint(2, 5) + rng.randrange(2) * e  # panes per window
         agg_specs = _specs()
-        op = create_operator(StubCtx(), OpSpec("agg", "groupby_partial", {
+        op = create_operator(StubCtx(standing=True), OpSpec("agg", "groupby_partial", {
             "group_exprs": [col("g")],
             "agg_specs": agg_specs,
             "schema": SCHEMA,
@@ -198,7 +176,7 @@ class TestPanedPropertyParity:
         # and its eventual retirement unmerges exactly what was merged.
         agg_specs = [AggSpec("SUM", col("v"), "total"),
                      AggSpec("COUNT", None, "n")]
-        op = create_operator(StubCtx(), OpSpec("agg", "groupby_partial", {
+        op = create_operator(StubCtx(standing=True), OpSpec("agg", "groupby_partial", {
             "group_exprs": [col("g")], "agg_specs": agg_specs,
             "schema": SCHEMA,
             "paned": {"width": 1.0, "every": 1, "window": 3},
@@ -222,7 +200,7 @@ class TestPanedPropertyParity:
 
     def test_groups_vanish_when_last_pane_slides_out(self):
         agg_specs = [AggSpec("SUM", col("v"), "total")]
-        op = create_operator(StubCtx(), OpSpec("agg", "groupby_partial", {
+        op = create_operator(StubCtx(standing=True), OpSpec("agg", "groupby_partial", {
             "group_exprs": [col("g")], "agg_specs": agg_specs,
             "schema": SCHEMA,
             "paned": {"width": 1.0, "every": 1, "window": 2},

@@ -95,17 +95,16 @@ class TestStandingLifecycle:
         # The plan is shareable, so the execution lives on a spine; the
         # record points at the spine's one standing execution.
         assert record.spine is not None
-        assert engine._spines[record.spine].execution is first
+        assert record.spine.execution is first
         net.advance(10)  # inside epoch 2
         assert engine.queries[handle.qid].execution is first
-        assert engine._spines[record.spine].execution is first
+        assert record.spine.execution is first
 
     def test_delivery_registered_once_per_query(self, net):
         handle = net.submit_sql(CONTINUOUS_SQL)
         net.advance(12)
         engine = net.node(net.addresses()[2]).engine
-        spine_key = engine.queries[handle.qid].spine
-        assert spine_key is not None
+        spine_key = engine.queries[handle.qid].spine.key
         chord = net.node(net.addresses()[2]).chord
         prefix = "s|{}|".format(spine_key)
         standing_ns = [

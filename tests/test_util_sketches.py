@@ -19,6 +19,7 @@ import math
 import random
 
 import pytest
+from stubs import StubCtx
 
 from repro.core.aggregates import AggSpec, aggregate_by_name
 from repro.core.opgraph import OpSpec
@@ -188,24 +189,6 @@ class TestSketchAggregates:
 # ----------------------------------------------------------------------
 # Pane-sliding parity: sketch answers track exact answers per epoch
 # ----------------------------------------------------------------------
-class StubEngine:
-    def note_rows_aggregated(self, n):
-        pass
-
-
-class StubCtx:
-    dht = None
-    plan = None
-    query_id = "q"
-    t0 = 0.0
-    standing = True
-
-    def __init__(self):
-        self.engine = StubEngine()
-        self.epoch = 0
-        self.active_epoch = 0
-
-
 class Sink:
     def __init__(self):
         self.rows = []
@@ -225,7 +208,7 @@ SCHEMA = Schema.of(("g", STR), ("v", INT))
 
 
 def _paned_partial(agg_specs, e, w):
-    op = create_operator(StubCtx(), OpSpec("agg", "groupby_partial", {
+    op = create_operator(StubCtx(standing=True), OpSpec("agg", "groupby_partial", {
         "group_exprs": [col("g")],
         "agg_specs": agg_specs,
         "schema": SCHEMA,
