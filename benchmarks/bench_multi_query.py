@@ -160,7 +160,7 @@ def run_fleet(seed, nodes, q, shared):
         # The whole fleet rides one StandingExecution per node.
         for address in net.addresses():
             engine = net.node(address).engine
-            for rec in engine._shared.values():
+            for rec in engine.records.values():
                 if (isinstance(rec, SpineRecord) and rec.execution is not None
                         and rec.plan.window == WINDOW):
                     assert len(rec.subscribers) == q, (
@@ -254,7 +254,7 @@ def run_prefix_fleet(seed, nodes, q, shared):
         engine = net.node(address).engine
         hooks = len(engine.fragment("node_stats")._hooks)
         if shared:
-            stages = [rec for rec in engine._shared.values()
+            stages = [rec for rec in engine.records.values()
                       if isinstance(rec, StageRecord)]
             assert len(stages) == 1, (
                 "{}: {} prefix stages for one fleet".format(
@@ -267,7 +267,8 @@ def run_prefix_fleet(seed, nodes, q, shared):
             )
             assert hooks == 1
         else:
-            assert not engine._shared
+            assert not any(isinstance(rec, (SpineRecord, StageRecord))
+                           for rec in engine.records.values())
             assert hooks == q  # every private scan hooks the table itself
     net.advance(LIFETIME + fleet[0][0].plan.deadline + 5.0 - 2 * EVERY - 1.0)
     after = net.message_counters()

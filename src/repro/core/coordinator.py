@@ -5,9 +5,8 @@ over the overlay (and, for continuous queries, re-broadcasts it
 periodically so nodes that crash and recover re-adopt it -- plans are
 soft state like everything else). Result rows stream back as direct
 messages tagged with the epoch they belong to; collection is keyed by
-that tag, so a standing execution's long-lived result operators and the
-rebuild path's per-epoch ones land in the same buckets, and rows for an
-already-closed epoch are dropped. At each epoch's deadline the
+that tag, and rows for an already-closed epoch are dropped. At each
+epoch's deadline the
 coordinator applies the *finishing* step (global ORDER BY / LIMIT over
 collected rows -- the one thing that cannot be fully in-network) and
 hands an :class:`EpochResult` to the caller.
@@ -317,9 +316,8 @@ class Coordinator:
     def _schedule_bloom(self, handle, epoch):
         """Arm the merge-and-broadcast step of epoch ``epoch``'s filter
         round-trip. Continuous plans re-run the round-trip every epoch
-        (both execution disciplines rely on it: the standing path's
-        bloom stages hold per-epoch filter namespaces, and the rebuild
-        fallback instantiates fresh stages each epoch)."""
+        (a standing execution's bloom stages hold per-epoch filter
+        state)."""
         plan = handle.plan
         if plan.mode == "continuous" and plan.lifetime is not None \
                 and epoch * plan.every > plan.lifetime:

@@ -37,9 +37,8 @@ horizon over the period, transfer margin included). The execution
 keeps an ordered map of open epoch states and seals epoch ``k - N``
 when opening ``k``, so at most ``N`` epoch states are ever live per
 operator: ``N = 1`` collapses to the classic single-boundary rollover
-(seal ``k-1``, open ``k``), ``N = 2`` is the former two-live-epoch
-overlap mode, and longer flush schedules simply widen the ring instead
-of falling back to rebuild-per-epoch. Every delivery and flush runs
+(seal ``k-1``, open ``k``), and longer flush schedules simply widen
+the ring. Every delivery and flush runs
 inside :meth:`LocalQueryContext.in_epoch`, so stateful operators
 always know which epoch's state a row or deadline belongs to; their
 per-epoch state lives behind :class:`EpochStateRing`, which keeps the
@@ -161,7 +160,7 @@ class LocalQueryContext:
         wire message. Delivery stays per-query (``payload["ns"]``), so
         the owner demultiplexes back to each query's own operator.
         """
-        if self.prefix_key is not None and self.standing:
+        if self.prefix_key is not None:
             return "p|{}|{}|x".format(self.prefix_key, op_id)
         return self.namespace(op_id, "x")
 
@@ -639,8 +638,8 @@ class EpochExecution(_ExecutionBase):
 class StandingExecution(_ExecutionBase):
     """One node's long-lived instantiation of a standing continuous plan.
 
-    Built once when the query is adopted; the engine's epoch timers
-    then call :meth:`advance_epoch` at each boundary. Exchange inputs
+    Built once by its grid record; the record's boundary timer then
+    has the engine call :meth:`advance_epoch`. Exchange inputs
     are registered once (epoch-free namespaces), so the engine's
     early-row buffering window shrinks to first adoption only, and
     arrivals carry an epoch tag checked here: tags for sealed epochs
@@ -657,8 +656,7 @@ class StandingExecution(_ExecutionBase):
     -- keep firing against their own state, and exchange arrivals
     tagged with any open epoch still land in it. ``N = 1`` is the
     classic one-live-epoch rollover; larger ``N`` is how slow flush
-    schedules (tree holds, bloom round-trips) run standing instead of
-    rebuilding per epoch.
+    schedules (tree holds, bloom round-trips) run standing.
     """
 
     standing = True
@@ -696,8 +694,7 @@ class StandingExecution(_ExecutionBase):
 
     @property
     def current_epoch(self):
-        """The newest open epoch (what the engine indexes this node's
-        execution under)."""
+        """The newest open epoch."""
         return self.ctx.epoch
 
     def advance_epoch(self, k, t_k):

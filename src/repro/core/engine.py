@@ -4,33 +4,26 @@ One engine runs on every node, glued to that node's DHT API. It:
 
 * holds the node's table fragments (local rows, stream windows) and
   publishes rows into DHT tables,
-* adopts query plans that arrive by broadcast and schedules their
-  epochs: one-shot/recursive plans get a single disposable
-  :class:`~repro.core.dataflow.EpochExecution`; every continuous plan
-  gets a long-lived :class:`~repro.core.dataflow.StandingExecution`
-  whose operators are rolled over through the open/seal epoch
-  lifecycle at every boundary instead of being torn down and rebuilt.
-  The plan's epoch ring width (``QueryPlan.epoch_overlap``) says how
-  many epoch states stay live per operator, so flush schedules
-  spanning several periods -- and bloom-stage plans, whose filter
-  round-trip is driven per epoch by the query site -- run standing
-  too,
-* multiplexes standing queries onto shared executions, each one
-  :class:`~repro.core.sharing.GridRecord` in ``_shared`` with one
-  lifecycle (join, advance, drop, close): a continuous plan stamped
-  with a logical share signature (``plan.metadata["spine"]``) joins
-  the *spine* for that signature and epoch phase instead of building
-  its own dataflow -- one execution scans, exchanges, and aggregates;
-  the result operator fans each epoch's answer to every subscriber's
-  query site under its own qid and epoch number -- and spines whose
-  plans differ but scan one stream table alike
-  (``plan.metadata["prefix"]``) are fed by one scan *stage*, which
-  holds them by reference and advances them at its own boundary,
+* adopts query plans that arrive by broadcast and runs each on timers
+  through ONE lifecycle: every adopted query subscribes to a
+  :class:`~repro.core.sharing.GridRecord` in ``records`` (join, enter
+  the grid, boundary, advance, retire, close). The record's kind says
+  what is built and when (see :mod:`repro.core.sharing`): a *spine*
+  shared by every query whose plan carries one logical share signature
+  (``plan.metadata["spine"]``) and epoch phase, a *private* or
+  *one-epoch* record of the query's own, and the scan *stage* feeding
+  spines that differ but scan one stream table alike
+  (``plan.metadata["prefix"]``). Continuous plans run a long-lived
+  :class:`~repro.core.dataflow.StandingExecution` whose operators roll
+  over through the open/seal epoch lifecycle at every boundary (the
+  plan's ring width ``QueryPlan.epoch_overlap`` says how many epoch
+  states stay live, so flush schedules spanning several periods and
+  per-epoch bloom round-trips fit it too); one-shot and recursive
+  plans a disposable :class:`~repro.core.dataflow.EpochExecution`,
 * registers exchange namespaces with the DHT so rehashed rows reach
   the right operator instance -- once per epoch for disposable
   executions, once per *query* for standing ones -- and buffers early
-  arrivals that beat the plan broadcast to this node, NACKing their
-  senders when the buffer gives up on them,
+  arrivals that beat the plan broadcast to this node,
 * remembers recently stopped query ids (TTL'd tombstones) so a stale
   plan-refresh broadcast cannot resurrect a query after its stop,
 * reports recursion progress to the query site for quiescence
@@ -45,9 +38,8 @@ from itertools import groupby
 from operator import itemgetter
 
 from repro.core.aggregation_tree import TreeCombiner
-from repro.core.dataflow import EpochExecution, StandingExecution
 from repro.core.exchange import ExchangeMux, payload_rows
-from repro.core.sharing import SpineRecord, SpineSubscriber, StageRecord
+from repro.core.sharing import StageRecord, found_record
 from repro.db.table import make_fragment
 from repro.util.serde import wire_size
 
@@ -60,14 +52,9 @@ PROGRESS_BATCH_DELAY = 0.5  # recursion progress notes coalesce this long
 PUBLISH_TTL = 120.0  # DHT-table row lifetime when the table names none
 # Rows that arrive before their query's plan does are buffered per
 # namespace: dropped UNDELIVERED_TTL after the first early row, never
-# more than UNDELIVERED_CAP held. Dropped rows are NACKed to their
-# origin exchanges *only when the query carries a stop tombstone here*
-# (an authoritative rejection); a node that merely missed the plan
-# broadcast drops silently, since the refresh (or plan fetch) will
-# enroll it and muting a live query's keys would hole the answer.
+# more than UNDELIVERED_CAP held.
 UNDELIVERED_TTL = 15.0
 UNDELIVERED_CAP = 512
-NACK_MUTE_TTL = 30.0  # a NACKed routing key stays muted this long
 # How long a standing exchange may trust a learned terminal owner
 # before re-walking the ring. Owners in another region expire on the
 # shorter TTL: a cross-region owner cached just before a partition
@@ -140,33 +127,28 @@ class EngineConfig:
         self.hot_group_shards = hot_group_shards
 
 
-class _QueryRecord:
-    """An engine's view of one adopted query."""
+class AdoptedQuery:
+    """An engine's view of one adopted query: the plan as broadcast and
+    its place as a subscriber of the grid record that runs it."""
 
-    __slots__ = ("qid", "plan", "t0", "origin", "stopped",
-                 "next_epoch_timer", "_execution", "spine")
+    __slots__ = ("qid", "plan", "t0", "origin", "record", "offset",
+                 "last_epoch", "retire_timer")
 
     def __init__(self, qid, plan, t0, origin):
         self.qid = qid
         self.plan = plan
         self.t0 = t0
         self.origin = origin
-        self.stopped = False
-        self.next_epoch_timer = None
-        self._execution = None  # own StandingExecution, once started
-        self.spine = None  # SpineRecord when riding a shared execution
+        self.record = None  # the GridRecord this query subscribes to
+        self.offset = 0  # record epoch k answers my epoch k - offset
+        self.last_epoch = None  # my last epoch (None = unbounded)
+        self.retire_timer = None
 
     @property
     def execution(self):
-        """The standing execution serving this query: the spine's when
-        it rides one, else its own."""
-        if self.spine is not None:
-            return self.spine.execution
-        return self._execution
-
-    @execution.setter
-    def execution(self, execution):
-        self._execution = execution
+        """The execution serving this query, once its record built one
+        -- the one read path from a qid to its dataflow."""
+        return self.record.execution
 
 
 class PierEngine:
@@ -185,18 +167,16 @@ class PierEngine:
         )
 
         self.fragments = {}
-        self.executions = {}  # (qid, epoch) -> execution serving that epoch
-        self.queries = {}  # qid -> _QueryRecord
-        self._shared = {}  # share key -> GridRecord (spines and stages)
+        self.queries = {}  # qid -> AdoptedQuery
+        # share key or qid -> GridRecord: every execution this node runs
+        self.records = {}
         self.exchange_mux = ExchangeMux(self)  # prefix-member coalescing
         self.combiners = {}  # ns -> TreeCombiner
         self._undelivered = {}  # ns -> [rows arriving before registration]
         self._undelivered_tags = {}  # ns -> [epoch tag per buffered row]
-        self._undelivered_origins = {}  # ns -> {origin address: {rid}}
         self._undelivered_expiry = {}  # ns -> drop-dead time for those rows
         self._undelivered_timer = None
         self._stop_tombstones = {}  # qid -> forget-at time (stale-refresh guard)
-        self._exchange_mutes = {}  # (ns, rid) -> mute expiry (NACKed keys)
         # Learned-owner cache: (ns, rid) -> (NodeRef, expiry, region).
         # The region rides along so cross-region owners can expire on
         # the shorter CROSS_REGION_CACHE_TTL.
@@ -326,19 +306,14 @@ class PierEngine:
         elif ctl == "stop":
             self._stop_query(payload["qid"])
         elif ctl == "bloom":
-            # A standing execution is indexed under its *newest* epoch,
-            # but merged filters for any still-open epoch of its ring
-            # must reach it (bloom plans never ride a spine, so the
-            # query record always owns its execution).
-            epoch = payload["epoch"]
-            record = self.queries.get(payload["qid"])
-            if record is not None and record.execution is not None:
-                execution = record.execution
-            else:
-                execution = self.executions.get((payload["qid"], epoch))
+            # Merged filters for any still-open epoch of a standing
+            # execution's ring reach it through its query.
+            query = self.queries.get(payload["qid"])
+            execution = query.execution if query is not None else None
             if execution is not None:
                 execution.control(
-                    payload["op_id"], {"filters": payload["filters"]}, epoch
+                    payload["op_id"], {"filters": payload["filters"]},
+                    payload["epoch"],
                 )
 
     def _adopt_query(self, payload):
@@ -351,118 +326,12 @@ class PierEngine:
             if tombstone > self.clock.now:
                 return  # stale refresh of a query stopped moments ago
             del self._stop_tombstones[qid]
-        record = _QueryRecord(qid, payload["plan"], payload["t0"], payload["origin"])
-        self.queries[qid] = record
-        plan = record.plan
-        if plan.mode == "continuous":
-            elapsed = max(0.0, self.clock.now - record.t0)
-            k_now = int(elapsed // plan.every)
-            if plan.lifetime is not None and k_now * plan.every > plan.lifetime:
-                self.queries.pop(qid, None)  # adopted after expiry
-                return
-            key = self._share_key(plan, record.t0, "spine")
-            if key is not None:
-                self._join_shared(record, key)
-            elif k_now >= 1:
-                # Standing queries join the epoch *in progress*: the
-                # rendezvous for their epoch-free exchange keys may hash
-                # to this very node, so waiting for the next boundary
-                # would drop every current-epoch row routed here.
-                # Registration replays any early rows buffered under
-                # this epoch's tag, and already-due flush timers fire
-                # immediately.
-                self._start_epoch(record, k_now, record.t0 + k_now * plan.every)
-            else:
-                # First epoch strictly after adoption; a late joiner
-                # starts at the next boundary instead of replaying
-                # history.
-                self._schedule_epoch(record, k_now + 1)
-        else:
-            self._start_epoch(record, 0, record.t0)
-
-    def _schedule_epoch(self, record, k):
-        plan = record.plan
-        if record.stopped:
-            return
-        if plan.lifetime is not None and k * plan.every > plan.lifetime:
-            if record.execution is not None:
-                # Keep the record adopted until the final epoch settles:
-                # a plan refresh landing mid-final-epoch must hit the
-                # already-running query (duplicate-adoption guard), not
-                # spawn a second standing execution over the same
-                # epoch-free namespaces. Stragglers get the same grace a
-                # rebuilt epoch's close timer gave them.
-                self.set_timer(
-                    plan.deadline + TEARDOWN_SLACK,
-                    self._retire_standing, record,
-                )
-            else:
-                self.queries.pop(record.qid, None)  # soft-state expiry
-            return
-        t_k = record.t0 + k * plan.every
-        delay = max(0.0, t_k - self.clock.now)
-        record.next_epoch_timer = self.set_timer(
-            delay, self._start_epoch, record, k, t_k
-        )
-
-    def _start_epoch(self, record, k, t_k):
-        if record.stopped:
-            return
-        if record.plan.mode == "continuous":
-            self._advance_standing(record, k, t_k)
-        else:
-            execution = EpochExecution(
-                self, record.plan, record.qid, k, t_k, record.origin
-            )
-            self.executions[(record.qid, k)] = execution
-            execution.start()
-            close_at = t_k + record.plan.deadline + TEARDOWN_SLACK
-            self.set_timer(max(0.0, close_at - self.clock.now),
-                           self._close_epoch, record.qid, k)
-        if record.plan.mode == "continuous":
-            self._schedule_epoch(record, k + 1)
-
-    def _advance_standing(self, record, k, t_k):
-        """Epoch boundary for a standing query: build once, then roll."""
-        execution = record.execution
-        if execution is None:
-            execution = StandingExecution(
-                self, record.plan, record.qid, k, t_k, record.origin
-            )
-            record.execution = execution
-            self.executions[(record.qid, k)] = execution
-            execution.start()
-        else:
-            self.executions.pop((record.qid, execution.current_epoch), None)
-            self.executions[(record.qid, k)] = execution
-            execution.advance_epoch(k, t_k)
-
-    def _retire_standing(self, record):
-        """Lifetime reached and the final epoch has settled."""
-        if self.queries.get(record.qid) is record:
-            self.queries.pop(record.qid, None)  # soft-state expiry
-        self._close_standing(record)
-
-    def _close_standing(self, record):
-        execution = record.execution
-        if execution is None:
-            return
-        record.execution = None
-        self.executions.pop((record.qid, execution.current_epoch), None)
-        execution.close()
-        self._forget_route_state("q|{}|".format(record.qid))
-
-    def _close_epoch(self, qid, epoch):
-        execution = self.executions.pop((qid, epoch), None)
-        if execution is not None:
-            execution.close()
-        record = self.queries.get(qid)
-        if record is not None and record.plan.mode != "continuous":
-            record.stopped = True
-            self.queries.pop(qid, None)
+        query = AdoptedQuery(qid, payload["plan"], payload["t0"], payload["origin"])
+        self.queries[qid] = query
+        self._join_shared(query)
 
     # ------------------------------------------------------------------
-    # Shared executions: one grid record, one lifecycle
+    # One grid record per execution, one lifecycle
     # ------------------------------------------------------------------
     def _share_key(self, plan, t0, kind):
         """Sharing identity for a plan at submission time ``t0``.
@@ -479,7 +348,8 @@ class PierEngine:
         therefore pairs the signature with the epoch *phase*
         ``t0 % every`` (in integer milliseconds, so float noise cannot
         split a spine). Plans the planner left unstamped (one-shot,
-        bloom-staged, ``shared=False``) return None and run privately.
+        bloom-staged, ``shared=False``) return None and run under a
+        record of their own.
         """
         sig = plan.metadata.get(kind) if plan.metadata else None
         if sig is None:
@@ -487,56 +357,63 @@ class PierEngine:
         phase_ms = int(round((t0 % plan.every) * 1000))
         return "{}@{}".format(sig, phase_ms)
 
-    def _join_shared(self, record, key):
-        """Enroll an adopted query as a subscriber of spine ``key``.
+    def _join_shared(self, query):
+        """Enroll an adopted query as a subscriber of its grid record:
+        the spine under its share key, else a record keyed by its qid.
 
-        The first subscriber creates the spine record and, when the
-        plan carries a prefix stamp, makes it a member of that stage
-        (created likewise). The grid origin is the phase instant, so
-        grid epoch ``k`` is always ``phase + k * every`` on every node
-        regardless of adoption order; the subscriber's own epochs map
-        onto the grid through its offset.
+        The first subscriber founds the record and, when the plan
+        carries a prefix stamp, makes it a member of that stage
+        (founded likewise). A shared grid's origin is the phase
+        instant, so grid epoch ``k`` is always ``phase + k * every`` on
+        every node regardless of adoption order; the subscriber's own
+        epochs map onto the grid through its offset.
         """
-        plan = record.plan
-        spine = self._shared.get(key)
-        if spine is None:
-            phase = record.t0 % plan.every
-            spine = self._shared[key] = SpineRecord(key, plan, phase)
-            stage_key = self._share_key(plan, record.t0, "prefix")
+        plan = query.plan
+        share_key = self._share_key(plan, query.t0, "spine")
+        rec = self.records.get(share_key or query.qid)
+        if rec is None:
+            rec = found_record(query, share_key)
+            self.records[rec.key] = rec
+            stage_key = self._share_key(plan, query.t0, "prefix")
             if stage_key is not None:
-                stage = self._shared.get(stage_key)
+                stage = self.records.get(stage_key)
                 if stage is None:
-                    stage = self._shared[stage_key] = StageRecord(
-                        stage_key, plan, phase
+                    stage = self.records[stage_key] = StageRecord(
+                        stage_key, plan, rec.t0
                     )
-                stage.subscribers[key] = spine
-                spine.stage = stage
-        offset = int(round((record.t0 - spine.t0) / plan.every))
-        last_epoch = None
-        if plan.lifetime is not None:
-            last_epoch = int(plan.lifetime / plan.every + 1e-9)
-            # The subscriber retires on its own clock; the spine holds
-            # (or closes) only when no subscriber needs the next epoch.
-            retire_at = (record.t0 + plan.lifetime + plan.deadline
-                         + TEARDOWN_SLACK)
-            record.next_epoch_timer = self.set_timer(
+                stage.subscribers[rec.key] = rec
+                rec.stage = stage
+        query.record = rec
+        end = rec.subscribe(query)
+        if end is not None:
+            # The subscriber retires on its own clock, once its last
+            # epoch has settled (a plan refresh landing mid-final-epoch
+            # must hit the duplicate-adoption guard, not found a second
+            # execution over the same namespaces); the record holds (or
+            # closes) only when no subscriber needs the next epoch.
+            retire_at = end + plan.deadline + TEARDOWN_SLACK
+            query.retire_timer = self.set_timer(
                 max(0.0, retire_at - self.clock.now),
-                self._retire_subscriber, record,
+                self._retire_subscriber, query,
             )
-        spine.subscribers[record.qid] = SpineSubscriber(
-            record.qid, record.origin, offset, last_epoch
-        )
-        record.spine = spine
-        if not spine.on_grid:
-            self._enter_grid(spine)
+        if not rec.on_grid:
+            self._enter_grid(rec)
 
     def _enter_grid(self, rec, k_now=None):
         """(Re)enter the grid at the current epoch: a new record, or
         one held past every subscriber's horizon.
 
-        For the common first-subscriber-at-submission case this runs
-        the subscriber's epoch 0, which result fan-out filters, but
-        whose window history gets seeded exactly like a private
+        A late adopter joins the epoch *in progress*: the rendezvous
+        for its epoch-free exchange keys may hash to this very node, so
+        waiting for the next boundary would drop every current-epoch
+        row routed here. Registration replays any early rows buffered
+        under this epoch's tag, and already-due flush timers fire
+        immediately. Only below the record's first epoch is there
+        nothing to build yet, and it waits for that boundary.
+
+        For the common first-subscriber-at-submission case a spine
+        runs the subscriber's epoch 0, which result fan-out filters,
+        but whose window history gets seeded exactly like a private
         adoption would -- by the record's own scan, or by its stage.
 
         Seeding from a stage mirrors a private adoption too: a spine
@@ -553,8 +430,15 @@ class PierEngine:
         if stage is not None and stage.on_grid:
             k_now = stage.execution.current_epoch
         elif k_now is None:
-            elapsed = max(0.0, self.clock.now - rec.t0)
-            k_now = int(elapsed // rec.plan.every)
+            k_now = rec.epoch_at(self.clock.now)
+        first = rec.first_epoch
+        if k_now < first:
+            rec.on_grid = True
+            rec.next_timer = self.set_timer(
+                max(0.0, rec.t_k(first) - self.clock.now),
+                self._on_boundary, rec, first,
+            )
+            return
         if stage is not None and rec.execution is not None:
             # Stage-fed and back after a hold: the waves fanned past
             # its horizon skipped it, so its retained pane state has
@@ -597,31 +481,31 @@ class PierEngine:
         rec.on_grid = last is None or k <= last
         if not rec.on_grid:
             return  # until a joiner re-enters at its current epoch
-        every = rec.plan.every
-        t_k = rec.t0 + k * every
+        t_k = rec.t_k(k)
         if rec.execution is None:
             rec.execution = rec.build(self, k, t_k)
             rec.execution.start()
         else:
             rec.execution.advance_epoch(k, t_k)
-        if rec.stage is None:
+        boundary = rec.next_boundary(k)
+        if boundary is not None:
             rec.next_timer = self.set_timer(
-                max(0.0, t_k + every - self.clock.now),
+                max(0.0, boundary - self.clock.now),
                 self._on_boundary, rec, k + 1,
             )
 
-    def _retire_subscriber(self, record):
-        """A subscriber's lifetime (plus straggler grace) is up."""
-        self.queries.pop(record.qid, None)  # soft-state expiry
-        self._drop_subscriber(record.spine, record.qid)
+    def _retire_subscriber(self, query):
+        """A subscriber's last epoch (plus straggler grace) is over."""
+        self.queries.pop(query.qid, None)  # soft-state expiry
+        self._drop_subscriber(query.record, query.qid)
 
     def _drop_subscriber(self, rec, sub_id):
-        """Leave the shared execution to its co-tenants; the last one
-        out closes it."""
+        """Leave the execution to its co-tenants; the last one out
+        closes it."""
         rec.subscribers.pop(sub_id, None)
         if rec.subscribers:
             return
-        del self._shared[rec.key]
+        del self.records[rec.key]
         if rec.next_timer is not None:
             rec.next_timer.cancel()
         execution, rec.execution = rec.execution, None
@@ -630,26 +514,24 @@ class PierEngine:
         rec.left(self)
 
     def _forget_route_state(self, ns_prefix):
-        """A query, spine or stage is gone for good: reclaim the learned
-        owners and NACK mutes filed under its namespace prefix."""
-        for soft_map in (self._route_owners, self._exchange_mutes):
-            for key in [k for k in soft_map if k[0].startswith(ns_prefix)]:
-                del soft_map[key]
+        """A record is gone for good: reclaim the owners learned under
+        its namespace prefix."""
+        owners = self._route_owners
+        for key in [k for k in owners if k[0].startswith(ns_prefix)]:
+            del owners[key]
 
     def _sweep_soft_maps(self):
-        """Reclaim expired tombstones / mutes / owner-cache entries.
+        """Reclaim expired tombstones / owner-cache entries.
 
         These maps are TTL'd but mostly read by keys that stay hot;
-        entries whose key never comes back (a stopped query's qid, a
-        muted rid never pushed again) would otherwise linger. Swept
-        opportunistically on adoption and stop -- both regular events on
-        a busy engine -- so growth is bounded by the TTLs.
+        entries whose key never comes back (a stopped query's qid)
+        would otherwise linger. Swept opportunistically on adoption and
+        stop -- both regular events on a busy engine -- so growth is
+        bounded by the TTLs.
         """
         now = self.clock.now
         for qid in [q for q, t in self._stop_tombstones.items() if t <= now]:
             del self._stop_tombstones[qid]
-        for key in [k for k, t in self._exchange_mutes.items() if t <= now]:
-            del self._exchange_mutes[key]
         for key in [k for k, e in self._route_owners.items() if e[1] <= now]:
             del self._route_owners[key]
 
@@ -667,21 +549,13 @@ class PierEngine:
         # missed can still have buffered rehashed rows for it.)
         prefix = "q|{}|".format(qid)
         for ns in [n for n in self._undelivered if n.startswith(prefix)]:
-            self._send_nacks(ns)  # authoritative: the query is stopped
             self._drop_undelivered(ns)
-        self._forget_route_state(prefix)
-        record = self.queries.pop(qid, None)
-        if record is None:
+        query = self.queries.pop(qid, None)
+        if query is None:
             return
-        record.stopped = True
-        if record.next_epoch_timer is not None:
-            record.next_epoch_timer.cancel()
-        record.execution = None
-        if record.spine is not None:
-            self._drop_subscriber(record.spine, qid)
-        for (open_qid, epoch) in list(self.executions):
-            if open_qid == qid:
-                self.executions.pop((open_qid, epoch)).close()
+        if query.retire_timer is not None:
+            query.retire_timer.cancel()
+        self._drop_subscriber(query.record, qid)
 
     # ------------------------------------------------------------------
     # Exchange plumbing
@@ -745,7 +619,6 @@ class PierEngine:
             self.dht.register_intercept(combiner.upcall, combiner.handler)
         rows = self._undelivered.pop(ns, ())
         tags = self._undelivered_tags.pop(ns, ())
-        self._undelivered_origins.pop(ns, None)
         self._undelivered_expiry.pop(ns, None)
         if standing:
             # Each run of consecutive rows with equal (epoch, pane) tags
@@ -849,7 +722,6 @@ class PierEngine:
     def _drop_undelivered(self, ns):
         self._undelivered.pop(ns, None)
         self._undelivered_tags.pop(ns, None)
-        self._undelivered_origins.pop(ns, None)
         self._undelivered_expiry.pop(ns, None)
 
     def _on_unclaimed_delivery(self, payload, route_msg):
@@ -858,15 +730,15 @@ class PierEngine:
         # arrives (the broadcast can miss this node, or the query may
         # already be stopping), so the buffer is bounded two ways: each
         # namespace is dropped ``UNDELIVERED_TTL`` after its first early
-        # row, and holds at most ``UNDELIVERED_CAP`` rows. Whenever the
-        # buffer sheds rows it NACKs the exchanges that sent them.
+        # row, and holds at most ``UNDELIVERED_CAP`` rows; what it
+        # sheds is dropped silently (the refresh or a plan pull will
+        # enroll a node that merely missed the broadcast).
         ns = payload["ns"]
         incoming = payload_rows(payload)
         rows = self._undelivered.get(ns)
         if rows is None:
             rows = self._undelivered[ns] = []
             self._undelivered_tags[ns] = []
-            self._undelivered_origins[ns] = {}
             self._undelivered_expiry[ns] = (
                 self.clock.now + UNDELIVERED_TTL
             )
@@ -885,12 +757,6 @@ class PierEngine:
                 # site for the plan directly, once per buffer
                 # generation.
                 self._request_plan(ns, payload.get("qsrc"))
-        origin = getattr(route_msg, "origin", None)
-        rid = payload.get("rid")
-        if origin is not None and rid is not None:
-            self._undelivered_origins[ns].setdefault(
-                origin.address, set()
-            ).add(rid)
         space = UNDELIVERED_CAP - len(rows)
         if space > 0:
             taken = list(incoming[:space])
@@ -898,12 +764,6 @@ class PierEngine:
             self._undelivered_tags[ns].extend(
                 [(payload.get("epoch"), payload.get("pane"))] * len(taken)
             )
-        if len(incoming) > max(space, 0):
-            # Cap overflow: this node is drowning in rows nobody here
-            # subscribes to. NACK the senders -- which only goes out if
-            # the query is tombstoned here (see _send_nacks); a
-            # merely-missed plan keeps dropping silently.
-            self._send_nacks(ns)
 
     def _on_storage_probe(self, ns):
         """A get/lscan probe referenced a continuous query's temp
@@ -943,54 +803,16 @@ class PierEngine:
         if origin and origin != self.address:
             self.dht.direct(origin, {"op": "xplan", "qid": qid})
 
-    def _send_nacks(self, ns):
-        """Tell origin exchanges their rehashes for ``ns`` go nowhere.
-
-        Carries the routing ids observed from each origin, so the
-        sender can mute exactly the keys that hash to this node (it has
-        no other way to know which keys terminate here). Sent at most
-        once per origin per buffer generation.
-
-        Only *authoritative* rejections are sent: the query must carry
-        a stop tombstone here. A node that merely missed the plan
-        broadcast stays silent -- the refresh will enroll it shortly,
-        and muting a live query's keys at the senders would silently
-        hole the answer for the whole mute window (ownership can also
-        move to a healthy subscriber while the mute persists).
-        """
-        qid = ns.split("|")[1] if ns.startswith("q|") else None
-        if qid is None or qid not in self._stop_tombstones:
-            return
-        origins = self._undelivered_origins.get(ns)
-        if not origins:
-            return
-        for address, rids in origins.items():
-            self.dht.direct(address, {
-                "op": "xnack", "ns": ns, "rids": list(rids),
-            })
-        origins.clear()
-
     def _expire_undelivered(self):
         self._undelivered_timer = None
         now = self.clock.now
         for ns in [n for n, t in self._undelivered_expiry.items() if t <= now]:
-            self._send_nacks(ns)
             self._drop_undelivered(ns)
         if self._undelivered_expiry:
             next_deadline = min(self._undelivered_expiry.values())
             self._undelivered_timer = self.set_timer(
                 max(0.0, next_deadline - now), self._expire_undelivered
             )
-
-    def exchange_muted(self, ns, rid):
-        """Has a receiver NACKed this routing key? (checked per push)"""
-        expiry = self._exchange_mutes.get((ns, rid))
-        if expiry is None:
-            return False
-        if expiry <= self.clock.now:
-            del self._exchange_mutes[(ns, rid)]
-            return False
-        return True
 
     def cached_owner(self, ns, rid):
         """Learned terminal owner for a standing exchange key, if fresh."""
@@ -1053,17 +875,6 @@ class PierEngine:
         if not isinstance(payload, dict):
             return
         op = payload.get("op")
-        if op == "xnack":
-            # Mutes only matter while we still run the query: a NACK
-            # straggling in after our own stop-cleanup would otherwise
-            # park an entry nothing ever reads again.
-            ns = payload["ns"]
-            qid = ns.split("|")[1] if ns.startswith("q|") else None
-            if qid in self.queries:
-                expiry = self.clock.now + NACK_MUTE_TTL
-                for rid in payload["rids"]:
-                    self._exchange_mutes[(ns, rid)] = expiry
-            return
         if op == "xowner":
             if payload.get("rid") is not None:
                 ns, rid = payload["ns"], payload["rid"]
@@ -1115,18 +926,15 @@ class PierEngine:
     def on_crash(self):
         """Node failed: all engine state is soft and is dropped."""
         self.fragments = {}
-        self.executions = {}
         self.queries = {}
-        self._shared = {}  # boundary timers die with the crash
+        self.records = {}  # boundary timers die with the crash
         self.exchange_mux = ExchangeMux(self)  # held bundles die too
         self.combiners = {}
         self._undelivered = {}
         self._undelivered_tags = {}
-        self._undelivered_origins = {}
         self._undelivered_expiry = {}
         self._undelivered_timer = None  # node timers die with the crash
         self._stop_tombstones = {}
-        self._exchange_mutes = {}
         self._route_owners = {}
         self._bp_inflow = {}
         self._bp_sent = {}
@@ -1138,6 +946,6 @@ class PierEngine:
             self.coordinator.on_crash()
 
     def __repr__(self):
-        return "PierEngine({!r}, {} queries, {} executions)".format(
-            self.address, len(self.queries), len(self.executions)
+        return "PierEngine({!r}, {} queries, {} records)".format(
+            self.address, len(self.queries), len(self.records)
         )

@@ -28,9 +28,8 @@ instead of k. ``max_batch_rows`` / ``MAX_BATCH_BYTES`` bound how much
 a single message can carry; ``flush_delay = 0`` restores the original
 message-per-row behaviour (the benchmarks' unbatched baseline).
 
-Every payload carries its routing id (``rid``) so a receiver that has
-no subscriber can NACK the sender, muting further rehashes of that key
-toward a node that will only drop them.
+Every payload carries its routing id (``rid``): the terminal owner
+names it when it identifies itself to a learning sender.
 
 Standing continuous plans add two behaviours:
 
@@ -130,13 +129,12 @@ class Exchange(Operator):
         # *above* this exchange): remember the pane announced by the
         # upstream producer and stamp every batch with it, so delivery
         # on the far side can re-announce the pane before the rows land.
-        self._paned = bool(spec.params.get("paned")) and self._standing
+        self._paned = bool(spec.params.get("paned"))
         self._current_pane = None
         # Owner caching only pays off when the routing key is stable
         # across epochs (standing, epoch-free namespaces) and no
         # per-hop combining would be skipped (rehash mode only).
         self._cache_owners = self._standing and self.mode == "rehash"
-        self._muted_fn = engine.exchange_muted
         self._owner_fn = engine.cached_owner
         self._suspect_fn = engine.route_owner_suspect
         self._mid_fn = ctx.dht.fresh_mid
@@ -160,8 +158,7 @@ class Exchange(Operator):
         # at the same instants (one demux fan feeds them all), so
         # same-destination messages coalesce into one deliver_mux.
         self._mux = (
-            engine.exchange_mux
-            if self._standing and ctx.prefix_key is not None else None
+            engine.exchange_mux if ctx.prefix_key is not None else None
         )
         # Pending batches are keyed by epoch tag, then routing id: a
         # standing overlapping-epoch plan can push rows for several
@@ -276,7 +273,7 @@ class Exchange(Operator):
         threshold its later rows route under ``("hot", rid, shard)``.
         Paned edges shard by pane (a pane's whole history must
         accumulate at one owner); unpaned edges round-robin by row
-        count. Delivery, muting, and the final fold are rid-agnostic,
+        count. Delivery and the final fold are rid-agnostic,
         and the coordinator merges the k owners' partial states for
         the group exactly as it merges duplicate owners after churn.
         """
@@ -290,28 +287,19 @@ class Exchange(Operator):
         return ("hot", rid, shard)
 
     def push_batch(self, batch, port=0):
-        """Routing keys evaluate as columns, NACK-muted rows drop at the
-        source, and the rest append into per-(pane, rid) pending
-        buckets under the row/byte caps.
+        """Routing keys evaluate as columns and the rows append into
+        per-(pane, rid) pending buckets under the row/byte caps.
         """
         if len(batch) == 0:
             return
-        # Receivers NACKed these keys: they would only drop the rows.
-        # Filter before anything is counted or allocated.
-        muted_fn = self._muted_fn
-        ns = self._ns
-        live = [(row, rid)
-                for row, rid in zip(batch.rows(), self._batch_key_fn(batch))
-                if not muted_fn(ns, rid)]
-        if not live:
-            return
+        keyed = zip(batch.rows(), self._batch_key_fn(batch))
         epoch = self._active_epoch() if self._standing else None
         pane = self._current_pane if self._paned else None
         if self._adaptive_flush:
-            self._note_arrivals(len(live))
+            self._note_arrivals(len(batch))
         hot = self._hot_threshold and epoch is not None
         if self._flush_delay <= 0:
-            for row, rid in live:
+            for row, rid in keyed:
                 if hot:
                     rid = self._hot_rid(rid, epoch, pane)
                 self._route(rid, [row], epoch, pane)
@@ -320,7 +308,7 @@ class Exchange(Operator):
         pending = self._pending.state(epoch)
         held_rows = pending["rows"]
         held_bytes = pending["bytes"]
-        for row, rid in live:
+        for row, rid in keyed:
             if hot:
                 rid = self._hot_rid(rid, epoch, pane)
             # Batches are keyed by (pane, rid): a pane-tagged exchange
@@ -469,9 +457,7 @@ class Exchange(Operator):
 
     def seal_epoch(self, k):
         # Ship leftovers tagged with the epoch they belong to;
-        # receivers that already sealed it drop them as late, exactly
-        # as the rebuild path's teardown flush landed in closed
-        # executions.
+        # receivers that already sealed it drop them as late.
         self._flush_pending(k)
         if self._hot_threshold:
             self._hot_counts.seal(k)

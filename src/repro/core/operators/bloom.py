@@ -60,8 +60,7 @@ class BloomStage(Operator):
         self.side = spec.params["side"]
         # epoch -> {"filter", "buffered", "released"}
         self._epochs = EpochStateRing(self._fresh_state)
-        self._paned = (bool(spec.params.get("paned"))
-                       and bool(getattr(ctx, "standing", False)))
+        self._paned = bool(spec.params.get("paned"))
         if self._paned:
             geometry = spec.params["paned"]
             self._panes_per_every = geometry["every"]
@@ -72,7 +71,7 @@ class BloomStage(Operator):
             # Older still-open epochs of an overlapping ring release
             # after the newest epoch's flush advanced the window: keep
             # their panes until every epoch that can read them sealed.
-            overlap = plan_live_epochs(getattr(ctx, "plan", None))
+            overlap = plan_live_epochs(ctx.plan)
             self._retain = (overlap - 1) * self._panes_per_every
 
     def _fresh_filter(self):
@@ -82,7 +81,7 @@ class BloomStage(Operator):
         )
 
     def _fresh_state(self):
-        if getattr(self, "_paned", False):
+        if self._paned:
             return {"released": False}
         return {
             "filter": self._fresh_filter(),
@@ -161,9 +160,7 @@ class BloomStage(Operator):
         Delivery is scoped to the epoch the control message is tagged
         with, so under a standing execution the release lands in that
         epoch's buffer even when a newer epoch is already accumulating.
-        A sealed epoch's state is gone -- its late filters are dropped,
-        like the closed execution they would have hit on the rebuild
-        path.
+        A sealed epoch's state is gone -- its late filters are dropped.
         """
         epoch = self._active_epoch()
         state = self._epochs.peek(epoch)

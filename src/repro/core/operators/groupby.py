@@ -206,10 +206,9 @@ class GroupByPartial(Operator):
         self._batch_arg_fns = [
             a.compile_arg_batch(schema) for a in self._agg_specs
         ]
-        self._note = getattr(ctx.engine, "note_rows_aggregated", None)
+        self._note = ctx.engine.note_rows_aggregated
         self._epochs = EpochStateRing(dict)  # epoch -> {gvals: [states]}
-        self._paned = (bool(spec.params.get("paned"))
-                       and bool(getattr(ctx, "standing", False)))
+        self._paned = bool(spec.params.get("paned"))
         self._ship_delta = (self._paned
                             and spec.params.get("paned_ship") == "delta")
         if self._paned:
@@ -262,8 +261,7 @@ class GroupByPartial(Operator):
                 states[i] = spec.agg.add_many(
                     states[i], [col[j] for j in indices]
                 )
-        if self._note is not None:
-            self._note(n)
+        self._note(n)
 
     def _group_states(self, gvals):
         """The mutable state list for one group under the current mode
@@ -347,7 +345,7 @@ class GroupByFinal(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         self._agg_specs = spec.params["agg_specs"]
-        self._note = getattr(ctx.engine, "note_rows_merged", None)
+        self._note = ctx.engine.note_rows_merged
         # epoch -> {"groups", "flushed", "timer"}; sealing an epoch
         # cancels its pending refinement reflush so sealed groups can
         # never leak into a later epoch's result stream.
@@ -355,8 +353,7 @@ class GroupByFinal(Operator):
             lambda: {"groups": {}, "flushed": False, "timer": None},
             on_seal=self._cancel_reflush,
         )
-        self._paned = (bool(spec.params.get("paned"))
-                       and bool(getattr(ctx, "standing", False)))
+        self._paned = bool(spec.params.get("paned"))
         if self._paned:
             geometry = spec.params["paned"]
             self._panes_per_every = geometry["every"]
@@ -364,7 +361,7 @@ class GroupByFinal(Operator):
             self._current_pane = None
             # Older still-open epochs of the ring may reflush after the
             # newest advanced the window: retain their panes.
-            overlap = plan_live_epochs(getattr(ctx, "plan", None))
+            overlap = plan_live_epochs(ctx.plan)
             self._window = PaneWindow(
                 self._agg_specs,
                 retain_panes=(overlap - 1) * self._panes_per_every,
@@ -388,8 +385,7 @@ class GroupByFinal(Operator):
         if not rows:
             return
         epoch = self._active_epoch()
-        if self._note is not None:
-            self._note(len(rows))
+        self._note(len(rows))
         specs = self._agg_specs
         if self._paned:
             pane = self._current_pane

@@ -138,8 +138,7 @@ class FetchMatches(Operator):
         else:
             self._residual = None
         self._dedup = spec.params.get("dedup_keys", False)
-        self._paned = (bool(spec.params.get("paned"))
-                       and bool(getattr(ctx, "standing", False)))
+        self._paned = bool(spec.params.get("paned"))
         self._current_pane = None
         # epoch -> {"cache": {...}, "waiting": {...}}
         self._epochs = EpochStateRing(lambda: {"cache": {}, "waiting": {}})
@@ -193,8 +192,7 @@ class FetchMatches(Operator):
         # The reply lands asynchronously: re-enter the epoch the probe
         # rows were pushed under so downstream state files the joins
         # correctly. A sealed epoch's entry is gone -- its reply finds
-        # no waiting probes and is dropped, matching the closed
-        # execution it would have landed in on the rebuild path.
+        # no waiting probes and is dropped.
         entry = self._epochs.peek(epoch)
         if entry is None:
             return

@@ -72,7 +72,7 @@ class Scan(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         self._standing = ctx.standing
-        self._paned = bool(spec.params.get("paned")) and self._standing
+        self._paned = bool(spec.params.get("paned"))
         # Admission-control sampling: emit only a deterministic
         # hash-sampled fraction of scanned rows. Every row is still
         # *examined* (and charged to rows_scanned) -- sampling sheds
@@ -86,7 +86,7 @@ class Scan(Operator):
         # StandingExecution.deliver_scan; this scan goes passive (no
         # subscription, no per-epoch emission) and only relays injected
         # waves. Examinations are charged once at the stage.
-        self._prefix_fed = self._standing and ctx.prefix_fed
+        self._prefix_fed = ctx.prefix_fed
         self._table_def = None
         self._pending = []  # stream mode: [(ts, row)] not yet aged out
         self._tracked = {}  # dht mode: item key -> StoredItem (by ref)

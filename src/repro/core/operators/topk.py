@@ -66,15 +66,14 @@ class TopK(Operator):
         self._limit = spec.params["limit"]
         self._schema = spec.params["schema"]
         self._replay = spec.params.get("replay", False)
-        self._note = getattr(ctx.engine, "note_rows_aggregated", None)
+        self._note = ctx.engine.note_rows_aggregated
         # epoch -> {"rows", "flushed", "timer"}; sealing cancels the
         # epoch's pending replay reflush with its state.
         self._epochs = EpochStateRing(
             lambda: {"rows": [], "flushed": False, "timer": None},
             on_seal=self._cancel_reflush,
         )
-        self._paned = (bool(spec.params.get("paned"))
-                       and bool(getattr(ctx, "standing", False)))
+        self._paned = bool(spec.params.get("paned"))
         if self._paned:
             geometry = spec.params["paned"]
             self._panes_per_every = geometry["every"]
@@ -97,8 +96,7 @@ class TopK(Operator):
         n = len(batch)
         if n == 0:
             return
-        if self._note is not None:
-            self._note(n)
+        self._note(n)
         rows = batch.rows()
         if self._paned:
             self._panes.setdefault(self._current_pane, []).extend(rows)

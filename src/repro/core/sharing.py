@@ -1,22 +1,36 @@
-"""Shared standing executions: one grid record, two ways to build it.
+"""Grid records: the one lifecycle every adopted query goes through.
 
-Standing queries that the *logical* plan proved alike (see
-:mod:`repro.core.logical`) run on shared executions. Every shared
-execution is one :class:`GridRecord` in ``PierEngine._shared`` and goes
-through one lifecycle there -- join, advance (build once, then roll;
-hold the grid when no subscriber needs the epoch), drop a subscriber,
-close. The two kinds differ only in what this module says:
+A node's job per query is adopt, run on timers, forget. It does that
+job once: every adopted query subscribes to one :class:`GridRecord` in
+``PierEngine.records``, and the engine drives every record through the
+same steps -- join, enter the grid, boundary, advance (build once, then
+roll; hold the grid when no subscriber needs the epoch), retire a
+subscriber, close when the last one left. The engine never asks what
+kind of record it holds; the kinds differ only in what this module
+says:
 
 * :class:`SpineRecord` -- whole-dataflow sharing. Queries whose plans
-  canonicalize identically (same ``share_signature``) and whose epochs
-  are in phase (same ``t0 % every``) run as ONE
+  canonicalize identically (same ``share_signature``, see
+  :mod:`repro.core.logical`) and whose epochs are in phase (same
+  ``t0 % every``) run as ONE
   :class:`~repro.core.dataflow.StandingExecution` of the member plan
   under a :class:`~repro.core.dataflow.SharedQueryContext`; each query
-  is a :class:`SpineSubscriber` carrying only its identity (qid,
-  origin) and its epoch *offset* on the grid. The result operator fans
-  each epoch's rows to every subscriber whose window it answers,
-  translated to that subscriber's own epoch number -- the coordinator
-  cannot tell shared from private answers.
+  only adds its identity (qid, origin) and its epoch *offset* on the
+  grid. The result operator fans each epoch's rows to every subscriber
+  whose window it answers, translated to that subscriber's own epoch
+  number -- the coordinator cannot tell shared from private answers.
+
+* :class:`PrivateRecord` -- a continuous plan the planner left
+  unstamped (bloom-staged, ``{"shared": False}``): key = qid, grid
+  origin = the query's own ``t0``, one subscriber at offset 0, and the
+  reference dataflow -- a private ``StandingExecution`` under ``q|``
+  namespaces with its own scan. Nobody reads the submission-instant
+  epoch, so its first epoch is 1.
+
+* :class:`OneEpochRecord` -- one-shot and recursive plans: a private
+  record whose grid is the single instant ``t0``. Epoch 0 is the only
+  epoch, there is no next boundary, and the execution is a disposable
+  :class:`~repro.core.dataflow.EpochExecution`.
 
 * :class:`StageRecord` -- common-subplan sharing. Spines whose plans
   *differ* (predicates, groups, output shapes) but scan the same
@@ -28,73 +42,83 @@ close. The two kinds differ only in what this module says:
   an execution that has already opened the epoch. A spine no stage
   feeds (join plans, DHT and local scans) keeps its own timer.
 
-Grid epochs are ABSOLUTE: the origin is ``phase = t0 % every``, so
-epoch ``k`` means instant ``phase + k * every`` on every node whenever
-the plan broadcast arrived. A query submitted at ``t0`` sits at
-``offset = (t0 - phase) / every`` (an exact integer by construction)
+Shared grid epochs are ABSOLUTE: the origin is ``phase = t0 % every``,
+so epoch ``k`` means instant ``phase + k * every`` on every node
+whenever the plan broadcast arrived. A query submitted at ``t0`` sits
+at ``offset = (t0 - phase) / every`` (an exact integer by construction)
 and its own epoch ``j`` is grid epoch ``offset + j``. Stages and their
 members share the phase, so a stage epoch IS the member's epoch.
 
 Soft-state discipline matches the rest of the engine: a crash wipes
-every record; standing queries that still matter are re-adopted from
-their coordinator's re-broadcast and re-form spine and stage from
-scratch.
+every record; queries that still matter are re-adopted from their
+coordinator's re-broadcast and re-form their records from scratch.
 """
 
-from repro.core.dataflow import StandingExecution
+from repro.core.dataflow import EpochExecution, StandingExecution
 from repro.core.opgraph import OpSpec, QueryPlan
 
 
-class SpineSubscriber:
-    """One query riding a spine: identity + epoch-grid placement."""
-
-    __slots__ = ("qid", "origin", "offset", "last_epoch")
-
-    def __init__(self, qid, origin, offset, last_epoch):
-        self.qid = qid
-        self.origin = origin
-        self.offset = offset  # spine epoch k answers my epoch k - offset
-        self.last_epoch = last_epoch  # my last epoch (None = unbounded)
+def found_record(query, share_key):
+    """The record ``query`` founds when none it could join runs here
+    yet: a spine under its share key, else a record of its own."""
+    plan = query.plan
+    if share_key is not None:
+        return SpineRecord(share_key, plan, query.t0 % plan.every)
+    if plan.mode == "continuous":
+        return PrivateRecord(query.qid, plan, query.t0)
+    return OneEpochRecord(query.qid, plan, query.t0)
 
 
 class GridRecord:
-    """One shared execution on the absolute epoch grid (``t0`` = phase)
-    and the subscribers that still need it."""
+    """One execution on an epoch grid (epoch ``k`` is the instant
+    ``t0 + k * every``) and the subscribers that still need it."""
 
     __slots__ = ("key", "plan", "t0", "subscribers", "execution",
                  "next_timer", "on_grid", "stage")
 
+    #: The first epoch worth building. Below it the record only arms
+    #: its boundary timer. A spine's is its first subscriber's epoch 0
+    #: (fan-out drops that answer; ROADMAP 1(d)).
+    first_epoch = 0
+
     def __init__(self, key, plan, t0):
         self.key = key
         self.plan = plan
-        self.t0 = t0  # = phase: absolute instant of grid epoch 0
+        self.t0 = t0  # absolute instant of grid epoch 0
         self.subscribers = {}  # what keeps this execution alive
         self.execution = None
         self.next_timer = None  # own boundary timer (``stage is None``)
-        # Advancing with the grid? False before the first build and
-        # while held past every subscriber's horizon; a joiner then
-        # re-enters at the current epoch.
+        # Advancing with the grid? False before entry and while held
+        # past every subscriber's horizon; a joiner then re-enters at
+        # the current epoch.
         self.on_grid = False
         self.stage = None  # the StageRecord feeding (and advancing) us
 
-    def members(self):
-        """Records advanced at this record's boundary, before it."""
-        return ()
+    def epoch_at(self, now):
+        """The grid epoch in progress at ``now``."""
+        return int(max(0.0, now - self.t0) // self.plan.every)
 
-    def left(self, engine):
-        """The record closed: settle what it held outside itself."""
+    def t_k(self, k):
+        return self.t0 + k * self.plan.every
 
+    def next_boundary(self, k):
+        """When this record's own timer opens epoch ``k + 1``; None when
+        its stage advances it instead."""
+        if self.stage is not None:
+            return None
+        return self.t_k(k) + self.plan.every
 
-class SpineRecord(GridRecord):
-    """The member plan run once for every subscribed query."""
-
-    __slots__ = ("needs_backfill",)
-
-    def __init__(self, key, plan, t0):
-        super().__init__(key, plan, t0)
-        # Set when this spine joins a stage whose retained panes its
-        # next window still covers; the demux injects them once.
-        self.needs_backfill = False
+    def subscribe(self, query):
+        """Place ``query`` on this grid. Returns the instant its last
+        epoch's window ends (None: no LIFETIME); the engine retires it
+        a deadline and straggler grace later."""
+        plan = query.plan
+        query.offset = int(round((query.t0 - self.t0) / plan.every))
+        self.subscribers[query.qid] = query
+        if plan.lifetime is None:
+            return None
+        query.last_epoch = int(plan.lifetime / plan.every + 1e-9)
+        return query.t0 + plan.lifetime
 
     def last_needed_epoch(self):
         """Last grid epoch any subscriber still needs, or None if one
@@ -105,6 +129,26 @@ class SpineRecord(GridRecord):
                 return None
             last = max(last, sub.offset + sub.last_epoch)
         return last
+
+    def members(self):
+        """Records advanced at this record's boundary, before it."""
+        return ()
+
+    def left(self, engine):
+        """The record closed: settle what it held outside itself."""
+
+
+class SpineRecord(GridRecord):
+    """The member plan run once for every subscribed query (``t0`` is
+    the phase, so co-tenants on every node agree on epoch numbers)."""
+
+    __slots__ = ("needs_backfill",)
+
+    def __init__(self, key, plan, t0):
+        super().__init__(key, plan, t0)
+        # Set when this spine joins a stage whose retained panes its
+        # next window still covers; the demux injects them once.
+        self.needs_backfill = False
 
     def rep_qid(self):
         """A live subscriber's qid for plan-pull provenance (any will
@@ -124,6 +168,49 @@ class SpineRecord(GridRecord):
         engine._forget_route_state("s|{}|".format(self.key))
         if self.stage is not None:
             engine._drop_subscriber(self.stage, self.key)
+
+
+class PrivateRecord(GridRecord):
+    """One query's own standing execution: the reference dataflow."""
+
+    __slots__ = ()
+
+    first_epoch = 1
+
+    def build(self, engine, k, t_k):
+        (query,) = self.subscribers.values()
+        return StandingExecution(
+            engine, self.plan, self.key, k, t_k, query.origin
+        )
+
+    def left(self, engine):
+        engine._forget_route_state("q|{}|".format(self.key))
+
+
+class OneEpochRecord(GridRecord):
+    """A plan with no period: epoch 0 at ``t0`` is all there is."""
+
+    __slots__ = ()
+
+    def epoch_at(self, now):
+        return 0
+
+    def t_k(self, k):
+        return self.t0
+
+    def next_boundary(self, k):
+        return None
+
+    def subscribe(self, query):
+        query.last_epoch = 0
+        self.subscribers[query.qid] = query
+        return query.t0
+
+    def build(self, engine, k, t_k):
+        (query,) = self.subscribers.values()
+        return EpochExecution(
+            engine, self.plan, self.key, k, t_k, query.origin
+        )
 
 
 class StageRecord(GridRecord):

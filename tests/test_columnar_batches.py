@@ -926,21 +926,16 @@ class TestBloomStageParity:
 # Exchange: chunking never changes the shipped messages
 # ----------------------------------------------------------------------
 class TestExchangeChunkingInvariance:
-    def _exchange(self, sent, flush_delay=5.0, key=None, muted=None,
-                  adaptive=False):
+    def _exchange(self, sent, flush_delay=5.0, key=None):
         from repro.core.engine import EngineConfig
 
         engine = make_engine(EngineConfig(
             flush_delay=flush_delay, max_batch_rows=4,
-            adaptive_flush=adaptive,
         ), routed=sent)
-        exchange = make_exchange(
+        return make_exchange(
             engine, standing=False,
             key=key or {"kind": "exprs", "exprs": [col("s")],
                         "schema": SCHEMA})
-        for rid in muted or ():  # as if a receiver had NACKed these keys
-            engine._exchange_mutes[(exchange._ns, rid)] = float("inf")
-        return exchange
 
     @staticmethod
     def _normalize(sent):
@@ -950,22 +945,19 @@ class TestExchangeChunkingInvariance:
             for key, payload in sent
         ]
 
-    @pytest.mark.parametrize("muted", [None, {("x",), ("",)}])
     @pytest.mark.parametrize("n", SIZES)
-    def test_chunking_ships_identical_messages(self, n, muted):
+    def test_chunking_ships_identical_messages(self, n):
         rows = random_rows(random.Random(700 + n), n)
         sent_one_by_one, sent_batched = [], []
-        one_by_one = self._exchange(sent_one_by_one, muted=muted)
+        one_by_one = self._exchange(sent_one_by_one)
         for row in rows:
             one_by_one.push(row)
         one_by_one.flush()
-        batched = self._exchange(sent_batched, muted=muted)
+        batched = self._exchange(sent_batched)
         batched.push_batch(RowBatch.from_rows(rows, SCHEMA))
         batched.flush()
         assert (self._normalize(sent_one_by_one)
                 == self._normalize(sent_batched))
-        if muted:
-            assert all(p["rid"] not in muted for _k, p in sent_batched)
 
     def test_columnar_wire_shape_decodes(self):
         rows = [(1, 2, "x"), (3, 4, "y"), (5, 6, "x")]
@@ -1001,23 +993,3 @@ class TestExchangeChunkingInvariance:
         exchange.push_batch(RowBatch.from_rows(rows, SCHEMA))
         assert [p["op"] for _k, p in sent] == ["deliver", "deliver"]
         assert [p["data"] for _k, p in sent] == rows
-
-    def test_all_muted_batch_touches_nothing(self):
-        # Muted rows are filtered before anything is counted or
-        # allocated: no pending state, no flush timer, no arrivals
-        # folded into the adaptive-flush rate.
-        sent = []
-        exchange = self._exchange(sent, muted={("x",), ("y",)},
-                                  adaptive=True)
-        exchange.push_batch(RowBatch.from_rows(
-            [(1, 2, "x"), (3, 4, "y"), (5, 6, "x")], SCHEMA))
-        assert len(exchange._pending) == 0
-        assert exchange._timer is None and exchange.ctx.dht.timers == 0
-        assert exchange._rate_count == 0
-        exchange.flush()
-        assert sent == []
-        # A partly muted batch counts only the rows that survive.
-        exchange.push_batch(RowBatch.from_rows(
-            [(1, 2, "x"), (3, 4, "z")], SCHEMA))
-        assert exchange._rate_count == 1
-        assert len(exchange._pending) == 1

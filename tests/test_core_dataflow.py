@@ -19,14 +19,14 @@ class TestWiring:
         plan = net.compile_sql("SELECT v FROM t WHERE v > 1")
         handle = net.submit_plan(plan)
         net.advance(0.5)
-        execution = net.node("node0").engine.executions[(handle.qid, 0)]
+        execution = net.node("node0").engine.queries[handle.qid].execution
         assert set(execution.ops) == set(plan.specs)
 
     def test_consumers_wired_per_plan(self, net):
         plan = net.compile_sql("SELECT v FROM t WHERE v > 1")
         handle = net.submit_plan(plan)
         net.advance(0.5)
-        execution = net.node("node0").engine.executions[(handle.qid, 0)]
+        execution = net.node("node0").engine.queries[handle.qid].execution
         for op_id, spec in plan.specs.items():
             produced_to = [
                 (c_id, port) for c_id, port in plan.consumers_of(op_id)
@@ -62,7 +62,7 @@ class TestLifecycle:
         plan = net.compile_sql("SELECT SUM(v) AS s FROM t")
         handle = net.submit_plan(plan)
         net.advance(0.5)
-        execution = net.node("node1").engine.executions[(handle.qid, 0)]
+        execution = net.node("node1").engine.queries[handle.qid].execution
         assert execution._flush_timers
         execution.close()
         assert execution.closed
@@ -74,7 +74,7 @@ class TestLifecycle:
         plan = net.compile_sql("SELECT v FROM t")
         handle = net.submit_plan(plan)
         net.advance(0.5)
-        execution = net.node("node0").engine.executions[(handle.qid, 0)]
+        execution = net.node("node0").engine.queries[handle.qid].execution
         execution.close()
         execution.close()
 
@@ -83,7 +83,7 @@ class TestLifecycle:
         handle = net.submit_plan(plan)
         net.advance(0.5)
         engine = net.node("node2").engine
-        execution = engine.executions[(handle.qid, 0)]
+        execution = engine.queries[handle.qid].execution
         chord = net.node("node2").chord
         assert chord._delivery_handlers  # exchange input registered
         execution.close()
@@ -154,7 +154,7 @@ class TestLifecycle:
         plan = net.compile_sql("SELECT SUM(v) AS s FROM t")
         handle = net.submit_plan(plan)
         net.advance(0.5)
-        execution = net.node("node0").engine.executions[(handle.qid, 0)]
+        execution = net.node("node0").engine.queries[handle.qid].execution
         ns = execution.ctx.namespace("opX", 1)
         assert handle.qid in ns and "opX" in ns and ns.endswith("|1")
         upcall = execution.ctx.upcall_name("opX", 1)

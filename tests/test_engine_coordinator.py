@@ -54,9 +54,7 @@ class TestPlanAdoption:
         net.advance(handle.plan.deadline + 5)
         for a in net.addresses():
             assert handle.qid not in net.node(a).engine.queries
-            assert not any(
-                qid == handle.qid for (qid, _e) in net.node(a).engine.executions
-            )
+            assert not net.node(a).engine.records
 
     def test_duplicate_broadcast_ignored(self, net):
         handle = net.submit_sql("SELECT SUM(v) AS s FROM t")
@@ -91,7 +89,7 @@ class TestEngineCrash:
         net.crash_node("node5")
         assert victim.engine.queries == {}
         assert victim.engine.fragments == {}
-        assert victim.engine.executions == {}
+        assert victim.engine.records == {}
 
     def test_coordinator_crash_kills_its_queries(self, net):
         handle = net.submit_sql("SELECT SUM(v) AS s FROM t", node="node0")

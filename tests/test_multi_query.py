@@ -38,11 +38,11 @@ def net():
 
 
 def spines(engine):
-    return [r for r in engine._shared.values() if isinstance(r, SpineRecord)]
+    return [r for r in engine.records.values() if isinstance(r, SpineRecord)]
 
 
 def stages(engine):
-    return [r for r in engine._shared.values() if isinstance(r, StageRecord)]
+    return [r for r in engine.records.values() if isinstance(r, StageRecord)]
 
 
 def append_hooks(engine, table="s"):
@@ -193,8 +193,8 @@ class TestSpineRuntime:
         net.advance(12.0)
         engine = net.node(site).engine
         assert len(spines(engine)) == 2
-        assert (engine.queries[fleet.qid].spine
-                is not engine.queries[control.qid].spine)
+        assert (engine.queries[fleet.qid].record
+                is not engine.queries[control.qid].record)
         # Two geometries, two scans: each hooks the table itself.
         assert append_hooks(engine) == 2
         net.advance(40.0 + control.plan.deadline + 5.0 - 12.0)
@@ -235,7 +235,7 @@ class TestSpineRuntime:
         net.advance(2.0)
         for address in net.addresses():
             eng = net.node(address).engine
-            assert not eng._shared
+            assert not eng.records
             assert append_hooks(eng) == 0
 
     def test_staggered_submission_joins_by_epoch_phase(self, net):
@@ -247,14 +247,14 @@ class TestSpineRuntime:
         net.advance(10.0)  # exactly one period: same phase
         second = net.submit_sql(VARIANTS[1], node=site)
         engine = net.node(site).engine
-        assert engine.queries[first.qid].spine is engine.queries[second.qid].spine
-        sub = engine.queries[second.qid].spine
+        assert engine.queries[first.qid].record is engine.queries[second.qid].record
+        sub = engine.queries[second.qid].record
         assert sub.subscribers[second.qid].offset == 1
         assert sub.subscribers[first.qid].offset == 0
         net.advance(3.3)  # mid-period: different phase
         third = net.submit_sql(VARIANTS[2], node=site)
-        assert (engine.queries[third.qid].spine
-                is not engine.queries[first.qid].spine)
+        assert (engine.queries[third.qid].record
+                is not engine.queries[first.qid].record)
         assert len(spines(engine)) == 2
 
 
@@ -416,7 +416,7 @@ class TestPrefixStageRuntime:
         net.advance(2.0)
         for address in net.addresses():
             eng = net.node(address).engine
-            assert not eng._shared
+            assert not eng.records
             assert append_hooks(eng) == 0
 
     def test_staggered_join_lands_on_the_running_stage(self, net):
@@ -449,7 +449,10 @@ class TestPrefixStageRuntime:
         assert handle.plan.metadata.get("prefix") is None
         net.advance(20.0 + handle.plan.deadline + 2.0)
         for address in net.addresses():
-            assert not net.node(address).engine._shared
+            engine = net.node(address).engine
+            (record,) = engine.records.values()  # its own, keyed by qid
+            assert record is engine.queries[handle.qid].record
+            assert not spines(engine) and not stages(engine)
         assert {r.epoch for r in results} >= {1, 2}
 
 
@@ -579,8 +582,7 @@ class TestOneLifecycle:
         seen = [len(results) for results in outs]
         for address in net.addresses():
             engine = net.node(address).engine
-            assert not engine._shared
-            assert not engine.executions
+            assert not engine.records
             assert timers[address].cancelled
             assert append_hooks(engine) == 0
         net.advance(25.0)
@@ -594,7 +596,7 @@ class TestOneLifecycle:
         net.advance(15.0)
         before = {m.key for m in stages(net.node(victim).engine)[0].members()}
         net.crash_node(victim)
-        assert not net.node(victim).engine._shared
+        assert not net.node(victim).engine.records
         net.advance(10.0)
         net.recover_node(victim)
         install_ticker(net, victim, 9.0)

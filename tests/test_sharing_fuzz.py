@@ -22,6 +22,16 @@ Comparison discipline:
   scope -- but both legs must keep answering;
 * queries stopped early compare the epochs flushed before the stop.
 
+Both legs run on one scheduler, so a boundary or window bug common to
+both would cancel out of that comparison. Crash-free trials therefore
+also check each leg against *ground truth*: the tickers log every
+``(timestamp, node, v)`` they append, and every reported epoch of every
+never-stopped query must equal a plain-Python recomputation of its
+aggregate over ``v > thr`` in ``(t_k - window, t_k]``. An epoch with a
+qualifying row stamped within a microsecond of either window edge is
+left out of that check (not tie-broken): whether such a row makes the
+wave depends on which same-instant event fired first on each node.
+
 Every assertion is stamped with the trial seed; a failing seed is also
 appended to ``tests/fuzz_failures/sharing_fuzz.txt`` (uploaded as a CI
 artifact) so the exact trial can be replayed with::
@@ -54,6 +64,13 @@ FORMS = (
     "SELECT COUNT(*) AS n FROM s WHERE v > {thr}",
     "SELECT MAX(v) AS top, COUNT(*) AS n FROM s WHERE v > {thr}",
 )
+# The same three select lists over the qualifying values, in Python.
+TRUTH = (
+    lambda vs: (sum(vs), len(vs)),
+    lambda vs: (len(vs),),
+    lambda vs: (max(vs), len(vs)),
+)
+EDGE_TIE = 1e-6  # a row this close to a window edge is a same-instant race
 TAIL = " EVERY {e} SECONDS WINDOW {w} SECONDS LIFETIME {life} SECONDS"
 PRIVATE = {"shared": False}  # the ablation leg: every plan unstamped
 
@@ -127,13 +144,15 @@ def _sql(schedule, q):
     )
 
 
-def _install_ticker(net, address, base, period):
+def _install_ticker(net, address, base, period, log):
     step = [0]
 
     def tick():
         engine = net.node(address).engine
         step[0] += 1
-        engine.stream_append("s", (base + (step[0] % 4),))
+        v = base + (step[0] % 4)
+        engine.stream_append("s", (v,))
+        log.append((engine.clock.now, address, v))
         engine.set_timer(period, tick)
 
     net.node(address).engine.set_timer(0.1, tick)
@@ -153,8 +172,9 @@ def run_leg(schedule, shared):
         "s", [("v", "FLOAT")], window=2 * retention + schedule["every"]
     )
     addresses = net.addresses()
+    appended = []  # (timestamp, node, v) of every row, for ground truth
     for i, address in enumerate(addresses):
-        _install_ticker(net, address, float(i), schedule["tick"])
+        _install_ticker(net, address, float(i), schedule["tick"], appended)
     site = addresses[0]
 
     events = []
@@ -194,7 +214,7 @@ def run_leg(schedule, shared):
         elif kind == "recover":
             net.recover_node(addresses[arg])
             _install_ticker(net, addresses[arg], float(arg),
-                            schedule["tick"])
+                            schedule["tick"], appended)
 
     end = max(q["submit_at"] for q in schedule["queries"]) \
         + schedule["lifetime"] + deadline + 3.0
@@ -208,6 +228,8 @@ def run_leg(schedule, shared):
             for i in range(len(schedule["queries"]))
         ],
         "deadline": deadline,
+        "t0": [handles[i].t0 for i in range(len(schedule["queries"]))],
+        "appended": appended,
         "rows_scanned": sum(
             n.engine.rows_scanned for n in net.nodes.values()
         ),
@@ -282,6 +304,36 @@ def compare_legs(schedule, shared, ablation):
     )
 
 
+def check_ground_truth(schedule, leg, name):
+    """Every reported epoch of every never-stopped query on ``leg``
+    against a recomputation from the tickers' own log."""
+    seed = schedule["seed"]
+    checked = 0
+    for i, q in enumerate(schedule["queries"]):
+        if q["stop_at"] is not None:
+            continue
+        passing = [(ts, v) for ts, _node, v in leg["appended"]
+                   if v > q["thr"]]
+        for k, rows in leg["per_query"][i].items():
+            hi = leg["t0"][i] + k * schedule["every"]
+            lo = hi - q["window"]
+            if any(min(abs(ts - lo), abs(ts - hi)) < EDGE_TIE
+                   for ts, _v in passing):
+                continue
+            vs = [v for ts, v in passing if lo < ts <= hi]
+            # No qualifying row anywhere: no partial, so no answer row.
+            want = [TRUTH[q["form"]](vs)] if vs else []
+            assert _rows_match(rows, want), (
+                "seed {}: query {} epoch {} on the {} leg is {!r}, ground "
+                "truth {!r}".format(seed, i, k, name, rows, want)
+            )
+            checked += 1
+    assert checked > 0, (
+        "seed {}: no epoch clear of window-edge ties".format(seed)
+    )
+    return checked
+
+
 def _record_failure(seed, exc):
     FAILURES.parent.mkdir(parents=True, exist_ok=True)
     with FAILURES.open("a", encoding="utf-8") as fh:
@@ -298,6 +350,9 @@ def _run_trial(seed):
         shared = run_leg(schedule, shared=True)
         ablation = run_leg(schedule, shared=False)
         compare_legs(schedule, shared, ablation)
+        if not schedule["crashes"]:
+            check_ground_truth(schedule, shared, "shared")
+            check_ground_truth(schedule, ablation, "ablation")
     except AssertionError as exc:
         _record_failure(seed, exc)
         raise

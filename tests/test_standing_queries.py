@@ -1,17 +1,18 @@
 """Standing continuous queries: long-lived executions, subscriptions,
-epoch tags, stop tombstones, and NACKed early rows."""
+epoch tags, stop tombstones, and the one adopt/run/forget lifecycle."""
 
 import pytest
 from stubs import make_engine, make_exchange
 
+from repro.core.dataflow import EpochExecution
 from repro.core.engine import (
-    NACK_MUTE_TTL,
     STOP_TOMBSTONE_TTL,
-    UNDELIVERED_TTL,
+    TEARDOWN_SLACK,
     EngineConfig,
 )
 from repro.core.exchange import epoch_route_ns
 from repro.core.network import PierNetwork
+from repro.core.sharing import SpineRecord
 from repro.dht.chord import NodeRef, node_id_for, storage_key
 
 
@@ -93,18 +94,18 @@ class TestStandingLifecycle:
         first = record.execution
         assert first is not None
         # The plan is shareable, so the execution lives on a spine; the
-        # record points at the spine's one standing execution.
-        assert record.spine is not None
-        assert record.spine.execution is first
+        # query reads through to the spine's one standing execution.
+        assert isinstance(record.record, SpineRecord)
+        assert record.record.execution is first
         net.advance(10)  # inside epoch 2
         assert engine.queries[handle.qid].execution is first
-        assert record.spine.execution is first
+        assert record.record.execution is first
 
     def test_delivery_registered_once_per_query(self, net):
         handle = net.submit_sql(CONTINUOUS_SQL)
         net.advance(12)
         engine = net.node(net.addresses()[2]).engine
-        spine_key = engine.queries[handle.qid].spine.key
+        spine_key = engine.queries[handle.qid].record.key
         chord = net.node(net.addresses()[2]).chord
         prefix = "s|{}|".format(spine_key)
         standing_ns = [
@@ -154,7 +155,7 @@ class TestStandingLifecycle:
         for address in net.addresses():
             engine = net.node(address).engine
             assert handle.qid not in engine.queries
-            assert not any(qid == handle.qid for qid, _e in engine.executions)
+            assert not engine.records
             chord = net.node(address).chord
             assert not any(handle.qid in ns for ns in chord._delivery_handlers)
 
@@ -307,9 +308,7 @@ class TestStopTombstone:
         })
         assert handle.qid not in engine.queries  # tombstoned
         net.advance(30)
-        assert not any(
-            qid == handle.qid for qid, _e in engine.executions
-        )
+        assert not engine.records
 
     def test_tombstone_expires(self, net):
         engine = net.node(net.addresses()[2]).engine
@@ -326,72 +325,113 @@ class TestStopTombstone:
         engine._stop_query("ghost#1")
 
 
-class TestNack:
-    def _route_msg_from(self, address):
-        class Msg:
-            origin = NodeRef(node_id_for(address), address)
+PRIVATE = {"shared": False}
+BLOOM_JOIN = "SELECT r.v AS v, s2.w AS w FROM r, s2 WHERE r.k = s2.k"
 
-        return Msg()
 
-    def test_stop_nacks_buffered_namespaces(self, net):
-        sender = net.node(net.addresses()[0]).engine
-        receiver = net.node(net.addresses()[5]).engine
-        # The sender missed the stop broadcast and still runs the query
-        # (that is exactly who the NACK exists for); mutes for queries a
-        # sender does not run are dropped as useless.
-        sender.queries["dead#9"] = object()
-        ns = "q|dead#9|op3|0"
-        receiver._on_unclaimed_delivery(
-            {"ns": ns, "rid": ("k",), "rows": [(1,), (2,)], "epoch": 3},
-            self._route_msg_from(sender.address),
+class TestOneLifecyclePerQuery:
+    """Stamped, private and one-shot plans go through one lifecycle;
+    ``engine.queries[qid].execution`` is the one way to their dataflow."""
+
+    def test_private_and_shared_twins_retire_at_one_instant(self, net):
+        # LIFETIME is not a multiple of EVERY: both retire a deadline
+        # and the teardown slack after t0 + LIFETIME, not after the
+        # last boundary before it.
+        sql = CONTINUOUS_SQL.replace("LIFETIME 40", "LIFETIME 45")
+        shared = net.submit_sql(sql)
+        private = net.submit_sql(sql, options=PRIVATE)
+        retire_at = shared.t0 + 45 + shared.plan.deadline + TEARDOWN_SLACK
+        net.advance(retire_at - 1.0 - net.now)  # past 40 + deadline + slack
+        for address in net.addresses():
+            queries = net.node(address).engine.queries
+            assert shared.qid in queries and private.qid in queries
+        net.advance(1.5)
+        for address in net.addresses():
+            engine = net.node(address).engine
+            assert not engine.queries and not engine.records
+
+    @pytest.mark.parametrize("options", [None, PRIVATE])
+    def test_stop_before_first_boundary_leaves_nothing(self, net, options):
+        handle = net.submit_sql(CONTINUOUS_SQL, options=options)
+        net.advance(2)  # adopted everywhere, still inside epoch 0
+        held = {}
+        for address in net.addresses():
+            query = net.node(address).engine.queries[handle.qid]
+            ticking = query.record.stage or query.record  # owns the timer
+            held[address] = (ticking.next_timer, query.execution)
+        handle.stop()
+        net.advance(3)
+        for address, (timer, execution) in held.items():
+            node = net.node(address)
+            assert handle.qid not in node.engine.queries
+            assert not node.engine.records
+            assert timer.cancelled
+            assert execution is None or execution.closed
+            assert not node.engine.fragment("s")._hooks
+            assert not node.chord._delivery_handlers
+
+    @pytest.mark.parametrize("options", [None, PRIVATE])
+    def test_plan_adopted_after_its_last_epoch_builds_nothing(self, net,
+                                                              options):
+        plan = net.compile_sql(CONTINUOUS_SQL, options=options)
+        engine = net.node(net.addresses()[2]).engine
+        net.advance(55)
+        # A refresh that took 50.5 s: past the last epoch (t0 + 40) but
+        # inside its settling time, so the guard record lingers.
+        engine._adopt_query({
+            "qid": "late#1", "plan": plan, "t0": net.now - 50.5,
+            "origin": net.addresses()[0],
+        })
+        query = engine.queries["late#1"]
+        assert query.execution is None and not query.record.on_grid
+        assert query.record.next_timer is None
+        net.advance(plan.deadline + TEARDOWN_SLACK)
+        assert not engine.queries and not engine.records
+
+    def _bloom_net(self):
+        n = PierNetwork(nodes=8, seed=5)
+        n.create_local_table("r", [("k", "INT"), ("v", "INT")])
+        n.create_local_table("s2", [("k", "INT"), ("w", "INT")])
+        for i, address in enumerate(n.addresses()):
+            n.insert(address, "r", [(i % 4, i)])
+            n.insert(address, "s2", [(i % 4, 100 + i)])
+        return n
+
+    def _control_epochs(self, engine, handle, epoch):
+        """Hand ``engine`` a merged-filter broadcast for ``epoch``; the
+        epochs its execution's ``control`` was called with."""
+        execution = engine.queries[handle.qid].execution
+        seen = []
+        execution.control = lambda op_id, payload, k: seen.append(k)
+        engine._on_broadcast({
+            "ctl": "bloom", "qid": handle.qid, "epoch": epoch,
+            "op_id": "bloom:op1", "filters": {},
+        }, None, 0)
+        return seen
+
+    def test_bloom_control_reaches_an_older_open_epoch(self):
+        net = self._bloom_net()
+        handle = net.submit_sql(
+            BLOOM_JOIN + " EVERY 5 SECONDS LIFETIME 30 SECONDS",
+            options={"join_strategy": "bloom"},
         )
-        receiver._stop_query("dead#9")  # authoritative: stop arrived
-        net.advance(2)  # let the direct NACK travel
-        assert sender.exchange_muted(ns, ("k",))
-
-    def test_ttl_expiry_nacks_tombstoned_query(self, net):
-        sender = net.node(net.addresses()[0]).engine
-        receiver = net.node(net.addresses()[5]).engine
-        sender.queries["dead#10"] = object()  # sender missed the stop
-        receiver._stop_query("dead#10")  # stop seen before the rows
-        ns = "q|dead#10|op3|0"
-        receiver._on_unclaimed_delivery(
-            {"ns": ns, "rid": ("z",), "data": (1,), "epoch": 2},
-            self._route_msg_from(sender.address),
-        )
-        net.advance(UNDELIVERED_TTL + 2)
-        assert ns not in receiver._undelivered
-        assert sender.exchange_muted(ns, ("z",))
-        # The mute itself ages out.
-        net.advance(NACK_MUTE_TTL + 1)
-        assert not sender.exchange_muted(ns, ("z",))
-
-    def test_missed_plan_is_not_nacked(self, net):
-        # No tombstone: the query may be live and merely not yet adopted
-        # here, so dropping the buffer must stay silent.
-        sender = net.node(net.addresses()[0]).engine
-        receiver = net.node(net.addresses()[5]).engine
-        ns = "q|live#11|op3|0"
-        receiver._on_unclaimed_delivery(
-            {"ns": ns, "rid": ("q",), "data": (1,)},
-            self._route_msg_from(sender.address),
-        )
-        net.advance(UNDELIVERED_TTL + 2)
-        assert ns not in receiver._undelivered
-        assert not sender.exchange_muted(ns, ("q",))
-
-    def test_muted_exchange_drops_rows_at_source(self, net):
-        handle = net.submit_sql(CONTINUOUS_SQL)
-        net.advance(12)
+        assert handle.plan.epoch_overlap == 2
+        net.advance(11)  # epoch 2 is newest, epoch 1 still open
         engine = net.node(net.addresses()[3]).engine
         execution = engine.queries[handle.qid].execution
-        exchange = next(
-            op for op in execution.ops.values()
-            if type(op).__name__ == "Exchange"
-        )
-        engine._exchange_mutes[(exchange._ns, ())] = net.now + 30.0
-        exchange.push(((), (1.0, 1)))  # group row keyed ()
-        assert len(exchange._pending) == 0  # dropped before buffering
+        assert execution.current_epoch == 2 and 1 in execution._open_epochs
+        assert self._control_epochs(engine, handle, 1) == [1]
+        handle.stop()
+
+    def test_bloom_control_reaches_a_oneshot_execution(self):
+        net = self._bloom_net()
+        handle = net.submit_sql(
+            BLOOM_JOIN, options={"join_strategy": "bloom"})
+        net.advance(1)
+        engine = net.node(net.addresses()[3]).engine
+        execution = engine.queries[handle.qid].execution
+        assert isinstance(execution, EpochExecution)
+        assert self._control_epochs(engine, handle, 0) == [0]
 
 
 class TestPlanFetch:
