@@ -18,13 +18,18 @@ period), and stopping queries with a broadcast that engines tombstone
 so a stale refresh cannot resurrect them.
 
 Recursive queries additionally watch progress reports and close early
-on quiescence: no node has produced a novel tuple for ``quiet_period``
+on quiescence: no node has produced a novel tuple for ``QUIET_PERIOD``
 seconds means the fixpoint is reached.
 """
 
 # A continuous query's plan is re-broadcast this often, so nodes that
 # crashed and recovered (or that the first broadcast missed) re-adopt it.
 PLAN_REFRESH_PERIOD = 60.0
+# Recursive quiescence: no progress report for QUIET_PERIOD seconds is
+# the fixpoint, but never before MIN_RUNTIME -- the first reports need
+# a plan broadcast and a scan to happen.
+QUIET_PERIOD = 3.0
+MIN_RUNTIME = 3.0
 
 
 class EpochResult:
@@ -351,14 +356,12 @@ class Coordinator:
     # Recursive quiescence
     # ------------------------------------------------------------------
     def _schedule_quiescence_check(self, handle):
-        quiet = handle.plan.metadata.get("quiet_period", 3.0)
-        min_runtime = handle.plan.metadata.get("min_runtime", 3.0)
-
         def check():
             if handle.finished or handle.qid not in self.active:
                 return
             now = self.clock.now
-            if now >= handle.t0 + min_runtime and now - handle.last_progress >= quiet:
+            if (now >= handle.t0 + MIN_RUNTIME
+                    and now - handle.last_progress >= QUIET_PERIOD):
                 # Fixpoint: no novel tuples anywhere for a full quiet
                 # period. Close epoch 0 early and tear the query down.
                 self._close_epoch(handle, 0, handle.t0)
@@ -370,7 +373,7 @@ class Coordinator:
                 return
             self.engine.set_timer(1.0, check)
 
-        self.engine.set_timer(min_runtime, check)
+        self.engine.set_timer(MIN_RUNTIME, check)
 
     def on_crash(self):
         """The query site died; its queries die with it (soft state)."""

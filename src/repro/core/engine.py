@@ -172,9 +172,9 @@ class PierEngine:
         self.records = {}
         self.exchange_mux = ExchangeMux(self)  # prefix-member coalescing
         self.combiners = {}  # ns -> TreeCombiner
-        self._undelivered = {}  # ns -> [rows arriving before registration]
-        self._undelivered_tags = {}  # ns -> [epoch tag per buffered row]
-        self._undelivered_expiry = {}  # ns -> drop-dead time for those rows
+        # Rows arriving before registration: ns -> (drop-dead time,
+        # [rows], [(epoch, pane) tag per row]).
+        self._undelivered = {}
         self._undelivered_timer = None
         self._stop_tombstones = {}  # qid -> forget-at time (stale-refresh guard)
         # Learned-owner cache: (ns, rid) -> (NodeRef, expiry, region).
@@ -549,7 +549,7 @@ class PierEngine:
         # missed can still have buffered rehashed rows for it.)
         prefix = "q|{}|".format(qid)
         for ns in [n for n in self._undelivered if n.startswith(prefix)]:
-            self._drop_undelivered(ns)
+            del self._undelivered[ns]
         query = self.queries.pop(qid, None)
         if query is None:
             return
@@ -617,9 +617,7 @@ class PierEngine:
             )
             self.combiners[ns] = combiner
             self.dht.register_intercept(combiner.upcall, combiner.handler)
-        rows = self._undelivered.pop(ns, ())
-        tags = self._undelivered_tags.pop(ns, ())
-        self._undelivered_expiry.pop(ns, None)
+        _expiry, rows, tags = self._undelivered.pop(ns, (None, (), ()))
         if standing:
             # Each run of consecutive rows with equal (epoch, pane) tags
             # replays as one batch, arrival order preserved.
@@ -717,12 +715,7 @@ class PierEngine:
             self.dht.unregister_intercept(combiner.upcall)
         self._bp_inflow.pop(ns, None)
         self._bp_sent.pop(ns, None)
-        self._drop_undelivered(ns)
-
-    def _drop_undelivered(self, ns):
         self._undelivered.pop(ns, None)
-        self._undelivered_tags.pop(ns, None)
-        self._undelivered_expiry.pop(ns, None)
 
     def _on_unclaimed_delivery(self, payload, route_msg):
         # Rows can beat the plan broadcast to this node; hold them until
@@ -735,13 +728,10 @@ class PierEngine:
         # enroll a node that merely missed the broadcast).
         ns = payload["ns"]
         incoming = payload_rows(payload)
-        rows = self._undelivered.get(ns)
-        if rows is None:
-            rows = self._undelivered[ns] = []
-            self._undelivered_tags[ns] = []
-            self._undelivered_expiry[ns] = (
-                self.clock.now + UNDELIVERED_TTL
-            )
+        held = self._undelivered.get(ns)
+        if held is None:
+            held = self._undelivered[ns] = (
+                self.clock.now + UNDELIVERED_TTL, [], [])
             if self._undelivered_timer is None:
                 self._undelivered_timer = self.set_timer(
                     UNDELIVERED_TTL, self._expire_undelivered
@@ -757,11 +747,12 @@ class PierEngine:
                 # site for the plan directly, once per buffer
                 # generation.
                 self._request_plan(ns, payload.get("qsrc"))
+        _expiry, rows, tags = held
         space = UNDELIVERED_CAP - len(rows)
         if space > 0:
             taken = list(incoming[:space])
             rows.extend(taken)
-            self._undelivered_tags[ns].extend(
+            tags.extend(
                 [(payload.get("epoch"), payload.get("pane"))] * len(taken)
             )
 
@@ -787,17 +778,13 @@ class PierEngine:
         Probes without provenance drop silently.
         """
         if ns.startswith("s|"):
-            if qsrc is None or qsrc in self.queries \
-                    or qsrc in self._stop_tombstones:
-                return
-            origin = qsrc.rsplit("#", 1)[0]
-            if origin and origin != self.address:
-                self.dht.direct(origin, {"op": "xplan", "qid": qsrc})
+            qid = qsrc
+        elif ns.startswith("q|"):
+            qid = ns.split("|")[1]
+        else:
             return
-        if not ns.startswith("q|"):
-            return
-        qid = ns.split("|")[1]
-        if qid in self.queries or qid in self._stop_tombstones:
+        if (qid is None or qid in self.queries
+                or qid in self._stop_tombstones):
             return
         origin = qid.rsplit("#", 1)[0]
         if origin and origin != self.address:
@@ -806,21 +793,29 @@ class PierEngine:
     def _expire_undelivered(self):
         self._undelivered_timer = None
         now = self.clock.now
-        for ns in [n for n, t in self._undelivered_expiry.items() if t <= now]:
-            self._drop_undelivered(ns)
-        if self._undelivered_expiry:
-            next_deadline = min(self._undelivered_expiry.values())
+        for ns in [n for n, held in self._undelivered.items() if held[0] <= now]:
+            del self._undelivered[ns]
+        if self._undelivered:
+            next_deadline = min(held[0] for held in self._undelivered.values())
             self._undelivered_timer = self.set_timer(
                 max(0.0, next_deadline - now), self._expire_undelivered
             )
 
-    def cached_owner(self, ns, rid):
-        """Learned terminal owner for a standing exchange key, if fresh."""
+    def _learned_owner(self, ns, rid):
+        """The unexpired owner-cache entry's ref for a standing key, or
+        None; an expired entry is reclaimed."""
         entry = self._route_owners.get((ns, rid))
         if entry is None:
             return None
-        ref, expiry = entry[0], entry[1]
-        if expiry <= self.clock.now or self.dht.is_suspect(ref.address):
+        if entry[1] <= self.clock.now:
+            del self._route_owners[(ns, rid)]
+            return None
+        return entry[0]
+
+    def cached_owner(self, ns, rid):
+        """Learned terminal owner for a standing exchange key, if fresh."""
+        ref = self._learned_owner(ns, rid)
+        if ref is not None and self.dht.is_suspect(ref.address):
             del self._route_owners[(ns, rid)]
             return None
         return ref
@@ -836,14 +831,8 @@ class PierEngine:
         entries are reclaimed; no cache entry means nothing to
         distrust.
         """
-        entry = self._route_owners.get((ns, rid))
-        if entry is None:
-            return False
-        ref, expiry = entry[0], entry[1]
-        if expiry <= self.clock.now:
-            del self._route_owners[(ns, rid)]
-            return False
-        return self.dht.is_suspect(ref.address)
+        ref = self._learned_owner(ns, rid)
+        return ref is not None and self.dht.is_suspect(ref.address)
 
     # ------------------------------------------------------------------
     # Recursion progress (quiescence detection support)
@@ -931,8 +920,6 @@ class PierEngine:
         self.exchange_mux = ExchangeMux(self)  # held bundles die too
         self.combiners = {}
         self._undelivered = {}
-        self._undelivered_tags = {}
-        self._undelivered_expiry = {}
         self._undelivered_timer = None  # node timers die with the crash
         self._stop_tombstones = {}
         self._route_owners = {}

@@ -41,12 +41,17 @@ from repro.util.errors import PierError
 from repro.util.rng import SeededRng
 
 
+# One-way delay per unit of distance on an unlabelled (GeoLatency)
+# topology: ~110 ms across the unit square before jitter, the
+# intercontinental paths the DHT's timeouts are scaled to.
+LATENCY_SCALE = 0.15
+
+
 class PierConfig:
     """Knobs for a PierNetwork testbed."""
 
     def __init__(self, dht=None, engine=None, timing=None, network=None,
-                 bootstrap="oracle", latency_scale=0.15, loss_rate=0.0,
-                 admission=None):
+                 bootstrap="oracle", loss_rate=0.0, admission=None):
         self.dht = dht if dht is not None else DhtConfig()
         self.engine = engine if engine is not None else EngineConfig()
         self.timing = timing if timing is not None else PlannerTiming()
@@ -54,7 +59,6 @@ class PierConfig:
         if bootstrap not in ("oracle", "protocol"):
             raise PierError("bootstrap must be 'oracle' or 'protocol'")
         self.bootstrap = bootstrap
-        self.latency_scale = latency_scale
         # An AdmissionPolicy (core.admission), or None to admit all.
         self.admission = admission
 
@@ -97,7 +101,7 @@ class PierNetwork:
             addresses = list(regions)
         else:
             self.latency = GeoLatency(
-                self.rng.fork("latency"), scale=self.config.latency_scale
+                self.rng.fork("latency"), scale=LATENCY_SCALE
             )
         self.net = Network(
             self.clock, self.latency, self.rng.fork("net"), self.config.network

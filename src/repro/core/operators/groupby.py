@@ -220,7 +220,7 @@ class GroupByPartial(Operator):
                 # Unshipped per-pane increments: each pane's partial
                 # crosses the wire once, at the first flush after rows
                 # touched it; the final holds the window's panes.
-                self._pending_panes = {}  # pane -> {gvals: [states]}
+                self._unshipped_panes = {}  # pane -> {gvals: [states]}
             else:
                 self._window = PaneWindow(self._agg_specs)
 
@@ -267,7 +267,7 @@ class GroupByPartial(Operator):
         """The mutable state list for one group under the current mode
         (pending pane / pane window / epoch ring)."""
         if self._ship_delta:
-            store = self._pending_panes.setdefault(self._current_pane, {})
+            store = self._unshipped_panes.setdefault(self._current_pane, {})
         elif self._paned:
             return self._window.entry(self._current_pane, gvals)
         else:
@@ -292,10 +292,10 @@ class GroupByPartial(Operator):
             # Ship each pending pane's increment under its pane tag;
             # panes below the window can never be read again (their
             # last covering epoch already flushed) and are dropped.
-            for pane in sorted(self._pending_panes):
+            for pane in sorted(self._unshipped_panes):
                 if pane >= hi:
                     continue  # still open: a later epoch closes it
-                store = self._pending_panes.pop(pane)
+                store = self._unshipped_panes.pop(pane)
                 if pane < lo:
                     continue
                 self.announce_pane(pane)
@@ -312,7 +312,7 @@ class GroupByPartial(Operator):
     def teardown(self):
         self._epochs.clear()
         if self._ship_delta:
-            self._pending_panes = {}
+            self._unshipped_panes = {}
         elif self._paned:
             self._window.clear()
 

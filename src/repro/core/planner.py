@@ -867,11 +867,7 @@ def _plan_recursive(lq, catalog, timing):
             s.inputs.append(back_ex)
 
     deadline = lq.options.get("recursion_deadline", 45.0)
-    metadata = {
-        "columns": [name for _item, name in lq.select_items],
-        "quiet_period": lq.options.get("quiet_period", 3.0),
-        "min_runtime": lq.options.get("min_runtime", 3.0),
-    }
+    metadata = {"columns": [name for _item, name in lq.select_items]}
     return QueryPlan(
         b.specs, result_id, mode="recursive", flush_offsets={},
         deadline=deadline, finishing={}, metadata=metadata,

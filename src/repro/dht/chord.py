@@ -12,7 +12,7 @@ Feature inventory:
 * recursive multi-hop lookups via finger tables (O(log N) hops),
 * successor lists for resilience to node failure,
 * periodic stabilize / fix-fingers / check-predecessor,
-* key handoff on join and (optionally) graceful leave,
+* key handoff on join and on graceful :meth:`~ChordNode.leave`,
 * soft-state storage of application items (``put/get/renew/lscan``),
 * key-routed application messages with per-hop *upcalls* -- the hook
   PIER's hierarchical aggregation uses to combine partial aggregates on
@@ -26,12 +26,46 @@ bootstrap address.
 """
 
 from repro.dht import messages as msg
-from repro.dht.rpc import RpcNode
+from repro.dht.rpc import RpcNode, ignore_answer
 from repro.dht.storage import SoftStateStore
 from repro.sim.node import SimNode
 from repro.sim.processes import PeriodicProcess
 from repro.util.ids import ID_BITS, distance_cw, in_interval, node_id_for, sha1_id
-from repro.util.stats import RunningStat
+
+# Three maintenance clocks over *one* conversation per ring edge, not
+# three independent probes (periods are Bamboo's defaults from the
+# churn paper the demo cites: periodic, not reactive, recovery).
+#
+# Every STABILIZE_PERIOD a node probes its successor (``get_neighbors``,
+# one request and one reply). The probe names the prober, so it is also
+# the notify and, for the receiver, its predecessor's keep-alive. A
+# silent successor is replaced ``rpc_timeout`` after the probe.
+STABILIZE_PERIOD = 5.0
+# How long a predecessor may stay silent before it is pinged; a settled
+# ring never pings, because the predecessor's probe arrives every
+# STABILIZE_PERIOD. Keep it above that, or every check finds a "silent"
+# predecessor and pings as the old protocol did. Worst case from a
+# predecessor's last probe to its eviction:
+# ``2 * CHECK_PREDECESSOR_PERIOD + rpc_timeout``.
+CHECK_PREDECESSOR_PERIOD = 7.0
+# FINGERS_PER_ROUND slots are refreshed per FIX_FINGERS_PERIOD: slots
+# the successor covers cost nothing, a populated slot further out costs
+# one ``owns`` RPC to the finger (its only liveness probe), and the
+# routed lookup runs only when that says no or times out, or the slot is
+# empty or suspected.
+FIX_FINGERS_PERIOD = 10.0
+FINGERS_PER_ROUND = 8
+SUCCESSOR_LIST_LENGTH = 4
+LOOKUP_RETRIES = 2
+STORAGE_SWEEP_PERIOD = 5.0
+DEFAULT_TTL = 120.0  # put/renew without a ttl
+SUSPECT_TTL = 30.0
+# How long a consumed delivery id or a delivered broadcast token is
+# remembered to drop replays (hop-by-hop acks make routed forwarding
+# at-least-once; a delivered message whose ack was lost is re-forwarded).
+# Must comfortably outlive the longest retry chain: ``lookup_timeout`` x
+# retries plus routing slack.
+DELIVERY_DEDUP_TTL = 30.0
 
 
 class NodeRef:
@@ -81,14 +115,8 @@ class ChordNode(SimNode, RpcNode):
         self._predecessor_heard = 0.0
 
         self.store = SoftStateStore(self.clock)
-        self.lookup_hops = RunningStat()
 
-        self._pending_lookups = {}
-        self._pending_gets = {}
-        self._pending_bcast_acks = {}
-        self._pending_hop_acks = {}
         self._suspects = {}  # address -> suspicion expiry (sim time)
-        self._next_req = 0
         self._next_mid = 0
         self._seen_mids = {}  # delivery id -> forget-at (replay dedup)
         self._intercepts = {}
@@ -97,28 +125,24 @@ class ChordNode(SimNode, RpcNode):
         self._storage_probe_handlers = []
         self._broadcast_handlers = []
         self._direct_handlers = []
-        self._seen_broadcasts = set()
+        self._seen_broadcasts = {}  # token -> forget-at, like _seen_mids
         self._bootstrap_address = None
 
         self._stabilizer = PeriodicProcess(
-            self.clock, config.stabilize_period, self._stabilize, jitter_rng=rng
+            self.clock, STABILIZE_PERIOD, self._stabilize, jitter_rng=rng
         )
         self._finger_fixer = PeriodicProcess(
-            self.clock, config.fix_fingers_period, self._fix_fingers, jitter_rng=rng
+            self.clock, FIX_FINGERS_PERIOD, self._fix_fingers, jitter_rng=rng
         )
         self._pred_checker = PeriodicProcess(
-            self.clock, config.check_predecessor_period, self._check_predecessor,
+            self.clock, CHECK_PREDECESSOR_PERIOD, self._check_predecessor,
             jitter_rng=rng,
         )
         self._sweeper = PeriodicProcess(
-            self.clock, config.storage_sweep_period, self._sweep_soft_state,
+            self.clock, STORAGE_SWEEP_PERIOD, self._sweep_soft_state,
             jitter_rng=rng,
         )
         self._install_rpc_handlers()
-
-    def _fresh_req(self):
-        self._next_req += 1
-        return self._next_req
 
     def fresh_mid(self):
         """A node-unique delivery id for exactly-once exchange delivery.
@@ -146,14 +170,15 @@ class ChordNode(SimNode, RpcNode):
             return True
         if mid in self._seen_mids:
             return False
-        self._seen_mids[mid] = self.clock.now + self.config.delivery_dedup_ttl
+        self._seen_mids[mid] = self.clock.now + DELIVERY_DEDUP_TTL
         return True
 
     def _sweep_soft_state(self):
         self.store.sweep()
         now = self.clock.now
-        for mid in [m for m, t in self._seen_mids.items() if t <= now]:
-            del self._seen_mids[mid]
+        for seen in (self._seen_mids, self._seen_broadcasts):
+            for key in [k for k, t in seen.items() if t <= now]:
+                del seen[key]
 
     # ------------------------------------------------------------------
     # Ring membership
@@ -209,12 +234,8 @@ class ChordNode(SimNode, RpcNode):
 
     def crash(self):
         self._stop_maintenance()
-        self.cancel_all_rpcs()
+        self.forget_requests()
         self.store.clear()
-        self._pending_lookups.clear()
-        self._pending_gets.clear()
-        self._pending_bcast_acks.clear()
-        self._pending_hop_acks.clear()
         self._suspects.clear()
         self._seen_broadcasts.clear()
         self._seen_mids.clear()
@@ -254,7 +275,7 @@ class ChordNode(SimNode, RpcNode):
     # Failure suspicion (timeout-driven, no oracle)
     # ------------------------------------------------------------------
     def _suspect(self, address):
-        self._suspects[address] = self.clock.now + self.config.suspect_ttl
+        self._suspects[address] = self.clock.now + SUSPECT_TTL
 
     def _is_suspect(self, address):
         expiry = self._suspects.get(address)
@@ -412,7 +433,7 @@ class ChordNode(SimNode, RpcNode):
         payload = getattr(message, "payload", None)
         return isinstance(payload, dict) and payload.get("mid") is not None
 
-    def _send_hop(self, nxt, message, target, tried, retried=False):
+    def _send_hop(self, nxt, message, target, tried, on_suspect=None, retried=False):
         """Forward ``message`` to ``nxt``, expecting a receipt ack.
 
         On silence, a dup-sensitive message (see :meth:`_dup_sensitive`)
@@ -424,25 +445,23 @@ class ChordNode(SimNode, RpcNode):
         catch. A second silence (or the first, for idempotent traffic
         and hops already under suspicion) makes ``nxt`` a suspect and
         re-forwards the message around it (Bamboo's recursive-routing
-        recovery).
+        recovery), after ``on_suspect()`` if the caller has something
+        to undo first.
         """
-        req = self._fresh_req()
-        message.hop_ack = (self.address, req)
-
         def not_acked():
-            if self._pending_hop_acks.pop(req, None) is None:
-                return
             if (not retried and self._dup_sensitive(message)
                     and not self._is_suspect(nxt.address)):
-                self._send_hop(nxt, message, target, tried, retried=True)
+                self._send_hop(nxt, message, target, tried, on_suspect, True)
                 return
             self._suspect(nxt.address)
+            if on_suspect is not None:
+                on_suspect()
             self._advance(message, target, tried | {nxt.address})
 
         wait = (self.config.hop_retransmit_timeout if retried
                 else self.config.rpc_timeout)
-        timer = self.set_timer(wait, not_acked)
-        self._pending_hop_acks[req] = timer
+        message.hop_ack = (self.address,
+                           self.expect(wait, ignore_answer, not_acked))
         message.hops += 1
         self.send(nxt.address, message)
 
@@ -517,7 +536,7 @@ class ChordNode(SimNode, RpcNode):
         ``owner_ref`` is None if every retry timed out (network
         partition, or the ring collapsed under us).
         """
-        self._lookup_attempt(key, on_done, self.config.lookup_retries)
+        self._lookup_attempt(key, on_done, LOOKUP_RETRIES)
 
     def _local_owner(self, key):
         """``(owner, hops)`` when this node can name ``key``'s owner
@@ -531,49 +550,27 @@ class ChordNode(SimNode, RpcNode):
     def _lookup_attempt(self, key, on_done, retries_left):
         local = self._local_owner(key)
         if local is not None:
-            self.lookup_hops.add(local[1])
             on_done(*local)
             return
-        req_id = self._fresh_req()
 
         def timed_out():
-            if req_id not in self._pending_lookups:
-                return
-            del self._pending_lookups[req_id]
             if retries_left > 0:
                 self._lookup_attempt(key, on_done, retries_left - 1)
             else:
                 on_done(None, -1)
 
-        timer = self.set_timer(self.config.lookup_timeout, timed_out)
-        self._pending_lookups[req_id] = (on_done, timer)
+        req_id = self.expect(self.config.lookup_timeout, on_done, timed_out)
         self._advance(msg.Lookup(key, self.ref, req_id), key, frozenset())
 
     def _lookup_via(self, bootstrap_address, key, on_done):
         """Lookup routed through an arbitrary node (used while joining)."""
-        req_id = self._fresh_req()
-
-        def timed_out():
-            if req_id in self._pending_lookups:
-                del self._pending_lookups[req_id]
-                on_done(None, -1)
-
-        timer = self.set_timer(self.config.lookup_timeout, timed_out)
-        self._pending_lookups[req_id] = (on_done, timer)
+        req_id = self.expect(self.config.lookup_timeout, on_done,
+                             lambda: on_done(None, -1))
         self.send(bootstrap_address, msg.Lookup(key, self.ref, req_id, hops=1))
 
     def _handle_lookup(self, message):
         self._ack_hop(message)
         self._advance(message, message.target, frozenset())
-
-    def _handle_lookup_done(self, message):
-        entry = self._pending_lookups.pop(message.req_id, None)
-        if entry is None:
-            return
-        on_done, timer = entry
-        self.cancel_timer(timer)
-        self.lookup_hops.add(message.hops)
-        on_done(message.owner, message.hops)
 
     # ------------------------------------------------------------------
     # Key-routed application messages (with upcalls)
@@ -588,43 +585,27 @@ class ChordNode(SimNode, RpcNode):
         message = msg.Route(key, payload, self.ref, hops=0, upcall=upcall)
         self._advance(message, key, frozenset())
 
-    def route_via(self, owner, key, payload, _retried=False):
+    def route_via(self, owner, key, payload):
         """Ship a key-routed payload straight to a previously learned owner.
 
         Standing continuous queries route the same epoch-free exchange
         keys every epoch; once the terminal node is known, one direct
-        hop replaces the O(log N) recursive walk. The send is still
-        hop-acked, with the same dup-aware recovery as routed hops: on
-        silence a dup-sensitive payload is retransmitted once to the
-        owner (same delivery id, so a live owner whose ack was lost
-        dedups the copy instead of an heir double-counting it); only a
-        second silence suspects the owner and falls back to normal key
-        routing around it, so a stale cache costs a timeout rather than
-        lost -- or duplicated -- rows.
+        hop replaces the O(log N) recursive walk. The send is an
+        ordinary acked hop (see :meth:`_send_hop`: retransmit once, so
+        a live owner whose ack was lost dedups the copy instead of an
+        heir double-counting it); an owner that stays silent is
+        suspected and the message goes back to normal key routing
+        around it, so a stale cache costs a timeout rather than lost --
+        or duplicated -- rows.
         """
         message = msg.Route(key, payload, self.ref, hops=0)
         message.force_terminal = True  # deliver at the cached owner
-        req = self._fresh_req()
-        message.hop_ack = (self.address, req)
 
-        def not_acked():
-            if self._pending_hop_acks.pop(req, None) is None:
-                return
-            if (not _retried and self._dup_sensitive(message)
-                    and not self._is_suspect(owner.address)):
-                self.route_via(owner, key, payload, _retried=True)
-                return
-            self._suspect(owner.address)
+        def back_to_key_routing():
             message.force_terminal = False
             message.hop_ack = None
-            self._advance(message, key, frozenset({owner.address}))
 
-        wait = (self.config.hop_retransmit_timeout if _retried
-                else self.config.rpc_timeout)
-        timer = self.set_timer(wait, not_acked)
-        self._pending_hop_acks[req] = timer
-        message.hops += 1
-        self.send(owner.address, message)
+        self._send_hop(owner, message, key, frozenset(), back_to_key_routing)
 
     def route_through(self, via, key, payload, upcall=None):
         """Key-route ``payload`` with an explicit first hop at ``via``.
@@ -836,11 +817,7 @@ class ChordNode(SimNode, RpcNode):
             self._send_broadcast_child(payload, finger, child_limit, depth)
 
     def _send_broadcast_child(self, payload, child, child_limit, depth):
-        req = self._fresh_req()
-
         def not_acked():
-            if self._pending_bcast_acks.pop(req, None) is None:
-                return
             self._suspect(child.address)
             # Child silent: hand its range to whoever now owns its id.
             self.route(child.id, {
@@ -850,8 +827,7 @@ class ChordNode(SimNode, RpcNode):
                 "depth": depth + 1,
             })
 
-        timer = self.set_timer(2 * self.config.rpc_timeout, not_acked)
-        self._pending_bcast_acks[req] = timer
+        req = self.expect(2 * self.config.rpc_timeout, ignore_answer, not_acked)
         self.send(
             child.address,
             msg.Broadcast(payload, child_limit, self.ref, depth + 1,
@@ -876,7 +852,9 @@ class ChordNode(SimNode, RpcNode):
         if token is not None:
             if token in self._seen_broadcasts:
                 return False
-            self._seen_broadcasts.add(token)
+            # Soft state: a duplicate can only come from a child re-send
+            # or a ``bcast_repair``, both within a few RPC timeouts.
+            self._seen_broadcasts[token] = self.clock.now + DELIVERY_DEDUP_TTL
         for handler in self._broadcast_handlers:
             handler(message.payload, message.origin, message.depth)
         return True
@@ -886,7 +864,7 @@ class ChordNode(SimNode, RpcNode):
     # ------------------------------------------------------------------
     def put(self, namespace, resource_id, instance_id, value, ttl=None):
         """Publish an item into the DHT (routed to the key's owner)."""
-        ttl = ttl if ttl is not None else self.config.default_ttl
+        ttl = ttl if ttl is not None else DEFAULT_TTL
         key = storage_key(namespace, resource_id)
         self.route(key, {
             "op": "put", "ns": namespace, "rid": resource_id,
@@ -894,7 +872,7 @@ class ChordNode(SimNode, RpcNode):
         })
 
     def renew(self, namespace, resource_id, instance_id, ttl=None):
-        ttl = ttl if ttl is not None else self.config.default_ttl
+        ttl = ttl if ttl is not None else DEFAULT_TTL
         key = storage_key(namespace, resource_id)
         self.route(key, {
             "op": "renew", "ns": namespace, "rid": resource_id,
@@ -908,16 +886,8 @@ class ChordNode(SimNode, RpcNode):
         an empty list on timeout (indistinguishable, by design, from
         "nothing stored" -- soft state has no negative acks).
         """
-        req = self._fresh_req()
         timeout = timeout if timeout is not None else self.config.lookup_timeout
-
-        def timed_out():
-            entry = self._pending_gets.pop(req, None)
-            if entry is not None:
-                entry[0]([])
-
-        timer = self.set_timer(timeout, timed_out)
-        self._pending_gets[req] = (on_done, timer)
+        req = self.expect(timeout, on_done, lambda: on_done([]))
         key = storage_key(namespace, resource_id)
         self.route(key, {
             "op": "get", "ns": namespace, "rid": resource_id,
@@ -1005,7 +975,7 @@ class ChordNode(SimNode, RpcNode):
     def _rpc_successor_leaving(self, src, request, respond):
         replacements = [r for r in request["successors"] if r != self.ref]
         if replacements:
-            self.successors = replacements[: self.config.successor_list_length]
+            self.successors = replacements[:SUCCESSOR_LIST_LENGTH]
         respond({"ok": True})
 
     def _handoff_keys_to(self, new_pred):
@@ -1033,7 +1003,7 @@ class ChordNode(SimNode, RpcNode):
         successor list (that node has not heard from us yet). A
         successor that stays silent for ``rpc_timeout`` is suspected
         and the next list entry takes over, so a dead successor is
-        noticed within ``stabilize_period + rpc_timeout``.
+        noticed within ``STABILIZE_PERIOD + rpc_timeout``.
         """
         succ = self.successor
         if succ == self.ref:
@@ -1055,7 +1025,7 @@ class ChordNode(SimNode, RpcNode):
             for ref in reply["successors"]:
                 if ref not in fresh and ref != self.ref:
                     fresh.append(ref)
-            self.successors = fresh[: self.config.successor_list_length]
+            self.successors = fresh[:SUCCESSOR_LIST_LENGTH]
             if self.successor != head:
                 self._notify_successor()
 
@@ -1076,14 +1046,12 @@ class ChordNode(SimNode, RpcNode):
         if self.successor == self.ref:
             return
         self.rpc(
-            self.successor.address,
-            {"kind": "notify", "node": self.ref},
-            on_reply=lambda reply: None,
-            on_timeout=lambda: None,
+            self.successor.address, {"kind": "notify", "node": self.ref},
+            ignore_answer,
         )
 
     def _fix_fingers(self):
-        """Refresh the next ``fingers_per_round`` finger slots.
+        """Refresh the next ``FINGERS_PER_ROUND`` finger slots.
 
         Most slots start inside ``(self, successor]``; ``lookup``
         answers those on the spot. A slot further out that already
@@ -1095,7 +1063,7 @@ class ChordNode(SimNode, RpcNode):
         it is a proximity choice rather than the owner) or stays
         silent, which also makes it a suspect.
         """
-        for _ in range(self.config.fingers_per_round):
+        for _ in range(FINGERS_PER_ROUND):
             index = self._next_finger
             self._next_finger = (self._next_finger + 1) % ID_BITS
             start = (self.id + (1 << index)) % (1 << ID_BITS)
@@ -1161,19 +1129,19 @@ class ChordNode(SimNode, RpcNode):
     def _check_predecessor(self):
         """Ping the predecessor only if it has gone quiet.
 
-        Its stabilise probe reaches us every ``stabilize_period`` and
+        Its stabilise probe reaches us every ``STABILIZE_PERIOD`` and
         counts as the ping, so in a settled ring this sends nothing. A
-        predecessor silent for a whole ``check_predecessor_period`` is
+        predecessor silent for a whole ``CHECK_PREDECESSOR_PERIOD`` is
         pinged and cleared ``rpc_timeout`` later if that goes
         unanswered too. Worst case from its last probe to eviction:
         the check just misses a full period of silence, so the *next*
-        one pings -- ``2 * check_predecessor_period + rpc_timeout``.
+        one pings -- ``2 * CHECK_PREDECESSOR_PERIOD + rpc_timeout``.
         """
         pred = self.predecessor
         if pred is None or pred == self.ref:
             return
         silent = self.clock.now - self._predecessor_heard
-        if silent < self.config.check_predecessor_period:
+        if silent < CHECK_PREDECESSOR_PERIOD:
             return
 
         def on_timeout():
@@ -1198,7 +1166,7 @@ class ChordNode(SimNode, RpcNode):
         if kind == "lookup":
             self._handle_lookup(payload)
         elif kind == "lookup_done":
-            self._handle_lookup_done(payload)
+            self.settle(payload.req_id, payload.owner, payload.hops)
         elif kind == "route":
             self._handle_route(payload)
         elif kind == "broadcast":
@@ -1219,22 +1187,11 @@ class ChordNode(SimNode, RpcNode):
     def _handle_direct(self, message, src):
         inner = message.payload
         op = inner.get("op") if isinstance(inner, dict) else None
-        if op == "hop_ack":
-            timer = self._pending_hop_acks.pop(inner["req"], None)
-            if timer is not None:
-                self.cancel_timer(timer)
-            return
-        if op == "bcast_ack":
-            timer = self._pending_bcast_acks.pop(inner["req"], None)
-            if timer is not None:
-                self.cancel_timer(timer)
+        if op == "hop_ack" or op == "bcast_ack":
+            self.settle(inner["req"])
             return
         if op == "get_reply":
-            entry = self._pending_gets.pop(inner["req"], None)
-            if entry is not None:
-                on_done, timer = entry
-                self.cancel_timer(timer)
-                on_done(inner["values"])
+            self.settle(inner["req"], inner["values"])
             return
         for handler in self._direct_handlers:
             handler(inner, src)

@@ -24,11 +24,10 @@ class NetworkConfig:
     *visible* as tail latency.
     """
 
-    def __init__(self, loss_rate=0.0, count_bytes=True, service_time=0.0):
+    def __init__(self, loss_rate=0.0, service_time=0.0):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         self.loss_rate = loss_rate
-        self.count_bytes = count_bytes
         self.service_time = service_time
 
 
@@ -122,20 +121,17 @@ class Network:
         kind = getattr(payload, "kind", None)
         if kind is None and isinstance(payload, dict):
             kind = payload.get("kind", "dict")
-        if self.config.count_bytes:
-            size = wire_size(payload)
-            self.counters.add("bytes_sent", size)
-            if kind is not None:
-                names = self._kind_counters.get(kind)
-                if names is None:
-                    names = self._kind_counters[kind] = (
-                        "messages_kind_{}".format(kind),
-                        "bytes_kind_{}".format(kind),
-                    )
-                self.counters.add(names[0])
-                self.counters.add(names[1], size)
-        else:
-            size = None
+        size = wire_size(payload)
+        self.counters.add("bytes_sent", size)
+        if kind is not None:
+            names = self._kind_counters.get(kind)
+            if names is None:
+                names = self._kind_counters[kind] = (
+                    "messages_kind_{}".format(kind),
+                    "bytes_kind_{}".format(kind),
+                )
+            self.counters.add(names[0])
+            self.counters.add(names[1], size)
         cross = False
         severed = False
         region_of = getattr(self.latency, "region_of", None)
@@ -144,8 +140,7 @@ class Network:
             if ra is not None and rb is not None and ra != rb:
                 cross = True
                 self.counters.add("cross_region_messages")
-                if size is not None:
-                    self.counters.add("cross_region_bytes", size)
+                self.counters.add("cross_region_bytes", size)
             severed = self._severed(ra, rb)
         if kind == "route":
             self._count_exchange_hop(payload, size, cross)
@@ -183,10 +178,9 @@ class Network:
         run batched and unbatched runs of one workload agree on it
         while ``exchange_messages`` (and the hop acks it drags along)
         shrink with batching -- the ratio is the amortization the
-        batching layer buys. Message/row counts are kept even when byte
-        accounting is off (``size`` is None then). ``cross`` marks a
-        hop whose endpoints live in different regions -- the backbone
-        share of the exchange traffic regional trees aim to shrink.
+        batching layer buys. ``cross`` marks a hop whose endpoints
+        live in different regions -- the backbone share of the exchange
+        traffic regional trees aim to shrink.
         """
         inner = getattr(message, "payload", None)
         if not isinstance(inner, dict):
@@ -224,15 +218,14 @@ class Network:
             return
         if cross:
             self.counters.add("exchange_cross_region_messages")
-        if size is not None:
-            self.counters.add("exchange_bytes", size)
-            if cross:
-                self.counters.add("exchange_cross_region_bytes", size)
+        self.counters.add("exchange_bytes", size)
+        if cross:
+            self.counters.add("exchange_cross_region_bytes", size)
 
     def _deliver(self, src, dst, payload, size):
         """Hand ``payload`` to ``dst``. ``size`` is what :meth:`send`
-        measured (None with byte accounting off): a payload is sized
-        once, and must not change between ``send`` and delivery."""
+        measured: a payload is sized once, and must not change between
+        ``send`` and delivery."""
         if self.on_deliver is not None:
             self.on_deliver(src, dst, payload)
         node = self._nodes.get(dst)
@@ -240,9 +233,8 @@ class Network:
             self.counters.add("messages_to_dead_node")
             return
         self.counters.add("messages_delivered")
-        if size is not None:
-            self.inbound_bytes[dst] = self.inbound_bytes.get(dst, 0) + size
-            self.inbound_messages[dst] = self.inbound_messages.get(dst, 0) + 1
+        self.inbound_bytes[dst] = self.inbound_bytes.get(dst, 0) + size
+        self.inbound_messages[dst] = self.inbound_messages.get(dst, 0) + 1
         node.handle_message(src, payload)
 
     def broadcast_local(self, src, payload):

@@ -28,6 +28,7 @@ To re-record after a deliberate protocol change, run this file as a
 script in the tree that is to become the oracle and paste the table.
 """
 
+from repro.dht import chord
 from repro.dht.bootstrap import build_chord_ring, owner_of, ring_is_consistent
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
@@ -44,6 +45,8 @@ CRASH_GAP = 2.0
 DOWNTIME = 30.0
 WINDOW = 70.0
 HEAL_LIMIT = 60.0
+# 32 slots a round: every finger is refreshed twice in the window.
+FINGERS_PER_ROUND = 32
 
 # seed: (heal_down, heal_up, ok, asked, dead) at the parent, 5729ab6.
 PARENT = {
@@ -65,8 +68,7 @@ def build(seed):
     rng = SeededRng(seed, "churn16")
     latency = GeoLatency(rng.fork("latency"))
     net = Network(clock, latency, rng.fork("net"))
-    # 32 slots a round: every finger is refreshed twice in the window.
-    cfg = DhtConfig(fingers_per_round=32)
+    cfg = DhtConfig()
     nodes = []
     for i in range(NODES):
         address = "c{}".format(i)
@@ -139,7 +141,8 @@ def totals(table):
 
 
 class TestChurnAgainstParent:
-    def test_heals_and_answers_no_worse_than_parent(self):
+    def test_heals_and_answers_no_worse_than_parent(self, monkeypatch):
+        monkeypatch.setattr(chord, "FINGERS_PER_ROUND", FINGERS_PER_ROUND)
         now = {seed: run_scenario(seed) for seed in SEEDS}
         for seed in SEEDS:
             assert now[seed][1] < HEAL_LIMIT, seed
@@ -162,5 +165,6 @@ class TestChurnAgainstParent:
 
 
 if __name__ == "__main__":
+    chord.FINGERS_PER_ROUND = FINGERS_PER_ROUND
     for seed in SEEDS:
         print("    {}: {},".format(seed, run_scenario(seed)[:5]))

@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from repro.dht import chord
 from repro.dht.bootstrap import build_chord_ring, owner_of, ring_is_consistent
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
@@ -67,6 +68,11 @@ def make_ring(n, seed=0, settle=30.0, latency=None, **config):
     return clock, net, nodes, tap
 
 
+@pytest.fixture
+def one_slot_a_round(monkeypatch):
+    monkeypatch.setattr(chord, "FINGERS_PER_ROUND", 1)
+
+
 def ring_order(nodes):
     return sorted((n for n in nodes if n.alive), key=lambda n: n.id)
 
@@ -83,7 +89,7 @@ class TestSettledRing:
         clock, _net, nodes, tap = make_ring(16)
         t = clock.now
         periods = 4
-        clock.run_for(periods * nodes[0].config.stabilize_period)
+        clock.run_for(periods * chord.STABILIZE_PERIOD)
         probes = Counter(e[2] for e in tap.since(t, "get_neighbors"))
         replies = Counter(e[3] for e in tap.since(t, "get_neighbors_reply"))
         assert probes == {n.address: periods for n in nodes}
@@ -98,7 +104,7 @@ class TestSettledRing:
         net.on_deliver = lambda src, dst, p: (
             p.kind == "rpc_req" and p.inner["kind"] == "get_neighbors"
             and seen.append((src, dst, p.inner["node"])))
-        clock.run_for(nodes[0].config.stabilize_period)
+        clock.run_for(chord.STABILIZE_PERIOD)
         assert len(seen) == 8
         for src, dst, ref in seen:
             node = net.node(src)
@@ -107,11 +113,10 @@ class TestSettledRing:
 
     def test_finger_refresh_verifies_and_never_looks_up(self):
         clock, _net, nodes, tap = make_ring(16)
-        cfg = nodes[0].config
         t = clock.now
         before = [list(n.fingers) for n in nodes]
         # One full pass over every node's 160 slots.
-        clock.run_for(cfg.fix_fingers_period * ID_BITS / cfg.fingers_per_round)
+        clock.run_for(chord.FIX_FINGERS_PERIOD * ID_BITS / chord.FINGERS_PER_ROUND)
         counts = tap.counts(t)
         assert counts["owns"] > 0
         assert counts["owns_reply"] == counts["owns"]
@@ -130,7 +135,7 @@ class TestJoin:
         joiner.join(nodes[0].address)
         # The parent (notify after every probe) also needed one period:
         # the joiner's predecessor learns of it at its next probe.
-        clock.run_for(cfg.stabilize_period + 1.0)
+        clock.run_for(chord.STABILIZE_PERIOD + 1.0)
         assert ring_is_consistent(everyone)
         assert joiner.predecessor == pred.ref
         # Exactly one successor pointer moved to a node that had not
@@ -138,7 +143,7 @@ class TestJoin:
         # own successor learned of it from the joiner's first probe.
         notifies = tap.since(t, "notify")
         assert [(e[2], e[3]) for e in notifies] == [(pred.address, "late")]
-        clock.run_for(4 * cfg.stabilize_period)
+        clock.run_for(4 * chord.STABILIZE_PERIOD)
         assert len(tap.since(t, "notify")) == 1
 
     def test_adopting_a_joiner_keeps_the_old_successor_listed(self):
@@ -163,18 +168,17 @@ class TestJoin:
 class TestPredecessorLiveness:
     def test_quiet_predecessor_is_pinged_after_a_period_of_silence(self):
         clock, _net, nodes, tap = make_ring(16, seed=2)
-        cfg = nodes[0].config
         node = nodes[0]
         pred, _ = neighbours(nodes, node)
         pred._stabilizer.stop()  # alive, but no longer probing
         heard = node._predecessor_heard
         t = clock.now
-        clock.run_for(3 * cfg.check_predecessor_period)
+        clock.run_for(3 * chord.CHECK_PREDECESSOR_PERIOD)
         pings = [e for e in tap.since(t, "ping") if e[2] == node.address]
         assert pings and all(e[3] == pred.address for e in pings)
         first = pings[0][0] - LATENCY  # sent one latency before delivery
-        assert first - heard >= cfg.check_predecessor_period
-        assert first - heard < 2 * cfg.check_predecessor_period
+        assert first - heard >= chord.CHECK_PREDECESSOR_PERIOD
+        assert first - heard < 2 * chord.CHECK_PREDECESSOR_PERIOD
         # It answers, so it stays -- and each answer restarts the clock.
         assert node.predecessor == pred.ref
         assert len(pings) <= 3
@@ -183,10 +187,10 @@ class TestPredecessorLiveness:
     @pytest.mark.parametrize("seed", range(8))
     def test_dead_predecessor_is_cleared_within_the_bound(self, seed):
         """Worst case, from the predecessor's last probe to its
-        eviction: ``2 * check_predecessor_period + rpc_timeout`` -- a
+        eviction: ``2 * CHECK_PREDECESSOR_PERIOD + rpc_timeout`` -- a
         check that just misses a full period of silence leaves the ping
         to the next one. (The parent pinged every period whatever it
-        had heard: ``check_predecessor_period + rpc_timeout`` from the
+        had heard: ``CHECK_PREDECESSOR_PERIOD + rpc_timeout`` from the
         crash.)"""
         clock, _net, nodes, tap = make_ring(16, seed=seed)
         cfg = nodes[0].config
@@ -195,7 +199,7 @@ class TestPredecessorLiveness:
         pred.crash()
         clock.run_for(2 * LATENCY)  # a probe it sent just before dying
         heard = node._predecessor_heard
-        bound = 2 * cfg.check_predecessor_period + cfg.rpc_timeout
+        bound = 2 * chord.CHECK_PREDECESSOR_PERIOD + cfg.rpc_timeout
         pinged = None
         while node.predecessor == pred.ref:
             assert clock.now - heard <= bound + 2 * LATENCY + 0.05
@@ -209,14 +213,15 @@ class TestPredecessorLiveness:
         assert node._is_suspect(pred.address)
 
 
+@pytest.mark.usefixtures("one_slot_a_round")
 class TestFingerRefresh:
-    """One slot at a time (``fingers_per_round=1``), the far slot: its
+    """One slot at a time (``FINGERS_PER_ROUND = 1``), the far slot: its
     start is half the ring away, so nothing answers it locally."""
 
     SLOT = ID_BITS - 1
 
     def ring(self, seed=1):
-        clock, net, nodes, tap = make_ring(16, seed=seed, fingers_per_round=1)
+        clock, net, nodes, tap = make_ring(16, seed=seed)
         for n in nodes:
             n._finger_fixer.stop()  # refresh by hand, one slot
         node = nodes[0]
@@ -294,14 +299,14 @@ class TestFingerRefresh:
         assert node.fingers[:8] == [node.successor] * 8
 
 
+@pytest.mark.usefixtures("one_slot_a_round")
 class TestProximityFinger:
     def test_same_region_choice_survives_a_refresh(self):
         regions = {"m{}".format(i): ("us", "eu")[i % 2] for i in range(24)}
         latency = RegionalLatency(SeededRng(9, "lat"), regions=regions,
                                   jitter_sigma=0.0)
         clock, _net, nodes, tap = make_ring(
-            24, seed=9, latency=latency, proximity_routing=True,
-            fingers_per_round=1)
+            24, seed=9, latency=latency, proximity_routing=True)
         for n in nodes:
             n._finger_fixer.stop()
         # A slot whose entry is a proximity choice, not the owner.

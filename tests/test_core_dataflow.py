@@ -96,7 +96,7 @@ class TestLifecycle:
         engine._on_unclaimed_delivery(
             {"ns": "q|fake|0|op9|0", "data": (42,)}, None
         )
-        assert engine._undelivered["q|fake|0|op9|0"] == [(42,)]
+        assert engine._undelivered["q|fake|0|op9|0"][1] == [(42,)]
 
         class FakeExecution:
             delivered = []

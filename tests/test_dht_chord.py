@@ -6,7 +6,13 @@ from repro.dht.bootstrap import (
     owner_of,
     ring_is_consistent,
 )
-from repro.dht.chord import ChordNode, storage_key
+from repro.dht import messages as msg
+from repro.dht.chord import (
+    DELIVERY_DEDUP_TTL,
+    STORAGE_SWEEP_PERIOD,
+    ChordNode,
+    storage_key,
+)
 from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency
@@ -218,7 +224,7 @@ class TestFailures:
         clock.run_for(60)
         assert ring_is_consistent(nodes)
 
-    def test_graceful_leave_hands_off_keys(self):
+    def test_leave_hands_off_keys(self):
         clock, _net, nodes = make_ring(8)
         for i in range(20):
             nodes[0].put("t", "k{}".format(i), 1, i, ttl=600)
@@ -277,6 +283,31 @@ class TestBroadcast:
         nodes[0].broadcast({"token": "same"})
         clock.run_for(3)
         assert count[0] == 1
+
+    def test_replay_inside_the_ttl_is_dropped_and_not_relayed(self):
+        clock, net, nodes = make_ring(16)
+        heard = []
+        nodes[3].on_broadcast(lambda p, o, d: heard.append(p))
+        nodes[0].broadcast({"token": "once"})
+        clock.run_for(DELIVERY_DEDUP_TTL - 5)
+        relayed = []
+        net.on_deliver = lambda src, dst, p: (
+            p.kind == "broadcast" and relayed.append((src, dst)))
+        # A child re-send: same token, the whole ring as its range.
+        nodes[3].handle_message(nodes[0].address, msg.Broadcast(
+            {"token": "once"}, nodes[3].id, nodes[0].ref, 1))
+        clock.run_for(2)
+        assert len(heard) == 1
+        assert relayed == []
+
+    def test_seen_tokens_are_soft_state(self):
+        clock, _net, nodes = make_ring(16)
+        for i in range(50):
+            nodes[i % 16].broadcast({"token": "t{}".format(i)})
+        clock.run_for(3)
+        assert all(len(n._seen_broadcasts) == 50 for n in nodes)
+        clock.run_for(DELIVERY_DEDUP_TTL + STORAGE_SWEEP_PERIOD)
+        assert all(not n._seen_broadcasts for n in nodes)
 
 
 class TestUpcalls:

@@ -2,7 +2,7 @@
 
 from repro.core.network import PierNetwork
 from repro.dht.bootstrap import build_chord_ring, owner_of
-from repro.dht.chord import ChordNode, storage_key
+from repro.dht.chord import SUSPECT_TTL, ChordNode, storage_key
 from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency
@@ -50,7 +50,7 @@ class TestSuspicion:
         clock, _net, nodes = make_ring(8, seed=3)
         a, b = nodes[0], nodes[1]
         a._suspect(b.address)
-        clock.run_for(a.config.suspect_ttl + 1)
+        clock.run_for(SUSPECT_TTL + 1)
         assert not a._is_suspect(b.address)
 
 

@@ -1,11 +1,15 @@
 """Engine and coordinator internals: adoption, lifecycle, soft state."""
 
 import inspect
+import re
 
 import pytest
 
+from repro.core import planner
 from repro.core.engine import EngineConfig
 from repro.core.network import PierConfig, PierNetwork
+from repro.dht.config import DhtConfig
+from repro.sim.network import NetworkConfig
 
 
 @pytest.fixture
@@ -21,8 +25,9 @@ class TestKnobs:
     def test_config_parameter_sets_are_pinned(self):
         """Every knob doubles the configurations tests and benches must
         cover, so adding one has to show up as a reviewed diff here
-        (and in the ``EngineConfig`` docstring's table of who sets it).
-        A value nothing outside tests sets is a module constant."""
+        (and in the ``EngineConfig`` / ``DhtConfig`` docstring's table
+        of who sets it). A value nothing outside tests sets is a module
+        constant."""
         def knobs(cls):
             return list(inspect.signature(cls.__init__).parameters)[1:]
 
@@ -34,9 +39,24 @@ class TestKnobs:
         ]
         assert knobs(PierConfig) == [
             "dht", "engine", "timing", "network", "bootstrap",
-            "latency_scale", "loss_rate", "admission",
+            "loss_rate", "admission",
         ]
-        assert vars(EngineConfig()).keys() == set(knobs(EngineConfig))
+        assert knobs(DhtConfig) == [
+            "rpc_timeout", "lookup_timeout", "hop_retransmit_timeout",
+            "proximity_routing",
+        ]
+        assert knobs(NetworkConfig) == ["loss_rate", "service_time"]
+        for cls in (EngineConfig, DhtConfig, NetworkConfig):
+            assert vars(cls()).keys() == set(knobs(cls))
+
+    def test_query_options_are_pinned(self):
+        """The planner is the only reader of per-query options; the
+        census of who sets each is in docs/ARCHITECTURE.md."""
+        read = re.findall(r'options\.get\("(\w+)"', inspect.getsource(planner))
+        assert sorted(set(read)) == [
+            "aggregation_tree", "join_strategy", "paned", "paned_exchange",
+            "recursion_deadline", "sample_rate", "shared",
+        ]
 
 
 class TestPlanAdoption:

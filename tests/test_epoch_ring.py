@@ -13,6 +13,7 @@ from repro.core.network import PierNetwork
 from repro.core.operators import register_operator
 from repro.core.opgraph import OpSpec, QueryPlan
 from repro.core.planner import _STANDING_XFER_MARGIN
+from repro.dht.chord import DELIVERY_DEDUP_TTL, STORAGE_SWEEP_PERIOD
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +368,7 @@ class TestExactlyOnceDelivery:
         chord = net.node(net.addresses()[0]).chord
         assert chord.accept_delivery_once(("a", 1))
         assert not chord.accept_delivery_once(("a", 1))
-        net.advance(chord.config.delivery_dedup_ttl + chord.config.storage_sweep_period + 1)
+        net.advance(DELIVERY_DEDUP_TTL + STORAGE_SWEEP_PERIOD + 1)
         assert ("a", 1) not in chord._seen_mids  # swept
         assert chord.accept_delivery_once(("a", 1))
 

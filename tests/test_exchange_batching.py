@@ -232,28 +232,6 @@ class TestBatchLimits:
         assert engine.dht.timers == 0  # unbatched exchanges set no timers
 
 
-class TestExchangeCounters:
-    def test_counted_even_without_byte_accounting(self):
-        from repro.sim.network import NetworkConfig
-
-        engine = EngineConfig(flush_delay=0.25)
-        config = PierConfig(engine=engine, network=NetworkConfig(count_bytes=False))
-        net = PierNetwork(nodes=8, seed=71, config=config)
-        net.create_local_table("r", [("k", "INT"), ("v", "INT")])
-        net.create_local_table("s", [("k", "INT"), ("v", "INT")])
-        for i, address in enumerate(net.addresses()):
-            net.insert(address, "r", [(i % 3, c) for c in range(4)])
-            net.insert(address, "s", [(i % 3, i)])
-        net.run_sql(JOIN_SQL)
-        counters = net.message_counters()
-        # The amortization metric survives count_bytes=False; only the
-        # byte tally is skipped.
-        assert counters.get("exchange_messages", 0) > 0
-        assert counters.get("exchange_rows", 0) > 0
-        assert counters.get("exchange_batches", 0) > 0
-        assert "exchange_bytes" not in counters
-
-
 class TestUndeliveredBuffer:
     @pytest.fixture
     def net(self, monkeypatch):
@@ -265,10 +243,9 @@ class TestUndeliveredBuffer:
         engine = net.node(net.any_address()).engine
         ns = "q|ghost#1|0|op3|0"
         engine._on_unclaimed_delivery({"ns": ns, "data": (1,)}, None)
-        assert len(engine._undelivered[ns]) == 1
+        assert len(engine._undelivered[ns][1]) == 1
         net.advance(6.0)
         assert ns not in engine._undelivered
-        assert ns not in engine._undelivered_expiry
 
     def test_batch_rows_buffered_and_capped(self, net):
         engine = net.node(net.any_address()).engine
@@ -280,7 +257,7 @@ class TestUndeliveredBuffer:
             {"ns": ns, "rows": [(i,) for i in range(8)]}, None
         )
         # Cap is 10: the second batch only partially fits.
-        assert len(engine._undelivered[ns]) == 10
+        assert len(engine._undelivered[ns][1]) == 10
 
     def test_stop_query_clears_matching_namespaces(self, net):
         engine = net.node(net.any_address()).engine
@@ -308,5 +285,5 @@ class TestUndeliveredBuffer:
 
         engine.register_exchange_input(ns, StubExecution(), "op3", 0)
         assert delivered == [(1,), (2,)]
-        assert ns not in engine._undelivered_expiry
+        assert ns not in engine._undelivered
         engine.unregister_exchange_input(ns)

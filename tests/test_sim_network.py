@@ -99,16 +99,6 @@ class TestDelivery:
         assert net.inbound_bytes == {"b": 246}
         assert net.inbound_messages == {"b": 2}
 
-    def test_inbound_accounting_off_without_byte_counting(self, clock):
-        net = Network(clock, ConstantLatency(0.1),
-                      config=NetworkConfig(count_bytes=False))
-        Recorder(net, "a")
-        b = Recorder(net, "b")
-        net.send("a", "b", "x")
-        clock.run_until(1)
-        assert len(b.received) == 1
-        assert net.inbound_bytes == {} and net.inbound_messages == {}
-
     def test_on_deliver_observes_every_arrival(self, net, clock):
         Recorder(net, "a")
         b = Recorder(net, "b")
