@@ -9,9 +9,10 @@ SUM and sample COUNT) run two ways on identical testbeds:
   submitted, re-broadcast, re-planned, and re-scans the whole
   retention window under per-query exchange namespaces;
 * ``standing`` -- one long-lived ``StandingExecution`` per node: scans
-  subscribe to stream appends once and push per-epoch deltas, exchange
-  delivery is registered once per query under epoch-free namespaces,
-  and epoch boundaries roll operators over via ``advance_epoch``.
+  follow the stream fragment's log with a cursor and push per-epoch
+  deltas, exchange delivery is registered once per query under
+  epoch-free namespaces, and epoch boundaries roll operators over via
+  ``advance_epoch``.
 
 Both the in-network aggregation-tree plan and the rehash ablation
 (``aggregation_tree=False``) are swept; rehash-mode standing exchanges
@@ -22,10 +23,16 @@ Acceptance properties asserted here:
 
 * per-epoch results are identical between the polling and standing
   runs (same seed, same workload, same answers epoch for epoch);
-* standing scans examine strictly fewer rows (delta subscription vs
-  full-window re-scan);
 * standing moves strictly fewer messages in both exchange modes (no
   per-epoch plan broadcast, owner caches, stable tree rendezvous).
+
+Rows scanned are reported, not asserted: a poll is charged the whole
+retained fragment (2x the window here), a standing scan one
+examination per arrival plus one per row it reads at a boundary, and
+with retention bounded by the horizon the two land within a factor of
+two of each other in either direction. The "standing scans fewer"
+headline this bench carried until PR 22 measured a leak: the polled
+fragment never evicted, so a poll's charge grew with the run length.
 
 Run standalone with ``python benchmarks/bench_continuous_standing.py``
 (``--smoke`` for a quick pass usable next to tier-1).
@@ -59,7 +66,7 @@ ONESHOT_SQL = (
 def build_net(seed, nodes):
     net = PierNetwork(nodes=nodes, seed=seed, config=PierConfig())
     # Retention horizon of 2x the query window, like the monitoring app:
-    # every one-shot poll re-examines the whole deque.
+    # every one-shot poll is charged the whole retained fragment.
     net.create_stream_table(
         "node_stats", [("rate_kbps", "FLOAT")], window=2 * WINDOW
     )
@@ -175,7 +182,7 @@ def _rows_match(a, b):
 
 
 def check_sweep(stats):
-    """Assert parity and the resource reductions; returns ratio dict."""
+    """Assert parity and the message reduction; returns ratio dict."""
     ratios = {}
     for mode in ("tree", "rehash"):
         oneshot = stats["{}/oneshot".format(mode)]
@@ -190,14 +197,8 @@ def check_sweep(stats):
                 "{!r})".format(mode, k, oneshot["epochs"][k],
                                standing["epochs"][k])
             )
-        assert standing["rows_scanned"] < oneshot["rows_scanned"], (
-            "{}: standing scans did not reduce rows examined".format(mode)
-        )
         assert standing["messages"] < oneshot["messages"], (
             "{}: standing did not reduce messages".format(mode)
-        )
-        ratios["{}_scan".format(mode)] = (
-            oneshot["rows_scanned"] / max(1, standing["rows_scanned"])
         )
         ratios["{}_msgs".format(mode)] = (
             oneshot["messages"] / max(1, standing["messages"])
@@ -228,10 +229,8 @@ def exhibit(nodes, lifetime, stats, ratios):
     text += (
         "\n\nper-epoch results: standing identical to one-shot polling in "
         "both modes\n"
-        "rows-scanned reduction: tree {:.2f}x, rehash {:.2f}x\n"
         "messages_sent reduction: tree {:.2f}x, rehash {:.2f}x "
-        "(one broadcast + subscriptions replace per-epoch re-submission)\n".format(
-            ratios["tree_scan"], ratios["rehash_scan"],
+        "(one broadcast + one cursor replace per-epoch re-submission)\n".format(
             ratios["tree_msgs"], ratios["rehash_msgs"],
         )
     )
@@ -262,7 +261,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="quick 24-node pass (same parity + reduction checks)",
+        help="quick 24-node pass (same parity + message checks)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -276,14 +275,11 @@ def main(argv=None):
 
     write_metrics("continuous_standing", {
         "parity": True,
-        "tree_scan_ratio": round(ratios["tree_scan"], 4),
-        "rehash_scan_ratio": round(ratios["rehash_scan"], 4),
         "tree_msgs_ratio": round(ratios["tree_msgs"], 4),
         "rehash_msgs_ratio": round(ratios["rehash_msgs"], 4),
     }, scale="smoke" if args.smoke else "full")
-    print("ok: per-epoch parity holds; rows scanned {:.2f}x/{:.2f}x and "
-          "messages {:.2f}x/{:.2f}x (tree/rehash)".format(
-              ratios["tree_scan"], ratios["rehash_scan"],
+    print("ok: per-epoch parity holds; messages {:.2f}x/{:.2f}x "
+          "(tree/rehash)".format(
               ratios["tree_msgs"], ratios["rehash_msgs"]))
     return 0
 

@@ -248,11 +248,14 @@ def run_prefix_fleet(seed, nodes, q, shared):
             "distinct predicates should NOT canonicalize to one spine"
         )
     # Probe mid-run, while the stage is alive: the whole fleet's scans
-    # ride ONE prefix stage (and one append hook) per node.
+    # ride ONE prefix stage (one scan reading the table) per node.
     net.advance(2 * EVERY + 1.0)
     for address in net.addresses():
         engine = net.node(address).engine
-        hooks = len(engine.fragment("node_stats")._hooks)
+        readers = sum(
+            op.spec.kind == "scan" and not op.ctx.prefix_fed
+            for rec in engine.records.values() if rec.execution is not None
+            for op in rec.execution.ops.values())
         if shared:
             stages = [rec for rec in engine.records.values()
                       if isinstance(rec, StageRecord)]
@@ -265,11 +268,11 @@ def run_prefix_fleet(seed, nodes, q, shared):
                 "{}: stage carries {} of {} member spines".format(
                     address, members, min(q, DISTINCT_PREDICATES))
             )
-            assert hooks == 1
+            assert readers == 1
         else:
             assert not any(isinstance(rec, (SpineRecord, StageRecord))
                            for rec in engine.records.values())
-            assert hooks == q  # every private scan hooks the table itself
+            assert readers == q  # every private query reads the table itself
     net.advance(LIFETIME + fleet[0][0].plan.deadline + 5.0 - 2 * EVERY - 1.0)
     after = net.message_counters()
     scans_after = sum(n.engine.rows_scanned for n in net.nodes.values())

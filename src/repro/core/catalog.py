@@ -79,20 +79,11 @@ class _BucketedRate:
 class TableStats:
     """Observed behaviour of one table's append stream."""
 
-    __slots__ = ("rate", "row_bytes", "rows_seen")
+    __slots__ = ("rate", "row_bytes")
 
     def __init__(self, bucket=5.0, alpha=0.5):
         self.rate = _BucketedRate(bucket=bucket, alpha=alpha)
         self.row_bytes = 0.0  # EWMA of serialized row size
-        self.rows_seen = 0
-
-    def note_append(self, nbytes, now):
-        self.rate.note(1, now)
-        self.rows_seen += 1
-        if self.row_bytes == 0.0:
-            self.row_bytes = float(nbytes)
-        else:
-            self.row_bytes += 0.2 * (nbytes - self.row_bytes)
 
 
 class StatsCatalog:
@@ -110,14 +101,24 @@ class StatsCatalog:
         self._tables = {}  # table name -> TableStats
         self._groups = {}  # stats key -> EWMA group cardinality
 
-    # -- ingestion ------------------------------------------------------
-    def note_append(self, table, nbytes, now):
+    def _table(self, table):
         stats = self._tables.get(table)
         if stats is None:
             stats = self._tables[table] = TableStats(
                 bucket=self._bucket, alpha=self._alpha
             )
-        stats.note_append(nbytes, now)
+        return stats
+
+    # -- ingestion ------------------------------------------------------
+    def note_append(self, table, nbytes, now):
+        stats = self._tables.get(table) or self._table(table)
+        stats.rate.note(1, now)
+        # A fixed-width table repeats one size: the EWMA sits on it.
+        if nbytes != stats.row_bytes:
+            if stats.row_bytes == 0.0:
+                stats.row_bytes = float(nbytes)
+            else:
+                stats.row_bytes += 0.2 * (nbytes - stats.row_bytes)
 
     def note_group_count(self, stats_key, n):
         prev = self._groups.get(stats_key)
@@ -128,11 +129,7 @@ class StatsCatalog:
 
     # -- seeding (cold start / tests) ----------------------------------
     def seed(self, table, rate=None, row_bytes=None):
-        stats = self._tables.get(table)
-        if stats is None:
-            stats = self._tables[table] = TableStats(
-                bucket=self._bucket, alpha=self._alpha
-            )
+        stats = self._table(table)
         if rate is not None:
             stats.rate.seed(rate)
         if row_bytes is not None:
@@ -156,9 +153,6 @@ class StatsCatalog:
     def group_cardinality(self, stats_key, default=None):
         value = self._groups.get(stats_key)
         return value if value is not None else default
-
-    def tables(self):
-        return list(self._tables)
 
     def __repr__(self):
         return "StatsCatalog({} tables, {} group keys)".format(

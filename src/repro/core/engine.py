@@ -220,14 +220,19 @@ class PierEngine:
         self.fragment(table_name).insert_many(rows)
 
     def stream_append(self, table_name, row, timestamp=None):
-        ts = timestamp if timestamp is not None else self.clock.now
-        self.fragment(table_name).append(ts, row)
+        now = self.clock.now
+        fragment = self.fragment(table_name)
+        stored = fragment.append(now if timestamp is None else timestamp, row)
         # Feed the shared runtime-stats catalog (admission control's
-        # arrival-rate view); the schema catalog carries it when the
-        # testbed enabled stats.
+        # arrival-rate view; there when the testbed enabled stats) what
+        # ``wire_size(row)`` returns -- a constant of a fixed-width
+        # schema for a row stored as it came.
         stats = self.catalog.stats
         if stats is not None:
-            stats.note_append(table_name, wire_size(row), self.clock.now)
+            nbytes = fragment.schema.fixed_row_bytes
+            if nbytes is None or stored is not row:
+                nbytes = wire_size(row)
+            stats.note_append(table_name, nbytes, now)
 
     def publish(self, table_name, row, ttl=None, keep_alive=False):
         """Insert into a DHT table: the row travels to its partition owner.
@@ -240,10 +245,7 @@ class PierEngine:
         which is the only deletion mechanism PIER has.
         """
         table_def = self.catalog.lookup(table_name)
-        if isinstance(row, dict):
-            row = table_def.schema.row_from_dict(row)
-        else:
-            row = table_def.schema.coerce_row(row)
+        row = table_def.schema.row(row)
         rid = row[table_def.schema.index_of(table_def.partition_key)]
         self._publish_seq += 1
         instance_id = (self.address, self._publish_seq)

@@ -51,7 +51,7 @@ from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.operators import register_operator
 from repro.dht.chord import storage_key
 from repro.util.errors import PlanError
-from repro.util.serde import wire_size
+from repro.util.serde import uniform_row_size, wire_size
 
 
 # A pending batch ships once it holds max_batch_rows rows or this many
@@ -292,7 +292,8 @@ class Exchange(Operator):
         """
         if len(batch) == 0:
             return
-        keyed = zip(batch.rows(), self._batch_key_fn(batch))
+        rows = batch.rows()
+        keyed = zip(rows, self._batch_key_fn(batch))
         epoch = self._active_epoch() if self._standing else None
         pane = self._current_pane if self._paned else None
         if self._adaptive_flush:
@@ -308,6 +309,8 @@ class Exchange(Operator):
         pending = self._pending.state(epoch)
         held_rows = pending["rows"]
         held_bytes = pending["bytes"]
+        # One size for all when the rows are fixed-width throughout.
+        row_size = uniform_row_size(rows)
         for row, rid in keyed:
             if hot:
                 rid = self._hot_rid(rid, epoch, pane)
@@ -317,7 +320,7 @@ class Exchange(Operator):
             bucket = (pane, rid)
             bucket_rows = held_rows.setdefault(bucket, [])
             bucket_rows.append(row)
-            size = held_bytes.get(bucket, 0) + wire_size(row)
+            size = held_bytes.get(bucket, 0) + (row_size or wire_size(row))
             held_bytes[bucket] = size
             if len(bucket_rows) >= max_rows or size >= max_bytes:
                 del held_rows[bucket]

@@ -210,28 +210,6 @@ class LogicalPlan:
         h.update(repr(options).encode("utf-8"))
         return h.hexdigest()[:16]
 
-    def prefix_chain(self):
-        """Per-node signature chain from the scan upward (diagnostics).
-
-        The chain lists, bottom-up, the signature of each node on the
-        unary spine starting at the single scan; it stops at the first
-        node with more than one consumer or more than one input. Used
-        by tests/docs to show *where* two plans diverge.
-        """
-        scans = self.scan_nodes()
-        if len(scans) != 1:
-            return []
-        consumers = self.consumers()
-        chain = []
-        node = scans[0]
-        while node is not None:
-            chain.append((node.kind, node.signature()))
-            nexts = consumers.get(node, [])
-            if len(nexts) != 1 or len(nexts[0].inputs) != 1:
-                break
-            node = nexts[0]
-        return chain
-
 
 # ----------------------------------------------------------------------
 # Canonical expression forms

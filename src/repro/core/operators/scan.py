@@ -13,16 +13,18 @@ Under a disposable per-epoch execution the scan runs once, at start.
 Under a :class:`~repro.core.dataflow.StandingExecution` it *subscribes*
 instead of re-scanning:
 
-* stream tables: the scan seeds a pending buffer from the fragment's
-  retained rows and hooks ``fragment.on_append`` itself; each
-  ``open_epoch`` emits the buffered rows falling in the new epoch's
-  window and prunes what can never appear in a later one, so a row is
-  touched O(1) times instead of once per epoch it survives in the
-  retention deque. Queries share a scan by sharing the execution it
-  belongs to (a spine, or the scan stage under many spines -- see
-  :mod:`repro.core.sharing`); the scan of a stage-fed member is
-  *passive* (``ctx.prefix_fed``): no subscription, it only relays the
-  waves the stage injects;
+* stream tables: the scan follows the fragment's log
+  (:class:`~repro.db.window.TimeWindow`) with a *cursor*, the sequence
+  number of the oldest row a later window can still cover: each
+  ``open_epoch`` bisects the log from there for the new window, emits
+  that slice and moves the cursor on, so the scan holds no row and the
+  fragment calls nobody on append. ``rows_scanned`` is charged one
+  examination per row appended since the last read (from sequence
+  numbers; the tail at teardown) plus one per row from the cursor on at
+  every epoch. Queries share a scan by sharing the execution it belongs
+  to (a spine, or the scan stage under many spines -- see
+  :mod:`repro.core.sharing`); a stage-fed member's scan is *passive*
+  (``ctx.prefix_fed``): it only relays the waves the stage injects;
 * dht tables: a TTL'd ``newData`` subscription (renewed every epoch)
   tracks arriving items by reference; each epoch emits the tracked
   items still live -- identical to a fresh ``lscan`` because renewals
@@ -88,10 +90,13 @@ class Scan(Operator):
         # waves. Examinations are charged once at the stage.
         self._prefix_fed = ctx.prefix_fed
         self._table_def = None
-        self._pending = []  # stream mode: [(ts, row)] not yet aged out
+        # Stream mode: the fragment's log, the oldest sequence number a
+        # later epoch may still read, the log's end when last charged.
+        self._log = None
+        self._cursor = 0
+        self._seen = 0
         self._tracked = {}  # dht mode: item key -> StoredItem (by ref)
         self._sub_token = None
-        self._append_token = None
         if self._paned:
             geometry = spec.params["paned"]  # set by the planner
             self._pane = geometry["width"]
@@ -127,64 +132,48 @@ class Scan(Operator):
     def start(self):
         table_name = self.spec.params["table"]
         self._table_def = self.ctx.engine.catalog.lookup(table_name)
+        source = self._table_def.source
         if self._prefix_fed:
             return  # passive: the prefix stage injects our rows
-        if self._standing:
-            self._start_standing(table_name)
-            return
-        if self._table_def.source == "dht":
-            items = self.ctx.dht.lscan(table_name)
-            self._count(len(items))
-            self._emit_rows([tuple(item.value) for item in items])
-            return
-        fragment = self.ctx.fragment(table_name)
-        if self._table_def.source == "stream":
-            # The whole retention deque is examined to select the window.
-            self._count(len(fragment))
-            rows = fragment.scan_window(self.ctx.t0 - self._window(), self.ctx.t0)
-        else:
-            rows = fragment.scan()
-            self._count(len(rows))
-        self._emit_rows(list(rows))
-
-    # ------------------------------------------------------------------
-    # Standing (subscription) mode
-    # ------------------------------------------------------------------
-    def _start_standing(self, table_name):
-        source = self._table_def.source
-        if source == "stream":
-            # Seed with history already retained, then hear about
-            # each future append exactly once. Sharing happens a level
-            # up: a spine or a stage is one execution, hence one scan
-            # and one hook, however many queries it serves.
-            fragment = self.ctx.fragment(table_name)
-            self._pending = fragment.items()
-            self._count(len(self._pending))
-            self._append_token = fragment.on_append(self._on_append)
-            if self._paned:
-                self._emit_paned_epoch(self.ctx.epoch)
+        if not self._standing:
+            if source == "dht":
+                items = self.ctx.dht.lscan(table_name)
+                self._count(len(items))
+                self._emit_rows([tuple(item.value) for item in items])
+            elif source == "stream":
+                # Charged as a pass over everything the horizon
+                # retains, though two bisects select the window.
+                fragment = self.ctx.fragment(table_name)
+                self._count(len(fragment))
+                self._emit_rows(fragment.scan_window(
+                    self.ctx.t0 - self._window(), self.ctx.t0))
             else:
-                self._emit_stream_epoch(self.ctx.t0)
+                self._emit_local()
+            return
+        # Standing (subscription) mode.
+        if source == "stream":
+            # Start at the oldest retained row, charged once as the
+            # seed. Sharing happens a level up: a spine or a stage is
+            # one execution, hence one scan, however many it serves.
+            self._log = log = self.ctx.fragment(table_name)
+            self._cursor = log.first_live()
+            self._seen = log.end
+            self._count(self._seen - self._cursor)
         elif source == "dht":
-            for item in self.ctx.dht.lscan(table_name):
-                self._tracked[item.key()] = item
-            self._sub_token = self.ctx.dht.new_data(
-                table_name, self._on_new_item, ttl=self._sub_ttl()
-            )
-            self._emit_dht_epoch()
-        else:
-            rows = self.ctx.fragment(table_name).scan()
-            self._count(len(rows))
-            self._emit_rows(list(rows))
+            self._subscribe_dht(table_name)
+        self._emit_epoch(self.ctx.epoch, self.ctx.t0)
+
+    def _subscribe_dht(self, table_name):
+        """Seed from the store, then hear about every later arrival."""
+        self._tracked = {i.key(): i for i in self.ctx.dht.lscan(table_name)}
+        self._sub_token = self.ctx.dht.new_data(
+            table_name, self._on_new_item, ttl=self._sub_ttl()
+        )
 
     def _sub_ttl(self):
         # Outlive one missed boundary, not a dead query: the next
         # advance renews; a crashed execution lets it age out.
         return 2.0 * (self.ctx.plan.every or 30.0)
-
-    def _on_append(self, timestamp, row):
-        self._pending.append((timestamp, row))
-        self._count(1)
 
     def _on_new_item(self, item):
         self._tracked[item.key()] = item
@@ -194,48 +183,52 @@ class Scan(Operator):
         """Emit epoch ``k``'s delta (subscription mode only)."""
         if not self._standing or self._prefix_fed:
             return
+        if self._sub_token is not None:
+            table_name = self.spec.params["table"]
+            if not self.ctx.dht.renew_new_data(
+                table_name, self._sub_token, self._sub_ttl()
+            ):
+                # The subscription aged out (e.g. this node crashed
+                # and recovered): re-seed, exactly like a fresh adoption.
+                self._subscribe_dht(table_name)
+        self._emit_epoch(k, t_k)
+
+    def _emit_epoch(self, k, t_k):
         source = self._table_def.source
-        if source == "stream":
-            if self._paned:
-                self._emit_paned_epoch(k)
-            else:
-                self._emit_stream_epoch(t_k)
-        elif source == "dht":
-            if self._sub_token is not None:
-                table = self.spec.params["table"]
-                if not self.ctx.dht.renew_new_data(
-                    table, self._sub_token, self._sub_ttl()
-                ):
-                    # The subscription aged out (e.g. this node crashed
-                    # and recovered): re-seed from the store, exactly
-                    # like a fresh adoption.
-                    self._tracked = {
-                        i.key(): i for i in self.ctx.dht.lscan(table)
-                    }
-                    self._sub_token = self.ctx.dht.new_data(
-                        table, self._on_new_item, ttl=self._sub_ttl()
-                    )
+        if source == "dht":
             self._emit_dht_epoch()
+        elif source != "stream":
+            self._emit_local()  # rows never age: no delta to exploit
+        elif self._paned:
+            self._emit_paned_epoch(k)
         else:
-            rows = self.ctx.fragment(self.spec.params["table"]).scan()
-            self._count(len(rows))
-            self._emit_rows(list(rows))
+            self._emit_stream_epoch(t_k)
+
+    def _emit_local(self):
+        rows = list(self.ctx.fragment(self.spec.params["table"]).scan())
+        self._count(len(rows))
+        self._emit_rows(rows)
+
+    def _read_from(self):
+        """Charge one examination per row appended since the last
+        read; returns where this read starts and the log's end."""
+        log = self._log
+        end = log.end
+        self._count(end - self._seen)
+        self._seen = end
+        return max(self._cursor, log.first_live()), end
 
     def _emit_stream_epoch(self, t_k):
         window = self._window()
-        lo = t_k - window
         every = self.ctx.plan.every or window
+        log = self._log
+        start, end = self._read_from()
+        self._count(end - start)
+        out = log.rows_in(max(start, log.seq_after(t_k - window)),
+                          max(start, log.seq_after(t_k)))
         # Rows at or before the *next* window's low edge can never be
         # scanned again; keep the overlap (window > every) for re-emission.
-        keep_after = t_k + every - window
-        kept, out = [], []
-        for ts, row in self._pending:
-            if lo < ts <= t_k:
-                out.append(row)
-            if ts > keep_after:
-                kept.append((ts, row))
-        self._count(len(self._pending))
-        self._pending = kept
+        self._cursor = max(start, log.seq_after(t_k + every - window))
         self._emit_rows(out)
 
     def _emit_paned_epoch(self, k):
@@ -243,30 +236,33 @@ class Scan(Operator):
 
         Panes up to (but excluding) ``k * panes_per_every`` close with
         epoch ``k``'s window; rows older than the window (panes below
-        ``lo``) can never be scanned again and are dropped. A row can
-        land in an already-emitted pane that is *still inside the
+        ``lo``) can never be scanned again and are passed over. A row
+        can land in an already-emitted pane that is *still inside the
         window* -- an append stamped exactly on the previous boundary
         whose event fired just after that boundary's emission wave --
         and is emitted into its true pane now: the pane's partials stay
         live downstream for every window that still covers it, exactly
-        as the from-scratch path would keep re-scanning the row. Rows
-        for still-open panes stay pending for the next epoch.
+        as the from-scratch path would keep re-scanning the row. The
+        walk stops at the first row of a still-open pane, where the
+        cursor waits for the next epoch.
         """
         lo, hi = window_pane_range(
             k, self._panes_per_every, self._panes_per_window
         )
-        kept, buckets = [], {}
+        log = self._log
+        start, end = self._read_from()
+        origin, width = self._pane_origin, self._pane
+        buckets = {}
         examined = 0
-        for ts, row in self._pending:
-            p = pane_index(ts, self._pane_origin, self._pane)
+        for ts, row in zip(log.stamps_in(start, end), log.rows_in(start, end)):
+            p = pane_index(ts, origin, width)
             if p >= hi:
-                kept.append((ts, row))
-                continue
+                break
             examined += 1
             if p >= lo:
                 buckets.setdefault(p, []).append(row)
         self._count(examined)
-        self._pending = kept
+        self._cursor = start + examined
         for p in sorted(buckets):
             self.open_pane(p)
             self._emit_rows(buckets[p])
@@ -299,14 +295,12 @@ class Scan(Operator):
         self._emit_rows(out)
 
     def teardown(self):
-        if self._append_token is not None:
-            fragment = self.ctx.fragment(self.spec.params["table"])
-            fragment.remove_append_hook(self._append_token)
-            self._append_token = None
+        if self._log is not None:
+            self._count(self._log.end - self._seen)  # the unread tail
+            self._log = None
         if self._sub_token is not None:
             self.ctx.dht.remove_new_data(
                 self.spec.params["table"], self._sub_token
             )
             self._sub_token = None
-        self._pending = []
         self._tracked = {}

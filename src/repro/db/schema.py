@@ -7,6 +7,7 @@ same expression tree run before and after a join concatenates schemas.
 
 from repro.db.types import ANY
 from repro.util.errors import CatalogError
+from repro.util.serde import uniform_row_size
 
 
 class Column:
@@ -30,6 +31,12 @@ class Schema:
             if column.name in self._index:
                 raise CatalogError("duplicate column {!r}".format(column.name))
             self._index[column.name] = i
+        # The ingest fast path (:meth:`row`): a tuple whose values have
+        # exactly these types is what ``coerce_row`` would return, and
+        # its ``wire_size`` is this number (None: not all fixed-width).
+        self.exact_types = tuple(c.type.exact_type for c in self.columns)
+        self.fixed_row_bytes = uniform_row_size(
+            [tuple(t() for t in self.exact_types)])
 
     @classmethod
     def of(cls, *name_type_pairs):
@@ -68,9 +75,6 @@ class Schema:
         except CatalogError:
             return False
 
-    def column(self, name):
-        return self.columns[self.index_of(name)]
-
     def qualify(self, qualifier):
         """A copy with every column renamed to ``qualifier.column``."""
         return Schema(
@@ -102,6 +106,15 @@ class Schema:
         if missing:
             raise CatalogError("row missing columns {}".format(missing))
         return self.coerce_row(mapping[c.name] for c in self.columns)
+
+    def row(self, values):
+        """The row tuple for a mapping or a sequence (itself if it is one)."""
+        if type(values) is tuple and (
+                tuple(map(type, values)) == self.exact_types):
+            return values
+        if isinstance(values, dict):
+            return self.row_from_dict(values)
+        return self.coerce_row(values)
 
     def row_to_dict(self, row):
         return {c.name: v for c, v in zip(self.columns, row)}

@@ -1,43 +1,17 @@
 """Node-local table fragments.
 
-Fragments support two read disciplines: one-shot scans (``scan`` /
-``scan_window``) and *append subscriptions* (``on_append``), which
-standing continuous queries use so a scan operator hears about each new
-row exactly once instead of re-reading the whole fragment every epoch.
-Hooks receive ``(timestamp, row)`` -- for local tables the timestamp is
-None (their rows have no time axis).
+A ``local`` table's fragment is a plain row list that every epoch
+re-reads whole (:class:`LocalTable`); a ``stream`` table's is the
+bounded, time-indexed log of :class:`~repro.db.window.TimeWindow`,
+which one-shot scans read by time range and standing scans follow with
+a cursor.
 """
 
+from repro.db.window import TimeWindow
 from repro.util.errors import CatalogError
 
 
-class AppendHooks:
-    """Mixin: per-fragment append subscriptions.
-
-    ``on_append(callback)`` registers ``callback(timestamp, row)`` and
-    returns the callback as a removal token for ``remove_append_hook``;
-    a standing scan unsubscribes when its execution closes so fragments
-    never pin dead query state.
-    """
-
-    _hooks = ()
-
-    def on_append(self, callback):
-        if not self._hooks:
-            self._hooks = []
-        self._hooks.append(callback)
-        return callback
-
-    def remove_append_hook(self, token):
-        if self._hooks and token in self._hooks:
-            self._hooks.remove(token)
-
-    def _fire_append(self, timestamp, row):
-        for callback in self._hooks:
-            callback(timestamp, row)
-
-
-class LocalTable(AppendHooks):
+class LocalTable:
     """The rows one node contributes to a ``local`` relation.
 
     Inserts accept dicts or positional sequences and coerce through the
@@ -48,15 +22,10 @@ class LocalTable(AppendHooks):
         self.table_def = table_def
         self.schema = table_def.schema
         self._rows = []
-        self._hooks = []
 
     def insert(self, row):
-        if isinstance(row, dict):
-            coerced = self.schema.row_from_dict(row)
-        else:
-            coerced = self.schema.coerce_row(row)
+        coerced = self.schema.row(row)
         self._rows.append(coerced)
-        self._fire_append(None, coerced)
         return coerced
 
     def insert_many(self, rows):
@@ -71,11 +40,7 @@ class LocalTable(AppendHooks):
 
     def replace_all(self, rows):
         """Swap in a fresh row set (per-epoch metric refresh)."""
-        self._rows = [
-            self.schema.row_from_dict(r) if isinstance(r, dict)
-            else self.schema.coerce_row(r)
-            for r in rows
-        ]
+        self._rows = [self.schema.row(r) for r in rows]
 
     def scan(self):
         return self._rows
@@ -92,8 +57,6 @@ class LocalTable(AppendHooks):
 
 def make_fragment(table_def):
     """Build the right fragment container for a table's source kind."""
-    from repro.db.window import TimeWindow
-
     if table_def.source == "stream":
         if table_def.window is None:
             raise CatalogError(

@@ -15,6 +15,9 @@ class ColumnType:
     def __init__(self, name, python_types, coerce_fn=None):
         self.name = name
         self.python_types = python_types
+        # ``coerce`` returns a value of exactly this type unchanged, so
+        # ingest may compare types instead of calling it per value.
+        self.exact_type = python_types[0]
         self._coerce_fn = coerce_fn
 
     def validate(self, value):

@@ -1,10 +1,14 @@
-"""Sliding time windows for stream tables, and the pane math under them.
+"""Stream tables as a bounded, time-indexed log, and the pane math.
 
 Continuous queries in PIER's SQL dialect read a window of recent rows
-each epoch (``... WINDOW 60 SECONDS EVERY 30 SECONDS``). A TimeWindow
-is the node-local buffer behind that: append-only with timestamps,
-range scans by time, and eager eviction of anything older than the
-table's configured horizon.
+each epoch (``... WINDOW 60 SECONDS EVERY 30 SECONDS``). A
+:class:`TimeWindow` is the node-local log behind that: stamps only
+grow, so it is one sorted ``array('d')`` beside one list of row tuples,
+a time range is two bisects, and what the table's horizon no longer
+covers is cut from the front as rows arrive -- memory is rate x
+horizon, whatever the uptime. A row's *sequence number* (rows evicted
+so far + its index) never changes: a standing scan keeps a cursor into
+the log instead of a copy of it.
 
 When ``WINDOW > EVERY`` adjacent windows overlap, and re-aggregating
 the overlap every epoch is the dominant per-epoch cost. The classic
@@ -25,9 +29,12 @@ buckets its per-epoch delta) and the pane-aware stateful operators
 """
 
 import math
-from collections import deque
+from array import array
+from bisect import bisect_left, bisect_right
 
-from repro.db.table import AppendHooks
+# The front is cut once more than this many rows lie past the horizon.
+# Readers never see a dead row, so nothing depends on the number.
+_EVICT_CHUNK = 256
 
 _PANE_RESOLUTION = 1000  # pane math at millisecond resolution
 
@@ -79,56 +86,85 @@ def window_pane_range(epoch, panes_per_every, panes_per_window):
     return hi - panes_per_window, hi
 
 
-class TimeWindow(AppendHooks):
-    """Timestamped row buffer with a fixed retention horizon."""
+class TimeWindow:
+    """One node's rows of a stream table. What is older than the newest
+    stamp minus the horizon is gone for every reader, cut from the front
+    or not: a query window wider than the horizon reads what it retains.
+    """
 
     def __init__(self, table_def):
         self.table_def = table_def
         self.schema = table_def.schema
         self.horizon = table_def.window
-        self._rows = deque()  # (timestamp, row), timestamps non-decreasing
-        self._hooks = []
+        self._stamps = array("d")  # non-decreasing
+        self._rows = []  # row tuples, index-aligned with _stamps
+        self.base = 0  # rows evicted: row i has sequence number base + i
 
     def append(self, timestamp, row):
-        if isinstance(row, dict):
-            coerced = self.schema.row_from_dict(row)
-        else:
-            coerced = self.schema.coerce_row(row)
-        if self._rows and timestamp < self._rows[-1][0]:
-            # Out-of-order arrival: tolerate it, but keep scan ordering
-            # approximate rather than re-sorting the deque.
-            timestamp = self._rows[-1][0]
-        self._rows.append((timestamp, coerced))
-        self._fire_append(timestamp, coerced)
-        return coerced
+        """Log ``row`` (a late stamp is clamped to the newest); returns
+        the stored tuple, ``row`` itself when it needed no coercion."""
+        row = self.schema.row(row)
+        stamps = self._stamps
+        if stamps and timestamp < stamps[-1]:
+            timestamp = stamps[-1]
+        stamps.append(timestamp)
+        self._rows.append(row)
+        cutoff = timestamp - self.horizon
+        if len(stamps) > _EVICT_CHUNK and stamps[_EVICT_CHUNK] < cutoff:
+            self.evict_older_than(cutoff)
+        return row
 
     def evict_older_than(self, cutoff):
         """Drop rows with timestamp < cutoff; returns how many."""
-        dropped = 0
-        while self._rows and self._rows[0][0] < cutoff:
-            self._rows.popleft()
-            dropped += 1
+        dropped = bisect_left(self._stamps, cutoff)
+        del self._stamps[:dropped]
+        del self._rows[:dropped]
+        self.base += dropped
         return dropped
 
+    # -- reads by sequence number (the standing scan's cursor) ---------
+    @property
+    def end(self):
+        """Sequence number the next appended row will get."""
+        return self.base + len(self._rows)
+
+    def first_live(self):
+        """Sequence number of the oldest row the horizon retains."""
+        stamps = self._stamps
+        if not stamps:
+            return self.base
+        return self.base + bisect_left(stamps, stamps[-1] - self.horizon)
+
+    def seq_after(self, timestamp):
+        """Sequence number of the first row stamped after ``timestamp``."""
+        return self.base + bisect_right(self._stamps, timestamp)
+
+    def rows_in(self, lo, hi):
+        """Rows numbered ``[lo, hi)``, a new list (``lo`` at or past
+        :meth:`first_live`: evicted numbers are not addressable)."""
+        return self._rows[lo - self.base:hi - self.base]
+
+    def stamps_in(self, lo, hi):
+        """Their timestamps."""
+        return self._stamps[lo - self.base:hi - self.base]
+
+    # -- reads by time --------------------------------------------------
     def scan_window(self, lo, hi):
         """Rows with timestamp in (lo, hi] -- one epoch's input."""
-        return [row for ts, row in self._rows if lo < ts <= hi]
+        return self.rows_in(max(self.seq_after(lo), self.first_live()),
+                            self.seq_after(hi))
 
     def scan(self):
         """All retained rows (the full current window)."""
-        return [row for _ts, row in self._rows]
-
-    def items(self):
-        """Retained ``(timestamp, row)`` pairs (standing-scan seeding)."""
-        return list(self._rows)
+        return self.rows_in(self.first_live(), self.end)
 
     def latest(self):
-        return self._rows[-1] if self._rows else None
+        return (self._stamps[-1], self._rows[-1]) if self._rows else None
 
     def __len__(self):
-        return len(self._rows)
+        return self.end - self.first_live()
 
     def __repr__(self):
         return "TimeWindow({!r}, {} rows, horizon={})".format(
-            self.table_def.name, len(self._rows), self.horizon
+            self.table_def.name, len(self), self.horizon
         )

@@ -633,10 +633,6 @@ class ChordNode(SimNode, RpcNode):
         """Expose failure suspicion (owner caches skip suspected nodes)."""
         return self._is_suspect(address)
 
-    def forward_route(self, message):
-        """Continue routing a message an upcall previously absorbed."""
-        self._advance(message, message.key, frozenset())
-
     def _handle_route(self, message):
         self._ack_hop(message)
         if message.upcall is not None:

@@ -66,9 +66,6 @@ class Network:
             raise SimulationError("address {!r} already registered".format(node.address))
         self._nodes[node.address] = node
 
-    def deregister(self, address):
-        self._nodes.pop(address, None)
-
     def node(self, address):
         return self._nodes.get(address)
 

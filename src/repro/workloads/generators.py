@@ -105,7 +105,3 @@ class StatsWorkload:
     def on_join(self, address):
         """Churn hook: a recovered host restarts its generator."""
         self.install(address)
-
-    def current_rate(self, address):
-        process = self._processes.get(address)
-        return None if process is None else process.base

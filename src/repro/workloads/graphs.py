@@ -7,13 +7,16 @@ closest to router graphs), and ring-lattice (worst case for recursion
 depth) -- and publish their edges as a DHT ``link`` relation
 partitioned on the source column, which is exactly the layout the
 fetch-matches recursive join wants.
-"""
 
-import networkx as nx
+networkx is imported where it is used: ``repro.apps`` loads this
+module, and only a process that builds a graph should pay 17 MB for it.
+"""
 
 
 def make_graph(kind, n, seed=0, degree=3, p=None):
     """Build a directed graph of ``n`` nodes; returns networkx DiGraph."""
+    import networkx as nx
+
     if kind == "random":
         if p is None:
             p = min(1.0, degree / max(1, n - 1))
@@ -63,6 +66,8 @@ def ground_truth_reachability(g, prefix="r"):
     sits on a cycle (networkx's ``descendants`` always drops the source,
     so self-reachability needs the SCC/self-loop check).
     """
+    import networkx as nx
+
     pairs = set()
     for node in g.nodes:
         for reachable in nx.descendants(g, node):

@@ -9,11 +9,13 @@ behind it and records what would have gone on the wire. Timers run on a
 real ``SimClock``; advance it with ``engine.clock.run_until(t)``.
 Operator unit tests get their context from :class:`StubCtx`, the one
 definition of "a query context with nothing behind it".
+:func:`live_stream_scans` is the one probe for "who reads this table".
 """
 
 from repro.core.dataflow import LocalQueryContext, StandingExecution
 from repro.core.engine import PierEngine
 from repro.core.exchange import Exchange
+from repro.core.operators.scan import Scan
 from repro.core.opgraph import OpSpec, QueryPlan
 from repro.db.catalog import Catalog
 from repro.sim.clock import SimClock
@@ -68,6 +70,22 @@ class RecordingDht:
     on_broadcast = on_direct = set_default_delivery = _ignore
     on_storage_probe = register_delivery = unregister_delivery = _ignore
     register_intercept = unregister_intercept = _ignore
+
+
+def live_stream_scans(engine, table):
+    """Standing scans that read ``engine``'s fragment of stream
+    ``table``: one per shared stage or spine, one per private query,
+    none once the last subscriber stopped. A stage-fed member's scan is
+    passive (it relays the stage's waves) and does not count."""
+    if engine.catalog.lookup(table).source != "stream":
+        return 0
+    return sum(
+        isinstance(op, Scan) and op.spec.params["table"] == table
+        and op.ctx.standing and not op.ctx.prefix_fed
+        for record in engine.records.values()
+        if record.execution is not None and not record.execution.closed
+        for op in record.execution.ops.values()
+    )
 
 
 def make_engine(config=None, routed=None, region=None):

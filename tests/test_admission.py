@@ -11,6 +11,7 @@ from repro.core.catalog import StatsCatalog
 from repro.core.network import PierConfig, PierNetwork
 from repro.core.planner import bound_query_cost, query_stats_key
 from repro.core.sql import parse_query
+from repro.util.serde import wire_size
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +323,35 @@ class TestAdmissionEndToEnd:
             net.advance(0.1)
         assert net.catalog.stats.arrival_rate("s", now=net.now) > 0.0
         assert net.catalog.stats.avg_row_bytes("s") > 0.0
+
+    def test_stream_append_reports_what_wire_size_would(self):
+        """The ingest fast path sizes a fixed-width row from its schema
+        and everything else with ``wire_size``: either way the catalog
+        hears the number ``wire_size(row)`` returns for the row as it
+        was handed in."""
+        net = PierNetwork(nodes=2, seed=3, config=PierConfig())
+        net.create_stream_table("fixed", [("k", "INT"), ("v", "FLOAT"),
+                                          ("up", "BOOL")], window=30.0)
+        net.create_stream_table("texty", [("k", "INT"), ("tag", "STR")],
+                                window=30.0)
+        heard = []
+        net.catalog.stats.note_append = (
+            lambda table, nbytes, now: heard.append(nbytes))
+        engine = net.node(net.addresses()[0]).engine
+        rows = {
+            "fixed": [(1, 2.0, True), (1, 2, True), (True, 2.0, False),
+                      (None, 2.0, True), [1, 2.0, True], ("7", "2.5", 1),
+                      {"k": 1, "v": 2.0, "up": False}],
+            "texty": [(1, "a"), (2, "longer tag"), (3, "t\u00e9rm"),
+                      [4, "x"], {"k": 5, "tag": "y"}],
+        }
+        for table, batch in rows.items():
+            for row in batch:
+                engine.stream_append(table, row)
+        assert heard == [wire_size(row) for batch in rows.values()
+                         for row in batch]
+        assert engine.fragment("fixed").schema.fixed_row_bytes == 21
+        assert engine.fragment("texty").schema.fixed_row_bytes is None
 
     def test_epoch_close_feeds_group_cardinality_back(self):
         net = admission_net(budget=None)

@@ -959,6 +959,32 @@ class TestExchangeChunkingInvariance:
         assert (self._normalize(sent_one_by_one)
                 == self._normalize(sent_batched))
 
+    @pytest.mark.parametrize("tail", [(), ("why",)])
+    def test_byte_cap_crossings_do_not_depend_on_how_rows_are_sized(
+            self, tail, monkeypatch):
+        """Fixed-width batches are sized once, string batches row by
+        row: the byte cap cuts the same messages as sizing every row."""
+        from repro.core import exchange as exchange_module
+
+        monkeypatch.setattr(exchange_module, "MAX_BATCH_BYTES", 100)
+        rng = random.Random(31)
+        rows = [(rng.randint(0, 2), rng.random(), rng.random() < 0.5) + tail
+                for _ in range(90)]
+        key = {"kind": "exprs", "exprs": [col("a")], "schema": SCHEMA}
+        shipped = {}
+        for sized_once in (True, False):
+            if not sized_once:
+                monkeypatch.setattr(exchange_module, "uniform_row_size",
+                                    lambda rows: None)
+            sent = shipped[sized_once] = []
+            exchange = self._exchange(sent, key=key)
+            exchange._max_batch_rows = 10 ** 6  # only the byte cap cuts
+            for start in range(0, len(rows), 30):
+                exchange.push_batch(RowBatch.from_rows(rows[start:start + 30]))
+            exchange.flush()
+        assert self._normalize(shipped[True]) == self._normalize(shipped[False])
+        assert len(shipped[True]) > 6
+
     def test_columnar_wire_shape_decodes(self):
         rows = [(1, 2, "x"), (3, 4, "y"), (5, 6, "x")]
         sent = []

@@ -6,8 +6,10 @@ from repro.db.catalog import Catalog, TableDef
 from repro.db.schema import Schema
 from repro.db.table import LocalTable, make_fragment
 from repro.db.types import ANY, BOOL, FLOAT, INT, STR, type_by_name
+from repro.db import window as window_module
 from repro.db.window import TimeWindow
 from repro.util.errors import CatalogError
+from repro.util.rng import SeededRng
 
 
 class TestTypes:
@@ -224,6 +226,82 @@ class TestTimeWindow:
         assert w.latest() is None
         w.append(2.0, (7.0,))
         assert w.latest() == (2.0, (7.0,))
+
+    def test_exact_rows_are_stored_as_they_came_others_coerced(self):
+        w = TimeWindow(TableDef(
+            "s", Schema.of(("k", INT), ("v", FLOAT), ("tag", STR)),
+            source="stream", window=10.0,
+        ))
+        exact = (1, 2.0, "a")
+        assert w.append(1.0, exact) is exact
+        # bool in an INT column, int in a FLOAT one, a list, a dict, a
+        # NULL: every one goes through the schema, as it always did.
+        assert w.append(1.0, (True, 2.0, "a")) == (1, 2.0, "a")
+        assert type(w.scan()[-1][0]) is int
+        assert w.append(1.0, (1, 2, "a")) == (1, 2, "a")
+        assert w.append(1.0, [1, "2.5", 3]) == (1, 2.5, "3")
+        assert w.append(1.0, {"k": 1, "v": 2.0, "tag": "a"}) == exact
+        assert w.append(1.0, (None, 2.0, "a")) == (None, 2.0, "a")
+        with pytest.raises(CatalogError):
+            w.append(1.0, (1, 2.0))
+        with pytest.raises(CatalogError):
+            w.append(1.0, (1, 2.0, "a", "extra"))
+        assert len(w) == 6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_log_against_a_naive_list_model(self, seed, monkeypatch):
+        """Random appends -- ties, late stamps (clamped), explicit past
+        and future stamps, bursts and silences -- against a list of
+        everything ever appended. Every read hides what is older than
+        the newest stamp minus the horizon, and the log itself holds at
+        most one eviction chunk more than that."""
+        chunk = 8
+        monkeypatch.setattr(window_module, "_EVICT_CHUNK", chunk)
+        rng = SeededRng(seed, "time-window-model")
+        horizon = rng.choice([3.0, 10.0, 25.0])
+        w = self.make(horizon)
+        model = []  # (clamped stamp, row), never evicted
+        now = 0.0
+        for i in range(600):
+            step = rng.choice([0.0, 0.0, 0.1, 0.5, 1.0, rng.uniform(0, 4)])
+            if rng.random() < 0.02:
+                step = 3 * horizon  # a silence that kills everything
+            now += step
+            stamp = now
+            kind = rng.random()
+            if kind < 0.15:
+                stamp = now - rng.uniform(0, 2 * horizon)  # late: clamped
+            elif kind < 0.18:
+                stamp = now + rng.uniform(0, 2.0)  # ahead of the clock
+            row = (float(i),)
+            w.append(stamp, row)
+            newest = max(stamp, model[-1][0]) if model else stamp
+            model.append((newest, row))
+            live = [(t, r) for t, r in model if t >= newest - horizon]
+
+            assert w.latest() == model[-1]
+            assert len(w) == len(live)
+            assert w.scan() == [r for _t, r in live]
+            assert w.end == len(model)
+            assert w.first_live() == len(model) - len(live)
+            assert len(w._rows) == len(w._stamps) <= len(live) + chunk
+            assert w.base + len(w._rows) == len(model)
+            # Window edges: lo exclusive, hi inclusive, on stamps that
+            # exist (ties included) and between them.
+            stamps = [t for t, _r in model]
+            for _ in range(3):
+                lo, hi = sorted((
+                    rng.choice(stamps) if rng.random() < 0.6
+                    else rng.uniform(-1.0, newest + 1.0)
+                    for _ in range(2)))
+                want = [r for t, r in live if lo < t <= hi]
+                assert w.scan_window(lo, hi) == want
+            assert w.seq_after(newest) == len(model)
+            cut = rng.choice(stamps[-20:])
+            first_later = sum(1 for t in stamps if t <= cut)
+            if first_later >= w.base:
+                assert w.seq_after(cut) == first_later
+        assert w.base > 0  # the front really was cut
 
     def test_make_fragment_dispatch(self):
         stream_def = TableDef("s", Schema.of(("v", FLOAT)), source="stream", window=5)

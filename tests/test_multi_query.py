@@ -6,6 +6,7 @@ and parity with private executions."""
 import math
 
 import pytest
+from stubs import live_stream_scans
 
 from repro.core.dataflow import StandingExecution
 from repro.core.engine import PierEngine
@@ -43,11 +44,6 @@ def spines(engine):
 
 def stages(engine):
     return [r for r in engine.records.values() if isinstance(r, StageRecord)]
-
-
-def append_hooks(engine, table="s"):
-    """Append hooks on this node's fragment: one per standing scan."""
-    return len(engine.fragment(table)._hooks)
 
 
 TAIL = "EVERY 10 SECONDS WINDOW 10 SECONDS LIFETIME 40 SECONDS"
@@ -151,7 +147,7 @@ class TestSpineRuntime:
             assert isinstance(srec.execution, StandingExecution)
             assert set(srec.subscribers) == {h.qid for h in fleet}
             # One append hook on the stream table, however many queries.
-            assert append_hooks(engine) == 1
+            assert live_stream_scans(engine, "s") == 1
             for handle in fleet:
                 assert engine.queries[handle.qid].execution is srec.execution
 
@@ -196,7 +192,7 @@ class TestSpineRuntime:
         assert (engine.queries[fleet.qid].record
                 is not engine.queries[control.qid].record)
         # Two geometries, two scans: each hooks the table itself.
-        assert append_hooks(engine) == 2
+        assert live_stream_scans(engine, "s") == 2
         net.advance(40.0 + control.plan.deadline + 5.0 - 12.0)
         assert len({r.epoch for r in fleet_results}) >= 3
         assert len({r.epoch for r in control_results}) >= 3
@@ -222,7 +218,7 @@ class TestSpineRuntime:
         net.advance(2.0)
         (srec,) = spines(engine)
         assert set(srec.subscribers) == {fleet[2].qid}
-        assert append_hooks(engine) == 1
+        assert live_stream_scans(engine, "s") == 1
         epochs_before = {r.epoch for r in outs[2]}
         net.advance(10.0)
         assert {r.epoch for r in outs[2]} - epochs_before, (
@@ -236,7 +232,7 @@ class TestSpineRuntime:
         for address in net.addresses():
             eng = net.node(address).engine
             assert not eng.records
-            assert append_hooks(eng) == 0
+            assert live_stream_scans(eng, "s") == 0
 
     def test_staggered_submission_joins_by_epoch_phase(self, net):
         # A near-duplicate submitted whole periods later lands on the
@@ -353,7 +349,7 @@ class TestPrefixStageRuntime:
                 assert srec.execution is not prec.execution
                 assert srec.execution.ctx.prefix_fed
             # ...and the table carries ONE append hook: the stage's.
-            assert append_hooks(engine) == 1
+            assert live_stream_scans(engine, "s") == 1
 
     def test_fleet_results_match_ablation_twin(self):
         thresholds = (1.5, 2.5, 3.5, 4.5)
@@ -404,7 +400,7 @@ class TestPrefixStageRuntime:
         net.advance(2.0)
         (prec,) = stages(engine)
         assert len(prec.subscribers) == 1
-        assert append_hooks(engine) == 1
+        assert live_stream_scans(engine, "s") == 1
         epochs_before = {r.epoch for r in outs[2]}
         net.advance(10.0)
         assert {r.epoch for r in outs[2]} - epochs_before, (
@@ -417,7 +413,7 @@ class TestPrefixStageRuntime:
         for address in net.addresses():
             eng = net.node(address).engine
             assert not eng.records
-            assert append_hooks(eng) == 0
+            assert live_stream_scans(eng, "s") == 0
 
     def test_staggered_join_lands_on_the_running_stage(self, net):
         site = net.any_address()
@@ -584,7 +580,7 @@ class TestOneLifecycle:
             engine = net.node(address).engine
             assert not engine.records
             assert timers[address].cancelled
-            assert append_hooks(engine) == 0
+            assert live_stream_scans(engine, "s") == 0
         net.advance(25.0)
         assert [len(results) for results in outs] == seen
 
@@ -609,5 +605,5 @@ class TestOneLifecycle:
         assert all(m.on_grid and m.next_timer is None
                    for m in stage.members())
         assert stage.on_grid and not stage.next_timer.cancelled
-        assert append_hooks(engine) == 1
+        assert live_stream_scans(engine, "s") == 1
 

@@ -11,6 +11,8 @@ import enum
 import pytest
 
 from repro.core.batch import columnar_wire
+from repro.db.schema import Schema
+from repro.db.types import ANY, BOOL, FLOAT, INT, STR
 from repro.dht import messages as msg
 from repro.dht.chord import NodeRef
 from repro.dht.storage import StoredItem
@@ -223,3 +225,47 @@ def test_every_dht_message_type(expected):
                 if isinstance(cls, type) and issubclass(cls, msg.Message)
                 and cls is not msg.Message}
     assert seen == concrete
+
+
+# ----------------------------------------------------------------------
+# One size per batch: never a number wire_size would not give each row
+# ----------------------------------------------------------------------
+def test_uniform_row_size_agrees_with_wire_size_row_by_row():
+    states = [((g,), [0.5 * g, g + 1]) for g in range(5)]  # (gvals, states)
+    batches = {
+        "ints": [(1, 2), (3, -4), (2 ** 40, 0)],
+        "floats and ints": [(1.5, 2), (0.0, 3)],
+        "int or float in one column": [(1, 2.0), (1.5, 3)],
+        "bools": [(True, 1), (False, 2)],
+        "all None column": [(None, 1), (None, 2)],
+        "None or bool, both one byte": [(None, 1), (True, 2)],
+        "zero arity": [(), ()],
+        "one row": [(7, 7.0, False, None)],
+        "int or None: two widths": [(1, 2), (None, 3)],
+        "int or bool: two widths": [(1, 2), (True, 3)],
+        "strings": [(1, "a"), (2, "bcd")],
+        "group-by partials": states,
+        "ragged": [(1, 2, 3), (4, 5), (6,)],
+        "a list among tuples": [(1, 2), [3, 4]],
+        "int subclass": [(enum.IntEnum("E", "A").A, 1)],
+        "empty": [],
+    }
+    sized_once = set()
+    for name, rows in batches.items():
+        size = serde.uniform_row_size(rows)
+        if size is not None:
+            sized_once.add(name)
+            assert [wire_size(row) for row in rows] == [size] * len(rows), name
+    assert sized_once == {
+        "ints", "floats and ints", "int or float in one column", "bools",
+        "all None column", "None or bool, both one byte", "zero arity",
+        "one row",
+    }
+
+
+def test_a_schema_knows_its_fixed_row_size():
+    sized = Schema.of(("k", INT), ("v", FLOAT), ("up", BOOL))
+    assert sized.fixed_row_bytes == wire_size((1, 2.0, True)) == 21
+    assert Schema([]).fixed_row_bytes == wire_size(())
+    assert Schema.of(("k", INT), ("tag", STR)).fixed_row_bytes is None
+    assert Schema.of(("blob", ANY)).fixed_row_bytes is None

@@ -2,9 +2,9 @@
 epoch tags, stop tombstones, and the one adopt/run/forget lifecycle."""
 
 import pytest
-from stubs import make_engine, make_exchange
+from stubs import live_stream_scans, make_engine, make_exchange
 
-from repro.core.dataflow import EpochExecution
+from repro.core.dataflow import EpochExecution, LocalQueryContext, Operator
 from repro.core.engine import (
     STOP_TOMBSTONE_TTL,
     TEARDOWN_SLACK,
@@ -12,8 +12,15 @@ from repro.core.engine import (
 )
 from repro.core.exchange import epoch_route_ns
 from repro.core.network import PierNetwork
+from repro.core.operators.scan import Scan
+from repro.core.opgraph import OpSpec, QueryPlan
 from repro.core.sharing import SpineRecord
+from repro.db.catalog import TableDef
+from repro.db.schema import Schema
+from repro.db.types import FLOAT
+from repro.db.window import pane_index, pane_width, window_pane_range
 from repro.dht.chord import NodeRef, node_id_for, storage_key
+from repro.util.rng import SeededRng
 
 
 def install_ticker(net, address, value, period=2.0, table="s"):
@@ -186,11 +193,11 @@ class TestStandingLifecycle:
     def test_stop_unsubscribes_append_hooks(self, net):
         handle = net.submit_sql(CONTINUOUS_SQL)
         net.advance(12)
-        fragment = net.node(net.addresses()[1]).engine.fragment("s")
-        assert fragment._hooks  # the standing scan subscribed
+        engine = net.node(net.addresses()[1]).engine
+        assert live_stream_scans(engine, "s") == 1  # the standing scan
         handle.stop()
         net.advance(3)
-        assert not fragment._hooks
+        assert live_stream_scans(engine, "s") == 0
 
 
 def final_groups(execution, op_id, epoch):
@@ -367,7 +374,7 @@ class TestOneLifecyclePerQuery:
             assert not node.engine.records
             assert timer.cancelled
             assert execution is None or execution.closed
-            assert not node.engine.fragment("s")._hooks
+            assert live_stream_scans(node.engine, "s") == 0
             assert not node.chord._delivery_handlers
 
     @pytest.mark.parametrize("options", [None, PRIVATE])
@@ -491,3 +498,235 @@ class TestStableRendezvous:
         engine.dht.suspects.clear()
         key, payload = ship(8)
         assert key == stable and "salted" not in payload
+
+
+# ----------------------------------------------------------------------
+# The standing stream scan: a cursor into the fragment's log
+# ----------------------------------------------------------------------
+class PendingScanModel:
+    """The algorithm the cursor replaced, kept as the oracle: a private
+    ``(stamp, row)`` list fed one call per append, filtered in full at
+    every boundary. Emissions come back as the events a consumer sees."""
+
+    def __init__(self, seed_items, window, every, geometry=None, origin=None):
+        self.pending = list(seed_items)
+        self.scanned = len(self.pending)  # the seed
+        self.window, self.every = window, every
+        self.geometry, self.origin = geometry, origin
+
+    def feed(self, stamp, row):
+        self.pending.append((stamp, row))
+        self.scanned += 1
+
+    def epoch(self, k, t_k):
+        if self.geometry is not None:
+            return self._paned_epoch(k)
+        lo = t_k - self.window
+        keep_after = t_k + self.every - self.window
+        kept, out = [], []
+        for ts, row in self.pending:
+            if lo < ts <= t_k:
+                out.append(row)
+            if ts > keep_after:
+                kept.append((ts, row))
+        self.scanned += len(self.pending)
+        self.pending = kept
+        return [("rows", out)] if out else []
+
+    def _paned_epoch(self, k):
+        geometry = self.geometry
+        lo, hi = window_pane_range(k, geometry["every"], geometry["window"])
+        kept, buckets = [], {}
+        for ts, row in self.pending:
+            p = pane_index(ts, self.origin, geometry["width"])
+            if p >= hi:
+                kept.append((ts, row))
+                continue
+            self.scanned += 1
+            if p >= lo:
+                buckets.setdefault(p, []).append(row)
+        self.pending = kept
+        events = []
+        for p in sorted(buckets):
+            events += [("pane", p), ("rows", buckets[p])]
+        return events
+
+
+class EventSink(Operator):
+    def __init__(self):
+        self.events = []
+        self.consumers = []
+
+    def push_batch(self, batch, port=0):
+        self.events.append(("rows", batch.rows()))
+
+    def open_pane(self, pane):
+        self.events.append(("pane", pane))
+
+
+SCAN_SHAPES = {
+    "tumbling": (10.0, 10.0, False),
+    "gapped": (4.0, 10.0, False),
+    "sliding": (7.5, 2.5, False),
+    "paned": (7.5, 2.5, True),
+    "paned-coarse": (30.0, 10.0, True),
+}
+
+
+class TestScanCursor:
+    @pytest.mark.parametrize("shape", sorted(SCAN_SHAPES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cursor_scan_matches_the_pending_list_it_replaced(self, shape,
+                                                              seed):
+        """One random schedule of appends and boundaries -- ties on a
+        boundary before and after its wave, late and explicitly old
+        stamps, silent epochs -- through the real ``Scan`` and through
+        the ``_pending`` model: same rows and pane markers in the same
+        order, same ``rows_scanned``, teardown's unread tail included."""
+        window, every, paned = SCAN_SHAPES[shape]
+        rng = SeededRng(seed, "scan-cursor/" + shape)
+        engine = make_engine()
+        # Long enough that no row dies before the scan has read it:
+        # a row the horizon dropped unread is never examined, where the
+        # list charged it (the horizon rule has its own test below).
+        horizon = (window + every) * rng.choice([1, 2])
+        engine.catalog.define(TableDef(
+            "s", Schema.of(("v", FLOAT)), source="stream", window=horizon))
+        log = engine.fragment("s")
+        serial = iter(range(10 ** 6))
+        model = None
+
+        def append(stamp):
+            row = (float(next(serial)),)
+            engine.stream_append("s", row, stamp)
+            if model is not None:
+                model.feed(log.latest()[0], row)
+
+        k0, t0 = rng.choice([0, 3]), 100.0
+        for _ in range(rng.randint(0, 30)):  # history, all inside the horizon
+            append(t0 - rng.uniform(0.0, window))
+        if rng.random() < 0.5:
+            append(t0)
+
+        params = {"table": "s"}
+        geometry = None
+        if paned:
+            width = pane_width(window, every)
+            geometry = params["paned"] = {
+                "width": width, "every": round(every / width),
+                "window": round(window / width)}
+        spec = OpSpec("scan", "scan", params)
+        plan = QueryPlan(
+            [spec, OpSpec("sink", "result", inputs=["scan"])], "sink",
+            mode="continuous", every=every, window=window, standing=True)
+        ctx = LocalQueryContext(engine, plan, "q", k0, t0, "site",
+                                standing=True)
+        scan, sink = Scan(ctx, spec), EventSink()
+        scan.wire(sink, 0)
+        before = engine.rows_scanned
+        live = log.first_live()
+        model = PendingScanModel(
+            zip(log.stamps_in(live, log.end), log.rows_in(live, log.end)),
+            window, every, geometry, t0 - k0 * every)
+        expected = model.epoch(k0, t0)
+        scan.start()
+        for k in range(k0 + 1, k0 + 13):
+            t_prev, t_k = t0 + (k - 1 - k0) * every, t0 + (k - k0) * every
+            if rng.random() < 0.5:
+                append(t_prev)  # stamped on the boundary, after its wave
+            for _ in range(rng.choice([0, 0, 3, 12])):
+                roll = rng.random()
+                if roll < 0.1:
+                    append(t_prev - rng.uniform(0, window))  # late: clamped
+                else:
+                    append(rng.uniform(t_prev, t_k))
+            if rng.random() < 0.5:
+                append(t_k)  # stamped on the boundary, before its wave
+            ctx.epoch = ctx.active_epoch = k
+            ctx.t0 = t_k
+            expected += model.epoch(k, t_k)
+            scan.open_epoch(k, t_k)
+            assert sink.events == expected
+        for _ in range(rng.randint(0, 5)):
+            append(t_k + 1.0)
+        scan.teardown()
+        assert engine.rows_scanned - before == model.scanned
+        assert scan._log is None  # the scan lets go of the fragment
+
+    def test_fragments_stay_bounded_over_fifty_windows(self):
+        """A standing SUM answers 50 windows exactly while no fragment
+        ever holds more than twice what its horizon covers."""
+        net = PierNetwork(nodes=8, seed=11)
+        period, burst, horizon, every, windows = 0.125, 5, 8.0, 4.0, 50
+        net.create_stream_table("s", [("v", "FLOAT")], window=horizon)
+        appended = []  # (time, value)
+        high_water = {}
+
+        def ticker(address, phase):
+            engine = net.node(address).engine
+            count = iter(range(10 ** 6))
+
+            def tick():
+                for _ in range(burst):
+                    value = float(next(count) % 7)
+                    engine.stream_append("s", (value,))
+                    appended.append((net.now, value))
+                high_water[address] = max(high_water.get(address, 0),
+                                          len(engine.fragment("s")._rows))
+                engine.set_timer(period, tick)
+
+            engine.set_timer(phase, tick)
+
+        for i, address in enumerate(net.addresses()):
+            ticker(address, 0.01 + 0.01 * i)
+        net.advance(horizon)
+        t0 = net.now
+        results = {}
+        net.submit_sql(
+            "SELECT SUM(v) AS total, COUNT(*) AS n FROM s "
+            "EVERY {} SECONDS WINDOW {} SECONDS LIFETIME {} SECONDS".format(
+                int(every), int(every), int(every * windows)),
+            on_epoch=lambda r: results.__setitem__(r.epoch, r.rows))
+        net.advance(every * windows + 30)
+        assert sorted(results) == list(range(1, windows + 1))
+        for k in range(1, windows + 1):
+            t_k = t0 + k * every
+            inside = [v for t, v in appended if t_k - every < t <= t_k]
+            assert results[k] == [(sum(inside), len(inside))]
+        per_horizon = burst / period * horizon
+        assert max(high_water.values()) <= 2 * per_horizon
+        # The parent kept every row of all fifty windows.
+        assert len(appended) / 8 > 20 * per_horizon
+
+    @pytest.mark.parametrize("standing", [False, True])
+    def test_window_wider_than_the_horizon_reads_what_the_horizon_keeps(
+            self, standing):
+        """The rule for a query that asks for more history than its
+        table keeps: the plan is accepted as written, and the scan --
+        one-shot or standing, seed and charge included -- reads what
+        the horizon retains."""
+        net = PierNetwork(nodes=4, seed=5)
+        net.create_stream_table("s", [("v", "FLOAT")], window=10.0)
+        engine = net.node(net.addresses()[0]).engine
+        for stamp in range(40):
+            engine.stream_append("s", (1.0,), float(stamp))
+        net.advance(39.0 - net.now)
+        assert len(engine.fragment("s")) == 11  # stamps 29..39
+        before = engine.rows_scanned
+        sql = "SELECT COUNT(*) AS n FROM s "
+        if standing:
+            sql += "EVERY 10 SECONDS WINDOW 30 SECONDS LIFETIME 10 SECONDS"
+            plan = net.compile_sql(sql)
+            assert plan.window == 30.0
+            results = []
+            net.submit_sql(sql, on_epoch=results.append)
+            net.advance(25)
+            # Epoch 1 ends at 49 and asks for (19, 49].
+            assert [r.rows for r in results] == [[(11,)]]
+            # The seed, then each row once into its pane (the plan is
+            # paned: the window is assembled from pane partials).
+            assert engine.rows_scanned - before == 22
+        else:
+            result = net.run_sql(sql + "WINDOW 30 SECONDS")  # (9, 39]
+            assert result.rows == [(11,)]
+            assert engine.rows_scanned - before == 11
