@@ -77,14 +77,20 @@ DISTINCT_SQL = ("SELECT COUNT(DISTINCT v) AS d FROM load "
 # -- static vs adaptive legs at peak ------------------------------------
 LOAD_NODES = 8
 LOAD_TICK = 0.1  # seconds between source ticks on each node
-# 220 rows/sec per node. The static leg's meltdown is a capacity
+# 240 rows/sec per node. The static leg's meltdown is a capacity
 # statement: its 64-row messages toward the hot owner must outrun the
 # owner's 25 msg/s. At 200 rows/s they did so only together with the
 # ring's keep-alive RPCs sharing that queue; since maintenance costs
 # one exchange per ring edge (PR 16) 200 rows/s sits just *under*
-# capacity (static p95 36 s -> 8 s) and 240 drowns the adaptive leg
-# too, so the load point moved to where static alone is over.
-LOAD_ROWS_PER_TICK = 22
+# capacity (static p95 36 s -> 8 s). At 220 they did so only together
+# with the hop acks coming back for the owner's own sends; since the
+# batches a node ships to one next hop at one instant share one ack
+# (hop bundling; the batches themselves still cost the receiver one
+# service time each) 220 sits just under too (static p95 44 s ->
+# 10 s, adaptive 13 s -> 10 s: ratio 1.00). So the load point moved,
+# again, to where static alone is over: 230-260 rows/s all melt the
+# static leg (smoke p95 21-35 s) and leave the adaptive one at 10-11 s.
+LOAD_ROWS_PER_TICK = 24
 SERVICE_TIME = 0.04  # receiver handles 25 msg/s: overload queues
 LOAD_LIFETIME = 60.0
 SMOKE_LOAD_LIFETIME = 35.0
@@ -371,6 +377,8 @@ def build_load_net(seed, variant, service_time=None,
 
 def run_load_leg(seed, variant, lifetime):
     """One overloaded standing fan-in join; measure per-epoch lag."""
+    from repro.dht.messages import parts_of
+
     net = build_load_net(seed, variant, probe=True)
     net.advance(EVERY)
     net.reset_counters()
@@ -382,9 +390,11 @@ def run_load_leg(seed, variant, lifetime):
     arrivals = {}
     extras = {"xbp": 0, "hot": 0}
 
-    def deliver(src, dst, payload):
-        inner = getattr(payload, "payload", None)
-        if isinstance(inner, dict):
+    def deliver(src, dst, wire):
+        for part in parts_of(wire):
+            inner = getattr(part, "payload", None)
+            if not isinstance(inner, dict):
+                continue
             op = inner.get("op")
             if op in ("deliver", "deliver_batch"):
                 epoch = inner.get("epoch")
@@ -444,6 +454,8 @@ def run_split_parity(seed):
     nothing: shards re-merge at the coordinator, so per-epoch answers
     match the unsplit run exactly (no service queue -- this leg gates
     correctness, not latency)."""
+    from repro.dht.messages import parts_of
+
     out = {}
     for variant in ("static", "split"):
         net = build_load_net(seed, variant, service_time=0.0,
@@ -454,12 +466,13 @@ def run_split_parity(seed):
                                 on_epoch=results.append)
         hot = [0]
 
-        def deliver(src, dst, payload, _hot=hot):
-            inner = getattr(payload, "payload", None)
-            if isinstance(inner, dict):
-                rid = inner.get("rid")
-                if isinstance(rid, tuple) and rid and rid[0] == "hot":
-                    _hot[0] += 1
+        def deliver(src, dst, wire, _hot=hot):
+            for part in parts_of(wire):
+                inner = getattr(part, "payload", None)
+                if isinstance(inner, dict):
+                    rid = inner.get("rid")
+                    if isinstance(rid, tuple) and rid and rid[0] == "hot":
+                        _hot[0] += 1
 
         net.net.on_deliver = deliver
         net.advance(SPLIT_LIFETIME + handle.plan.deadline + 5.0)
@@ -577,6 +590,10 @@ def test_admission_elasticity(benchmark):
 
 def main(argv=None):
     import argparse
+
+    from benchmarks._harness import begin
+
+    begin("admission_elasticity")
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(

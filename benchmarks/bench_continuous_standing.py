@@ -258,6 +258,10 @@ def test_continuous_standing(benchmark):
 def main(argv=None):
     import argparse
 
+    from benchmarks._harness import begin
+
+    begin("continuous_standing")
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",

@@ -423,6 +423,10 @@ def test_distributed_panes(benchmark):
 def main(argv=None):
     import argparse
 
+    from benchmarks._harness import begin
+
+    begin("distributed_panes")
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",

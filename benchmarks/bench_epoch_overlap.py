@@ -368,6 +368,10 @@ def test_epoch_overlap(benchmark):
 def main(argv=None):
     import argparse
 
+    from benchmarks._harness import begin
+
+    begin("epoch_overlap")
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",

@@ -12,7 +12,7 @@ magnitude more messages when pushed to full coverage.
 """
 
 from benchmarks._harness import fmt_table, full_scale, report, run_once
-from repro.apps.filesharing import FileSharingApp
+from repro.apps.filesharing import FileSharingApp, count_get_hops
 from repro.baselines.flooding import FloodingNetwork
 from repro.core.network import PierNetwork
 
@@ -31,15 +31,14 @@ def test_filesharing_search(benchmark):
 
         overlay = FloodingNetwork(net.addresses(), degree=4, seed=54)
         overlay.load_corpus(app.corpus)
+        get_hops = count_get_hops(net)
 
         rows = []
         for label, term in (("popular", popular), ("rare", rare)):
             truth = set(app.ground_truth([term]))
-            before = net.message_counters().get("messages_kind_route", 0)
+            before = len(get_hops)
             found = set(app.search_one(term))
-            dht_msgs = (
-                net.message_counters().get("messages_kind_route", 0) - before
-            )
+            dht_msgs = len(get_hops) - before
             dht_recall = len(found & truth) / max(1, len(truth))
             for ttl in (2, 4, int(num_nodes / 2)):
                 flood_found, stats = overlay.search([term], ttl=ttl)

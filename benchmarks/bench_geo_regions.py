@@ -112,6 +112,8 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
     ``disturb`` optionally maps the run's t0 to a schedule of
     (at, callback_name, region) partition events applied mid-run.
     """
+    from repro.dht.messages import parts_of
+
     window = RATIO * EVERY
     net = build_net(seed, per_region, variant, window)
     net.advance(window)
@@ -138,13 +140,14 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
     t0 = handle.t0
     arrivals = {}
 
-    def deliver(src, dst, payload):
-        inner = getattr(payload, "payload", None)
-        if isinstance(inner, dict) and inner.get("op") in (
-                "deliver", "deliver_batch"):
-            epoch = inner.get("epoch")
-            if epoch is not None:
-                arrivals[epoch] = net.now
+    def deliver(src, dst, wire):
+        for part in parts_of(wire):
+            inner = getattr(part, "payload", None)
+            if isinstance(inner, dict) and inner.get("op") in (
+                    "deliver", "deliver_batch"):
+                epoch = inner.get("epoch")
+                if epoch is not None:
+                    arrivals[epoch] = net.now
 
     net.net.on_deliver = deliver
 
@@ -379,6 +382,10 @@ def test_geo_regions(benchmark):
 
 def main(argv=None):
     import argparse
+
+    from benchmarks._harness import begin
+
+    begin("geo_regions")
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(

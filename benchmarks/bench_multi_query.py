@@ -535,6 +535,10 @@ def test_multi_query(benchmark):
 def main(argv=None):
     import argparse
 
+    from benchmarks._harness import begin
+
+    begin("multi_query")
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",

@@ -287,6 +287,10 @@ def test_sliding_windows(benchmark):
 def main(argv=None):
     import argparse
 
+    from benchmarks._harness import begin
+
+    begin("sliding_windows")
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",

@@ -10,7 +10,7 @@ the identical corpus. Prints recall and message costs, the trade-off
 at the heart of the hybrid-search paper the demo cites.
 """
 
-from repro.apps.filesharing import FileSharingApp
+from repro.apps.filesharing import FileSharingApp, count_get_hops
 from repro.baselines.flooding import FloodingNetwork
 from repro.core.network import PierNetwork
 
@@ -30,10 +30,11 @@ def main():
         popular, popularity[popular], rare, popularity[rare]))
 
     print("\n-- Single-term DHT search (one get, O(log N) hops)")
+    get_hops = count_get_hops(net)
     for term in (popular, rare):
-        before = net.message_counters().get("messages_kind_route", 0)
+        before = len(get_hops)
         found = app.search_one(term)
-        cost = net.message_counters().get("messages_kind_route", 0) - before
+        cost = len(get_hops) - before
         truth = app.ground_truth([term])
         print("   {!r}: {} files (truth {}), {} routed messages".format(
             term, len(found), len(truth), cost))

@@ -15,6 +15,7 @@ acceptable only for popular ones -- is exactly what
 flooding baseline.
 """
 
+from repro.dht.messages import parts_of
 from repro.util.zipf import ZipfSampler
 
 # A small vocabulary whose popularity is Zipfian, like query logs.
@@ -24,6 +25,23 @@ VOCABULARY = [
     "chord", "overlay", "planetlab", "kernel", "compiler", "haskell",
     "fortran", "telescope", "genome", "seismic", "glacier",
 ]
+
+
+def count_get_hops(net):
+    """Tap ``net`` and return a list that grows by one address per
+    overlay hop a DHT ``get`` arrives at -- the search-cost figure of
+    the hybrid-search comparison. It looks inside hop bundles, where a
+    ``get`` may share a wire message with whatever else left for the
+    same next hop at that instant."""
+    hops = []
+
+    def tap(src, dst, message):
+        for part in parts_of(message):
+            if part.kind == "route" and part.payload.get("op") == "get":
+                hops.append(dst)
+
+    net.net.on_deliver = tap
+    return hops
 
 
 class FileSharingApp:

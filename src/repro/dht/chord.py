@@ -127,6 +127,11 @@ class ChordNode(SimNode, RpcNode):
         self._direct_handlers = []
         self._seen_broadcasts = {}  # token -> forget-at, like _seen_mids
         self._bootstrap_address = None
+        # Acked hops filed this instant, not yet on the wire:
+        # (next hop's address, guard timeout) -> (next hop, [the rest
+        # of _send_hop's arguments, one tuple per message]).
+        self._outbox = {}
+        self._outbox_timer = None
 
         self._stabilizer = PeriodicProcess(
             self.clock, STABILIZE_PERIOD, self._stabilize, jitter_rng=rng
@@ -230,11 +235,19 @@ class ChordNode(SimNode, RpcNode):
                         "successors": list(self.successors[1:]) or list(self.successors),
                     }),
                 )
+        if self._outbox:
+            # Forwards filed this instant still go out: leaving is
+            # graceful, the messages were accepted under an ack.
+            self._ship_outbox()
         self.crash()
 
     def crash(self):
         self._stop_maintenance()
         self.forget_requests()
+        # Nothing in the outbox has left the node; its timer dies with
+        # the node's other timers.
+        self._outbox.clear()
+        self._outbox_timer = None
         self.store.clear()
         self._suspects.clear()
         self._seen_broadcasts.clear()
@@ -436,34 +449,70 @@ class ChordNode(SimNode, RpcNode):
     def _send_hop(self, nxt, message, target, tried, on_suspect=None, retried=False):
         """Forward ``message`` to ``nxt``, expecting a receipt ack.
 
-        On silence, a dup-sensitive message (see :meth:`_dup_sensitive`)
-        is first *retransmitted* once to the same hop: a lost ack is as
-        likely as a lost message, and a retransmit carries the same
-        delivery id, so the receiver's dedup absorbs the duplicate --
-        where rerouting straight away would deliver a second copy at a
+        Sends nothing itself: the hop is filed in the outbox under
+        ``(nxt, guard timeout)``, and one zero-delay timer -- which the
+        simulator fires after the whole same-instant cascade -- ships
+        every bucket as one wire message (:meth:`_ship_outbox`).
+        :meth:`_hop_silent` is what happens when no ack comes back.
+        """
+        wait = (self.config.hop_retransmit_timeout if retried
+                else self.config.rpc_timeout)
+        message.hops += 1
+        hops = self._outbox.get((nxt.address, wait))
+        if hops is None:
+            hops = self._outbox[(nxt.address, wait)] = (nxt, [])
+        hops[1].append((message, target, tried, on_suspect, retried))
+        if self._outbox_timer is None:
+            self._outbox_timer = self.set_timer(0.0, self._ship_outbox)
+
+    def _ship_outbox(self):
+        """The one place an acked hop leaves this node.
+
+        A bucket of one goes as the message itself; a bucket of *n* as
+        one :class:`~repro.dht.messages.HopBundle` of the *n* messages.
+        Either way it is one ``send`` under one ack and one guard.
+        """
+        self._outbox_timer = None
+        outbox, self._outbox = self._outbox, {}
+        for (address, wait), (nxt, hops) in outbox.items():
+            if len(hops) == 1:
+                wire = hops[0][0]
+            else:
+                wire = msg.HopBundle([hop[0] for hop in hops])
+                for part in wire.parts:
+                    part.hop_ack = None  # the bundle's ack covers it
+            wire.hop_ack = (self.address, self.expect(
+                wait, ignore_answer,
+                lambda nxt=nxt, hops=hops: self._hop_silent(nxt, hops)))
+            self.send(address, wire)
+
+    def _hop_silent(self, nxt, hops):
+        """No ack for what one wire message carried: each message in it
+        recovers by its own policy, as if it had travelled alone.
+
+        A dup-sensitive message (see :meth:`_dup_sensitive`) is first
+        *retransmitted* once to the same hop: a lost ack is as likely
+        as a lost message, and a retransmit carries the same delivery
+        id, so the receiver's dedup absorbs the duplicate -- where
+        rerouting straight away would deliver a second copy at a
         *different* node (an heir), which no node-local dedup can
         catch. A second silence (or the first, for idempotent traffic
-        and hops already under suspicion) makes ``nxt`` a suspect and
+        and hops already under suspicion) makes the hop a suspect and
         re-forwards the message around it (Bamboo's recursive-routing
         recovery), after ``on_suspect()`` if the caller has something
-        to undo first.
+        to undo first. "Already under suspicion" is asked once, before
+        any part reacts: an idempotent part that suspects the hop must
+        not cost the deliveries beside it their retransmit.
         """
-        def not_acked():
-            if (not retried and self._dup_sensitive(message)
-                    and not self._is_suspect(nxt.address)):
+        suspected = self._is_suspect(nxt.address)
+        for message, target, tried, on_suspect, retried in hops:
+            if not (retried or suspected) and self._dup_sensitive(message):
                 self._send_hop(nxt, message, target, tried, on_suspect, True)
-                return
+                continue
             self._suspect(nxt.address)
             if on_suspect is not None:
                 on_suspect()
             self._advance(message, target, tried | {nxt.address})
-
-        wait = (self.config.hop_retransmit_timeout if retried
-                else self.config.rpc_timeout)
-        message.hop_ack = (self.address,
-                           self.expect(wait, ignore_answer, not_acked))
-        message.hops += 1
-        self.send(nxt.address, message)
 
     def _advance(self, message, target, tried):
         """Terminal-check then forward ``message`` toward ``target``."""
@@ -526,6 +575,18 @@ class ChordNode(SimNode, RpcNode):
             ack_to, req = message.hop_ack
             message.hop_ack = None
             self.send_direct(ack_to, {"op": "hop_ack", "req": req})
+
+    def _handle_hop_bundle(self, bundle):
+        """One ack for the wire message, then every part as if it had
+        arrived alone: upcalls, terminal checks and delivery-id dedup
+        all run per part, so a retransmitted bundle dedups part by
+        part."""
+        self._ack_hop(bundle)
+        for part in bundle.parts:
+            if part.kind == "lookup":
+                self._handle_lookup(part)
+            else:
+                self._handle_route(part)
 
     # ------------------------------------------------------------------
     # Lookup (find the owner of a key)
@@ -1049,24 +1110,29 @@ class ChordNode(SimNode, RpcNode):
     def _fix_fingers(self):
         """Refresh the next ``FINGERS_PER_ROUND`` finger slots.
 
-        Most slots start inside ``(self, successor]``; ``lookup``
-        answers those on the spot. A slot further out that already
-        names an unsuspected node is *verified*: one ``owns(start)``
-        RPC to that node, which is also the only liveness probe a
-        finger ever gets. The routed ``lookup`` (several acked hops)
-        runs only when there is nothing to verify -- an empty slot, a
-        suspected finger -- or the finger says no (ownership moved, or
-        it is a proximity choice rather than the owner) or stays
-        silent, which also makes it a suspect.
+        Most slots start inside ``(self, successor]``: this node names
+        their owner itself and sets the finger in place, no lookup. A
+        slot further out that already names an unsuspected node is
+        *verified*: one ``owns(start)`` RPC to that node, which is also
+        the only liveness probe a finger ever gets. The routed
+        ``lookup`` (several acked hops) runs only when there is nothing
+        to verify -- an empty slot, a suspected finger -- or the finger
+        says no (ownership moved, or it is a proximity choice rather
+        than the owner) or stays silent, which also makes it a suspect.
         """
         for _ in range(FINGERS_PER_ROUND):
             index = self._next_finger
             self._next_finger = (self._next_finger + 1) % ID_BITS
             start = (self.id + (1 << index)) % (1 << ID_BITS)
+            local = self._local_owner(start)
+            if local is not None:
+                self.fingers[index] = self._proximity_finger(
+                    index, start, local[0]
+                )
+                continue
             finger = self.fingers[index]
             if (finger is None or finger == self.ref
-                    or self._is_suspect(finger.address)
-                    or self._local_owner(start) is not None):
+                    or self._is_suspect(finger.address)):
                 self._lookup_finger(index, start)
             else:
                 self._verify_finger(index, start, finger)
@@ -1165,6 +1231,8 @@ class ChordNode(SimNode, RpcNode):
             self.settle(payload.req_id, payload.owner, payload.hops)
         elif kind == "route":
             self._handle_route(payload)
+        elif kind == "hop_bundle":
+            self._handle_hop_bundle(payload)
         elif kind == "broadcast":
             self._handle_broadcast(payload)
         elif kind == "store_items":

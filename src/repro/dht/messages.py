@@ -6,9 +6,12 @@ overlay upkeep traffic from query traffic -- the DHT-scaling bench
 reports both.
 
 Messages are passed by reference inside the simulator; they must be
-treated as immutable after send (the one exception, documented inline,
-is the route payload replaced by combining upcalls, which happens only
-after the message has been delivered to its current hop).
+treated as immutable after send. The routing envelope is the one
+exception: ``hops``, ``hop_ack`` and ``force_terminal`` of a ``Route``
+or ``Lookup`` are rewritten hop by hop by whichever node holds the
+message. A ``Route``'s *payload* is never reassigned or mutated once
+the message exists, which is what lets it be sized once per route
+rather than once per hop.
 """
 
 
@@ -98,7 +101,7 @@ class Route(Message):
     kind = "route"
     category = "app"
     __slots__ = ("key", "payload", "origin", "hops", "upcall", "hop_ack",
-                 "force_terminal")
+                 "force_terminal", "_size")
 
     def __init__(self, key, payload, origin, hops=0, upcall=None):
         self.key = key
@@ -108,11 +111,48 @@ class Route(Message):
         self.upcall = upcall
         self.hop_ack = None  # (address, req) expecting a receipt ack
         self.force_terminal = False  # deliver at next hop (range heir)
+        self._size = None  # remembered by wire_size, hop after hop
 
     def wire_size(self):
-        from repro.util.serde import wire_size
+        size = self._size
+        if size is None:
+            from repro.util.serde import wire_size
 
-        return 20 + 16 + 8 + wire_size(self.payload)
+            # id + origin + counters + the payload, which no hop changes.
+            size = self._size = 20 + 16 + 8 + wire_size(self.payload)
+        return size
+
+
+class HopBundle(Message):
+    """Every ``Route`` / ``Lookup`` one node forwards to one next hop
+    at one instant, under ONE receipt ack.
+
+    The acked hop is the unit that batches: the parts are whole
+    messages (each keeps its key, origin and counters, and is sized as
+    if it travelled alone), the receiver acks the bundle once and then
+    handles every part exactly as if it had arrived by itself. What
+    the parts share is what is per *wire message*: one latency and one
+    loss draw, one ``hop_ack``, one guard timer at the sender.
+    """
+
+    kind = "hop_bundle"
+    category = "app"
+    __slots__ = ("parts", "hop_ack")
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.hop_ack = None  # (address, req), as on a lone Route
+
+    def wire_size(self):
+        # kind/category header + the one ack slot + every part in full.
+        return 16 + 8 + sum(part.wire_size() for part in self.parts)
+
+
+def parts_of(wire):
+    """The messages one wire message carries: a hop bundle's parts,
+    anything else itself. For delivery taps that look for routed
+    payloads (``Network.on_deliver`` sees the bundle, not its parts)."""
+    return wire.parts if wire.kind == "hop_bundle" else (wire,)
 
 
 class Broadcast(Message):

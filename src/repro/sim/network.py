@@ -139,8 +139,16 @@ class Network:
                 self.counters.add("cross_region_messages")
                 self.counters.add("cross_region_bytes", size)
             severed = self._severed(ra, rb)
+        parts = 1
         if kind == "route":
             self._count_exchange_hop(payload, size, cross)
+        elif kind == "hop_bundle":
+            # Several routed messages under one ack: the exchange
+            # counters keep counting payloads hop by hop, part by part.
+            parts = len(payload.parts)
+            for part in payload.parts:
+                if part.kind == "route":
+                    self._count_exchange_hop(part, part.wire_size(), cross)
         if severed:
             # A live region partition: the message crosses a cut link
             # and vanishes, exactly like loss -- the sender learns
@@ -157,11 +165,12 @@ class Network:
             # Queue behind the destination's in-flight work: the
             # message is handled when the receiver frees up, one
             # service_time after whichever is later -- its arrival or
-            # the previous message's completion.
+            # the previous message's completion. A hop bundle is as
+            # much work as its parts sent one by one.
             now = self.clock.now
             arrival = now + delay
             start = max(arrival, self._busy_until.get(dst, 0.0))
-            done = start + service
+            done = start + service * parts
             self._busy_until[dst] = done
             self.counters.add("service_wait", start - arrival)
             delay = done - now

@@ -11,6 +11,7 @@ from repro.core.network import PierConfig, PierNetwork
 from repro.core.engine import EngineConfig
 from repro.core.operators import register_operator
 from repro.core.opgraph import OpSpec, QueryPlan
+from repro.dht.messages import parts_of
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network, NetworkConfig
@@ -335,12 +336,13 @@ class TestHotGroupSplit:
                 on_epoch=results.append)
             hot = [0]
 
-            def deliver(src, dst, payload):
-                inner = getattr(payload, "payload", None)
-                if isinstance(inner, dict):
-                    rid = inner.get("rid")
-                    if isinstance(rid, tuple) and rid and rid[0] == "hot":
-                        hot[0] += 1
+            def deliver(src, dst, wire):
+                for part in parts_of(wire):
+                    inner = getattr(part, "payload", None)
+                    if isinstance(inner, dict):
+                        rid = inner.get("rid")
+                        if isinstance(rid, tuple) and rid and rid[0] == "hot":
+                            hot[0] += 1
 
             net.net.on_deliver = deliver
             net.advance(20 + handle.plan.deadline + 3)

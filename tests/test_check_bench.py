@@ -17,8 +17,11 @@ _TOOL = (pathlib.Path(__file__).resolve().parent.parent
          / "tools" / "check_bench.py")
 
 
-def _load_module():
-    spec = importlib.util.spec_from_file_location("check_bench", _TOOL)
+_HARNESS = _TOOL.parent.parent / "benchmarks" / "_harness.py"
+
+
+def _load_module(path=_TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -146,6 +149,23 @@ class TestMissing:
     def test_unbaselined_extra_metric_is_not_a_failure(self, cb):
         _write_baseline(cb, "b", {"rows": ("exact", 1)})
         _write_result(cb, "b", {"rows": 1, "new_metric": 99.0})
+        assert cb.check() == 0
+
+
+class TestStaleResults:
+    def test_a_bench_that_dies_leaves_nothing_for_the_gate_to_bless(
+            self, cb, monkeypatch):
+        # Results JSON is git-ignored and outlives the run that wrote
+        # it; a bench removes its own as its first act.
+        harness = _load_module(_HARNESS)
+        monkeypatch.setattr(harness, "RESULTS_DIR", cb.RESULTS_DIR)
+        _write_baseline(cb, "b", {"parity": ("exact", True)})
+        _write_result(cb, "b", {"parity": True})  # the previous run's
+        assert cb.check() == 0
+        harness.begin("b")  # ...and the bench dies before write_metrics
+        assert cb.check() == 1
+        harness.begin("b")  # nothing to remove is not an error
+        harness.write_metrics("b", {"parity": True}, scale="smoke")
         assert cb.check() == 0
 
 

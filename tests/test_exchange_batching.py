@@ -53,23 +53,27 @@ class TestJoinEquivalence:
         assert batched_msgs["exchange_rows"] == unbatched_msgs["exchange_rows"]
         assert batched_msgs.get("exchange_batches", 0) > 0
         assert batched_msgs["exchange_messages"] < unbatched_msgs["exchange_messages"]
-        assert batched_msgs["messages_sent"] < unbatched_msgs["messages_sent"]
+        # Wire messages need not fall: the unbatched run's same-instant
+        # rows share hop bundles. What a batch saves is the envelope
+        # each row would have carried.
+        assert batched_msgs["bytes_sent"] < 0.7 * unbatched_msgs["bytes_sent"]
 
     @staticmethod
     def _drop_routed(net, loss_rate):
         """Drop a fraction of *routed* messages (the exchange traffic).
 
         Loss is applied to the layer batching changes -- key-routed
-        deliveries, which hop-by-hop acks re-forward -- so both
-        configurations must still move every row. Result-return and RPC
-        traffic is left alone: it has no retransmission and loses rows
-        identically with or without batching.
+        deliveries, which hop-by-hop acks re-forward, alone or several
+        to a hop bundle -- so both configurations must still move every
+        row. Result-return and RPC traffic is left alone: it has no
+        retransmission and loses rows identically with or without
+        batching.
         """
         original_send = net.net.send
         rng = net.rng.fork("route-loss")
 
         def lossy_send(src, dst, payload):
-            if getattr(payload, "kind", None) == "route":
+            if getattr(payload, "kind", None) in ("route", "hop_bundle"):
                 if rng.random() < loss_rate:
                     net.net.counters.add("messages_lost")
                     return
@@ -89,7 +93,9 @@ class TestJoinEquivalence:
         total_lost = 0
         for batched in (False, True):
             net = build_join_net(22, batched)
-            self._drop_routed(net, 0.02)
+            # 5 %: same-instant rows share hops, so there are about 85
+            # routed wire messages per run here to lose, not 230.
+            self._drop_routed(net, 0.05)
             rows, _ = run_join(net)
             total_lost += net.message_counters().get("messages_lost", 0)
             assert set(rows) <= set(complete)  # loss never invents rows

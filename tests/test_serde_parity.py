@@ -217,6 +217,8 @@ def test_every_dht_message_type(expected):
             msg.StoreItems(items, mids={("h4", 1): 30.0, ("h4", 2): 31.0}),
             msg.Direct(payload),
             msg.RpcRequest(5, "h1", {"kind": "wrap", "inner": [route, ref]}),
+            msg.HopBundle([route, msg.Lookup(99, ref, 4),
+                           msg.Route(7, payload, ref)]),
         ]
         for message in messages:
             seen.add(type(message))
@@ -225,6 +227,35 @@ def test_every_dht_message_type(expected):
                 if isinstance(cls, type) and issubclass(cls, msg.Message)
                 and cls is not msg.Message}
     assert seen == concrete
+
+
+def test_a_route_remembers_its_size_and_a_bundle_sums_its_parts():
+    """A ``Route`` is sized once, not once per hop: no hop changes its
+    payload, so the remembered size is the fresh one for every payload
+    shape in the census, whatever the envelope has been through."""
+    rng = SeededRng(13, "serde-remembered")
+    ref = NodeRef(12345, "h2")
+    routes = []
+    for payload in exchange_payloads(rng) + [
+        {"op": "put", "ns": "inverted", "rid": "térm", "iid": 4,
+         "value": ("term", 17, "h2"), "ttl": 120.0},
+        {"op": "get", "ns": "t", "rid": 3, "reply_to": "h1", "req": 8},
+    ]:
+        route = msg.Route(99, payload, ref, upcall="combine")
+        first = route.wire_size()
+        assert first == 20 + 16 + 8 + wire_size(payload)
+        # What a hop rewrites is the envelope, which is fixed width.
+        route.hops += 3
+        route.hop_ack = ("h9", 41)
+        route.force_terminal = True
+        assert route.wire_size() == wire_size(route) == first
+        fresh = msg.Route(99, payload, ref, upcall="combine")
+        assert fresh.wire_size() == first
+        routes.append(route)
+    lookup = msg.Lookup(5, ref, 2)
+    bundle = msg.HopBundle(routes + [lookup])
+    parts = sum(r.wire_size() for r in routes) + lookup.wire_size()
+    assert wire_size(bundle) == 16 + 8 + parts  # header, one ack slot
 
 
 # ----------------------------------------------------------------------
