@@ -69,8 +69,9 @@ class Aggregate:
 
         The default loops ``add`` in order, so overrides must stay
         *exactly* equal to that loop -- including float accumulation
-        order -- not merely mathematically equivalent. Only counting
-        aggregates (whose fold is integer addition) override it.
+        order -- not merely mathematically equivalent. Counting
+        aggregates override it with integer arithmetic; SUM, MIN and
+        MAX with the same loop, ``add`` inlined.
         """
         add = self.add
         for value in values:
@@ -146,6 +147,12 @@ class Sum(Aggregate):
             return state
         return value if state is None else state + value
 
+    def add_many(self, state, values):
+        for value in values:
+            if value is not None:
+                state = value if state is None else state + value
+        return state
+
     def merge(self, left, right):
         if left is None:
             return right
@@ -174,6 +181,13 @@ class Min(Aggregate):
             return state
         return value if state is None else min(state, value)
 
+    def add_many(self, state, values):
+        # min(state, value) is value only when value < state.
+        for value in values:
+            if value is not None and (state is None or value < state):
+                state = value
+        return state
+
     merge = add
 
 
@@ -189,6 +203,13 @@ class Max(Aggregate):
         if value is None:
             return state
         return value if state is None else max(state, value)
+
+    def add_many(self, state, values):
+        # max(state, value) is value only when value > state.
+        for value in values:
+            if value is not None and (state is None or value > state):
+                state = value
+        return state
 
     merge = add
 

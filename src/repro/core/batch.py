@@ -15,12 +15,16 @@ operator asks for columns, and a column-built batch (a Project's
 output) costs nothing until a consumer iterates its rows. Batches are
 *immutable by convention*: operators never mutate a batch they
 received, and derived batches (``take``, ``project``) share column
-lists with their source where possible.
+lists with their source where possible. That is what lets a prefix
+stage hand one wave's batch to every member in place: the first
+member's predicate builds the columns, every later one reads them.
 
 The row-dict adapter seam lives here too (``from_dicts`` /
 ``to_dicts``), delegating to the schema's positional adapters -- the
 boundary where external dict-shaped rows enter or leave the dataflow.
 """
+
+from itertools import compress
 
 
 class RowBatch:
@@ -106,19 +110,18 @@ class RowBatch:
         Truthiness -- not ``is True`` -- so a predicate column holding
         ``None`` (SQL three-valued logic) filters exactly like an
         ``if predicate(row)`` test. Returns ``self`` when
-        everything passes (the common all-match fast path).
+        everything passes (the common all-match fast path). Once this
+        batch has columns the result is columns too, so a filter over a
+        batch whose predicate already transposed it never builds rows.
         """
-        if self._columns is not None and self._rows is None:
-            kept = None
-            columns = self._columns
-            n = len(columns[0]) if columns else 0
-            hits = [i for i, m in enumerate(mask) if m]
-            if len(hits) == n:
+        columns = self._columns
+        if columns:
+            kept = [list(compress(col, mask)) for col in columns]
+            if len(kept[0]) == len(columns[0]):
                 return self
-            kept = [[col[i] for i in hits] for col in columns]
             return RowBatch(columns=kept, schema=self.schema)
         rows = self.rows()
-        kept = [row for row, m in zip(rows, mask) if m]
+        kept = list(compress(rows, mask))
         if len(kept) == len(rows):
             return self
         return RowBatch(rows=kept, schema=self.schema)

@@ -50,8 +50,6 @@ deadlines and the query site closes each epoch at the plan's deadline.
 Late rows are dropped -- the soft-state philosophy the paper leans on.
 """
 
-from contextlib import contextmanager
-
 from repro.core.batch import RowBatch
 from repro.util.errors import PlanError
 
@@ -75,6 +73,24 @@ def plan_live_epochs(plan):
     survive pruning.
     """
     return plan.epoch_overlap
+
+
+class _EpochScope:
+    """``LocalQueryContext.in_epoch``: set ``active_epoch`` on entry,
+    put the previous one back on exit (exception or not)."""
+
+    __slots__ = ("_ctx", "_epoch", "_previous")
+
+    def __init__(self, ctx, epoch):
+        self._ctx = ctx
+        self._epoch = epoch
+
+    def __enter__(self):
+        self._previous = self._ctx.active_epoch
+        self._ctx.active_epoch = self._epoch
+
+    def __exit__(self, *exc_info):
+        self._ctx.active_epoch = self._previous
 
 
 class LocalQueryContext:
@@ -119,19 +135,15 @@ class LocalQueryContext:
         self.standing = standing
         self.active_epoch = epoch
 
-    @contextmanager
     def in_epoch(self, epoch):
-        """Scope ``active_epoch`` to ``epoch`` for one push/flush chain.
+        """Scope ``active_epoch`` to ``epoch`` for one push/flush chain
+        (a ``with`` block; leaving it restores the previous epoch).
 
         Pushes cascade synchronously through the local graph, so a
         dynamically scoped epoch tag is enough for every operator
         downstream to file the rows under the right epoch state.
         """
-        previous, self.active_epoch = self.active_epoch, epoch
-        try:
-            yield
-        finally:
-            self.active_epoch = previous
+        return _EpochScope(self, epoch)
 
     def namespace(self, op_id, port):
         """DHT namespace for rows bound for (op, port).
@@ -505,7 +517,15 @@ class _ExecutionBase:
         self._schedule_flushes()
 
     def _source_ids(self):
-        return {s.op_id for s in self.plan.sources()}
+        """Source op ids in the order they start, open and seal: the
+        latest-declared first (a join's right scan before its left).
+        A fixed order, not a set's: what a multi-scan plan sends first
+        at an instant decides the latency draws of everything after
+        it, so hash order made runs depend on ``PYTHONHASHSEED``. On
+        the perf workloads' two-scan plans this is the order the set
+        took under ``PYTHONHASHSEED=0``, the seed their baselines were
+        measured with."""
+        return [s.op_id for s in reversed(self.plan.sources())]
 
     def _register_endpoints(self):
         """Tell the engine which exchange namespaces feed which ops."""
@@ -833,19 +853,20 @@ class StandingExecution(_ExecutionBase):
                 op.open_pane(pane)
             op.push_batch(RowBatch(rows=list(rows)), port)
 
-    def deliver_scan(self, rows, epoch, pane=None):
+    def deliver_scan(self, batch, epoch, pane=None):
         """One scan wave from the shared stage, for ``epoch``.
 
         A stage-fed member's scan is passive; the stage's demux calls
-        this instead. Unlike :meth:`deliver_batch` there is nothing to
-        drop or park: the wave comes from this node's own stage, which
-        advances every member to ``epoch`` before it emits (and builds
-        a joiner before backfilling it), so the epoch is open here. A
-        stage-stamped plan has exactly one scan.
+        this instead, with the one :class:`RowBatch` every member of
+        the stage reads. Unlike :meth:`deliver_batch` there is nothing
+        to drop or park: the wave comes from this node's own stage,
+        which advances every member to ``epoch`` before it emits (and
+        builds a joiner before backfilling it), so the epoch is open
+        here. A stage-stamped plan has exactly one scan.
         """
         (scan,) = self.plan.ops_of_kind("scan")
         with self.ctx.in_epoch(epoch):
-            self.ops[scan.op_id].inject_rows(rows, pane)
+            self.ops[scan.op_id].inject_batch(batch, pane)
 
     def close(self):
         self._early = {}

@@ -235,7 +235,8 @@ class GroupByPartial(Operator):
         within each group), so per-group accumulation order -- and thus
         every state, float sums included -- does not depend on how the
         input was chunked. State-store lookups happen once per group
-        per batch.
+        per batch. A global aggregate (no GROUP BY) has one group, so
+        its columns fold straight into that group's states.
         """
         n = len(batch)
         if n == 0:
@@ -243,24 +244,26 @@ class GroupByPartial(Operator):
         group_cols = [fn(batch) for fn in self._batch_group_fns]
         arg_cols = [fn(batch) for fn in self._batch_arg_fns]
         if not group_cols:
-            keys = [()] * n  # global aggregate: one group for every row
-        elif len(group_cols) == 1:
-            keys = [(g,) for g in group_cols[0]]
+            groups = (((), arg_cols),)
         else:
-            keys = list(zip(*group_cols))
-        buckets = {}
-        for i, gvals in enumerate(keys):
-            bucket = buckets.get(gvals)
-            if bucket is None:
-                bucket = buckets[gvals] = []
-            bucket.append(i)
-        for gvals, indices in buckets.items():
+            if len(group_cols) == 1:
+                keys = [(g,) for g in group_cols[0]]
+            else:
+                keys = list(zip(*group_cols))
+            buckets = {}
+            for i, gvals in enumerate(keys):
+                bucket = buckets.get(gvals)
+                if bucket is None:
+                    bucket = buckets[gvals] = []
+                bucket.append(i)
+            groups = (
+                (gvals, [[col[j] for j in indices] for col in arg_cols])
+                for gvals, indices in buckets.items()
+            )
+        for gvals, cols in groups:
             states = self._group_states(gvals)
             for i, spec in enumerate(self._agg_specs):
-                col = arg_cols[i]
-                states[i] = spec.agg.add_many(
-                    states[i], [col[j] for j in indices]
-                )
+                states[i] = spec.agg.add_many(states[i], cols[i])
         self._note(n)
 
     def _group_states(self, gvals):

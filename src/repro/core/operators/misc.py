@@ -78,11 +78,18 @@ class Demux(Operator):
     pane-aware tails bucket waves exactly as a private scan would
     announce them.
 
+    A wave is one batch: the stage scan's own :class:`RowBatch` goes to
+    every member as it is, read-only, so its columns are built once
+    (by the first member's predicate) and every later member's filter
+    and fold read them in place.
+
     Paned stages also retain each emitted pane's rows (pruned below the
     newest window) so a member that joins an already-running stage can
     be backfilled: the retained panes its window still covers are
     injected once, making its first window identical to a private
-    twin's -- exact parity from the first reported epoch onward.
+    twin's -- exact parity from the first reported epoch onward. Each
+    retained pane becomes one batch, shared by every joiner until the
+    pane grows or is pruned.
     """
 
     def __init__(self, ctx, spec):
@@ -94,18 +101,19 @@ class Demux(Operator):
             self._panes_per_window = geometry["window"]
         self._pane = None  # current pane marker from the stage scan
         self._store = {}  # pane -> [rows] retained for joiner backfill
+        self._backfill = {}  # pane -> RowBatch of its rows, for joiners
 
     def open_pane(self, pane):
         self._pane = pane  # marker consumed here, not propagated
 
     def push_batch(self, batch, port=0):
-        rows = batch.rows()
-        if not rows:
+        if not len(batch):
             return
         k = self._active_epoch()
         pane = self._pane if self._paned else None
         if pane is not None:
-            self._store.setdefault(pane, []).extend(rows)
+            self._store.setdefault(pane, []).extend(batch.rows())
+            self._backfill.pop(pane, None)
         if k < 1:
             # Grid epoch 0 is its members' submission instant, which
             # they never report; the first boundary's open drains
@@ -113,7 +121,7 @@ class Demux(Operator):
             return
         for member in self.ctx.stage.members():
             if member.on_grid:
-                member.execution.deliver_scan(rows, k, pane)
+                member.execution.deliver_scan(batch, k, pane)
 
     def backfill(self, member, k):
         """Inject the retained panes into a (re)joining member as its
@@ -121,7 +129,10 @@ class Demux(Operator):
         boundary re-emits the full window anyway."""
         member.needs_backfill = False
         for p in sorted(self._store):
-            member.execution.deliver_scan(self._store[p], k, p)
+            batch = self._backfill.get(p)
+            if batch is None:
+                batch = self._backfill[p] = RowBatch(rows=list(self._store[p]))
+            member.execution.deliver_scan(batch, k, p)
 
     def open_epoch(self, k, t_k):
         if not self._paned:
@@ -131,6 +142,7 @@ class Demux(Operator):
         )
         for p in [p for p in self._store if p < lo]:
             del self._store[p]
+            self._backfill.pop(p, None)
         # What is left was emitted at stage epochs < k and epoch k's
         # window still covers it: [lo, hi - panes_per_every). The top
         # panes_per_every panes are epoch k's own wave, which is not
@@ -142,6 +154,7 @@ class Demux(Operator):
 
     def teardown(self):
         self._store = {}
+        self._backfill = {}
 
 
 @register_operator("union")

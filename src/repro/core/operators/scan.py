@@ -267,19 +267,23 @@ class Scan(Operator):
             self.open_pane(p)
             self._emit_rows(buckets[p])
 
-    def inject_rows(self, rows, pane=None):
+    def inject_batch(self, batch, pane=None):
         """Relay one wave from a shared prefix stage (prefix-fed mode).
 
         The caller (``StandingExecution.deliver_scan``) has already
         scoped the epoch; rows were examined and charged once at the
         stage, so no ``_count`` here. The pane marker is re-announced
         first so pane-aware consumers bucket the wave correctly. The
-        stage hands every member the same list (and may keep it as a
-        retained pane), so the batch gets this member's own copy.
+        stage hands every member the same batch, emitted as it is:
+        batches are read-only, so the first member's transpose is the
+        only one. A sampled member filters its own copy.
         """
         if pane is not None:
             self.announce_pane(pane)
-        self._emit_rows(list(rows))
+        if self._sample_threshold is None:
+            self.emit_batch(batch)
+        else:
+            self._emit_rows(batch.rows())
 
     def _emit_dht_epoch(self):
         now = self.ctx.clock.now

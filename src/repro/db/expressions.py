@@ -32,7 +32,12 @@ class Expr:
 
         The fallback maps the row closure over the batch, so every
         expression kind works on batches; hot kinds override with
-        column loops.
+        column loops: a column reference returns the batch's own
+        column (shared, so a batch several filters read is transposed
+        once), a comparison with a non-NULL constant is one
+        comprehension over the other side's values, and every other
+        binary, unary or function call maps its operator over its
+        inputs' value lists.
         """
         fn = self.compile(schema)
         return lambda batch: [fn(row) for row in batch.iter_rows()]
@@ -111,6 +116,19 @@ _BINARY_FNS = {
     "OR": lambda a, b: bool(a) or bool(b),
 }
 
+# Column kernels for a comparison with a constant ``c`` on the right:
+# one comprehension each, value-identical to mapping the row closure
+# (None in, None out). A constant on the left uses the flipped kernel.
+_COMPARE_KERNELS = {
+    "=": lambda vs, c: [None if v is None else v == c for v in vs],
+    "!=": lambda vs, c: [None if v is None else v != c for v in vs],
+    "<": lambda vs, c: [None if v is None else v < c for v in vs],
+    "<=": lambda vs, c: [None if v is None else v <= c for v in vs],
+    ">": lambda vs, c: [None if v is None else v > c for v in vs],
+    ">=": lambda vs, c: [None if v is None else v >= c for v in vs],
+}
+_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 
 class BinaryOp(Expr):
     def __init__(self, op, left, right):
@@ -128,10 +146,27 @@ class BinaryOp(Expr):
         return lambda row: fn(left(row), right(row))
 
     def compile_batch(self, schema):
+        kernel = self._constant_kernel(schema)
+        if kernel is not None:
+            return kernel
         fn = _BINARY_FNS[self.op]
         left = self.left.compile_batch(schema)
         right = self.right.compile_batch(schema)
         return lambda batch: list(map(fn, left(batch), right(batch)))
+
+    def _constant_kernel(self, schema):
+        """A comparison with a non-NULL literal as one column loop, or
+        None when this is not one."""
+        op, other, literal = self.op, self.left, self.right
+        if isinstance(other, Literal):
+            op, other, literal = _FLIPPED.get(op), self.right, self.left
+        if (op not in _COMPARE_KERNELS or not isinstance(literal, Literal)
+                or literal.value is None):
+            return None
+        kernel = _COMPARE_KERNELS[op]
+        values = other.compile_batch(schema)
+        constant = literal.value
+        return lambda batch: kernel(values(batch), constant)
 
     def column_refs(self):
         return self.left.column_refs() | self.right.column_refs()

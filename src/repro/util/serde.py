@@ -31,7 +31,12 @@ def uniform_row_size(rows):
     """The one number ``wire_size`` returns for every row of ``rows``,
     or ``None`` when they have to be sized one by one: not all tuples,
     ragged, or a column holding a string, a container or values of two
-    widths. Costs one pass per column, whatever the row count."""
+    widths. Costs one pass per column, whatever the row count; rows
+    whose first row already holds such a value (group-by partials
+    carry tuples) cost one look at that row."""
+    if not rows or type(rows[0]) is not tuple or not all(
+            map(_FIXED_WIDTH.__contains__, map(type, rows[0]))):
+        return None
     if set(map(type, rows)) != {tuple} or len(set(map(len, rows))) != 1:
         return None
     size = 4

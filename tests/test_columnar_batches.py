@@ -1,10 +1,13 @@
 """RowBatch mechanics and the chunking-invariance contract.
 
-Two layers:
+Three layers:
 
 * :class:`repro.core.batch.RowBatch` unit tests -- lazy rows<->columns
   duality, truthy ``take``, ``project``, the dict adapter seam, and the
   ``columnar_wire`` encoder's uniform-arity gate;
+* column kernels -- comparisons with a constant and the SUM/MIN/MAX
+  ``add_many`` loops -- equal to the row closure and the ``add`` loop
+  they replace, value for value and bit for bit;
 * chunking invariance: ``push_batch`` is every operator's one data
   entry point, and what an operator emits (and the state it leaves
   behind) must not depend on how its input was chunked. Each case
@@ -29,7 +32,7 @@ from repro.core.opgraph import OpSpec
 from repro.core.operators import create_operator
 from repro.db.expressions import BinaryOp, FuncCall, col, lit
 from repro.db.schema import Schema
-from repro.db.types import INT, STR
+from repro.db.types import ANY, INT, STR
 from repro.sim.clock import SimClock
 from repro.util.bloom import BloomFilter
 
@@ -125,6 +128,17 @@ class TestRowBatch:
         kept = batch.take([True, None, True])
         assert kept.rows() == [(1, "a"), (3, "c")]
 
+    def test_take_keeps_columns_once_they_are_built(self):
+        batch = RowBatch.from_rows([(1, 0, "a"), (2, 0, "b"), (3, 0, "c")])
+        batch.columns()
+        kept = batch.take([True, False, True])
+        assert kept._rows is None
+        assert kept.columns() == [[1, 3], [0, 0], ["a", "c"]]
+        assert kept.rows() == [(1, 0, "a"), (3, 0, "c")]
+        # The source is left as it was: its rows and columns agree.
+        assert batch.rows() == [(1, 0, "a"), (2, 0, "b"), (3, 0, "c")]
+        assert batch.columns() == [[1, 2, 3], [0, 0, 0], ["a", "b", "c"]]
+
     def test_project_by_name_and_position(self):
         batch = RowBatch.from_rows([(1, 2, "x"), (3, 4, "y")], SCHEMA)
         assert batch.project(["s", "a"]).rows() == [("x", 1), ("y", 3)]
@@ -194,6 +208,82 @@ class TestSelectNullSemantics:
             rows = random_rows(rng, n)
             assert (self._run(predicate, rows, False)
                     == self._run(predicate, rows, True))
+
+
+# ----------------------------------------------------------------------
+# Column kernels: value-identical to the row closures they replace
+# ----------------------------------------------------------------------
+NAN = float("nan")
+MIXED = Schema.of(("x", ANY))
+NUMBERS = [None, NAN, 0, 1, -3, 7, 2.5, -0.0, 1.0, True, False]
+STRINGS = [None, "", "a", "ab", "b", "B"]
+COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+def _hexed(value):
+    """``value`` with every float spelled exactly (NaN included)."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, (tuple, list)):
+        return tuple(_hexed(v) for v in value)
+    return value
+
+
+def _same_values(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None or isinstance(w, bool):
+            assert g is w
+        else:
+            assert type(g) is type(w) and _hexed(g) == _hexed(w)
+
+
+class TestComparisonKernels:
+    @pytest.mark.parametrize("op", COMPARISONS)
+    @pytest.mark.parametrize("literal_left", [False, True])
+    def test_equal_to_the_row_closure(self, op, literal_left):
+        cases = [(NUMBERS, c) for c in (0, 1, 2.5, -3.0, NAN, True, False)]
+        cases += [(STRINGS, c) for c in ("", "a", "b")]
+        if op in ("=", "!="):
+            cases += [(NUMBERS + STRINGS, c) for c in (1, "a")]
+        for values, constant in cases:
+            sides = [col("x"), lit(constant)]
+            if literal_left:
+                sides.reverse()
+            expr = BinaryOp(op, *sides)
+            assert expr._constant_kernel(MIXED) is not None
+            rows = [(v,) for v in values]
+            row_fn = expr.compile(MIXED)
+            kernel = expr.compile_batch(MIXED)
+            _same_values(kernel(RowBatch.from_rows(rows, MIXED)),
+                         [row_fn(row) for row in rows])
+
+    def test_null_literal_keeps_the_generic_path(self):
+        expr = BinaryOp("<", col("x"), lit(None))
+        assert expr._constant_kernel(MIXED) is None
+        batch = RowBatch.from_rows([(v,) for v in NUMBERS], MIXED)
+        assert expr.compile_batch(MIXED)(batch) == [None] * len(NUMBERS)
+
+
+class TestAddMany:
+    @pytest.mark.parametrize("name", ["SUM", "MIN", "MAX"])
+    def test_bit_identical_to_the_add_loop(self, name):
+        agg = AggSpec(name, col("a"), "out").agg
+        rng = random.Random(name)
+        # Signed zeros tie and NaN compares false: MIN/MAX must keep
+        # exactly the value min()/max() would.
+        special = [None, 0.0, -0.0, NAN]
+        for _ in range(1000):
+            values = [
+                rng.choice(special) if rng.random() < 0.3
+                else rng.uniform(-1e6, 1e6) * 10 ** rng.randint(-8, 8)
+                for _ in range(rng.randint(0, 12))
+            ]
+            for start in (agg.init(), rng.uniform(-1.0, 1.0)):
+                looped = start
+                for value in values:
+                    looped = agg.add(looped, value)
+                _same_values([agg.add_many(start, values)], [looped])
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +423,33 @@ class TestChunkingInvariance:
             })
 
         assert drive(build, rows, False) == drive(build, rows, True)
+
+    def test_groupby_partial_global_aggregate_every_chunking(self):
+        # The no-GROUP-BY fold takes a batch's columns whole: every way
+        # of cutting 7 rows into batches leaves bit-identical states.
+        rng = random.Random(460)
+        rows = [(rng.choice([None, rng.uniform(-1e3, 1e3)]), i, "")
+                for i in range(7)]
+        specs = [AggSpec(name, col("a"), name.lower())
+                 for name in ("SUM", "MIN", "MAX", "AVG", "COUNT")]
+        specs.append(AggSpec("COUNT", None, "n"))
+        outcomes = set()
+        for cuts in range(2 ** (len(rows) - 1)):
+            op, sink = make("groupby_partial", {
+                "group_exprs": [], "agg_specs": specs, "schema": SCHEMA,
+            })
+            chunk = [rows[0]]
+            for i, row in enumerate(rows[1:]):
+                if cuts >> i & 1:
+                    op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+                    chunk = []
+                chunk.append(row)
+            op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+            op.flush()
+            ((gvals, states),) = sink.rows
+            assert gvals == ()
+            outcomes.add(repr(_hexed(states)))
+        assert len(outcomes) == 1
 
     @pytest.mark.parametrize("ship", ["local", "delta"])
     def test_groupby_partial_paned_modes(self, ship):

@@ -1,6 +1,8 @@
-"""EpochExecution wiring and lifecycle (unit level, real engines)."""
+"""EpochExecution wiring and lifecycle, and the epoch scope every
+delivery and flush runs in (unit level, real engines)."""
 
 import pytest
+from stubs import StubCtx
 
 from repro.core.network import PierNetwork
 from repro.util.errors import PlanError
@@ -159,3 +161,20 @@ class TestLifecycle:
         assert handle.qid in ns and "opX" in ns and ns.endswith("|1")
         upcall = execution.ctx.upcall_name("opX", 1)
         assert upcall != ns and upcall.startswith("t|")
+
+
+class TestEpochScope:
+    def test_nesting_and_an_exception_both_restore_the_epoch(self):
+        ctx = StubCtx(standing=True)
+        ctx.active_epoch = 3
+        with ctx.in_epoch(5):
+            assert ctx.active_epoch == 5
+            with ctx.in_epoch(4):
+                assert ctx.active_epoch == 4
+            assert ctx.active_epoch == 5
+        assert ctx.active_epoch == 3
+        with pytest.raises(KeyError):
+            with ctx.in_epoch(7):
+                with ctx.in_epoch(8):
+                    raise KeyError("inner")
+        assert ctx.active_epoch == 3

@@ -7,6 +7,10 @@ results -- in clean networks, under message loss, and across failures.
 What may change is the message count, which is the whole point.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from stubs import make_engine, make_exchange
 
@@ -80,6 +84,28 @@ class TestJoinEquivalence:
             original_send(src, dst, payload)
 
         net.net.send = lossy_send
+
+    def test_same_messages_under_any_hash_seed(self):
+        # A two-scan plan's scans start in one fixed order, so what
+        # leaves a node first -- and every latency draw after it -- does
+        # not depend on how this interpreter hashes strings.
+        script = (
+            "import json\n"
+            "from test_exchange_batching import build_join_net, run_join\n"
+            "rows, deltas = run_join(build_join_net(21, False))\n"
+            "print(json.dumps([rows, sorted(deltas.items())]))\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([here, os.path.join(here, "..", "src")])
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, check=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            ).stdout
+            for seed in ("1", "4")
+        ]
+        assert runs[0] == runs[1]
 
     def test_loss_recovery_matches_unbatched(self):
         # Hop-by-hop acks re-forward lost routed messages, so a lost

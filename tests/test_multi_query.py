@@ -607,3 +607,92 @@ class TestOneLifecycle:
         assert stage.on_grid and not stage.next_timer.cancelled
         assert live_stream_scans(engine, "s") == 1
 
+
+
+def rows_sql(threshold, window=10):
+    """A stage member whose tail keeps rows: no aggregate."""
+    return ("SELECT v FROM s WHERE v > {} EVERY 10 SECONDS WINDOW {} "
+            "SECONDS LIFETIME 40 SECONDS".format(threshold, window))
+
+
+class TestOneBatchPerWave:
+    """A stage wave is one RowBatch that every member reads in place:
+    shared, never copied per member, and never changed by a reader."""
+
+    @staticmethod
+    def record_waves(monkeypatch):
+        waves = []  # (address, epoch, pane, execution, batch, rows then)
+        real_wave = StandingExecution.deliver_scan
+
+        def wave(execution, batch, k, pane=None):
+            waves.append((execution.engine.address, k, pane, execution,
+                          batch, list(batch.rows())))
+            real_wave(execution, batch, k, pane)
+
+        monkeypatch.setattr(StandingExecution, "deliver_scan", wave)
+        return waves
+
+    @pytest.mark.parametrize("window", [10, 30])  # unpaned, paned
+    def test_every_member_reads_the_same_batch(self, net, monkeypatch,
+                                               window):
+        site = net.any_address()
+        for i in range(4):
+            net.submit_sql(life_sql(1.5 + i, 40, window), node=site)
+        waves = self.record_waves(monkeypatch)
+        net.advance(35.0)
+        by_wave = {}
+        for address, k, pane, execution, batch, rows in waves:
+            by_wave.setdefault((address, k, pane), []).append(
+                (execution, batch, rows))
+        assert len({key[1] for key in by_wave}) >= 3
+        for fanned in by_wave.values():
+            (batch,) = {id(b) for _e, b, _r in fanned}
+            assert len({id(e) for e, _b, _r in fanned}) == 4
+            execution, batch, rows = fanned[0]
+            # The fan-out left the batch as the stage emitted it, and the
+            # columns the members' filters built agree with its rows.
+            assert batch.rows() == rows
+            assert batch.columns() == [list(c) for c in zip(*rows)]
+
+    def test_joiners_share_one_backfill_batch_per_pane(self, net,
+                                                       monkeypatch):
+        site = net.any_address()
+        net.submit_sql(life_sql(1.5, 80, 30), node=site)
+        net.advance(20.0)  # two whole periods: the same grid phase
+        waves = self.record_waves(monkeypatch)
+        joiners = [net.submit_sql(life_sql(2.5 + i, 80, 30), node=site)
+                   for i in range(3)]
+        net.advance(5.0)  # adopted mid-epoch, before the next boundary
+        for address in net.addresses():
+            engine = net.node(address).engine
+            (stage,) = stages(engine)
+            got = {}
+            for where, _k, pane, execution, batch, _rows in waves:
+                if where == address:
+                    got.setdefault(execution, []).append((pane, batch))
+            joined = [engine.queries[h.qid].record.execution for h in joiners]
+            assert set(got) == set(joined)
+            panes = [[(p, id(b)) for p, b in got[e]] for e in joined]
+            assert panes[0] and panes == [panes[0]] * 3
+            assert len({p for p, _b in panes[0]}) == len(panes[0])
+
+    @pytest.mark.parametrize("window", [10, 30])
+    def test_row_keeping_member_answers_like_its_private_twin(self, window):
+        legs = {}
+        n = twin_net()
+        site = n.any_address()
+        for name, threshold, options in [("staged", 2.5, None),
+                                         ("co-tenant", 4.5, None),
+                                         ("private", 2.5, PRIVATE)]:
+            results = legs[name] = []
+            n.submit_sql(rows_sql(threshold, window), node=site,
+                         on_epoch=results.append, options=options)
+        deadline = n.compile_sql(rows_sql(0, window)).deadline
+        n.advance(12.0)
+        (stage,) = stages(n.node(site).engine)
+        assert len(stage.members()) == 2
+        n.advance(40.0 + deadline + 5.0 - 12.0)
+        staged = {r.epoch: sorted(r.rows) for r in legs["staged"]}
+        private = {r.epoch: sorted(r.rows) for r in legs["private"]}
+        assert len(private) >= 3 and all(private.values())
+        assert staged == private

@@ -276,6 +276,8 @@ def test_uniform_row_size_agrees_with_wire_size_row_by_row():
         "int or bool: two widths": [(1, 2), (True, 3)],
         "strings": [(1, "a"), (2, "bcd")],
         "group-by partials": states,
+        "(tuple, tuple) rows": [((1,), (2.0, 3)), ((4,), (5.0, 6))],
+        "fixed first row, tuple after": [(1, 2), ((3,), 4)],
         "ragged": [(1, 2, 3), (4, 5), (6,)],
         "a list among tuples": [(1, 2), [3, 4]],
         "int subclass": [(enum.IntEnum("E", "A").A, 1)],
