@@ -402,69 +402,68 @@ class PierEngine:
             self._enter_grid(rec)
 
     def _enter_grid(self, rec, k_now=None):
-        """(Re)enter the grid at the current epoch: a new record, or
-        one held past every subscriber's horizon.
+        """(Re)enter the grid: a new record, one still waiting for its
+        first epoch, or one held past every subscriber's horizon.
+
+        Nobody reads a subscriber's epoch 0, so below the record's
+        first epoch (its earliest subscriber's epoch 1) there is nothing
+        to build: the record waits, and its first build's initial
+        full-window emission seeds its window history exactly like a
+        private adoption's. A record with its own timer arms it for
+        that epoch. A stage-fed spine arms none: its stage's next
+        boundary builds it (members first, then the stage), and the
+        demux's open of that epoch backfills the retained panes -- or,
+        when the stage is not running either, the stage waits for the
+        earliest member's first epoch and its initial full-history
+        emission seeds every member at once. A joiner re-enters a
+        waiting record, since it may read an earlier epoch.
 
         A late adopter joins the epoch *in progress*: the rendezvous
         for its epoch-free exchange keys may hash to this very node, so
         waiting for the next boundary would drop every current-epoch
         row routed here. Registration replays any early rows buffered
         under this epoch's tag, and already-due flush timers fire
-        immediately. Only below the record's first epoch is there
-        nothing to build yet, and it waits for that boundary.
-
-        For the common first-subscriber-at-submission case a spine
-        runs the subscriber's epoch 0, which result fan-out filters,
-        but whose window history gets seeded exactly like a private
-        adoption would -- by the record's own scan, or by its stage.
-
-        Seeding from a stage mirrors a private adoption too: a spine
-        entering at epoch 0 reports nothing before its first boundary,
-        where the demux backfills its retained panes; one entering
-        mid-grid gets the current window immediately -- from the
-        stage's initial full-history emission when the stage is new,
-        or from the demux's retained panes when it joins a running
-        stage. Stage and member are on one grid, so they enter at one
-        epoch: the running stage's, else the one the member read off
-        the clock and hands down as ``k_now``.
+        immediately. A late stage-fed spine gets the current window at
+        once: from the demux's retained panes when the stage runs, else
+        from the stage's initial (or, after a hold, gap) emission.
+        Stage and member are on one grid, so they enter at one epoch:
+        the running stage's, else the one the member read off the clock
+        and hands down as ``k_now``.
         """
         stage = rec.stage
         if stage is not None and stage.on_grid:
             k_now = stage.execution.current_epoch
         elif k_now is None:
             k_now = rec.epoch_at(self.clock.now)
-        first = rec.first_epoch
+        if rec.next_timer is not None:
+            rec.next_timer.cancel()  # waiting: re-decided below
+            rec.next_timer = None
+        if stage is not None:
+            if rec.execution is not None:
+                # Stage-fed and back after a hold: the waves fanned past
+                # its horizon skipped it, so its retained pane state has
+                # gaps. Soft-state answer: rebuild the execution from
+                # scratch; it is re-seeded from the stage below.
+                old, rec.execution = rec.execution, None
+                old.close()
+            rec.needs_backfill = rec.plan.pane is not None
+        first = rec.first_epoch()
         if k_now < first:
-            rec.on_grid = True
-            rec.next_timer = self.set_timer(
-                max(0.0, rec.t_k(first) - self.clock.now),
-                self._on_boundary, rec, first,
-            )
+            if stage is None:
+                rec.next_timer = self.set_timer(
+                    max(0.0, rec.t_k(first) - self.clock.now),
+                    self._on_boundary, rec, first,
+                )
+            elif not stage.on_grid:
+                self._enter_grid(stage, k_now)
             return
-        if stage is not None and rec.execution is not None:
-            # Stage-fed and back after a hold: the waves fanned past
-            # its horizon skipped it, so its retained pane state has
-            # gaps. Soft-state answer: rebuild the execution from
-            # scratch; it is re-seeded from the stage below.
-            old, rec.execution = rec.execution, None
-            old.close()
         self._advance_shared(rec, k_now)
         if stage is None or not rec.on_grid:
             return
-        paned = rec.plan.pane is not None
         if stage.on_grid:
             # Running stage: this epoch's waves already fanned past us.
-            if k_now >= 1:
-                stage.demux().backfill(rec, k_now)
-            else:
-                rec.needs_backfill = paned
+            stage.demux().backfill(rec, k_now)
         else:
-            # A new stage's initial emission seeds the full window. A
-            # held one emits the gap panes itself on re-entry, but the
-            # panes from before the hold live only in its store.
-            rec.needs_backfill = paned and (
-                k_now == 0 or stage.execution is not None
-            )
             self._enter_grid(stage, k_now)
 
     def _on_boundary(self, rec, k):

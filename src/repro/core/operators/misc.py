@@ -74,9 +74,9 @@ class Demux(Operator):
     grid as *its* epoch ``k`` via ``StandingExecution.deliver_scan`` --
     which needs no guards, because the engine advances the members
     before the stage at a boundary: whoever is ``on_grid`` has already
-    opened ``k``. Pane markers from the stage scan ride along so
-    pane-aware tails bucket waves exactly as a private scan would
-    announce them.
+    opened ``k`` (one still waiting for its first epoch is not on the
+    grid). Pane markers from the stage scan ride along so pane-aware
+    tails bucket waves exactly as a private scan would announce them.
 
     A wave is one batch: the stage scan's own :class:`RowBatch` goes to
     every member as it is, read-only, so its columns are built once
@@ -85,11 +85,12 @@ class Demux(Operator):
 
     Paned stages also retain each emitted pane's rows (pruned below the
     newest window) so a member that joins an already-running stage can
-    be backfilled: the retained panes its window still covers are
-    injected once, making its first window identical to a private
-    twin's -- exact parity from the first reported epoch onward. Each
-    retained pane becomes one batch, shared by every joiner until the
-    pane grows or is pruned.
+    be backfilled, at once or at the boundary where it first runs: the
+    retained panes its window still covers are injected once, making
+    its first window identical to a private twin's -- exact parity
+    from the first reported epoch onward. Each retained pane becomes
+    one batch, shared by every joiner until the pane grows or is
+    pruned.
     """
 
     def __init__(self, ctx, spec):
@@ -114,11 +115,6 @@ class Demux(Operator):
         if pane is not None:
             self._store.setdefault(pane, []).extend(batch.rows())
             self._backfill.pop(pane, None)
-        if k < 1:
-            # Grid epoch 0 is its members' submission instant, which
-            # they never report; the first boundary's open drains
-            # backfill instead.
-            return
         for member in self.ctx.stage.members():
             if member.on_grid:
                 member.execution.deliver_scan(batch, k, pane)

@@ -24,8 +24,7 @@ says:
   unstamped (bloom-staged, ``{"shared": False}``): key = qid, grid
   origin = the query's own ``t0``, one subscriber at offset 0, and the
   reference dataflow -- a private ``StandingExecution`` under ``q|``
-  namespaces with its own scan. Nobody reads the submission-instant
-  epoch, so its first epoch is 1.
+  namespaces with its own scan.
 
 * :class:`OneEpochRecord` -- one-shot and recursive plans: a private
   record whose grid is the single instant ``t0``. Epoch 0 is the only
@@ -48,6 +47,11 @@ whenever the plan broadcast arrived. A query submitted at ``t0`` sits
 at ``offset = (t0 - phase) / every`` (an exact integer by construction)
 and its own epoch ``j`` is grid epoch ``offset + j``. Stages and their
 members share the phase, so a stage epoch IS the member's epoch.
+
+Nobody reads a subscriber's epoch 0 (its submission instant), so a
+record first builds at its earliest subscriber's ``offset + 1``, where
+the scan's initial full-window emission seeds the window history
+exactly like a private twin's.
 
 Soft-state discipline matches the rest of the engine: a crash wipes
 every record; queries that still matter are re-adopted from their
@@ -76,11 +80,6 @@ class GridRecord:
     __slots__ = ("key", "plan", "t0", "subscribers", "execution",
                  "next_timer", "on_grid", "stage")
 
-    #: The first epoch worth building. Below it the record only arms
-    #: its boundary timer. A spine's is its first subscriber's epoch 0
-    #: (fan-out drops that answer; ROADMAP 1(d)).
-    first_epoch = 0
-
     def __init__(self, key, plan, t0):
         self.key = key
         self.plan = plan
@@ -88,9 +87,9 @@ class GridRecord:
         self.subscribers = {}  # what keeps this execution alive
         self.execution = None
         self.next_timer = None  # own boundary timer (``stage is None``)
-        # Advancing with the grid? False before entry and while held
-        # past every subscriber's horizon; a joiner then re-enters at
-        # the current epoch.
+        # Advancing with the grid? False until the first build and
+        # while held past every subscriber's horizon; a joiner then
+        # re-enters.
         self.on_grid = False
         self.stage = None  # the StageRecord feeding (and advancing) us
 
@@ -120,6 +119,11 @@ class GridRecord:
         query.last_epoch = int(plan.lifetime / plan.every + 1e-9)
         return query.t0 + plan.lifetime
 
+    def first_epoch(self):
+        """The first grid epoch anyone reads: the earliest
+        subscriber's epoch 1."""
+        return min(sub.offset for sub in self.subscribers.values()) + 1
+
     def last_needed_epoch(self):
         """Last grid epoch any subscriber still needs, or None if one
         is unbounded (no LIFETIME)."""
@@ -146,8 +150,8 @@ class SpineRecord(GridRecord):
 
     def __init__(self, key, plan, t0):
         super().__init__(key, plan, t0)
-        # Set when this spine joins a stage whose retained panes its
-        # next window still covers; the demux injects them once.
+        # Set while this (paned) spine still needs its stage's
+        # retained panes; the demux injects them once.
         self.needs_backfill = False
 
     def rep_qid(self):
@@ -175,8 +179,6 @@ class PrivateRecord(GridRecord):
 
     __slots__ = ()
 
-    first_epoch = 1
-
     def build(self, engine, k, t_k):
         (query,) = self.subscribers.values()
         return StandingExecution(
@@ -193,6 +195,9 @@ class OneEpochRecord(GridRecord):
     __slots__ = ()
 
     def epoch_at(self, now):
+        return 0
+
+    def first_epoch(self):
         return 0
 
     def t_k(self, k):
@@ -242,6 +247,10 @@ class StageRecord(GridRecord):
     def members(self):
         return list(self.subscribers.values())
 
+    def first_epoch(self):
+        """The earliest member's first epoch."""
+        return min(m.first_epoch() for m in self.subscribers.values())
+
     def last_needed_epoch(self):
         """The latest of the members' horizons (None = unbounded)."""
         horizons = [m.last_needed_epoch() for m in self.subscribers.values()]
@@ -252,8 +261,12 @@ class StageRecord(GridRecord):
             engine, self.plan, "p|" + self.key, k, t_k, engine.address
         )
         # The demux reads the member map through the record; parked
-        # before start() so the initial scan wave fans.
+        # before start() so the initial scan wave fans -- which seeds
+        # every member already on the grid.
         execution.ctx.stage = self
+        for member in self.subscribers.values():
+            if member.on_grid:
+                member.needs_backfill = False
         return execution
 
     def demux(self):

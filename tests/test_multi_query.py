@@ -657,22 +657,38 @@ class TestOneBatchPerWave:
     def test_joiners_share_one_backfill_batch_per_pane(self, net,
                                                        monkeypatch):
         site = net.any_address()
-        net.submit_sql(life_sql(1.5, 80, 30), node=site)
+        first = net.submit_sql(life_sql(1.5, 80, 30), node=site)
         net.advance(20.0)  # two whole periods: the same grid phase
         waves = self.record_waves(monkeypatch)
         joiners = [net.submit_sql(life_sql(2.5 + i, 80, 30), node=site)
                    for i in range(3)]
         net.advance(5.0)  # adopted mid-epoch, before the next boundary
+        # Nobody reads a joiner's submission-instant epoch, so nothing
+        # is built or backfilled for it: the stage's next boundary
+        # builds the joiners, and its open backfills them.
+        assert not waves
+        for address in net.addresses():
+            engine = net.node(address).engine
+            for handle in joiners:
+                assert engine.queries[handle.qid].execution is None
+        net.advance(10.0)  # across the joiners' first boundary
         for address in net.addresses():
             engine = net.node(address).engine
             (stage,) = stages(engine)
+            k = stage.execution.current_epoch
             got = {}
-            for where, _k, pane, execution, batch, _rows in waves:
+            for where, wave_k, pane, execution, batch, _rows in waves:
                 if where == address:
+                    assert wave_k == k
                     got.setdefault(execution, []).append((pane, batch))
-            joined = [engine.queries[h.qid].record.execution for h in joiners]
-            assert set(got) == set(joined)
-            panes = [[(p, id(b)) for p, b in got[e]] for e in joined]
+            running = engine.queries[first.qid].execution
+            joined = [engine.queries[h.qid].execution for h in joiners]
+            assert set(got) == set(joined) | {running}
+            # The epoch's own wave reaches every member; what only the
+            # joiners got is backfill, one batch per retained pane.
+            own = {id(b) for _p, b in got[running]}
+            panes = [[(p, id(b)) for p, b in got[e] if id(b) not in own]
+                     for e in joined]
             assert panes[0] and panes == [panes[0]] * 3
             assert len({p for p, _b in panes[0]}) == len(panes[0])
 
@@ -695,4 +711,33 @@ class TestOneBatchPerWave:
         staged = {r.epoch: sorted(r.rows) for r in legs["staged"]}
         private = {r.epoch: sorted(r.rows) for r in legs["private"]}
         assert len(private) >= 3 and all(private.values())
+        assert staged == private
+
+    @pytest.mark.parametrize("window", [10, 30])  # unpaned, paned
+    def test_members_submitted_off_grid_epoch_zero_match_private(self,
+                                                                 window):
+        # Submitted at t0 >= every, the members sit at grid offset 2:
+        # their first epoch is grid epoch 3, where the stage first
+        # builds, and its initial emission alone seeds their windows.
+        legs = {}
+        n = twin_net()
+        n.advance(25.0)
+        site = n.any_address()
+        for name, threshold, options in [("staged", 2.5, None),
+                                         ("co-tenant", 4.5, None),
+                                         ("private", 2.5, PRIVATE)]:
+            results = legs[name] = []
+            handle = n.submit_sql(life_sql(threshold, 30, window), node=site,
+                                  on_epoch=results.append, options=options)
+            assert n.node(site).engine.queries[handle.qid].offset == (
+                0 if options else 2)
+        (stage,) = stages(n.node(site).engine)
+        assert stage.execution is None and stage.first_epoch() == 3
+        n.advance(30.0 + handle.plan.deadline + 5.0)
+        private = {r.epoch: sorted(r.rows) for r in legs["private"]}
+        assert set(private) == {1, 2, 3} and private[1]
+        for name in ("staged", "co-tenant"):
+            assert {r.epoch for r in legs[name]} == {1, 2, 3}
+        staged = {r.epoch: sorted(r.rows) for r in legs["staged"]}
+        assert _rows_match(staged[1], private[1])
         assert staged == private

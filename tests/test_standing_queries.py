@@ -441,6 +441,73 @@ class TestOneLifecyclePerQuery:
         assert self._control_epochs(engine, handle, 0) == [0]
 
 
+SKEW_JOIN = (
+    "SELECT d.w, SUM(f.v) AS total, COUNT(*) AS n FROM flows f, dims d "
+    "WHERE f.k = d.k GROUP BY d.w EVERY 10 SECONDS WINDOW 10 SECONDS "
+    "LIFETIME 30 SECONDS"
+)
+
+
+def skew_join_net():
+    """A tiny ``skew_join``: a fact stream on every node, one dimension
+    stream refreshed mid-window, the query submitted at ``t0 >= every``
+    (so its epoch 0 is grid epoch 1, not 0)."""
+    n = PierNetwork(nodes=6, seed=17)
+    n.create_stream_table("flows", [("k", "INT"), ("v", "INT")], window=20.0)
+    n.create_stream_table("dims", [("k", "INT"), ("w", "INT")], window=20.0)
+
+    def every(address, table, period, phase, rows):
+        def tick():
+            for row in rows:
+                n.append_stream(address, table, row)
+            n.node(address).engine.set_timer(period, tick)
+
+        n.node(address).engine.set_timer(phase, tick)
+
+    for i, address in enumerate(n.addresses()):
+        every(address, "flows", 0.5, 0.1 * i,
+              [((i * j) % 5, i + j) for j in range(3)])
+    every(n.addresses()[0], "dims", 10.0, 5.0, [(k, k % 2) for k in range(5)])
+    n.advance(10.0)
+    return n
+
+
+class TestFirstEpoch:
+    """A record first builds at its earliest subscriber's epoch 1: no
+    node scans, joins, folds or ships the submission-instant epoch,
+    which nobody reads."""
+
+    def _leg(self, options, monkeypatch):
+        n = skew_join_net()
+        built = []  # (first epoch's instant, build instant)
+        real_build = SpineRecord.build
+
+        def build(record, engine, k, t_k):
+            (sub,) = record.subscribers.values()
+            built.append((record.t_k(sub.offset + 1), engine.clock.now))
+            return real_build(record, engine, k, t_k)
+
+        monkeypatch.setattr(SpineRecord, "build", build)
+        results = []
+        handle = n.submit_sql(SKEW_JOIN, on_epoch=results.append,
+                              options=options)
+        n.advance(30.0 + handle.plan.deadline + TEARDOWN_SLACK + 1.0)
+        answers = {r.epoch: sorted(r.rows) for r in results}
+        return n.message_counters(), answers, built
+
+    def test_join_spine_ships_no_more_than_its_private_twin(self,
+                                                            monkeypatch):
+        shared, shared_answers, built = self._leg(None, monkeypatch)
+        private, private_answers, _ = self._leg(PRIVATE, monkeypatch)
+        assert len(built) == 6  # one spine per node
+        for first, at in built:
+            assert at >= first - 1e-9, "spine built before its first epoch"
+        assert set(private_answers) == {1, 2, 3}
+        assert shared_answers == private_answers
+        assert shared["exchange_rows"] <= private["exchange_rows"]
+        assert shared["bytes_sent"] <= private["bytes_sent"]
+
+
 class TestPlanFetch:
     def test_planless_node_pulls_plan_on_standing_rows(self, net):
         handle = net.submit_sql(CONTINUOUS_SQL, node=net.addresses()[0])
