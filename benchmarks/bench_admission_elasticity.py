@@ -132,7 +132,6 @@ SPLIT_SQL = ("SELECT g, COUNT(DISTINCT v) AS d, COUNT(*) AS n "
 SPLIT_LIFETIME = 30.0
 SPLIT_HOT_SHARE = 7
 SPLIT_THRESHOLD = 4  # panes/epoch carrying the hot group: 5 > 4
-SPLIT_SHARDS = 4
 
 
 def hpa_replicas(observed_rate):
@@ -316,8 +315,7 @@ def make_load_config(variant, service_time=None):
             backpressure_factor=BP_FACTOR,
         )
     elif variant == "split":
-        engine = EngineConfig(hot_group_threshold=SPLIT_THRESHOLD,
-                              hot_group_shards=SPLIT_SHARDS)
+        engine = EngineConfig(hot_group_threshold=SPLIT_THRESHOLD)
     else:
         engine = EngineConfig(adaptive_flush=False, backpressure=False,
                               hot_group_threshold=0)

@@ -8,7 +8,7 @@ like the PlanetLab monitoring workload: every host reports a handful of
 attributes many samples at a time (so a sender's rows cluster on few
 join keys), joined against an attribute-metadata relation.
 
-Sweep: unbatched baseline (``flush_delay = 0``, the original
+Sweep: unbatched baseline (``max_batch_rows = 1``, the original
 message-per-row exchange) against two batched configurations. Expected
 shape: identical query results row for row, ``exchange_rows`` (tuples
 moved) unchanged, ``exchange_messages`` (exchange payloads per hop)
@@ -57,10 +57,10 @@ SQL = (
 )
 
 CONFIGS = [
-    # (label, flush_delay, max_batch_rows)
-    ("unbatched", 0.0, 1),
-    ("batch<=8", 0.25, 8),
-    ("batch<=64", 0.25, 64),
+    # (label, max_batch_rows)
+    ("unbatched", 1),
+    ("batch<=8", 8),
+    ("batch<=64", 64),
 ]
 
 
@@ -82,9 +82,8 @@ def build_net(seed, nodes, samples, engine):
     return net
 
 
-def run_config(seed, nodes, samples, flush_delay, max_batch_rows):
-    engine = EngineConfig(flush_delay=flush_delay,
-                          max_batch_rows=max_batch_rows)
+def run_config(seed, nodes, samples, max_batch_rows):
+    engine = EngineConfig(max_batch_rows=max_batch_rows)
     net = build_net(seed, nodes, samples, engine)
     site = net.any_address()
 
@@ -124,8 +123,8 @@ def run_sweep(seed=11, nodes=NODES, samples=SAMPLES_PER_ATTR):
     """Run every config on the same workload; returns (expected, stats)."""
     expected_rows = nodes * ATTRS_PER_NODE * samples
     stats = []
-    for label, flush_delay, max_batch_rows in CONFIGS:
-        out = run_config(seed, nodes, samples, flush_delay, max_batch_rows)
+    for label, max_batch_rows in CONFIGS:
+        out = run_config(seed, nodes, samples, max_batch_rows)
         stats.append((label, out))
     return expected_rows, stats
 
@@ -177,8 +176,8 @@ AGG_SQL = (
 LOSS_RATE = 0.03
 
 
-def build_agg_net(seed, nodes, flush_delay, loss_rate):
-    engine = EngineConfig(flush_delay=flush_delay)
+def build_agg_net(seed, nodes, max_batch_rows, loss_rate):
+    engine = EngineConfig(max_batch_rows=max_batch_rows)
     config = PierConfig(engine=engine, loss_rate=loss_rate)
     net = PierNetwork(nodes=nodes, seed=seed, config=config)
     net.create_local_table("m", [("g", "INT"), ("v", "INT")])
@@ -188,8 +187,8 @@ def build_agg_net(seed, nodes, flush_delay, loss_rate):
     return net
 
 
-def run_agg_config(seed, nodes, tree, flush_delay, loss_rate=0.0):
-    net = build_agg_net(seed, nodes, flush_delay, loss_rate)
+def run_agg_config(seed, nodes, tree, max_batch_rows, loss_rate=0.0):
+    net = build_agg_net(seed, nodes, max_batch_rows, loss_rate)
     before = dict(net.message_counters())
     result = net.run_sql(
         AGG_SQL, options={"aggregation_tree": tree}, extra_time=4.0
@@ -215,13 +214,13 @@ def run_agg_sweep(seed=13, nodes=AGG_NODES, loss_rate=LOSS_RATE):
     for tree in (True, False):
         mode = "tree" if tree else "rehash"
         for batched in (False, True):
-            flush = 0.25 if batched else 0.0
+            cap = EngineConfig().max_batch_rows if batched else 1
             batch_label = "batched" if batched else "unbatched"
             out["{}/{}".format(mode, batch_label)] = run_agg_config(
-                seed, nodes, tree, flush
+                seed, nodes, tree, cap
             )
             out["{}/{}/lossy".format(mode, batch_label)] = run_agg_config(
-                seed, nodes, tree, flush, loss_rate
+                seed, nodes, tree, cap, loss_rate
             )
     return out
 

@@ -294,7 +294,7 @@ class Coordinator:
         handle = self.active.get(payload["qid"])
         if handle is None or handle.finished:
             return
-        self.dht.direct(src, {
+        self.dht.send_direct(src, {
             "op": "xplan_reply",
             "qid": handle.qid,
             "plan": handle.plan,

@@ -182,7 +182,7 @@ class LocalQueryContext:
 
     def send_to_origin(self, payload):
         """Ship a payload directly to the query site (result return)."""
-        self.dht.direct(self.origin, payload)
+        self.dht.send_direct(self.origin, payload)
 
     def rep_qid(self):
         """A representative query id for plan-pull provenance.

@@ -1,6 +1,7 @@
 """The per-node PIER engine.
 
-One engine runs on every node, glued to that node's DHT API. It:
+One engine runs on every node, calling that node's
+:class:`~repro.dht.chord.ChordNode` (``self.dht``) directly. It:
 
 * holds the node's table fragments (local rows, stream windows) and
   publishes rows into DHT tables,
@@ -76,11 +77,10 @@ class EngineConfig:
     ============================== ======= ==============================
     knob                           default who sets it otherwise, and why
     ============================== ======= ==============================
-    ``flush_delay``                0.25    ``bench_exchange_batching``: 0
+    ``max_batch_rows``             64      ``bench_exchange_batching``
+                                           sweeps the per-message cap; 1
                                            ships one route message per
                                            row, the unbatched baseline
-    ``max_batch_rows``             64      ``bench_exchange_batching``
-                                           sweeps the per-message cap
     ``regional_trees``             True    ``bench_geo_regions`` and
                                            ``tests/test_geo_regions.py``:
                                            False is the flat-tree
@@ -98,13 +98,11 @@ class EngineConfig:
     ``hot_group_threshold``        0       ``bench_admission_elasticity``:
                                            rows per key per epoch before
                                            a group shards; 0 never splits
-    ``hot_group_shards``           4       same: owners per hot group
     ============================== ======= ==============================
     """
 
     def __init__(
         self,
-        flush_delay=0.25,
         max_batch_rows=64,
         regional_trees=True,
         adaptive_flush=False,
@@ -113,9 +111,7 @@ class EngineConfig:
         backpressure_factor=4.0,
         backpressure_ttl=3.0,
         hot_group_threshold=0,
-        hot_group_shards=4,
     ):
-        self.flush_delay = flush_delay
         self.max_batch_rows = max_batch_rows
         self.regional_trees = regional_trees
         self.adaptive_flush = adaptive_flush
@@ -124,7 +120,6 @@ class EngineConfig:
         self.backpressure_factor = backpressure_factor
         self.backpressure_ttl = backpressure_ttl
         self.hot_group_threshold = hot_group_threshold
-        self.hot_group_shards = hot_group_shards
 
 
 class AdoptedQuery:
@@ -665,7 +660,7 @@ class PierEngine:
             }
         state["count"] += n
         # Route messages carry a NodeRef origin; xbp goes out over
-        # dht.direct, which addresses by string, so normalize here
+        # dht.send_direct, which addresses by string, so normalize here
         # (also dedupes one origin seen through both shapes).
         origin = getattr(origin, "address", origin)
         if origin is not None and origin != self.address:
@@ -684,7 +679,7 @@ class PierEngine:
         self._bp_sent[ns] = now
         factor = min(self.config.backpressure_factor, rate / threshold)
         for origin in state["origins"]:
-            self.dht.direct(origin, {
+            self.dht.send_direct(origin, {
                 "op": "xbp", "ns": ns, "factor": factor, "ttl": ttl,
             })
 
@@ -789,7 +784,7 @@ class PierEngine:
             return
         origin = qid.rsplit("#", 1)[0]
         if origin and origin != self.address:
-            self.dht.direct(origin, {"op": "xplan", "qid": qid})
+            self.dht.send_direct(origin, {"op": "xplan", "qid": qid})
 
     def _expire_undelivered(self):
         self._undelivered_timer = None
@@ -853,7 +848,7 @@ class PierEngine:
             record = self.queries.get(qid)
             if record is None or count == 0:
                 continue
-            self.dht.direct(record.origin, {
+            self.dht.send_direct(record.origin, {
                 "op": "qprog", "qid": qid, "epoch": epoch,
                 "node": self.address, "new": count,
             })

@@ -21,12 +21,13 @@ Key specs (``params["key"]``):
 * ``{"kind": "const"}`` -- single rendezvous key (global aggregates).
 
 Rows are not shipped one message at a time: pushes buffer per routing
-key for a short flush window (``EngineConfig.flush_delay``) and travel
-as one ``deliver_batch`` route message per key, so a rehash that moves
-k co-keyed rows costs one multi-hop route (and one hop-ack per hop)
+key for a short flush window (``FLUSH_DELAY``) and travel as one
+``deliver_batch`` route message per key, so a rehash that moves k
+co-keyed rows costs one multi-hop route (and one hop-ack per hop)
 instead of k. ``max_batch_rows`` / ``MAX_BATCH_BYTES`` bound how much
-a single message can carry; ``flush_delay = 0`` restores the original
-message-per-row behaviour (the benchmarks' unbatched baseline).
+a single message can carry; ``max_batch_rows = 1`` ships every row the
+moment it is pushed, the original message-per-row behaviour (the
+benchmarks' unbatched baseline).
 
 Every payload carries its routing id (``rid``): the terminal owner
 names it when it identifies itself to a learning sender.
@@ -54,9 +55,14 @@ from repro.util.errors import PlanError
 from repro.util.serde import uniform_row_size, wire_size
 
 
-# A pending batch ships once it holds max_batch_rows rows or this many
-# (modelled) bytes, whichever comes first.
+# How long a pushed row may wait for co-keyed company before its batch
+# ships. A pending batch ships earlier once it holds max_batch_rows rows
+# or MAX_BATCH_BYTES (modelled) bytes, whichever comes first.
+FLUSH_DELAY = 0.25
 MAX_BATCH_BYTES = 8192
+# Owners a hot group's later partials are sharded across (hot-group
+# splitting, ``EngineConfig.hot_group_threshold``).
+HOT_GROUP_SHARDS = 4
 # Ceilings for the caps adaptive flush and backpressure may raise: one
 # message never carries more than this, however hot the edge.
 ADAPTIVE_FLUSH_MAX_ROWS = 2048
@@ -122,7 +128,6 @@ class Exchange(Operator):
         self._batch_key_fn = self._build_batch_key_fn(spec.params["key"])
         engine = ctx.engine
         config = engine.config
-        self._flush_delay = config.flush_delay
         self._max_batch_rows = config.max_batch_rows
         self._standing = ctx.standing
         # Pane-tagged mode (paned plans whose pane-aware aggregate sits
@@ -174,7 +179,7 @@ class Exchange(Operator):
         # fill batches. Backpressure ("xbp" from an overloaded owner)
         # stretches both further via the engine's per-namespace factor.
         self._clock = ctx.clock
-        self._adaptive_flush = config.adaptive_flush and self._flush_delay > 0
+        self._adaptive_flush = config.adaptive_flush
         self._stretch_fn = engine.exchange_flush_stretch
         self._rate = 0.0  # EWMA rows/sec through this exchange
         self._rate_count = 0
@@ -189,7 +194,6 @@ class Exchange(Operator):
             if self._standing and spec.params["key"]["kind"] == "group"
             else 0
         )
-        self._hot_shards = max(2, config.hot_group_shards)
         self._hot_counts = EpochStateRing(dict)  # epoch -> {rid: rows}
         self.hot_splits = 0  # rows routed under a shard key (introspection)
 
@@ -244,12 +248,12 @@ class Exchange(Operator):
         ships a few large messages instead of many cap-sized ones. A
         live backpressure stretch multiplies all three on top.
         """
-        delay = self._flush_delay
+        delay = FLUSH_DELAY
         max_rows = self._max_batch_rows
         max_bytes = MAX_BATCH_BYTES
         if self._adaptive_flush and self._rate > 0.0:
             desired = self._max_batch_rows / self._rate
-            delay = min(max(delay, desired), self._flush_delay * 8.0)
+            delay = min(max(delay, desired), FLUSH_DELAY * 8.0)
             target_rows = self._rate * delay
             if target_rows > max_rows:
                 max_rows = int(min(target_rows, ADAPTIVE_FLUSH_MAX_ROWS))
@@ -283,7 +287,7 @@ class Exchange(Operator):
         if n <= self._hot_threshold:
             return rid
         self.hot_splits += 1
-        shard = (pane if pane is not None else n) % self._hot_shards
+        shard = (pane if pane is not None else n) % HOT_GROUP_SHARDS
         return ("hot", rid, shard)
 
     def push_batch(self, batch, port=0):
@@ -299,12 +303,6 @@ class Exchange(Operator):
         if self._adaptive_flush:
             self._note_arrivals(len(batch))
         hot = self._hot_threshold and epoch is not None
-        if self._flush_delay <= 0:
-            for row, rid in keyed:
-                if hot:
-                    rid = self._hot_rid(rid, epoch, pane)
-                self._route(rid, [row], epoch, pane)
-            return
         delay, max_rows, max_bytes = self._flush_plan()
         pending = self._pending.state(epoch)
         held_rows = pending["rows"]

@@ -29,7 +29,6 @@ from repro.core.sql import parse_query
 from repro.db.catalog import Catalog, TableDef
 from repro.db.schema import Column, Schema
 from repro.db.types import type_by_name
-from repro.dht.api import DhtApi
 from repro.dht.bootstrap import build_chord_ring, join_chord_ring
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
@@ -139,9 +138,8 @@ class PierNetwork:
             self.net, address, self.config.dht,
             self.rng.fork("chord/{}".format(address)),
         )
-        api = DhtApi(chord)
         engine = PierEngine(
-            api, self.catalog, self.config.engine,
+            chord, self.catalog, self.config.engine,
             self.rng.fork("engine/{}".format(address)),
         )
         coordinator = Coordinator(engine)

@@ -1,4 +1,4 @@
-"""Small operators: distinct, union, limit, and result return.
+"""Small operators: distinct, the stage demux, and result return.
 
 ``distinct`` is the linchpin of recursive queries: DHT-partitioned (by
 an exchange keyed on the whole row), it emits only never-seen rows, so
@@ -153,43 +153,6 @@ class Demux(Operator):
         self._backfill = {}
 
 
-@register_operator("union")
-class Union(Operator):
-    """Bag union: forward rows from any port unchanged."""
-
-    def push_batch(self, batch, port=0):
-        if len(batch):
-            self.emit_batch(batch)
-
-
-@register_operator("limit")
-class Limit(Operator):
-    """Stop forwarding after ``limit`` rows (local short-circuit).
-
-    The countdown is per epoch: each epoch answers the LIMIT afresh,
-    as a rebuilt operator would.
-    """
-
-    def __init__(self, ctx, spec):
-        super().__init__(ctx, spec)
-        limit = spec.params["limit"]
-        # epoch -> [rows still allowed through] (one-slot mutable cell)
-        self._remaining = EpochStateRing(lambda: [limit])
-
-    def push_batch(self, batch, port=0):
-        cell = self._remaining.state(self._active_epoch())
-        rows = batch.rows()[:cell[0]]
-        if rows:
-            cell[0] -= len(rows)
-            self.emit_batch(RowBatch(rows=rows))
-
-    def seal_epoch(self, k):
-        self._remaining.seal(k)
-
-    def teardown(self):
-        self._remaining.clear()
-
-
 @register_operator("result")
 class ResultReturn(Operator):
     """Ship rows to the query site, batched to save messages.
@@ -244,7 +207,7 @@ class ResultReturn(Operator):
         # Each message gets its own list: replace-mode keeps the batch
         # for refinement re-sends, and receivers must never alias it.
         for qid, origin, their_epoch in self.ctx.result_targets(epoch):
-            self.ctx.dht.direct(origin, {
+            self.ctx.dht.send_direct(origin, {
                 "op": "qres",
                 "qid": qid,
                 "epoch": their_epoch,

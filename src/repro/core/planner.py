@@ -56,6 +56,15 @@ __all__ = [
     "plan_query",
 ]
 
+# Every per-query option the planner reads (the census of who sets each
+# is in docs/ARCHITECTURE.md). Any other name is refused: share and
+# prefix signatures hash the options, so an unread one would silently
+# split a query off its spine and stage.
+QUERY_OPTIONS = frozenset({
+    "aggregation_tree", "join_strategy", "paned", "paned_exchange",
+    "recursion_deadline", "sample_rate", "shared",
+})
+
 
 class PlannerTiming:
     """Dataflow-timing constants (seconds) used to place flush deadlines.
@@ -108,6 +117,10 @@ class _Builder:
 
 def plan_query(lq, catalog, timing=None):
     """Compile a LogicalQuery against a catalog into a QueryPlan."""
+    unknown = sorted(set(lq.options) - QUERY_OPTIONS)
+    if unknown:
+        raise PlanError("unknown query option {}".format(
+            ", ".join(repr(name) for name in unknown)))
     timing = timing if timing is not None else PlannerTiming()
     if lq.recursive is not None:
         plan = _plan_recursive(lq, catalog, timing)

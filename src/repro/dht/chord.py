@@ -96,7 +96,31 @@ def storage_key(namespace, resource_id):
 
 
 class ChordNode(SimNode, RpcNode):
-    """One Chord participant with PIER's storage API grafted on."""
+    """One Chord participant with PIER's storage API grafted on.
+
+    Each node's :class:`~repro.core.engine.PierEngine` calls this
+    object directly. PIER's published interface to its DHT layer is
+    small (VLDB 2003, section 2), and these public methods are it:
+
+    ===============  ===================================================
+    ``put``          publish an item, placed by hash(namespace, resourceId)
+    ``get``          fetch all instances for (namespace, resourceId)
+    ``renew``        extend an item's TTL (soft-state keep-alive)
+    ``lscan``        iterate the items of a namespace stored *at this node*
+    ``new_data``     subscribe to arrivals in a namespace at this node
+    ``route``        deliver an application payload to a key's owner, with
+                     optional per-hop upcalls (in-network combining)
+    ``broadcast``    disseminate a payload to every reachable node
+    ``send_direct``  point-to-point message (result return to query site)
+    ===============  ===================================================
+
+    Exchange traffic rides ``route`` with ``deliver`` (one row) or
+    ``deliver_batch`` (many co-keyed rows in one message) payloads; the
+    registered delivery handler receives either shape. The engine's
+    other calls -- ``route_via`` / ``route_through``, timers, handler
+    registration -- are the hooks its owner caches, regional trees and
+    plan adoption need.
+    """
 
     def __init__(self, network, address, config, rng):
         super().__init__(network, address)

@@ -4,8 +4,9 @@ Everything above the DHT is the real thing -- ``EngineConfig``,
 ``PierEngine``, ``LocalQueryContext``, the operators -- so a unit test
 drives exactly the code a deployed node runs, and product code never
 has to tolerate a half-built stub. The one fake is the DHT:
-:class:`RecordingDht` offers the ``DhtApi`` surface with no overlay
-behind it and records what would have gone on the wire. Timers run on a
+:class:`RecordingDht` offers, under the same names, the ``ChordNode``
+methods the engine calls, with no overlay behind them, and records what
+would have gone on the wire. Timers run on a
 real ``SimClock``; advance it with ``engine.clock.run_until(t)``.
 Operator unit tests get their context from :class:`StubCtx`, the one
 definition of "a query context with nothing behind it".
@@ -22,7 +23,7 @@ from repro.sim.clock import SimClock
 
 
 class RecordingDht:
-    """The ``DhtApi`` surface the engine and its operators call."""
+    """The ``ChordNode`` methods the engine and its operators call."""
 
     def __init__(self, clock, routed=None, region=None):
         self.clock = clock
@@ -61,7 +62,7 @@ class RecordingDht:
     def region_rendezvous(self, key, region=None):
         return None
 
-    def direct(self, dst_address, payload):
+    def send_direct(self, dst_address, payload):
         self.directs.append((dst_address, payload))
 
     def _ignore(self, *args):

@@ -121,13 +121,12 @@ class TestAdaptiveRing:
 # ----------------------------------------------------------------------
 class TestAdaptiveFlush:
     def test_static_config_returns_the_configured_trio(self):
-        config = EngineConfig(flush_delay=0.25, max_batch_rows=64)
+        config = EngineConfig(max_batch_rows=64)
         exchange = make_exchange(make_engine(config))
         assert exchange._flush_plan() == (0.25, 64, 8192)
 
     def test_sparse_edge_stretches_the_window_to_fill_batches(self):
-        config = EngineConfig(adaptive_flush=True, flush_delay=0.25,
-                              max_batch_rows=64)
+        config = EngineConfig(adaptive_flush=True, max_batch_rows=64)
         exchange = make_exchange(make_engine(config))
         exchange._rate = 10.0  # rows/sec: 64-row batches want 6.4s
         delay, max_rows, _ = exchange._flush_plan()
@@ -135,8 +134,7 @@ class TestAdaptiveFlush:
         assert max_rows == 64  # caps untouched on the sparse side
 
     def test_hot_edge_raises_caps_to_one_window(self):
-        config = EngineConfig(adaptive_flush=True, flush_delay=0.25,
-                              max_batch_rows=64)
+        config = EngineConfig(adaptive_flush=True, max_batch_rows=64)
         exchange = make_exchange(make_engine(config))
         exchange._rate = 4000.0  # 1000 rows per base window
         delay, max_rows, max_bytes = exchange._flush_plan()
@@ -146,15 +144,14 @@ class TestAdaptiveFlush:
 
     def test_adaptive_caps_clamp_at_the_ceiling(self, monkeypatch):
         monkeypatch.setattr(exchange_module, "ADAPTIVE_FLUSH_MAX_ROWS", 512)
-        config = EngineConfig(adaptive_flush=True, flush_delay=0.25,
-                              max_batch_rows=64)
+        config = EngineConfig(adaptive_flush=True, max_batch_rows=64)
         exchange = make_exchange(make_engine(config))
         exchange._rate = 100000.0
         _delay, max_rows, _ = exchange._flush_plan()
         assert max_rows == 512
 
     def test_rate_ewma_tracks_pushed_rows(self):
-        config = EngineConfig(adaptive_flush=True, flush_delay=0.25)
+        config = EngineConfig(adaptive_flush=True)
         engine = make_engine(config)
         exchange = make_exchange(engine)
         for i in range(30):
@@ -163,7 +160,7 @@ class TestAdaptiveFlush:
         assert exchange._rate == pytest.approx(100.0, rel=0.2)
 
     def test_backpressure_stretch_multiplies_everything(self):
-        config = EngineConfig(flush_delay=0.25, max_batch_rows=64)
+        config = EngineConfig(max_batch_rows=64)
         engine = make_engine(config)
         exchange = make_exchange(engine)
         engine._on_direct({"op": "xbp", "ns": exchange._ns, "factor": 4.0,
@@ -202,13 +199,13 @@ class TestBackpressure:
     def test_noderef_origin_reaches_the_wire(self):
         # Production inflow notes carry the route message's origin -- a
         # NodeRef, not an address. The xbp must still land: the engine
-        # normalizes refs to addresses before dht.direct, which would
+        # normalizes refs to addresses before dht.send_direct, which would
         # otherwise drop the send on the floor (unknown destination).
         net = self.make_net()
         owner = net.node(net.addresses()[0]).engine
         origin_addr = net.addresses()[1]
         origin = net.node(origin_addr).engine
-        origin_ref = origin.dht._node.ref
+        origin_ref = origin.dht.ref
         assert origin_ref.address == origin_addr
         ns = "q|demo#1|op9|0"
         owner._note_exchange_inflow(ns, 500, origin_ref)
@@ -240,7 +237,7 @@ class TestBackpressure:
         owner = net.node(net.addresses()[0]).engine
         origin_addr = net.addresses()[1]
         sent = []
-        owner.dht.direct = lambda addr, payload: sent.append(payload)
+        owner.dht.send_direct = lambda addr, payload: sent.append(payload)
         ns = "q|demo#1|op9|0"
         for i in range(6):  # six hot one-second windows back to back
             owner._note_exchange_inflow(ns, 500, origin_addr)
@@ -264,10 +261,13 @@ class TestBackpressure:
 # Hot-group splitting
 # ----------------------------------------------------------------------
 class TestHotGroupSplit:
-    def test_hot_key_shards_after_the_threshold(self):
-        config = EngineConfig(flush_delay=0.0, hot_group_threshold=5,
-                              hot_group_shards=2)
-        engine = make_engine(config)
+    @pytest.fixture
+    def two_shards(self, monkeypatch):
+        monkeypatch.setattr(exchange_module, "HOT_GROUP_SHARDS", 2)
+        return EngineConfig(max_batch_rows=1, hot_group_threshold=5)
+
+    def test_hot_key_shards_after_the_threshold(self, two_shards):
+        engine = make_engine(two_shards)
         exchange = make_exchange(engine, key={"kind": "group"})
         for i in range(20):
             exchange.push((("g",), (float(i),)))
@@ -278,10 +278,8 @@ class TestHotGroupSplit:
         assert {r[2] for r in sharded} == {0, 1}
         assert exchange.hot_splits == 15
 
-    def test_cold_keys_never_shard(self):
-        config = EngineConfig(flush_delay=0.0, hot_group_threshold=5,
-                              hot_group_shards=2)
-        engine = make_engine(config)
+    def test_cold_keys_never_shard(self, two_shards):
+        engine = make_engine(two_shards)
         exchange = make_exchange(engine, key={"kind": "group"})
         for g in range(10):  # ten groups, one row each
             exchange.push((("g{}".format(g),), (1.0,)))
@@ -289,16 +287,15 @@ class TestHotGroupSplit:
                    for _key, p in engine.dht.routed)
         assert exchange.hot_splits == 0
 
-    def test_counts_reset_per_epoch(self):
-        config = EngineConfig(flush_delay=0.0, hot_group_threshold=5,
-                              hot_group_shards=2)
-        exchange = make_exchange(make_engine(config), key={"kind": "group"})
+    def test_counts_reset_per_epoch(self, two_shards):
+        exchange = make_exchange(make_engine(two_shards),
+                                 key={"kind": "group"})
         for i in range(5):
             exchange.push((("g",), (1.0,)))
         exchange.seal_epoch(3)
         assert exchange.hot_splits == 0  # sealed before crossing
 
-    def test_split_answers_match_the_unsplit_run(self):
+    def test_split_answers_match_the_unsplit_run(self, monkeypatch):
         """Integration parity: a skewed grouped aggregate under
         hot-group splitting answers exactly what the unsplit run
         answers -- the coordinator's duplicate-owner merge re-unifies
@@ -310,9 +307,10 @@ class TestHotGroupSplit:
         within every epoch. (A tumbling or unpaned plan ships a single
         partial per group per epoch, so splitting never engages and
         the parity check would be vacuous.)"""
+        monkeypatch.setattr(exchange_module, "HOT_GROUP_SHARDS", 3)
+
         def run(threshold):
-            engine = EngineConfig(hot_group_threshold=threshold,
-                                  hot_group_shards=3)
+            engine = EngineConfig(hot_group_threshold=threshold)
             net = PierNetwork(nodes=6, seed=21,
                               config=PierConfig(engine=engine))
             net.create_stream_table(

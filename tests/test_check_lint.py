@@ -153,5 +153,58 @@ class TestConfigAndTree:
                                          encoding="utf-8")
         assert lint.main([str(tmp_path / "top.py")]) == 0
 
+    def test_dead_definitions_in_src_fail_the_whole_tree_run(
+            self, lint, tmp_path, monkeypatch, capsys):
+        (tmp_path / "ruff.toml").write_text("line-length = 100\n",
+                                            encoding="utf-8")
+        for folder in ("src/pkg", "tests", "scripts"):
+            (tmp_path / folder).mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "mod.py").write_text(textwrap.dedent("""\
+            import functools
+
+
+            def used():
+                return 1
+
+
+            def dead():
+                return used()
+
+
+            @functools.cache
+            def registered():
+                return 2
+
+
+            class Kept:
+                def __repr__(self):
+                    return "kept"
+
+                def called(self):
+                    return 3
+
+                def orphan(self):
+                    def nested_is_not_checked():
+                        pass
+                    return nested_is_not_checked
+
+
+            def spare():  # noqa: DEF001 -- kept on purpose
+                return 4
+            """), encoding="utf-8")
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from pkg.mod import Kept\nKept().called()\n", encoding="utf-8")
+        # A directory outside the usage roots references nothing.
+        (tmp_path / "scripts" / "run.py").write_text(
+            "dead = orphan = 1\nprint(dead, orphan)\n", encoding="utf-8")
+        monkeypatch.setattr(lint, "REPO", tmp_path)
+        assert lint.main([]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "src/pkg/mod.py:8: DEF001 `dead` is defined but never referenced",
+            "src/pkg/mod.py:24: DEF001 `orphan` is defined but never referenced",
+        ]
+        # The rule is whole-tree: a run over named paths skips it.
+        assert lint.main([str(tmp_path / "src")]) == 0
+
     def test_this_tree_is_clean(self, lint, capsys):
         assert lint.main([]) == 0, capsys.readouterr().out

@@ -522,8 +522,6 @@ class TestChunkingInvariance:
 
     @pytest.mark.parametrize("kind,params", [
         ("distinct", {}),
-        ("limit", {"limit": 4}),
-        ("union", {}),
     ])
     @pytest.mark.parametrize("n", SIZES)
     def test_small_operators(self, kind, params, n):
@@ -1043,12 +1041,11 @@ class TestBloomStageParity:
 # Exchange: chunking never changes the shipped messages
 # ----------------------------------------------------------------------
 class TestExchangeChunkingInvariance:
-    def _exchange(self, sent, flush_delay=5.0, key=None):
+    def _exchange(self, sent, max_batch_rows=4, key=None):
         from repro.core.engine import EngineConfig
 
-        engine = make_engine(EngineConfig(
-            flush_delay=flush_delay, max_batch_rows=4,
-        ), routed=sent)
+        engine = make_engine(EngineConfig(max_batch_rows=max_batch_rows),
+                             routed=sent)
         return make_exchange(
             engine, standing=False,
             key=key or {"kind": "exprs", "exprs": [col("s")],
@@ -1132,7 +1129,7 @@ class TestExchangeChunkingInvariance:
     def test_unbatched_exchange_routes_batch_rows_singly(self):
         rows = [(1, 2, "x"), (3, 4, "y")]
         sent = []
-        exchange = self._exchange(sent, flush_delay=0.0)
+        exchange = self._exchange(sent, max_batch_rows=1)
         exchange.push_batch(RowBatch.from_rows(rows, SCHEMA))
         assert [p["op"] for _k, p in sent] == ["deliver", "deliver"]
         assert [p["data"] for _k, p in sent] == rows

@@ -43,7 +43,7 @@ class TestRegistry:
         have = registered_kinds()
         for kind in ("scan", "select", "project", "shj", "fetch_matches",
                      "groupby_partial", "groupby_final", "topk", "distinct",
-                     "union", "limit", "result", "exchange", "bloom_stage"):
+                     "result", "exchange", "bloom_stage"):
             assert kind in have
 
     def test_unknown_kind_rejected(self):
@@ -198,18 +198,6 @@ class TestMisc:
         op.push((1, 2))
         op.push((3, 4))
         assert sink.rows == [(1, 2), (3, 4)]
-
-    def test_union_passthrough_all_ports(self):
-        op, sink = make("union", {})
-        op.push((1,), port=0)
-        op.push((2,), port=1)
-        assert sink.rows == [(1,), (2,)]
-
-    def test_limit_cuts(self):
-        op, sink = make("limit", {"limit": 2})
-        for i in range(5):
-            op.push((i,))
-        assert sink.rows == [(0,), (1,)]
 
 
 class TestSymmetricHashJoin:

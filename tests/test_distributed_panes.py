@@ -329,9 +329,7 @@ class TestDistributedParity:
 
 class TestPaneMechanics:
     def test_exchange_batches_never_mix_panes(self):
-        from repro.core.engine import EngineConfig
-
-        engine = make_engine(EngineConfig(flush_delay=5.0))
+        engine = make_engine()
         exchange = make_exchange(
             engine, key={"kind": "group"},
             paned={"width": 1.0, "every": 1, "window": 4})

@@ -1,8 +1,8 @@
 """Batched exchange path: equivalence with the unbatched exchange.
 
 The batching layer must be invisible to query semantics: the same
-workload run with ``flush_delay = 0`` (one route message per row, the
-original behaviour) and with batching enabled has to produce identical
+workload run with ``max_batch_rows = 1`` (one route message per row,
+the original behaviour) and with batching enabled has to produce identical
 results -- in clean networks, under message loss, and across failures.
 What may change is the message count, which is the whole point.
 """
@@ -14,7 +14,7 @@ import sys
 import pytest
 from stubs import make_engine, make_exchange
 
-from repro.core import engine as engine_module
+from repro.core import engine as engine_module, exchange as exchange_module
 from repro.core.engine import EngineConfig
 from repro.core.network import PierConfig, PierNetwork
 
@@ -23,8 +23,13 @@ JOIN_SQL = (
 )
 
 
+def engine_config(batched):
+    """Default batching, or the one-row cap that ships every row alone."""
+    return EngineConfig() if batched else EngineConfig(max_batch_rows=1)
+
+
 def build_join_net(seed, batched, nodes=16):
-    engine = EngineConfig(flush_delay=0.25 if batched else 0.0)
+    engine = engine_config(batched)
     net = PierNetwork(nodes=nodes, seed=seed, config=PierConfig(engine=engine))
     net.create_local_table("r", [("k", "INT"), ("v", "INT")])
     net.create_local_table("s", [("k", "INT"), ("v", "INT")])
@@ -152,7 +157,7 @@ class TestJoinEquivalence:
         # one epoch for epoch.
         per_config = []
         for batched in (False, True):
-            engine = EngineConfig(flush_delay=0.25 if batched else 0.0)
+            engine = engine_config(batched)
             net = PierNetwork(nodes=16, seed=62, config=PierConfig(engine=engine))
             net.create_local_table("t", [("v", "INT")])
 
@@ -187,7 +192,7 @@ class TestJoinEquivalence:
 class TestAggregationEquivalence:
     @staticmethod
     def _run(batched, tree):
-        engine = EngineConfig(flush_delay=0.25 if batched else 0.0)
+        engine = engine_config(batched)
         net = PierNetwork(nodes=16, seed=31, config=PierConfig(engine=engine))
         net.create_local_table("t", [("g", "INT"), ("v", "INT")])
         for i, address in enumerate(net.addresses()):
@@ -212,7 +217,7 @@ class TestAggregationEquivalence:
 class TestRecursiveEquivalence:
     @staticmethod
     def _run(batched):
-        engine = EngineConfig(flush_delay=0.2 if batched else 0.0)
+        engine = engine_config(batched)
         net = PierNetwork(nodes=12, seed=41, config=PierConfig(engine=engine))
         net.create_local_table("edge", [("src", "INT"), ("dst", "INT")])
         # A chain plus a shortcut: reachability needs several rounds.
@@ -240,8 +245,9 @@ class TestRecursiveEquivalence:
 
 
 class TestBatchLimits:
-    def test_row_cap_ships_batch_early(self):
-        engine = make_engine(EngineConfig(flush_delay=5.0, max_batch_rows=3))
+    def test_row_cap_ships_batch_early(self, monkeypatch):
+        monkeypatch.setattr(exchange_module, "FLUSH_DELAY", 5.0)
+        engine = make_engine(EngineConfig(max_batch_rows=3))
         exchange = make_exchange(engine, standing=False)
         sent = engine.dht.routed
         for i in range(7):
@@ -255,8 +261,8 @@ class TestBatchLimits:
         assert sent[-1][1]["op"] == "deliver"
         assert sent[-1][1]["data"] == ("same-key",)
 
-    def test_flush_delay_zero_is_unbatched(self):
-        engine = make_engine(EngineConfig(flush_delay=0.0))
+    def test_one_row_cap_is_unbatched(self):
+        engine = make_engine(EngineConfig(max_batch_rows=1))
         exchange = make_exchange(engine, standing=False)
         for i in range(4):
             exchange.push((i,))

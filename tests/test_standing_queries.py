@@ -20,6 +20,7 @@ from repro.db.schema import Schema
 from repro.db.types import FLOAT
 from repro.db.window import pane_index, pane_width, window_pane_range
 from repro.dht.chord import NodeRef, node_id_for, storage_key
+from repro.util.errors import PlanError
 from repro.util.rng import SeededRng
 
 
@@ -81,12 +82,17 @@ class TestStandingLifecycle:
         assert plan.standing
         assert plan.epoch_overlap == 3
 
-    def test_standing_option_is_ignored(self, net):
+    def test_standing_option_is_refused(self, net):
         # The rebuild-per-epoch path is retired: every continuous plan
-        # runs standing, and the legacy ``standing`` query option is
-        # accepted but changes nothing.
-        plan = net.compile_sql(CONTINUOUS_SQL, options={"standing": False})
-        assert plan.standing
+        # runs standing. The legacy ``standing`` option -- like any name
+        # the planner does not read -- is refused, not silently hashed
+        # into the share signature (which would drop the query off its
+        # spine and change nothing else).
+        with pytest.raises(PlanError, match="'standing'"):
+            net.compile_sql(CONTINUOUS_SQL, options={"standing": False})
+        with pytest.raises(PlanError, match="'agregation_tree'"):
+            net.compile_sql(CONTINUOUS_SQL,
+                            options={"agregation_tree": False})
         # ``shared`` is the option that still means something: it keeps
         # the query off the subscription spine (private execution).
         private = net.compile_sql(CONTINUOUS_SQL, options={"shared": False})
@@ -536,7 +542,7 @@ class TestStableRendezvous:
         """A standing tree edge rendezvouses at the same epoch-free key
         every epoch; the per-epoch ``|e<k>`` salt appears only while the
         learned owner is suspect, and goes away when suspicion clears."""
-        engine = make_engine(EngineConfig(flush_delay=0.0))
+        engine = make_engine(EngineConfig(max_batch_rows=1))
         exchange = make_exchange(engine, key={"kind": "group"}, mode="tree")
         rid, row = ("g",), (("g",), (1.0,))
         stable = storage_key(exchange._route_ns, rid)

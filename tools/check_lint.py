@@ -10,7 +10,14 @@ Stdlib only. Reports, as ``path:line: code message``:
 * ``F821`` -- a name read somewhere that no enclosing scope binds and
   that is not a builtin, i.e. one that would have to be a module global
   and is not;
-* ``E501`` -- a line longer than ``line-length``.
+* ``E501`` -- a line longer than ``line-length``;
+* ``DEF001`` -- a top-level def or class, or a method of a top-level
+  class, in ``src/`` whose name occurs as a NAME token nowhere else in
+  the ``.py`` files of ``USAGE_DIRS`` (no ruff rule does this: it is
+  the whole-tree reference count that finds dead code). A decorated
+  definition counts as used -- its decorator files it somewhere, as
+  ``register_operator`` does -- and so does a dunder. Checked on the
+  default whole-tree run only.
 
 ``line-length`` and ``[lint.per-file-ignores]`` are read out of
 ``ruff.toml`` by hand (``tomllib`` is missing on Python 3.10), and
@@ -28,8 +35,11 @@ import pathlib
 import re
 import sys
 import tokenize
+from collections import Counter
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+# Where a definition in src/ may be referenced from.
+USAGE_DIRS = ("src", "tests", "benchmarks", "tools", "examples")
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*([A-Z][A-Z0-9]*(?:[,\s]+[A-Z][A-Z0-9]*)*))?", re.I)
 _IGNORE_LINE = re.compile(r'^"([^"]+)"\s*=\s*\[([^\]]*)\]')
@@ -238,13 +248,14 @@ def noqa_lines(source):
     return silenced
 
 
-def check_source(source, line_length):
-    """``[(line, code, message)]`` for one file's text, sorted."""
+def check_source(source, line_length, extra=()):
+    """``[(line, code, message)]`` for one file's text, sorted; ``extra``
+    findings (from whole-tree rules) are filtered by ``# noqa`` too."""
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         return [(exc.lineno or 1, "E999", "syntax error: {}".format(exc.msg))]
-    found = list(Checker(tree).problems())
+    found = list(Checker(tree).problems()) + list(extra)
     for number, line in enumerate(source.splitlines(), 1):
         if len(line) > line_length:
             found.append((number, "E501", "line too long ({} > {})".format(
@@ -262,16 +273,61 @@ def python_files(root):
             yield path
 
 
+def _definitions(tree):
+    """Undecorated, non-dunder top-level defs and classes of a module,
+    and the same among the members of its top-level classes."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for definition in [node, *members]:
+            if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                    and not definition.decorator_list
+                    and not (definition.name.startswith("__")
+                             and definition.name.endswith("__"))):
+                yield definition
+
+
+def dead_definitions(root):
+    """relpath -> ``[(line, "DEF001", message)]`` for every definition
+    in ``root/src`` whose name is no NAME token anywhere else under
+    ``USAGE_DIRS``. Files that do not parse are skipped (E999 reports
+    them)."""
+    names = Counter()
+    modules = {}
+    for top in USAGE_DIRS:
+        if not (root / top).is_dir():
+            continue
+        for path in python_files(root / top):
+            source = path.read_text(encoding="utf-8")
+            try:
+                tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+                if top == "src":
+                    modules[path.relative_to(root).as_posix()] = ast.parse(source)
+            except (SyntaxError, tokenize.TokenError):
+                continue
+            names.update(t.string for t in tokens if t.type == tokenize.NAME)
+    found = {}
+    for relpath, tree in modules.items():
+        for definition in _definitions(tree):
+            if names[definition.name] <= 1:
+                found.setdefault(relpath, []).append((
+                    definition.lineno, "DEF001",
+                    "`{}` is defined but never referenced".format(definition.name)))
+    return found
+
+
 def main(argv):
     line_length, ignores = read_config(REPO / "ruff.toml")
     targets = [pathlib.Path(a).resolve() for a in argv] or [REPO]
+    dead = {} if argv else dead_definitions(REPO)
     reported = 0
     for target in targets:
         for path in ([target] if target.is_file() else python_files(target)):
             relpath = path.relative_to(REPO).as_posix()
             off = ignored_codes(relpath, ignores)
             for line, code, message in check_source(
-                    path.read_text(encoding="utf-8"), line_length):
+                    path.read_text(encoding="utf-8"), line_length,
+                    dead.get(relpath, ())):
                 if code not in off:
                     print("{}:{}: {} {}".format(relpath, line, code, message))
                     reported += 1
