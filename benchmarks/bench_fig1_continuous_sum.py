@@ -8,7 +8,7 @@ signature behaviours to reproduce:
 * the aggregate tracks the per-node rate processes (it wiggles),
 * the responding-node count hovers near the live population and dips
   when hosts churn out, recovering as they return and re-adopt the
-  query from the periodic plan refresh,
+  query from their ring neighbours (plan anti-entropy),
 * a mid-run failure event (we crash 15% of hosts at half time, like a
   site outage) shows up as a sharp dip in both series -- partial
   results, not errors.

@@ -138,6 +138,7 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
     # holds, a region-local tree settles after one intra-region hold
     # and a single (often hop-shortcut) backbone send.
     t0 = handle.t0
+    offset = net.node(site).engine.queries[handle.qid].offset
     arrivals = {}
 
     def deliver(src, dst, wire):
@@ -163,12 +164,11 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
         r.epoch: sorted((g, round(t, 6), n) for g, t, n in r.rows)
         for r in results
     }
-    # Exchange payloads tag the execution's absolute epoch index;
-    # normalize each last-arrival against its own epoch boundary (the
-    # first shipped epoch opened at t0, successors every EVERY).
-    e0 = min(arrivals) if arrivals else 0
+    # Exchange payloads tag the execution's grid epoch; the query's
+    # own epoch j is grid epoch offset + j and opens at t0 + j * EVERY,
+    # so each last-arrival is measured against that boundary.
     lags = {
-        e: at - (t0 + (e - e0) * EVERY) for e, at in arrivals.items()
+        e: at - (t0 + (e - offset) * EVERY) for e, at in arrivals.items()
     }
     return {
         "epochs": epochs,

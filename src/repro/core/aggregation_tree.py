@@ -46,8 +46,7 @@ class TreeCombiner:
     """Hold-and-merge relay for partial aggregate states."""
 
     def __init__(self, dht, ns, route_ns, upcall, agg_specs, hold_delay,
-                 suspect_fn, owner_fn, paned=False, qsrc_fn=None,
-                 regional=False):
+                 suspect_fn, owner_fn, paned=False, regional=False):
         self.dht = dht
         self.ns = ns  # delivery namespace (dispatch tag on arrival)
         self.route_ns = route_ns  # routing namespace (must match the exchange's)
@@ -58,7 +57,6 @@ class TreeCombiner:
         # The engine's owner cache, consulted for epoch-tagged (standing)
         # partials only: is the learned owner suspect / who is it.
         self.suspect_fn = suspect_fn
-        self.qsrc_fn = qsrc_fn  # representative qid for shared executions
         self.owner_fn = owner_fn
         # Two-level regional trees: this node only ever absorbs as its
         # region's rendezvous (senders route *through* it), so its
@@ -138,10 +136,6 @@ class TreeCombiner:
                     # between keys as hops disagree about the owner.
                     route_ns = epoch_route_ns(route_ns, epoch)
                     payload["salted"] = True
-            if self.qsrc_fn is not None:
-                qsrc = self.qsrc_fn()
-                if qsrc is not None:
-                    payload["qsrc"] = qsrc
             key = storage_key(route_ns, gvals)
             if epoch is not None and not payload.get("salted"):
                 # Tree-edge hop caching: an unsalted standing forward

@@ -1,15 +1,16 @@
 """The query site: dissemination, collection, finishing, lifecycle.
 
 Any node can be a query site. Submitting a query broadcasts its plan
-over the overlay (and, for continuous queries, re-broadcasts it
-periodically so nodes that crash and recover re-adopt it -- plans are
-soft state like everything else). Result rows stream back as direct
-messages tagged with the epoch they belong to; collection is keyed by
-that tag, and rows for an already-closed epoch are dropped. At each
-epoch's deadline the
-coordinator applies the *finishing* step (global ORDER BY / LIMIT over
-collected rows -- the one thing that cannot be fully in-network) and
-hands an :class:`EpochResult` to the caller.
+over the overlay once. Plans are soft state like everything else: a
+node that the broadcast missed, or that crashed and recovered, gets a
+continuous plan back from its ring neighbours' anti-entropy (see
+:mod:`repro.core.engine`), not from this site. Result rows stream back
+as direct messages tagged with the epoch they belong to; collection is
+keyed by that tag, and rows for an already-closed epoch are dropped.
+At each epoch's deadline the coordinator applies the *finishing* step
+(global ORDER BY / LIMIT over collected rows -- the one thing that
+cannot be fully in-network) and hands an :class:`EpochResult` to the
+caller.
 
 A one-shot plan whose every scan is a keyed ``get``
 (``QueryPlan.at_site``: the planner pinned each scan to one DHT
@@ -19,11 +20,9 @@ without a wire in between, and closes the answer at the plan's
 deadline, which for such a plan is one get round-trip plus the
 operators' holds (no dissemination, no result return, no collection).
 
-Two further duties support the standing path: answering ``xplan``
-requests from nodes that see a standing query's rows without having its
-plan (closing their adoption gap in one round-trip instead of a refresh
-period), and stopping queries with a broadcast that engines tombstone
-so a stale refresh cannot resurrect them.
+Stopping a query is one broadcast too; engines tombstone the stopped
+qid, and the same anti-entropy carries the tombstone to nodes the stop
+missed.
 
 Recursive queries additionally watch progress reports and close early
 on quiescence: no node has produced a novel tuple for ``QUIET_PERIOD``
@@ -32,9 +31,6 @@ seconds means the fixpoint is reached.
 
 from repro.core.dataflow import EpochExecution, SiteQueryContext
 
-# A continuous query's plan is re-broadcast this often, so nodes that
-# crashed and recovered (or that the first broadcast missed) re-adopt it.
-PLAN_REFRESH_PERIOD = 60.0
 # Recursive quiescence: no progress report for QUIET_PERIOD seconds is
 # the fixpoint, but never before MIN_RUNTIME -- the first reports need
 # a plan broadcast and a scan to happen.
@@ -106,7 +102,7 @@ class QueryHandle:
 
 
 class Coordinator:
-    def __init__(self, engine, base_timing=None):
+    def __init__(self, engine):
         self.engine = engine
         self.dht = engine.dht
         self.clock = engine.clock
@@ -131,10 +127,18 @@ class Coordinator:
                 ctx=SiteQueryContext(self.engine, plan, qid, t0))
             handle.execution.start()
         else:
-            self._broadcast_plan(handle, refresh=0)
+            self.dht.broadcast({
+                "ctl": "plan",
+                # "|0" keeps the token the size it had while plans
+                # were re-broadcast, so one-shot traffic is unchanged.
+                "token": "plan|{}|0".format(qid),
+                "qid": qid,
+                "plan": plan,
+                "t0": t0,
+                "origin": self.engine.address,
+            })
         if plan.mode == "continuous":
             self._schedule_close(handle, 1)
-            self._schedule_refresh(handle, 1)
         else:
             self._schedule_close(handle, 0)
             if plan.mode == "recursive":
@@ -142,30 +146,6 @@ class Coordinator:
         if plan.metadata.get("bloom_broadcast_offset") is not None:
             self._schedule_bloom(handle, 0)
         return handle
-
-    def _broadcast_plan(self, handle, refresh):
-        self.dht.broadcast({
-            "ctl": "plan",
-            "token": "plan|{}|{}".format(handle.qid, refresh),
-            "qid": handle.qid,
-            "plan": handle.plan,
-            "t0": handle.t0,
-            "origin": self.engine.address,
-        })
-
-    def _schedule_refresh(self, handle, n):
-        period = PLAN_REFRESH_PERIOD
-        plan = handle.plan
-        if plan.lifetime is not None and n * period >= plan.lifetime:
-            return
-
-        def refresh():
-            if handle.finished or handle.qid not in self.active:
-                return
-            self._broadcast_plan(handle, refresh=n)
-            self._schedule_refresh(handle, n + 1)
-
-        self.engine.set_timer(period, refresh)
 
     # ------------------------------------------------------------------
     # Epoch close + finishing
@@ -303,26 +283,6 @@ class Coordinator:
         handle = self.active.get(payload["qid"])
         if handle is not None:
             handle.last_progress = self.clock.now
-
-    def on_plan_request(self, payload, src):
-        """A node evidence-of-query but plan-less asks for the plan.
-
-        Standing queries pin their exchange rendezvous to epoch-free
-        keys, so a recovered node that owns such a key sees rows for a
-        query it does not run; replying directly closes its adoption
-        gap in one round-trip instead of waiting for the next periodic
-        refresh broadcast.
-        """
-        handle = self.active.get(payload["qid"])
-        if handle is None or handle.finished:
-            return
-        self.dht.send_direct(src, {
-            "op": "xplan_reply",
-            "qid": handle.qid,
-            "plan": handle.plan,
-            "t0": handle.t0,
-            "origin": self.engine.address,
-        })
 
     def on_bloom(self, payload):
         handle = self.active.get(payload["qid"])

@@ -106,11 +106,6 @@ class LocalQueryContext:
     delivers rows (or fires deadlines) for a still-live previous epoch.
     """
 
-    #: True on :class:`SharedQueryContext` only -- operators that care
-    #: whether they run under a spine (result fan-out, plan-pull
-    #: provenance stamps) test this rather than the class.
-    shared = False
-
     #: Stage-sharing knobs (set when the engine builds the execution).
     #: ``prefix_fed`` makes a member's scan passive -- rows arrive via
     #: :meth:`StandingExecution.deliver_scan` from the shared stage
@@ -187,15 +182,6 @@ class LocalQueryContext:
         this query's, or ``origin`` (a spine answers many sites)."""
         self.dht.send_direct(origin or self.origin, payload)
 
-    def rep_qid(self):
-        """A representative query id for plan-pull provenance.
-
-        A private execution is its own representative; a spine answers
-        with any live subscriber's qid (they all carry identical
-        plans).
-        """
-        return self.query_id
-
     def result_targets(self, epoch):
         """Who gets this epoch's rows: ``(qid, origin, their_epoch)``
         triples. One target (ourselves) here; a spine fans out."""
@@ -213,8 +199,6 @@ class SharedQueryContext(LocalQueryContext):
     no single query site; results go to each subscriber's origin.
     """
 
-    shared = True
-
     def __init__(self, engine, plan, spine, epoch, t0):
         super().__init__(
             engine, plan, spine.key, epoch, t0, engine.address,
@@ -227,9 +211,6 @@ class SharedQueryContext(LocalQueryContext):
 
     def upcall_name(self, op_id, port):
         return "ts|{}|{}|{}".format(self.query_id, op_id, port)
-
-    def rep_qid(self):
-        return self.spine.rep_qid()
 
     def result_targets(self, epoch):
         """Fan spine epoch ``epoch`` to every subscriber it answers.

@@ -25,18 +25,28 @@ One engine runs on every node, calling that node's
   the right operator instance -- once per epoch for disposable
   executions, once per *query* for standing ones -- and buffers early
   arrivals that beat the plan broadcast to this node,
-* remembers recently stopped query ids (TTL'd tombstones) so a stale
-  plan-refresh broadcast cannot resurrect a query after its stop,
+* keeps its continuous plans in step with its ring neighbours (plan
+  anti-entropy, below), and remembers recently stopped query ids
+  (TTL'd tombstones) so that exchange cannot resurrect a stopped query,
 * reports recursion progress to the query site for quiescence
   detection.
 
-Engines keep only soft state: a crash loses fragments, executions and
-adopted queries; a recovered node re-adopts continuous queries from
-the coordinator's periodic plan re-broadcasts.
+Engines keep only soft state: a crash loses fragments, executions,
+adopted queries and tombstones. What brings them back is plan
+anti-entropy. Every stabilise probe a node sends its successor carries
+a digest of the node's live continuous qids and unexpired tombstones
+(:meth:`~repro.dht.chord.ChordNode.on_neighbor_digest`). The probed
+engine compares it with its own; on a mismatch the two swap qid lists
+over ``send_direct``, each adopts the other's tombstones, and each
+sends only the plans the other lacks. A recovered node (which
+advertises nothing) therefore re-adopts within one probe of rejoining,
+and a node a stop broadcast missed drops the query at its next
+exchange. One-shot and recursive plans never take part.
 """
 
 from itertools import groupby
 from operator import itemgetter
+import zlib
 
 from repro.core.aggregation_tree import TreeCombiner
 from repro.core.exchange import ExchangeMux, payload_rows
@@ -62,8 +72,8 @@ UNDELIVERED_CAP = 512
 # would otherwise pin post-rejoin forwards onto the backbone.
 ROUTE_CACHE_TTL = 120.0
 CROSS_REGION_CACHE_TTL = 30.0
-# How long a stopped qid is remembered to fend off stale plan-refresh
-# broadcasts.
+# How long a stopped qid is remembered. Plan anti-entropy spreads the
+# tombstone to nodes the stop missed and, meanwhile, refuses the plan.
 STOP_TOMBSTONE_TTL = 120.0
 
 
@@ -171,7 +181,7 @@ class PierEngine:
         # [rows], [(epoch, pane) tag per row]).
         self._undelivered = {}
         self._undelivered_timer = None
-        self._stop_tombstones = {}  # qid -> forget-at time (stale-refresh guard)
+        self._stop_tombstones = {}  # qid -> forget-at time
         # Learned-owner cache: (ns, rid) -> (NodeRef, expiry, region).
         # The region rides along so cross-region owners can expire on
         # the shorter CROSS_REGION_CACHE_TTL.
@@ -198,7 +208,7 @@ class PierEngine:
         dht.on_broadcast(self._on_broadcast)
         dht.on_direct(self._on_direct)
         dht.set_default_delivery(self._on_unclaimed_delivery)
-        dht.on_storage_probe(self._on_storage_probe)
+        dht.on_neighbor_digest(self._plan_digest, self._on_plan_digest)
 
     # ------------------------------------------------------------------
     # Data management
@@ -316,14 +326,19 @@ class PierEngine:
     def _adopt_query(self, payload):
         qid = payload["qid"]
         if qid in self.queries:
-            return  # refresh broadcast for a query we already run
+            return  # a plan sync racing the broadcast, or vice versa
+        now = self.clock.now
+        plan = payload["plan"]
+        if plan.lifetime is not None and now >= (
+                payload["t0"] + plan.lifetime + plan.deadline + TEARDOWN_SLACK):
+            return  # past the instant every node retires it (_join_shared)
         self._sweep_soft_maps()
         tombstone = self._stop_tombstones.get(qid)
         if tombstone is not None:
-            if tombstone > self.clock.now:
-                return  # stale refresh of a query stopped moments ago
+            if tombstone > now:
+                return  # a plan still in flight when the stop landed
             del self._stop_tombstones[qid]
-        query = AdoptedQuery(qid, payload["plan"], payload["t0"], payload["origin"])
+        query = AdoptedQuery(qid, plan, payload["t0"], payload["origin"])
         self.queries[qid] = query
         self._join_shared(query)
 
@@ -384,7 +399,7 @@ class PierEngine:
         end = rec.subscribe(query)
         if end is not None:
             # The subscriber retires on its own clock, once its last
-            # epoch has settled (a plan refresh landing mid-final-epoch
+            # epoch has settled (a plan sync landing mid-final-epoch
             # must hit the duplicate-adoption guard, not found a second
             # execution over the same namespaces); the record holds (or
             # closes) only when no subscriber needs the next epoch.
@@ -531,13 +546,19 @@ class PierEngine:
         for key in [k for k, e in self._route_owners.items() if e[1] <= now]:
             del self._route_owners[key]
 
-    def _stop_query(self, qid):
+    def _stop_query(self, qid, forget_at=None):
+        """Stop ``qid`` here and tombstone it until ``forget_at``
+        (default: ``STOP_TOMBSTONE_TTL`` from now). A tombstone learnt
+        from a neighbour keeps the later of the two instants, so every
+        node forgets it when the last one does."""
         # Remember the stop regardless of whether we run the query: a
-        # plan-refresh broadcast already in flight (or one this node
-        # missed the stop for) must not re-adopt a stopped query.
+        # plan still in flight, or a neighbour the stop missed, must not
+        # re-adopt a stopped query.
         self._sweep_soft_maps()
-        self._stop_tombstones[qid] = (
-            self.clock.now + STOP_TOMBSTONE_TTL
+        if forget_at is None:
+            forget_at = self.clock.now + STOP_TOMBSTONE_TTL
+        self._stop_tombstones[qid] = max(
+            forget_at, self._stop_tombstones.get(qid, forget_at)
         )
         # Early rows held for this query's namespaces will never find a
         # subscriber now; drop them instead of waiting out their TTL.
@@ -552,6 +573,82 @@ class PierEngine:
         if query.retire_timer is not None:
             query.retire_timer.cancel()
         self._drop_subscriber(query.record, qid)
+
+    # ------------------------------------------------------------------
+    # Plan anti-entropy (see the module docstring)
+    # ------------------------------------------------------------------
+    def _plan_state(self):
+        """What this node advertises: the qids of its continuous
+        queries in adoption order (a retired query has already left
+        ``queries``) and its unexpired tombstones, ``{qid: forget_at}``."""
+        now = self.clock.now
+        live = [qid for qid, query in self.queries.items()
+                if query.plan.mode == "continuous"]
+        stopped = {qid: forget_at
+                   for qid, forget_at in self._stop_tombstones.items()
+                   if forget_at > now}
+        return live, stopped
+
+    def _plan_digest(self):
+        """The digest riding this node's stabilise probes, or None
+        when it has nothing to advertise. A CRC of the sorted ids, not
+        ``hash()``: two nodes must agree whatever their hash seeds."""
+        live, stopped = self._plan_state()
+        if not live and not stopped:
+            return None
+        text = "\n".join(sorted(live)) + "\0" + "\n".join(sorted(stopped))
+        return zlib.crc32(text.encode())
+
+    def _on_plan_digest(self, digest, src):
+        """A ring neighbour probed us with its digest. On a mismatch it
+        gets our lists; when it advertised nothing, we know what it
+        lacks and send the plans at once, else we ask for its lists."""
+        if digest != self._plan_digest():
+            self._send_plan_lists(src, set() if digest is None else None)
+
+    def _send_plan_lists(self, dst, known):
+        """Our qid lists to ``dst``, with the plans it lacks when
+        ``known`` (the qids it holds, live or stopped) is given, or a
+        request for its own lists when it is None."""
+        live, stopped = self._plan_state()
+        payload = {"op": "qsync", "live": live, "stopped": stopped}
+        if known is None:
+            payload["ask"] = True
+        else:
+            payload["plans"] = self._plans_lacking(known)
+        self.dht.send_direct(dst, payload)
+
+    def _plans_lacking(self, known):
+        """Our continuous plans whose qid is not in ``known``, each as
+        the broadcast carried it."""
+        return [
+            {"qid": qid, "plan": query.plan, "t0": query.t0,
+             "origin": query.origin}
+            for qid, query in self.queries.items()
+            if query.plan.mode == "continuous" and qid not in known
+        ]
+
+    def _on_plan_sync(self, payload, src):
+        """One leg of a plan sync: take the sender's tombstones, then
+        its plans; then, if it sent its lists, answer with ours (when
+        asked) or with just the plans it lacks."""
+        now = self.clock.now
+        stopped = payload.get("stopped", {})
+        for qid, forget_at in stopped.items():
+            if forget_at > now:
+                self._stop_query(qid, forget_at)
+        for plan in payload.get("plans", ()):
+            self._adopt_query(plan)
+        live = payload.get("live")
+        if live is None:
+            return
+        known = set(live).union(stopped)
+        if payload.get("ask"):
+            self._send_plan_lists(src, known)
+            return
+        plans = self._plans_lacking(known)
+        if plans:
+            self.dht.send_direct(src, {"op": "qsync", "plans": plans})
 
     # ------------------------------------------------------------------
     # Exchange plumbing
@@ -600,15 +697,13 @@ class PierEngine:
             # never consult the cache. Under regional trees, absorption
             # only happens at region rendezvous (senders route through
             # them), so forwards are level-2 sends that skip further
-            # mid-route absorption. Shared executions also stamp a
-            # representative qid on forwards for plan-pull provenance.
+            # mid-route absorption.
             ctx = execution.ctx
             combiner = TreeCombiner(
                 self.dht, ns, ctx.route_namespace(op_id),
                 ctx.upcall_name(op_id, port), combine["agg_specs"],
                 TREE_HOLD_DELAY, self.route_owner_suspect,
                 self.cached_owner, paned=combine.get("paned", False),
-                qsrc_fn=ctx.rep_qid if ctx.shared else None,
                 regional=standing and self.regional_trees,
             )
             self.combiners[ns] = combiner
@@ -627,7 +722,7 @@ class PierEngine:
                 if epoch_tag is not None:
                     replayed_epochs.add(epoch_tag)
             # Replayed rows arrived before this node could subscribe
-            # (typically a rejoined node that just pulled the plan),
+            # (typically a rejoined node that just got the plan back),
             # so those epochs' flush waves are largely behind them.
             # Waiting for the next planned deadline risks the rows
             # dying held if this node churns again; nudge the consumer
@@ -716,14 +811,13 @@ class PierEngine:
         self._undelivered.pop(ns, None)
 
     def _on_unclaimed_delivery(self, payload, route_msg):
-        # Rows can beat the plan broadcast to this node; hold them until
-        # the execution registers. Nothing guarantees a plan ever
-        # arrives (the broadcast can miss this node, or the query may
-        # already be stopping), so the buffer is bounded two ways: each
-        # namespace is dropped ``UNDELIVERED_TTL`` after its first early
-        # row, and holds at most ``UNDELIVERED_CAP`` rows; what it
-        # sheds is dropped silently (the refresh or a plan pull will
-        # enroll a node that merely missed the broadcast).
+        # Rows can beat the plan to this node; hold them until the
+        # execution registers. Nothing guarantees a plan ever arrives
+        # (the query may already be stopping), so the buffer is bounded
+        # two ways: each namespace is dropped ``UNDELIVERED_TTL`` after
+        # its first early row, and holds at most ``UNDELIVERED_CAP``
+        # rows; what it sheds is dropped silently. A node that merely
+        # missed the broadcast gets the plan from plan anti-entropy.
         ns = payload["ns"]
         incoming = payload_rows(payload)
         held = self._undelivered.get(ns)
@@ -734,17 +828,6 @@ class PierEngine:
                 self._undelivered_timer = self.set_timer(
                     UNDELIVERED_TTL, self._expire_undelivered
                 )
-            if payload.get("epoch") is not None:
-                # A standing query is live somewhere and its epoch-free
-                # rendezvous hashes *here* -- every epoch's rows will
-                # keep arriving at this node. Waiting out the refresh
-                # period would hole the answer for several epochs
-                # (per-epoch keys would have re-hashed away from a
-                # planless node; epoch-free keys keep coming back).
-                # Pull the missing soft state instead: ask the query
-                # site for the plan directly, once per buffer
-                # generation.
-                self._request_plan(ns, payload.get("qsrc"))
         _expiry, rows, tags = held
         space = UNDELIVERED_CAP - len(rows)
         if space > 0:
@@ -753,40 +836,6 @@ class PierEngine:
             tags.extend(
                 [(payload.get("epoch"), payload.get("pane"))] * len(taken)
             )
-
-    def _on_storage_probe(self, ns):
-        """A get/lscan probe referenced a continuous query's temp
-        namespace. Same adoption gap as an epoch-tagged unclaimed row
-        (the querying side evidently believes this node participates),
-        same cure: pull the plan from the query site directly instead
-        of waiting out a refresh period."""
-        self._request_plan(ns)
-
-    def _request_plan(self, ns, qsrc=None):
-        """Ask the query site for a plan we evidently missed.
-
-        ``qid`` embeds the submitting node's address (``addr#seq``, a
-        coordinator invariant), so the request needs no lookup. A stale
-        or stopped query simply gets no reply and the buffered rows age
-        out as before.
-
-        Spine namespaces (``s|``) embed a content-derived key, not a
-        qid, so senders stamp a live subscriber qid (``qsrc``) on every
-        shared batch; adopting that query re-forms the spine here.
-        Probes without provenance drop silently.
-        """
-        if ns.startswith("s|"):
-            qid = qsrc
-        elif ns.startswith("q|"):
-            qid = ns.split("|")[1]
-        else:
-            return
-        if (qid is None or qid in self.queries
-                or qid in self._stop_tombstones):
-            return
-        origin = qid.rsplit("#", 1)[0]
-        if origin and origin != self.address:
-            self.dht.send_direct(origin, {"op": "xplan", "qid": qid})
 
     def _expire_undelivered(self):
         self._undelivered_timer = None
@@ -893,8 +942,8 @@ class PierEngine:
             if current is None or factor >= current[0]:
                 self._bp_stretch[ns] = (factor, expiry)
             return
-        if op == "xplan_reply":
-            self._adopt_query(payload)
+        if op == "qsync":
+            self._on_plan_sync(payload, src)
             return
         if self.coordinator is None:
             return
@@ -904,8 +953,6 @@ class PierEngine:
             self.coordinator.on_progress(payload)
         elif op == "qbloom":
             self.coordinator.on_bloom(payload)
-        elif op == "xplan":
-            self.coordinator.on_plan_request(payload, src)
 
     # ------------------------------------------------------------------
     # Failure semantics

@@ -154,10 +154,6 @@ class Exchange(Operator):
         self._regional = (
             self._standing and self.mode == "tree" and engine.regional_trees
         )
-        # Spine executions stamp a live subscriber qid on every batch:
-        # the s| namespace embeds no address, so this is the receiving
-        # side's only lead for pulling a plan it missed.
-        self._rep_qid_fn = ctx.rep_qid if ctx.shared else None
         # Prefix-sharing members hand their outbound route messages to
         # the engine's per-instant multiplexer: co-tenant queries push
         # at the same instants (one demux fan feeds them all), so
@@ -359,10 +355,6 @@ class Exchange(Operator):
             payload["epoch"] = epoch
             if self._paned:
                 payload["pane"] = pane
-            if self._rep_qid_fn is not None:
-                qsrc = self._rep_qid_fn()
-                if qsrc is not None:
-                    payload["qsrc"] = qsrc
             if self._cache_owners:
                 key = storage_key(self._route_ns, rid)
                 owner = self._owner_fn(self._ns, rid)

@@ -54,8 +54,8 @@ the scan's initial full-window emission seeds the window history
 exactly like a private twin's.
 
 Soft-state discipline matches the rest of the engine: a crash wipes
-every record; queries that still matter are re-adopted from their
-coordinator's re-broadcast and re-form their records from scratch.
+every record; queries that still matter come back through the ring
+neighbours' plan anti-entropy and re-form their records from scratch.
 """
 
 from repro.core.dataflow import EpochExecution, StandingExecution
@@ -153,13 +153,6 @@ class SpineRecord(GridRecord):
         # Set while this (paned) spine still needs its stage's
         # retained panes; the demux injects them once.
         self.needs_backfill = False
-
-    def rep_qid(self):
-        """A live subscriber's qid for plan-pull provenance (any will
-        do -- all subscribers carry byte-identical plans)."""
-        for qid in self.subscribers:
-            return qid
-        return None
 
     def build(self, engine, k, t_k):
         stage = self.stage

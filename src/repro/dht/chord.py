@@ -18,7 +18,9 @@ Feature inventory:
   PIER's hierarchical aggregation uses to combine partial aggregates on
   their way up the routing tree,
 * finger-table broadcast for query dissemination, with ack/repair so a
-  dead finger's delegated range is re-routed to its live owner.
+  dead finger's delegated range is re-routed to its live owner,
+* an opaque digest riding the stabilise probe, for the layer above to
+  gossip with its ring neighbours (PIER's plan anti-entropy).
 
 A :class:`ChordNode` is a :class:`~repro.sim.node.SimNode`: it fails by
 crashing (losing all soft state) and recovers by re-joining through a
@@ -146,7 +148,8 @@ class ChordNode(SimNode, RpcNode):
         self._intercepts = {}
         self._delivery_handlers = {}
         self._default_delivery = None
-        self._storage_probe_handlers = []
+        self._digest_provider = None
+        self._digest_handler = None
         self._broadcast_handlers = []
         self._direct_handlers = []
         self._seen_broadcasts = {}  # token -> forget-at, like _seen_mids
@@ -232,7 +235,7 @@ class ChordNode(SimNode, RpcNode):
                 # Bootstrap unreachable; retry after a backoff.
                 self.set_timer(self.config.rpc_timeout, self.join, bootstrap_address)
                 return
-            self.successors = [owner] if owner != self.ref else [self.ref]
+            self.successors = [owner]
             self._start_maintenance()
             self._stabilize()
 
@@ -540,6 +543,15 @@ class ChordNode(SimNode, RpcNode):
 
     def _advance(self, message, target, tried):
         """Terminal-check then forward ``message`` toward ``target``."""
+        if message.kind == "lookup" and message.joining:
+            # A joiner asks for its successor: the first node after its
+            # id other than itself. Peers may still hold it from before
+            # a crash, so treat it as gone -- its successor owns its id,
+            # and no hop goes to it (it would answer for the whole ring).
+            if self.predecessor == message.origin:
+                self._terminal(message)
+                return
+            tried = tried | {message.origin.address}
         if getattr(message, "force_terminal", False):
             self._terminal(message)
             return
@@ -651,7 +663,9 @@ class ChordNode(SimNode, RpcNode):
         """Lookup routed through an arbitrary node (used while joining)."""
         req_id = self.expect(self.config.lookup_timeout, on_done,
                              lambda: on_done(None, -1))
-        self.send(bootstrap_address, msg.Lookup(key, self.ref, req_id, hops=1))
+        lookup = msg.Lookup(key, self.ref, req_id, hops=1)
+        lookup.joining = True
+        self.send(bootstrap_address, lookup)
 
     def _handle_lookup(self, message):
         self._ack_hop(message)
@@ -755,7 +769,6 @@ class ChordNode(SimNode, RpcNode):
                     "values": [(i.instance_id, i.value) for i in items],
                 }),
             )
-            self._note_storage_probe(payload["ns"])
         elif op == "deliver" or op == "deliver_batch":
             self._deliver_arrived(payload, message)
         elif op == "deliver_mux":
@@ -838,19 +851,19 @@ class ChordNode(SimNode, RpcNode):
     def unregister_intercept(self, name):
         self._intercepts.pop(name, None)
 
-    def on_storage_probe(self, handler):
-        """``handler(namespace)`` runs when a storage probe (a routed
-        ``get``, or a local ``lscan``) references a query-temporary
-        namespace (``q|...``). The engine uses it to notice evidence of
-        a continuous query it has no plan for and fetch the plan from
-        the query site instead of waiting out a refresh period."""
-        self._storage_probe_handlers.append(handler)
+    def on_neighbor_digest(self, provider, handler):
+        """Gossip an opaque digest along the ring's stabilise probes.
 
-    def _note_storage_probe(self, namespace):
-        if not namespace.startswith("q|"):
-            return
-        for handler in self._storage_probe_handlers:
-            handler(namespace)
+        ``provider()`` is asked for a digest each time this node probes
+        its successor; a non-None answer rides the ``get_neighbors``
+        request, None adds no bytes. The probed node hands what arrived
+        to its ``handler(digest, src)`` -- None when the prober had
+        nothing to advertise -- after it answered the probe. The overlay
+        neither reads nor compares digests; what they summarise and what
+        a mismatch costs is the caller's business.
+        """
+        self._digest_provider = provider
+        self._digest_handler = handler
 
     def register_delivery(self, namespace, handler):
         """Receive ``deliver`` payloads routed to keys this node owns."""
@@ -977,7 +990,6 @@ class ChordNode(SimNode, RpcNode):
 
     def lscan(self, namespace):
         """Locally stored live items of a namespace (PIER's scan access)."""
-        self._note_storage_probe(namespace)
         return self.store.lscan(namespace)
 
     def new_data(self, namespace, callback, ttl=None):
@@ -1024,6 +1036,8 @@ class ChordNode(SimNode, RpcNode):
             "predecessor": self.predecessor,
             "successors": list(self.successors),
         })
+        if self._digest_handler is not None:
+            self._digest_handler(request.get("digest"), src)
 
     def _rpc_notify(self, src, request, respond):
         respond({"accepted": self._consider_predecessor(request["node"])})
@@ -1118,10 +1132,12 @@ class ChordNode(SimNode, RpcNode):
             else:
                 self.successors = [self.ref]
 
-        self.rpc(
-            succ.address, {"kind": "get_neighbors", "node": self.ref},
-            on_reply, on_timeout,
-        )
+        request = {"kind": "get_neighbors", "node": self.ref}
+        if self._digest_provider is not None:
+            digest = self._digest_provider()
+            if digest is not None:
+                request["digest"] = digest
+        self.rpc(succ.address, request, on_reply, on_timeout)
 
     def _notify_successor(self):
         if self.successor == self.ref:

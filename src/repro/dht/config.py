@@ -1,8 +1,8 @@
 """The DHT layer's four knobs.
 
 Maintenance periods, list lengths and TTLs are not knobs: they are
-module constants in ``dht/chord.py`` beside their one reader, with the
-explanation of how the maintenance clocks relate to one another.
+module constants in ``dht/chord.py`` beside their one reader, which
+also says how the maintenance clocks relate to one another.
 """
 
 

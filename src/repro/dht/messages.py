@@ -61,7 +61,7 @@ class Lookup(Message):
     kind = "lookup"
     category = "app"
     __slots__ = ("target", "origin", "req_id", "hops", "hop_ack",
-                 "force_terminal")
+                 "force_terminal", "joining")
 
     def __init__(self, target, origin, req_id, hops=0):
         self.target = target
@@ -70,6 +70,7 @@ class Lookup(Message):
         self.hops = hops
         self.hop_ack = None  # (address, req) expecting a receipt ack
         self.force_terminal = False  # deliver at next hop (range heir)
+        self.joining = False  # the origin is joining: never route to it
 
     def wire_size(self):
         return 20 + 16 + 8  # id + origin + counters

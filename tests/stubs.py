@@ -69,7 +69,7 @@ class RecordingDht:
         """Handler registrations: nothing ever arrives from the wire."""
 
     on_broadcast = on_direct = set_default_delivery = _ignore
-    on_storage_probe = register_delivery = unregister_delivery = _ignore
+    on_neighbor_digest = register_delivery = unregister_delivery = _ignore
     register_intercept = unregister_intercept = _ignore
 
 

@@ -24,6 +24,7 @@ from repro.sim.latency import ConstantLatency, RegionalLatency
 from repro.sim.network import Network
 from repro.util.ids import ID_BITS, ID_SPACE
 from repro.util.rng import SeededRng
+from repro.util.serde import wire_size
 
 LATENCY = 0.02
 REPLY_KINDS = {"successors": "get_neighbors", "owns": "owns",
@@ -163,6 +164,49 @@ class TestJoin:
             if pred.successor == joiner.ref:
                 break
         assert pred.successors == [joiner.ref] + old[:3]
+
+
+    def test_quick_rejoin_finds_its_successor(self):
+        # Back 2 s after its crash: its successor still holds it as
+        # predecessor and peers may still route to it. Its join lookup
+        # treats it as gone, so the answer is its true successor, not
+        # the joiner itself (which would orphan it) or a circling hop.
+        clock, _net, nodes, _tap = make_ring(8, seed=1)
+        victim = nodes[3]
+        _pred, succ = neighbours(nodes, victim)
+        victim.crash()
+        clock.run_for(2.0)
+        victim.recover(nodes[0].address)
+        clock.run_for(1.0)
+        assert victim.successor == succ.ref
+
+
+class TestNeighborDigest:
+    def test_digest_rides_the_probe_only_when_there_is_one(self):
+        clock, net, nodes, _tap = make_ring(8)
+        heard = []
+        for i, node in enumerate(nodes):
+            node.on_neighbor_digest(
+                lambda digest=(i if i % 2 else None): digest,
+                lambda digest, src, node=node:
+                heard.append((src, node.address, digest)),
+            )
+        probes = []
+        net.on_deliver = lambda src, dst, wire: (
+            wire.kind == "rpc_req" and wire.inner["kind"] == "get_neighbors"
+            and probes.append((src, dst, wire)))
+        clock.run_for(chord.STABILIZE_PERIOD)
+        # Still one probe per node per period.
+        assert sorted(p[0] for p in probes) == sorted(n.address for n in nodes)
+        for src, _dst, wire in probes:
+            silent = int(src[1:]) % 2 == 0
+            assert ("digest" in wire.inner) != silent
+            if silent:  # not a byte more than a probe without the hook
+                bare = {"kind": "get_neighbors", "node": wire.inner["node"]}
+                assert wire.wire_size() == 24 + wire_size(bare)
+        # Each probed node handed what arrived (None: nothing) upward.
+        assert sorted(heard) == sorted(
+            (src, dst, wire.inner.get("digest")) for src, dst, wire in probes)
 
 
 class TestPredecessorLiveness:

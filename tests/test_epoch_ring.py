@@ -293,56 +293,6 @@ class TestStandingBloom:
 
 
 # ----------------------------------------------------------------------
-# Plan fetch on storage probes
-# ----------------------------------------------------------------------
-class TestPlanFetchOnProbe:
-    def _recovered_planless_node(self):
-        net = PierNetwork(nodes=8, seed=321)
-        net.create_stream_table("s", [("v", "FLOAT")], window=30.0)
-        handle = net.submit_sql(
-            "SELECT SUM(v) AS total FROM s EVERY 10 SECONDS "
-            "LIFETIME 200 SECONDS", node=net.addresses()[0],
-        )
-        net.advance(12)
-        victim = net.addresses()[5]
-        net.crash_node(victim)
-        net.advance(2)
-        net.recover_node(victim)
-        net.advance(2)
-        assert handle.qid not in net.node(victim).engine.queries
-        return net, handle, victim
-
-    def test_get_probe_triggers_plan_fetch(self):
-        net, handle, victim = self._recovered_planless_node()
-        chord = net.node(victim).chord
-
-        class Probe:
-            payload = {"op": "get", "ns": "q|{}|op4|0".format(handle.qid),
-                       "rid": (), "reply_to": net.addresses()[0], "req": 1}
-            origin = None
-            key = 0
-
-        chord._route_arrived(Probe())
-        net.advance(2)  # xplan round-trip
-        assert handle.qid in net.node(victim).engine.queries
-        handle.stop()
-
-    def test_lscan_probe_triggers_plan_fetch(self):
-        net, handle, victim = self._recovered_planless_node()
-        net.node(victim).chord.lscan("q|{}|op4|0".format(handle.qid))
-        net.advance(2)
-        assert handle.qid in net.node(victim).engine.queries
-        handle.stop()
-
-    def test_foreign_namespaces_do_not_probe(self):
-        net, handle, victim = self._recovered_planless_node()
-        net.node(victim).chord.lscan("some_table")
-        net.advance(2)
-        assert handle.qid not in net.node(victim).engine.queries
-        handle.stop()
-
-
-# ----------------------------------------------------------------------
 # Exactly-once exchange delivery
 # ----------------------------------------------------------------------
 class TestExactlyOnceDelivery:

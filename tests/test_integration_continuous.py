@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.network import PierNetwork
+from repro.dht.chord import STABILIZE_PERIOD
 
 
 def install_ticker(net, address, value, period=2.0, table="s"):
@@ -116,13 +117,15 @@ class TestEpochs:
 
 
 class TestAdoption:
-    def test_late_joiner_adopts_via_refresh(self, net):
+    def test_recovered_source_readopts_within_one_probe(self, net):
         # Crash a node, start the query, recover the node: it missed the
-        # plan broadcast, so only the periodic refresh can enroll it.
+        # plan broadcast. A node that runs nothing sends its stabilise
+        # probe without a digest, so the successor it probes answers
+        # with every continuous plan it holds.
         victim = net.addresses()[3]
         net.crash_node(victim)
         results = []
-        net.submit_sql(
+        handle = net.submit_sql(
             "SELECT COUNT(*) AS n FROM s EVERY 10 SECONDS WINDOW 4 SECONDS "
             "LIFETIME 200 SECONDS",
             node=net.addresses()[0],
@@ -131,8 +134,9 @@ class TestAdoption:
         net.advance(15)
         net.recover_node(victim)
         install_ticker(net, victim, 99.0)
-        # Default refresh period is 60s; wait past it.
-        net.advance(90)
+        net.advance(STABILIZE_PERIOD + 1.0)
+        assert handle.qid in net.node(victim).engine.queries
+        net.advance(30)
         counts = [r.rows[0][0] for r in results if r.rows]
         # Early epochs miss the victim (14 samples), later ones include it.
         assert counts[0] == 14

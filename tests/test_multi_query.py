@@ -12,6 +12,7 @@ from repro.core.dataflow import StandingExecution
 from repro.core.engine import PierEngine
 from repro.core.network import PierNetwork
 from repro.core.sharing import SpineRecord, StageRecord
+from repro.dht.chord import STABILIZE_PERIOD
 
 
 def install_ticker(net, address, value, period=2.0, table="s"):
@@ -596,7 +597,9 @@ class TestOneLifecycle:
         net.advance(10.0)
         net.recover_node(victim)
         install_ticker(net, victim, 9.0)
-        net.advance(65.0)  # past the coordinator's next plan refresh
+        # Its first probe brings every plan back from its successor;
+        # the next boundary then runs the re-formed stage.
+        net.advance(STABILIZE_PERIOD + 10.0)
         engine = net.node(victim).engine
         (stage,) = stages(engine)
         assert {m.key for m in stage.members()} == before

@@ -173,7 +173,7 @@ def exchange_payloads(rng):
               for _ in range(rng.randint(2, 12))]
     deliver = {"op": "deliver", "ns": "q7/x0", "rid": ("hot", 3, 1),
                "data": rows[0], "mid": ("h4", 17), "epoch": 3, "pane": 9,
-               "qsrc": "q7", "learn": True}
+               "learn": True}
     by_rows = {"op": "deliver_batch", "ns": "q7/x0", "rid": 5, "rows": rows,
                "mid": ("h4", 18), "epoch": 3}
     by_cols = {"op": "deliver_batch", "ns": "q7/x1", "rid": (2, "a"),

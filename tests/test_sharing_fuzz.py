@@ -17,9 +17,9 @@ Comparison discipline:
   row for row (float-tolerant ordering only);
 * trials with injected crashes compare the epochs whose reports were
   fully flushed BEFORE the first disturbance. Later epochs depend on
-  when the recovered node re-adopts the plan (a refresh-period race
-  that resolves differently run to run), so their rows are out of
-  scope -- but both legs must keep answering;
+  when the recovered node re-adopts the plan (a race with its first
+  stabilise probe that resolves differently run to run), so their
+  rows are out of scope -- but both legs must keep answering;
 * queries stopped early compare the epochs flushed before the stop.
 
 Both legs run on one scheduler, so a boundary or window bug common to

@@ -19,7 +19,7 @@ from repro.db.catalog import TableDef
 from repro.db.schema import Schema
 from repro.db.types import FLOAT
 from repro.db.window import pane_index, pane_width, window_pane_range
-from repro.dht.chord import NodeRef, node_id_for, storage_key
+from repro.dht.chord import STABILIZE_PERIOD, NodeRef, node_id_for, storage_key
 from repro.util.errors import PlanError
 from repro.util.rng import SeededRng
 
@@ -48,6 +48,26 @@ CONTINUOUS_SQL = (
     "SELECT SUM(v) AS total, COUNT(*) AS n FROM s EVERY 10 SECONDS "
     "WINDOW 4 SECONDS LIFETIME 40 SECONDS"
 )
+
+
+def plan_sync(handle):
+    """A plan-sync leg carrying ``handle``'s plan, as a neighbour that
+    believed this node lacked it would send it."""
+    return {"op": "qsync", "plans": [{
+        "qid": handle.qid, "plan": handle.plan, "t0": handle.t0,
+        "origin": handle.coordinator.engine.address,
+    }]}
+
+
+def miss_stops(net, address):
+    """Every copy of a stop broadcast is lost on its way to
+    ``address``; other broadcasts still reach its engine."""
+    chord = net.node(address).chord
+    engine = net.node(address).engine
+    chord._broadcast_handlers = [
+        lambda payload, origin, depth: payload.get("ctl") == "stop"
+        or engine._on_broadcast(payload, origin, depth)
+    ]
 
 
 class TestStandingLifecycle:
@@ -172,25 +192,37 @@ class TestStandingLifecycle:
             chord = net.node(address).chord
             assert not any(handle.qid in ns for ns in chord._delivery_handlers)
 
-    def test_refresh_during_final_epoch_is_not_readopted(self):
-        # Lifetime 65 with a 60s refresh: the refresh broadcast lands
-        # while the final epoch (t0+60..) is in flight. The record must
-        # stay adopted until that epoch settles, so the refresh hits the
-        # duplicate guard instead of spawning a second standing
-        # execution over the same epoch-free namespaces (which would
-        # double-count the final epoch).
-        n = PierNetwork(nodes=8, seed=321)
-        n.create_stream_table("s", [("v", "FLOAT")], window=30.0)
-        for i, address in enumerate(n.addresses()):
-            install_ticker(n, address, float(i + 1))
+    def test_sync_during_final_epoch_is_not_readopted(self, net):
+        # A plan sync can carry a plan to a node that already runs it
+        # (the lists were compared before the broadcast got there).
+        # Landing in the final epoch (t0+40..), it must find the query
+        # still adopted and hit the duplicate guard instead of founding
+        # a second standing execution over the same epoch-free
+        # namespaces (which would double-count the final epoch).
         results = []
-        n.submit_sql(
-            "SELECT SUM(v) AS total, COUNT(*) AS n FROM s "
-            "EVERY 10 SECONDS WINDOW 4 SECONDS LIFETIME 65 SECONDS",
-            on_epoch=results.append,
-        )
-        n.advance(90)
-        assert len(results) == 6
+        handle = net.submit_sql(CONTINUOUS_SQL, on_epoch=results.append)
+        net.advance(41)
+        reached = []
+        held = {}
+        for address in net.addresses():
+            engine = net.node(address).engine
+            query = engine.queries[handle.qid]
+            held[address] = (query, query.record, query.execution,
+                             len(engine.records))
+            adopt = engine._adopt_query
+            engine._adopt_query = (
+                lambda payload, adopt=adopt, address=address:
+                (reached.append(address), adopt(payload))
+            )
+            engine._on_direct(plan_sync(handle), net.addresses()[0])
+        assert reached == net.addresses()
+        for address, (query, record, execution, records) in held.items():
+            engine = net.node(address).engine
+            assert engine.queries[handle.qid] is query
+            assert query.record is record and query.execution is execution
+            assert len(engine.records) == records
+        net.advance(30)
+        assert len(results) == 4
         for r in results:
             total, count = r.rows[0]
             assert count == 16
@@ -285,7 +317,7 @@ class TestChurn:
         net.advance(15)
         net.recover_node(victim)
         install_ticker(net, victim, 99.0)
-        net.advance(90)  # past the 60s plan refresh
+        net.advance(90)
         engine = net.node(victim).engine
         record = engine.queries[handle.qid]
         assert record.execution is not None
@@ -306,22 +338,59 @@ class TestChurn:
 
 
 class TestStopTombstone:
-    def test_stale_refresh_cannot_readopt(self, net):
+    def test_missed_stop_is_dropped_after_one_exchange(self, net):
         handle = net.submit_sql(CONTINUOUS_SQL)
         net.advance(12)
-        engine = net.node(net.addresses()[2]).engine
-        assert handle.qid in engine.queries
+        deaf = net.addresses()[2]
+        miss_stops(net, deaf)
+        for address in net.addresses():
+            net.node(address).chord._stabilizer.stop()  # probes by hand
         handle.stop()
         net.advance(3)
+        engine = net.node(deaf).engine
+        assert handle.qid in engine.queries  # the stop never got here
+        syncs = []
+        net.net.on_deliver = lambda src, dst, wire: (
+            wire.kind == "direct" and wire.payload.get("op") == "qsync"
+            and syncs.append((src, dst)))
+        chord = net.node(deaf).chord
+        chord._stabilize()  # one probe of its successor
+        net.advance(2)
         assert handle.qid not in engine.queries
-        # A refresh broadcast that was in flight when the stop landed:
-        engine._adopt_query({
-            "qid": handle.qid, "plan": handle.plan,
-            "t0": handle.t0, "origin": net.addresses()[0],
-        })
-        assert handle.qid not in engine.queries  # tombstoned
-        net.advance(30)
+        assert handle.qid in engine._stop_tombstones
         assert not engine.records
+        # The successor sent its lists, the deaf node its own back.
+        successor = chord.successor.address
+        assert syncs == [(successor, deaf), (deaf, successor)]
+
+    def test_tombstoned_query_is_not_readopted(self, net):
+        handle = net.submit_sql(
+            CONTINUOUS_SQL.replace("LIFETIME 40", "LIFETIME 200"))
+        net.advance(12)
+        deaf = net.addresses()[2]
+        miss_stops(net, deaf)
+        handle.stop()
+        net.advance(1)
+        adopted = []
+        for address in net.addresses():
+            engine = net.node(address).engine
+            join = engine._join_shared
+            engine._join_shared = (
+                lambda query, join=join, address=address:
+                (adopted.append((address, query.qid)), join(query))
+            )
+        # A sync that left its sender before the stop reached it:
+        stopped = net.node(net.addresses()[3]).engine
+        stopped._on_direct(plan_sync(handle), deaf)
+        # The deaf node keeps advertising the query to its neighbours,
+        # which hold its tombstone, for three periods.
+        net.advance(3 * STABILIZE_PERIOD)
+        assert adopted == []
+        for address in net.addresses():
+            engine = net.node(address).engine
+            assert handle.qid not in engine.queries
+            assert handle.qid in engine._stop_tombstones
+            assert not engine.records
 
     def test_tombstone_expires(self, net):
         engine = net.node(net.addresses()[2]).engine
@@ -336,6 +405,14 @@ class TestStopTombstone:
         })
         assert "ghost#1" in engine.queries
         engine._stop_query("ghost#1")
+
+    def test_learnt_tombstone_keeps_the_later_forget_at(self):
+        engine = make_engine()
+        engine._stop_query("q#1", forget_at=50.0)
+        engine._stop_query("q#1", forget_at=40.0)
+        assert engine._stop_tombstones["q#1"] == 50.0
+        engine._stop_query("q#1", forget_at=60.0)
+        assert engine._stop_tombstones["q#1"] == 60.0
 
 
 PRIVATE = {"shared": False}
@@ -389,8 +466,9 @@ class TestOneLifecyclePerQuery:
         plan = net.compile_sql(CONTINUOUS_SQL, options=options)
         engine = net.node(net.addresses()[2]).engine
         net.advance(55)
-        # A refresh that took 50.5 s: past the last epoch (t0 + 40) but
-        # inside its settling time, so the guard record lingers.
+        # A plan that took 50.5 s to arrive: past the last epoch
+        # (t0 + 40) but inside its settling time, so the guard record
+        # lingers.
         engine._adopt_query({
             "qid": "late#1", "plan": plan, "t0": net.now - 50.5,
             "origin": net.addresses()[0],
@@ -399,6 +477,13 @@ class TestOneLifecyclePerQuery:
         assert query.execution is None and not query.record.on_grid
         assert query.record.next_timer is None
         net.advance(plan.deadline + TEARDOWN_SLACK)
+        assert not engine.queries and not engine.records
+        # Past the instant every node retires it, a plan is refused.
+        engine._adopt_query({
+            "qid": "late#2", "plan": plan,
+            "t0": net.now - 40 - plan.deadline - TEARDOWN_SLACK,
+            "origin": net.addresses()[0],
+        })
         assert not engine.queries and not engine.records
 
     def _bloom_net(self):
@@ -512,29 +597,6 @@ class TestFirstEpoch:
         assert shared_answers == private_answers
         assert shared["exchange_rows"] <= private["exchange_rows"]
         assert shared["bytes_sent"] <= private["bytes_sent"]
-
-
-class TestPlanFetch:
-    def test_planless_node_pulls_plan_on_standing_rows(self, net):
-        handle = net.submit_sql(CONTINUOUS_SQL, node=net.addresses()[0])
-        net.advance(12)
-        victim = net.addresses()[5]
-        net.crash_node(victim)
-        net.advance(5)
-        net.recover_node(victim)
-        net.advance(2)
-        engine = net.node(victim).engine
-        assert handle.qid not in engine.queries
-        # Evidence of the standing query arrives (an epoch-tagged row
-        # for its epoch-free namespace): the engine asks the site.
-        ns = "q|{}|op4|0".format(handle.qid)
-        engine._on_unclaimed_delivery(
-            {"ns": ns, "rid": (), "data": ((), (1.0, 1)), "epoch": 1},
-            None,
-        )
-        net.advance(2)  # request + reply round-trip
-        assert handle.qid in engine.queries
-        handle.stop()
 
 
 class TestStableRendezvous:
