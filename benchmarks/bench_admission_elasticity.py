@@ -95,15 +95,10 @@ SERVICE_TIME = 0.04  # receiver handles 25 msg/s: overload queues
 LOAD_LIFETIME = 60.0
 SMOKE_LOAD_LIFETIME = 35.0
 HOT_SHARE = 9  # 9 of every 10 rows land in group 0
-# Owner backpressure sizing for the join legs: the hot group's owner
-# sees ~1600 rows/s, far over the threshold, so the xbp factor pegs at
-# its cap and the origins' batch caps stretch 8x (64 -> 512-row
-# batches). The TTL must outlive the 5s epoch cadence -- stream scans
-# deliver in per-epoch bursts, so a shorter TTL would expire between
-# bursts and the stretch would never be live at push time.
-BP_ROWS_PER_SEC = 60.0
-BP_TTL = 12.0
-BP_FACTOR = 8.0
+# Owner backpressure (the adaptive leg; sized by the BACKPRESSURE_*
+# constants in core/engine.py): the hot group's owner sees ~1600
+# rows/s, far over its line, so the xbp factor pegs at its cap and the
+# origins' batch caps stretch 8x (64 -> 512-row batches).
 # DHT timeouts for BOTH overload legs: queueing delay at the hot owner
 # reaches seconds, and the stock sub-second rpc/hop timeouts would
 # read that as loss and retransmit -- an amplification loop that turns
@@ -307,18 +302,11 @@ def make_load_config(variant, service_time=None):
     from repro.sim.network import NetworkConfig
 
     if variant == "adaptive":
-        engine = EngineConfig(
-            adaptive_flush=True,
-            backpressure=True,
-            backpressure_rows_per_sec=BP_ROWS_PER_SEC,
-            backpressure_ttl=BP_TTL,
-            backpressure_factor=BP_FACTOR,
-        )
+        engine = EngineConfig(adaptive_flush=True)
     elif variant == "split":
         engine = EngineConfig(hot_group_threshold=SPLIT_THRESHOLD)
     else:
-        engine = EngineConfig(adaptive_flush=False, backpressure=False,
-                              hot_group_threshold=0)
+        engine = EngineConfig(adaptive_flush=False, hot_group_threshold=0)
     if service_time is None:
         service_time = SERVICE_TIME
     return PierConfig(

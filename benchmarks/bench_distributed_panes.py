@@ -1,22 +1,19 @@
 """Ext-I: distributed panes -- pane-tagged exchanges + sketch aggregates.
 
-PR 3's paned sliding windows stopped re-*folding* the window overlap,
-but only node-locally: every epoch each node still shipped its groups'
-full window states across the exchange, and the final at each group's
-owner re-merged all of them. Distributed panes extend the pane protocol
-over the network: partials ship each pane's *increment* exactly once
-(pane-tagged batches, merged per pane by the aggregation tree
-mid-route) and the final assembles every epoch's window from pane
-partials it already holds. Three exhibits on identical seeded testbeds:
+Paned sliding windows stop re-*folding* the window overlap, and
+distributed panes stop re-*shipping* it: partials ship each pane's
+*increment* exactly once (pane-tagged batches, merged per pane by the
+aggregation tree mid-route) and the final at each group's owner
+assembles every epoch's window from pane partials it already holds.
+Three exhibits on identical seeded testbeds:
 
 * **tree aggregation** (the headline): a grouped continuous query whose
   groups are time-coherent (keyed by a coarse time bucket, the
-  intrusion-log shape), swept over three disciplines -- ``scratch``
-  (``paned = False``), ``local`` (PR 3 panes, ``paned_exchange =
-  False``), and ``dist`` (pane-tagged exchanges). Identical per-epoch
-  answers; the distributed path must fold >= 2x fewer partial-state
-  rows per epoch at group owners than either ablation, and >= 2x fewer
-  raw rows than scratch.
+  intrusion-log shape), run two ways -- ``scratch`` (``paned = False``,
+  every window re-evaluated and its full states shipped each epoch)
+  and ``dist`` (pane-tagged exchanges). Identical per-epoch answers;
+  the distributed path must fold >= 2x fewer partial-state rows per
+  epoch at group owners, and >= 2x fewer raw rows, than scratch.
 * **fetch-matches join**: a stream probe side joined against a
   DHT-published table with a paned aggregate above -- panes now cross
   the asynchronous fetch, so the join plan stops re-probing (and
@@ -57,7 +54,6 @@ JOIN_SQL = (
 
 VARIANTS = (
     ("scratch", {"paned": False}),
-    ("local", {"paned_exchange": False}),
     ("dist", {}),
 )
 
@@ -121,49 +117,36 @@ def run_tree_sweep(seed, nodes, every, window, lifetime):
     partial = dist_plan.ops_of_kind("groupby_partial")[0]
     exchange = dist_plan.ops_of_kind("exchange")[0]
     final = dist_plan.ops_of_kind("groupby_final")[0]
-    assert partial.params.get("paned_ship") == "delta", (
-        "distributed plan did not mark the partial delta-shipping"
+    assert (partial.params.get("paned") and exchange.params.get("paned")
+            and final.params.get("paned")), (
+        "distributed plan did not tag the partial/exchange/final paned"
     )
-    assert exchange.params.get("paned") and final.params.get("paned"), (
-        "distributed plan did not tag the exchange/final paned"
-    )
-    assert out["local"]["plan"].pane is not None
-    assert not any(
-        s.params.get("paned_ship")
-        for s in out["local"]["plan"].ops_of_kind("groupby_partial")
-    ), "paned_exchange=False ablation still ships deltas"
     assert out["scratch"]["plan"].pane is None
     return out
 
 
 def check_tree_sweep(stats, min_epochs=4):
-    for label in ("local", "dist"):
-        assert set(stats[label]["epochs"]) == set(stats["scratch"]["epochs"])
+    assert set(stats["dist"]["epochs"]) == set(stats["scratch"]["epochs"])
     assert len(stats["scratch"]["epochs"]) >= min_epochs
     for k, want in stats["scratch"]["epochs"].items():
-        for label in ("local", "dist"):
-            got = stats[label]["epochs"][k]
-            assert got == want, (
-                "epoch {}: {} {!r} != scratch {!r}".format(k, label, got, want)
-            )
+        got = stats["dist"]["epochs"][k]
+        assert got == want, (
+            "epoch {}: dist {!r} != scratch {!r}".format(k, got, want)
+        )
     epochs = max(1, len(stats["scratch"]["epochs"]))
     ratios = {
         "merged_vs_scratch": (stats["scratch"]["rows_merged"]
                               / max(1, stats["dist"]["rows_merged"])),
-        "merged_vs_local": (stats["local"]["rows_merged"]
-                            / max(1, stats["dist"]["rows_merged"])),
         "folded_vs_scratch": (stats["scratch"]["rows_folded"]
                               / max(1, stats["dist"]["rows_folded"])),
-        "exchange_rows_vs_local": (stats["local"]["exchange_rows"]
-                                   / max(1, stats["dist"]["exchange_rows"])),
+        "exchange_rows_vs_scratch": (
+            stats["scratch"]["exchange_rows"]
+            / max(1, stats["dist"]["exchange_rows"])),
         "merged_per_epoch_dist": stats["dist"]["rows_merged"] / epochs,
     }
     assert ratios["merged_vs_scratch"] >= 2.0, (
         "owner-side fold reduction only {:.2f}x".format(
             ratios["merged_vs_scratch"])
-    )
-    assert ratios["merged_vs_local"] >= 2.0, (
-        "vs node-local panes only {:.2f}x".format(ratios["merged_vs_local"])
     )
     assert ratios["folded_vs_scratch"] >= 2.0
     return ratios
@@ -350,18 +333,17 @@ def exhibit(nodes, every, window, lifetime, tree_stats, tree_ratios,
         rows,
     )
     text += (
-        "\n\nper-epoch results identical across all three paths\n"
-        "owner-side folds: {:.2f}x fewer than scratch, {:.2f}x fewer "
-        "than node-local panes\nexchange rows vs node-local panes: "
-        "{:.2f}x fewer\n\nfetch-matches join (stream probe x DHT "
+        "\n\nper-epoch results identical on both paths\n"
+        "owner-side folds: {:.2f}x fewer than scratch\nexchange rows "
+        "vs scratch: {:.2f}x fewer\n\nfetch-matches join (stream probe x DHT "
         "rules, paned aggregate above):\n  {} epochs identical to "
         "from-scratch, {:.2f}x fewer rows folded\n\nsketch aggregates "
         "(pane partials constant-size):\n  APPROX_COUNT_DISTINCT worst "
         "error {:.3f} (bound {:.3f}, 3 std errs)\n  APPROX_TOPK "
         "over-count worst {} (bound eps*N = {:.1f}), never "
         "under-counts\n".format(
-            tree_ratios["merged_vs_scratch"], tree_ratios["merged_vs_local"],
-            tree_ratios["exchange_rows_vs_local"],
+            tree_ratios["merged_vs_scratch"],
+            tree_ratios["exchange_rows_vs_scratch"],
             join_epochs, join_ratio,
             sketch["worst_hll_err"], sketch["hll_bound"],
             sketch["worst_cm_overcount"], sketch["cm_bound"],
@@ -390,11 +372,8 @@ def metrics_from(tree_ratios, join_ratio, sketch):
         "sketch_within_bounds": True,
         "merged_ratio_vs_scratch": round(
             tree_ratios["merged_vs_scratch"], 4),
-        "merged_ratio_vs_local": round(tree_ratios["merged_vs_local"], 4),
         "folded_ratio_vs_scratch": round(
             tree_ratios["folded_vs_scratch"], 4),
-        "exchange_rows_ratio_vs_local": round(
-            tree_ratios["exchange_rows_vs_local"], 4),
         "join_folded_ratio": round(join_ratio, 4),
         "hll_worst_err": round(sketch["worst_hll_err"], 4),
         "cm_worst_overcount": sketch["worst_cm_overcount"],
@@ -450,11 +429,9 @@ def main(argv=None):
         write_metrics("distributed_panes", metrics, scale="smoke")
     else:
         report("distributed_panes", text, metrics=metrics, scale="full")
-    print("ok: parity on all paths; owner folds {:.2f}x lower vs scratch "
-          "({:.2f}x vs node-local), join folds {:.2f}x lower, sketches "
-          "within bounds".format(
-              tree_ratios["merged_vs_scratch"],
-              tree_ratios["merged_vs_local"], join_ratio))
+    print("ok: parity on both paths; owner folds {:.2f}x lower vs "
+          "scratch, join folds {:.2f}x lower, sketches within "
+          "bounds".format(tree_ratios["merged_vs_scratch"], join_ratio))
     return 0
 
 

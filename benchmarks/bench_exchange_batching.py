@@ -41,6 +41,7 @@ import sys
 
 from repro.core.engine import EngineConfig
 from repro.core.network import PierConfig, PierNetwork
+from repro.sim.network import NetworkConfig
 
 NODES = 100
 ATTR_DOMAIN = 50
@@ -178,7 +179,8 @@ LOSS_RATE = 0.03
 
 def build_agg_net(seed, nodes, max_batch_rows, loss_rate):
     engine = EngineConfig(max_batch_rows=max_batch_rows)
-    config = PierConfig(engine=engine, loss_rate=loss_rate)
+    config = PierConfig(engine=engine,
+                        network=NetworkConfig(loss_rate=loss_rate))
     net = PierNetwork(nodes=nodes, seed=seed, config=config)
     net.create_local_table("m", [("g", "INT"), ("v", "INT")])
     for i, address in enumerate(net.addresses()):

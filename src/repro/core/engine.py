@@ -75,6 +75,15 @@ CROSS_REGION_CACHE_TTL = 30.0
 # How long a stopped qid is remembered. Plan anti-entropy spreads the
 # tombstone to nodes the stop missed and, meanwhile, refuses the plan.
 STOP_TOMBSTONE_TTL = 120.0
+# Owner backpressure (on with ``EngineConfig.adaptive_flush``): a
+# standing namespace whose inflow tops BACKPRESSURE_ROWS_PER_SEC asks
+# its origins to stretch their flushes by up to BACKPRESSURE_FACTOR;
+# each "xbp" lives BACKPRESSURE_TTL seconds, which is also the resend
+# limit. The TTL must outlive a 5 s epoch cadence: stream scans deliver
+# in per-epoch bursts, so a shorter stretch would expire between them.
+BACKPRESSURE_ROWS_PER_SEC = 60.0
+BACKPRESSURE_FACTOR = 8.0
+BACKPRESSURE_TTL = 12.0
 
 
 class EngineConfig:
@@ -97,14 +106,10 @@ class EngineConfig:
                                            reference. On engages only on
                                            a region-labelled topology
     ``adaptive_flush``             False   ``bench_admission_elasticity``
-                                           (rate-sized flush windows; on
-                                           by default it stretches sparse
+                                           (rate-sized flush windows and
+                                           owner backpressure; on by
+                                           default it stretches sparse
                                            edges' p95 lag, ROADMAP 4a)
-    ``backpressure``               False   ``bench_admission_elasticity``
-    ``backpressure_rows_per_sec``  2000.0  same: the owner's overload line
-    ``backpressure_factor``        4.0     same: the largest flush stretch
-    ``backpressure_ttl``           3.0     same: "xbp" lifetime and resend
-                                           limit
     ``hot_group_threshold``        0       ``bench_admission_elasticity``:
                                            rows per key per epoch before
                                            a group shards; 0 never splits
@@ -116,19 +121,11 @@ class EngineConfig:
         max_batch_rows=64,
         regional_trees=True,
         adaptive_flush=False,
-        backpressure=False,
-        backpressure_rows_per_sec=2000.0,
-        backpressure_factor=4.0,
-        backpressure_ttl=3.0,
         hot_group_threshold=0,
     ):
         self.max_batch_rows = max_batch_rows
         self.regional_trees = regional_trees
         self.adaptive_flush = adaptive_flush
-        self.backpressure = backpressure
-        self.backpressure_rows_per_sec = backpressure_rows_per_sec
-        self.backpressure_factor = backpressure_factor
-        self.backpressure_ttl = backpressure_ttl
         self.hot_group_threshold = hot_group_threshold
 
 
@@ -668,7 +665,7 @@ class PierEngine:
         """
 
         if standing:
-            watch = self.config.backpressure
+            watch = self.config.adaptive_flush
 
             def deliver(payload, route_msg):
                 rows = payload_rows(payload)
@@ -739,7 +736,7 @@ class PierEngine:
         """Owner-side arrival accounting for one standing namespace.
 
         Rates are measured over rolling one-second windows; when a
-        window's rate exceeds ``backpressure_rows_per_sec``, every
+        window's rate exceeds ``BACKPRESSURE_ROWS_PER_SEC``, every
         origin that contributed to it receives an "xbp" direct message
         asking it to stretch its flush window (rate-limited to one send
         per TTL per namespace, so a hot edge costs O(origins) control
@@ -764,15 +761,15 @@ class PierEngine:
     def _maybe_send_backpressure(self, ns, state, now):
         elapsed = max(now - state["t0"], 1e-9)
         rate = state["count"] / elapsed
-        threshold = self.config.backpressure_rows_per_sec
+        threshold = BACKPRESSURE_ROWS_PER_SEC
         if rate <= threshold or not state["origins"]:
             return
         last = self._bp_sent.get(ns, -1e18)
-        ttl = self.config.backpressure_ttl
+        ttl = BACKPRESSURE_TTL
         if now - last < ttl:
             return
         self._bp_sent[ns] = now
-        factor = min(self.config.backpressure_factor, rate / threshold)
+        factor = min(BACKPRESSURE_FACTOR, rate / threshold)
         # Sorted, not set order: the send order decides the latency
         # draws after it, and a string set's order follows the hash seed.
         for origin in sorted(state["origins"]):
@@ -935,9 +932,7 @@ class PierEngine:
             # and the TTL makes the signal self-expiring soft state.
             ns = payload["ns"]
             factor = max(1.0, float(payload["factor"]))
-            expiry = self.clock.now + float(payload.get(
-                "ttl", self.config.backpressure_ttl
-            ))
+            expiry = self.clock.now + float(payload["ttl"])
             current = self._bp_stretch.get(ns)
             if current is None or factor >= current[0]:
                 self._bp_stretch[ns] = (factor, expiry)

@@ -172,8 +172,9 @@ class Exchange(Operator):
         # window and batch caps from the observed arrival rate (EWMA
         # over one-second windows): hot edges gather a whole window
         # into few large messages, sparse edges stretch the window to
-        # fill batches. Backpressure ("xbp" from an overloaded owner)
-        # stretches both further via the engine's per-namespace factor.
+        # fill batches. The same switch turns on owner backpressure:
+        # an "xbp" from an overloaded owner stretches both further via
+        # the engine's per-namespace factor.
         self._clock = ctx.clock
         self._adaptive_flush = config.adaptive_flush
         self._stretch_fn = engine.exchange_flush_stretch

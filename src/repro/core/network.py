@@ -50,11 +50,11 @@ class PierConfig:
     """Knobs for a PierNetwork testbed."""
 
     def __init__(self, dht=None, engine=None, timing=None, network=None,
-                 bootstrap="oracle", loss_rate=0.0, admission=None):
+                 bootstrap="oracle", admission=None):
         self.dht = dht if dht is not None else DhtConfig()
         self.engine = engine if engine is not None else EngineConfig()
         self.timing = timing if timing is not None else PlannerTiming()
-        self.network = network if network is not None else NetworkConfig(loss_rate)
+        self.network = network if network is not None else NetworkConfig()
         if bootstrap not in ("oracle", "protocol"):
             raise PierError("bootstrap must be 'oracle' or 'protocol'")
         self.bootstrap = bootstrap
@@ -242,7 +242,7 @@ class PierNetwork:
         """
         logical = parse_query(sql, options)
         decision = None
-        policy = getattr(self.config, "admission", None)
+        policy = self.config.admission
         if policy is not None:
             decision = policy.admit(logical, self.catalog, now=self.now)
         plan = plan_query(logical, self.catalog, self.config.timing)

@@ -19,27 +19,18 @@ through one instance.
 
 *Paned* plans (``params["paned"]``, standing plans with
 ``WINDOW > EVERY``) go further. Rows arrive bucketed by pane (the scan
-sends ``open_pane`` markers), partials accumulate per pane, and each
-epoch's answer is assembled from pane partials instead of re-folding
-the overlap's rows. Two disciplines share that machinery
-(:class:`PaneWindow`):
-
-* *node-local* (``paned_exchange = False`` ablation, and top-k plans):
-  the partial assembles each epoch's window itself and ships full
-  window states, exactly as before panes crossed the network;
-* *distributed* (``params["paned_ship"] == "delta"``, the default for
-  grouped aggregation): the partial ships each pane's **increment**
-  exactly once -- announced downstream with ``announce_pane`` so the
-  pane-tagged exchange stamps it onto the batch -- and the *final*
-  holds the window's pane partials at the group's owner, assembling
-  every epoch's window there. The overlap therefore never crosses the
-  wire again: per epoch only the panes that actually grew travel, and
-  the final folds O(changed panes) state rows instead of every group's
-  full window state from every node.
+sends ``open_pane`` markers) and the partial ships each pane's
+**increment** exactly once -- announced downstream with
+``announce_pane`` so the pane-tagged exchange stamps it onto the batch.
+The *final* holds the window's pane partials at the group's owner and
+assembles every epoch's window there (:class:`PaneWindow`). The overlap
+therefore never crosses the wire again: per epoch only the panes that
+actually grew travel, and the final folds O(changed panes) state rows
+instead of every group's full window state from every node.
 
 Params (partial): ``group_exprs``, ``agg_specs``, ``schema``, optional
-``paned`` geometry (``{"width", "every", "window"}``) and
-``paned_ship``. Params (final): ``agg_specs``, optional ``paned``.
+``paned`` geometry (``{"width", "every", "window"}``). Params (final):
+``agg_specs``, optional ``paned``.
 """
 
 from repro.core.batch import RowBatch
@@ -51,10 +42,9 @@ from repro.db.window import window_pane_range
 class PaneWindow:
     """Per-pane partial states plus per-epoch window assembly.
 
-    The one pane store both paned group-by shapes share: a local paned
-    partial folds raw rows into pane states; a paned final merges pane
-    *increments* arriving over the exchange. Either way
-    :meth:`assemble` produces an epoch's window from its panes:
+    A paned final's pane store: it merges pane *increments* arriving
+    over the exchange, and :meth:`assemble` produces an epoch's window
+    from its panes:
 
     * when every aggregate is invertible, one running state per group
       is slid -- ``merge`` the panes entering the window, ``unmerge``
@@ -63,8 +53,9 @@ class PaneWindow:
       per epoch, never O(rows).
 
     Versions detect a pane that grew *after* it was merged into the
-    running state (a boundary-straggler row, or a late increment): the
-    running state is then stale and is rebuilt from the raw panes.
+    running state (a late increment, such as a boundary-straggler row
+    shipped an epoch later): the running state is then stale and is
+    rebuilt from the raw panes.
 
     ``retain_panes`` keeps that many pane ranges behind the newest
     window's low edge: under an overlapping-epoch ring an *older*
@@ -74,7 +65,7 @@ class PaneWindow:
     to the newest window -- needs those panes to still exist.
     """
 
-    def __init__(self, agg_specs, retain_panes=0):
+    def __init__(self, agg_specs, retain_panes):
         self._specs = agg_specs
         self._invertible = all(s.agg.invertible for s in agg_specs)
         self._retain = retain_panes
@@ -108,9 +99,9 @@ class PaneWindow:
             return self._remerge(lo, hi)
         if any(self._versions.get(p, 0) != v
                for p, v in self._merged_versions.items()):
-            # A merged pane grew after the fact (boundary straggler,
-            # late increment): the running state no longer matches the
-            # raw panes, so rebuild it from them.
+            # A merged pane grew after the fact (a late increment): the
+            # running state no longer matches the raw panes, so rebuild
+            # it from them.
             self._window = {}
             self._window_panes = set()
             self._window_refs = {}
@@ -209,20 +200,15 @@ class GroupByPartial(Operator):
         self._note = ctx.engine.note_rows_aggregated
         self._epochs = EpochStateRing(dict)  # epoch -> {gvals: [states]}
         self._paned = bool(spec.params.get("paned"))
-        self._ship_delta = (self._paned
-                            and spec.params.get("paned_ship") == "delta")
         if self._paned:
             geometry = spec.params["paned"]
             self._panes_per_every = geometry["every"]
             self._panes_per_window = geometry["window"]
             self._current_pane = None
-            if self._ship_delta:
-                # Unshipped per-pane increments: each pane's partial
-                # crosses the wire once, at the first flush after rows
-                # touched it; the final holds the window's panes.
-                self._unshipped_panes = {}  # pane -> {gvals: [states]}
-            else:
-                self._window = PaneWindow(self._agg_specs)
+            # Unshipped per-pane increments: each pane's partial crosses
+            # the wire once, at the first flush after rows touched it;
+            # the final holds the window's panes.
+            self._unshipped_panes = {}  # pane -> {gvals: [states]}
 
     def open_pane(self, pane):
         self._current_pane = pane
@@ -268,11 +254,9 @@ class GroupByPartial(Operator):
 
     def _group_states(self, gvals):
         """The mutable state list for one group under the current mode
-        (pending pane / pane window / epoch ring)."""
-        if self._ship_delta:
+        (unshipped pane / epoch ring)."""
+        if self._paned:
             store = self._unshipped_panes.setdefault(self._current_pane, {})
-        elif self._paned:
-            return self._window.entry(self._current_pane, gvals)
         else:
             store = self._epochs.state(self._active_epoch())
         states = store.get(gvals)
@@ -291,33 +275,28 @@ class GroupByPartial(Operator):
             self._active_epoch(), self._panes_per_every,
             self._panes_per_window,
         )
-        if self._ship_delta:
-            # Ship each pending pane's increment under its pane tag;
-            # panes below the window can never be read again (their
-            # last covering epoch already flushed) and are dropped.
-            for pane in sorted(self._unshipped_panes):
-                if pane >= hi:
-                    continue  # still open: a later epoch closes it
-                store = self._unshipped_panes.pop(pane)
-                if pane < lo:
-                    continue
-                self.announce_pane(pane)
-                _emit_states(self, store.items())
-            return
-        _emit_states(self, self._window.assemble(lo, hi))
+        # Ship each pending pane's increment under its pane tag; panes
+        # below the window can never be read again (their last covering
+        # epoch already flushed) and are dropped.
+        for pane in sorted(self._unshipped_panes):
+            if pane >= hi:
+                continue  # still open: a later epoch closes it
+            store = self._unshipped_panes.pop(pane)
+            if pane < lo:
+                continue
+            self.announce_pane(pane)
+            _emit_states(self, store.items())
 
     def seal_epoch(self, k):
         # Unpaned: whatever survived the flush dies with its epoch.
-        # Paned: pane partials outlive epochs by design; pruning rides
-        # on each flush's window advance.
+        # Paned: unshipped pane increments outlive epochs by design; a
+        # flush ships or drops them as the window advances.
         self._epochs.seal(k)
 
     def teardown(self):
         self._epochs.clear()
-        if self._ship_delta:
+        if self._paned:
             self._unshipped_panes = {}
-        elif self._paned:
-            self._window.clear()
 
 
 @register_operator("groupby_final")

@@ -64,8 +64,8 @@ __all__ = [
 # prefix signatures hash the options, so an unread one would silently
 # split a query off its spine and stage.
 QUERY_OPTIONS = frozenset({
-    "aggregation_tree", "join_strategy", "paned", "paned_exchange",
-    "recursion_deadline", "sample_rate", "shared",
+    "aggregation_tree", "join_strategy", "paned", "recursion_deadline",
+    "sample_rate", "shared",
 })
 
 
@@ -78,19 +78,22 @@ class PlannerTiming:
     overlay. Generous values trade a little latency for complete
     answers; the soft-state design makes tight values degrade to
     partial answers rather than errors.
+
+    Only ``rehash_xfer`` is settable: ``bench_epoch_overlap`` widens it
+    until a plan's flush schedule straddles the epoch boundary. The
+    rest are class constants: nothing outside tests ever set them.
     """
 
-    def __init__(self, scan_ready=1.5, hold=0.6, rehash_xfer=1.5,
-                 tree_xfer=6.0, result_send=0.4, collect=2.0,
-                 bloom_merge=1.2, bloom_release=1.0):
-        self.scan_ready = scan_ready
-        self.hold = hold
+    scan_ready = 1.5
+    hold = 0.6
+    tree_xfer = 6.0
+    result_send = 0.4
+    collect = 2.0
+    bloom_merge = 1.2
+    bloom_release = 1.0
+
+    def __init__(self, rehash_xfer=1.5):
         self.rehash_xfer = rehash_xfer
-        self.tree_xfer = tree_xfer
-        self.result_send = result_send
-        self.collect = collect
-        self.bloom_merge = bloom_merge
-        self.bloom_release = bloom_release
 
 
 class _Builder:
@@ -509,17 +512,19 @@ def _mark_paned(b, logical, lowered, lq):
     probe row's pane rides the asynchronous DHT get). Three terminal
     shapes:
 
-    * ``aggregate`` -- the lowered ``groupby_partial`` gets the
-      geometry; since grouped aggregation always feeds an exchange into
-      a ``groupby_final``, the panes go *distributed*: the partial
-      ships per-pane delta increments (``paned_ship = "delta"``), the
-      exchange tags every batch with its pane, tree combiners merge
-      same-pane partials mid-route, and the final assembles each
-      epoch's window from pane partials at the group's owner -- so the
-      overlap never crosses the wire again. The ``paned_exchange``
-      query option set False keeps the node-local discipline (the
-      benchmarks' ablation knob: full window states ship every epoch).
-    * ``topk`` -- PR 3's node-local panes.
+    * ``aggregate`` -- the panes go *distributed*, since grouped
+      aggregation always feeds an exchange into a ``groupby_final``:
+      the lowered ``groupby_partial`` ships each pane's increment once
+      (when new rows touched it), the exchange stamps every batch with
+      its pane so delivery can re-announce it, and the final holds the
+      window's pane partials at the group's owner and assembles each
+      epoch's window there -- so the overlap never crosses the wire
+      again. Tree combiners merge same-(epoch, pane) partials
+      mid-route; their routing keys drop the per-epoch rendezvous salt,
+      because a window's panes must accumulate at a *stable* owner
+      across the epochs that share them.
+    * ``topk`` -- node-local panes: the operator assembles each
+      epoch's window itself.
     * a ``join`` lowered with Bloom stages -- the entered side's
       ``bloom_stage`` keeps per-pane filter partials and row buffers,
       OR-merging the window's pane filters each epoch instead of
@@ -562,9 +567,15 @@ def _mark_paned(b, logical, lowered, lq):
             if spec.kind == "fetch_matches":
                 spec.params["paned"] = geometry
         terminal_spec.params["paned"] = geometry
-        if (terminal_spec.kind == "groupby_partial"
-                and lq.options.get("paned_exchange") is not False):
-            _mark_paned_exchange(b, lowered[id(terminal_node)], geometry)
+        if terminal_spec.kind == "groupby_partial":
+            agg_info = lowered[id(terminal_node)]
+            exchange = b.spec(agg_info["exchange"])
+            exchange.params["paned"] = geometry
+            if "combine" in exchange.params:
+                exchange.params["combine"] = dict(
+                    exchange.params["combine"], paned=True
+                )
+            b.spec(agg_info["final"]).params["paned"] = geometry
         if marked is None:
             marked = geometry
     return marked
@@ -604,31 +615,6 @@ def _pane_chain(b, consumers, lowered, scan_node):
         if parent.kind == "topk":
             return transparent, parent, b.spec(info["op"])
         return None
-
-
-def _mark_paned_exchange(b, agg_info, geometry):
-    """Extend panes across the aggregate's exchange to the final.
-
-    The partial switches to shipping per-pane *increments* (each pane's
-    partial crosses the wire once, when new rows touched it), the
-    exchange stamps batches with their pane so delivery can re-announce
-    it, and the final -- which now holds the window's pane partials at
-    the group's owner -- gets the geometry to assemble each epoch's
-    window. Tree-mode combining merges same-(epoch, pane) partials
-    mid-route; its routing keys drop the per-epoch rendezvous salt,
-    because a window's panes must accumulate at a *stable* owner across
-    the epochs that share them.
-    """
-    partial = b.spec(agg_info["partial"])
-    exchange = b.spec(agg_info["exchange"])
-    final = b.spec(agg_info["final"])
-    partial.params["paned_ship"] = "delta"
-    exchange.params["paned"] = geometry
-    if "combine" in exchange.params:
-        exchange.params["combine"] = dict(
-            exchange.params["combine"], paned=True
-        )
-    final.params["paned"] = geometry
 
 
 def _lower_join(b, lq, node, lowered, ready, timing, site):

@@ -1278,7 +1278,7 @@ class ChordNode(SimNode, RpcNode):
         elif kind == "store_items":
             for item in payload.items:
                 self.store.put_item(item)
-            for mid, forget_at in getattr(payload, "mids", {}).items():
+            for mid, forget_at in payload.mids.items():
                 # Merge keeping the later deadline: if both sides saw
                 # the mid, the fresher sighting wins.
                 if forget_at > self._seen_mids.get(mid, 0.0):

@@ -9,13 +9,15 @@ methods the engine calls, with no overlay behind them, and records what
 would have gone on the wire. Timers run on a
 real ``SimClock``; advance it with ``engine.clock.run_until(t)``.
 Operator unit tests get their context from :class:`StubCtx`, the one
-definition of "a query context with nothing behind it".
+definition of "a query context with nothing behind it";
+:class:`PanedGroupBy` is a paned group-by's two halves on one.
 :func:`live_stream_scans` is the one probe for "who reads this table".
 """
 
 from repro.core.dataflow import LocalQueryContext, StandingExecution
 from repro.core.engine import PierEngine
 from repro.core.exchange import Exchange
+from repro.core.operators import create_operator
 from repro.core.operators.scan import Scan
 from repro.core.opgraph import OpSpec, QueryPlan
 from repro.db.catalog import Catalog
@@ -112,6 +114,44 @@ class StubCtx(LocalQueryContext):
         )
         super().__init__(make_engine(), plan, "q", 0, 0.0, "site",
                          standing=standing)
+
+
+class PanedGroupBy:
+    """A paned ``groupby_partial`` wired straight into its paned
+    ``groupby_final`` on one standing :class:`StubCtx`: the partial's
+    pane increments feed the final's pane store, as they would across a
+    pane-tagged exchange, and the final assembles each epoch's window.
+
+    Drive it like one operator: ``open_pane`` / ``push`` rows, set
+    ``ctx.epoch`` / ``ctx.active_epoch``, ``flush()`` (partial, then
+    final); ``wire`` a sink to the final's output.
+    """
+
+    def __init__(self, agg_specs, schema, group_exprs, every, window):
+        self.ctx = StubCtx(standing=True)
+        geometry = {"width": 1.0, "every": every, "window": window}
+        self.partial = create_operator(self.ctx, OpSpec(
+            "partial", "groupby_partial", {
+                "group_exprs": group_exprs, "agg_specs": agg_specs,
+                "schema": schema, "paned": geometry,
+            }))
+        self.final = create_operator(self.ctx, OpSpec(
+            "final", "groupby_final",
+            {"agg_specs": agg_specs, "paned": geometry}))
+        self.partial.wire(self.final, 0)
+
+    def wire(self, consumer, port):
+        self.final.wire(consumer, port)
+
+    def open_pane(self, pane):
+        self.partial.open_pane(pane)
+
+    def push(self, row):
+        self.partial.push(row)
+
+    def flush(self):
+        self.partial.flush()
+        self.final.flush()
 
 
 def make_exchange(engine, key=None, mode="rehash", standing=True, epoch=3,

@@ -5,7 +5,8 @@ splitting, and the simulator's receive-side service queue."""
 import pytest
 from stubs import make_engine, make_exchange, make_standing
 
-from repro.core import dataflow, exchange as exchange_module
+from repro.core import dataflow, engine as engine_module
+from repro.core import exchange as exchange_module
 from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.network import PierConfig, PierNetwork
 from repro.core.engine import EngineConfig
@@ -174,10 +175,13 @@ class TestAdaptiveFlush:
 # Owner backpressure end to end
 # ----------------------------------------------------------------------
 class TestBackpressure:
-    def make_net(self, **engine_kwargs):
-        config = PierConfig(engine=EngineConfig(
-            backpressure=True, backpressure_rows_per_sec=100.0,
-            backpressure_ttl=3.0, **engine_kwargs))
+    @pytest.fixture(autouse=True)
+    def small_line(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "BACKPRESSURE_ROWS_PER_SEC", 100.0)
+        monkeypatch.setattr(engine_module, "BACKPRESSURE_TTL", 3.0)
+
+    def make_net(self):
+        config = PierConfig(engine=EngineConfig(adaptive_flush=True))
         return PierNetwork(nodes=4, seed=13, config=config)
 
     def test_overloaded_owner_sends_xbp_and_origin_stretches(self):
@@ -194,7 +198,7 @@ class TestBackpressure:
         net.advance(0.5)  # let the xbp direct message deliver
         stretch = origin.exchange_flush_stretch(ns)
         assert stretch > 1.0
-        assert stretch <= owner.config.backpressure_factor
+        assert stretch <= engine_module.BACKPRESSURE_FACTOR
 
     def test_noderef_origin_reaches_the_wire(self):
         # Production inflow notes carry the route message's origin -- a

@@ -451,9 +451,8 @@ class TestChunkingInvariance:
             outcomes.add(repr(_hexed(states)))
         assert len(outcomes) == 1
 
-    @pytest.mark.parametrize("ship", ["local", "delta"])
-    def test_groupby_partial_paned_modes(self, ship):
-        rng = random.Random(17 if ship == "local" else 18)
+    def test_groupby_partial_paned(self):
+        rng = random.Random(18)
         rows = random_rows(rng, 14)
         panes = sorted(rng.randint(0, 2) for _ in rows)
         specs = [AggSpec("SUM", col("b"), "total"),
@@ -463,8 +462,6 @@ class TestChunkingInvariance:
             "schema": SCHEMA,
             "paned": {"width": 1.0, "every": 1, "window": 3},
         }
-        if ship == "delta":
-            params["paned_ship"] = "delta"
 
         def build():
             return make("groupby_partial", dict(params), standing=True)

@@ -3,9 +3,9 @@
 Coverage layers:
 
 * planner marking: which shapes go distributed (grouped aggregation,
-  fetch-matches joins, bloom legs), which stay node-local
-  (``paned_exchange = False`` ablation, top-k), and which keep
-  from-scratch evaluation (SHJ joins, non-overlapping windows);
+  fetch-matches joins, bloom legs), which stay node-local (top-k), and
+  which keep from-scratch evaluation (SHJ joins, non-overlapping
+  windows);
 * integration parity: grouped tree aggregation, fetch-matches joins
   and bloom joins answer identically to the from-scratch ablation
   while folding fewer partial-state rows at group owners;
@@ -59,20 +59,9 @@ class TestPlannerMarking:
         exchange = plan.ops_of_kind("exchange")[0]
         final = plan.ops_of_kind("groupby_final")[0]
         assert partial.params["paned"] == plan.pane
-        assert partial.params["paned_ship"] == "delta"
         assert exchange.params["paned"] == plan.pane
         assert exchange.params["combine"]["paned"] is True
         assert final.params["paned"] == plan.pane
-
-    def test_paned_exchange_ablation_keeps_node_local_panes(self):
-        net = make_net(nodes=4)
-        plan = net.compile_sql(GROUPED_SQL,
-                               options={"paned_exchange": False})
-        assert plan.pane is not None
-        partial = plan.ops_of_kind("groupby_partial")[0]
-        assert "paned_ship" not in partial.params
-        assert "paned" not in plan.ops_of_kind("exchange")[0].params
-        assert "paned" not in plan.ops_of_kind("groupby_final")[0].params
 
     def test_rehash_aggregation_ships_deltas_too(self):
         net = make_net(nodes=4)
@@ -80,7 +69,7 @@ class TestPlannerMarking:
                                options={"aggregation_tree": False})
         partial = plan.ops_of_kind("groupby_partial")[0]
         exchange = plan.ops_of_kind("exchange")[0]
-        assert partial.params["paned_ship"] == "delta"
+        assert partial.params["paned"] == plan.pane
         assert exchange.params["mode"] == "rehash"
         assert exchange.params["paned"] == plan.pane
         assert "combine" not in exchange.params
@@ -100,7 +89,7 @@ class TestPlannerMarking:
         fm = plan.ops_of_kind("fetch_matches")[0]
         assert fm.params["paned"] == plan.pane
         assert (plan.ops_of_kind("groupby_partial")[0]
-                .params["paned_ship"] == "delta")
+                .params["paned"] == plan.pane)
 
     def test_shj_join_keeps_from_scratch(self):
         net = make_net(nodes=4, columns=(("k", "INT"), ("v", "FLOAT")))
@@ -153,8 +142,7 @@ class TestDistributedParity:
     def test_grouped_tree_aggregation_matches_scratch(self):
         outcomes = {}
         merged = {}
-        for label, options in (("dist", None), ("local",
-                                                {"paned_exchange": False}),
+        for label, options in (("dist", None),
                                ("scratch", {"paned": False})):
             net, handle, epochs = run_grouped(options)
             outcomes[label] = epochs
@@ -163,13 +151,11 @@ class TestDistributedParity:
             )
         assert len(outcomes["scratch"]) >= 5
         assert outcomes["dist"] == outcomes["scratch"]
-        assert outcomes["local"] == outcomes["scratch"]
         # The distributed path ships each pane's increment once: at 4x
-        # overlap the owners fold >= 2x fewer state rows than either
-        # the scratch path or node-local panes (which both re-ship
-        # every group's full window state each epoch).
+        # overlap the owners fold >= 2x fewer state rows than the
+        # scratch path (which re-ships every group's full window state
+        # each epoch).
         assert 2 * merged["dist"] <= merged["scratch"]
-        assert 2 * merged["dist"] <= merged["local"]
 
     def test_rehash_mode_distributed_parity(self):
         base = {"aggregation_tree": False}
@@ -199,8 +185,8 @@ class TestDistributedParity:
             if options is None:
                 assert handle.plan.epoch_overlap == 2
                 assert handle.plan.pane is not None
-                partial = handle.plan.ops_of_kind("groupby_partial")[0]
-                assert partial.params["paned_ship"] == "delta"
+                final = handle.plan.ops_of_kind("groupby_final")[0]
+                assert final.params["paned"] == handle.plan.pane
             net.advance(80.0)
             outcomes.append({
                 r.epoch: sorted((g, round(t, 6), n) for g, t, n in r.rows)

@@ -1,6 +1,7 @@
 """Engine and coordinator internals: adoption, lifecycle, soft state."""
 
 import inspect
+import pathlib
 import re
 
 import pytest
@@ -34,22 +35,32 @@ class TestKnobs:
             return list(inspect.signature(cls.__init__).parameters)[1:]
 
         assert knobs(EngineConfig) == [
-            "max_batch_rows", "regional_trees",
-            "adaptive_flush", "backpressure",
-            "backpressure_rows_per_sec", "backpressure_factor",
-            "backpressure_ttl", "hot_group_threshold",
+            "max_batch_rows", "regional_trees", "adaptive_flush",
+            "hot_group_threshold",
         ]
+        assert knobs(planner.PlannerTiming) == ["rehash_xfer"]
         assert knobs(PierConfig) == [
-            "dht", "engine", "timing", "network", "bootstrap",
-            "loss_rate", "admission",
+            "dht", "engine", "timing", "network", "bootstrap", "admission",
         ]
         assert knobs(DhtConfig) == [
             "rpc_timeout", "lookup_timeout", "hop_retransmit_timeout",
             "proximity_routing",
         ]
         assert knobs(NetworkConfig) == ["loss_rate", "service_time"]
-        for cls in (EngineConfig, DhtConfig, NetworkConfig):
+        for cls in (EngineConfig, DhtConfig, NetworkConfig, planner.PlannerTiming):
             assert vars(cls()).keys() == set(knobs(cls))
+
+    @pytest.mark.parametrize("cls", [EngineConfig, DhtConfig, planner.PlannerTiming])
+    def test_every_knob_has_a_caller(self, cls):
+        """The census rule, checked: each field is passed as ``name=``
+        somewhere outside ``tests/`` and outside its class's own
+        module. A field only tests set is a module constant."""
+        own = pathlib.Path(inspect.getsourcefile(cls)).resolve()
+        callers = _sources(exclude=own)
+        unset = [name for name in list(inspect.signature(
+                     cls.__init__).parameters)[1:]
+                 if not re.search(r"\b{}=(?!=)".format(name), callers)]
+        assert unset == []
 
     def test_query_options_are_pinned(self):
         """The planner is the only reader of per-query options, and
@@ -57,9 +68,30 @@ class TestKnobs:
         reads; the census of who sets each is in docs/ARCHITECTURE.md."""
         read = re.findall(r'options\.get\("(\w+)"', inspect.getsource(planner))
         assert sorted(set(read)) == sorted(planner.QUERY_OPTIONS) == [
-            "aggregation_tree", "join_strategy", "paned", "paned_exchange",
+            "aggregation_tree", "join_strategy", "paned",
             "recursion_deadline", "sample_rate", "shared",
         ]
+
+    def test_every_query_option_has_a_caller(self):
+        """Each option is named (quoted) somewhere outside ``tests/``
+        and outside the planner that reads it; ``sample_rate``'s one
+        writer is the admission policy's degradation ladder."""
+        callers = _sources(
+            exclude=pathlib.Path(inspect.getsourcefile(planner)).resolve())
+        unset = sorted(name for name in planner.QUERY_OPTIONS
+                       if '"{}"'.format(name) not in callers)
+        assert unset == []
+
+
+def _sources(exclude):
+    """The text of every ``.py`` file outside ``tests/``, less one."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    return "\n".join(
+        path.read_text(encoding="utf-8")
+        for top in ("src", "benchmarks", "examples", "tools")
+        for path in sorted((repo / top).rglob("*.py"))
+        if path.resolve() != exclude
+    )
 
 
 class TestRecordingDht:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.network import PierConfig, PierNetwork
+from repro.sim.network import NetworkConfig
 from repro.util.errors import PierError
 
 
@@ -74,10 +75,25 @@ class TestCountDistinct:
             net.compile_sql("SELECT SUM(DISTINCT user) AS s FROM ev")
 
 
+class TestEmptyAggregate:
+    def test_global_count_over_no_match_answers_no_row(self):
+        # Responding-nodes semantics: a node with no matching row sends
+        # no partial, so nobody responds and the answer is empty -- not
+        # a synthesized (0,) row.
+        net = PierNetwork(nodes=6, seed=704)
+        net.create_local_table("t", [("v", "INT")])
+        for i, address in enumerate(net.addresses()):
+            net.insert(address, "t", [(i,)])
+        assert net.run_sql("SELECT COUNT(*) AS n FROM t").rows == [(6,)]
+        result = net.run_sql("SELECT COUNT(*) AS n FROM t WHERE v > 100")
+        assert result.rows == []
+
+
 class TestMessageLoss:
     def test_queries_complete_under_loss(self):
         # 2% message loss: hop acks re-forward, rows mostly arrive.
-        net = PierNetwork(nodes=10, seed=702, config=PierConfig(loss_rate=0.02))
+        net = PierNetwork(nodes=10, seed=702, config=PierConfig(
+            network=NetworkConfig(loss_rate=0.02)))
         net.create_local_table("t", [("v", "INT")])
         for i, address in enumerate(net.addresses()):
             net.insert(address, "t", [(i,)])
@@ -86,7 +102,8 @@ class TestMessageLoss:
         assert result.rows[0][0] >= 8  # allow a straggler or two
 
     def test_loss_counter_populated(self):
-        net = PierNetwork(nodes=8, seed=703, config=PierConfig(loss_rate=0.05))
+        net = PierNetwork(nodes=8, seed=703, config=PierConfig(
+            network=NetworkConfig(loss_rate=0.05)))
         net.advance(60)
         assert net.message_counters().get("messages_lost", 0) > 0
 

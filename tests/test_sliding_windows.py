@@ -3,10 +3,10 @@
 Three layers of coverage:
 
 * pane arithmetic (``repro.db.window`` helpers);
-* a property test driving ``GroupByPartial`` directly: for random
-  ``WINDOW/EVERY`` ratios and every aggregate (invertible and not),
-  paned evaluation must equal from-scratch window evaluation epoch for
-  epoch;
+* a property test driving a paned partial's pane increments into its
+  final (``stubs.PanedGroupBy``): for random ``WINDOW/EVERY`` ratios
+  and every aggregate (invertible and not), the final's window
+  assembly must equal from-scratch window evaluation epoch for epoch;
 * integration: paned plans produce the same per-epoch answers as the
   from-scratch ablation while folding fewer rows, and a plan whose
   flush schedule straddles the epoch boundary runs as one
@@ -16,13 +16,11 @@ Three layers of coverage:
 import random
 
 import pytest
-from stubs import StubCtx
+from stubs import PanedGroupBy
 
 from repro.core.aggregates import AggSpec
 from repro.core.dataflow import StandingExecution
 from repro.core.network import PierNetwork
-from repro.core.opgraph import OpSpec
-from repro.core.operators import create_operator
 from repro.db.expressions import col
 from repro.db.schema import Schema
 from repro.db.types import INT, STR
@@ -127,12 +125,7 @@ class TestPanedPropertyParity:
         e = rng.randint(1, 4)  # panes per epoch period
         w = e * rng.randint(2, 5) + rng.randrange(2) * e  # panes per window
         agg_specs = _specs()
-        op = create_operator(StubCtx(standing=True), OpSpec("agg", "groupby_partial", {
-            "group_exprs": [col("g")],
-            "agg_specs": agg_specs,
-            "schema": SCHEMA,
-            "paned": {"width": 1.0, "every": e, "window": w},
-        }))
+        op = PanedGroupBy(agg_specs, SCHEMA, [col("g")], e, w)
         sink = Sink()
         op.wire(sink, 0)
 
@@ -169,18 +162,15 @@ class TestPanedPropertyParity:
             )
 
     def test_straggler_into_merged_pane_rebuilds_window(self):
-        # A row can land in a pane *after* that pane was merged into
-        # the invertible running window (an append stamped exactly on a
-        # boundary, emitted one epoch late). The version guard must
-        # rebuild the running state so later windows include the row
-        # and its eventual retirement unmerges exactly what was merged.
+        # A row can land in a pane *after* the final merged that pane
+        # into its invertible running window (an append stamped exactly
+        # on a boundary, emitted one epoch late, ships as a second
+        # increment of the pane). The version guard must rebuild the
+        # running state so later windows include the row and its
+        # eventual retirement unmerges exactly what was merged.
         agg_specs = [AggSpec("SUM", col("v"), "total"),
                      AggSpec("COUNT", None, "n")]
-        op = create_operator(StubCtx(standing=True), OpSpec("agg", "groupby_partial", {
-            "group_exprs": [col("g")], "agg_specs": agg_specs,
-            "schema": SCHEMA,
-            "paned": {"width": 1.0, "every": 1, "window": 3},
-        }))
+        op = PanedGroupBy(agg_specs, SCHEMA, [col("g")], 1, 3)
         sink = Sink()
         op.wire(sink, 0)
         op.open_pane(0)
@@ -200,11 +190,7 @@ class TestPanedPropertyParity:
 
     def test_groups_vanish_when_last_pane_slides_out(self):
         agg_specs = [AggSpec("SUM", col("v"), "total")]
-        op = create_operator(StubCtx(standing=True), OpSpec("agg", "groupby_partial", {
-            "group_exprs": [col("g")], "agg_specs": agg_specs,
-            "schema": SCHEMA,
-            "paned": {"width": 1.0, "every": 1, "window": 2},
-        }))
+        op = PanedGroupBy(agg_specs, SCHEMA, [col("g")], 1, 2)
         sink = Sink()
         op.wire(sink, 0)
         op.open_pane(0)

@@ -10,20 +10,19 @@ Three layers:
   under-counts and over-counts by at most ``eps * N`` at the default
   width; HyperLogLog lands within 3 standard errors of the true
   cardinality across a sweep of scales;
-* pane-sliding parity: a paned ``GroupByPartial`` running the sketch
-  aggregates answers within the documented bounds of the exact
-  aggregates, epoch for epoch, under random window geometries.
+* pane-sliding parity: a paned group-by (partial pane increments
+  into the final's window assembly) running the sketch aggregates
+  answers within the documented bounds of the exact aggregates, epoch
+  for epoch, under random window geometries.
 """
 
 import math
 import random
 
 import pytest
-from stubs import StubCtx
+from stubs import PanedGroupBy
 
 from repro.core.aggregates import AggSpec, aggregate_by_name
-from repro.core.opgraph import OpSpec
-from repro.core.operators import create_operator
 from repro.db.expressions import col
 from repro.db.schema import Schema
 from repro.db.types import INT, STR
@@ -207,13 +206,8 @@ class Sink:
 SCHEMA = Schema.of(("g", STR), ("v", INT))
 
 
-def _paned_partial(agg_specs, e, w):
-    op = create_operator(StubCtx(standing=True), OpSpec("agg", "groupby_partial", {
-        "group_exprs": [col("g")],
-        "agg_specs": agg_specs,
-        "schema": SCHEMA,
-        "paned": {"width": 1.0, "every": e, "window": w},
-    }))
+def _paned_groupby(agg_specs, e, w):
+    op = PanedGroupBy(agg_specs, SCHEMA, [col("g")], e, w)
     sink = Sink()
     op.wire(sink, 0)
     return op, sink
@@ -227,8 +221,8 @@ class TestPaneSlidingSketchParity:
         w = e * rng.randint(2, 4)
         exact_specs = [AggSpec("COUNT_DISTINCT", col("v"), "d")]
         approx_specs = [AggSpec("APPROX_COUNT_DISTINCT", col("v"), "d")]
-        exact_op, exact_sink = _paned_partial(exact_specs, e, w)
-        approx_op, approx_sink = _paned_partial(approx_specs, e, w)
+        exact_op, exact_sink = _paned_groupby(exact_specs, e, w)
+        approx_op, approx_sink = _paned_groupby(approx_specs, e, w)
 
         next_pane = None
         for k in range(1, rng.randint(4, 7) + 1):
@@ -306,7 +300,7 @@ class TestApproxTopKInvertible:
 
     @pytest.mark.parametrize("trial", range(4))
     def test_paned_topk_slides_without_remerge(self, trial):
-        """A paned APPROX_TOPK partial (invertible slide path) answers
+        """A paned APPROX_TOPK final (invertible slide path) answers
         each epoch with exactly the sketch a fresh fold of the window's
         rows would build, and its top-k never undercounts."""
         import collections
@@ -315,7 +309,7 @@ class TestApproxTopKInvertible:
         e = rng.randint(1, 3)
         w = e * rng.randint(2, 4)
         specs = [AggSpec("APPROX_TOPK", col("v"), "t")]
-        op, sink = _paned_partial(specs, e, w)
+        op, sink = _paned_groupby(specs, e, w)
         by_pane = {}
 
         next_pane = None
