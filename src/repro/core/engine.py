@@ -21,10 +21,10 @@ One engine runs on every node, calling that node's
   states stay live, so flush schedules spanning several periods and
   per-epoch bloom round-trips fit it too); one-shot and recursive
   plans a disposable :class:`~repro.core.dataflow.EpochExecution`,
-* registers exchange namespaces with the DHT so rehashed rows reach
-  the right operator instance -- once per epoch for disposable
-  executions, once per *query* for standing ones -- and buffers early
-  arrivals that beat the plan broadcast to this node,
+* takes the exchange deliveries its DHT node terminates (``on_deliver``)
+  to the operator input claiming the namespace -- once per epoch for
+  disposable executions, once per *query* for standing ones -- and
+  buffers early arrivals that beat the plan broadcast to this node,
 * keeps its continuous plans in step with its ring neighbours (plan
   anti-entropy, below), and remembers recently stopped query ids
   (TTL'd tombstones) so that exchange cannot resurrect a stopped query,
@@ -174,6 +174,7 @@ class PierEngine:
         self.records = {}
         self.exchange_mux = ExchangeMux(self)  # prefix-member coalescing
         self.combiners = {}  # ns -> TreeCombiner
+        self._inputs = {}  # exchange ns -> deliver(payload, route_msg)
         # Rows arriving before registration: ns -> (drop-dead time,
         # [rows], [(epoch, pane) tag per row]).
         self._undelivered = {}
@@ -204,7 +205,7 @@ class PierEngine:
 
         dht.on_broadcast(self._on_broadcast)
         dht.on_direct(self._on_direct)
-        dht.set_default_delivery(self._on_unclaimed_delivery)
+        dht.on_deliver(self._on_delivery)
         dht.on_neighbor_digest(self._plan_digest, self._on_plan_digest)
 
     # ------------------------------------------------------------------
@@ -681,7 +682,7 @@ class PierEngine:
             def deliver(payload, route_msg):
                 execution.deliver_batch(op_id, port, payload_rows(payload))
 
-        self.dht.register_delivery(ns, deliver)
+        self._inputs[ns] = deliver
         if combine is not None:
             # The combiner follows the exchange's stable-rendezvous
             # discipline on standing edges: it re-salts a group's route
@@ -794,7 +795,7 @@ class PierEngine:
         return factor
 
     def unregister_exchange_input(self, ns):
-        self.dht.unregister_delivery(ns)
+        self._inputs.pop(ns, None)
         combiner = self.combiners.pop(ns, None)
         if combiner is not None:
             combiner.close()
@@ -806,6 +807,53 @@ class PierEngine:
         self._bp_inflow.pop(ns, None)
         self._bp_sent.pop(ns, None)
         self._undelivered.pop(ns, None)
+
+    def _on_delivery(self, payload, route_msg):
+        """The DHT's upcall, its ``mid`` already consumed. A
+        ``deliver_mux`` carries co-routed payloads of queries sharing a
+        prefix stage; each part dedups its own ``mid`` as well."""
+        if payload["op"] == "deliver_mux":
+            for part in payload["parts"]:
+                if self.dht.accept_delivery_once(part.get("mid")):
+                    self._deliver_payload(part, route_msg)
+        else:
+            self._deliver_payload(payload, route_msg)
+
+    def _deliver_payload(self, payload, route_msg):
+        dht = self.dht
+        origin = route_msg.origin
+        if payload.get("learn") and origin != dht.ref and dht.terminates(route_msg.key):
+            # The origin asked who terminates this key (a standing
+            # exchange warming its owner cache). Only the *owner*
+            # answers: an heir that absorbed it while the owner is
+            # suspected must not get cached, or batches would go direct
+            # to a non-owner for the whole cache TTL.
+            dht.send_direct(origin.address, {
+                "op": "xowner", "ns": payload["ns"],
+                "rid": payload.get("rid"), "ref": dht.ref,
+                # Region label rides along so the learner can expire
+                # cross-region owners faster than local ones.
+                "region": self.region,
+            })
+        elif (
+            route_msg.force_terminal
+            and origin != dht.ref
+            and payload.get("rid") is not None
+            and not dht.owns(route_msg.key)
+        ):
+            # A cache-directed (or heir) delivery landed on a node
+            # that no longer owns the key (a joiner took the range).
+            # Deliver anyway, approximate beats a drop, but tell the
+            # origin to forget the entry and re-learn.
+            dht.send_direct(origin.address, {
+                "op": "xowner_stale", "ns": payload["ns"],
+                "rid": payload["rid"],
+            })
+        deliver = self._inputs.get(payload["ns"])
+        if deliver is not None:
+            deliver(payload, route_msg)
+        else:
+            self._on_unclaimed_delivery(payload, route_msg)
 
     def _on_unclaimed_delivery(self, payload, route_msg):
         # Rows can beat the plan to this node; hold them until the
@@ -959,6 +1007,7 @@ class PierEngine:
         self.records = {}  # boundary timers die with the crash
         self.exchange_mux = ExchangeMux(self)  # held bundles die too
         self.combiners = {}
+        self._inputs = {}  # they point into the executions that just died
         self._undelivered = {}
         self._undelivered_timer = None  # node timers die with the crash
         self._stop_tombstones = {}

@@ -310,8 +310,7 @@ class PierNetwork:
         self.net.heal_region(region)
 
     def region_of(self, address):
-        region_of = getattr(self.latency, "region_of", None)
-        return region_of(address) if region_of is not None else None
+        return self.latency.region_of(address)
 
     def start_churn(self, mean_session, mean_downtime, on_leave=None,
                     on_join=None, exclude=()):

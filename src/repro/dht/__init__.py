@@ -3,12 +3,14 @@
 PIER treats the DHT as its communication *and* temporary-storage layer.
 This package provides:
 
-* :mod:`repro.dht.chord` -- the primary overlay (Chord rings: successor
-  lists, finger tables, recursive multi-hop routing, stabilization,
-  O(log N)-depth finger-table broadcast). Its public methods are the
-  PIER-facing API the query engine calls: ``put / get / renew / lscan /
-  new_data / route / broadcast / send_direct``, mirroring the original
-  system.
+* :mod:`repro.dht.chord` -- the primary overlay's node. Its public
+  methods are the PIER-facing API the query engine calls: ``put / get /
+  renew / lscan / new_data / route / broadcast / send_direct``,
+  mirroring the original system, plus one ``on_deliver`` upcall.
+* :mod:`repro.dht.ring` -- Chord membership and upkeep: successor
+  lists, finger tables, stabilization, key handoff.
+* :mod:`repro.dht.routing` -- recursive multi-hop routing with acked
+  hops, lookups, O(log N)-depth finger-table broadcast.
 * :mod:`repro.dht.storage` -- soft-state storage (TTL + renewal), the
   mechanism that lets PIER survive churn without distributed deletion.
 * :mod:`repro.dht.rpc` -- how a node waits for an answer: one request

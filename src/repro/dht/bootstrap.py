@@ -12,7 +12,7 @@ Two ways to stand up a Chord overlay:
   *maintains* the ring, so steady-state behaviour is identical.
 """
 
-from repro.dht import chord
+from repro.dht.ring import STABILIZE_PERIOD, SUCCESSOR_LIST_LENGTH
 from repro.util.ids import ID_BITS, distance_cw, in_interval
 
 
@@ -24,7 +24,7 @@ def build_chord_ring(nodes, start_maintenance=True):
     n = len(ordered)
     refs = [node.ref for node in ordered]
     for i, node in enumerate(ordered):
-        succ_list = [refs[(i + j) % n] for j in range(1, chord.SUCCESSOR_LIST_LENGTH + 1)]
+        succ_list = [refs[(i + j) % n] for j in range(1, SUCCESSOR_LIST_LENGTH + 1)]
         if n == 1:
             succ_list = [node.ref]
         node.successors = succ_list
@@ -86,11 +86,11 @@ def join_chord_ring(nodes, clock, settle_rounds=None):
     start = clock.now
     first = nodes[0]
     first.create_ring()
-    clock.run_for(chord.STABILIZE_PERIOD)
+    clock.run_for(STABILIZE_PERIOD)
     rounds = settle_rounds if settle_rounds is not None else 3
     for node in nodes[1:]:
         node.join(first.address)
-        clock.run_for(rounds * chord.STABILIZE_PERIOD)
+        clock.run_for(rounds * STABILIZE_PERIOD)
     return clock.now - start
 
 

@@ -1,7 +1,7 @@
 """The DHT layer's four knobs.
 
 Maintenance periods, list lengths and TTLs are not knobs: they are
-module constants in ``dht/chord.py`` beside their one reader, which
+module constants beside their reader, mostly in ``dht/ring.py``, which
 also says how the maintenance clocks relate to one another.
 """
 

@@ -24,6 +24,13 @@ Two access structures keep the hot paths cheap at scale:
 
 import heapq
 
+from repro.util.ids import sha1_id
+
+
+def storage_key(namespace, resource_id):
+    """Where an item lives on the ring: hash of namespace + resource id."""
+    return sha1_id((namespace, resource_id))
+
 
 class StoredItem:
     __slots__ = ("namespace", "resource_id", "instance_id", "value", "expires_at")

@@ -10,10 +10,17 @@ under study.
 
 
 class LatencyModel:
-    """Interface: one-way delay in seconds for a (src, dst) pair."""
+    """Interface: one-way delay in seconds for a (src, dst) pair, and a
+    region directory that, unless overridden, labels no one."""
 
     def delay(self, src, dst):
         raise NotImplementedError
+
+    def region_of(self, address):
+        return None
+
+    def members(self, region):
+        return []
 
 
 class ConstantLatency(LatencyModel):

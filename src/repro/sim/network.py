@@ -6,7 +6,7 @@ dissemination, rehash traffic, result return -- goes through
 collected here are complete.
 """
 
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.util.errors import SimulationError
 from repro.util.serde import wire_size
 from repro.util.stats import Counter
@@ -37,6 +37,9 @@ class Network:
     def __init__(self, clock, latency=None, rng=None, config=None):
         self.clock = clock
         self.latency = latency if latency is not None else ConstantLatency()
+        # ``send``'s region directory; None on an unlabelled topology.
+        self._region_of = (None if type(self.latency).region_of is LatencyModel.region_of
+                           else self.latency.region_of)
         self._rng = rng
         self.config = config if config is not None else NetworkConfig()
         self._nodes = {}
@@ -131,7 +134,7 @@ class Network:
             self.counters.add(names[1], size)
         cross = False
         severed = False
-        region_of = getattr(self.latency, "region_of", None)
+        region_of = self._region_of
         if region_of is not None:
             ra, rb = region_of(src), region_of(dst)
             if ra is not None and rb is not None and ra != rb:

@@ -18,8 +18,7 @@ class SimNode:
         # Region label from the latency model, when the topology has
         # one (RegionalLatency); the stand-in for the proximity service
         # a deployment would consult.
-        region_of = getattr(network.latency, "region_of", None)
-        self.region = region_of(address) if region_of is not None else None
+        self.region = network.latency.region_of(address)
         self.alive = True
         self._timers = set()
         network.register(self)

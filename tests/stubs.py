@@ -70,8 +70,7 @@ class RecordingDht:
     def _ignore(self, *args):
         """Handler registrations: nothing ever arrives from the wire."""
 
-    on_broadcast = on_direct = set_default_delivery = _ignore
-    on_neighbor_digest = register_delivery = unregister_delivery = _ignore
+    on_broadcast = on_direct = on_deliver = on_neighbor_digest = _ignore
     register_intercept = unregister_intercept = _ignore
 
 

@@ -28,7 +28,7 @@ To re-record after a deliberate protocol change, run this file as a
 script in the tree that is to become the oracle and paste the table.
 """
 
-from repro.dht import chord
+from repro.dht import ring
 from repro.dht.bootstrap import build_chord_ring, owner_of, ring_is_consistent
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
@@ -142,7 +142,7 @@ def totals(table):
 
 class TestChurnAgainstParent:
     def test_heals_and_answers_no_worse_than_parent(self, monkeypatch):
-        monkeypatch.setattr(chord, "FINGERS_PER_ROUND", FINGERS_PER_ROUND)
+        monkeypatch.setattr(ring, "FINGERS_PER_ROUND", FINGERS_PER_ROUND)
         now = {seed: run_scenario(seed) for seed in SEEDS}
         for seed in SEEDS:
             assert now[seed][1] < HEAL_LIMIT, seed
@@ -165,6 +165,6 @@ class TestChurnAgainstParent:
 
 
 if __name__ == "__main__":
-    chord.FINGERS_PER_ROUND = FINGERS_PER_ROUND
+    ring.FINGERS_PER_ROUND = FINGERS_PER_ROUND
     for seed in SEEDS:
         print("    {}: {},".format(seed, run_scenario(seed)[:5]))

@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.dht import chord
+from repro.dht import ring
 from repro.dht.bootstrap import build_chord_ring, owner_of, ring_is_consistent
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
@@ -71,7 +71,7 @@ def make_ring(n, seed=0, settle=30.0, latency=None, **config):
 
 @pytest.fixture
 def one_slot_a_round(monkeypatch):
-    monkeypatch.setattr(chord, "FINGERS_PER_ROUND", 1)
+    monkeypatch.setattr(ring, "FINGERS_PER_ROUND", 1)
 
 
 def ring_order(nodes):
@@ -90,7 +90,7 @@ class TestSettledRing:
         clock, _net, nodes, tap = make_ring(16)
         t = clock.now
         periods = 4
-        clock.run_for(periods * chord.STABILIZE_PERIOD)
+        clock.run_for(periods * ring.STABILIZE_PERIOD)
         probes = Counter(e[2] for e in tap.since(t, "get_neighbors"))
         replies = Counter(e[3] for e in tap.since(t, "get_neighbors_reply"))
         assert probes == {n.address: periods for n in nodes}
@@ -105,7 +105,7 @@ class TestSettledRing:
         net.on_deliver = lambda src, dst, p: (
             p.kind == "rpc_req" and p.inner["kind"] == "get_neighbors"
             and seen.append((src, dst, p.inner["node"])))
-        clock.run_for(chord.STABILIZE_PERIOD)
+        clock.run_for(ring.STABILIZE_PERIOD)
         assert len(seen) == 8
         for src, dst, ref in seen:
             node = net.node(src)
@@ -117,7 +117,7 @@ class TestSettledRing:
         t = clock.now
         before = [list(n.fingers) for n in nodes]
         # One full pass over every node's 160 slots.
-        clock.run_for(chord.FIX_FINGERS_PERIOD * ID_BITS / chord.FINGERS_PER_ROUND)
+        clock.run_for(ring.FIX_FINGERS_PERIOD * ID_BITS / ring.FINGERS_PER_ROUND)
         counts = tap.counts(t)
         assert counts["owns"] > 0
         assert counts["owns_reply"] == counts["owns"]
@@ -136,7 +136,7 @@ class TestJoin:
         joiner.join(nodes[0].address)
         # The parent (notify after every probe) also needed one period:
         # the joiner's predecessor learns of it at its next probe.
-        clock.run_for(chord.STABILIZE_PERIOD + 1.0)
+        clock.run_for(ring.STABILIZE_PERIOD + 1.0)
         assert ring_is_consistent(everyone)
         assert joiner.predecessor == pred.ref
         # Exactly one successor pointer moved to a node that had not
@@ -144,7 +144,7 @@ class TestJoin:
         # own successor learned of it from the joiner's first probe.
         notifies = tap.since(t, "notify")
         assert [(e[2], e[3]) for e in notifies] == [(pred.address, "late")]
-        clock.run_for(4 * chord.STABILIZE_PERIOD)
+        clock.run_for(4 * ring.STABILIZE_PERIOD)
         assert len(tap.since(t, "notify")) == 1
 
     def test_adopting_a_joiner_keeps_the_old_successor_listed(self):
@@ -195,7 +195,7 @@ class TestNeighborDigest:
         net.on_deliver = lambda src, dst, wire: (
             wire.kind == "rpc_req" and wire.inner["kind"] == "get_neighbors"
             and probes.append((src, dst, wire)))
-        clock.run_for(chord.STABILIZE_PERIOD)
+        clock.run_for(ring.STABILIZE_PERIOD)
         # Still one probe per node per period.
         assert sorted(p[0] for p in probes) == sorted(n.address for n in nodes)
         for src, _dst, wire in probes:
@@ -217,12 +217,12 @@ class TestPredecessorLiveness:
         pred._stabilizer.stop()  # alive, but no longer probing
         heard = node._predecessor_heard
         t = clock.now
-        clock.run_for(3 * chord.CHECK_PREDECESSOR_PERIOD)
+        clock.run_for(3 * ring.CHECK_PREDECESSOR_PERIOD)
         pings = [e for e in tap.since(t, "ping") if e[2] == node.address]
         assert pings and all(e[3] == pred.address for e in pings)
         first = pings[0][0] - LATENCY  # sent one latency before delivery
-        assert first - heard >= chord.CHECK_PREDECESSOR_PERIOD
-        assert first - heard < 2 * chord.CHECK_PREDECESSOR_PERIOD
+        assert first - heard >= ring.CHECK_PREDECESSOR_PERIOD
+        assert first - heard < 2 * ring.CHECK_PREDECESSOR_PERIOD
         # It answers, so it stays -- and each answer restarts the clock.
         assert node.predecessor == pred.ref
         assert len(pings) <= 3
@@ -243,7 +243,7 @@ class TestPredecessorLiveness:
         pred.crash()
         clock.run_for(2 * LATENCY)  # a probe it sent just before dying
         heard = node._predecessor_heard
-        bound = 2 * chord.CHECK_PREDECESSOR_PERIOD + cfg.rpc_timeout
+        bound = 2 * ring.CHECK_PREDECESSOR_PERIOD + cfg.rpc_timeout
         pinged = None
         while node.predecessor == pred.ref:
             assert clock.now - heard <= bound + 2 * LATENCY + 0.05
@@ -254,7 +254,7 @@ class TestPredecessorLiveness:
         # Cleared one rpc_timeout after the ping went out.
         assert pinged is not None
         assert clock.now - pinged == pytest.approx(cfg.rpc_timeout, abs=0.06)
-        assert node._is_suspect(pred.address)
+        assert node.is_suspect(pred.address)
 
 
 @pytest.mark.usefixtures("one_slot_a_round")
@@ -311,9 +311,9 @@ class TestFingerRefresh:
         t = self.refresh(clock, node, seconds=0.5)
         assert tap.counts(t)["owns"] == 1
         assert tap.counts(t)["lookup"] == 0  # still waiting
-        assert not node._is_suspect(dead.address)
+        assert not node.is_suspect(dead.address)
         clock.run_for(node.config.rpc_timeout + 3.0)
-        assert node._is_suspect(dead.address)
+        assert node.is_suspect(dead.address)
         assert tap.counts(t)["lookup"] >= 1
         assert node.fingers[self.SLOT] == owner_of(nodes, start).ref
 

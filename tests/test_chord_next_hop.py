@@ -38,7 +38,7 @@ def oracle_closest_preceding(node, target, exclude=()):
     for candidate in all_slots(node):
         if candidate is None or candidate == node.ref:
             continue
-        if candidate.address in exclude or node._is_suspect(candidate.address):
+        if candidate.address in exclude or node.is_suspect(candidate.address):
             continue
         if in_interval(candidate.id, node.id, target):
             d = distance_cw(candidate.id, target)
@@ -57,7 +57,7 @@ def oracle_closest_preceding(node, target, exclude=()):
     for fallback in node.successors:
         if fallback == node.ref:
             continue
-        if fallback.address in exclude or node._is_suspect(fallback.address):
+        if fallback.address in exclude or node.is_suspect(fallback.address):
             continue
         if in_interval(fallback.id, node.id, target):
             return fallback
@@ -67,7 +67,7 @@ def oracle_closest_preceding(node, target, exclude=()):
 def oracle_distinct_fingers(node):
     seen = {}
     for ref in list(node.successors) + [f for f in node.fingers if f]:
-        if ref != node.ref and not node._is_suspect(ref.address):
+        if ref != node.ref and not node.is_suspect(ref.address):
             seen[ref.id] = ref
     return sorted(seen.values(), key=lambda r: distance_cw(node.id, r.id))
 
@@ -87,7 +87,7 @@ def oracle_proximity_finger(node, index, start, canonical):
         if candidate.address in seen:
             continue
         seen.add(candidate.address)
-        if node._is_suspect(candidate.address):
+        if node.is_suspect(candidate.address):
             continue
         if node._region_of(candidate.address) != node.region:
             continue

@@ -86,10 +86,9 @@ class TestLifecycle:
         net.advance(0.5)
         engine = net.node("node2").engine
         execution = engine.queries[handle.qid].execution
-        chord = net.node("node2").chord
-        assert chord._delivery_handlers  # exchange input registered
+        assert engine._inputs  # exchange input registered
         execution.close()
-        assert not chord._delivery_handlers
+        assert not engine._inputs
 
     def test_unclaimed_rows_buffered_then_drained(self, net):
         # Simulate a row arriving before the plan: the engine buffers it

@@ -7,13 +7,9 @@ from repro.dht.bootstrap import (
     ring_is_consistent,
 )
 from repro.dht import messages as msg
-from repro.dht.chord import (
-    DELIVERY_DEDUP_TTL,
-    STORAGE_SWEEP_PERIOD,
-    ChordNode,
-    storage_key,
-)
+from repro.dht.chord import ChordNode, storage_key
 from repro.dht.config import DhtConfig
+from repro.dht.ring import DELIVERY_DEDUP_TTL, STORAGE_SWEEP_PERIOD
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
@@ -326,8 +322,8 @@ class TestUpcalls:
         delivered = []
         for node in nodes:
             node.register_intercept("bump", intercept)
-            node.register_delivery("u", lambda p, m: delivered.append(p["data"]))
-        origin = nodes[0] if not nodes[0].owns(target_key) else nodes[1]
+            node.on_deliver(lambda p, m: delivered.append(p["data"]))
+        origin = nodes[0] if not nodes[0].terminates(target_key) else nodes[1]
         origin.route(target_key, {"op": "deliver", "ns": "u", "data": 0},
                      upcall="bump")
         clock.run_for(5)

@@ -50,8 +50,8 @@ def make_ring(n=3):
         (round(clock.now, 6), src, dst, p.kind,
          getattr(p, "force_terminal", None)))
     for node in nodes:
-        node.register_delivery(
-            "x", lambda p, m, node=node: rows.append((node.address, p["data"])))
+        node.on_deliver(
+            lambda p, m, node=node: rows.append((node.address, p["data"])))
     return clock, net, nodes, tape, rows
 
 
@@ -179,7 +179,7 @@ class TestHopLadder:
         assert routes(tape, n2) == []
         assert rows == [(n1.address, "row")]  # accept_delivery_once
         assert acks == [n1.address, n1.address]
-        assert not n0._is_suspect(n1.address)
+        assert not n0.is_suspect(n1.address)
         assert not n0._open_requests
 
     def test_dead_hop_is_suspected_after_both_timeouts(self, ladder):
@@ -187,9 +187,9 @@ class TestHopLadder:
         n1.crash()
         send(delivery(n0, "row"))
         clock.run_until(RPC_TIMEOUT + HOP_RETRANSMIT - 0.01)
-        assert not n0._is_suspect(n1.address)
+        assert not n0.is_suspect(n1.address)
         clock.run_for(0.02)
-        assert n0._is_suspect(n1.address)
+        assert n0.is_suspect(n1.address)
         clock.run_for(5.0)
         assert [e[0] for e in routes(tape, n1)] == [
             LATENCY, RPC_TIMEOUT + LATENCY]
@@ -205,7 +205,7 @@ class TestHopLadder:
         send({"op": "put", "ns": "t", "rid": "k", "iid": 1, "value": "v",
               "ttl": 60.0})
         clock.run_until(RPC_TIMEOUT + 0.01)
-        assert n0._is_suspect(n1.address)
+        assert n0.is_suspect(n1.address)
         clock.run_for(5.0)
         assert len(routes(tape, n1)) == 1
         assert [e[0] for e in routes(tape, n2)] == [RPC_TIMEOUT + LATENCY]
@@ -233,7 +233,7 @@ class TestStaleOwnerCache:
         n2.crash()
         n0.route_via(n2.ref, n1.id, delivery(n0, "row"))
         clock.run_for(5.0)
-        assert n0._is_suspect(n2.address)
+        assert n0.is_suspect(n2.address)
         assert [(e[0], e[4]) for e in routes(tape, n2)] == [
             (LATENCY, True), (RPC_TIMEOUT + LATENCY, True)]
         assert [(e[0], e[4]) for e in routes(tape, n1)] == [

@@ -2,7 +2,8 @@
 
 from repro.core.network import PierNetwork
 from repro.dht.bootstrap import build_chord_ring, owner_of
-from repro.dht.chord import SUSPECT_TTL, ChordNode, storage_key
+from repro.dht.chord import ChordNode, storage_key
+from repro.dht.ring import SUSPECT_TTL
 from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency
@@ -35,23 +36,23 @@ class TestSuspicion:
         sender.route(key, {"op": "put", "ns": "s", "rid": "k",
                            "iid": 1, "value": 1, "ttl": 60})
         clock.run_for(5)
-        assert sender._is_suspect(owner.address)
+        assert sender.is_suspect(owner.address)
 
     def test_hearing_from_node_absolves(self):
         clock, _net, nodes = make_ring(8, seed=2)
         a, b = nodes[0], nodes[1]
         a._suspect(b.address)
-        assert a._is_suspect(b.address)
+        assert a.is_suspect(b.address)
         b.send_direct(a.address, {"op": "noop"})
         clock.run_for(1)
-        assert not a._is_suspect(b.address)
+        assert not a.is_suspect(b.address)
 
     def test_suspicion_expires(self):
         clock, _net, nodes = make_ring(8, seed=3)
         a, b = nodes[0], nodes[1]
         a._suspect(b.address)
         clock.run_for(SUSPECT_TTL + 1)
-        assert not a._is_suspect(b.address)
+        assert not a.is_suspect(b.address)
 
 
 class TestHeirDelivery:

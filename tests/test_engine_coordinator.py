@@ -8,7 +8,7 @@ import pytest
 from stubs import RecordingDht
 
 from repro.core import planner
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, PierEngine
 from repro.core.network import PierConfig, PierNetwork
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
@@ -124,6 +124,28 @@ class TestRecordingDht:
                        for p in real[1:])
         else:
             assert fake == real
+
+
+TRACE = pathlib.Path(__file__).resolve().parent.parent / "benchmarks/perf/trace.py"
+# What benchmarks/perf/trace.py wraps on each class; it wraps a name
+# only if the class body itself defines it.
+TRACED = [(ChordNode, name) for name in (
+    "handle_message", "route", "route_via", "route_through", "put", "get",
+    "renew", "lookup", "broadcast", "send_direct")] + [
+    (PierEngine, name) for name in (
+        "stream_append", "local_insert", "publish", "_on_broadcast",
+        "_on_direct", "_on_unclaimed_delivery")]
+
+
+class TestTracePins:
+    @pytest.mark.parametrize("owner, name", TRACED,
+                             ids=["{}.{}".format(o.__name__, n) for o, n in TRACED])
+    def test_traced_method_is_defined_on_its_class(self, owner, name):
+        """The perf tracer silently skips a name a refactor moved to a
+        base class or mixin, which zeroes its per-layer counts (every
+        ``dht.*`` count, ``dht.hops_per_route``) instead of failing."""
+        assert '"{}"'.format(name) in TRACE.read_text(encoding="utf-8")
+        assert name in vars(owner)
 
 
 class TestPlanAdoption:

@@ -13,7 +13,7 @@ from repro.core.network import PierNetwork
 from repro.core.operators import register_operator
 from repro.core.opgraph import OpSpec, QueryPlan
 from repro.core.planner import _STANDING_XFER_MARGIN
-from repro.dht.chord import DELIVERY_DEDUP_TTL, STORAGE_SWEEP_PERIOD
+from repro.dht.ring import DELIVERY_DEDUP_TTL, STORAGE_SWEEP_PERIOD
 
 
 # ----------------------------------------------------------------------
@@ -296,21 +296,38 @@ class TestStandingBloom:
 # Exactly-once exchange delivery
 # ----------------------------------------------------------------------
 class TestExactlyOnceDelivery:
-    def test_replayed_delivery_dropped_at_the_door(self):
-        net = PierNetwork(nodes=4, seed=11)
-        chord = net.node(net.addresses()[1]).chord
-        got = []
-        chord.register_delivery("q|x#1|op9|0", lambda p, m: got.append(p))
+    """The overlay consumes a routed payload's delivery id before its
+    one ``on_deliver`` upcall; the engine, which owns that upcall,
+    dedups each part of a multiplexed bundle and hands the rest to the
+    input that claimed its namespace."""
 
+    @staticmethod
+    def arrival(payload):
         class Msg:
-            payload = {"op": "deliver", "ns": "q|x#1|op9|0", "rid": ("k",),
-                       "data": (1,), "mid": ("node0", 42)}
             origin = None
             key = 0
             force_terminal = False
 
-        chord._route_arrived(Msg())
-        chord._route_arrived(Msg())  # re-forward after a lost hop ack
+        message = Msg()
+        message.payload = payload
+        return message
+
+    @staticmethod
+    def claim(engine, ns):
+        got = []
+        engine._inputs[ns] = lambda p, m: got.append(p)
+        return got
+
+    def test_replayed_delivery_dropped_at_the_door(self):
+        net = PierNetwork(nodes=4, seed=11)
+        chord = net.node(net.addresses()[1]).chord
+        got = []
+        chord.on_deliver(lambda p, m: got.append(p))
+        arrival = self.arrival({"op": "deliver", "ns": "q|x#1|op9|0",
+                                "rid": ("k",), "data": (1,),
+                                "mid": ("node0", 42)})
+        chord._route_arrived(arrival)
+        chord._route_arrived(arrival)  # re-forward after a lost hop ack
         assert len(got) == 1
 
     def test_mids_age_out(self):
@@ -344,38 +361,25 @@ class TestExactlyOnceDelivery:
 
     def test_replayed_mux_bundle_dropped_at_the_door(self):
         # Multiplexed exchange bundles dedup at BOTH granularities: the
-        # bundle's own mid (a re-forwarded bundle is dropped whole) and
-        # each inner part's mid (a part replayed solo is dropped too).
+        # bundle's own mid (a re-forwarded bundle is dropped whole, by
+        # the overlay) and each inner part's mid (a part replayed solo
+        # is dropped too, by the engine).
         net = PierNetwork(nodes=4, seed=11)
-        chord = net.node(net.addresses()[1]).chord
-        got = []
-        chord.register_delivery("p|k|op9|x", lambda p, m: got.append(p))
+        node = net.node(net.addresses()[1])
+        got = self.claim(node.engine, "p|k|op9|x")
         parts = [
             {"op": "deliver", "ns": "p|k|op9|x", "rid": ("a",),
              "data": (1,), "mid": ("node0", 61)},
             {"op": "deliver", "ns": "p|k|op9|x", "rid": ("b",),
              "data": (2,), "mid": ("node0", 62)},
         ]
-
-        class Bundle:
-            payload = {"op": "deliver_mux", "parts": parts,
-                       "mid": ("node0", 60)}
-            origin = None
-            key = 0
-            force_terminal = False
-
-        chord._route_arrived(Bundle())
+        bundle = self.arrival({"op": "deliver_mux", "parts": parts,
+                               "mid": ("node0", 60)})
+        node.chord._route_arrived(bundle)
         assert len(got) == 2
-        chord._route_arrived(Bundle())  # re-forward after a lost ack
+        node.chord._route_arrived(bundle)  # re-forward after a lost ack
         assert len(got) == 2
-
-        class Part:
-            payload = parts[0]
-            origin = None
-            key = 0
-            force_terminal = False
-
-        chord._route_arrived(Part())  # one part replayed un-bundled
+        node.chord._route_arrived(self.arrival(parts[0]))  # replayed solo
         assert len(got) == 2
 
     def test_leave_hands_consumed_mids_to_the_successor(self):
@@ -383,29 +387,19 @@ class TestExactlyOnceDelivery:
         # handoff, so a delivery retried against the heir is still
         # dropped -- exactly-once survives the ownership transfer.
         net = PierNetwork(nodes=4, seed=11)
-        addr = net.addresses()[1]
-        chord = net.node(addr).chord
-        heir = chord.successor.address
-        got = []
-        chord.register_delivery("q|x#1|op9|0", lambda p, m: got.append(p))
-
-        class Msg:
-            payload = {"op": "deliver", "ns": "q|x#1|op9|0", "rid": ("k",),
-                       "data": (1,), "mid": ("node9", 77)}
-            origin = None
-            key = 0
-            force_terminal = False
-
-        chord._route_arrived(Msg())
+        node = net.node(net.addresses()[1])
+        heir = net.node(node.chord.successor.address)
+        got = self.claim(node.engine, "q|x#1|op9|0")
+        arrival = self.arrival({"op": "deliver", "ns": "q|x#1|op9|0",
+                                "rid": ("k",), "data": (1,),
+                                "mid": ("node9", 77)})
+        node.chord._route_arrived(arrival)
         assert len(got) == 1
-        chord.leave()
+        node.chord.leave()
         net.advance(1.0)  # StoreItems lands at the successor
-        heir_chord = net.node(heir).chord
-        assert ("node9", 77) in heir_chord._seen_mids
-        heir_got = []
-        heir_chord.register_delivery("q|x#1|op9|0",
-                                     lambda p, m: heir_got.append(p))
-        heir_chord._route_arrived(Msg())  # the retry chases the heir
+        assert ("node9", 77) in heir.chord._seen_mids
+        heir_got = self.claim(heir.engine, "q|x#1|op9|0")
+        heir.chord._route_arrived(arrival)  # the retry chases the heir
         assert not heir_got
 
     def test_handed_off_mids_merge_keeps_later_deadline(self):

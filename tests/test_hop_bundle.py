@@ -60,7 +60,7 @@ class Ring:
         self.net.on_deliver = lambda src, dst, p: self.tape.append(
             (round(self.clock.now, 6), src, dst, p, routed_parts(p)))
         for node in self.nodes:
-            node.register_delivery("x", lambda p, m, node=node: self.rows.append(
+            node.on_deliver(lambda p, m, node=node: self.rows.append(
                 (node.address, p["data"])))
 
     def keys_owned_by(self, node, count):
@@ -247,7 +247,7 @@ class TestSilence:
         # accept_delivery_once, part by part
         assert ring.rows == [(n1.address, i) for i in range(3)]
         assert acks == [n1.address, n1.address]
-        assert not n0._is_suspect(n1.address)
+        assert not n0.is_suspect(n1.address)
         assert not n0._open_requests
 
     def test_silent_hop_is_suspected_and_every_part_goes_round_it(self):
@@ -257,9 +257,9 @@ class TestSilence:
         for i, key in enumerate(ring.keys_owned_by(n1, 3)):
             n0.route(key, delivery(n0, i))
         ring.clock.run_until(RPC_TIMEOUT + HOP_RETRANSMIT - 0.01)
-        assert not n0._is_suspect(n1.address)
+        assert not n0.is_suspect(n1.address)
         ring.clock.run_for(0.02)
-        assert n0._is_suspect(n1.address)
+        assert n0.is_suspect(n1.address)
         ring.clock.run_for(5.0)
         assert [(when, kind) for when, kind, _parts in ring.routed(n0, n1)] == [
             (LATENCY, "hop_bundle"), (RPC_TIMEOUT + LATENCY, "hop_bundle")]
@@ -277,7 +277,7 @@ class TestSilence:
         for i, key in enumerate(ring.keys_owned_by(n1, 2)):
             n0.route_via(n2.ref, key, delivery(n0, i))
         ring.clock.run_for(5.0)
-        assert n0._is_suspect(n2.address)
+        assert n0.is_suspect(n2.address)
         two = [("route", True)] * 2
         assert ring.routed(n0, n2) == [
             (LATENCY, "hop_bundle", two),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.network import PierNetwork
-from repro.dht.chord import STABILIZE_PERIOD
+from repro.dht.ring import STABILIZE_PERIOD
 
 
 def install_ticker(net, address, value, period=2.0, table="s"):

@@ -12,7 +12,7 @@ from repro.core.dataflow import StandingExecution
 from repro.core.engine import PierEngine
 from repro.core.network import PierNetwork
 from repro.core.sharing import SpineRecord, StageRecord
-from repro.dht.chord import STABILIZE_PERIOD
+from repro.dht.ring import STABILIZE_PERIOD
 
 
 def install_ticker(net, address, value, period=2.0, table="s"):

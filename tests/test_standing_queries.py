@@ -19,7 +19,8 @@ from repro.db.catalog import TableDef
 from repro.db.schema import Schema
 from repro.db.types import FLOAT
 from repro.db.window import pane_index, pane_width, window_pane_range
-from repro.dht.chord import STABILIZE_PERIOD, NodeRef, node_id_for, storage_key
+from repro.dht.chord import NodeRef, node_id_for, storage_key
+from repro.dht.ring import STABILIZE_PERIOD
 from repro.util.errors import PlanError
 from repro.util.rng import SeededRng
 
@@ -139,11 +140,8 @@ class TestStandingLifecycle:
         net.advance(12)
         engine = net.node(net.addresses()[2]).engine
         spine_key = engine.queries[handle.qid].record.key
-        chord = net.node(net.addresses()[2]).chord
         prefix = "s|{}|".format(spine_key)
-        standing_ns = [
-            ns for ns in chord._delivery_handlers if ns.startswith(prefix)
-        ]
+        standing_ns = [ns for ns in engine._inputs if ns.startswith(prefix)]
         assert standing_ns, "standing exchange input not registered"
         # Epoch-free namespace: no epoch component between the spine
         # key and the op id.
@@ -151,10 +149,10 @@ class TestStandingLifecycle:
             parts = ns.split("|")
             assert parts[0] == "s" and parts[1] == spine_key
             assert not parts[2].isdigit()  # would be the epoch in rebuild
-        handler_before = {ns: chord._delivery_handlers[ns] for ns in standing_ns}
+        handler_before = {ns: engine._inputs[ns] for ns in standing_ns}
         net.advance(10)  # next epoch: same registration must persist
         for ns, handler in handler_before.items():
-            assert chord._delivery_handlers.get(ns) is handler
+            assert engine._inputs.get(ns) is handler
 
     def test_results_match_private_execution(self):
         # Same deterministic workload through the shared spine and a
@@ -189,8 +187,7 @@ class TestStandingLifecycle:
             engine = net.node(address).engine
             assert handle.qid not in engine.queries
             assert not engine.records
-            chord = net.node(address).chord
-            assert not any(handle.qid in ns for ns in chord._delivery_handlers)
+            assert not any(handle.qid in ns for ns in engine._inputs)
 
     def test_sync_during_final_epoch_is_not_readopted(self, net):
         # A plan sync can carry a plan to a node that already runs it
@@ -330,10 +327,10 @@ class TestChurn:
         handle = net.submit_sql(CONTINUOUS_SQL)
         net.advance(12)
         victim = net.addresses()[6]
-        assert net.node(victim).chord._delivery_handlers
+        assert net.node(victim).engine._inputs
         net.crash_node(victim)
         # Zombie handlers must not survive into the recovered node.
-        assert not net.node(victim).chord._delivery_handlers
+        assert not net.node(victim).engine._inputs
         assert not net.node(victim).chord._intercepts
 
 
@@ -458,7 +455,7 @@ class TestOneLifecyclePerQuery:
             assert timer.cancelled
             assert execution is None or execution.closed
             assert live_stream_scans(node.engine, "s") == 0
-            assert not node.chord._delivery_handlers
+            assert not node.engine._inputs
 
     @pytest.mark.parametrize("options", [None, PRIVATE])
     def test_plan_adopted_after_its_last_epoch_builds_nothing(self, net,
