@@ -25,20 +25,16 @@ per-epoch rendezvous salt (see ``Exchange._route``): a window's panes
 must accumulate at a stable owner across the epochs that share them,
 so the combiner forwards under the plain routing namespace too.
 
-Unpaned standing edges follow the exchange's stable-rendezvous
-discipline, vouched for by the engine's owner cache (``suspect_fn``):
-forwards stay unsalted unless the sender marked the partial salted
-(``payload["salted"]``) or this node's cached owner for the group is
-currently suspect, in which case the forward re-salts to rendezvous
-away from the dying node. Salting is *promotion-only* and sticky: a
-partial that ever travelled under the epoch-salted key keeps the mark
-through every re-forward. Each hop re-deciding from its own cache
-would let two nodes that disagree about the owner's health bounce a
-combined partial between the stable and salted keys forever -- a
-routing livelock that silently holes the epoch.
+Standing edges route their forwards by the one owner-route rule of
+:mod:`repro.core.owners`: an unpaned forward re-salts while this
+node's learned owner is suspect or when any absorbed partial was
+already salted (sticky, promotion-only), and an unsalted forward whose
+owner is learned goes direct in one hop instead of re-walking the
+stable route every epoch. Only *forwards* shortcut -- the senders below
+still walk, so mid-route combiners upstream stay in the path.
 """
 
-from repro.core.exchange import epoch_route_ns, payload_rows
+from repro.core.exchange import payload_rows
 from repro.dht.chord import storage_key
 
 
@@ -46,7 +42,7 @@ class TreeCombiner:
     """Hold-and-merge relay for partial aggregate states."""
 
     def __init__(self, dht, ns, route_ns, upcall, agg_specs, hold_delay,
-                 suspect_fn, owner_fn, paned=False, regional=False):
+                 owners, paned=False, regional=False):
         self.dht = dht
         self.ns = ns  # delivery namespace (dispatch tag on arrival)
         self.route_ns = route_ns  # routing namespace (must match the exchange's)
@@ -54,10 +50,9 @@ class TreeCombiner:
         self.agg_specs = agg_specs
         self.hold_delay = hold_delay
         self.paned = paned  # pane-tagged edge: stable (unsalted) routing
-        # The engine's owner cache, consulted for epoch-tagged (standing)
-        # partials only: is the learned owner suspect / who is it.
-        self.suspect_fn = suspect_fn
-        self.owner_fn = owner_fn
+        # The engine's OwnerCache, read for epoch-tagged (standing)
+        # partials only.
+        self.owners = owners
         # Two-level regional trees: this node only ever absorbs as its
         # region's rendezvous (senders route *through* it), so its
         # forwards are already one-partial-per-region -- they go to
@@ -120,50 +115,26 @@ class TreeCombiner:
             payload = {"op": "deliver", "ns": self.ns, "rid": gvals,
                        "data": (gvals, tuple(states)),
                        "mid": self.dht.fresh_mid()}
-            route_ns = self.route_ns
-            if epoch is not None:
+            owner = None
+            if epoch is None:
+                key = storage_key(self.route_ns, gvals)
+            else:
                 payload["epoch"] = epoch
                 if self.paned:
-                    # Stable rendezvous: pane partials for a group must
-                    # keep converging on one owner across epochs.
                     payload["pane"] = pane
-                elif salted or self.suspect_fn(self.ns, gvals):
-                    # Stable unless any absorbed partial was already
-                    # salted or the learned owner is suspect here, then
-                    # the forward re-salts -- sticky, promotion-only,
-                    # so every re-forward of the partial converges on
-                    # the one salted rendezvous instead of bouncing
-                    # between keys as hops disagree about the owner.
-                    route_ns = epoch_route_ns(route_ns, epoch)
+                elif salted:
                     payload["salted"] = True
-            key = storage_key(route_ns, gvals)
-            if epoch is not None and not payload.get("salted"):
-                # Tree-edge hop caching: an unsalted standing forward
-                # whose terminal owner is already learned goes direct
-                # (one hop) instead of re-walking the O(log N) stable
-                # route every epoch. Only *forwards* shortcut -- the
-                # senders below still walk, so mid-route combiners
-                # upstream of this node stay in the path. Unlearned
-                # keys walk once with learn set; the owner's reply
-                # warms this node's cache. Suspicion expires the cache
-                # entry (owner_fn returns None) and the salted fallback
-                # bypasses it entirely, so invalidation rides the
-                # existing re-salt/suspect machinery. The cache entry
-                # also records the owner's *region* and expires faster
-                # when it is across the backbone (see
-                # ``engine.CROSS_REGION_CACHE_TTL``) -- a cross-region
-                # owner learned just before a partition must not pin
-                # post-rejoin forwards onto the backbone.
-                owner = self.owner_fn(self.ns, gvals)
-                if owner is not None:
-                    self.hop_shortcuts += 1
-                    self.dht.route_via(owner, key, payload)
-                    continue
-                payload["learn"] = True
-            self.dht.route(
-                key, payload,
-                upcall=None if self.regional else self.upcall,
-            )
+                key, owner = self.owners.route(
+                    self.ns, self.route_ns, gvals, payload,
+                    salt=not self.paned)
+            if owner is not None:
+                self.hop_shortcuts += 1
+                self.dht.route_via(owner, key, payload)
+            else:
+                self.dht.route(
+                    key, payload,
+                    upcall=None if self.regional else self.upcall,
+                )
 
     def close(self):
         """Flush anything still held (epoch teardown)."""

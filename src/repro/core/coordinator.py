@@ -30,6 +30,7 @@ seconds means the fixpoint is reached.
 """
 
 from repro.core.dataflow import EpochExecution, SiteQueryContext
+from repro.core.engine import retire_instant
 
 # Recursive quiescence: no progress report for QUIET_PERIOD seconds is
 # the fixpoint, but never before MIN_RUNTIME -- the first reports need
@@ -255,11 +256,17 @@ class Coordinator:
             return
         self._finish_query(handle)
         if handle.execution is None:  # else it ran only here
-            self.dht.broadcast({
-                "ctl": "stop",
-                "token": "stop|{}".format(qid),
-                "qid": qid,
-            })
+            self._broadcast_stop(handle)
+
+    def _broadcast_stop(self, handle):
+        """Tell every engine to drop the query; the tombstone it leaves
+        lasts until the plan's retire instant."""
+        self.dht.broadcast({
+            "ctl": "stop",
+            "token": "stop|{}".format(handle.qid),
+            "qid": handle.qid,
+            "until": retire_instant(handle.plan, handle.t0),
+        })
 
     # ------------------------------------------------------------------
     # Inbound messages (wired through the engine)
@@ -347,11 +354,7 @@ class Coordinator:
                 # Fixpoint: no novel tuples anywhere for a full quiet
                 # period. Close epoch 0 early and tear the query down.
                 self._close_epoch(handle, 0, handle.t0)
-                self.dht.broadcast({
-                    "ctl": "stop",
-                    "token": "stop|{}".format(handle.qid),
-                    "qid": handle.qid,
-                })
+                self._broadcast_stop(handle)
                 return
             self.engine.set_timer(1.0, check)
 

@@ -543,9 +543,7 @@ class _ExecutionBase:
                 ns = self.ctx.namespace(consumer_id, port)
                 combine = spec.params.get("combine") if mode == "tree" else None
                 self.engine.register_exchange_input(
-                    ns, self, consumer_id, port, combine,
-                    standing=self.standing,
-                )
+                    ns, self, consumer_id, port, combine)
 
     def _unregister_endpoints(self):
         for spec in self.plan.ops_of_kind("exchange"):
@@ -590,20 +588,13 @@ class _ExecutionBase:
         """
         self._flush_op(op_id, epoch)
 
-    def deliver_batch(self, op_id, port, rows, pane=None):
+    def deliver_batch(self, op_id, port, rows, epoch=None, pane=None):
         """An exchange message arrived: feed the consumer its rows as
-        one batch.
-
-        ``pane`` is the batch's pane tag (pane-tagged exchanges of
-        paned plans); it is re-announced to the receiving operator
-        before the rows so per-pane state lands in the right bucket.
-        """
+        one batch. A disposable execution's payloads carry no epoch or
+        pane tag."""
         if self.closed:
             return
-        op = self.ops[op_id]
-        if pane is not None:
-            op.open_pane(pane)
-        op.push_batch(RowBatch(rows=list(rows)), port)
+        self.ops[op_id].push_batch(RowBatch(rows=list(rows)), port)
 
     def control(self, op_id, payload, epoch=None):
         """Deliver a control payload to one op, or to a filter group.

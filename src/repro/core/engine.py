@@ -25,31 +25,27 @@ One engine runs on every node, calling that node's
   to the operator input claiming the namespace -- once per epoch for
   disposable executions, once per *query* for standing ones -- and
   buffers early arrivals that beat the plan broadcast to this node,
-* keeps its continuous plans in step with its ring neighbours (plan
-  anti-entropy, below), and remembers recently stopped query ids
-  (TTL'd tombstones) so that exchange cannot resurrect a stopped query,
+* keeps its continuous plans and stop tombstones in step with its ring
+  neighbours (``plansync``, :mod:`repro.core.plansync`), so that a
+  missed broadcast or a crash heals and exchange cannot resurrect a
+  stopped query,
+* learns the terminal owners of its standing exchange keys
+  (``owners``, :mod:`repro.core.owners`),
 * reports recursion progress to the query site for quiescence
   detection.
 
 Engines keep only soft state: a crash loses fragments, executions,
-adopted queries and tombstones. What brings them back is plan
-anti-entropy. Every stabilise probe a node sends its successor carries
-a digest of the node's live continuous qids and unexpired tombstones
-(:meth:`~repro.dht.chord.ChordNode.on_neighbor_digest`). The probed
-engine compares it with its own; on a mismatch the two swap qid lists
-over ``send_direct``, each adopts the other's tombstones, and each
-sends only the plans the other lacks. A recovered node (which
-advertises nothing) therefore re-adopts within one probe of rejoining,
-and a node a stop broadcast missed drops the query at its next
-exchange. One-shot and recursive plans never take part.
+adopted queries, tombstones and learned owners.
 """
 
 from itertools import groupby
 from operator import itemgetter
-import zlib
+import math
 
 from repro.core.aggregation_tree import TreeCombiner
 from repro.core.exchange import ExchangeMux, payload_rows
+from repro.core.owners import OWNER_OPS, OwnerCache
+from repro.core.plansync import SYNC_OP, PlanSync
 from repro.core.sharing import StageRecord, found_record
 from repro.db.table import make_fragment
 from repro.util.serde import wire_size
@@ -66,15 +62,6 @@ PUBLISH_TTL = 120.0  # DHT-table row lifetime when the table names none
 # more than UNDELIVERED_CAP held.
 UNDELIVERED_TTL = 15.0
 UNDELIVERED_CAP = 512
-# How long a standing exchange may trust a learned terminal owner
-# before re-walking the ring. Owners in another region expire on the
-# shorter TTL: a cross-region owner cached just before a partition
-# would otherwise pin post-rejoin forwards onto the backbone.
-ROUTE_CACHE_TTL = 120.0
-CROSS_REGION_CACHE_TTL = 30.0
-# How long a stopped qid is remembered. Plan anti-entropy spreads the
-# tombstone to nodes the stop missed and, meanwhile, refuses the plan.
-STOP_TOMBSTONE_TTL = 120.0
 # Owner backpressure (on with ``EngineConfig.adaptive_flush``): a
 # standing namespace whose inflow tops BACKPRESSURE_ROWS_PER_SEC asks
 # its origins to stretch their flushes by up to BACKPRESSURE_FACTOR;
@@ -84,6 +71,18 @@ STOP_TOMBSTONE_TTL = 120.0
 BACKPRESSURE_ROWS_PER_SEC = 60.0
 BACKPRESSURE_FACTOR = 8.0
 BACKPRESSURE_TTL = 12.0
+
+
+def retire_instant(plan, t0):
+    """When every node is done with a plan submitted at ``t0``: its
+    last epoch's window, the deadline and the straggler grace; for a
+    one-shot or recursive plan, the deadline and the grace. A
+    continuous plan without LIFETIME never retires (``math.inf``)."""
+    if plan.mode != "continuous":
+        return t0 + plan.deadline + TEARDOWN_SLACK
+    if plan.lifetime is None:
+        return math.inf
+    return t0 + plan.lifetime + plan.deadline + TEARDOWN_SLACK
 
 
 class EngineConfig:
@@ -179,11 +178,8 @@ class PierEngine:
         # [rows], [(epoch, pane) tag per row]).
         self._undelivered = {}
         self._undelivered_timer = None
-        self._stop_tombstones = {}  # qid -> forget-at time
-        # Learned-owner cache: (ns, rid) -> (NodeRef, expiry, region).
-        # The region rides along so cross-region owners can expire on
-        # the shorter CROSS_REGION_CACHE_TTL.
-        self._route_owners = {}
+        self.plansync = PlanSync(self)
+        self.owners = OwnerCache(dht)
         # Backpressure: inbound standing-exchange row accounting per
         # namespace (detection side, this node as owner) and TTL'd
         # flush-stretch factors (reaction side, this node as sender).
@@ -206,7 +202,7 @@ class PierEngine:
         dht.on_broadcast(self._on_broadcast)
         dht.on_direct(self._on_direct)
         dht.on_deliver(self._on_delivery)
-        dht.on_neighbor_digest(self._plan_digest, self._on_plan_digest)
+        dht.on_neighbor_digest(self.plansync.digest, self.plansync.on_digest)
 
     # ------------------------------------------------------------------
     # Data management
@@ -309,7 +305,7 @@ class PierEngine:
         if ctl == "plan":
             self._adopt_query(payload)
         elif ctl == "stop":
-            self._stop_query(payload["qid"])
+            self._stop_query(payload["qid"], payload["until"])
         elif ctl == "bloom":
             # Merged filters for any still-open epoch of a standing
             # execution's ring reach it through its query.
@@ -325,17 +321,12 @@ class PierEngine:
         qid = payload["qid"]
         if qid in self.queries:
             return  # a plan sync racing the broadcast, or vice versa
-        now = self.clock.now
         plan = payload["plan"]
-        if plan.lifetime is not None and now >= (
-                payload["t0"] + plan.lifetime + plan.deadline + TEARDOWN_SLACK):
+        if self.clock.now >= retire_instant(plan, payload["t0"]):
             return  # past the instant every node retires it (_join_shared)
-        self._sweep_soft_maps()
-        tombstone = self._stop_tombstones.get(qid)
-        if tombstone is not None:
-            if tombstone > now:
-                return  # a plan still in flight when the stop landed
-            del self._stop_tombstones[qid]
+        self.owners.sweep()
+        if self.plansync.buried(qid):
+            return  # a plan still in flight when the stop landed
         query = AdoptedQuery(qid, plan, payload["t0"], payload["origin"])
         self.queries[qid] = query
         self._join_shared(query)
@@ -394,14 +385,14 @@ class PierEngine:
                 stage.subscribers[rec.key] = rec
                 rec.stage = stage
         query.record = rec
-        end = rec.subscribe(query)
-        if end is not None:
+        rec.subscribe(query)
+        retire_at = retire_instant(plan, query.t0)
+        if retire_at < math.inf:
             # The subscriber retires on its own clock, once its last
             # epoch has settled (a plan sync landing mid-final-epoch
             # must hit the duplicate-adoption guard, not found a second
             # execution over the same namespaces); the record holds (or
             # closes) only when no subscriber needs the next epoch.
-            retire_at = end + plan.deadline + TEARDOWN_SLACK
             query.retire_timer = self.set_timer(
                 max(0.0, retire_at - self.clock.now),
                 self._retire_subscriber, query,
@@ -522,42 +513,14 @@ class PierEngine:
             execution.close()
         rec.left(self)
 
-    def _forget_route_state(self, ns_prefix):
-        """A record is gone for good: reclaim the owners learned under
-        its namespace prefix."""
-        owners = self._route_owners
-        for key in [k for k in owners if k[0].startswith(ns_prefix)]:
-            del owners[key]
-
-    def _sweep_soft_maps(self):
-        """Reclaim expired tombstones / owner-cache entries.
-
-        These maps are TTL'd but mostly read by keys that stay hot;
-        entries whose key never comes back (a stopped query's qid)
-        would otherwise linger. Swept opportunistically on adoption and
-        stop -- both regular events on a busy engine -- so growth is
-        bounded by the TTLs.
-        """
-        now = self.clock.now
-        for qid in [q for q, t in self._stop_tombstones.items() if t <= now]:
-            del self._stop_tombstones[qid]
-        for key in [k for k, e in self._route_owners.items() if e[1] <= now]:
-            del self._route_owners[key]
-
-    def _stop_query(self, qid, forget_at=None):
-        """Stop ``qid`` here and tombstone it until ``forget_at``
-        (default: ``STOP_TOMBSTONE_TTL`` from now). A tombstone learnt
-        from a neighbour keeps the later of the two instants, so every
-        node forgets it when the last one does."""
+    def _stop_query(self, qid, until):
+        """Stop ``qid`` here and tombstone it until ``until``, its
+        plan's retire instant."""
         # Remember the stop regardless of whether we run the query: a
         # plan still in flight, or a neighbour the stop missed, must not
         # re-adopt a stopped query.
-        self._sweep_soft_maps()
-        if forget_at is None:
-            forget_at = self.clock.now + STOP_TOMBSTONE_TTL
-        self._stop_tombstones[qid] = max(
-            forget_at, self._stop_tombstones.get(qid, forget_at)
-        )
+        self.owners.sweep()
+        self.plansync.bury(qid, until)
         # Early rows held for this query's namespaces will never find a
         # subscriber now; drop them instead of waiting out their TTL.
         # (Done even without a query record: a node the plan broadcast
@@ -573,168 +536,71 @@ class PierEngine:
         self._drop_subscriber(query.record, qid)
 
     # ------------------------------------------------------------------
-    # Plan anti-entropy (see the module docstring)
-    # ------------------------------------------------------------------
-    def _plan_state(self):
-        """What this node advertises: the qids of its continuous
-        queries in adoption order (a retired query has already left
-        ``queries``) and its unexpired tombstones, ``{qid: forget_at}``."""
-        now = self.clock.now
-        live = [qid for qid, query in self.queries.items()
-                if query.plan.mode == "continuous"]
-        stopped = {qid: forget_at
-                   for qid, forget_at in self._stop_tombstones.items()
-                   if forget_at > now}
-        return live, stopped
-
-    def _plan_digest(self):
-        """The digest riding this node's stabilise probes, or None
-        when it has nothing to advertise. A CRC of the sorted ids, not
-        ``hash()``: two nodes must agree whatever their hash seeds."""
-        live, stopped = self._plan_state()
-        if not live and not stopped:
-            return None
-        text = "\n".join(sorted(live)) + "\0" + "\n".join(sorted(stopped))
-        return zlib.crc32(text.encode())
-
-    def _on_plan_digest(self, digest, src):
-        """A ring neighbour probed us with its digest. On a mismatch it
-        gets our lists; when it advertised nothing, we know what it
-        lacks and send the plans at once, else we ask for its lists."""
-        if digest != self._plan_digest():
-            self._send_plan_lists(src, set() if digest is None else None)
-
-    def _send_plan_lists(self, dst, known):
-        """Our qid lists to ``dst``, with the plans it lacks when
-        ``known`` (the qids it holds, live or stopped) is given, or a
-        request for its own lists when it is None."""
-        live, stopped = self._plan_state()
-        payload = {"op": "qsync", "live": live, "stopped": stopped}
-        if known is None:
-            payload["ask"] = True
-        else:
-            payload["plans"] = self._plans_lacking(known)
-        self.dht.send_direct(dst, payload)
-
-    def _plans_lacking(self, known):
-        """Our continuous plans whose qid is not in ``known``, each as
-        the broadcast carried it."""
-        return [
-            {"qid": qid, "plan": query.plan, "t0": query.t0,
-             "origin": query.origin}
-            for qid, query in self.queries.items()
-            if query.plan.mode == "continuous" and qid not in known
-        ]
-
-    def _on_plan_sync(self, payload, src):
-        """One leg of a plan sync: take the sender's tombstones, then
-        its plans; then, if it sent its lists, answer with ours (when
-        asked) or with just the plans it lacks."""
-        now = self.clock.now
-        stopped = payload.get("stopped", {})
-        for qid, forget_at in stopped.items():
-            if forget_at > now:
-                self._stop_query(qid, forget_at)
-        for plan in payload.get("plans", ()):
-            self._adopt_query(plan)
-        live = payload.get("live")
-        if live is None:
-            return
-        known = set(live).union(stopped)
-        if payload.get("ask"):
-            self._send_plan_lists(src, known)
-            return
-        plans = self._plans_lacking(known)
-        if plans:
-            self.dht.send_direct(src, {"op": "qsync", "plans": plans})
-
-    # ------------------------------------------------------------------
     # Exchange plumbing
     # ------------------------------------------------------------------
-    def register_exchange_input(self, ns, execution, op_id, port, combine=None,
-                                standing=False):
+    def register_exchange_input(self, ns, execution, op_id, port, combine=None):
         """Claim an exchange namespace for a local operator input.
 
         ``combine`` carries tree-mode parameters ({"agg_specs": ...});
         when present a :class:`TreeCombiner` intercept is installed so
         this node merges pass-through partials for that edge.
 
-        ``standing`` marks a long-lived registration (epoch-free
-        namespace): delivery forwards each payload's epoch tag so the
-        execution can drop late arrivals, and buffered early rows are
-        replayed tag by tag.
+        Delivery hands the execution each payload's epoch and pane tags
+        (a disposable execution's payloads carry neither), and buffered
+        early rows replay one batch per run of equal tags.
         """
+        standing = execution.standing
+        watch = standing and self.config.adaptive_flush
 
-        if standing:
-            watch = self.config.adaptive_flush
-
-            def deliver(payload, route_msg):
-                rows = payload_rows(payload)
-                if watch:
-                    self._note_exchange_inflow(
-                        ns, len(rows), getattr(route_msg, "origin", None)
-                    )
-                execution.deliver_batch(
-                    op_id, port, rows, payload.get("epoch"),
-                    payload.get("pane"),
-                )
-        else:
-            def deliver(payload, route_msg):
-                execution.deliver_batch(op_id, port, payload_rows(payload))
+        def deliver(payload, route_msg):
+            rows = payload_rows(payload)
+            if watch:
+                self._note_exchange_inflow(
+                    ns, len(rows), route_msg.origin.address)
+            execution.deliver_batch(
+                op_id, port, rows, payload.get("epoch"), payload.get("pane"))
 
         self._inputs[ns] = deliver
         if combine is not None:
-            # The combiner follows the exchange's stable-rendezvous
-            # discipline on standing edges: it re-salts a group's route
-            # only while the cached owner is suspect, and a forward may
-            # go direct to the learned terminal owner instead of
-            # re-walking the O(log N) stable-key route every epoch.
-            # Unlearned keys walk with learn set (warming the cache);
-            # salted forwards always walk (the re-salt IS the
-            # invalidation). Disposable edges carry no epoch tag and
-            # never consult the cache. Under regional trees, absorption
-            # only happens at region rendezvous (senders route through
-            # them), so forwards are level-2 sends that skip further
-            # mid-route absorption.
+            # Under regional trees, absorption only happens at region
+            # rendezvous (senders route through them), so forwards are
+            # level-2 sends that skip further mid-route absorption.
             ctx = execution.ctx
             combiner = TreeCombiner(
                 self.dht, ns, ctx.route_namespace(op_id),
                 ctx.upcall_name(op_id, port), combine["agg_specs"],
-                TREE_HOLD_DELAY, self.route_owner_suspect,
-                self.cached_owner, paned=combine.get("paned", False),
+                TREE_HOLD_DELAY, self.owners,
+                paned=combine.get("paned", False),
                 regional=standing and self.regional_trees,
             )
             self.combiners[ns] = combiner
             self.dht.register_intercept(combiner.upcall, combiner.handler)
         _expiry, rows, tags = self._undelivered.pop(ns, (None, (), ()))
-        if standing:
-            # Each run of consecutive rows with equal (epoch, pane) tags
-            # replays as one batch, arrival order preserved.
-            replayed_epochs = set()
-            for (epoch_tag, pane_tag), run in groupby(
-                    zip(tags, rows), key=itemgetter(0)):
-                execution.deliver_batch(
-                    op_id, port, [row for _tag, row in run], epoch_tag,
-                    pane_tag,
-                )
-                if epoch_tag is not None:
-                    replayed_epochs.add(epoch_tag)
-            # Replayed rows arrived before this node could subscribe
-            # (typically a rejoined node that just got the plan back),
-            # so those epochs' flush waves are largely behind them.
-            # Waiting for the next planned deadline risks the rows
-            # dying held if this node churns again; nudge the consumer
-            # to ship them as soon as the registration settles.
-            for epoch_tag in replayed_epochs:
-                self.set_timer(0.0, execution.flush_input, op_id, epoch_tag)
-        elif rows:
-            execution.deliver_batch(op_id, port, rows)
+        # Each run of consecutive rows with equal (epoch, pane) tags
+        # replays as one batch, arrival order preserved; a disposable
+        # buffer is one run tagged (None, None).
+        replayed_epochs = set()
+        for (epoch_tag, pane_tag), run in groupby(
+                zip(tags, rows), key=itemgetter(0)):
+            execution.deliver_batch(
+                op_id, port, [row for _tag, row in run], epoch_tag, pane_tag)
+            if epoch_tag is not None:
+                replayed_epochs.add(epoch_tag)
+        # Replayed rows arrived before this node could subscribe
+        # (typically a rejoined node that just got the plan back), so
+        # those epochs' flush waves are largely behind them. Waiting for
+        # the next planned deadline risks the rows dying held if this
+        # node churns again; nudge the consumer to ship them as soon as
+        # the registration settles.
+        for epoch_tag in replayed_epochs:
+            self.set_timer(0.0, execution.flush_input, op_id, epoch_tag)
 
     # ------------------------------------------------------------------
     # Owner backpressure (adaptive load management, run-time half)
     # ------------------------------------------------------------------
     def _note_exchange_inflow(self, ns, n, origin):
-        """Owner-side arrival accounting for one standing namespace.
+        """Owner-side arrival accounting for one standing namespace:
+        ``n`` rows from the node at address ``origin``.
 
         Rates are measured over rolling one-second windows; when a
         window's rate exceeds ``BACKPRESSURE_ROWS_PER_SEC``, every
@@ -752,11 +618,7 @@ class PierEngine:
                 "count": 0, "t0": now, "origins": set(),
             }
         state["count"] += n
-        # Route messages carry a NodeRef origin; xbp goes out over
-        # dht.send_direct, which addresses by string, so normalize here
-        # (also dedupes one origin seen through both shapes).
-        origin = getattr(origin, "address", origin)
-        if origin is not None and origin != self.address:
+        if origin != self.address:
             state["origins"].add(origin)
 
     def _maybe_send_backpressure(self, ns, state, now):
@@ -820,35 +682,7 @@ class PierEngine:
             self._deliver_payload(payload, route_msg)
 
     def _deliver_payload(self, payload, route_msg):
-        dht = self.dht
-        origin = route_msg.origin
-        if payload.get("learn") and origin != dht.ref and dht.terminates(route_msg.key):
-            # The origin asked who terminates this key (a standing
-            # exchange warming its owner cache). Only the *owner*
-            # answers: an heir that absorbed it while the owner is
-            # suspected must not get cached, or batches would go direct
-            # to a non-owner for the whole cache TTL.
-            dht.send_direct(origin.address, {
-                "op": "xowner", "ns": payload["ns"],
-                "rid": payload.get("rid"), "ref": dht.ref,
-                # Region label rides along so the learner can expire
-                # cross-region owners faster than local ones.
-                "region": self.region,
-            })
-        elif (
-            route_msg.force_terminal
-            and origin != dht.ref
-            and payload.get("rid") is not None
-            and not dht.owns(route_msg.key)
-        ):
-            # A cache-directed (or heir) delivery landed on a node
-            # that no longer owns the key (a joiner took the range).
-            # Deliver anyway, approximate beats a drop, but tell the
-            # origin to forget the entry and re-learn.
-            dht.send_direct(origin.address, {
-                "op": "xowner_stale", "ns": payload["ns"],
-                "rid": payload["rid"],
-            })
+        self.owners.answer(payload, route_msg)
         deliver = self._inputs.get(payload["ns"])
         if deliver is not None:
             deliver(payload, route_msg)
@@ -893,39 +727,6 @@ class PierEngine:
                 max(0.0, next_deadline - now), self._expire_undelivered
             )
 
-    def _learned_owner(self, ns, rid):
-        """The unexpired owner-cache entry's ref for a standing key, or
-        None; an expired entry is reclaimed."""
-        entry = self._route_owners.get((ns, rid))
-        if entry is None:
-            return None
-        if entry[1] <= self.clock.now:
-            del self._route_owners[(ns, rid)]
-            return None
-        return entry[0]
-
-    def cached_owner(self, ns, rid):
-        """Learned terminal owner for a standing exchange key, if fresh."""
-        ref = self._learned_owner(ns, rid)
-        if ref is not None and self.dht.is_suspect(ref.address):
-            del self._route_owners[(ns, rid)]
-            return None
-        return ref
-
-    def route_owner_suspect(self, ns, rid):
-        """Is the learned owner for a standing key currently suspect?
-
-        Drives the stable-rendezvous fallback on standing tree edges:
-        a suspect owner makes the sender re-salt that key's route for
-        the epoch (fresh rendezvous away from the dying node) without
-        forgetting the cache entry -- the suspicion may clear, and the
-        stable owner holds the group's accumulated state. Expired
-        entries are reclaimed; no cache entry means nothing to
-        distrust.
-        """
-        ref = self._learned_owner(ns, rid)
-        return ref is not None and self.dht.is_suspect(ref.address)
-
     # ------------------------------------------------------------------
     # Recursion progress (quiescence detection support)
     # ------------------------------------------------------------------
@@ -956,23 +757,8 @@ class PierEngine:
         if not isinstance(payload, dict):
             return
         op = payload.get("op")
-        if op == "xowner":
-            if payload.get("rid") is not None:
-                ns, rid = payload["ns"], payload["rid"]
-                region = payload.get("region")
-                ttl = ROUTE_CACHE_TTL
-                if (region is not None and self.region is not None
-                        and region != self.region):
-                    # A backbone owner: trust it for less time, so a
-                    # partition cannot leave a cross-region entry
-                    # pinning forwards long after the region rejoined.
-                    ttl = min(ttl, CROSS_REGION_CACHE_TTL)
-                self._route_owners[(ns, rid)] = (
-                    payload["ref"], self.clock.now + ttl, region,
-                )
-            return
-        if op == "xowner_stale":
-            self._route_owners.pop((payload["ns"], payload["rid"]), None)
+        if op in OWNER_OPS:
+            self.owners.on_reply(payload)
             return
         if op == "xbp":
             # An overloaded owner asks us to stretch flushes toward it.
@@ -985,8 +771,8 @@ class PierEngine:
             if current is None or factor >= current[0]:
                 self._bp_stretch[ns] = (factor, expiry)
             return
-        if op == "qsync":
-            self._on_plan_sync(payload, src)
+        if op == SYNC_OP:
+            self.plansync.on_sync(payload, src)
             return
         if self.coordinator is None:
             return
@@ -1010,8 +796,10 @@ class PierEngine:
         self._inputs = {}  # they point into the executions that just died
         self._undelivered = {}
         self._undelivered_timer = None  # node timers die with the crash
-        self._stop_tombstones = {}
-        self._route_owners = {}
+        # Cleared in place: the DHT's neighbour-digest hooks are bound
+        # to ``plansync``.
+        self.plansync.tombstones.clear()
+        self.owners.clear()
         self._bp_inflow = {}
         self._bp_sent = {}
         self._bp_stretch = {}

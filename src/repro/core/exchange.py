@@ -40,11 +40,8 @@ Standing continuous plans add two behaviours:
   push rows for every live epoch of its ring through one exchange --
   and ``seal_epoch`` ships any still-buffered rows under a retiring
   epoch's tag;
-* rehash-mode exchanges cache the terminal owner per routing key --
-  the same epoch-free key routes every epoch, so after the first
-  routed walk (which asks the terminal to identify itself) batches go
-  direct in one hop instead of O(log N), falling back to key routing
-  if the cached owner dies.
+* each payload's key, and whether it goes direct to a learned owner,
+  follow the one owner-route rule of :mod:`repro.core.owners`.
 """
 
 from repro.core.batch import columnar_wire
@@ -67,19 +64,6 @@ HOT_GROUP_SHARDS = 4
 # message never carries more than this, however hot the edge.
 ADAPTIVE_FLUSH_MAX_ROWS = 2048
 ADAPTIVE_FLUSH_MAX_BYTES = 262144
-
-
-def epoch_route_ns(route_ns, epoch):
-    """Per-epoch salted routing namespace for a standing exchange.
-
-    Standing delivery namespaces are epoch-free, and standing tree
-    edges pin a stable rendezvous per key; the salt is the *fallback*
-    that moves a key's rendezvous for one epoch while its learned owner
-    is suspect (see ``Exchange._route``). The combiner forwards under
-    the same namespace choice so combined partials converge with the
-    originals.
-    """
-    return "{}|e{}".format(route_ns, epoch)
 
 
 def payload_rows(payload):
@@ -136,12 +120,7 @@ class Exchange(Operator):
         # on the far side can re-announce the pane before the rows land.
         self._paned = bool(spec.params.get("paned"))
         self._current_pane = None
-        # Owner caching only pays off when the routing key is stable
-        # across epochs (standing, epoch-free namespaces) and no
-        # per-hop combining would be skipped (rehash mode only).
-        self._cache_owners = self._standing and self.mode == "rehash"
-        self._owner_fn = engine.cached_owner
-        self._suspect_fn = engine.route_owner_suspect
+        self._owners = engine.owners
         self._mid_fn = ctx.dht.fresh_mid
         # Region-aware two-level trees: a standing tree edge on a
         # region-labelled topology routes each partial through its own
@@ -158,8 +137,8 @@ class Exchange(Operator):
         # the engine's per-instant multiplexer: co-tenant queries push
         # at the same instants (one demux fan feeds them all), so
         # same-destination messages coalesce into one deliver_mux.
-        self._mux = (
-            engine.exchange_mux if ctx.prefix_key is not None else None
+        self._router = (
+            engine.exchange_mux if ctx.prefix_key is not None else ctx.dht
         )
         # Pending batches are keyed by epoch tag, then routing id: a
         # standing overlapping-epoch plan can push rows for several
@@ -352,54 +331,32 @@ class Exchange(Operator):
         # message, so the delivery layer drops at-least-once replays (a
         # delivered hop whose ack was lost).
         payload["mid"] = self._mid_fn()
-        if self._standing:
-            payload["epoch"] = epoch
-            if self._paned:
-                payload["pane"] = pane
-            if self._cache_owners:
-                key = storage_key(self._route_ns, rid)
-                owner = self._owner_fn(self._ns, rid)
-                if owner is not None:
-                    self._dispatch_via(owner, key, payload)
-                    return
-                payload["learn"] = True  # ask the terminal to identify itself
-                self._dispatch(key, payload)
-                return
-            if self._paned:
-                # Pane-tagged partials must accumulate at a *stable*
-                # owner: epoch k+1's window reuses panes shipped during
-                # epoch k, so rotating the rendezvous per epoch would
-                # strand them at last epoch's owner. The epoch tag
-                # still rides on the payload for late/early gating.
-                key = storage_key(self._route_ns, rid)
-                self._ship(key, payload)
-                return
-            # Stable per-query rendezvous for tree edges, like the
-            # paned discipline: the combining tree re-converges on the
-            # same owner every epoch, so hop caches and learned owners
-            # keep paying off. Fallback: while the learned owner is
-            # suspect, re-salt this key's route for the epoch -- a
-            # fresh rendezvous away from the dying node -- without
-            # forgetting the stable owner, whose suspicion may clear.
-            # The salt decision rides on the payload, and combiners
-            # only ever *promote* partials to the salted key (never
-            # demote): if each hop re-decided from its own cache, two
-            # nodes disagreeing about the owner's health would bounce
-            # a combined partial between the two rendezvous keys
-            # forever.
-            if self._suspect_fn(self._ns, rid):
-                key = storage_key(
-                    epoch_route_ns(self._route_ns, epoch), rid
-                )
-                payload["salted"] = True
-            else:
-                key = storage_key(self._route_ns, rid)
-                if self._owner_fn(self._ns, rid) is None:
-                    payload["learn"] = True
-            self._ship(key, payload)
+        if not self._standing:
+            self._router.route(
+                storage_key(self._route_ns, rid), payload, self._upcall)
             return
-        key = storage_key(self._route_ns, rid)
-        self._dispatch(key, payload)
+        payload["epoch"] = epoch
+        if self._paned:
+            payload["pane"] = pane
+        if self.mode == "rehash":
+            # The same epoch-free key routes every epoch: once its
+            # terminal owner is learned, batches go direct in one hop.
+            key, owner = self._owners.route(
+                self._ns, self._route_ns, rid, payload, salt=False)
+            if owner is not None:
+                self._router.route_via(owner, key, payload)
+            else:
+                self._router.route(key, payload, self._upcall)
+        elif self._paned:
+            # Pane-tagged partials must accumulate at a *stable* owner:
+            # epoch k+1's window reuses panes shipped during epoch k.
+            self._ship(storage_key(self._route_ns, rid), payload)
+        else:
+            # Tree edges walk, so mid-route combiners stay in the path;
+            # the cache only decides the learn ask and the salt.
+            key, _owner = self._owners.route(
+                self._ns, self._route_ns, rid, payload, salt=True)
+            self._ship(key, payload)
 
     def _ship(self, key, payload):
         """Dispatch a standing tree partial, region-first when enabled.
@@ -419,20 +376,7 @@ class Exchange(Operator):
                 self.ctx.dht.route_through(via, key, payload,
                                            upcall=self._upcall)
                 return
-        self._dispatch(key, payload)
-
-    def _dispatch(self, key, payload):
-        """Ship one route message -- directly, or via the mux."""
-        if self._mux is not None:
-            self._mux.route(key, payload, self._upcall)
-        else:
-            self.ctx.dht.route(key, payload, upcall=self._upcall)
-
-    def _dispatch_via(self, owner, key, payload):
-        if self._mux is not None:
-            self._mux.route_via(owner, key, payload)
-        else:
-            self.ctx.dht.route_via(owner, key, payload)
+        self._router.route(key, payload, self._upcall)
 
     def open_pane(self, pane):
         """Pane markers stop at the exchange either way: a pane-tagged
@@ -490,7 +434,7 @@ class ExchangeMux:
         self.bundles = 0  # multi-part messages shipped (introspection)
         self.bundled_parts = 0
 
-    def route(self, key, payload, upcall):
+    def route(self, key, payload, upcall=None):
         self._add(("route", key), payload, upcall, None, key)
 
     def route_via(self, owner, key, payload):

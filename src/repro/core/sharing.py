@@ -108,16 +108,13 @@ class GridRecord:
         return self.t_k(k) + self.plan.every
 
     def subscribe(self, query):
-        """Place ``query`` on this grid. Returns the instant its last
-        epoch's window ends (None: no LIFETIME); the engine retires it
-        a deadline and straggler grace later."""
+        """Place ``query`` on this grid: its offset, and its last epoch
+        when it has a LIFETIME."""
         plan = query.plan
         query.offset = int(round((query.t0 - self.t0) / plan.every))
         self.subscribers[query.qid] = query
-        if plan.lifetime is None:
-            return None
-        query.last_epoch = int(plan.lifetime / plan.every + 1e-9)
-        return query.t0 + plan.lifetime
+        if plan.lifetime is not None:
+            query.last_epoch = int(plan.lifetime / plan.every + 1e-9)
 
     def first_epoch(self):
         """The first grid epoch anyone reads: the earliest
@@ -162,7 +159,7 @@ class SpineRecord(GridRecord):
         )
 
     def left(self, engine):
-        engine._forget_route_state("s|{}|".format(self.key))
+        engine.owners.forget("s|{}|".format(self.key))
         if self.stage is not None:
             engine._drop_subscriber(self.stage, self.key)
 
@@ -179,7 +176,7 @@ class PrivateRecord(GridRecord):
         )
 
     def left(self, engine):
-        engine._forget_route_state("q|{}|".format(self.key))
+        engine.owners.forget("q|{}|".format(self.key))
 
 
 class OneEpochRecord(GridRecord):
@@ -202,7 +199,6 @@ class OneEpochRecord(GridRecord):
     def subscribe(self, query):
         query.last_epoch = 0
         self.subscribers[query.qid] = query
-        return query.t0
 
     def build(self, engine, k, t_k):
         (query,) = self.subscribers.values()

@@ -12,7 +12,7 @@ from repro.core.network import PierConfig, PierNetwork
 from repro.core.engine import EngineConfig
 from repro.core.operators import register_operator
 from repro.core.opgraph import OpSpec, QueryPlan
-from repro.dht.messages import parts_of
+from repro.dht.messages import Route, parts_of
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network, NetworkConfig
@@ -201,22 +201,30 @@ class TestBackpressure:
         assert stretch <= engine_module.BACKPRESSURE_FACTOR
 
     def test_noderef_origin_reaches_the_wire(self):
-        # Production inflow notes carry the route message's origin -- a
-        # NodeRef, not an address. The xbp must still land: the engine
-        # normalizes refs to addresses before dht.send_direct, which would
-        # otherwise drop the send on the floor (unknown destination).
+        # A delivered route message names its origin by NodeRef; the
+        # registered delivery notes the inflow under the ref's address,
+        # which is what the xbp's dht.send_direct needs to land.
         net = self.make_net()
         owner = net.node(net.addresses()[0]).engine
-        origin_addr = net.addresses()[1]
-        origin = net.node(origin_addr).engine
-        origin_ref = origin.dht.ref
-        assert origin_ref.address == origin_addr
+        origin = net.node(net.addresses()[1]).engine
         ns = "q|demo#1|op9|0"
-        owner._note_exchange_inflow(ns, 500, origin_ref)
+
+        class Standing:
+            standing = True
+
+            def deliver_batch(self, op_id, port, rows, epoch, pane):
+                pass
+
+        owner.register_exchange_input(ns, Standing(), "op9", 0)
+        deliver = owner._inputs[ns]
+        deliver({"ns": ns, "rows": [(0,)] * 500, "epoch": 1},
+                Route("k", None, origin.dht.ref))
         net.advance(1.1)
-        owner._note_exchange_inflow(ns, 1, origin_ref)
+        deliver({"ns": ns, "data": (0,), "epoch": 1},
+                Route("k", None, origin.dht.ref))
         net.advance(0.5)
         assert origin.exchange_flush_stretch(ns) > 1.0
+        owner.unregister_exchange_input(ns)
 
     def test_stretch_expires_with_the_ttl(self):
         net = self.make_net()

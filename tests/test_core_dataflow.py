@@ -100,9 +100,10 @@ class TestLifecycle:
         assert engine._undelivered["q|fake|0|op9|0"][1] == [(42,)]
 
         class FakeExecution:
+            standing = False
             delivered = []
 
-            def deliver_batch(self, op_id, port, rows):
+            def deliver_batch(self, op_id, port, rows, epoch, pane):
                 self.delivered.extend((op_id, port, row) for row in rows)
 
         fake = FakeExecution()
@@ -114,9 +115,10 @@ class TestLifecycle:
         engine = net.node("node0").engine
 
         class FakeExecution:
+            standing = False
             calls = 0
 
-            def deliver_batch(self, op_id, port, rows):
+            def deliver_batch(self, op_id, port, rows, epoch, pane):
                 self.calls += 1
 
         fake = FakeExecution()
@@ -135,6 +137,7 @@ class TestLifecycle:
             )
 
         class FakeExecution:
+            standing = True
             delivered = []
 
             def deliver_batch(self, op_id, port, rows, epoch, pane):
@@ -144,7 +147,7 @@ class TestLifecycle:
                 pass
 
         fake = FakeExecution()
-        engine.register_exchange_input(ns, fake, "op9", 0, standing=True)
+        engine.register_exchange_input(ns, fake, "op9", 0)
         assert fake.delivered == [
             ([(10,), (11,)], 1, None),
             ([(20,)], 2, None),

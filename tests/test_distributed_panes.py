@@ -347,7 +347,7 @@ class TestPaneMechanics:
         engine = make_engine()
         combiner = TreeCombiner(
             engine.dht, "ns", "route", "up", specs, 0.5,
-            engine.route_owner_suspect, engine.cached_owner, paned=True)
+            engine.owners, paned=True)
 
         class Node:
             def accept_delivery_once(self, mid):

@@ -1,5 +1,6 @@
 """Engine and coordinator internals: adoption, lifecycle, soft state."""
 
+import ast
 import inspect
 import pathlib
 import re
@@ -146,6 +147,39 @@ class TestTracePins:
         ``dht.*`` count, ``dht.hops_per_route``) instead of failing."""
         assert '"{}"'.format(name) in TRACE.read_text(encoding="utf-8")
         assert name in vars(owner)
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src/repro"
+# The owner-learning protocol's wire words and its salted-key rule.
+OWNER_LITERALS = {"xowner", "xowner_stale", "learn"}
+OWNER_NAMES = {"epoch_route_ns"}
+
+
+def _owner_protocol_use(node):
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value in OWNER_LITERALS
+    name = (getattr(node, "id", None) or getattr(node, "attr", None)
+            or getattr(node, "name", None))
+    return name in OWNER_NAMES
+
+
+class TestOwnerProtocolPin:
+    def test_owner_protocol_is_spoken_only_in_owners_module(self):
+        """Which key a standing payload walks, when it asks the owner
+        to identify itself and how the answer is filed are decided in
+        ``core/owners.py`` alone: no other module of ``src/repro`` spells
+        the protocol's ops or the ``learn`` flag as a string, or names
+        ``epoch_route_ns`` (the engine dispatches ``OWNER_OPS``)."""
+        owners = SRC / "core" / "owners.py"
+        found = sorted(
+            "{}:{}".format(path.relative_to(SRC), node.lineno)
+            for path in SRC.rglob("*.py") if path != owners
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if _owner_protocol_use(node)
+        )
+        assert found == []
+        assert any(_owner_protocol_use(node) for node in ast.walk(
+            ast.parse(owners.read_text(encoding="utf-8"))))
 
 
 class TestPlanAdoption:

@@ -301,7 +301,7 @@ class TestUndeliveredBuffer:
         engine = net.node(net.any_address()).engine
         engine._on_unclaimed_delivery({"ns": "q|dead#7|0|op1|0", "data": (1,)}, None)
         engine._on_unclaimed_delivery({"ns": "q|live#8|0|op1|0", "data": (2,)}, None)
-        engine._stop_query("dead#7")
+        engine._stop_query("dead#7", net.now + 60.0)
         assert "q|dead#7|0|op1|0" not in engine._undelivered
         assert "q|live#8|0|op1|0" in engine._undelivered
 
@@ -315,10 +315,9 @@ class TestUndeliveredBuffer:
         delivered = []
 
         class StubExecution:
-            def deliver(self, op_id, port, row):
-                delivered.append(row)
+            standing = False
 
-            def deliver_batch(self, op_id, port, rows):
+            def deliver_batch(self, op_id, port, rows, epoch, pane):
                 delivered.extend(rows)
 
         engine.register_exchange_input(ns, StubExecution(), "op3", 0)

@@ -20,13 +20,10 @@ Four layers under test:
 
 import pytest
 
-from repro.core.engine import (
-    CROSS_REGION_CACHE_TTL,
-    ROUTE_CACHE_TTL,
-    EngineConfig,
-)
+from repro.core.engine import EngineConfig
 from repro.core.exchange import Exchange
 from repro.core.network import PierConfig, PierNetwork
+from repro.core.owners import CROSS_REGION_CACHE_TTL, ROUTE_CACHE_TTL
 from repro.dht.chord import ChordNode, NodeRef
 from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock
@@ -460,9 +457,9 @@ class TestRegionOwnerCache:
                            "ref": remote_ref, "region": "eu"}, "eu1")
         now = net.now
         assert CROSS_REGION_CACHE_TTL < ROUTE_CACHE_TTL
-        _, local_expiry, local_region = engine._route_owners[
+        _, local_expiry, local_region = engine.owners[
             ("q|x|1", ("g",))]
-        _, remote_expiry, remote_region = engine._route_owners[
+        _, remote_expiry, remote_region = engine.owners[
             ("q|x|1", ("h",))]
         assert local_region == "us" and remote_region == "eu"
         assert local_expiry == pytest.approx(now + ROUTE_CACHE_TTL)
@@ -470,8 +467,8 @@ class TestRegionOwnerCache:
         # Past the short TTL the backbone owner is forgotten, the
         # same-region one still trusted.
         net.advance(CROSS_REGION_CACHE_TTL + 1.0)
-        assert engine.cached_owner("q|x|1", ("h",)) is None
-        assert engine.cached_owner("q|x|1", ("g",)) == local_ref
+        assert engine.owners.learned("q|x|1", ("h",)) is None
+        assert engine.owners.learned("q|x|1", ("g",)) == local_ref
 
     def test_killed_and_rejoined_region_is_not_pinned(self):
         """Regression: a cross-region owner learned before its region
@@ -489,7 +486,7 @@ class TestRegionOwnerCache:
         cross = [
             (address, entry)
             for address, node in net.nodes.items()
-            for entry in node.engine._route_owners.values()
+            for entry in node.engine.owners.values()
             if entry[2] is not None and entry[2] != node.engine.region
         ]
         assert cross, "no cross-region owner was ever learned"
@@ -510,7 +507,7 @@ class TestRegionOwnerCache:
 
         for address, node in net.nodes.items():
             engine = node.engine
-            for (ns, rid), entry in list(engine._route_owners.items()):
+            for (ns, rid), entry in list(engine.owners.items()):
                 ref, expiry, region = entry
                 if (region == "eu" and region != engine.region
                         and expiry > net.now):
@@ -518,10 +515,10 @@ class TestRegionOwnerCache:
                     # learned after the rejoin; anything cached before
                     # the kill expired at kill_at + ttl < now and can
                     # no longer direct a forward (entries linger in the
-                    # dict until swept, but cached_owner refuses them).
+                    # cache until swept, but ``learned`` refuses them).
                     assert expiry - ttl >= kill_at, (
                         "{}: stale eu owner {} pinned past the rejoin"
                         .format(address, ref.address)
                     )
-                cached = engine.cached_owner(ns, rid)
+                cached = engine.owners.learned(ns, rid)
                 assert cached is None or net.net.is_alive(cached.address)

@@ -5,15 +5,11 @@ import pytest
 from stubs import live_stream_scans, make_engine, make_exchange
 
 from repro.core.dataflow import EpochExecution, LocalQueryContext, Operator
-from repro.core.engine import (
-    STOP_TOMBSTONE_TTL,
-    TEARDOWN_SLACK,
-    EngineConfig,
-)
-from repro.core.exchange import epoch_route_ns
+from repro.core.engine import TEARDOWN_SLACK, EngineConfig, retire_instant
 from repro.core.network import PierNetwork
 from repro.core.operators.scan import Scan
 from repro.core.opgraph import OpSpec, QueryPlan
+from repro.core.owners import epoch_route_ns
 from repro.core.sharing import SpineRecord
 from repro.db.catalog import TableDef
 from repro.db.schema import Schema
@@ -354,7 +350,9 @@ class TestStopTombstone:
         chord._stabilize()  # one probe of its successor
         net.advance(2)
         assert handle.qid not in engine.queries
-        assert handle.qid in engine._stop_tombstones
+        # The tombstone lasts until the plan retires, as the stop said.
+        assert engine.plansync.tombstones[handle.qid] == retire_instant(
+            handle.plan, handle.t0)
         assert not engine.records
         # The successor sent its lists, the deaf node its own back.
         successor = chord.successor.address
@@ -386,30 +384,56 @@ class TestStopTombstone:
         for address in net.addresses():
             engine = net.node(address).engine
             assert handle.qid not in engine.queries
-            assert handle.qid in engine._stop_tombstones
+            assert handle.qid in engine.plansync.tombstones
             assert not engine.records
+
+    def test_tombstone_outlives_a_long_cut(self, net):
+        """A query without LIFETIME never retires, and neither does its
+        stop tombstone: a node that missed the stop and then heard no
+        plan sync for 200 s drops the query once it is reconnected, and
+        no node re-adopts the query from it meanwhile."""
+        handle = net.submit_sql(
+            CONTINUOUS_SQL.replace(" LIFETIME 40 SECONDS", ""))
+        net.advance(12)
+        deaf = net.addresses()[2]
+        miss_stops(net, deaf)
+        chord = net.node(deaf).chord
+        handlers = chord._direct_handlers
+        chord._direct_handlers = [
+            lambda payload, src: payload.get("op") == "qsync"
+            or handler(payload, src) for handler in handlers
+        ]
+        handle.stop()
+        net.advance(200)
+        assert handle.qid in net.node(deaf).engine.queries  # still cut off
+        chord._direct_handlers = handlers
+        net.advance(3 * STABILIZE_PERIOD)
+        for address in net.addresses():
+            assert handle.qid not in net.node(address).engine.queries
 
     def test_tombstone_expires(self, net):
         engine = net.node(net.addresses()[2]).engine
-        engine._stop_query("ghost#1")
-        assert "ghost#1" in engine._stop_tombstones
-        net.advance(STOP_TOMBSTONE_TTL + 1)
-        # After the TTL a (hypothetical) fresh adoption is allowed again.
-        plan = net.compile_sql(CONTINUOUS_SQL)
+        plan = net.compile_sql(CONTINUOUS_SQL)  # LIFETIME 40
+        engine._stop_query("ghost#1", retire_instant(plan, net.now))
+        assert "ghost#1" in engine.plansync.tombstones
+        net.advance(40 + plan.deadline + TEARDOWN_SLACK + 1)
+        # Once the plan retired, a (hypothetical) fresh adoption of the
+        # qid is allowed again.
+        assert not engine.plansync.buried("ghost#1")
         engine._adopt_query({
             "qid": "ghost#1", "plan": plan, "t0": net.now,
             "origin": net.addresses()[0],
         })
         assert "ghost#1" in engine.queries
-        engine._stop_query("ghost#1")
+        engine._stop_query("ghost#1", retire_instant(plan, net.now))
 
     def test_learnt_tombstone_keeps_the_later_forget_at(self):
         engine = make_engine()
-        engine._stop_query("q#1", forget_at=50.0)
-        engine._stop_query("q#1", forget_at=40.0)
-        assert engine._stop_tombstones["q#1"] == 50.0
-        engine._stop_query("q#1", forget_at=60.0)
-        assert engine._stop_tombstones["q#1"] == 60.0
+        engine._stop_query("q#1", 50.0)
+        engine._stop_query("q#1", 40.0)
+        assert engine.plansync.tombstones["q#1"] == 50.0
+        engine._stop_query("q#1", 60.0)
+        assert engine.plansync.tombstones["q#1"] == 60.0
 
 
 PRIVATE = {"shared": False}
@@ -622,7 +646,7 @@ class TestStableRendezvous:
         assert key == stable and "salted" not in payload
         assert "learn" not in payload
         engine.dht.suspects.add("owner")
-        assert engine.route_owner_suspect(exchange._ns, rid)
+        assert engine.owners.learned(exchange._ns, rid) == owner
         key, payload = ship(7)
         assert key == storage_key(
             epoch_route_ns(exchange._route_ns, 7), rid)
@@ -630,6 +654,122 @@ class TestStableRendezvous:
         engine.dht.suspects.clear()
         key, payload = ship(8)
         assert key == stable and "salted" not in payload
+
+
+class _Registered:
+    """What ``register_exchange_input`` reads of an execution."""
+
+    standing = True
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+
+class TestOwnerRoute:
+    """One rule picks a standing payload's routing key and whether it
+    goes direct, for every caller of the learned-owner cache. A row is
+    (caller, owner state, key, learn, salted, sent): the key is the
+    stable one or the epoch-salted one, ``sent`` is ``direct`` (to the
+    learned owner) or ``walk`` (key routing). An exchange originates
+    its payloads, so only a combiner can hold an already-salted
+    partial."""
+
+    OWNER = NodeRef(node_id_for("owner"), "owner")
+    EPOCH = 3
+    RID = ("g",)
+
+    def _caller(self, caller):
+        """``send(salted)`` ships one payload of ``caller``; returns
+        ``(send, engine, ns, route_ns, sent)``, ``sent`` filled with
+        ``(how, key, payload)`` per message."""
+        engine = make_engine(EngineConfig(max_batch_rows=1))
+        paned = caller.endswith("_paned")
+        exchange = make_exchange(
+            engine, key={"kind": "group"},
+            mode="rehash" if caller == "rehash" else "tree",
+            paned={"width": 1.0, "every": 5.0, "window": 10.0}
+            if paned else None)
+        sent = []
+        engine.dht.route = (lambda key, payload, upcall=None:
+                            sent.append(("walk", key, payload)))
+        engine.dht.route_via = (lambda owner, key, payload:
+                                sent.append(("direct", key, payload)))
+        pane = 0 if paned else None
+        if caller.startswith("combiner"):
+            engine.register_exchange_input(
+                exchange._ns, _Registered(exchange.ctx), "sink", 0,
+                {"agg_specs": [], "paned": paned})
+            combiner = engine.combiners[exchange._ns]
+
+            def send(salted=False):
+                combiner._absorb(self.EPOCH, pane, self.RID, (), salted)
+                combiner._forward()
+        else:
+            def send(salted=False):
+                with exchange.ctx.in_epoch(self.EPOCH):
+                    exchange.open_pane(pane)
+                    exchange.push((self.RID, (1.0,)))
+        return send, engine, exchange._ns, exchange._route_ns, sent
+
+    def _learn(self, engine, ns):
+        engine._on_direct({"op": "xowner", "ns": ns,
+                           "rid": self.RID, "ref": self.OWNER,
+                           "region": None}, "owner")
+
+    @pytest.mark.parametrize("caller, state, key, learn, salted, how", [
+        ("rehash", "none", "stable", True, False, "walk"),
+        ("rehash", "learned", "stable", False, False, "direct"),
+        ("rehash", "suspect", "stable", True, False, "walk"),
+        ("tree", "none", "stable", True, False, "walk"),
+        ("tree", "learned", "stable", False, False, "walk"),
+        ("tree", "suspect", "salted", False, True, "walk"),
+        ("tree_paned", "none", "stable", False, False, "walk"),
+        ("tree_paned", "learned", "stable", False, False, "walk"),
+        ("tree_paned", "suspect", "stable", False, False, "walk"),
+        ("combiner", "none", "stable", True, False, "walk"),
+        ("combiner", "learned", "stable", False, False, "direct"),
+        ("combiner", "suspect", "salted", False, True, "walk"),
+        ("combiner", "salted", "salted", False, True, "walk"),
+        ("combiner_paned", "none", "stable", True, False, "walk"),
+        ("combiner_paned", "learned", "stable", False, False, "direct"),
+        ("combiner_paned", "suspect", "stable", True, False, "walk"),
+        # A paned edge never salts: the pane's owner must stay put.
+        ("combiner_paned", "salted", "stable", False, False, "direct"),
+    ])
+    def test_key_learn_salt_and_direct(self, caller, state, key, learn,
+                                       salted, how):
+        send, engine, ns, route_ns, sent = self._caller(caller)
+        if state != "none":
+            self._learn(engine, ns)
+        if state == "suspect":
+            engine.dht.suspects.add("owner")
+        send(salted=state == "salted")
+        ((sent_how, sent_key, payload),) = sent
+        keys = {"stable": storage_key(route_ns, self.RID),
+                "salted": storage_key(
+                    epoch_route_ns(route_ns, self.EPOCH), self.RID)}
+        assert sent_key == keys[key]
+        assert bool(payload.get("learn")) is learn
+        assert bool(payload.get("salted")) is salted
+        assert sent_how == how
+        assert payload["epoch"] == self.EPOCH
+
+    @pytest.mark.parametrize("caller, learn, how", [
+        ("rehash", True, "walk"),  # reading a suspect owner forgot it
+        ("tree", False, "walk"),  # the salt covered it: kept
+        ("combiner", False, "direct"),
+        ("combiner_paned", True, "walk"),
+    ])
+    def test_what_a_cleared_suspicion_finds(self, caller, learn, how):
+        send, engine, ns, _route_ns, sent = self._caller(caller)
+        self._learn(engine, ns)
+        engine.dht.suspects.add("owner")
+        send()
+        engine.dht.suspects.clear()
+        send()
+        sent_how, _key, payload = sent[-1]
+        assert bool(payload.get("learn")) is learn
+        assert sent_how == how
 
 
 # ----------------------------------------------------------------------
