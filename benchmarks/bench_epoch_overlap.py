@@ -33,9 +33,10 @@ Run standalone with ``python benchmarks/bench_epoch_overlap.py``
 
 import math
 import sys
+from unittest import mock
 
-from repro.core.network import PierConfig, PierNetwork
-from repro.core.planner import PlannerTiming
+from repro.core import planner
+from repro.core.network import PierNetwork
 
 RATIOS = (1, 2, 4, 8)
 NODES = 20
@@ -67,16 +68,17 @@ BLOOM_ONESHOT_SQL = (
 )
 
 
-def _timing():
-    """Stretch the rehash transfer so the flush horizon is ~9.1s (the
-    tree plan's natural horizon): sweeping the period then sweeps the
-    horizon/period ratio without touching the dataflow shape."""
-    return PlannerTiming(rehash_xfer=6.0)
+def _stretched_rehash():
+    """Stretch the rehash transfer to the tree's so the flush horizon
+    is ~9.1s (the tree plan's natural horizon): sweeping the period
+    then sweeps the horizon/period ratio without touching the dataflow
+    shape. Plans read the offset when compiled, so it must span every
+    submit."""
+    return mock.patch.object(planner, "REHASH_XFER", planner.TREE_XFER)
 
 
 def build_net(seed, nodes):
-    net = PierNetwork(nodes=nodes, seed=seed,
-                      config=PierConfig(timing=_timing()))
+    net = PierNetwork(nodes=nodes, seed=seed)
     net.create_stream_table(
         "node_stats", [("rate_kbps", "FLOAT")], window=RETENTION
     )
@@ -181,11 +183,12 @@ def _rows_match(a, b):
 
 def run_overlap_sweep(seed, nodes, ratios):
     stats = {}
-    for ratio in ratios:
-        stats[ratio] = {
-            "standing": run_overlap_standing(seed, nodes, ratio),
-            "oneshot": run_overlap_oneshot(seed, nodes, ratio),
-        }
+    with _stretched_rehash():
+        for ratio in ratios:
+            stats[ratio] = {
+                "standing": run_overlap_standing(seed, nodes, ratio),
+                "oneshot": run_overlap_oneshot(seed, nodes, ratio),
+            }
     return stats
 
 

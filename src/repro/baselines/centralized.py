@@ -9,7 +9,8 @@ Ext-B bench reports.
 """
 
 from repro.core.aggregates import aggregate_by_name
-from repro.core.planner import LogicalQuery, plan_query
+from repro.core.logical import LogicalQuery
+from repro.core.planner import plan_query
 from repro.db.expressions import ColumnRef
 
 
@@ -31,7 +32,7 @@ class CentralizedAggregation:
                 columns.append(column)
         select_items = [(ColumnRef(c), c) for c in columns]
         logical = LogicalQuery([(table, None)], select_items, where=where)
-        plan = plan_query(logical, self.net.catalog, self.net.config.timing)
+        plan = plan_query(logical, self.net.catalog)
 
         before = dict(self.net.message_counters())
         result = self.net.run_plan(plan, node=node)

@@ -3,8 +3,8 @@
 The schema catalog (:mod:`repro.db.catalog`) says what tables *are*;
 this module tracks what they *do*: per-table arrival rates and row
 sizes observed from the live append stream, plus per-query-shape group
-cardinalities fed back from closed epochs. The planner's cost bounder
-(:func:`repro.core.planner.bound_query_cost`) reads these to estimate
+cardinalities fed back from closed epochs. The cost bounder
+(:func:`repro.core.admission.bound_query_cost`) reads these to estimate
 a query's per-epoch rows scanned, exchange bytes, and owner fold work
 before a single row moves, and the admission policy
 (:mod:`repro.core.admission`) decides from that bound.
@@ -13,28 +13,41 @@ One :class:`StatsCatalog` serves the whole testbed: it hangs off the
 shared schema :class:`~repro.db.catalog.Catalog` (``catalog.stats``,
 attached by ``PierNetwork``), so every engine's ``stream_append`` and
 the coordinator's epoch-close feedback update the same view the
-planner reads. All methods take ``now`` explicitly -- the catalog
+cost bounder reads. All methods take ``now`` explicitly -- the catalog
 holds no clock, which keeps it trivially unit-testable.
 
-Rates are bucketed EWMAs: appends accumulate in a fixed-width bucket,
-and each rollover folds ``count / bucket_width`` into the running rate
-with weight ``alpha``. A half-full current bucket never skews the
-estimate downward because it is only folded once it closes; before the
-first rollover the partial bucket itself is the (best-effort)
-estimate. :meth:`seed` lets tests and cold-start deployments declare
+Rates are bucketed EWMAs: appends accumulate in a fixed-width bucket
+(``RATE_BUCKET``), and each rollover folds ``count / RATE_BUCKET`` into
+the running rate with weight ``RATE_ALPHA``. A half-full current
+bucket never skews the estimate downward because it is only folded
+once it closes; before the first rollover the partial bucket itself is
+the (best-effort) estimate. :meth:`seed` lets tests and cold-start deployments declare
 rates up front -- admission decisions are only as good as the stats,
 and a fresh catalog admits everything (no rate means a zero bound).
 """
+
+RATE_BUCKET = 5.0  # seconds
+RATE_ALPHA = 0.5
+
+
+def query_stats_key(lq):
+    """The key group-cardinality feedback files under: the scanned
+    tables plus the canonical GROUP BY shape. Different predicates over
+    the same grouping share one cardinality estimate -- coarse, but the
+    feedback loop converges on whatever actually closes epochs."""
+    if not lq.tables:
+        return None
+    tables = ",".join(sorted(name for name, _alias in lq.tables))
+    groups = ";".join(str(e) for e in lq.group_by)
+    return "{}|{}".format(tables, groups)
 
 
 class _BucketedRate:
     """EWMA of an event rate, observed through fixed-width buckets."""
 
-    __slots__ = ("bucket", "alpha", "rate", "_count", "_t0", "_seeded")
+    __slots__ = ("rate", "_count", "_t0", "_seeded")
 
-    def __init__(self, bucket=5.0, alpha=0.5):
-        self.bucket = bucket
-        self.alpha = alpha
+    def __init__(self):
         self.rate = 0.0  # events/sec, EWMA over closed buckets
         self._count = 0.0
         self._t0 = None
@@ -47,7 +60,7 @@ class _BucketedRate:
     def note(self, n, now):
         if self._t0 is None:
             self._t0 = now
-        elif now - self._t0 >= self.bucket:
+        elif now - self._t0 >= RATE_BUCKET:
             self._roll(now)
         self._count += n
 
@@ -55,19 +68,19 @@ class _BucketedRate:
         # Fold every *elapsed* bucket: a long silent gap contributes
         # zero-rate buckets, so the estimate decays instead of pinning
         # at the last busy bucket's rate.
-        while now - self._t0 >= self.bucket:
-            observed = self._count / self.bucket
+        while now - self._t0 >= RATE_BUCKET:
+            observed = self._count / RATE_BUCKET
             if self._seeded or self.rate > 0.0:
-                self.rate += self.alpha * (observed - self.rate)
+                self.rate += RATE_ALPHA * (observed - self.rate)
             else:
                 self.rate = observed
             self._seeded = True
             self._count = 0.0
-            self._t0 += self.bucket
+            self._t0 += RATE_BUCKET
 
     def value(self, now=None):
         if now is not None and self._t0 is not None:
-            if now - self._t0 >= self.bucket:
+            if now - self._t0 >= RATE_BUCKET:
                 self._roll(now)
             elif not self._seeded and now > self._t0 and self._count:
                 # Cold start, mid-bucket: the partial bucket is all we
@@ -81,8 +94,8 @@ class TableStats:
 
     __slots__ = ("rate", "row_bytes")
 
-    def __init__(self, bucket=5.0, alpha=0.5):
-        self.rate = _BucketedRate(bucket=bucket, alpha=alpha)
+    def __init__(self):
+        self.rate = _BucketedRate()
         self.row_bytes = 0.0  # EWMA of serialized row size
 
 
@@ -95,18 +108,14 @@ class StatsCatalog:
     count under the plan's ``stats_key``).
     """
 
-    def __init__(self, bucket=5.0, alpha=0.5):
-        self._bucket = bucket
-        self._alpha = alpha
+    def __init__(self):
         self._tables = {}  # table name -> TableStats
         self._groups = {}  # stats key -> EWMA group cardinality
 
     def _table(self, table):
         stats = self._tables.get(table)
         if stats is None:
-            stats = self._tables[table] = TableStats(
-                bucket=self._bucket, alpha=self._alpha
-            )
+            stats = self._tables[table] = TableStats()
         return stats
 
     # -- ingestion ------------------------------------------------------
@@ -138,7 +147,7 @@ class StatsCatalog:
     def seed_groups(self, stats_key, n):
         self._groups[stats_key] = float(n)
 
-    # -- planner-facing reads ------------------------------------------
+    # -- cost-bounder reads --------------------------------------------
     def arrival_rate(self, table, now=None):
         """Observed appends/sec for ``table`` (0.0 when never seen)."""
         stats = self._tables.get(table)

@@ -24,7 +24,7 @@ callers interleave data changes, churn and queries deterministically.
 from repro.core.catalog import StatsCatalog
 from repro.core.coordinator import Coordinator
 from repro.core.engine import EngineConfig, PierEngine
-from repro.core.planner import PlannerTiming, plan_query
+from repro.core.planner import plan_query
 from repro.core.sql import parse_query
 from repro.db.catalog import Catalog, TableDef
 from repro.db.schema import Column, Schema
@@ -49,11 +49,10 @@ LATENCY_SCALE = 0.15
 class PierConfig:
     """Knobs for a PierNetwork testbed."""
 
-    def __init__(self, dht=None, engine=None, timing=None, network=None,
+    def __init__(self, dht=None, engine=None, network=None,
                  bootstrap="oracle", admission=None):
         self.dht = dht if dht is not None else DhtConfig()
         self.engine = engine if engine is not None else EngineConfig()
-        self.timing = timing if timing is not None else PlannerTiming()
         self.network = network if network is not None else NetworkConfig()
         if bootstrap not in ("oracle", "protocol"):
             raise PierError("bootstrap must be 'oracle' or 'protocol'")
@@ -108,8 +107,7 @@ class PierNetwork:
         self.catalog = Catalog()
         # Runtime stats ride on the shared schema catalog: every
         # engine's stream_append and the coordinators' epoch-close
-        # feedback update the same view the planner's cost bounder and
-        # the admission policy read.
+        # feedback update the same view the cost bounder reads.
         self.catalog.stats = StatsCatalog()
         self.nodes = {}
         self._churn = None
@@ -245,7 +243,7 @@ class PierNetwork:
         policy = self.config.admission
         if policy is not None:
             decision = policy.admit(logical, self.catalog, now=self.now)
-        plan = plan_query(logical, self.catalog, self.config.timing)
+        plan = plan_query(logical, self.catalog)
         if decision is not None:
             plan.metadata["admission"] = decision.as_dict()
         return plan

@@ -85,7 +85,7 @@ class Scan(Operator):
         # hash-sampled fraction of scanned rows. Every row is still
         # *examined* (and charged to rows_scanned) -- sampling sheds
         # downstream exchange and fold load, not scan effort -- which
-        # is exactly how the planner's cost bounder models it.
+        # is exactly how the cost bounder (core/admission.py) models it.
         sample = spec.params.get("sample")
         self._sample_threshold = (
             int(float(sample) * 1000000) if sample is not None else None

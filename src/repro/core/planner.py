@@ -39,10 +39,9 @@ back into the same ``distinct`` -- semi-naive evaluation as dataflow.
 import math
 
 from repro.core.aggregates import AggSpec
+from repro.core.catalog import query_stats_key
 from repro.core.logical import (
     AggCall,
-    LogicalQuery,
-    RecursiveSpec,
     and_all as _and_all,
     build_logical_plan,
     split_where as _split_where,
@@ -54,10 +53,7 @@ from repro.db.types import ANY
 from repro.db.window import pane_width
 from repro.util.errors import CatalogError, PlanError
 
-__all__ = [
-    "AggCall", "LogicalQuery", "RecursiveSpec", "PlannerTiming",
-    "plan_query",
-]
+__all__ = ["plan_query"]
 
 # Every per-query option the planner reads (the census of who sets each
 # is in docs/ARCHITECTURE.md). Any other name is refused: share and
@@ -68,77 +64,65 @@ QUERY_OPTIONS = frozenset({
     "sample_rate", "shared",
 })
 
-
-class PlannerTiming:
-    """Dataflow-timing constants (seconds) used to place flush deadlines.
-
-    These bound, not measure: scan_ready covers plan dissemination,
-    rehash_xfer covers a multi-hop routed transfer, tree_xfer covers the
-    extra per-hop hold time of aggregation trees on a few-hundred-node
-    overlay. Generous values trade a little latency for complete
-    answers; the soft-state design makes tight values degrade to
-    partial answers rather than errors.
-
-    Only ``rehash_xfer`` is settable: ``bench_epoch_overlap`` widens it
-    until a plan's flush schedule straddles the epoch boundary. The
-    rest are class constants: nothing outside tests ever set them.
-    """
-
-    scan_ready = 1.5
-    hold = 0.6
-    tree_xfer = 6.0
-    result_send = 0.4
-    collect = 2.0
-    bloom_merge = 1.2
-    bloom_release = 1.0
-
-    def __init__(self, rehash_xfer=1.5):
-        self.rehash_xfer = rehash_xfer
+# The offsets (seconds) the timing walk adds up to place flush
+# deadlines. They bound, not measure: SCAN_READY covers plan
+# dissemination, REHASH_XFER a multi-hop routed transfer or one get
+# round-trip, TREE_XFER the extra per-hop hold time of an aggregation
+# tree on a few-hundred-node overlay. Generous values trade a little
+# latency for complete answers; the soft-state design makes tight
+# values degrade to partial answers rather than errors.
+SCAN_READY = 1.5
+HOLD = 0.6
+REHASH_XFER = 1.5
+TREE_XFER = 6.0
+RESULT_SEND = 0.4
+COLLECT = 2.0
+BLOOM_MERGE = 1.2
+BLOOM_RELEASE = 1.0
 
 
 class _Builder:
-    """Accumulates op specs and the timing walk while lowering."""
+    """Accumulates op specs and the timing walk while lowering.
 
-    def __init__(self, timing):
-        self.timing = timing
-        self.specs = []
+    ``ready`` is the walk's clock: the offset by which everything
+    lowered so far can have produced its rows. A site-run plan's scans
+    are ready after one get round-trip, a broadcast plan's after
+    dissemination.
+    """
+
+    def __init__(self, site=False):
+        self.site = site
+        self.ready = REHASH_XFER if site else SCAN_READY
+        self.specs = {}
         self.flush_offsets = {}
-        self._n = 0
+        self.bloom_broadcast_offset = None
 
     def add(self, kind, params=None, inputs=()):
-        self._n += 1
-        op_id = "op{}".format(self._n)
-        self.specs.append(OpSpec(op_id, kind, params, inputs))
+        op_id = "op{}".format(len(self.specs) + 1)
+        self.specs[op_id] = OpSpec(op_id, kind, params, inputs)
         return op_id
 
-    def flush_at(self, op_id, t):
-        self.flush_offsets[op_id] = t
-
-    def spec(self, op_id):
-        for spec in self.specs:
-            if spec.op_id == op_id:
-                return spec
-        raise KeyError(op_id)
+    def flush(self, op_id, after):
+        """Advance the walk by ``after`` and flush ``op_id`` then."""
+        self.ready += after
+        self.flush_offsets[op_id] = self.ready
 
 
-def plan_query(lq, catalog, timing=None):
-    """Compile a LogicalQuery against a catalog into a QueryPlan."""
+def plan_query(lq, catalog):
+    """Compile a LogicalQuery against a catalog into a QueryPlan.
+
+    The plan's ``stats_key`` is what the coordinator reports observed
+    group cardinalities back under; pricing the plan is admission's
+    job (``core/admission.py``).
+    """
     unknown = sorted(set(lq.options) - QUERY_OPTIONS)
     if unknown:
         raise PlanError("unknown query option {}".format(
             ", ".join(repr(name) for name in unknown)))
-    timing = timing if timing is not None else PlannerTiming()
     if lq.recursive is not None:
-        plan = _plan_recursive(lq, catalog, timing)
+        plan = _plan_recursive(lq, catalog)
     else:
-        plan = _plan_flat(lq, catalog, timing)
-    # Admission-time annotations. The cost bound is recomputed here
-    # (not passed in) so EXPLAIN output always reflects the stats the
-    # plan was admitted against; the stats key is what the coordinator
-    # reports observed group cardinalities back under.
-    bound = bound_query_cost(lq, catalog)
-    if bound is not None:
-        plan.metadata["cost"] = bound.as_dict()
+        plan = _plan_flat(lq, catalog)
     key = query_stats_key(lq)
     if key is not None:
         plan.metadata["stats_key"] = key
@@ -150,150 +134,12 @@ def plan_query(lq, catalog, timing=None):
 
 
 # ----------------------------------------------------------------------
-# Cost bounding (admission control's plan-time half)
-# ----------------------------------------------------------------------
-
-#: Nominal state-size multipliers for the exchange-byte bound. A
-#: COUNT(DISTINCT x) partial carries the group's value *set*, so its
-#: wire size grows with distinct values per group; the sketch swap
-#: (APPROX_COUNT_DISTINCT) replaces it with a constant-size HLL whose
-#: error is documented at ~1.04/sqrt(2^precision). The factors are
-#: deliberately coarse -- this is a *bound* used to refuse or degrade
-#: queries, not a cardinality estimator.
-_DISTINCT_STATE_FACTOR = 32.0
-_SKETCH_STATE_FACTOR = 4.0
-
-#: Nominal fan-in for the partial-aggregation exchange bound: with
-#: per-node partial aggregation, at most ~this many contributing nodes
-#: ship each group per epoch (flush waves x tree combining), so
-#: exchange rows are bounded by ``groups * fan-in`` when the group
-#: cardinality is known, whatever the raw row rate.
-_GROUP_FANIN = 16.0
-
-#: Unit weights for the scalar budget: one unit per row scanned, per
-#: 64 exchange bytes, and two per owner group fold, all per second.
-_W_EXCHANGE_BYTES = 1.0 / 64.0
-_W_FOLD = 2.0
-
-
-class CostBound:
-    """Per-epoch cost bound for a continuous query, from catalog stats.
-
-    ``rows_scanned`` is the standing-scan examination bound (stream
-    subscriptions touch each arriving row O(1) times, so it is
-    ``sum(table arrival rate) * EVERY``); ``exchange_rows`` /
-    ``exchange_bytes`` bound what crosses the network per epoch after
-    partial aggregation and sampling; ``fold_groups`` bounds owner-side
-    group folds per epoch. ``units_per_sec`` collapses them into the
-    scalar the admission budget is expressed in -- amortized over the
-    epoch period, so widening EVERY genuinely cheapens group-bound
-    queries (their per-epoch group fold and exchange terms amortize)
-    while the raw scan-rate term stays put.
-    """
-
-    __slots__ = ("rows_scanned", "exchange_rows", "exchange_bytes",
-                 "fold_groups", "every")
-
-    def __init__(self, rows_scanned, exchange_rows, exchange_bytes,
-                 fold_groups, every):
-        self.rows_scanned = rows_scanned
-        self.exchange_rows = exchange_rows
-        self.exchange_bytes = exchange_bytes
-        self.fold_groups = fold_groups
-        self.every = every
-
-    def units_per_sec(self):
-        per_epoch = (
-            self.rows_scanned
-            + self.exchange_bytes * _W_EXCHANGE_BYTES
-            + self.fold_groups * _W_FOLD
-        )
-        return per_epoch / self.every
-
-    def as_dict(self):
-        return {
-            "rows_scanned": round(self.rows_scanned, 2),
-            "exchange_rows": round(self.exchange_rows, 2),
-            "exchange_bytes": round(self.exchange_bytes, 2),
-            "fold_groups": round(self.fold_groups, 2),
-            "every": self.every,
-            "units_per_sec": round(self.units_per_sec(), 2),
-        }
-
-
-def query_stats_key(lq):
-    """The key group-cardinality feedback files under: the scanned
-    tables plus the canonical GROUP BY shape. Different predicates over
-    the same grouping share one cardinality estimate -- coarse, but the
-    feedback loop converges on whatever actually closes epochs."""
-    if not lq.tables:
-        return None
-    tables = ",".join(sorted(name for name, _alias in lq.tables))
-    groups = ";".join(str(e) for e in lq.group_by)
-    return "{}|{}".format(tables, groups)
-
-
-def _distinct_flavor(lq):
-    """Which COUNT_DISTINCT family the query uses, if any."""
-    for item, _name in lq.select_items:
-        func = getattr(item, "func_name", None)
-        if func == "COUNT_DISTINCT":
-            return "exact"
-        if func == "APPROX_COUNT_DISTINCT":
-            return "sketch"
-    return None
-
-
-def bound_query_cost(lq, catalog, now=None):
-    """Bound ``lq``'s per-epoch cost from the catalog's runtime stats.
-
-    Returns a :class:`CostBound`, or ``None`` when the query is not
-    continuous (one-shots are a single epoch of work; the standing load
-    problem admission exists for does not arise -- which is also why the
-    get access path, one-shot only, is not priced here) or the catalog carries
-    no :class:`~repro.core.catalog.StatsCatalog`. Tables the stats have
-    never seen contribute zero -- a cold catalog admits everything,
-    which is the honest default (see ``StatsCatalog.seed``).
-    """
-    if lq.every is None:
-        return None
-    stats = getattr(catalog, "stats", None)
-    if stats is None:
-        return None
-    rate = 0.0
-    row_bytes = 0.0
-    for name, _alias in lq.tables:
-        table_rate = stats.arrival_rate(name, now)
-        rate += table_rate
-        row_bytes = max(row_bytes, stats.avg_row_bytes(name))
-    rows_scanned = rate * lq.every
-    sample = float(lq.options.get("sample_rate", 1.0))
-    exchange_rows = rows_scanned * sample
-    fold_groups = exchange_rows
-    if lq.group_by:
-        groups = stats.group_cardinality(query_stats_key(lq))
-        if groups is not None:
-            exchange_rows = min(exchange_rows, groups * _GROUP_FANIN)
-            fold_groups = min(fold_groups, groups * _GROUP_FANIN)
-    state_factor = 1.0
-    flavor = _distinct_flavor(lq)
-    if flavor == "exact":
-        state_factor = _DISTINCT_STATE_FACTOR
-    elif flavor == "sketch":
-        state_factor = _SKETCH_STATE_FACTOR
-    exchange_bytes = exchange_rows * row_bytes * state_factor
-    return CostBound(rows_scanned, exchange_rows, exchange_bytes,
-                     fold_groups, lq.every)
-
-
-# ----------------------------------------------------------------------
 # Flat (non-recursive) lowering
 # ----------------------------------------------------------------------
-def _plan_flat(lq, catalog, timing):
+def _plan_flat(lq, catalog):
     logical = build_logical_plan(lq, catalog)
-    b = _Builder(timing)
     site_keys = _site_access(logical, lq)
-    site = site_keys is not None
+    b = _Builder(site=site_keys is not None)
 
     # Lower the DAG in its deterministic topological order. ``lowered``
     # maps each logical node (by identity) to its physical info: at
@@ -301,9 +147,6 @@ def _plan_flat(lq, catalog, timing):
     # aggregates add "partial"/"exchange"/"final" so the pane walk can
     # find the whole lowered cluster.
     lowered = {}
-    # A site-run plan's scans are ready after one get round-trip, a
-    # broadcast plan's after dissemination.
-    ready = timing.rehash_xfer if site else timing.scan_ready
     schema = None
     sort_keys = []
     agg_finishing = None
@@ -312,7 +155,7 @@ def _plan_flat(lq, catalog, timing):
         if node.kind == "scan":
             params = {"table": node.attrs["table"],
                       "alias": node.attrs["alias"]}
-            if site:
+            if b.site:
                 params["key"] = site_keys[id(node)]
             op_id = b.add("scan", params)
             lowered[id(node)] = {"op": op_id}
@@ -324,14 +167,10 @@ def _plan_flat(lq, catalog, timing):
             }, [child])
             lowered[id(node)] = {"op": op_id}
         elif node.kind == "join":
-            ready, info = _lower_join(b, lq, node, lowered, ready, timing,
-                                      site)
-            lowered[id(node)] = info
+            lowered[id(node)] = _lower_join(b, lq, node, lowered)
         elif node.kind == "aggregate":
-            ready, agg_finishing, info = _lower_aggregation(
-                b, lq, node, lowered, ready, timing, site
-            )
-            lowered[id(node)] = info
+            agg_finishing, lowered[id(node)] = _lower_aggregation(
+                b, lq, node, lowered)
             schema = _output_schema(lq)
             sort_keys = _compile_order_by(lq, schema)
         elif node.kind == "project":
@@ -352,8 +191,7 @@ def _plan_flat(lq, catalog, timing):
             op_id = b.add("topk", {
                 "sort_keys": sort_keys, "limit": lq.limit, "schema": schema,
             }, [child])
-            ready += 0.2
-            b.flush_at(op_id, ready)
+            b.flush(op_id, 0.2)
             lowered[id(node)] = {"op": op_id}
         elif node.kind == "output":
             # Aggregate answers refine as stragglers arrive, so the
@@ -361,9 +199,7 @@ def _plan_flat(lq, catalog, timing):
             child = lowered[id(node.inputs[0])]["op"]
             result_id = b.add("result",
                               {"replace": agg_finishing is not None}, [child])
-            if not site:
-                ready += timing.result_send
-            b.flush_at(result_id, ready)
+            b.flush(result_id, 0.0 if b.site else RESULT_SEND)
             lowered[id(node)] = {"op": result_id}
         else:  # pragma: no cover - build_logical_plan emits no other kind
             raise PlanError("unknown logical node kind {!r}".format(node.kind))
@@ -372,7 +208,7 @@ def _plan_flat(lq, catalog, timing):
     # flushed; the close timer, armed after the flush timers, fires
     # right behind it. A fixed close (not "when the gets answer") keeps
     # the answer's time a function of the plan, not of the route.
-    deadline = ready if site else ready + timing.collect
+    deadline = b.ready if b.site else b.ready + COLLECT
 
     mode = "continuous" if lq.every else "oneshot"
     standing = mode == "continuous"
@@ -384,7 +220,7 @@ def _plan_flat(lq, catalog, timing):
         # scans subscribe to their sources once and push per-epoch
         # deltas; standing exchanges use epoch-free namespaces with
         # epoch-tagged batches).
-        for spec in b.specs:
+        for spec in b.specs.values():
             if spec.kind in ("scan", "exchange"):
                 spec.params["standing"] = True
         pane = _mark_paned(b, logical, lowered, lq)
@@ -393,7 +229,7 @@ def _plan_flat(lq, catalog, timing):
             # epoch geometry match run on one spine, demultiplexed only
             # at result return. Bloom plans stay private -- their
             # per-epoch coordinator round-trip is keyed to one qid.
-            if not any(spec.kind == "bloom_stage" for spec in b.specs):
+            if b.bloom_broadcast_offset is None:
                 metadata["spine"] = logical.share_signature()
                 # Prefix sharing: single-stream-table plans also carry
                 # the scan-stage signature, so queries with *different*
@@ -416,11 +252,11 @@ def _plan_flat(lq, catalog, timing):
     if lq.limit is not None:
         finishing["limit"] = lq.limit
         finishing.setdefault("schema", schema)
-    if "bloom_broadcast_offset" in b.__dict__:
+    if b.bloom_broadcast_offset is not None:
         metadata["bloom_broadcast_offset"] = b.bloom_broadcast_offset
     return QueryPlan(
-        b.specs, result_id, mode=mode, every=lq.every, window=lq.window,
-        lifetime=lq.lifetime, flush_offsets=b.flush_offsets,
+        list(b.specs.values()), result_id, mode=mode, every=lq.every,
+        window=lq.window, lifetime=lq.lifetime, flush_offsets=b.flush_offsets,
         deadline=deadline, finishing=finishing, metadata=metadata,
         standing=standing, epoch_overlap=epoch_overlap, pane=pane,
     )
@@ -469,7 +305,7 @@ def _epoch_overlap(b, lq):
     downstream exchange flushes the N already accounts for.
     """
     consumers = {}
-    for spec in b.specs:
+    for spec in b.specs.values():
         for input_id in spec.inputs:
             consumers.setdefault(input_id, []).append(spec)
 
@@ -562,20 +398,20 @@ def _mark_paned(b, logical, lowered, lq):
         if chain is None:
             continue
         transparent, terminal_node, terminal_spec = chain
-        b.spec(lowered[id(node)]["op"]).params["paned"] = geometry
+        b.specs[lowered[id(node)]["op"]].params["paned"] = geometry
         for spec in transparent:
             if spec.kind == "fetch_matches":
                 spec.params["paned"] = geometry
         terminal_spec.params["paned"] = geometry
         if terminal_spec.kind == "groupby_partial":
             agg_info = lowered[id(terminal_node)]
-            exchange = b.spec(agg_info["exchange"])
+            exchange = b.specs[agg_info["exchange"]]
             exchange.params["paned"] = geometry
             if "combine" in exchange.params:
                 exchange.params["combine"] = dict(
                     exchange.params["combine"], paned=True
                 )
-            b.spec(agg_info["final"]).params["paned"] = geometry
+            b.specs[agg_info["final"]].params["paned"] = geometry
         if marked is None:
             marked = geometry
     return marked
@@ -598,27 +434,27 @@ def _pane_chain(b, consumers, lowered, scan_node):
         parent = downstream[0]
         info = lowered[id(parent)]
         if parent.kind in ("filter", "project"):
-            transparent.append(b.spec(info["op"]))
+            transparent.append(b.specs[info["op"]])
             node = parent
             continue
         if parent.kind == "join":
             if info["strategy"] == "fm" and parent.inputs[0] is node:
-                transparent.append(b.spec(info["op"]))
+                transparent.append(b.specs[info["op"]])
                 node = parent
                 continue
             if info["strategy"] == "bloom":
                 side = 0 if parent.inputs[0] is node else 1
-                return transparent, parent, b.spec(info["stages"][side])
+                return transparent, parent, b.specs[info["stages"][side]]
             return None
         if parent.kind == "aggregate":
-            return transparent, parent, b.spec(info["partial"])
+            return transparent, parent, b.specs[info["partial"]]
         if parent.kind == "topk":
-            return transparent, parent, b.spec(info["op"])
+            return transparent, parent, b.specs[info["op"]]
         return None
 
 
-def _lower_join(b, lq, node, lowered, ready, timing, site):
-    """Lower one logical join; returns (ready, lowered-info).
+def _lower_join(b, lq, node, lowered):
+    """Lower one logical join; returns its lowered info.
 
     On a site-run plan both inputs are already at the query site, so
     the join is a symmetric hash join fed directly: no exchange.
@@ -630,86 +466,94 @@ def _lower_join(b, lq, node, lowered, ready, timing, site):
     left_schema = node.attrs["left_schema"]
     right_schema = node.attrs["right_schema"]
     right_def = node.attrs["right_def"]
-    left_keys = [ColumnRef(left) for left, _right in pairs]
-    right_keys = [ColumnRef(right) for _left, right in pairs]
-    strategy = "shj" if site else lq.options.get("join_strategy", "auto")
+    fm = _fm_applicable(right_def, pairs, right_schema)
+    strategy = "shj" if b.site else lq.options.get("join_strategy", "auto")
     if strategy == "auto":
-        strategy = "fm" if _fm_applicable(right_def, pairs, right_schema) else "shj"
+        strategy = "fm" if fm else "shj"
 
     if strategy == "fm":
-        if not _fm_applicable(right_def, pairs, right_schema):
-            raise PlanError(
-                "fetch-matches needs {} partitioned on the join column".format(
-                    right_def.name
-                )
-            )
-        join_id = b.add("fetch_matches", {
-            "probe_schema": left_schema,
-            "table": right_def.name,
-            "table_schema": right_schema,
-            "probe_key": left_keys[0],
-            "residual": residual,
-        }, [left_op])
-        ready = ready + timing.rehash_xfer  # one get round-trip
-        return ready, {"op": join_id, "strategy": "fm"}
+        if not fm:
+            raise PlanError("fetch-matches needs {} partitioned on the "
+                            "join column".format(right_def.name))
+        join_id = _fetch_matches(b, left_op, left_schema, right_def,
+                                 right_schema, pairs, residual)
+        return {"op": join_id, "strategy": "fm"}
 
-    stages = None
+    info = {"strategy": strategy}
     if strategy == "bloom":
-        left_op, right_op, ready = _plan_bloom_stages(
-            b, left_op, left_schema, left_keys,
-            right_op, right_schema, right_keys, ready, timing,
-        )
-        stages = [left_op, right_op]
+        left_op, right_op = info["stages"] = _plan_bloom_stages(
+            b, left_op, left_schema, right_op, right_schema, pairs)
+    info["op"] = _hash_join(b, left_op, left_schema, right_op, right_schema,
+                            pairs, residual, rehash=not b.site)
+    return info
 
+
+def _fetch_matches(b, probe_op, probe_schema, table_def, table_schema,
+                   pairs, residual, dedup_keys=False):
+    """Each probe row gets its matches from the DHT table partitioned
+    on the join column: one get round-trip."""
+    params = {
+        "probe_schema": probe_schema,
+        "table": table_def.name,
+        "table_schema": table_schema,
+        "probe_key": ColumnRef(pairs[0][0]),
+        "residual": residual,
+    }
+    if dedup_keys:
+        params["dedup_keys"] = True
+    join_id = b.add("fetch_matches", params, [probe_op])
+    b.ready += REHASH_XFER
+    return join_id
+
+
+def _hash_join(b, left_op, left_schema, right_op, right_schema, pairs,
+               residual, rehash=True):
+    """A symmetric hash join; ``rehash`` first routes both legs to the
+    join key's owner (one routed transfer)."""
+    left_keys = [ColumnRef(left) for left, _right in pairs]
+    right_keys = [ColumnRef(right) for _left, right in pairs]
     inputs = [left_op, right_op]
-    if not site:
-        left_ex = b.add("exchange", {
-            "mode": "rehash",
-            "key": {"kind": "exprs", "exprs": left_keys,
-                    "schema": left_schema},
-        }, [left_op])
-        right_ex = b.add("exchange", {
-            "mode": "rehash",
-            "key": {"kind": "exprs", "exprs": right_keys,
-                    "schema": right_schema},
-        }, [right_op])
-        inputs = [left_ex, right_ex]
-        ready = ready + timing.rehash_xfer
-    join_id = b.add("shj", {
+    if rehash:
+        inputs = [
+            b.add("exchange", {
+                "mode": "rehash",
+                "key": {"kind": "exprs", "exprs": keys, "schema": schema},
+            }, [op])
+            for op, keys, schema in ((left_op, left_keys, left_schema),
+                                     (right_op, right_keys, right_schema))
+        ]
+        b.ready += REHASH_XFER
+    return b.add("shj", {
         "left_schema": left_schema,
         "right_schema": right_schema,
         "left_keys": left_keys,
         "right_keys": right_keys,
         "residual": residual,
     }, inputs)
-    info = {"op": join_id, "strategy": strategy}
-    if stages is not None:
-        info["stages"] = stages
-    return ready, info
 
 
-def _plan_bloom_stages(b, left_op, left_schema, left_keys,
-                       right_op, right_schema, right_keys, ready, timing):
-    """Insert bloom_stage ops on both legs; returns new legs + ready."""
-    filter_flush = ready + 0.3
-    merge_at = filter_flush + timing.bloom_merge
-    release_at = merge_at + timing.bloom_release
-    stages = []
+def _plan_bloom_stages(b, left_op, left_schema, right_op, right_schema,
+                       pairs):
+    """Insert bloom_stage ops on both legs; returns the new legs."""
     # Both stages share a filter group so the query site merges their
     # partials together and each side receives the *other's* filter.
     group = "bloom:{}".format(left_op)
-    for side, op, schema, keys in (
-        ("left", left_op, left_schema, left_keys),
-        ("right", right_op, right_schema, right_keys),
-    ):
-        stage = b.add("bloom_stage", {
-            "side": side, "key_exprs": keys, "schema": schema,
-            "capacity": 512, "fp_rate": 0.02, "group": group,
+    stages = [
+        b.add("bloom_stage", {
+            "side": side,
+            "key_exprs": [ColumnRef(pair[i]) for pair in pairs],
+            "schema": schema, "capacity": 512, "fp_rate": 0.02,
+            "group": group,
         }, [op])
-        b.flush_at(stage, filter_flush)
-        stages.append(stage)
-    b.bloom_broadcast_offset = merge_at
-    return stages[0], stages[1], release_at
+        for i, (side, op, schema) in enumerate((
+            ("left", left_op, left_schema), ("right", right_op, right_schema)))
+    ]
+    b.ready += 0.3
+    for stage in stages:
+        b.flush_offsets[stage] = b.ready
+    b.bloom_broadcast_offset = b.ready + BLOOM_MERGE
+    b.ready = b.bloom_broadcast_offset + BLOOM_RELEASE
+    return stages
 
 
 def _fm_applicable(right_def, pairs, right_schema):
@@ -720,8 +564,8 @@ def _fm_applicable(right_def, pairs, right_schema):
     return partition_index == join_index
 
 
-def _lower_aggregation(b, lq, node, lowered, ready, timing, site):
-    """Lower one logical aggregate; returns (ready, finishing, info).
+def _lower_aggregation(b, lq, node, lowered):
+    """Lower one logical aggregate; returns (finishing, lowered-info).
 
     Partials fold where the rows are and an exchange ships them to each
     group's owner; on a site-run plan every row is already at the query
@@ -739,26 +583,24 @@ def _lower_aggregation(b, lq, node, lowered, ready, timing, site):
     partial_id = b.add("groupby_partial", {
         "group_exprs": group_exprs, "agg_specs": agg_specs, "schema": schema,
     }, [child])
-    ready += timing.hold
-    b.flush_at(partial_id, ready)
+    b.flush(partial_id, HOLD)
 
     # The ablation knob: aggregation_tree=False ships partials straight
     # to each group's owner with no in-network combining (same answer,
     # more messages converging on the owner).
     exchange_id = None
-    if not site:
+    if not b.site:
         use_tree = lq.options.get("aggregation_tree", True)
         exchange_params = {"mode": "tree" if use_tree else "rehash",
                            "key": {"kind": "group"}}
         if use_tree:
             exchange_params["combine"] = {"agg_specs": agg_specs}
         exchange_id = b.add("exchange", exchange_params, [partial_id])
-        ready += timing.tree_xfer if use_tree else timing.rehash_xfer
+        b.ready += TREE_XFER if use_tree else REHASH_XFER
 
     final_id = b.add("groupby_final", {"agg_specs": agg_specs},
                      [exchange_id or partial_id])
-    ready += timing.hold
-    b.flush_at(final_id, ready)
+    b.flush(final_id, HOLD)
 
     # Final operators emit mergeable (group_values, states) rows; the
     # query site reconciles owners (ring healing can split a group
@@ -787,7 +629,7 @@ def _lower_aggregation(b, lq, node, lowered, ready, timing, site):
     }
     info = {"op": final_id, "partial": partial_id,
             "exchange": exchange_id, "final": final_id}
-    return ready, agg_finishing, info
+    return agg_finishing, info
 
 
 def _aggregation_internal_schema(lq, group_exprs, agg_specs):
@@ -819,9 +661,7 @@ def _output_schema(lq):
 
 
 def _compile_order_by(lq, schema):
-    sort_keys = []
-    for expr, desc in lq.order_by:
-        sort_keys.append((expr, desc))
+    sort_keys = list(lq.order_by)
     # Validate references now so a bad ORDER BY fails at plan time.
     for expr, _desc in sort_keys:
         expr.compile(schema)
@@ -831,10 +671,10 @@ def _compile_order_by(lq, schema):
 # ----------------------------------------------------------------------
 # Recursive planning (transitive-closure shape)
 # ----------------------------------------------------------------------
-def _plan_recursive(lq, catalog, timing):
+def _plan_recursive(lq, catalog):
     spec = lq.recursive
     base, step = spec.base, spec.step
-    b = _Builder(timing)
+    b = _Builder()
 
     # --- base leg: scan -> select -> project into the recursive shape
     if len(base.tables) != 1:
@@ -883,33 +723,13 @@ def _plan_recursive(lq, catalog, timing):
     out_schema = probe_schema.concat(edge_schema)
 
     if _fm_applicable(edge_def, pairs, edge_schema):
-        join_id = b.add("fetch_matches", {
-            "probe_schema": probe_schema,
-            "table": edge_table,
-            "table_schema": edge_schema,
-            "probe_key": ColumnRef(pairs[0][0]),
-            "residual": residual,
-            "dedup_keys": True,
-        }, [distinct_id])
+        join_id = _fetch_matches(b, distinct_id, probe_schema, edge_def,
+                                 edge_schema, pairs, residual,
+                                 dedup_keys=True)
     else:
-        left_keys = [ColumnRef(left) for left, _right in pairs]
-        right_keys = [ColumnRef(right) for _left, right in pairs]
-        left_ex = b.add("exchange", {
-            "mode": "rehash",
-            "key": {"kind": "exprs", "exprs": left_keys, "schema": probe_schema},
-        }, [distinct_id])
         edge_scan = b.add("scan", {"table": edge_table, "alias": edge_alias})
-        right_ex = b.add("exchange", {
-            "mode": "rehash",
-            "key": {"kind": "exprs", "exprs": right_keys, "schema": edge_schema},
-        }, [edge_scan])
-        join_id = b.add("shj", {
-            "left_schema": probe_schema,
-            "right_schema": edge_schema,
-            "left_keys": left_keys,
-            "right_keys": right_keys,
-            "residual": residual,
-        }, [left_ex, right_ex])
+        join_id = _hash_join(b, distinct_id, probe_schema, edge_scan,
+                             edge_schema, pairs, residual)
 
     step_project = b.add("project", {
         "exprs": step_exprs, "schema": out_schema,
@@ -917,14 +737,12 @@ def _plan_recursive(lq, catalog, timing):
     back_ex = b.add("exchange", {"mode": "rehash", "key": {"kind": "row"}},
                     [step_project])
     # Close the cycle: the back edge feeds the same distinct operator.
-    for s in b.specs:
-        if s.op_id == distinct_id:
-            s.inputs.append(back_ex)
+    b.specs[distinct_id].inputs.append(back_ex)
 
     deadline = lq.options.get("recursion_deadline", 45.0)
     metadata = {"columns": [name for _item, name in lq.select_items]}
     return QueryPlan(
-        b.specs, result_id, mode="recursive", flush_offsets={},
+        list(b.specs.values()), result_id, mode="recursive", flush_offsets={},
         deadline=deadline, finishing={}, metadata=metadata,
     )
 

@@ -2,7 +2,7 @@
 
 PIER's declarative interface: a SQL subset with continuous-query
 extensions. :func:`parse_query` turns text into a
-:class:`~repro.core.planner.LogicalQuery`; the planner does the rest.
+:class:`~repro.core.logical.LogicalQuery`; the planner does the rest.
 
 Supported surface::
 

@@ -14,7 +14,7 @@ import pytest
 from repro.apps.filesharing import VOCABULARY, FileSharingApp
 from repro.core.dataflow import SiteQueryContext
 from repro.core.network import PierNetwork
-from repro.core.planner import PlannerTiming, plan_query
+from repro.core.planner import HOLD, REHASH_XFER, plan_query
 from repro.core.sql import parse_query
 from repro.db.catalog import Catalog, TableDef
 from repro.db.schema import Schema
@@ -92,11 +92,10 @@ class TestAccessPathChoice:
         assert not p.ops_of_kind("exchange")
 
     def test_deadline_skips_the_network_stages(self, catalog):
-        timing = PlannerTiming()
         p = plan(catalog, "SELECT k, COUNT(*) AS n FROM d WHERE k = 1 GROUP BY k")
-        assert p.deadline == pytest.approx(timing.rehash_xfer + 2 * timing.hold)
+        assert p.deadline == pytest.approx(REHASH_XFER + 2 * HOLD)
         p = plan(catalog, "SELECT v FROM d WHERE k = 1")
-        assert p.deadline == pytest.approx(timing.rehash_xfer)
+        assert p.deadline == pytest.approx(REHASH_XFER)
         assert p.flush_offsets[p.root_id] == p.deadline
 
     def test_explain_names_the_path(self, catalog):
@@ -143,7 +142,7 @@ class TestRunsAtTheSite:
             net.net.on_deliver = None
         assert sorted(result.rows) == _truth(files, ["music"])
         # One get round-trip, not dissemination + result return + collect.
-        assert result.closed_at - t0 == pytest.approx(PlannerTiming().rehash_xfer)
+        assert result.closed_at - t0 == pytest.approx(REHASH_XFER)
         query = {dst for dst, kinds in seen
                  if not {"rpc_req", "rpc_rep"} & set(kinds)}
         assert not any("broadcast" in kinds for _dst, kinds in seen)
@@ -188,7 +187,7 @@ class TestRunsAtTheSite:
         result = net.run_sql(
             "SELECT file_id FROM inverted WHERE term = 'xyzzy'")
         assert result.rows == []
-        assert result.closed_at - t0 == pytest.approx(PlannerTiming().rehash_xfer)
+        assert result.closed_at - t0 == pytest.approx(REHASH_XFER)
 
     def test_deadline_closes_when_a_get_never_answers(self, files):
         net = files.net

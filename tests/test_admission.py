@@ -1,16 +1,18 @@
-"""Admission control: the stats catalog, the planner's cost bounder,
+"""Admission control: the stats catalog, the cost bounder,
 the sketch -> widen -> sample degradation ladder, refusal, labeled
 approximate answers, and deterministic scan sampling."""
 
-import types
-
 import pytest
 
-from repro.core.admission import AdmissionError, AdmissionPolicy
-from repro.core.catalog import StatsCatalog
+from repro.core.admission import (
+    AdmissionError,
+    AdmissionPolicy,
+    bound_query_cost,
+)
+from repro.core.catalog import StatsCatalog, query_stats_key
 from repro.core.network import PierConfig, PierNetwork
-from repro.core.planner import bound_query_cost, query_stats_key
 from repro.core.sql import parse_query
+from repro.db.catalog import Catalog
 from repro.util.serde import wire_size
 
 
@@ -19,7 +21,7 @@ from repro.util.serde import wire_size
 # ----------------------------------------------------------------------
 class TestStatsCatalog:
     def test_rate_converges_on_steady_stream(self):
-        stats = StatsCatalog(bucket=5.0)
+        stats = StatsCatalog()
         t = 0.0
         while t < 60.0:  # 10 rows/sec for a minute
             stats.note_append("s", 48, t)
@@ -27,14 +29,14 @@ class TestStatsCatalog:
         assert stats.arrival_rate("s", now=60.0) == pytest.approx(10.0, rel=0.05)
 
     def test_cold_partial_bucket_estimates_instead_of_zero(self):
-        stats = StatsCatalog(bucket=5.0)
+        stats = StatsCatalog()
         for i in range(10):
             stats.note_append("s", 48, i * 0.1)
         # Mid-first-bucket: the partial bucket is the best effort.
         assert stats.arrival_rate("s", now=1.0) > 0.0
 
     def test_silent_gap_decays_the_rate(self):
-        stats = StatsCatalog(bucket=5.0)
+        stats = StatsCatalog()
         t = 0.0
         while t < 20.0:
             stats.note_append("s", 48, t)
@@ -77,37 +79,40 @@ class TestStatsCatalog:
 CONT = " EVERY 2 SECONDS LIFETIME 20 SECONDS"
 
 
-def fake_catalog(rate=100.0, row_bytes=64.0, groups=None, stats_key=None):
-    stats = StatsCatalog()
-    stats.seed("s", rate=rate, row_bytes=row_bytes)
+def stats_catalog(rate=100.0, row_bytes=64.0, groups=None, stats_key=None):
+    """A schema catalog carrying stats for stream ``s``; ``rate=None``
+    leaves the stats cold."""
+    catalog = Catalog()
+    catalog.stats = StatsCatalog()
+    if rate is not None:
+        catalog.stats.seed("s", rate=rate, row_bytes=row_bytes)
     if groups is not None:
-        stats.seed_groups(stats_key, groups)
-    return types.SimpleNamespace(stats=stats)
+        catalog.stats.seed_groups(stats_key, groups)
+    return catalog
 
 
 class TestCostBounder:
     def test_oneshot_and_statsless_catalogs_are_unbounded(self):
         lq = parse_query("SELECT COUNT(*) AS n FROM s")
-        assert bound_query_cost(lq, fake_catalog()) is None
+        assert bound_query_cost(lq, stats_catalog()) is None
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
-        assert bound_query_cost(lq, types.SimpleNamespace()) is None
+        assert bound_query_cost(lq, Catalog()) is None
 
     def test_cold_catalog_bounds_to_zero(self):
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
-        catalog = types.SimpleNamespace(stats=StatsCatalog())
-        bound = bound_query_cost(lq, catalog)
+        bound = bound_query_cost(lq, stats_catalog(rate=None))
         assert bound is not None and bound.units_per_sec() == 0.0
 
     def test_scan_term_is_rate_times_every(self):
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
-        bound = bound_query_cost(lq, fake_catalog(rate=100.0))
+        bound = bound_query_cost(lq, stats_catalog(rate=100.0))
         assert bound.rows_scanned == pytest.approx(200.0)  # 100/s * 2s
 
     def test_known_group_cardinality_caps_exchange_and_fold(self):
         sql = "SELECT k, COUNT(*) AS n FROM s GROUP BY k" + CONT
         lq = parse_query(sql)
-        unbounded = bound_query_cost(lq, fake_catalog())
-        capped = bound_query_cost(lq, fake_catalog(
+        unbounded = bound_query_cost(lq, stats_catalog())
+        capped = bound_query_cost(lq, stats_catalog(
             groups=2, stats_key=query_stats_key(lq)))
         assert capped.exchange_rows < unbounded.exchange_rows
         assert capped.fold_groups < unbounded.fold_groups
@@ -118,15 +123,15 @@ class TestCostBounder:
             "SELECT COUNT(DISTINCT v) AS d FROM s" + CONT)
         sketch = parse_query(
             "SELECT APPROX_COUNT_DISTINCT(v) AS d FROM s" + CONT)
-        b_exact = bound_query_cost(exact, fake_catalog())
-        b_sketch = bound_query_cost(sketch, fake_catalog())
+        b_exact = bound_query_cost(exact, stats_catalog())
+        b_sketch = bound_query_cost(sketch, stats_catalog())
         assert b_exact.exchange_bytes > 4 * b_sketch.exchange_bytes
 
     def test_sampling_sheds_exchange_but_not_scan(self):
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
-        full = bound_query_cost(lq, fake_catalog())
+        full = bound_query_cost(lq, stats_catalog())
         lq.options["sample_rate"] = 0.1
-        sampled = bound_query_cost(lq, fake_catalog())
+        sampled = bound_query_cost(lq, stats_catalog())
         assert sampled.rows_scanned == full.rows_scanned  # still examined
         assert sampled.exchange_rows == pytest.approx(
             0.1 * full.exchange_rows)
@@ -134,7 +139,7 @@ class TestCostBounder:
     def test_widening_every_amortizes_group_bound_terms(self):
         sql = "SELECT k, COUNT(*) AS n FROM s GROUP BY k" + CONT
         lq = parse_query(sql)
-        catalog = fake_catalog(groups=10, stats_key=query_stats_key(lq))
+        catalog = stats_catalog(groups=10, stats_key=query_stats_key(lq))
         narrow = bound_query_cost(lq, catalog).units_per_sec()
         lq.every *= 4
         wide = bound_query_cost(lq, catalog).units_per_sec()
@@ -148,20 +153,20 @@ class TestAdmissionLadder:
     def test_within_budget_admits_untouched(self):
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
         policy = AdmissionPolicy(budget_units=10_000.0)
-        decision = policy.admit(lq, fake_catalog())
+        decision = policy.admit(lq, stats_catalog())
         assert decision.admitted and decision.degradations == []
         assert not decision.approximate
 
     def test_no_budget_admits_everything(self):
         lq = parse_query("SELECT COUNT(DISTINCT v) AS d FROM s" + CONT)
-        decision = AdmissionPolicy(budget_units=None).admit(lq, fake_catalog())
+        decision = AdmissionPolicy(budget_units=None).admit(lq, stats_catalog())
         assert decision.admitted and decision.degradations == []
         assert lq.select_items[0][0].func_name == "COUNT_DISTINCT"
 
     def test_sketch_swap_is_the_first_rung(self):
         sql = ("SELECT k, COUNT(DISTINCT v) AS d FROM s GROUP BY k" + CONT)
         lq = parse_query(sql)
-        catalog = fake_catalog(groups=10, stats_key=query_stats_key(lq))
+        catalog = stats_catalog(groups=10, stats_key=query_stats_key(lq))
         over = bound_query_cost(lq, catalog).units_per_sec()
         policy = AdmissionPolicy(budget_units=over * 0.5)
         decision = policy.admit(lq, catalog)
@@ -179,7 +184,7 @@ class TestAdmissionLadder:
     def test_widen_every_amortizes_without_approximation(self):
         sql = "SELECT k, COUNT(*) AS n FROM s GROUP BY k" + CONT
         lq = parse_query(sql)
-        catalog = fake_catalog(groups=10, stats_key=query_stats_key(lq))
+        catalog = stats_catalog(groups=10, stats_key=query_stats_key(lq))
         over = bound_query_cost(lq, catalog).units_per_sec()
         scan_floor = 100.0  # the rate term that widening cannot touch
         budget = scan_floor + (over - scan_floor) / 3.0
@@ -194,7 +199,7 @@ class TestAdmissionLadder:
         # No GROUP BY cardinality cap: every term scales with EVERY, so
         # widening buys nothing and must be undone before sampling.
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
-        catalog = fake_catalog(rate=100.0)
+        catalog = stats_catalog(rate=100.0)
         decision = AdmissionPolicy(budget_units=200.0).admit(lq, catalog)
         assert decision.admitted
         assert lq.every == 2.0  # rollback left the cadence alone
@@ -205,12 +210,12 @@ class TestAdmissionLadder:
 
     def test_sample_rate_floors_at_the_minimum(self):
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
-        catalog = fake_catalog(rate=100.0)
+        catalog = stats_catalog(rate=100.0)
         # Budget only reachable at the 5% floor itself (the floored
         # bound is 115 u/s: the 100 u/s scan term plus 5% of the
-        # exchange+fold terms).
-        decision = AdmissionPolicy(
-            budget_units=120.0, allow_widen=False).admit(lq, catalog)
+        # exchange+fold terms). The query is scan-bound, so widening
+        # rolls back and sampling is the only rung applied.
+        decision = AdmissionPolicy(budget_units=120.0).admit(lq, catalog)
         assert decision.admitted
         (deg,) = decision.degradations
         assert deg["kind"] == "sample" and deg["rate"] == 0.05
@@ -220,26 +225,17 @@ class TestAdmissionLadder:
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
         with pytest.raises(AdmissionError) as info:
             AdmissionPolicy(budget_units=50.0).admit(
-                lq, fake_catalog(rate=100.0))
+                lq, stats_catalog(rate=100.0))
         assert info.value.budget == 50.0
         assert info.value.bound.units_per_sec() > 50.0
-
-    def test_pure_gate_refuses_without_degrading(self):
-        lq = parse_query("SELECT COUNT(DISTINCT v) AS d FROM s" + CONT)
-        policy = AdmissionPolicy(budget_units=1.0, allow_sketch=False,
-                                 allow_widen=False, allow_sample=False)
-        with pytest.raises(AdmissionError):
-            policy.admit(lq, fake_catalog())
-        assert lq.select_items[0][0].func_name == "COUNT_DISTINCT"
-        assert lq.every == 2.0 and "sample_rate" not in lq.options
 
 
 # ----------------------------------------------------------------------
 # End to end through PierNetwork
 # ----------------------------------------------------------------------
-def admission_net(budget, nodes=6, seed=9, **policy_kwargs):
+def admission_net(budget, nodes=6, seed=9):
     net = PierNetwork(nodes=nodes, seed=seed, config=PierConfig(
-        admission=AdmissionPolicy(budget_units=budget, **policy_kwargs)))
+        admission=AdmissionPolicy(budget_units=budget)))
     net.create_stream_table("s", [("k", "INT"), ("v", "INT")], window=30.0)
     return net
 
@@ -264,7 +260,22 @@ class TestAdmissionEndToEnd:
         admission = plan.metadata["admission"]
         assert admission["degradations"] == []
         assert not admission["approximate"]
-        assert plan.metadata["cost"]["units_per_sec"] == 0.0
+        assert admission["bound"]["units_per_sec"] == 0.0
+
+    def test_cost_metadata_is_the_admitted_bound(self):
+        """One compile prices once, at ``now``: a table still in its
+        first stats bucket rates from the partial bucket, and the plan
+        carries only the bound admission decided on -- no second
+        pricing that reads the cold table as zero."""
+        net = admission_net(budget=1e9, nodes=4)
+        engine = net.node(net.addresses()[0]).engine
+        for i in range(20):
+            engine.stream_append("s", (i, i))
+            net.advance(0.1)
+        plan = net.compile_sql(
+            "SELECT COUNT(*) AS n FROM s EVERY 2 SECONDS LIFETIME 10 SECONDS")
+        assert plan.metadata["admission"]["bound"]["units_per_sec"] > 0.0
+        assert "cost" not in plan.metadata
 
     def test_over_budget_distinct_runs_sketched_and_labeled(self):
         # Budget sized so the sketch rung *alone* brings the bound
@@ -307,8 +318,7 @@ class TestAdmissionEndToEnd:
         assert results and all(r.approximate is None for r in results)
 
     def test_refused_query_never_disseminates(self):
-        net = admission_net(budget=10.0, allow_sketch=False,
-                            allow_widen=False, allow_sample=False)
+        net = admission_net(budget=10.0)
         net.catalog.stats.seed("s", rate=500.0, row_bytes=48.0)
         sent_before = net.net.counters.get("messages_sent")
         with pytest.raises(AdmissionError):

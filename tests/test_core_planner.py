@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.planner import plan_query, PlannerTiming
+from repro.core.planner import REHASH_XFER, SCAN_READY, plan_query
 from repro.core.sql import parse_query
 from repro.db.catalog import Catalog, TableDef
 from repro.db.schema import Schema
@@ -160,8 +160,7 @@ class TestJoinPlans:
         assert "groupby_partial" in kinds(p)
         # Partial aggregation flushes after join rows can have arrived.
         partial = p.ops_of_kind("groupby_partial")[0].op_id
-        timing = PlannerTiming()
-        assert p.flush_offsets[partial] > timing.scan_ready + timing.rehash_xfer - 0.01
+        assert p.flush_offsets[partial] > SCAN_READY + REHASH_XFER - 0.01
 
 
 class TestContinuousPlans:
@@ -198,6 +197,24 @@ class TestRecursivePlans:
     def test_fm_used_for_partitioned_edge_table(self, catalog):
         p = plan(catalog, self.SQL)
         assert "fetch_matches" in kinds(p)
+
+    def test_shj_rehashes_both_legs_over_a_local_edge_table(self, catalog):
+        catalog.define(TableDef("edge", Schema.of(("src", STR), ("dst", STR))))
+        p = plan(catalog, self.SQL.replace("link", "edge"))
+        assert "fetch_matches" not in kinds(p)
+        (join,) = p.ops_of_kind("shj")
+        (distinct,) = p.ops_of_kind("distinct")
+        legs = [p.specs[op_id] for op_id in join.inputs]
+        assert [leg.kind for leg in legs] == ["exchange", "exchange"]
+        assert all(leg.params["mode"] == "rehash" for leg in legs)
+        probe, build = (p.specs[leg.inputs[0]] for leg in legs)
+        assert probe is distinct
+        assert build.kind == "scan" and build.params["table"] == "edge"
+        # The cycle: distinct's second input is the back-edge exchange,
+        # fed by the step's projection of the join.
+        back = p.specs[distinct.inputs[1]]
+        assert back.kind == "exchange" and back.params["key"]["kind"] == "row"
+        assert p.specs[back.inputs[0]].inputs == [join.op_id]
 
     def test_distinct_reports_progress(self, catalog):
         p = plan(catalog, self.SQL)

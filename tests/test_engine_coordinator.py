@@ -9,6 +9,8 @@ import pytest
 from stubs import RecordingDht
 
 from repro.core import planner
+from repro.core.admission import AdmissionPolicy
+from repro.core.catalog import StatsCatalog
 from repro.core.engine import EngineConfig, PierEngine
 from repro.core.network import PierConfig, PierNetwork
 from repro.dht.chord import ChordNode
@@ -39,19 +41,20 @@ class TestKnobs:
             "max_batch_rows", "regional_trees", "adaptive_flush",
             "hot_group_threshold",
         ]
-        assert knobs(planner.PlannerTiming) == ["rehash_xfer"]
         assert knobs(PierConfig) == [
-            "dht", "engine", "timing", "network", "bootstrap", "admission",
+            "dht", "engine", "network", "bootstrap", "admission",
         ]
+        assert knobs(AdmissionPolicy) == ["budget_units"]
+        assert knobs(StatsCatalog) == []
         assert knobs(DhtConfig) == [
             "rpc_timeout", "lookup_timeout", "hop_retransmit_timeout",
             "proximity_routing",
         ]
         assert knobs(NetworkConfig) == ["loss_rate", "service_time"]
-        for cls in (EngineConfig, DhtConfig, NetworkConfig, planner.PlannerTiming):
+        for cls in (EngineConfig, DhtConfig, NetworkConfig, AdmissionPolicy):
             assert vars(cls()).keys() == set(knobs(cls))
 
-    @pytest.mark.parametrize("cls", [EngineConfig, DhtConfig, planner.PlannerTiming])
+    @pytest.mark.parametrize("cls", [EngineConfig, DhtConfig, AdmissionPolicy])
     def test_every_knob_has_a_caller(self, cls):
         """The census rule, checked: each field is passed as ``name=``
         somewhere outside ``tests/`` and outside its class's own

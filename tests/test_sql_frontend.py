@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.planner import AggCall
+from repro.core.logical import AggCall
 from repro.core.sql import parse_query
 from repro.core.sql.lexer import tokenize
 from repro.db.expressions import BinaryOp, ColumnRef, FuncCall, Literal, UnaryOp
