@@ -6,7 +6,8 @@ over one conversation per ring edge, timeout-driven failure suspicion,
 the finger table with its proximity choice, the RPC handlers the clocks
 talk to, and the handoff that moves stored items -- and the delivery
 ids consumed under them -- to whoever takes over a key range. The
-neighbour-digest hook rides the stabilise probe. :class:`Ring` is a
+neighbour-digest hook rides the stabilise probe, and its reply carries
+the neighbour lists only when they changed. :class:`Ring` is a
 mixin over :class:`~repro.sim.node.SimNode` and
 :class:`~repro.dht.rpc.RpcNode`, like ``RpcNode`` itself.
 """
@@ -24,7 +25,10 @@ from repro.util.ids import ID_BITS, distance_cw, in_interval
 # Every STABILIZE_PERIOD a node probes its successor (``get_neighbors``,
 # one request and one reply). The probe names the prober, so it is also
 # the notify and, for the receiver, its predecessor's keep-alive. A
-# silent successor is replaced ``rpc_timeout`` after the probe.
+# silent successor is replaced ``rpc_timeout`` after the probe. The
+# reply always carries the successor's neighbour version, and carries
+# its predecessor and successor list only when the probe did not echo
+# that version (see :meth:`Ring._rpc_get_neighbors`).
 STABILIZE_PERIOD = 5.0
 # How long a predecessor may stay silent before it is pinged; a settled
 # ring never pings, because the predecessor's probe arrives every
@@ -68,6 +72,16 @@ class Ring:
         self._seen_mids = {}  # delivery id -> forget-at (replay dedup)
         self._digest_provider = None
         self._digest_handler = None
+        # Responder side of the stabilise reply: the (predecessor,
+        # successors) it last answered with, and that state's version.
+        # Never reset, crash and recover included, so one version names
+        # one state for good and a prober's echo can never match a
+        # state it has not seen.
+        self._neighbors_answered = None
+        self._neighbors_version = 0
+        # Prober side: (successor address, version, predecessor,
+        # successors) from the last reply that carried the lists.
+        self._neighbors_heard = None
         self._stabilizer = PeriodicProcess(
             self.clock, STABILIZE_PERIOD, self._stabilize, jitter_rng=rng
         )
@@ -126,7 +140,7 @@ class Ring:
                     self.predecessor.address,
                     msg.RpcRequest(-1, self.address, {
                         "kind": "successor_leaving",
-                        "successors": list(self.successors[1:]) or list(self.successors),
+                        "successors": list(self.successors),
                     }),
                 )
         if self._outbox:
@@ -304,12 +318,20 @@ class Ring:
         # The stabilise probe is also the prober's notify (it names us
         # as its successor) and, from our predecessor, its keep-alive:
         # one exchange per ring edge per period. Apply the notify rule
-        # first so the answer already reflects it.
+        # first so the answer already reflects it. The lists go out only
+        # when the prober does not echo the version of this very state;
+        # the state is compared as a snapshot, so no assignment to
+        # ``successors`` or ``predecessor`` needs a hook.
         self._consider_predecessor(request["node"])
-        respond({
-            "predecessor": self.predecessor,
-            "successors": list(self.successors),
-        })
+        state = (self.predecessor, tuple(self.successors))
+        if state != self._neighbors_answered:
+            self._neighbors_answered = state
+            self._neighbors_version += 1
+        reply = {"version": self._neighbors_version}
+        if request.get("seen") != self._neighbors_version:
+            reply["predecessor"] = self.predecessor
+            reply["successors"] = list(self.successors)
+        respond(reply)
         if self._digest_handler is not None:
             self._digest_handler(request.get("digest"), src)
 
@@ -357,17 +379,32 @@ class Ring:
         successor that stays silent for ``rpc_timeout`` is suspected
         and the next list entry takes over, so a dead successor is
         noticed within ``STABILIZE_PERIOD + rpc_timeout``.
+
+        The probe echoes (``seen``) the version of the lists this
+        successor last sent us, and a successor whose state still has
+        that version answers with the version alone. The lists reused
+        then are the ones captured here, as the probe leaves, not
+        whatever a later reply cached. A lost reply costs nothing: the
+        next probe echoes the old version and gets the lists again.
         """
         succ = self.successor
         if succ == self.ref:
             if self.predecessor is not None and self.predecessor != self.ref:
                 self.successors = [self.predecessor]
             return
+        heard = self._neighbors_heard
+        if heard is not None and heard[0] != succ.address:
+            heard = None
 
         def on_reply(reply):
+            if "successors" in reply:
+                pred, successors = reply["predecessor"], reply["successors"]
+                self._neighbors_heard = (
+                    succ.address, reply["version"], pred, successors)
+            else:
+                pred, successors = heard[2:]
             head = self.successor
             fresh = [head]
-            pred = reply["predecessor"]
             if pred is not None and pred != self.ref and in_interval(
                 pred.id, self.id, succ.id
             ) and not self.is_suspect(pred.address):
@@ -375,7 +412,7 @@ class Ring:
                 # never names succ, so seed both or succ drops out of
                 # our list for a round.
                 fresh = [pred, succ]
-            for ref in reply["successors"]:
+            for ref in successors:
                 if ref not in fresh and ref != self.ref:
                     fresh.append(ref)
             self.successors = fresh[:SUCCESSOR_LIST_LENGTH]
@@ -391,6 +428,8 @@ class Ring:
                 self.successors = [self.ref]
 
         request = {"kind": "get_neighbors", "node": self.ref}
+        if heard is not None:
+            request["seen"] = heard[1]
         if self._digest_provider is not None:
             digest = self._digest_provider()
             if digest is not None:

@@ -19,6 +19,7 @@ from repro.dht import ring
 from repro.dht.bootstrap import build_chord_ring, owner_of, ring_is_consistent
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
+from repro.dht.messages import RpcReply
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency, RegionalLatency
 from repro.sim.network import Network
@@ -27,7 +28,8 @@ from repro.util.rng import SeededRng
 from repro.util.serde import wire_size
 
 LATENCY = 0.02
-REPLY_KINDS = {"successors": "get_neighbors", "owns": "owns",
+# Every stabilise reply carries the version; the lists only when changed.
+REPLY_KINDS = {"version": "get_neighbors", "owns": "owns",
                "alive": "ping", "accepted": "notify"}
 
 
@@ -202,11 +204,165 @@ class TestNeighborDigest:
             silent = int(src[1:]) % 2 == 0
             assert ("digest" in wire.inner) != silent
             if silent:  # not a byte more than a probe without the hook
-                bare = {"kind": "get_neighbors", "node": wire.inner["node"]}
+                assert set(wire.inner) == {"kind", "node", "seen"}
+                bare = {"kind": "get_neighbors", "node": wire.inner["node"],
+                        "seen": wire.inner["seen"]}
                 assert wire.wire_size() == 24 + wire_size(bare)
         # Each probed node handed what arrived (None: nothing) upward.
         assert sorted(heard) == sorted(
             (src, dst, wire.inner.get("digest")) for src, dst, wire in probes)
+
+
+def true_successors(nodes, node):
+    """``node``'s successor list by ground truth."""
+    order = ring_order(nodes)
+    i = order.index(node)
+    return [order[(i + j) % len(order)].ref
+            for j in range(1, ring.SUCCESSOR_LIST_LENGTH + 1)]
+
+
+class Stabilise:
+    """Wraps ``net.send``: every stabilise probe and reply as it leaves.
+
+    ``probes`` are ``(time, prober, responder, inner)``; ``replies`` are
+    ``(time, responder, prober, inner)``. ``drop(src, dst, inner)``, when
+    set, loses the first reply it accepts. An omitted reply is checked
+    as it leaves: the lists the prober will reuse must be the
+    responder's present state.
+    """
+
+    def __init__(self, clock, net):
+        self.clock = clock
+        self.net = net
+        self.probes = []
+        self.replies = []
+        self.drop = None
+        self._send = net.send
+        net.send = self.send
+
+    def send(self, src, dst, payload):
+        if payload.kind == "rpc_req" and payload.inner["kind"] == "get_neighbors":
+            self.probes.append((self.clock.now, src, dst, payload.inner))
+        elif payload.kind == "rpc_rep" and "version" in payload.inner:
+            inner = payload.inner
+            self.replies.append((self.clock.now, src, dst, inner))
+            if "successors" not in inner:
+                responder, prober = self.net.node(src), self.net.node(dst)
+                heard = prober._neighbors_heard
+                assert heard[:2] == (src, inner["version"])
+                assert heard[2] == responder.predecessor
+                assert list(heard[3]) == responder.successors
+            if self.drop is not None and self.drop(src, dst, inner):
+                self.drop = None
+                return
+        self._send(src, dst, payload)
+
+    def full(self, t=0.0, src=None, dst=None):
+        return [r for r in self.replies if r[0] >= t and "successors" in r[3]
+                and src in (None, r[1]) and dst in (None, r[2])]
+
+
+class TestNeighborDelta:
+    """The stabilise reply carries the neighbour lists only when the
+    prober does not already hold them (by the version it echoes)."""
+
+    def test_a_settled_ring_replies_with_the_version_alone(self):
+        clock, net, nodes, _tap = make_ring(16)
+        log = Stabilise(clock, net)
+        clock.run_for(ring.STABILIZE_PERIOD)
+        assert sorted(r[2] for r in log.replies) == sorted(
+            n.address for n in nodes)
+        for _t, _src, _dst, inner in log.replies:
+            assert set(inner) == {"version"}
+            assert RpcReply(1, inner).wire_size() == 39
+        # Every probe echoed the version its successor last sent.
+        assert all(set(p[3]) == {"kind", "node", "seen"} for p in log.probes)
+
+    def test_a_join_resends_the_changed_lists(self):
+        clock, net, nodes, _tap = make_ring(8, seed=3)
+        joiner = ChordNode(net, "late", nodes[0].config, SeededRng(3, "late"))
+        everyone = nodes + [joiner]
+        pred, succ = neighbours(everyone, joiner)
+        log = Stabilise(clock, net)
+        t = clock.now
+        joiner.join(nodes[0].address)
+        clock.run_for(3 * ring.STABILIZE_PERIOD)
+        assert ring_is_consistent(everyone)
+        # succ told pred about its new predecessor, with the lists.
+        assert any(r[3]["predecessor"] == joiner.ref
+                   for r in log.full(t, succ.address, pred.address))
+        for node in everyone:
+            assert node.successors == true_successors(everyone, node)
+        # Settled again: the version alone.
+        t = clock.now
+        clock.run_for(ring.STABILIZE_PERIOD)
+        assert log.replies[-1][0] >= t and log.full(t) == []
+
+    def test_a_crashed_third_successor_is_resent(self):
+        clock, net, nodes, _tap = make_ring(8, seed=2)
+        responder = nodes[0]
+        prober, _ = neighbours(nodes, responder)
+        dead = net.node(responder.successors[2].address)
+        log = Stabilise(clock, net)
+        t = clock.now
+        dead.crash()
+        clock.run_for(6 * ring.STABILIZE_PERIOD)
+        sent = log.full(t, responder.address, prober.address)
+        assert sent and dead.ref not in sent[-1][3]["successors"]
+        for node in ring_order(nodes):
+            assert node.successors == true_successors(nodes, node)
+
+    def test_a_lost_reply_is_resent_at_the_next_probe(self):
+        # A timeout longer than the period (replies queued under load):
+        # the next probe leaves while the lost one is still open, so it
+        # goes to the same successor.
+        clock, net, nodes, _tap = make_ring(8, seed=2, rpc_timeout=6.0)
+        responder = nodes[0]
+        prober, _ = neighbours(nodes, responder)
+        held = prober._neighbors_heard[1]
+        log = Stabilise(clock, net)
+        log.drop = lambda src, dst, inner: (
+            (src, dst) == (responder.address, prober.address)
+            and "successors" in inner)
+        t = clock.now
+        net.node(responder.successors[2].address).crash()
+        clock.run_for(6 * ring.STABILIZE_PERIOD + ring.SUSPECT_TTL)
+        assert log.drop is None  # the change's first reply was lost
+        lost = log.full(t, responder.address, prober.address)[0]
+        # The next probe still echoes what the prober holds, and the
+        # lists come back with the lost reply's version or a later one.
+        probe = next(p for p in log.probes
+                     if p[0] > lost[0] and p[1] == prober.address)
+        assert probe[3]["seen"] == held
+        again = next(r for r in log.replies
+                     if r[0] >= probe[0] and r[2] == prober.address)
+        assert "successors" in again[3]
+        assert again[3]["version"] >= lost[3]["version"] > held
+        for node in ring_order(nodes):
+            assert node.successors == true_successors(nodes, node)
+
+    def test_a_recovered_responder_is_heard_in_full(self):
+        clock, net, nodes, _tap = make_ring(8, seed=1)
+        responder = nodes[3]
+        prober, _ = neighbours(nodes, responder)
+        log = Stabilise(clock, net)
+        responder.crash()
+        clock.run_for(2 * ring.STABILIZE_PERIOD)
+        assert prober.successor != responder.ref
+        t = clock.now
+        version = responder._neighbors_version
+        responder.recover(nodes[0].address)
+        # The counter outlives the crash: no later state can be issued
+        # a version a prober may still hold.
+        assert responder._neighbors_version == version
+        clock.run_for(6 * ring.STABILIZE_PERIOD)
+        assert log.full(t, responder.address, prober.address)
+        assert prober.successors == true_successors(nodes, prober)
+        assert responder.successors == true_successors(nodes, responder)
+        # What the lists read when every reply carried them.
+        assert [r.address for r in prober.successors] == ["m3", "m5", "m7", "m6"]
+        assert [r.address for r in responder.successors] == [
+            "m5", "m7", "m6", "m1"]
 
 
 class TestPredecessorLiveness:

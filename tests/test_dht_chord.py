@@ -232,6 +232,17 @@ class TestFailures:
         total_after = sum(len(n.store) for n in nodes if n.alive)
         assert total_after == total_before
 
+    def test_leave_hands_the_predecessor_the_whole_successor_list(self):
+        # The leaver's own successor took its keys: the predecessor must
+        # not skip it on the way to the rest of the list.
+        clock, _net, nodes = make_ring(8)
+        leaver = nodes[3]
+        pred = next(n for n in nodes if n.ref == leaver.predecessor)
+        handed = list(leaver.successors)
+        leaver.leave()
+        clock.run_for(0.1)
+        assert pred.successors == handed
+
 
 class TestBroadcast:
     def test_reaches_every_node_once(self):
