@@ -13,7 +13,6 @@ Layering (bottom-up):
 * :mod:`exchange` -- the only operator that touches the network: rehash
   via DHT routing, direct result return, or aggregation-tree routing.
 * :mod:`aggregation_tree` -- per-hop combining of partial aggregates.
-* :mod:`recursion` -- cyclic dataflow with DHT-partitioned dup-elim.
 * :mod:`planner` / :mod:`sql` -- SQL and algebra frontends.
 * :mod:`engine` / :mod:`coordinator` -- per-node runtime and query-site
   result collection.

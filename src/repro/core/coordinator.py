@@ -14,11 +14,13 @@ caller.
 
 A one-shot plan whose every scan is a keyed ``get``
 (``QueryPlan.at_site``: the planner pinned each scan to one DHT
-partition key) is not broadcast at all. The coordinator runs its one
-:class:`~repro.core.dataflow.EpochExecution` here, takes its rows
-without a wire in between, and closes the answer at the plan's
-deadline, which for such a plan is one get round-trip plus the
-operators' holds (no dissemination, no result return, no collection).
+partition key) is not broadcast at all. The coordinator builds its one
+:class:`~repro.core.dataflow.EpochExecution` here like any other; the
+execution's context reads ``at_site`` off the plan and hands result
+rows to :meth:`Coordinator.on_result` without a wire in between. The
+answer closes at the plan's deadline, which for such a plan is one get
+round-trip plus the operators' holds (no dissemination, no result
+return, no collection).
 
 Stopping a query is one broadcast too; engines tombstone the stopped
 qid, and the same anti-entropy carries the tombstone to nodes the stop
@@ -29,7 +31,7 @@ on quiescence: no node has produced a novel tuple for ``QUIET_PERIOD``
 seconds means the fixpoint is reached.
 """
 
-from repro.core.dataflow import EpochExecution, SiteQueryContext
+from repro.core.dataflow import EpochExecution
 from repro.core.engine import retire_instant
 
 # Recursive quiescence: no progress report for QUIET_PERIOD seconds is
@@ -124,8 +126,7 @@ class Coordinator:
             # Every scan is a keyed get: the plan runs here and nowhere
             # else, so there is nothing to broadcast.
             handle.execution = EpochExecution(
-                self.engine, plan, qid, 0, t0, self.engine.address,
-                ctx=SiteQueryContext(self.engine, plan, qid, t0))
+                self.engine, plan, qid, 0, t0, self.engine.address)
             handle.execution.start()
         else:
             self.dht.broadcast({

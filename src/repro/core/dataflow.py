@@ -11,9 +11,9 @@ Two execution disciplines share the machinery:
 * :class:`EpochExecution` -- one node's disposable instantiation of one
   plan for one epoch. One-shot and recursive queries use it; a one-shot
   plan that runs only at its query site (every scan a keyed ``get``) is
-  one such execution, under a :class:`SiteQueryContext`.
+  one such execution, whose results go straight to the coordinator.
 * :class:`StandingExecution` -- one node's *only* instantiation of a
-  standing continuous plan (every continuous plan is standing).
+  standing plan (``QueryPlan.standing``: every continuous plan).
   Operators are built and wired once; at every epoch boundary the
   engine calls :meth:`advance_epoch`, which rolls each operator over
   instead of tearing the graph down and rebuilding it. Exchange
@@ -21,12 +21,14 @@ Two execution disciplines share the machinery:
   carry an epoch tag, and arrivals tagged with an already-finished
   epoch are dropped at the door -- the soft-state answer to
   stragglers. A standing execution may also run as a shared *spine*
-  serving many canonically identical queries at once: it is then built
-  with ``spine`` set and sees a :class:`SharedQueryContext`, whose
-  ``s|``-prefixed namespaces and ``result_targets`` fan each epoch's
-  answer out to every subscriber; a spine fed by a scan *stage* takes
-  its scan waves through :meth:`StandingExecution.deliver_scan` (see
-  :mod:`repro.core.sharing`).
+  serving many canonically identical queries at once: built with
+  ``spine`` set, its context's ``s|`` namespaces and
+  ``result_targets`` fan each epoch's answer out to every subscriber;
+  a spine fed by a scan *stage* takes its scan waves through
+  :meth:`StandingExecution.deliver_scan` (see :mod:`repro.core.sharing`).
+
+Both see one :class:`LocalQueryContext`, which derives all of that
+from the plan, the spine and the stage key.
 
 Epoch rollover is a *two-phase open/seal lifecycle*. Opening epoch
 ``k`` (``Operator.open_epoch``) starts fresh per-epoch state and lets
@@ -53,7 +55,6 @@ Late rows are dropped -- the soft-state philosophy the paper leans on.
 """
 
 from repro.core.batch import RowBatch
-from repro.util.errors import PlanError
 
 # Adaptive epoch ring: a standing execution never keeps more than
 # RING_MAX_OVERLAP epoch states live (this replaced the planner's
@@ -63,18 +64,11 @@ RING_MAX_OVERLAP = 64
 RING_QUIET_BOUNDARIES = 4
 
 
-def plan_live_epochs(plan):
-    """A plan's epoch ring width N (``QueryPlan`` keeps it >= 1).
-
-    The single definition of "how many epoch states stay live at
-    once": :class:`StandingExecution` bounds its open-epoch map with
-    it, and pane-holding operators (paned group-by finals, paned bloom
-    stages) size their pane retention from it -- an older still-open
-    epoch may re-read panes after the newest epoch advanced the
-    window, so ``(N - 1) * panes_per_every`` extra pane ranges must
-    survive pruning.
-    """
-    return plan.epoch_overlap
+def namespace_head(key, spine=False):
+    """``q|key|``, or ``s|key|`` for a spine's key: the one owner of the
+    head every exchange namespace of ``key`` starts with. A context
+    builds on it; whoever forgets a record's namespaces matches it."""
+    return "{}|{}|".format("s" if spine else "q", key)
 
 
 class _EpochScope:
@@ -96,7 +90,18 @@ class _EpochScope:
 
 
 class LocalQueryContext:
-    """What operator instances see of their environment.
+    """What operator instances see of their environment: one class,
+    derived from the plan and two values. ``spine`` is the
+    :class:`~repro.core.sharing.SpineRecord` a shared execution serves
+    (``query_id`` is its key, ``origin`` this node): namespaces take the
+    ``s|`` / ``ts|`` heads (:func:`namespace_head`) and each epoch's
+    answer fans out to every subscriber. ``prefix_key`` is the key of
+    the scan stage feeding a spine: the scan goes passive
+    (``prefix_fed``: rows arrive via
+    :meth:`StandingExecution.deliver_scan`) and exchanges co-route
+    co-tenants' rows (:meth:`route_namespace`). A site-run plan
+    (``QueryPlan.at_site``) hands results straight to this node's
+    coordinator.
 
     For standing executions ``epoch`` / ``t0`` are *mutable*: the
     execution re-points them at each boundary, after the operators have
@@ -106,21 +111,8 @@ class LocalQueryContext:
     delivers rows (or fires deadlines) for a still-live previous epoch.
     """
 
-    #: Stage-sharing knobs (set when the engine builds the execution).
-    #: ``prefix_fed`` makes a member's scan passive -- rows arrive via
-    #: :meth:`StandingExecution.deliver_scan` from the shared stage
-    #: instead of a private table subscription. ``prefix_key`` lets
-    #: standing exchanges co-route co-tenant queries' rows to one owner
-    #: (see :meth:`Exchange route namespaces <repro.core.exchange>`).
-    #: ``stage`` is set on the stage's own execution: the
-    #: :class:`~repro.core.sharing.StageRecord` whose members its demux
-    #: feeds.
-    prefix_fed = False
-    prefix_key = None
-    stage = None
-
     def __init__(self, engine, plan, query_id, epoch, t0, origin,
-                 standing=False):
+                 spine=None, prefix_key=None):
         self.engine = engine
         self.dht = engine.dht
         self.clock = engine.clock
@@ -129,8 +121,20 @@ class LocalQueryContext:
         self.epoch = epoch
         self.t0 = t0  # epoch start (plan-global sim time)
         self.origin = origin  # query-site address for result return
-        self.standing = standing
         self.active_epoch = epoch
+        self.spine = spine
+        self.prefix_key = prefix_key
+        self.prefix_fed = prefix_key is not None
+        self.stage = None  # on a scan stage's own execution: its record
+        self._at_site = plan.at_site
+        # Standing namespaces are epoch-free (batches carry the epoch
+        # as data); a disposable execution's keep its one epoch.
+        head = namespace_head(query_id, spine is not None)
+        if not plan.standing:
+            head += "{}|".format(epoch)
+        self._ns_head = head
+        # Tree-combining upcalls: ``t|`` beside ``q|``, ``ts|`` beside ``s|``.
+        self._upcall_head = "t" + head.removeprefix("q")
 
     def in_epoch(self, epoch):
         """Scope ``active_epoch`` to ``epoch`` for one push/flush chain
@@ -143,21 +147,12 @@ class LocalQueryContext:
         return _EpochScope(self, epoch)
 
     def namespace(self, op_id, port):
-        """DHT namespace for rows bound for (op, port).
-
-        Epoch-scoped for disposable executions; epoch-free for standing
-        ones, where the engine registers delivery once per query and
-        batches carry the epoch as data instead.
-        """
-        if self.standing:
-            return "q|{}|{}|{}".format(self.query_id, op_id, port)
-        return "q|{}|{}|{}|{}".format(self.query_id, self.epoch, op_id, port)
+        """DHT namespace for rows bound for (op, port)."""
+        return "{}{}|{}".format(self._ns_head, op_id, port)
 
     def upcall_name(self, op_id, port):
         """Intercept name for aggregation-tree combining on this edge."""
-        if self.standing:
-            return "t|{}|{}|{}".format(self.query_id, op_id, port)
-        return "t|{}|{}|{}|{}".format(self.query_id, self.epoch, op_id, port)
+        return "{}{}|{}".format(self._upcall_head, op_id, port)
 
     def route_namespace(self, op_id):
         """ROUTING namespace for the exchange feeding ``op_id``.
@@ -178,73 +173,20 @@ class LocalQueryContext:
         return self.engine.fragment(table_name)
 
     def send_to_origin(self, payload, origin=None):
-        """Ship a payload directly to the query site (result return):
-        this query's, or ``origin`` (a spine answers many sites)."""
-        self.dht.send_direct(origin or self.origin, payload)
+        """Ship a payload to the query site (result return): this
+        query's, or ``origin`` (a spine answers many sites). A site-run
+        plan's site is this node: its coordinator takes the payload."""
+        if self._at_site:
+            self.engine.coordinator.on_result(payload)
+        else:
+            self.dht.send_direct(origin or self.origin, payload)
 
     def result_targets(self, epoch):
         """Who gets this epoch's rows: ``(qid, origin, their_epoch)``
-        triples. One target (ourselves) here; a spine fans out."""
+        triples -- this query alone, or every subscriber of a spine."""
+        if self.spine is not None:
+            return self.spine.result_targets(epoch)
         return ((self.query_id, self.origin, epoch),)
-
-
-class SharedQueryContext(LocalQueryContext):
-    """Context for a spine execution serving N subscriber queries.
-
-    The query id IS the spine key, namespaces move to the ``s|`` / ``ts|``
-    prefixes (so private ``q|`` plumbing and shared plumbing can never
-    collide even if a qid equalled a spine key), and result fan-out
-    translates each spine epoch to every subscriber's own epoch number
-    via its grid offset. ``origin`` is this node itself -- a spine has
-    no single query site; results go to each subscriber's origin.
-    """
-
-    def __init__(self, engine, plan, spine, epoch, t0):
-        super().__init__(
-            engine, plan, spine.key, epoch, t0, engine.address,
-            standing=True,
-        )
-        self.spine = spine
-
-    def namespace(self, op_id, port):
-        return "s|{}|{}|{}".format(self.query_id, op_id, port)
-
-    def upcall_name(self, op_id, port):
-        return "ts|{}|{}|{}".format(self.query_id, op_id, port)
-
-    def result_targets(self, epoch):
-        """Fan spine epoch ``epoch`` to every subscriber it answers.
-
-        Subscriber epoch ``j = epoch - offset``: ``j < 1`` predates the
-        subscriber's first window (its epoch 0 is the submission
-        instant, never reported), ``j > last_epoch`` is past its
-        LIFETIME.
-        """
-        targets = []
-        for sub in self.spine.subscribers.values():
-            j = epoch - sub.offset
-            if j < 1:
-                continue
-            if sub.last_epoch is not None and j > sub.last_epoch:
-                continue
-            targets.append((sub.qid, sub.origin, j))
-        return targets
-
-
-class SiteQueryContext(LocalQueryContext):
-    """Context for a plan that runs only at its query site.
-
-    Every scan of such a plan is a keyed ``get`` (``QueryPlan.at_site``),
-    so this one execution is the whole query: result rows go straight to
-    this node's coordinator with no wire in between. Only
-    ``Coordinator.submit`` builds one.
-    """
-
-    def __init__(self, engine, plan, query_id, t0):
-        super().__init__(engine, plan, query_id, 0, t0, engine.address)
-
-    def send_to_origin(self, payload, origin=None):
-        self.engine.coordinator.on_result(payload)
 
 
 class EpochStateRing:
@@ -472,30 +414,14 @@ class Operator:
 class _ExecutionBase:
     """Shared graph instantiation, delivery, and flush scheduling."""
 
-    standing = False
-
     def __init__(self, engine, plan, query_id, epoch, t0, origin,
-                 spine=None, prefix_key=None, ctx=None):
+                 spine=None, prefix_key=None):
         from repro.core.operators import create_operator
 
         self.engine = engine
         self.plan = plan
-        self.query_id = query_id
-        self.epoch = epoch
-        self.t0 = t0
-        self.origin = origin
-        if ctx is not None:
-            self.ctx = ctx
-        elif spine is not None:
-            self.ctx = SharedQueryContext(engine, plan, spine, epoch, t0)
-        else:
-            self.ctx = LocalQueryContext(
-                engine, plan, query_id, epoch, t0, origin,
-                standing=self.standing,
-            )
-        if prefix_key is not None:
-            self.ctx.prefix_fed = True
-            self.ctx.prefix_key = prefix_key
+        self.ctx = LocalQueryContext(
+            engine, plan, query_id, epoch, t0, origin, spine, prefix_key)
         self.ops = {}
         self._flush_timers = []
         self.closed = False
@@ -516,7 +442,7 @@ class _ExecutionBase:
                 op.start()
         for op_id in sources:
             self.ops[op_id].start()
-        self._schedule_flushes()
+        self._schedule_flushes(self.ctx.epoch, self.ctx.t0)
 
     def _source_ids(self):
         """Source op ids in the order they start, open and seal: the
@@ -530,63 +456,53 @@ class _ExecutionBase:
         return [s.op_id for s in reversed(self.plan.sources())]
 
     def _register_endpoints(self):
-        """Tell the engine which exchange namespaces feed which ops."""
+        """Tell the engine which exchange namespaces feed which ops
+        (each ``Exchange`` checked its mode and its one consumer when
+        it was built)."""
         for spec in self.plan.ops_of_kind("exchange"):
-            consumers = self.plan.consumers_of(spec.op_id)
-            if len(consumers) != 1:
-                raise PlanError(
-                    "exchange {!r} must feed exactly one op".format(spec.op_id)
-                )
-            consumer_id, port = consumers[0]
-            mode = spec.params.get("mode", "rehash")
-            if mode in ("rehash", "tree"):
-                ns = self.ctx.namespace(consumer_id, port)
-                combine = spec.params.get("combine") if mode == "tree" else None
-                self.engine.register_exchange_input(
-                    ns, self, consumer_id, port, combine)
+            ((consumer_id, port),) = self.plan.consumers_of(spec.op_id)
+            tree = spec.params.get("mode") == "tree"
+            self.engine.register_exchange_input(
+                self.ctx.namespace(consumer_id, port), self, consumer_id,
+                port, spec.params.get("combine") if tree else None)
 
     def _unregister_endpoints(self):
         for spec in self.plan.ops_of_kind("exchange"):
-            consumers = self.plan.consumers_of(spec.op_id)
-            if consumers:
-                consumer_id, port = consumers[0]
-                ns = self.ctx.namespace(consumer_id, port)
-                self.engine.unregister_exchange_input(ns)
+            ((consumer_id, port),) = self.plan.consumers_of(spec.op_id)
+            self.engine.unregister_exchange_input(
+                self.ctx.namespace(consumer_id, port))
 
-    def _schedule_flushes(self, epoch=None, t0=None):
-        """Arm one timer per planned flush offset, bound to ``epoch``.
+    def _schedule_flushes(self, epoch, t0):
+        """Arm one timer per planned flush offset of epoch ``epoch``
+        (which starts at ``t0``).
 
         Timers are tracked as ``(epoch, timer)`` so a standing
         execution can cancel exactly one epoch's deadlines when it
         seals that epoch.
         """
         now = self.engine.clock.now
-        epoch = epoch if epoch is not None else self.ctx.epoch
-        t0 = t0 if t0 is not None else self.ctx.t0
         for op_id, offset in self.plan.flush_offsets.items():
             if op_id not in self.ops:
                 continue
             delay = max(0.0, t0 + offset - now)
-            timer = self.engine.set_timer(delay, self._flush_op, op_id, epoch)
+            timer = self.engine.set_timer(
+                delay, self.flush_input, op_id, epoch)
             self._flush_timers.append((epoch, timer))
 
-    def _flush_op(self, op_id, epoch=None):
+    def flush_input(self, op_id, epoch):
+        """Flush one operator's held state for ``epoch``.
+
+        Its planned flush timers call this; so does the engine, out of
+        band, after replaying early-buffered exchange rows into a
+        freshly adopted execution: the epoch's scheduled flush wave may
+        already be past (or dangerously far off on a node that might
+        churn again), and replayed rows should reach the query site as
+        soon as they land.
+        """
         if self.closed:
             return
-        epoch = epoch if epoch is not None else self.ctx.epoch
         with self.ctx.in_epoch(epoch):
             self.ops[op_id].flush()
-
-    def flush_input(self, op_id, epoch):
-        """Flush one operator's held state for ``epoch`` out of band.
-
-        The engine uses this after replaying early-buffered exchange
-        rows into a freshly adopted execution: the epoch's scheduled
-        flush wave may already be past (or dangerously far off on a
-        node that might churn again), and replayed rows should reach
-        the query site as soon as they land.
-        """
-        self._flush_op(op_id, epoch)
 
     def deliver_batch(self, op_id, port, rows, epoch=None, pane=None):
         """An exchange message arrived: feed the consumer its rows as
@@ -638,14 +554,14 @@ class _ExecutionBase:
             op.teardown()
         self._unregister_endpoints()
 
+    def __repr__(self):
+        return "{}({!r}, epoch={}, node={})".format(
+            type(self).__name__, self.ctx.query_id, self.ctx.epoch,
+            self.engine.address)
+
 
 class EpochExecution(_ExecutionBase):
     """One node's disposable instantiation of a plan for one epoch."""
-
-    def __repr__(self):
-        return "EpochExecution({!r}, epoch={}, node={})".format(
-            self.query_id, self.epoch, self.engine.address
-        )
 
 
 class StandingExecution(_ExecutionBase):
@@ -672,15 +588,12 @@ class StandingExecution(_ExecutionBase):
     schedules (tree holds, bloom round-trips) run standing.
     """
 
-    standing = True
-
     def __init__(self, engine, plan, query_id, epoch, t0, origin,
                  spine=None, prefix_key=None):
         super().__init__(engine, plan, query_id, epoch, t0, origin,
                          spine=spine, prefix_key=prefix_key)
-        self._early = {}  # epoch -> [(op_id, port, rows)]
+        self._early = {}  # epoch -> [(op_id, port, rows, pane)]
         self._open_epochs = {epoch: t0}  # epoch -> t_k, ascending
-        self._sealed_through = epoch - 1  # epochs <= this are closed here
         # Adaptive ring: the planner records the plan's *true* flush
         # horizon (no static cap since it was retired); the execution
         # decides how many epoch states actually stay live. Start
@@ -688,7 +601,7 @@ class StandingExecution(_ExecutionBase):
         # saw late-straggler drops, narrow after a run of quiet
         # boundaries -- but never below what the tail demonstrably
         # needs (the staleness high-water mark of recent deliveries).
-        self.live_epochs = min(plan_live_epochs(plan), RING_MAX_OVERLAP)
+        self.live_epochs = min(plan.epoch_overlap, RING_MAX_OVERLAP)
         # The planned width stays the floor: it is the flush horizon
         # the timing walk proved the plan needs, so narrowing below it
         # would seal epochs before their own flushes fire. Adaptation
@@ -738,8 +651,12 @@ class StandingExecution(_ExecutionBase):
         # that have already opened it.
         for op_id in sources:
             self.ops[op_id].open_epoch(k, t_k)
-        for op_id, port, rows, pane in self._early.pop(k, ()):
-            self.deliver_batch(op_id, port, rows, k, pane)
+        # Rows parked for ``k`` land now. Rows parked for an epoch a
+        # jump skipped (a held spine re-entered by a joiner) are late:
+        # that epoch will never open here.
+        for e in sorted(e for e in self._early if e <= k):
+            for op_id, port, rows, pane in self._early.pop(e):
+                self.deliver_batch(op_id, port, rows, e, pane)
 
     def _resize_ring(self):
         """Adapt the ring width to the observed straggler tail.
@@ -779,13 +696,10 @@ class StandingExecution(_ExecutionBase):
         self.ctx.epoch = k
         self.ctx.t0 = t_k
         self.ctx.active_epoch = k
-        self.epoch = k
-        self.t0 = t_k
 
     def _seal_epoch(self, e):
         """Close epoch ``e`` everywhere: ship leftovers, drop its state."""
         self._open_epochs.pop(e, None)
-        self._early.pop(e, None)
         kept = []
         for epoch, timer in self._flush_timers:
             if epoch == e:
@@ -800,12 +714,12 @@ class StandingExecution(_ExecutionBase):
                     op.seal_epoch(e)
             for op_id in sources:
                 self.ops[op_id].seal_epoch(e)
-        self._sealed_through = max(self._sealed_through, e)
 
     def deliver_batch(self, op_id, port, rows, epoch=None, pane=None):
         """Exchange arrival tagged ``epoch``: deliver into that epoch's
-        state if it is open here, drop it as late if already sealed,
-        park it as early if this node has not opened it yet. ``pane``
+        state if it is open here, drop it as late if it is older than
+        the newest open epoch (sealed, or skipped by a jump), park it as
+        early if this node has not opened it yet. ``pane``
         is the batch's pane tag (paned plans); it is re-announced to
         the receiving operator before the rows land."""
         if self.closed:
@@ -813,7 +727,7 @@ class StandingExecution(_ExecutionBase):
         if epoch is None:
             epoch = self.ctx.epoch
         if epoch not in self._open_epochs:
-            if epoch <= self._sealed_through:
+            if epoch < self.ctx.epoch:
                 # Late: that epoch already closed here. Untagged rows
                 # drop (their per-epoch state is gone), but a
                 # pane-tagged increment is *ship-once* delta state
@@ -865,8 +779,3 @@ class StandingExecution(_ExecutionBase):
         self._early = {}
         self._open_epochs = {}
         super().close()
-
-    def __repr__(self):
-        return "StandingExecution({!r}, epoch={}, node={})".format(
-            self.query_id, self.ctx.epoch, self.engine.address
-        )

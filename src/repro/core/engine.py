@@ -23,8 +23,10 @@ One engine runs on every node, calling that node's
   plans a disposable :class:`~repro.core.dataflow.EpochExecution`,
 * takes the exchange deliveries its DHT node terminates (``on_deliver``)
   to the operator input claiming the namespace -- once per epoch for
-  disposable executions, once per *query* for standing ones -- and
-  buffers early arrivals that beat the plan broadcast to this node,
+  disposable executions, once per *query* for standing ones; every
+  namespace starts with its query's
+  :func:`~repro.core.dataflow.namespace_head` -- and buffers early
+  arrivals that beat the plan broadcast to this node,
 * keeps its continuous plans and stop tombstones in step with its ring
   neighbours (``plansync``, :mod:`repro.core.plansync`), so that a
   missed broadcast or a crash heals and exchange cannot resurrect a
@@ -43,6 +45,7 @@ from operator import itemgetter
 import math
 
 from repro.core.aggregation_tree import TreeCombiner
+from repro.core.dataflow import namespace_head
 from repro.core.exchange import ExchangeMux, payload_rows
 from repro.core.owners import OWNER_OPS, OwnerCache
 from repro.core.plansync import SYNC_OP, PlanSync
@@ -525,7 +528,7 @@ class PierEngine:
         # subscriber now; drop them instead of waiting out their TTL.
         # (Done even without a query record: a node the plan broadcast
         # missed can still have buffered rehashed rows for it.)
-        prefix = "q|{}|".format(qid)
+        prefix = namespace_head(qid)
         for ns in [n for n in self._undelivered if n.startswith(prefix)]:
             del self._undelivered[ns]
         query = self.queries.pop(qid, None)
@@ -549,7 +552,7 @@ class PierEngine:
         (a disposable execution's payloads carry neither), and buffered
         early rows replay one batch per run of equal tags.
         """
-        standing = execution.standing
+        standing = execution.plan.standing
         watch = standing and self.config.adaptive_flush
 
         def deliver(payload, route_msg):

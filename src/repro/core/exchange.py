@@ -113,7 +113,7 @@ class Exchange(Operator):
         engine = ctx.engine
         config = engine.config
         self._max_batch_rows = config.max_batch_rows
-        self._standing = ctx.standing
+        self._standing = ctx.plan.standing
         # Pane-tagged mode (paned plans whose pane-aware aggregate sits
         # *above* this exchange): remember the pane announced by the
         # upstream producer and stamp every batch with it, so delivery

@@ -40,7 +40,7 @@ would have shipped.
 """
 
 from repro.core.batch import RowBatch
-from repro.core.dataflow import EpochStateRing, Operator, plan_live_epochs
+from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.operators import register_operator
 from repro.core.operators.joins import batch_key_fn
 from repro.db.window import window_pane_range
@@ -71,7 +71,7 @@ class BloomStage(Operator):
             # Older still-open epochs of an overlapping ring release
             # after the newest epoch's flush advanced the window: keep
             # their panes until every epoch that can read them sealed.
-            overlap = plan_live_epochs(ctx.plan)
+            overlap = ctx.plan.epoch_overlap
             self._retain = (overlap - 1) * self._panes_per_every
 
     def _fresh_filter(self):

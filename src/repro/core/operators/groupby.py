@@ -34,7 +34,7 @@ Params (partial): ``group_exprs``, ``agg_specs``, ``schema``, optional
 """
 
 from repro.core.batch import RowBatch
-from repro.core.dataflow import EpochStateRing, Operator, plan_live_epochs
+from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.operators import register_operator
 from repro.db.window import window_pane_range
 
@@ -343,7 +343,7 @@ class GroupByFinal(Operator):
             self._current_pane = None
             # Older still-open epochs of the ring may reflush after the
             # newest advanced the window: retain their panes.
-            overlap = plan_live_epochs(ctx.plan)
+            overlap = ctx.plan.epoch_overlap
             self._window = PaneWindow(
                 self._agg_specs,
                 retain_panes=(overlap - 1) * self._panes_per_every,

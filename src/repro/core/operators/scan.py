@@ -33,8 +33,9 @@ instead of re-scanning:
 * dht tables: a TTL'd ``newData`` subscription (renewed every epoch)
   tracks arriving items by reference; each epoch emits the tracked
   items still live -- identical to a fresh ``lscan`` because renewals
-  and re-puts update the shared :class:`StoredItem` in place -- and
-  prunes the dead;
+  and re-puts update the shared
+  :class:`~repro.dht.storage.StoredItem` in place -- and prunes the
+  dead;
 * local tables: rows never age, every epoch reads all of them, so the
   scan simply re-reads the fragment (there is no delta to exploit).
 
@@ -79,7 +80,7 @@ def _sample_keep(row, threshold):
 class Scan(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
-        self._standing = ctx.standing
+        self._standing = ctx.plan.standing
         self._paned = bool(spec.params.get("paned"))
         # Admission-control sampling: emit only a deterministic
         # hash-sampled fraction of scanned rows. Every row is still

@@ -42,8 +42,7 @@ class QueryPlan:
 
     def __init__(self, specs, root_id, mode="oneshot", every=None, window=None,
                  lifetime=None, flush_offsets=None, deadline=10.0,
-                 finishing=None, metadata=None, standing=False,
-                 epoch_overlap=1, pane=None):
+                 finishing=None, metadata=None, epoch_overlap=1, pane=None):
         self.specs = {spec.op_id: spec for spec in specs}
         if len(self.specs) != len(specs):
             raise PlanError("duplicate op ids in plan")
@@ -65,26 +64,20 @@ class QueryPlan:
         # sort/cut that in-network operators can only approximate.
         self.finishing = finishing if finishing is not None else {}
         self.metadata = metadata if metadata is not None else {}
-        # Standing plans run one long-lived execution per node whose
-        # operators roll over via the open/seal epoch lifecycle instead
-        # of being torn down and rebuilt. ``epoch_overlap`` is the
-        # epoch ring width N: how many epoch states a standing
-        # execution keeps live at once (the planner derives it as the
-        # ceiling of the worst flush horizon over the period, transfer
-        # margin included; 1 means epochs never overlap). ``pane`` is
-        # the pane geometry ({"width", "every", "window"} -- width in
-        # seconds, the others in panes) when the plan uses paned
-        # sliding-window aggregation (WINDOW > EVERY over a pane-aware
-        # operator chain); the same geometry rides on the marked op
-        # specs. The planner decides all three.
-        if standing and mode != "continuous":
-            raise PlanError("only continuous plans can be standing")
+        # ``epoch_overlap`` is the epoch ring width N: how many epoch
+        # states a standing execution keeps live at once (the planner
+        # derives it as the ceiling of the worst flush horizon over the
+        # period, transfer margin included; 1 means epochs never
+        # overlap). ``pane`` is the pane geometry ({"width", "every",
+        # "window"} -- width in seconds, the others in panes) when the
+        # plan uses paned sliding-window aggregation (WINDOW > EVERY
+        # over a pane-aware operator chain); the same geometry rides on
+        # the marked op specs. The planner decides both.
         epoch_overlap = int(epoch_overlap)
         if epoch_overlap < 1:
             raise PlanError("epoch_overlap must be >= 1 live epoch")
-        if epoch_overlap > 1 and not standing:
+        if epoch_overlap > 1 and not self.standing:
             raise PlanError("epoch_overlap requires a standing plan")
-        self.standing = standing
         self.epoch_overlap = epoch_overlap
         self.pane = pane
         self._validate()
@@ -112,6 +105,13 @@ class QueryPlan:
 
     def ops_of_kind(self, kind):
         return [s for s in self.specs.values() if s.kind == kind]
+
+    @property
+    def standing(self):
+        """Every continuous plan is standing: one long-lived execution
+        per node whose operators roll over via the open/seal epoch
+        lifecycle instead of being torn down and rebuilt."""
+        return self.mode == "continuous"
 
     @property
     def at_site(self):

@@ -258,7 +258,7 @@ def _plan_flat(lq, catalog):
         list(b.specs.values()), result_id, mode=mode, every=lq.every,
         window=lq.window, lifetime=lq.lifetime, flush_offsets=b.flush_offsets,
         deadline=deadline, finishing=finishing, metadata=metadata,
-        standing=standing, epoch_overlap=epoch_overlap, pane=pane,
+        epoch_overlap=epoch_overlap, pane=pane,
     )
 
 

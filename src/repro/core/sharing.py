@@ -13,12 +13,13 @@ says:
   canonicalize identically (same ``share_signature``, see
   :mod:`repro.core.logical`) and whose epochs are in phase (same
   ``t0 % every``) run as ONE
-  :class:`~repro.core.dataflow.StandingExecution` of the member plan
-  under a :class:`~repro.core.dataflow.SharedQueryContext`; each query
-  only adds its identity (qid, origin) and its epoch *offset* on the
-  grid. The result operator fans each epoch's rows to every subscriber
-  whose window it answers, translated to that subscriber's own epoch
-  number -- the coordinator cannot tell shared from private answers.
+  :class:`~repro.core.dataflow.StandingExecution` of the member plan,
+  built with the record as its ``spine`` (``s|`` namespaces); each
+  query only adds its identity (qid, origin) and its epoch *offset* on
+  the grid. The result operator fans each epoch's rows to every
+  subscriber whose window it answers (:meth:`SpineRecord.result_targets`),
+  translated to that subscriber's own epoch number -- the coordinator
+  cannot tell shared from private answers.
 
 * :class:`PrivateRecord` -- a continuous plan the planner left
   unstamped (bloom-staged, ``{"shared": False}``): key = qid, grid
@@ -58,7 +59,9 @@ every record; queries that still matter come back through the ring
 neighbours' plan anti-entropy and re-form their records from scratch.
 """
 
-from repro.core.dataflow import EpochExecution, StandingExecution
+from repro.core.dataflow import (
+    EpochExecution, StandingExecution, namespace_head,
+)
 from repro.core.opgraph import OpSpec, QueryPlan
 
 
@@ -158,8 +161,21 @@ class SpineRecord(GridRecord):
             prefix_key=stage.key if stage is not None else None,
         )
 
+    def result_targets(self, epoch):
+        """``(qid, origin, their_epoch)`` for every subscriber spine
+        epoch ``epoch`` answers: ``their_epoch = epoch - offset``.
+        Below 1 predates the subscriber's first window (its epoch 0 is
+        the submission instant, never reported); past ``last_epoch`` is
+        past its LIFETIME."""
+        targets = []
+        for sub in self.subscribers.values():
+            j = epoch - sub.offset
+            if j >= 1 and (sub.last_epoch is None or j <= sub.last_epoch):
+                targets.append((sub.qid, sub.origin, j))
+        return targets
+
     def left(self, engine):
-        engine.owners.forget("s|{}|".format(self.key))
+        engine.owners.forget(namespace_head(self.key, spine=True))
         if self.stage is not None:
             engine._drop_subscriber(self.stage, self.key)
 
@@ -176,7 +192,7 @@ class PrivateRecord(GridRecord):
         )
 
     def left(self, engine):
-        engine.owners.forget("q|{}|".format(self.key))
+        engine.owners.forget(namespace_head(self.key))
 
 
 class OneEpochRecord(GridRecord):
@@ -229,8 +245,8 @@ class StageRecord(GridRecord):
         ]
         super().__init__(key, QueryPlan(
             specs, "stage_demux", mode="continuous", every=plan.every,
-            window=plan.window, deadline=plan.deadline, standing=True,
-            epoch_overlap=1, pane=plan.pane,
+            window=plan.window, deadline=plan.deadline, epoch_overlap=1,
+            pane=plan.pane,
         ), t0)
 
     def members(self):

@@ -83,7 +83,7 @@ def live_stream_scans(engine, table):
         return 0
     return sum(
         isinstance(op, Scan) and op.spec.params["table"] == table
-        and op.ctx.standing and not op.ctx.prefix_fed
+        and op.ctx.plan.standing and not op.ctx.prefix_fed
         for record in engine.records.values()
         if record.execution is not None and not record.execution.closed
         for op in record.execution.ops.values()
@@ -109,10 +109,9 @@ class StubCtx(LocalQueryContext):
         plan = QueryPlan(
             [OpSpec("x", "result")], "x",
             mode="continuous" if standing else "oneshot",
-            every=5.0 if standing else None, standing=standing,
+            every=5.0 if standing else None,
         )
-        super().__init__(make_engine(), plan, "q", 0, 0.0, "site",
-                         standing=standing)
+        super().__init__(make_engine(), plan, "q", 0, 0.0, "site")
 
 
 class PanedGroupBy:
@@ -168,10 +167,9 @@ def make_exchange(engine, key=None, mode="rehash", standing=True, epoch=3,
     plan = QueryPlan(
         [spec, OpSpec("sink", "result", inputs=["x1"])], "sink",
         mode="continuous" if standing else "oneshot",
-        every=5.0 if standing else None, standing=standing,
+        every=5.0 if standing else None,
     )
-    ctx = LocalQueryContext(engine, plan, "q#1", epoch, 0.0, "site",
-                            standing=standing)
+    ctx = LocalQueryContext(engine, plan, "q#1", epoch, 0.0, "site")
     return Exchange(ctx, spec)
 
 

@@ -12,7 +12,6 @@ ground truth computed from the corpus.
 import pytest
 
 from repro.apps.filesharing import VOCABULARY, FileSharingApp
-from repro.core.dataflow import SiteQueryContext
 from repro.core.network import PierNetwork
 from repro.core.planner import HOLD, REHASH_XFER, plan_query
 from repro.core.sql import parse_query
@@ -115,11 +114,17 @@ def files():
 
 
 def _tap(net):
-    """(destination, kind of every part) per wire message from now on."""
+    """(destination, kind of every part) per wire message from now on;
+    a direct part is named by its payload's op (``direct:qres``)."""
     seen = []
 
+    def kind(part):
+        if part.kind == "direct":
+            return "direct:{}".format(part.payload.get("op"))
+        return part.kind
+
     def tap(src, dst, message):
-        seen.append((dst, [part.kind for part in parts_of(message)]))
+        seen.append((dst, [kind(part) for part in parts_of(message)]))
 
     net.net.on_deliver = tap
     return seen
@@ -146,6 +151,8 @@ class TestRunsAtTheSite:
         query = {dst for dst, kinds in seen
                  if not {"rpc_req", "rpc_rep"} & set(kinds)}
         assert not any("broadcast" in kinds for _dst, kinds in seen)
+        # The answer reached the coordinator with no result return.
+        assert not any("direct:qres" in kinds for _dst, kinds in seen)
         assert len(query) <= 6  # the route's hops and back, not 24 nodes
 
     def test_differential_against_the_corpus(self, files):
@@ -210,8 +217,8 @@ class TestRunsAtTheSite:
         net = files.net
         handle = net.submit_sql(
             "SELECT file_id FROM inverted WHERE term = 'music'")
-        assert isinstance(handle.execution.ctx, SiteQueryContext)
-        sent =net.message_counters().get("messages_kind_broadcast", 0)
+        assert handle.plan.at_site
+        sent = net.message_counters().get("messages_kind_broadcast", 0)
         handle.stop()
         net.advance(5)
         assert handle.execution.closed

@@ -2,6 +2,8 @@
 rate-sized exchange flush windows, owner backpressure, hot-group
 splitting, and the simulator's receive-side service queue."""
 
+from types import SimpleNamespace
+
 import pytest
 from stubs import make_engine, make_exchange, make_standing
 
@@ -44,7 +46,7 @@ class LoadProbe(Operator):
 def make_execution(planned_width=2):
     plan = QueryPlan(
         [OpSpec("p", "load_probe")], "p", mode="continuous", every=5.0,
-        flush_offsets={"p": 2.0}, standing=True,
+        flush_offsets={"p": 2.0},
         epoch_overlap=planned_width,
     )
     engine = make_engine()
@@ -105,7 +107,7 @@ class TestAdaptiveRing:
         engine, execution = make_execution(planned_width=2)
         for k in range(1, 10):
             advance(engine, execution, k)
-            sealed = execution._sealed_through
+            sealed = min(execution._open_epochs) - 1
             if sealed >= 0:
                 execution.deliver_batch("p", 0, [(1,)], epoch=sealed)
         assert execution.live_epochs == 3
@@ -210,7 +212,7 @@ class TestBackpressure:
         ns = "q|demo#1|op9|0"
 
         class Standing:
-            standing = True
+            plan = SimpleNamespace(standing=True)
 
             def deliver_batch(self, op_id, port, rows, epoch, pane):
                 pass

@@ -62,3 +62,25 @@ def test_stale_names_fail_and_live_names_pass(cd, tmp_path):
         "README.md: stale name `stale_method`",
         "README.md: stale name `stale_per_s`",
     ]
+
+
+def test_unresolved_docstring_roles_fail(cd, tmp_path, monkeypatch):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "planted_roles.py").write_text(
+        '"""Resolved: :class:`Live`, :meth:`Live.run`, :meth:`run`,\n'
+        ':func:`helper`, :class:`~collections.OrderedDict`,\n'
+        ':mod:`collections` and :attr:`a title <Live.size>`. Not:\n'
+        ':class:`Gone`, :meth:`Live.gone`, :mod:`recursion` and\n'
+        ':class:`~collections.Gone`."""\n\n\n'
+        "def helper():\n    pass\n\n\n"
+        "class Live:\n    size = 0\n\n"
+        '    def run(self):\n        """Was :meth:`stale`."""\n',
+        encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    assert cd.check_roles() == [
+        "src/planted_roles.py: unresolved :class:`Gone`",
+        "src/planted_roles.py: unresolved :meth:`Live.gone`",
+        "src/planted_roles.py: unresolved :mod:`recursion`",
+        "src/planted_roles.py: unresolved :class:`~collections.Gone`",
+        "src/planted_roles.py: unresolved :meth:`stale`",
+    ]

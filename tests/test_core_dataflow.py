@@ -1,6 +1,8 @@
 """EpochExecution wiring and lifecycle, and the epoch scope every
 delivery and flush runs in (unit level, real engines)."""
 
+from types import SimpleNamespace
+
 import pytest
 from stubs import StubCtx
 
@@ -100,7 +102,7 @@ class TestLifecycle:
         assert engine._undelivered["q|fake|0|op9|0"][1] == [(42,)]
 
         class FakeExecution:
-            standing = False
+            plan = SimpleNamespace(standing=False)
             delivered = []
 
             def deliver_batch(self, op_id, port, rows, epoch, pane):
@@ -115,7 +117,7 @@ class TestLifecycle:
         engine = net.node("node0").engine
 
         class FakeExecution:
-            standing = False
+            plan = SimpleNamespace(standing=False)
             calls = 0
 
             def deliver_batch(self, op_id, port, rows, epoch, pane):
@@ -137,7 +139,7 @@ class TestLifecycle:
             )
 
         class FakeExecution:
-            standing = True
+            plan = SimpleNamespace(standing=True)
             delivered = []
 
             def deliver_batch(self, op_id, port, rows, epoch, pane):
@@ -154,15 +156,32 @@ class TestLifecycle:
         ]
         engine.unregister_exchange_input(ns)
 
-    def test_context_namespace_format(self, net):
-        plan = net.compile_sql("SELECT SUM(v) AS s FROM t")
-        handle = net.submit_plan(plan)
-        net.advance(0.5)
-        execution = net.node("node0").engine.queries[handle.qid].execution
-        ns = execution.ctx.namespace("opX", 1)
-        assert handle.qid in ns and "opX" in ns and ns.endswith("|1")
-        upcall = execution.ctx.upcall_name("opX", 1)
-        assert upcall != ns and upcall.startswith("t|")
+    STANDING = "SELECT SUM(v) AS n FROM s EVERY 5 SECONDS"
+
+    @pytest.mark.parametrize("sql, options, ns, upcall", [
+        # A broadcast one-shot keeps its one epoch in the head.
+        ("SELECT SUM(v) AS n FROM t", None,
+         "q|node0#1|0|opX|1", "t|node0#1|0|opX|1"),
+        (STANDING, {"shared": False}, "q|node0#1|opX|1", "t|node0#1|opX|1"),
+        # A spine's key is its share signature @ its phase in ms.
+        (STANDING, None, "s|{sig}@1000|opX|1", "ts|{sig}@1000|opX|1"),
+        # Site-run: every scan a keyed get.
+        ("SELECT v FROM d WHERE k = 7", None,
+         "q|node0#1|0|opX|1", "t|node0#1|0|opX|1"),
+    ], ids=["broadcast", "private_standing", "spine", "site"])
+    def test_context_namespace_format(self, net, sql, options, ns, upcall):
+        # Namespaces are hashed into routing ids: a drift moves owners.
+        net.create_stream_table("s", [("v", "INT")], window=10.0)
+        net.create_dht_table("d", [("k", "INT"), ("v", "INT")],
+                             partition_key="k")
+        handle = net.submit_sql(sql, node="node0", options=options)
+        net.advance(6.0 if handle.plan.standing else 0.5)
+        execution = handle.execution or net.node(
+            "node0").engine.queries[handle.qid].execution
+        sig = handle.plan.metadata.get("spine")
+        ctx = execution.ctx
+        assert ctx.namespace("opX", 1) == ns.format(sig=sig)
+        assert ctx.upcall_name("opX", 1) == upcall.format(sig=sig)
 
 
 class TestEpochScope:

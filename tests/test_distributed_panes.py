@@ -385,7 +385,7 @@ class TestPaneMechanics:
         final_id = next(s.op_id for s in
                         handle.plan.ops_of_kind("groupby_final"))
         final = execution.ops[final_id]
-        sealed = execution._sealed_through
+        sealed = min(execution._open_epochs) - 1
         assert sealed >= 0
         current = execution.ctx.epoch
         pane = current - 1  # panes_per_every == 1: still in the window

@@ -151,7 +151,7 @@ class RingProbe(Operator):
 def drive_standing(n_live, every, offsets, boundaries):
     plan = QueryPlan(
         [OpSpec("p", "ring_probe")], "p", mode="continuous", every=every,
-        flush_offsets={"p": o for o in offsets[:1]}, standing=True,
+        flush_offsets={"p": o for o in offsets[:1]},
         epoch_overlap=n_live,
     )
     engine = make_engine()
@@ -219,6 +219,25 @@ class TestStandingRingLifecycle:
         assert probe.ring.epochs() == ring_before
         execution.deliver_batch("p", 0, [(1,)], epoch=7)  # early: parked
         assert 7 in execution._early
+
+    def test_rows_for_a_skipped_epoch_drop_as_late(self):
+        # A held spine re-entered by a joiner jumps to the epoch in
+        # progress: rows parked for, or arriving tagged with, an epoch
+        # it skipped are late, not parked until close.
+        execution, _probe, _ = drive_standing(
+            1, 5.0, offsets=[1.0], boundaries=1
+        )
+        execution.deliver_batch("p", 0, [(1,)], epoch=2)  # early: parked
+        assert 2 in execution._early
+        execution.engine.clock.run_until(25.0)
+        execution.advance_epoch(5, 25.0)
+        execution.deliver_batch("p", 0, [(1,)], epoch=3)
+        assert execution._early == {}
+        for k in range(6, 9):
+            execution.engine.clock.run_until(k * 5.0)
+            execution.advance_epoch(k, k * 5.0)
+        assert execution._early == {}
+        assert execution.late_drops == 2
 
 
 # ----------------------------------------------------------------------

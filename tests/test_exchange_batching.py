@@ -10,6 +10,7 @@ What may change is the message count, which is the whole point.
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from stubs import make_engine, make_exchange
@@ -315,7 +316,7 @@ class TestUndeliveredBuffer:
         delivered = []
 
         class StubExecution:
-            standing = False
+            plan = SimpleNamespace(standing=False)
 
             def deliver_batch(self, op_id, port, rows, epoch, pane):
                 delivered.extend(rows)

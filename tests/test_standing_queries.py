@@ -1,6 +1,8 @@
 """Standing continuous queries: long-lived executions, subscriptions,
 epoch tags, stop tombstones, and the one adopt/run/forget lifecycle."""
 
+from types import SimpleNamespace
+
 import pytest
 from stubs import live_stream_scans, make_engine, make_exchange
 
@@ -659,7 +661,7 @@ class TestStableRendezvous:
 class _Registered:
     """What ``register_exchange_input`` reads of an execution."""
 
-    standing = True
+    plan = SimpleNamespace(standing=True)
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -890,9 +892,8 @@ class TestScanCursor:
         spec = OpSpec("scan", "scan", params)
         plan = QueryPlan(
             [spec, OpSpec("sink", "result", inputs=["scan"])], "sink",
-            mode="continuous", every=every, window=window, standing=True)
-        ctx = LocalQueryContext(engine, plan, "q", k0, t0, "site",
-                                standing=True)
+            mode="continuous", every=every, window=window)
+        ctx = LocalQueryContext(engine, plan, "q", k0, t0, "site")
         scan, sink = Scan(ctx, spec), EventSink()
         scan.wire(sink, 0)
         before = engine.rows_scanned

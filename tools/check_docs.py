@@ -1,5 +1,5 @@
 """Docs gate: intra-repo markdown link check, stale back-ticked names,
-README doctests.
+unresolved docstring roles, README doctests.
 
 Failure modes this catches before merge:
 
@@ -9,6 +9,12 @@ Failure modes this catches before merge:
   path that does not exist, or a ``CamelCase`` or ``snake_case``
   identifier that occurs nowhere in the code (docs rot as classes and
   methods are folded and deleted);
+* a ``src/`` docstring's Sphinx role (``:class:``, ``:meth:``,
+  ``:func:``, ``:mod:``, ``:attr:``) names a target that does not
+  resolve: it must be a name in its module or an attribute of a class
+  defined there, or import and then resolve by ``getattr`` (a module
+  docstring that still names a deleted class would otherwise keep
+  that name "in the code");
 * a README code block's shown output drifts from what the code actually
   prints (the examples are doctests and really run).
 
@@ -16,7 +22,10 @@ Usage: ``PYTHONPATH=src python tools/check_docs.py`` from the repo
 root. Exit status is the number of failures.
 """
 
+import ast
 import doctest
+import importlib
+import inspect
 import pathlib
 import re
 import sys
@@ -37,6 +46,9 @@ _TICKED = re.compile(r"`([^`\n]+)`")
 _REPO_PATH = re.compile(r"^(?:{})/[\w./-]*$".format("|".join(CODE_DIRS)))
 _CAMEL = re.compile(r"\b_?[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]+)+\b")
 _SNAKE = re.compile(r"^_?[a-z][a-z0-9]*(?:_[a-z0-9]+)*$")
+# :role:`target`, :role:`~target` or :role:`title <target>`.
+_ROLE = re.compile(r":(class|meth|func|mod|attr):`([^`]+)`")
+_ROLE_TARGET = re.compile(r"<([^>]+)>$")
 
 
 def markdown_files():
@@ -94,6 +106,56 @@ def check_names():
     return failures
 
 
+def _getattr_chain(obj, names):
+    for name in names:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def _resolves(module, target):
+    """Does ``target`` name something, read from ``module``?"""
+    names = target.split(".")
+    if _getattr_chain(module, names):
+        return True
+    if len(names) == 1 and any(
+            inspect.isclass(value) and value.__module__ == module.__name__
+            and hasattr(value, target) for value in vars(module).values()):
+        return True
+    for cut in range(len(names), 0, -1):
+        try:
+            base = importlib.import_module(".".join(names[:cut]))
+        except ImportError:
+            continue
+        return _getattr_chain(base, names[cut:])
+    return False
+
+
+def check_roles():
+    """Every Sphinx role in a ``src/`` docstring resolves (see the
+    module docstring for the rule); the modules are imported, so run
+    with ``src`` on the path."""
+    failures = []
+    src = REPO / "src"
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(parts))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for role, text in _ROLE.findall(ast.get_docstring(node) or ""):
+                titled = _ROLE_TARGET.search(text)
+                target = (titled.group(1) if titled else text).lstrip("~.")
+                if not _resolves(module, target):
+                    failures.append("{}: unresolved :{}:`{}`".format(
+                        path.relative_to(REPO), role, text))
+    return failures
+
+
 def check_doctests():
     failures = []
     for name in DOCTEST_FILES:
@@ -122,11 +184,13 @@ def check_doctests():
 
 
 def main():
-    failures = check_links() + check_names() + check_doctests()
+    failures = (check_links() + check_names() + check_roles()
+                + check_doctests())
     for failure in failures:
         print("FAIL:", failure)
     if not failures:
-        print("docs ok: links resolve, names exist, README examples run")
+        print("docs ok: links resolve, names exist, roles resolve, "
+              "README examples run")
     return len(failures)
 
 
