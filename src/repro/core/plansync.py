@@ -3,16 +3,18 @@ in step with its ring neighbours.
 
 A plan is broadcast once, and engines keep only soft state: a crash
 loses adopted queries and tombstones, and a broadcast can miss a node.
-What brings them back is this module. Every stabilise probe a node
-sends its successor carries a digest of the node's live continuous
-qids and unexpired tombstones
-(:meth:`~repro.dht.chord.ChordNode.on_neighbor_digest`). The probed
-engine compares it with its own; on a mismatch the two swap qid lists
-in ``qsync`` direct messages, each adopts the other's tombstones, and
-each sends only the plans the other lacks. A recovered node (which
-advertises nothing) therefore re-adopts within one probe of
-rejoining, and a node a stop broadcast missed drops the query at its
-next exchange. One-shot and recursive plans never take part.
+What brings them back is this module. A node's successor holds a
+digest of the node's live continuous qids and unexpired tombstones,
+and at every stabilise probe the node sends it compares that digest
+with its own (:meth:`~repro.dht.chord.ChordNode.on_neighbor_digest`:
+the digest rides the probe only when the successor may lack it). On a
+mismatch the two swap qid lists in ``qsync`` direct messages, each
+adopts the other's tombstones, and each sends only the plans the
+other lacks. A recovered node (which advertises nothing) therefore
+re-adopts within one probe of rejoining; a recovered successor still
+holds its predecessor's digest, so it re-adopts within one probe too;
+and a node a stop broadcast missed drops the query at its next
+exchange. One-shot and recursive plans never take part.
 
 A tombstone lasts until the stopped plan's retire instant
 (:func:`~repro.core.engine.retire_instant`), which the stop broadcast
@@ -75,9 +77,11 @@ class PlanSync:
         return zlib.crc32(text.encode())
 
     def on_digest(self, digest, src):
-        """A ring neighbour probed us with its digest. On a mismatch it
-        gets our lists; when it advertised nothing, we know what it
-        lacks and send the plans at once, else we ask for its lists."""
+        """A ring neighbour probed us; ``digest`` is the last one it
+        sent. On a mismatch it gets our lists; when it advertised
+        nothing, we know what it lacks and send the plans at once, else
+        (a digest, or the overlay's marker for one never received) we
+        ask for its lists."""
         if digest != self.digest():
             self._send_lists(src, set() if digest is None else None)
 

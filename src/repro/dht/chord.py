@@ -235,15 +235,23 @@ class ChordNode(SimNode, RpcNode, Ring, Routing):
         """Gossip an opaque digest along the ring's stabilise probes.
 
         ``provider()`` is asked for a digest each time this node probes
-        its successor; a non-None answer rides the ``get_neighbors``
-        request, None adds no bytes. The probed node hands what arrived
-        to its ``handler(digest, src)`` -- None when the prober had
-        nothing to advertise -- after it answered the probe. The overlay
-        neither reads nor compares digests; what they summarise and what
-        a mismatch costs is the caller's business.
+        its successor. The answer, None included, rides the
+        ``get_neighbors`` request only when the successor does not hold
+        it yet: unchanged since the last answered probe to that
+        successor, it adds no bytes. The probed node keeps the last
+        digest each prober sent and, after it answered the probe, hands
+        it to its ``handler(digest, src)`` -- None when the prober has
+        nothing to advertise, and :data:`~repro.dht.ring.UNHEARD_DIGEST`
+        (equal to no digest) when no digest from ``src`` ever arrived.
+        The overlay only tests digests for equality; what they summarise
+        and what a mismatch costs is the caller's business.
         """
         self._digest_provider = provider
         self._digest_handler = handler
+
+    def ref_for(self, address):
+        """The ref of the node at ``address``: its id is the address's hash."""
+        return NodeRef(node_id_for(address), address)
 
     def on_broadcast(self, handler):
         """``handler(payload, origin_ref, depth)`` runs once per broadcast."""

@@ -6,9 +6,11 @@ over one conversation per ring edge, timeout-driven failure suspicion,
 the finger table with its proximity choice, the RPC handlers the clocks
 talk to, and the handoff that moves stored items -- and the delivery
 ids consumed under them -- to whoever takes over a key range. The
-neighbour-digest hook rides the stabilise probe, and its reply carries
-the neighbour lists only when they changed. :class:`Ring` is a
-mixin over :class:`~repro.sim.node.SimNode` and
+stabilise exchange sends only what the other side lacks: the probe
+names no prober (its address is the sender's), carries the
+neighbour-digest hook's digest only when the successor does not hold
+it, and the reply is empty when the prober's echo matched.
+:class:`Ring` is a mixin over :class:`~repro.sim.node.SimNode` and
 :class:`~repro.dht.rpc.RpcNode`, like ``RpcNode`` itself.
 """
 
@@ -23,12 +25,12 @@ from repro.util.ids import ID_BITS, distance_cw, in_interval
 # churn paper the demo cites: periodic, not reactive, recovery).
 #
 # Every STABILIZE_PERIOD a node probes its successor (``get_neighbors``,
-# one request and one reply). The probe names the prober, so it is also
-# the notify and, for the receiver, its predecessor's keep-alive. A
+# one request and one reply). The probe's sender is the prober, so it is
+# also the notify and, for the receiver, its predecessor's keep-alive. A
 # silent successor is replaced ``rpc_timeout`` after the probe. The
-# reply always carries the successor's neighbour version, and carries
-# its predecessor and successor list only when the probe did not echo
-# that version (see :meth:`Ring._rpc_get_neighbors`).
+# reply is empty when the probe echoed the successor's neighbour
+# version, and otherwise carries that version, its predecessor and its
+# successor list (see :meth:`Ring._rpc_get_neighbors`).
 STABILIZE_PERIOD = 5.0
 # How long a predecessor may stay silent before it is pinged; a settled
 # ring never pings, because the predecessor's probe arrives every
@@ -53,6 +55,10 @@ SUSPECT_TTL = 30.0
 # Must comfortably outlive the longest retry chain: ``lookup_timeout`` x
 # retries plus routing slack.
 DELIVERY_DEDUP_TTL = 30.0
+# What a responder hands its digest handler for a prober whose digest
+# it never received: not None, which means "advertises nothing", and
+# equal to no digest, so the layer above asks rather than assumes.
+UNHEARD_DIGEST = object()
 
 
 class Ring:
@@ -82,6 +88,16 @@ class Ring:
         # Prober side: (successor address, version, predecessor,
         # successors) from the last reply that carried the lists.
         self._neighbors_heard = None
+        # Responder side of the digest: prober address -> the digest its
+        # last probe carried. Never reset, like the version, so a
+        # prober's belief that we hold its digest stays true.
+        self._digests_heard = {}
+        # Prober side: (successor address, digest) of the latest probe,
+        # and the same pair once that probe was answered -- what the
+        # successor then holds. Sending, a timeout or another successor
+        # clears the latter, so the digest rides the next probe.
+        self._digest_sent = None
+        self._digest_held = None
         self._stabilizer = PeriodicProcess(
             self.clock, STABILIZE_PERIOD, self._stabilize, jitter_rng=rng
         )
@@ -318,25 +334,39 @@ class Ring:
         # The stabilise probe is also the prober's notify (it names us
         # as its successor) and, from our predecessor, its keep-alive:
         # one exchange per ring edge per period. Apply the notify rule
-        # first so the answer already reflects it. The lists go out only
-        # when the prober does not echo the version of this very state;
-        # the state is compared as a snapshot, so no assignment to
+        # first so the answer already reflects it. The reply is empty
+        # when the prober echoes the version of this very state; the
+        # state is compared as a snapshot, so no assignment to
         # ``successors`` or ``predecessor`` needs a hook.
-        self._consider_predecessor(request["node"])
+        self._consider_predecessor(self._sender_ref(src))
         state = (self.predecessor, tuple(self.successors))
         if state != self._neighbors_answered:
             self._neighbors_answered = state
             self._neighbors_version += 1
-        reply = {"version": self._neighbors_version}
-        if request.get("seen") != self._neighbors_version:
-            reply["predecessor"] = self.predecessor
-            reply["successors"] = list(self.successors)
-        respond(reply)
+        if request.get("seen") == self._neighbors_version:
+            respond({})
+        else:
+            respond({"version": self._neighbors_version,
+                     "predecessor": self.predecessor,
+                     "successors": list(self.successors)})
+        # A probe without a digest means "the one I sent you last".
+        if "digest" in request:
+            self._digests_heard[src] = request["digest"]
         if self._digest_handler is not None:
-            self._digest_handler(request.get("digest"), src)
+            self._digest_handler(
+                self._digests_heard.get(src, UNHEARD_DIGEST), src)
 
     def _rpc_notify(self, src, request, respond):
-        respond({"accepted": self._consider_predecessor(request["node"])})
+        respond({"accepted": self._consider_predecessor(self._sender_ref(src))})
+
+    def _sender_ref(self, src):
+        """The ref of the node at ``src``: our predecessor's own when it
+        is the sender, as in a settled ring, else one built from the
+        address, which a node's id is the hash of."""
+        pred = self.predecessor
+        if pred is not None and pred.address == src:
+            return pred
+        return self.ref_for(src)
 
     def _consider_predecessor(self, candidate):
         """Chord's notify rule; True if ``candidate`` was adopted.
@@ -372,8 +402,8 @@ class Ring:
     def _stabilize(self):
         """Probe the successor: one request, one reply, per period.
 
-        The request carries our ref, so the successor applies the
-        notify rule before it answers; a separate ``notify`` follows
+        The successor applies the notify rule to the request's sender
+        before it answers; a separate ``notify`` follows
         only when the answer put a *different* node at the head of the
         successor list (that node has not heard from us yet). A
         successor that stays silent for ``rpc_timeout`` is suspected
@@ -382,10 +412,15 @@ class Ring:
 
         The probe echoes (``seen``) the version of the lists this
         successor last sent us, and a successor whose state still has
-        that version answers with the version alone. The lists reused
+        that version answers with an empty reply. The lists reused
         then are the ones captured here, as the probe leaves, not
         whatever a later reply cached. A lost reply costs nothing: the
         next probe echoes the old version and gets the lists again.
+
+        The neighbour digest rides the probe only when it differs from
+        the one the successor holds: the digest of the latest probe, to
+        this successor, once it was answered. A late answer to an older
+        probe proves nothing about the newer one's digest.
         """
         succ = self.successor
         if succ == self.ref:
@@ -397,6 +432,8 @@ class Ring:
             heard = None
 
         def on_reply(reply):
+            if sent is not None and self._digest_sent is sent:
+                self._digest_held = sent
             if "successors" in reply:
                 pred, successors = reply["predecessor"], reply["successors"]
                 self._neighbors_heard = (
@@ -420,6 +457,7 @@ class Ring:
                 self._notify_successor()
 
         def on_timeout():
+            self._digest_held = None
             self._suspect(succ.address)
             # Successor is gone: fail over to the next live entry.
             if len(self.successors) > 1:
@@ -427,22 +465,22 @@ class Ring:
             else:
                 self.successors = [self.ref]
 
-        request = {"kind": "get_neighbors", "node": self.ref}
+        request = {"kind": "get_neighbors"}
         if heard is not None:
             request["seen"] = heard[1]
+        sent = None
         if self._digest_provider is not None:
-            digest = self._digest_provider()
-            if digest is not None:
-                request["digest"] = digest
+            sent = (succ.address, self._digest_provider())
+            if sent != self._digest_held:
+                request["digest"] = sent[1]
+            self._digest_sent = sent
+            self._digest_held = None
         self.rpc(succ.address, request, on_reply, on_timeout)
 
     def _notify_successor(self):
         if self.successor == self.ref:
             return
-        self.rpc(
-            self.successor.address, {"kind": "notify", "node": self.ref},
-            ignore_answer,
-        )
+        self.rpc(self.successor.address, {"kind": "notify"}, ignore_answer)
 
     def _fix_fingers(self):
         """Refresh the next ``FINGERS_PER_ROUND`` finger slots.

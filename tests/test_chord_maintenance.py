@@ -3,8 +3,8 @@
 Counts what Chord's upkeep actually puts on the wire, by RPC inner
 kind, through ``Network.on_deliver``:
 
-* the stabilise probe (``get_neighbors``) carries the prober's ref, so
-  it is also its notify and -- from the predecessor -- its keep-alive;
+* the stabilise probe (``get_neighbors``) comes from the prober, so it
+  is also its notify and -- from the predecessor -- its keep-alive;
 * ``notify`` goes out only when a reply changed the prober's successor;
 * ``ping`` goes out only to a predecessor that has gone quiet;
 * a finger refresh asks the finger ``owns(start)`` and runs the routed
@@ -15,39 +15,41 @@ from collections import Counter
 
 import pytest
 
+from repro.core.network import PierNetwork
+from repro.core.plansync import SYNC_OP
 from repro.dht import ring
 from repro.dht.bootstrap import build_chord_ring, owner_of, ring_is_consistent
-from repro.dht.chord import ChordNode
+from repro.dht.chord import ChordNode, NodeRef
 from repro.dht.config import DhtConfig
 from repro.dht.messages import RpcReply
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency, RegionalLatency
 from repro.sim.network import Network
-from repro.util.ids import ID_BITS, ID_SPACE
+from repro.util.ids import ID_BITS, ID_SPACE, node_id_for
 from repro.util.rng import SeededRng
 from repro.util.serde import wire_size
 
 LATENCY = 0.02
-# Every stabilise reply carries the version; the lists only when changed.
-REPLY_KINDS = {"version": "get_neighbors", "owns": "owns",
-               "alive": "ping", "accepted": "notify"}
 
 
 class Tap:
-    """Every delivery as ``(time, name, src, dst)``; RPCs by inner kind."""
+    """Every delivery as ``(time, name, src, dst)``; RPCs by inner kind,
+    a reply by the kind of the request it answers (a settled stabilise
+    reply is empty, so its keys cannot name it)."""
 
     def __init__(self, clock, net):
         self.clock = clock
         self.events = []
+        self._asked = {}  # (requester, req_id) -> request kind
         net.on_deliver = self
 
     def __call__(self, src, dst, payload):
         name = payload.kind
         if name == "rpc_req":
             name = payload.inner["kind"]
+            self._asked[src, payload.req_id] = name
         elif name == "rpc_rep":
-            name = next(REPLY_KINDS[key] for key in REPLY_KINDS
-                        if key in payload.inner) + "_reply"
+            name = self._asked.pop((dst, payload.req_id), "unasked") + "_reply"
         self.events.append((self.clock.now, name, src, dst))
 
     def since(self, t, name=None):
@@ -102,17 +104,20 @@ class TestSettledRing:
         assert counts["ping"] == 0
 
     def test_probe_goes_to_the_successor_and_names_the_prober(self):
+        # By its address alone: the responder's predecessor is the
+        # ref that address hashes to.
         clock, net, nodes, _tap = make_ring(8)
         seen = []
         net.on_deliver = lambda src, dst, p: (
             p.kind == "rpc_req" and p.inner["kind"] == "get_neighbors"
-            and seen.append((src, dst, p.inner["node"])))
+            and seen.append((src, dst, p.inner)))
         clock.run_for(ring.STABILIZE_PERIOD)
         assert len(seen) == 8
-        for src, dst, ref in seen:
+        for src, dst, inner in seen:
             node = net.node(src)
             assert dst == node.successor.address
-            assert ref == node.ref
+            assert "node" not in inner
+            assert net.node(dst).predecessor == node.ref
 
     def test_finger_refresh_verifies_and_never_looks_up(self):
         clock, _net, nodes, tap = make_ring(16)
@@ -167,6 +172,23 @@ class TestJoin:
                 break
         assert pred.successors == [joiner.ref] + old[:3]
 
+    def test_every_predecessor_is_the_ref_its_address_hashes_to(self):
+        # No probe or notify names an id: the responder derives it from
+        # the sender's address, so no node can claim another id.
+        clock, net, nodes, _tap = make_ring(8, seed=3)
+        joiner = ChordNode(net, "late", nodes[0].config, SeededRng(3, "late"))
+        everyone = nodes + [joiner]
+        last_prober = {}
+        net.on_deliver = lambda src, dst, p: (
+            p.kind == "rpc_req" and p.inner["kind"] in ("get_neighbors", "notify")
+            and last_prober.__setitem__(dst, src))
+        joiner.join(nodes[0].address)
+        clock.run_for(3 * ring.STABILIZE_PERIOD)
+        assert ring_is_consistent(everyone)
+        for node in everyone:
+            address = last_prober[node.address]
+            assert node.predecessor == NodeRef(node_id_for(address), address)
+            assert node.predecessor.address == address
 
     def test_quick_rejoin_finds_its_successor(self):
         # Back 2 s after its crash: its successor still holds it as
@@ -183,34 +205,47 @@ class TestJoin:
         assert victim.successor == succ.ref
 
 
+def digest_hooks(nodes, digests):
+    """Each node advertises ``digests[address]``; returns the list its
+    handler fills with ``(prober, responder, digest)``."""
+    heard = []
+    for node in nodes:
+        node.on_neighbor_digest(
+            lambda address=node.address: digests[address],
+            lambda digest, src, node=node:
+            heard.append((src, node.address, digest)),
+        )
+    return heard
+
+
 class TestNeighborDigest:
-    def test_digest_rides_the_probe_only_when_there_is_one(self):
+    def test_digest_rides_the_probe_only_when_the_successor_lacks_it(self):
         clock, net, nodes, _tap = make_ring(8)
-        heard = []
-        for i, node in enumerate(nodes):
-            node.on_neighbor_digest(
-                lambda digest=(i if i % 2 else None): digest,
-                lambda digest, src, node=node:
-                heard.append((src, node.address, digest)),
-            )
+        digests = {n.address: (i if i % 2 else None)
+                   for i, n in enumerate(nodes)}
+        heard = digest_hooks(nodes, digests)
         probes = []
         net.on_deliver = lambda src, dst, wire: (
             wire.kind == "rpc_req" and wire.inner["kind"] == "get_neighbors"
             and probes.append((src, dst, wire)))
         clock.run_for(ring.STABILIZE_PERIOD)
-        # Still one probe per node per period.
+        # Still one probe per node per period. The first after the hook
+        # carries the digest, None included: the successor holds none.
         assert sorted(p[0] for p in probes) == sorted(n.address for n in nodes)
-        for src, _dst, wire in probes:
-            silent = int(src[1:]) % 2 == 0
-            assert ("digest" in wire.inner) != silent
-            if silent:  # not a byte more than a probe without the hook
-                assert set(wire.inner) == {"kind", "node", "seen"}
-                bare = {"kind": "get_neighbors", "node": wire.inner["node"],
-                        "seen": wire.inner["seen"]}
-                assert wire.wire_size() == 24 + wire_size(bare)
-        # Each probed node handed what arrived (None: nothing) upward.
+        assert all(wire.inner["digest"] == digests[src]
+                   for src, _dst, wire in probes)
+        first = len(probes)
+        clock.run_for(ring.STABILIZE_PERIOD)
+        assert len(probes) == 2 * first
+        for _src, _dst, wire in probes[first:]:
+            # Unchanged: not a byte more than a probe without the hook.
+            assert set(wire.inner) == {"kind", "seen"}
+            bare = {"kind": "get_neighbors", "seen": wire.inner["seen"]}
+            assert wire.wire_size() == 24 + wire_size(bare) == 69
+        # Each probed node handed the prober's digest (None: nothing)
+        # upward, whether or not this probe carried it.
         assert sorted(heard) == sorted(
-            (src, dst, wire.inner.get("digest")) for src, dst, wire in probes)
+            (src, dst, digests[src]) for src, dst, _wire in probes)
 
 
 def true_successors(nodes, node):
@@ -225,10 +260,12 @@ class Stabilise:
     """Wraps ``net.send``: every stabilise probe and reply as it leaves.
 
     ``probes`` are ``(time, prober, responder, inner)``; ``replies`` are
-    ``(time, responder, prober, inner)``. ``drop(src, dst, inner)``, when
-    set, loses the first reply it accepts. An omitted reply is checked
-    as it leaves: the lists the prober will reuse must be the
-    responder's present state.
+    ``(time, responder, prober, inner)``, a reply known by the probe it
+    answers. ``drop(src, dst, inner)``, when set, loses the first reply
+    it accepts; ``hold(src, dst, inner)`` delays the first one it
+    accepts until the next reply on the same edge has left. An empty
+    reply is checked as it leaves: the lists the prober will reuse must
+    be the responder's present state.
     """
 
     def __init__(self, clock, net):
@@ -237,23 +274,36 @@ class Stabilise:
         self.probes = []
         self.replies = []
         self.drop = None
+        self.hold = None
+        self._held = None
+        self._probe_ids = set()  # (prober, req_id)
         self._send = net.send
         net.send = self.send
 
     def send(self, src, dst, payload):
         if payload.kind == "rpc_req" and payload.inner["kind"] == "get_neighbors":
             self.probes.append((self.clock.now, src, dst, payload.inner))
-        elif payload.kind == "rpc_rep" and "version" in payload.inner:
+            self._probe_ids.add((src, payload.req_id))
+        elif payload.kind == "rpc_rep" and (dst, payload.req_id) in self._probe_ids:
             inner = payload.inner
             self.replies.append((self.clock.now, src, dst, inner))
-            if "successors" not in inner:
+            if not inner:
                 responder, prober = self.net.node(src), self.net.node(dst)
                 heard = prober._neighbors_heard
-                assert heard[:2] == (src, inner["version"])
+                assert heard[:2] == (src, responder._neighbors_version)
                 assert heard[2] == responder.predecessor
                 assert list(heard[3]) == responder.successors
             if self.drop is not None and self.drop(src, dst, inner):
                 self.drop = None
+                return
+            if self.hold is not None and self.hold(src, dst, inner):
+                self.hold = None
+                self._held = (src, dst, payload)
+                return
+            if self._held is not None and self._held[:2] == (src, dst):
+                self._send(src, dst, payload)
+                held, self._held = self._held, None
+                self._send(*held)
                 return
         self._send(src, dst, payload)
 
@@ -266,17 +316,17 @@ class TestNeighborDelta:
     """The stabilise reply carries the neighbour lists only when the
     prober does not already hold them (by the version it echoes)."""
 
-    def test_a_settled_ring_replies_with_the_version_alone(self):
+    def test_a_settled_ring_replies_with_nothing(self):
         clock, net, nodes, _tap = make_ring(16)
         log = Stabilise(clock, net)
         clock.run_for(ring.STABILIZE_PERIOD)
         assert sorted(r[2] for r in log.replies) == sorted(
             n.address for n in nodes)
         for _t, _src, _dst, inner in log.replies:
-            assert set(inner) == {"version"}
-            assert RpcReply(1, inner).wire_size() == 39
+            assert inner == {}
+            assert RpcReply(1, inner).wire_size() == 20
         # Every probe echoed the version its successor last sent.
-        assert all(set(p[3]) == {"kind", "node", "seen"} for p in log.probes)
+        assert all(set(p[3]) == {"kind", "seen"} for p in log.probes)
 
     def test_a_join_resends_the_changed_lists(self):
         clock, net, nodes, _tap = make_ring(8, seed=3)
@@ -363,6 +413,177 @@ class TestNeighborDelta:
         assert [r.address for r in prober.successors] == ["m3", "m5", "m7", "m6"]
         assert [r.address for r in responder.successors] == [
             "m5", "m7", "m6", "m1"]
+
+
+def await_probe(clock, log, prober):
+    """Run until ``prober``'s next stabilise probe leaves; return it."""
+    count = len(log.probes)
+    for _ in range(int(2 * ring.STABILIZE_PERIOD / 0.01)):
+        clock.run_for(0.01)
+        mine = [p for p in log.probes[count:] if p[1] == prober.address]
+        if mine:
+            return mine[0]
+    raise AssertionError("{} sent no probe".format(prober.address))
+
+
+class TestDigestEcho:
+    """The neighbour digest rides the probe only when the successor
+    does not hold it: the latest probe to this successor carried it
+    and was answered."""
+
+    def settled(self, n=8, seed=2, digest=7, **config):
+        clock, net, nodes, _tap = make_ring(n, seed=seed, **config)
+        digests = dict.fromkeys((node.address for node in nodes), digest)
+        heard = digest_hooks(nodes, digests)
+        clock.run_for(2 * ring.STABILIZE_PERIOD)
+        log = Stabilise(clock, net)
+        prober = nodes[0]
+        responder = net.node(prober.successor.address)
+
+        def handed():
+            """What ``responder`` handed upward for ``prober``'s probes."""
+            return [d for src, dst, d in heard
+                    if (src, dst) == (prober.address, responder.address)]
+
+        # Held and unchanged: the probe carries no digest.
+        assert "digest" not in await_probe(clock, log, prober)[3]
+        clock.run_for(0.1)
+        return clock, digests, log, prober, responder, handed
+
+    def test_a_changed_digest_rides_the_next_probe(self):
+        clock, digests, log, prober, _responder, handed = self.settled()
+        digests[prober.address] = 8
+        assert await_probe(clock, log, prober)[3]["digest"] == 8
+        assert "digest" not in await_probe(clock, log, prober)[3]
+        clock.run_for(0.1)
+        assert handed()[-3:] == [7, 8, 8]
+
+    @pytest.mark.parametrize("then", [8, 7], ids=["unchanged", "reverted"])
+    def test_after_a_lost_reply_the_next_probe_carries_the_digest(self, then):
+        # The next probe leaves while the lost one is open (a timeout
+        # longer than the period), so it goes to the same successor.
+        # Reverted: the successor holds 8, not the 7 last answered.
+        clock, digests, log, prober, responder, handed = self.settled(
+            rpc_timeout=6.0)
+        digests[prober.address] = 8
+        log.drop = lambda src, dst, inner: (
+            (src, dst) == (responder.address, prober.address))
+        assert await_probe(clock, log, prober)[3]["digest"] == 8
+        digests[prober.address] = then
+        probe = await_probe(clock, log, prober)
+        assert log.drop is None  # the first probe's reply was lost
+        assert probe[2] == responder.address and probe[3]["digest"] == then
+        clock.run_for(0.1)
+        assert handed()[-3:] == [7, 8, then]
+
+    def test_a_late_answer_to_an_older_probe_marks_nothing_held(self):
+        # Two probes in flight: the older one's answer arrives after
+        # the newer one's, and must not mark the older digest as held.
+        clock, digests, log, prober, responder, handed = self.settled(
+            rpc_timeout=6.0)
+        digests[prober.address] = 8
+        log.hold = lambda src, dst, inner: (
+            (src, dst) == (responder.address, prober.address))
+        assert await_probe(clock, log, prober)[3]["digest"] == 8
+        digests[prober.address] = 9
+        assert await_probe(clock, log, prober)[3]["digest"] == 9
+        clock.run_for(0.1)
+        assert log.hold is None and log._held is None  # both answered
+        digests[prober.address] = 8
+        probe = await_probe(clock, log, prober)
+        assert probe[2] == responder.address and probe[3]["digest"] == 8
+        clock.run_for(0.1)
+        assert handed()[-4:] == [7, 8, 9, 8]
+
+    def test_a_new_successor_gets_the_digest_even_none(self):
+        clock, net, nodes, _tap = make_ring(8, seed=3)
+        joiner = ChordNode(net, "late", nodes[0].config, SeededRng(3, "late"))
+        everyone = nodes + [joiner]
+        digests = dict.fromkeys((n.address for n in everyone), 7)
+        heard = digest_hooks(everyone, digests)
+        clock.run_for(2 * ring.STABILIZE_PERIOD)
+        pred, succ = neighbours(everyone, joiner)
+        assert pred.successor == succ.ref  # succ holds pred's 7
+        log = Stabilise(clock, net)
+        joiner.join(nodes[0].address)
+        while pred.successor != joiner.ref:
+            clock.run_for(0.05)
+        assert await_probe(clock, log, pred)[2:] == (
+            "late", {"kind": "get_neighbors", "digest": 7})
+        digests[pred.address] = None
+        probe = await_probe(clock, log, pred)
+        assert probe[2] == "late" and probe[3]["digest"] is None
+        clock.run_for(0.1)
+        joiner.crash()
+        while pred.successor != succ.ref:
+            clock.run_for(0.05)
+        # Back to succ, which still remembers 7: an explicit None.
+        probe = await_probe(clock, log, pred)
+        assert probe[2] == succ.address and probe[3]["digest"] is None
+        clock.run_for(0.1)
+        assert [d for src, dst, d in heard
+                if (src, dst) == (pred.address, succ.address)][-2:] == [7, None]
+
+    def test_a_digest_never_heard_is_asked_for(self):
+        # A probe without a digest from a prober the responder holds
+        # nothing for is not "advertises nothing" (None): the plan
+        # layer asks for the prober's lists instead of pushing plans.
+        clock, _net, nodes, _tap = make_ring(8)
+        heard = []
+        nodes[0].on_neighbor_digest(lambda: None,
+                                    lambda digest, src: heard.append(digest))
+        clock.run_for(ring.STABILIZE_PERIOD)
+        assert heard == [ring.UNHEARD_DIGEST]
+        net = PierNetwork(nodes=4, seed=1)
+        engine = net.node(net.addresses()[0]).engine
+        sent = []
+        engine.dht.send_direct = lambda dst, payload: sent.append(payload)
+        engine.plansync.on_digest(ring.UNHEARD_DIGEST, net.addresses()[1])
+        assert [p.get("ask") for p in sent] == [True]
+        assert "plans" not in sent[0]
+
+    def test_a_recovered_responder_readopts_the_probers_plans_in_one_probe(self):
+        # The responder keeps each prober's digest through a crash, so
+        # the prober's next probe -- without the digest it holds --
+        # still shows the recovered node what it lacks.
+        net = PierNetwork(nodes=8, seed=200)
+        net.create_stream_table("s", [("v", "FLOAT")], window=30.0)
+        handle = net.submit_sql(
+            "SELECT COUNT(*) AS n FROM s EVERY 10 SECONDS WINDOW 4 SECONDS "
+            "LIFETIME 200 SECONDS", node=net.addresses()[0])
+        net.advance(15)
+        chords = [net.node(a).chord for a in net.addresses()]
+        responder = chords[3]
+        prober, _ = neighbours(chords, responder)
+        probes = []
+        send = net.net.send
+
+        def only_the_prober_syncs(src, dst, payload):
+            # Plans reach the responder from the prober alone.
+            if (payload.kind == "direct" and dst == responder.address
+                    and src != prober.address
+                    and payload.payload.get("op") == SYNC_OP):
+                return
+            if (payload.kind == "rpc_req" and src == prober.address
+                    and payload.inner["kind"] == "get_neighbors"):
+                probes.append((net.now, dst, payload.inner))
+            send(src, dst, payload)
+
+        net.net.send = only_the_prober_syncs
+        while not probes:
+            net.advance(0.05)
+        net.advance(0.1)  # answered: the responder holds the digest
+        net.crash_node(responder.address)
+        net.advance(0.5)
+        net.recover_node(responder.address)
+        engine = net.node(responder.address).engine
+        assert handle.qid not in engine.queries
+        while len(probes) < 2:
+            net.advance(0.05)
+        assert probes[1][1] == responder.address
+        assert "digest" not in probes[1][2]
+        net.advance(1.0)
+        assert handle.qid in engine.queries
 
 
 class TestPredecessorLiveness:

@@ -119,9 +119,9 @@ class TestEpochs:
 class TestAdoption:
     def test_recovered_source_readopts_within_one_probe(self, net):
         # Crash a node, start the query, recover the node: it missed the
-        # plan broadcast. A node that runs nothing sends its stabilise
-        # probe without a digest, so the successor it probes answers
-        # with every continuous plan it holds.
+        # plan broadcast. A node that runs nothing advertises a None
+        # digest, so the successor it probes answers with every
+        # continuous plan it holds.
         victim = net.addresses()[3]
         net.crash_node(victim)
         results = []
