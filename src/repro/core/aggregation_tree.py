@@ -139,6 +139,6 @@ class TreeCombiner:
     def close(self):
         """Flush anything still held (epoch teardown)."""
         if self._timer is not None:
-            self.dht.cancel_timer(self._timer)
+            self._timer.cancel()
             self._timer = None
         self._forward()

@@ -389,7 +389,7 @@ class Exchange(Operator):
 
     def flush(self):
         if self._timer is not None:
-            self.ctx.dht.cancel_timer(self._timer)
+            self._timer.cancel()
             self._timer = None
         self._flush_pending()
 

@@ -351,7 +351,7 @@ class GroupByFinal(Operator):
 
     def _cancel_reflush(self, entry):
         if entry["timer"] is not None:
-            self.ctx.dht.cancel_timer(entry["timer"])
+            entry["timer"].cancel()
             entry["timer"] = None
 
     def open_pane(self, pane):

@@ -218,7 +218,7 @@ class ResultReturn(Operator):
 
     def flush(self):
         if self._timer is not None:
-            self.ctx.dht.cancel_timer(self._timer)
+            self._timer.cancel()
             self._timer = None
         self._send_epoch(self._active_epoch())
 
@@ -229,6 +229,6 @@ class ResultReturn(Operator):
 
     def teardown(self):
         if self._timer is not None:
-            self.ctx.dht.cancel_timer(self._timer)
+            self._timer.cancel()
             self._timer = None
         self._send()

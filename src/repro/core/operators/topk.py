@@ -84,7 +84,7 @@ class TopK(Operator):
 
     def _cancel_reflush(self, entry):
         if entry["timer"] is not None:
-            self.ctx.dht.cancel_timer(entry["timer"])
+            entry["timer"].cancel()
             entry["timer"] = None
 
     def open_pane(self, pane):

@@ -55,7 +55,7 @@ class RpcNode:
         ids find nothing open and are dropped."""
         entry = self._open_requests.pop(req, None)
         if entry is not None:
-            self.cancel_timer(entry[2])
+            entry[2].cancel()
             entry[0](*answer)
 
     def _on_silence(self, req):

@@ -4,6 +4,12 @@ Time is a float in *seconds* of simulated time. The clock only advances
 when :meth:`run_until` / :meth:`run` pops events; there is no real-time
 component anywhere, so a 30-minute PlanetLab experiment completes in
 however long its events take to process.
+
+Node timers ride the same heap in groups: the timers one node sets for
+one instant share one event (:meth:`repro.sim.node.SimNode.set_timer`).
+The clock only keeps the group still open at each instant, in
+``SimClock.open_groups``, and closes it when anything else is
+scheduled for that instant, so a later timer cannot jump the queue.
 """
 
 import heapq
@@ -20,6 +26,10 @@ class SimClock:
         self._heap = []
         self._seq = 0
         self._events_fired = 0
+        # instant -> (node, timer list) of the node-timer group that is
+        # still the newest event due at that instant; SimNode joins and
+        # retires groups, schedule_at retires one it overtakes.
+        self.open_groups = {}
 
     @property
     def now(self):
@@ -47,6 +57,8 @@ class SimClock:
             raise SimulationError(
                 "cannot schedule at t={} before now={}".format(time, self._now)
             )
+        if time in self.open_groups:
+            del self.open_groups[time]
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, callback, args)

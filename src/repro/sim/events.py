@@ -2,7 +2,7 @@
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, or one node timer.
 
     The clock's heap holds ``(time, seq, event)`` tuples, so events
     order by ``(time, seq)`` without ever being compared themselves;
@@ -12,6 +12,12 @@ class Event:
 
     Cancellation is lazy: :meth:`cancel` marks the event and the clock
     skips it when popped, which is O(1) instead of an O(n) heap removal.
+
+    A node timer (:meth:`repro.sim.node.SimNode.set_timer`) is an event
+    too, but not a heap entry of its own: it rides its group's event,
+    which fires the group's live timers in the order they were set. Its
+    ``seq`` is None; its ``time``, ``cancelled`` and :meth:`cancel` read
+    and act as for any event.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")

@@ -42,9 +42,6 @@ class RecordingDht:
         self.timers += 1
         return self.clock.schedule(delay, callback, *args)
 
-    def cancel_timer(self, event):
-        event.cancel()
-
     def fresh_mid(self):
         self._mids += 1
         return (self.address, self._mids)

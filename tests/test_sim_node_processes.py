@@ -32,7 +32,7 @@ class TestNodeTimers:
         node = Dummy(net, "a")
         fired = []
         timer = node.set_timer(1.0, fired.append, "x")
-        node.cancel_timer(timer)
+        timer.cancel()
         clock.run_until(2)
         assert fired == []
 
@@ -58,6 +58,99 @@ class TestNodeTimers:
         assert not node.alive
         node.recover()
         assert node.alive
+
+
+class TestTimerGroups:
+    """The timers one node sets for one instant share one clock event,
+    and each still fires exactly where an event of its own would."""
+
+    def test_same_instant_timers_share_one_event_in_order(self, net, clock):
+        node = Dummy(net, "a")
+        fired = []
+        for i in range(5):
+            node.set_timer(1.0, fired.append, i)
+        assert clock.pending == 1
+        clock.run_until(2)
+        assert fired == [0, 1, 2, 3, 4]
+        assert clock.events_fired == 1
+        assert not clock.open_groups  # a fired group is closed
+
+    def test_an_event_for_another_instant_does_not_split_a_group(self, net, clock):
+        node = Dummy(net, "a")
+        fired = []
+        node.set_timer(1.0, fired.append, "a1")
+        clock.schedule(2.0, fired.append, "later")
+        node.set_timer(1.0, fired.append, "a2")
+        assert clock.pending == 2
+        clock.run_until(3)
+        assert fired == ["a1", "a2", "later"]
+
+    def test_an_event_between_two_timers_fires_between_them(self, net, clock):
+        a, b = Dummy(net, "a"), Dummy(net, "b")
+        fired = []
+        a.set_timer(1.0, fired.append, "a1")
+        clock.schedule(1.0, fired.append, "event")
+        a.set_timer(1.0, fired.append, "a2")
+        b.set_timer(1.0, fired.append, "b1")
+        a.set_timer(1.0, fired.append, "a3")
+        a.set_timer(1.0, fired.append, "a4")
+        clock.run_until(2)
+        assert fired == ["a1", "event", "a2", "b1", "a3", "a4"]
+        assert clock.events_fired == 5
+
+    def test_zero_delay_timer_armed_while_firing_goes_last(self, net, clock):
+        a, b = Dummy(net, "a"), Dummy(net, "b")
+        fired = []
+
+        def arm():
+            fired.append("arm")
+            a.set_timer(0.0, fired.append, "zero")
+
+        a.set_timer(1.0, arm)
+        a.set_timer(1.0, fired.append, "a2")
+        b.set_timer(1.0, fired.append, "b1")
+        clock.schedule(1.0, fired.append, "event")
+        clock.run_until(2)
+        # The zero-delay timer is a new group behind everything that
+        # was already due at t=1, its node's own group included.
+        assert fired == ["arm", "a2", "b1", "event", "zero"]
+
+    def test_cancelling_one_member_keeps_the_others(self, net, clock):
+        node = Dummy(net, "a")
+        fired = []
+        timers = [node.set_timer(1.0, fired.append, i) for i in range(3)]
+        timers[1].cancel()
+        clock.run_until(2)
+        assert fired == [0, 2]
+        assert [t.cancelled for t in timers] == [False, True, False]
+
+    def test_timer_reads_time_and_cancelled(self, net, clock):
+        node = Dummy(net, "a")
+        clock.run_until(0.5)
+        first = node.set_timer(1.0, lambda: None)
+        second = node.set_timer(1.0, lambda: None)
+        assert (first.time, second.time) == (1.5, 1.5)
+        assert not first.cancelled and not second.cancelled
+        second.cancel()
+        assert second.cancelled and not first.cancelled
+        clock.run_until(2)
+        assert not first.cancelled
+
+    def test_crash_cancels_every_group_even_a_superseded_one(self, net, clock):
+        a, b = Dummy(net, "a"), Dummy(net, "b")
+        fired = []
+        before = [a.set_timer(1.0, fired.append, "a1")]
+        b.set_timer(1.0, fired.append, "b1")  # a's first group is closed
+        before.append(a.set_timer(1.0, fired.append, "a2"))
+        before.append(a.set_timer(3.0, fired.append, "a3"))
+        a.crash()
+        assert all(timer.cancelled for timer in before)
+        assert clock.pending == 1  # b's group
+        a.recover()
+        after = a.set_timer(1.0, fired.append, "after")
+        clock.run_until(5)
+        assert fired == ["b1", "after"]
+        assert not after.cancelled
 
 
 class TestPeriodicProcess:
