@@ -160,9 +160,9 @@ class LocalQueryContext:
         Usually the ``"x"``-port delivery namespace; prefix-sharing
         members instead route under a namespace derived from the shared
         prefix key, so co-tenant queries' equal routing ids rendezvous
-        at the SAME owner and their batches can be multiplexed into one
-        wire message. Delivery stays per-query (``payload["ns"]``), so
-        the owner demultiplexes back to each query's own operator.
+        at the SAME owner and their same-instant parts share each hop's
+        bundle. Delivery stays per-query (``payload["ns"]``), so the
+        owner hands each part to its own query's operator.
         """
         if self.prefix_key is not None:
             return "p|{}|{}|x".format(self.prefix_key, op_id)

@@ -46,7 +46,7 @@ import math
 
 from repro.core.aggregation_tree import TreeCombiner
 from repro.core.dataflow import namespace_head
-from repro.core.exchange import ExchangeMux, payload_rows
+from repro.core.exchange import payload_rows
 from repro.core.owners import OWNER_OPS, OwnerCache
 from repro.core.plansync import SYNC_OP, PlanSync
 from repro.core.sharing import StageRecord, found_record
@@ -174,7 +174,6 @@ class PierEngine:
         self.queries = {}  # qid -> AdoptedQuery
         # share key or qid -> GridRecord: every execution this node runs
         self.records = {}
-        self.exchange_mux = ExchangeMux(self)  # prefix-member coalescing
         self.combiners = {}  # ns -> TreeCombiner
         self._inputs = {}  # exchange ns -> deliver(payload, route_msg)
         # Rows arriving before registration: ns -> (drop-dead time,
@@ -204,7 +203,7 @@ class PierEngine:
 
         dht.on_broadcast(self._on_broadcast)
         dht.on_direct(self._on_direct)
-        dht.on_deliver(self._on_delivery)
+        dht.on_deliver(self._deliver_payload)
         dht.on_neighbor_digest(self.plansync.digest, self.plansync.on_digest)
 
     # ------------------------------------------------------------------
@@ -673,18 +672,8 @@ class PierEngine:
         self._bp_sent.pop(ns, None)
         self._undelivered.pop(ns, None)
 
-    def _on_delivery(self, payload, route_msg):
-        """The DHT's upcall, its ``mid`` already consumed. A
-        ``deliver_mux`` carries co-routed payloads of queries sharing a
-        prefix stage; each part dedups its own ``mid`` as well."""
-        if payload["op"] == "deliver_mux":
-            for part in payload["parts"]:
-                if self.dht.accept_delivery_once(part.get("mid")):
-                    self._deliver_payload(part, route_msg)
-        else:
-            self._deliver_payload(payload, route_msg)
-
     def _deliver_payload(self, payload, route_msg):
+        """The DHT's upcall, its ``mid`` already consumed."""
         self.owners.answer(payload, route_msg)
         deliver = self._inputs.get(payload["ns"])
         if deliver is not None:
@@ -794,7 +783,6 @@ class PierEngine:
         self.fragments = {}
         self.queries = {}
         self.records = {}  # boundary timers die with the crash
-        self.exchange_mux = ExchangeMux(self)  # held bundles die too
         self.combiners = {}
         self._inputs = {}  # they point into the executions that just died
         self._undelivered = {}

@@ -133,13 +133,6 @@ class Exchange(Operator):
         self._regional = (
             self._standing and self.mode == "tree" and engine.regional_trees
         )
-        # Prefix-sharing members hand their outbound route messages to
-        # the engine's per-instant multiplexer: co-tenant queries push
-        # at the same instants (one demux fan feeds them all), so
-        # same-destination messages coalesce into one deliver_mux.
-        self._router = (
-            engine.exchange_mux if ctx.prefix_key is not None else ctx.dht
-        )
         # Pending batches are keyed by epoch tag, then routing id: a
         # standing overlapping-epoch plan can push rows for several
         # live epochs through the same exchange instance, and each
@@ -332,7 +325,7 @@ class Exchange(Operator):
         # delivered hop whose ack was lost).
         payload["mid"] = self._mid_fn()
         if not self._standing:
-            self._router.route(
+            self.ctx.dht.route(
                 storage_key(self._route_ns, rid), payload, self._upcall)
             return
         payload["epoch"] = epoch
@@ -344,9 +337,9 @@ class Exchange(Operator):
             key, owner = self._owners.route(
                 self._ns, self._route_ns, rid, payload, salt=False)
             if owner is not None:
-                self._router.route_via(owner, key, payload)
+                self.ctx.dht.route_via(owner, key, payload)
             else:
-                self._router.route(key, payload, self._upcall)
+                self.ctx.dht.route(key, payload, self._upcall)
         elif self._paned:
             # Pane-tagged partials must accumulate at a *stable* owner:
             # epoch k+1's window reuses panes shipped during epoch k.
@@ -366,9 +359,7 @@ class Exchange(Operator):
         the region-local combiner; the combiner's later forward crosses
         the backbone once per region per flush. The message itself
         still targets the global key, so a dead rendezvous degrades to
-        the normal walk (the hop machinery reroutes around it). Bundles
-        are bypassed: the mux ships with ``upcall=None``, which would
-        skip the level-1 absorption.
+        the normal walk (the hop machinery reroutes around it).
         """
         if self._regional:
             via = self.ctx.dht.region_rendezvous(key)
@@ -376,7 +367,7 @@ class Exchange(Operator):
                 self.ctx.dht.route_through(via, key, payload,
                                            upcall=self._upcall)
                 return
-        self._router.route(key, payload, self._upcall)
+        self.ctx.dht.route(key, payload, self._upcall)
 
     def open_pane(self, pane):
         """Pane markers stop at the exchange either way: a pane-tagged
@@ -406,67 +397,6 @@ class Exchange(Operator):
         self.flush()
 
 
-class ExchangeMux:
-    """Per-engine multiplexer for prefix-sharing members' route traffic.
-
-    Co-tenant queries of one prefix stage push at the same instants
-    (one demux fan feeds them all) and -- thanks to the shared route
-    namespace -- equal routing ids rendezvous at the same owner. Their
-    exchanges hand outbound messages here instead of routing directly;
-    a zero-delay timer (which the simulator fires after the whole
-    same-instant cascade) coalesces everything bound for one routing
-    key into a single ``deliver_mux`` message whose parts are the
-    original per-query payloads. The receiver dispatches each part
-    through the normal delivery ladder, so answers are unchanged; only
-    the message count amortizes across the fleet.
-
-    Bundles ride with ``upcall=None``: mid-route tree combining is
-    per-query anyway (upcall names embed the qid), and every part
-    terminates at the same owner, where each query's final operator
-    merges exactly as it would have. Single-entry buckets fall back to
-    the ordinary route/route_via call, upcall included.
-    """
-
-    def __init__(self, engine):
-        self.engine = engine
-        self._buckets = {}  # bucket key -> [(payload, upcall, owner, key)]
-        self._timer = None
-        self.bundles = 0  # multi-part messages shipped (introspection)
-        self.bundled_parts = 0
-
-    def route(self, key, payload, upcall=None):
-        self._add(("route", key), payload, upcall, None, key)
-
-    def route_via(self, owner, key, payload):
-        self._add(("via", owner.address, key), payload, None, owner, key)
-
-    def _add(self, bucket, payload, upcall, owner, key):
-        self._buckets.setdefault(bucket, []).append(
-            (payload, upcall, owner, key)
-        )
-        if self._timer is None:
-            self._timer = self.engine.set_timer(0.0, self._ship)
-
-    def _ship(self):
-        self._timer = None
-        buckets, self._buckets = self._buckets, {}
-        dht = self.engine.dht
-        for entries in buckets.values():
-            payload, upcall, owner, key = entries[0]
-            if len(entries) == 1:
-                if owner is not None:
-                    dht.route_via(owner, key, payload)
-                else:
-                    dht.route(key, payload, upcall=upcall)
-                continue
-            bundle = {
-                "op": "deliver_mux",
-                "parts": [e[0] for e in entries],
-                "mid": dht.fresh_mid(),
-            }
-            self.bundles += 1
-            self.bundled_parts += len(entries)
-            if owner is not None:
-                dht.route_via(owner, key, bundle)
-            else:
-                dht.route(key, bundle, upcall=None)
+# benchmarks/perf/trace.py still wraps entry points by this name; ROADMAP
+# item 20 moves it to names that exist.
+ExchangeMux = Exchange

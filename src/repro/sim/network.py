@@ -208,21 +208,6 @@ class Network:
                                   len(cols[0]) if cols else 0)
             else:
                 self.counters.add("exchange_rows", len(inner["rows"]))
-        elif op == "deliver_mux":
-            # One wire message carries several co-routed queries'
-            # exchange payloads (prefix-shared fleets): the message
-            # amortizes, the row attempts still count per part.
-            self.counters.add("exchange_messages")
-            self.counters.add("exchange_mux_bundles")
-            for part in inner.get("parts", ()):
-                cols = part.get("cols")
-                if cols is not None:
-                    self.counters.add("exchange_rows",
-                                      len(cols[0]) if cols else 0)
-                elif "rows" in part:
-                    self.counters.add("exchange_rows", len(part["rows"]))
-                else:
-                    self.counters.add("exchange_rows")
         else:
             return
         if cross:

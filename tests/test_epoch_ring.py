@@ -317,8 +317,7 @@ class TestStandingBloom:
 class TestExactlyOnceDelivery:
     """The overlay consumes a routed payload's delivery id before its
     one ``on_deliver`` upcall; the engine, which owns that upcall,
-    dedups each part of a multiplexed bundle and hands the rest to the
-    input that claimed its namespace."""
+    hands the payload to the input that claimed its namespace."""
 
     @staticmethod
     def arrival(payload):
@@ -377,29 +376,6 @@ class TestExactlyOnceDelivery:
         assert sent
         assert all(p.get("mid") is not None for p in sent)
         assert len({p["mid"] for p in sent}) == len(sent)
-
-    def test_replayed_mux_bundle_dropped_at_the_door(self):
-        # Multiplexed exchange bundles dedup at BOTH granularities: the
-        # bundle's own mid (a re-forwarded bundle is dropped whole, by
-        # the overlay) and each inner part's mid (a part replayed solo
-        # is dropped too, by the engine).
-        net = PierNetwork(nodes=4, seed=11)
-        node = net.node(net.addresses()[1])
-        got = self.claim(node.engine, "p|k|op9|x")
-        parts = [
-            {"op": "deliver", "ns": "p|k|op9|x", "rid": ("a",),
-             "data": (1,), "mid": ("node0", 61)},
-            {"op": "deliver", "ns": "p|k|op9|x", "rid": ("b",),
-             "data": (2,), "mid": ("node0", 62)},
-        ]
-        bundle = self.arrival({"op": "deliver_mux", "parts": parts,
-                               "mid": ("node0", 60)})
-        node.chord._route_arrived(bundle)
-        assert len(got) == 2
-        node.chord._route_arrived(bundle)  # re-forward after a lost ack
-        assert len(got) == 2
-        node.chord._route_arrived(self.arrival(parts[0]))  # replayed solo
-        assert len(got) == 2
 
     def test_leave_hands_consumed_mids_to_the_successor(self):
         # A graceful leave ships the consumed-mid set with the storage

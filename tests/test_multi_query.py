@@ -380,6 +380,46 @@ class TestPrefixStageRuntime:
             for k in private[i]:
                 assert _rows_match(staged[i][k], private[i][k])
 
+    def test_fleet_tree_partials_keep_their_upcall(self, net):
+        # Stage-fed members route their tree partials under the shared
+        # ``p|`` namespace. Each part must still name its own query's
+        # combiner, so partials merge mid-route as a private query's do.
+        routed = []
+        for address in net.addresses():
+            chord = net.node(address).chord
+            original = chord.route
+
+            def spy(key, payload, upcall=None, _orig=original):
+                routed.append((payload, upcall))
+                _orig(key, payload, upcall)
+
+            chord.route = spy
+        site = net.any_address()
+        for i in range(4):
+            net.submit_sql(predicate_sql(1.5 + i), node=site)
+        net.advance(32.0)  # three epochs in, every member still live
+        upcalls = {}  # delivery ns -> upcall, of p|-routed tree edges
+        absorbed = {}  # upcall -> partials its combiners merged mid-route
+        for address in net.addresses():
+            engine = net.node(address).engine
+            for rec in spines(engine):
+                for op in rec.execution.ops.values():
+                    if (op.spec.kind == "exchange" and op.mode == "tree"
+                            and op._route_ns.startswith("p|")):
+                        upcalls[op._ns] = op._upcall
+            for combiner in engine.combiners.values():
+                absorbed[combiner.upcall] = (
+                    absorbed.get(combiner.upcall, 0) + combiner.merged_in)
+        assert len(set(upcalls.values())) == 4
+        parts = [(part, upcall) for payload, upcall in routed
+                 for part in payload.get("parts", [payload])
+                 if part.get("ns") in upcalls]
+        assert parts
+        for part, upcall in parts:
+            assert upcall == upcalls[part["ns"]]
+        # Every member's tree combines somewhere, not only at its owner.
+        assert all(absorbed[upcall] > 0 for upcall in upcalls.values())
+
     def test_stop_peels_members_then_closes_the_stage(self, net):
         site = net.any_address()
         outs = []

@@ -166,7 +166,7 @@ def test_size_hooks(expected):
 
 
 def exchange_payloads(rng):
-    """The shapes ``Exchange._route`` and ``ExchangeMux`` put on the wire."""
+    """The shapes ``Exchange._route`` puts on the wire."""
     rows = [(rng.randint(0, 63), rng.random(), "host-{}".format(rng.randint(0, 99)))
             for _ in range(rng.randint(2, 40))]
     states = [((rng.randint(0, 9),), [rng.random(), rng.randint(1, 50)])
@@ -181,9 +181,7 @@ def exchange_payloads(rng):
     scan_cols = dict(by_rows, cols=columnar_wire(rows))
     del scan_cols["rows"]
     empty_cols = {"op": "deliver_batch", "ns": "q", "rid": 0, "cols": []}
-    mux = {"op": "deliver_mux", "mid": ("h4", 19),
-           "parts": [deliver, by_rows, by_cols, scan_cols]}
-    return [deliver, by_rows, by_cols, scan_cols, empty_cols, mux]
+    return [deliver, by_rows, by_cols, scan_cols, empty_cols]
 
 
 def test_exchange_payload_shapes(expected):

@@ -5,7 +5,7 @@ queries (plus some identical twins), staggered submission instants,
 early stops, injected crash/recovery events, and (in some trials) a
 region-labelled topology running proximity routing plus two-level
 regional aggregation trees -- and runs it TWICE from the same seed:
-once with sharing on (spines + prefix stages + exchange multiplexing)
+once with sharing on (spines + prefix stages + co-routed exchanges)
 and once with every query submitted under the ``{"shared": False}``
 option, the ablation where each runs its own fully private plan.
 Sharing is an optimization, never a semantics change, so each query's
