@@ -29,8 +29,9 @@ behind the epoch boundary, at the query site) is no worse.
 A fourth leg cuts one region off the backbone mid-run (a live
 partition: nodes keep their state, unlike a crash) and heals it two
 epochs later. During the cut the region's increments terminal-deliver
-at in-region pseudo-owners whose paned finals retain them
-(``PaneWindow.retain_panes``); after the heal those finals keep
+at in-region pseudo-owners whose paned finals retain them (a
+``PaneWindow`` keeps ``retain_panes`` pane ranges behind the newest
+window); after the heal those finals keep
 flushing, so the query site's per-node replace-and-merge
 reconciliation recovers the EXACT answer -- post-heal epochs,
 including windows spanning the partition, must match a no-failure

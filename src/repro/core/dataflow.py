@@ -765,10 +765,12 @@ class StandingExecution(_ExecutionBase):
 
         A stage-fed member's scan is passive; the stage's demux calls
         this instead, with the one :class:`RowBatch` every member of
-        the stage reads. Unlike :meth:`deliver_batch` there is nothing
+        the stage reads (and
+        :meth:`~repro.core.sharing.StageRecord.seed`, with a joiner's
+        seed). Unlike :meth:`deliver_batch` there is nothing
         to drop or park: the wave comes from this node's own stage,
         which advances every member to ``epoch`` before it emits (and
-        builds a joiner before backfilling it), so the epoch is open
+        builds a joiner before seeding it), so the epoch is open
         here. A stage-stamped plan has exactly one scan.
         """
         (scan,) = self.plan.ops_of_kind("scan")

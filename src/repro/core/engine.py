@@ -412,12 +412,13 @@ class PierEngine:
         full-window emission seeds its window history exactly like a
         private adoption's. A record with its own timer arms it for
         that epoch. A stage-fed spine arms none: its stage's next
-        boundary builds it (members first, then the stage), and the
-        demux's open of that epoch backfills the retained panes -- or,
-        when the stage is not running either, the stage waits for the
-        earliest member's first epoch and its initial full-history
-        emission seeds every member at once. A joiner re-enters a
-        waiting record, since it may read an earlier epoch.
+        boundary builds it (members first, then the stage) and seeds it
+        from the stage scan's log (:meth:`StageRecord.seed`) before the
+        stage emits that epoch's wave -- or, when the stage is not
+        running either, the stage waits for the earliest member's first
+        epoch and its initial full-history emission seeds every member
+        at once. A joiner re-enters a waiting record, since it may read
+        an earlier epoch.
 
         A late adopter joins the epoch *in progress*: the rendezvous
         for its epoch-free exchange keys may hash to this very node, so
@@ -425,8 +426,10 @@ class PierEngine:
         row routed here. Registration replays any early rows buffered
         under this epoch's tag, and already-due flush timers fire
         immediately. A late stage-fed spine gets the current window at
-        once: from the demux's retained panes when the stage runs, else
-        from the stage's initial (or, after a hold, gap) emission.
+        once: seeded with what the stage scan already emitted for it
+        when the stage has an execution (after a hold, the stage's gap
+        emission then adds the rest), else from the stage's initial
+        emission.
         Stage and member are on one grid, so they enter at one epoch:
         the running stage's, else the one the member read off the clock
         and hands down as ``k_now``.
@@ -444,10 +447,9 @@ class PierEngine:
                 # Stage-fed and back after a hold: the waves fanned past
                 # its horizon skipped it, so its retained pane state has
                 # gaps. Soft-state answer: rebuild the execution from
-                # scratch; it is re-seeded from the stage below.
+                # scratch; it is re-seeded from the stage.
                 old, rec.execution = rec.execution, None
                 old.close()
-            rec.needs_backfill = rec.plan.pane is not None
         first = rec.first_epoch()
         if k_now < first:
             if stage is None:
@@ -461,19 +463,27 @@ class PierEngine:
         self._advance_shared(rec, k_now)
         if stage is None or not rec.on_grid:
             return
-        if stage.on_grid:
-            # Running stage: this epoch's waves already fanned past us.
-            stage.demux().backfill(rec, k_now)
-        else:
+        if stage.execution is not None:
+            # Waves the stage already emitted for k_now went past us.
+            stage.seed([rec], k_now)
+        if not stage.on_grid:
             self._enter_grid(stage, k_now)
 
     def _on_boundary(self, rec, k):
         """``rec``'s boundary timer: its members open epoch ``k`` first
         (join order), so every wave the record then emits lands in an
-        execution that is already there."""
+        execution that is already there. Members built here beside a
+        running stage are seeded first with what it already emitted
+        that epoch ``k``'s window covers."""
         rec.next_timer = None
+        joined = []
         for member in rec.members():
+            built = member.execution is None
             self._advance_shared(member, k)
+            if built and member.on_grid:
+                joined.append(member)
+        if joined and rec.execution is not None:
+            rec.seed(joined, k)
         self._advance_shared(rec, k)
 
     def _advance_shared(self, rec, k):

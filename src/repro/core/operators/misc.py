@@ -18,7 +18,9 @@ instance.
 from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.operators import register_operator
-from repro.db.window import window_pane_range
+
+# How long append-mode result rows buffer before one message ships them.
+RESULT_BATCH_DELAY = 0.25
 
 
 @register_operator("distinct")
@@ -83,26 +85,14 @@ class Demux(Operator):
     (by the first member's predicate) and every later member's filter
     and fold read them in place.
 
-    Paned stages also retain each emitted pane's rows (pruned below the
-    newest window) so a member that joins an already-running stage can
-    be backfilled, at once or at the boundary where it first runs: the
-    retained panes its window still covers are injected once, making
-    its first window identical to a private twin's -- exact parity
-    from the first reported epoch onward. Each retained pane becomes
-    one batch, shared by every joiner until the pane grows or is
-    pruned.
+    The demux keeps no rows: a member that joins a running stage is
+    seeded from the stage scan's log
+    (:meth:`~repro.core.sharing.StageRecord.seed`).
     """
 
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
-        geometry = spec.params.get("paned")
-        self._paned = bool(geometry)
-        if self._paned:
-            self._panes_per_every = geometry["every"]
-            self._panes_per_window = geometry["window"]
         self._pane = None  # current pane marker from the stage scan
-        self._store = {}  # pane -> [rows] retained for joiner backfill
-        self._backfill = {}  # pane -> RowBatch of its rows, for joiners
 
     def open_pane(self, pane):
         self._pane = pane  # marker consumed here, not propagated
@@ -111,46 +101,9 @@ class Demux(Operator):
         if not len(batch):
             return
         k = self._active_epoch()
-        pane = self._pane if self._paned else None
-        if pane is not None:
-            self._store.setdefault(pane, []).extend(batch.rows())
-            self._backfill.pop(pane, None)
         for member in self.ctx.stage.members():
             if member.on_grid:
-                member.execution.deliver_scan(batch, k, pane)
-
-    def backfill(self, member, k):
-        """Inject the retained panes into a (re)joining member as its
-        epoch ``k``. Unpaned stages retain nothing -- their next
-        boundary re-emits the full window anyway."""
-        member.needs_backfill = False
-        for p in sorted(self._store):
-            batch = self._backfill.get(p)
-            if batch is None:
-                batch = self._backfill[p] = RowBatch(rows=list(self._store[p]))
-            member.execution.deliver_scan(batch, k, p)
-
-    def open_epoch(self, k, t_k):
-        if not self._paned:
-            return
-        lo, _hi = window_pane_range(
-            k, self._panes_per_every, self._panes_per_window
-        )
-        for p in [p for p in self._store if p < lo]:
-            del self._store[p]
-            self._backfill.pop(p, None)
-        # What is left was emitted at stage epochs < k and epoch k's
-        # window still covers it: [lo, hi - panes_per_every). The top
-        # panes_per_every panes are epoch k's own wave, which is not
-        # in the store yet -- it fans normally right after this open
-        # (sources open last).
-        for member in self.ctx.stage.members():
-            if member.needs_backfill and member.on_grid:
-                self.backfill(member, k)
-
-    def teardown(self):
-        self._store = {}
-        self._backfill = {}
+                member.execution.deliver_scan(batch, k, self._pane)
 
 
 @register_operator("result")
@@ -159,7 +112,7 @@ class ResultReturn(Operator):
 
     Two modes:
 
-    * append (default): rows buffer for ``batch_delay`` (0.25 s) and
+    * append (default): rows buffer for ``RESULT_BATCH_DELAY`` and
       each message carries the increment -- right for streamed selects
       and recursion, where every row is final.
     * replace (``params["replace"]``, aggregate plans): the upstream
@@ -177,14 +130,14 @@ class ResultReturn(Operator):
         self._replace = spec.params.get("replace", False)
         self._batches = EpochStateRing(list)  # epoch -> [rows]
         self._timer = None
-        self._delay = spec.params.get("batch_delay", 0.25)
 
     def push_batch(self, batch, port=0):
         if len(batch) == 0:
             return
         self._batches.state(self._active_epoch()).extend(batch.rows())
         if self._timer is None:
-            self._timer = self.ctx.dht.set_timer(self._delay, self._send)
+            self._timer = self.ctx.dht.set_timer(
+                RESULT_BATCH_DELAY, self._send)
 
     def reset_batch(self):
         if self._replace:

@@ -29,7 +29,9 @@ instead of re-scanning:
   every epoch. Queries share a scan by sharing the execution it belongs
   to (a spine, or the scan stage under many spines -- see
   :mod:`repro.core.sharing`); a stage-fed member's scan is *passive*
-  (``ctx.prefix_fed``): it only relays the waves the stage injects;
+  (``ctx.prefix_fed``): it only relays the waves the stage injects,
+  and a member that starts while its stage runs is seeded from the
+  stage scan's log (:meth:`Scan.emitted_for`);
 * dht tables: a TTL'd ``newData`` subscription (renewed every epoch)
   tracks arriving items by reference; each epoch emits the tracked
   items still live -- identical to a fresh ``lscan`` because renewals
@@ -102,6 +104,8 @@ class Scan(Operator):
         self._log = None
         self._cursor = 0
         self._seen = 0
+        # Unpaned: (epoch, first, end) sequence numbers of the last wave.
+        self._wave = None
         self._tracked = {}  # dht mode: item key -> StoredItem (by ref)
         self._sub_token = None
         self._awaiting = False  # get mode: the reply is still to come
@@ -120,19 +124,24 @@ class Scan(Operator):
     def _count(self, n):
         self.ctx.engine.note_rows_scanned(n)
 
-    def _emit_rows(self, rows):
-        """Emit one scan wave as a single RowBatch (``rows`` is taken
-        over by the batch)."""
-        if self._sample_threshold is not None and rows:
-            threshold = self._sample_threshold
+    def _batch(self, rows):
+        """The sampled part of ``rows`` (taken over) as one RowBatch,
+        or None when nothing is left."""
+        threshold = self._sample_threshold
+        if threshold is not None and rows:
             rows = [r for r in rows if _sample_keep(r, threshold)]
         if rows:
-            self.emit_batch(
-                RowBatch(rows=rows, schema=self._table_def.schema)
-            )
+            return RowBatch(rows=rows, schema=self._table_def.schema)
+        return None
+
+    def _emit_rows(self, rows):
+        """Emit one scan wave as a single RowBatch."""
+        batch = self._batch(rows)
+        if batch is not None:
+            self.emit_batch(batch)
 
     def _window(self):
-        window = self.spec.params.get("window") or self.ctx.plan.window
+        window = self.ctx.plan.window
         if window is None:
             window = self._table_def.window
         return window
@@ -225,7 +234,7 @@ class Scan(Operator):
         elif self._paned:
             self._emit_paned_epoch(k)
         else:
-            self._emit_stream_epoch(t_k)
+            self._emit_stream_epoch(k, t_k)
 
     def _emit_local(self):
         rows = list(self.ctx.fragment(self.spec.params["table"]).scan())
@@ -241,18 +250,19 @@ class Scan(Operator):
         self._seen = end
         return max(self._cursor, log.first_live()), end
 
-    def _emit_stream_epoch(self, t_k):
+    def _emit_stream_epoch(self, k, t_k):
         window = self._window()
         every = self.ctx.plan.every or window
         log = self._log
         start, end = self._read_from()
         self._count(end - start)
-        out = log.rows_in(max(start, log.seq_after(t_k - window)),
-                          max(start, log.seq_after(t_k)))
+        lo = max(start, log.seq_after(t_k - window))
+        hi = max(start, log.seq_after(t_k))
+        self._wave = (k, lo, hi)
         # Rows at or before the *next* window's low edge can never be
         # scanned again; keep the overlap (window > every) for re-emission.
         self._cursor = max(start, log.seq_after(t_k + every - window))
-        self._emit_rows(out)
+        self._emit_rows(log.rows_in(lo, hi))
 
     def _emit_paned_epoch(self, k):
         """Bucket the delta by pane and emit each row exactly once.
@@ -269,11 +279,22 @@ class Scan(Operator):
         walk stops at the first row of a still-open pane, where the
         cursor waits for the next epoch.
         """
+        start, end = self._read_from()
+        buckets, examined = self._panes(k, start, end)
+        self._count(examined)
+        self._cursor = start + examined
+        for p in sorted(buckets):
+            self.open_pane(p)
+            self._emit_rows(buckets[p])
+
+    def _panes(self, k, start, end):
+        """Log rows ``[start, end)`` that epoch ``k``'s window covers,
+        bucketed by pane, and how many rows the walk examined: it stops
+        at the first row of a pane past the window."""
         lo, hi = window_pane_range(
             k, self._panes_per_every, self._panes_per_window
         )
         log = self._log
-        start, end = self._read_from()
         origin, width = self._pane_origin, self._pane
         buckets = {}
         examined = 0
@@ -284,11 +305,30 @@ class Scan(Operator):
             examined += 1
             if p >= lo:
                 buckets.setdefault(p, []).append(row)
-        self._count(examined)
-        self._cursor = start + examined
-        for p in sorted(buckets):
-            self.open_pane(p)
-            self._emit_rows(buckets[p])
+        return buckets, examined
+
+    def emitted_for(self, k):
+        """What this standing stream scan has already emitted that
+        epoch ``k``'s window covers, as ``(pane, RowBatch)`` pairs.
+
+        Re-read from the log: a member that starts beside a running
+        stage is seeded with them and sees the window a private scan
+        would, and nobody keeps a copy. Paned, that is every emitted
+        row from epoch ``k``'s low pane on; unpaned, epoch ``k``'s own
+        wave once it has gone out -- before that, the wave itself
+        carries the whole window. Re-reads charge no ``rows_scanned``.
+        """
+        log = self._log
+        if self._paned:
+            buckets, _examined = self._panes(
+                k, log.first_live(), self._cursor)
+        elif self._wave is not None and self._wave[0] == k:
+            _k, lo, hi = self._wave
+            buckets = {None: log.rows_in(max(lo, log.first_live()), hi)}
+        else:
+            return []
+        seeds = ((p, self._batch(buckets[p])) for p in sorted(buckets))
+        return [(p, batch) for p, batch in seeds if batch is not None]
 
     def inject_batch(self, batch, pane=None):
         """Relay one wave from a shared prefix stage (prefix-fed mode).
@@ -299,14 +339,12 @@ class Scan(Operator):
         first so pane-aware consumers bucket the wave correctly. The
         stage hands every member the same batch, emitted as it is:
         batches are read-only, so the first member's transpose is the
-        only one. A sampled member filters its own copy.
+        only one. A sampled stage has already sampled it: its members
+        share one sample rate, which the prefix signature covers.
         """
         if pane is not None:
             self.announce_pane(pane)
-        if self._sample_threshold is None:
-            self.emit_batch(batch)
-        else:
-            self._emit_rows(batch.rows())
+        self.emit_batch(batch)
 
     def _emit_dht_epoch(self):
         now = self.ctx.clock.now

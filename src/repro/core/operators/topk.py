@@ -55,24 +55,13 @@ def sort_rows(rows, sort_keys, schema):
 
 @register_operator("topk")
 class TopK(Operator):
-    """Params additionally accept ``replay`` (aggregate-plan top-k):
-    in replay mode the buffer participates in streaming refinement --
-    a cumulative upstream re-emission resets it, and its own flush
-    re-emits without clearing."""
-
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         self._sort_keys = spec.params["sort_keys"]
         self._limit = spec.params["limit"]
         self._schema = spec.params["schema"]
-        self._replay = spec.params.get("replay", False)
         self._note = ctx.engine.note_rows_aggregated
-        # epoch -> {"rows", "flushed", "timer"}; sealing cancels the
-        # epoch's pending replay reflush with its state.
-        self._epochs = EpochStateRing(
-            lambda: {"rows": [], "flushed": False, "timer": None},
-            on_seal=self._cancel_reflush,
-        )
+        self._epochs = EpochStateRing(list)  # epoch -> buffered rows
         self._paned = bool(spec.params.get("paned"))
         if self._paned:
             geometry = spec.params["paned"]
@@ -81,11 +70,6 @@ class TopK(Operator):
             self._panes = {}  # pane -> rows (cut to limit once closed)
             self._pane_cut = set()
             self._current_pane = None
-
-    def _cancel_reflush(self, entry):
-        if entry["timer"] is not None:
-            entry["timer"].cancel()
-            entry["timer"] = None
 
     def open_pane(self, pane):
         self._current_pane = pane
@@ -105,20 +89,7 @@ class TopK(Operator):
             # cut-then-extend superset property keeps this safe).
             self._pane_cut.discard(self._current_pane)
             return
-        entry = self._epochs.state(self._active_epoch())
-        entry["rows"].extend(rows)
-        if self._replay and entry["flushed"] and entry["timer"] is None:
-            entry["timer"] = self.ctx.dht.set_timer(
-                0.2, self._reflush, self._active_epoch()
-            )
-
-    def _reflush(self, epoch):
-        self._run_in_epoch(epoch, self.flush)
-
-    def reset_batch(self):
-        if self._replay:
-            self._epochs.state(self._active_epoch())["rows"] = []
-        super().reset_batch()
+        self._epochs.state(self._active_epoch()).extend(rows)
 
     def _cut(self, rows):
         ordered = sort_rows(rows, self._sort_keys, self._schema)
@@ -130,14 +101,9 @@ class TopK(Operator):
         if self._paned:
             self._flush_paned(self._active_epoch())
             return
-        entry = self._epochs.state(self._active_epoch())
-        self._cancel_reflush(entry)
-        entry["flushed"] = True
-        ordered = self._cut(entry["rows"])
-        if self._replay:
-            self.reset_batch()
-        else:
-            entry["rows"] = []
+        rows = self._epochs.state(self._active_epoch())
+        ordered = self._cut(rows)
+        rows.clear()
         self._emit_cut(ordered)
 
     def _flush_paned(self, epoch):

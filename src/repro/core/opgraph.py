@@ -130,7 +130,12 @@ class QueryPlan:
             flush = ""
             if op_id in self.flush_offsets:
                 flush = " flush@{:.1f}s".format(self.flush_offsets[op_id])
-            tag = " [standing]" if spec.params.get("standing") else ""
+            # Standing scans subscribe to their sources once and push
+            # per-epoch deltas; standing exchanges use epoch-free
+            # namespaces with epoch-tagged batches.
+            tag = ""
+            if self.standing and spec.kind in ("scan", "exchange"):
+                tag = " [standing]"
             if spec.params.get("paned"):
                 tag += " [paned]"
             if "key" in spec.params:

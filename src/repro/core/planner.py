@@ -216,13 +216,6 @@ def _plan_flat(lq, catalog):
     pane = None
     metadata = {"columns": [name for _item, name in lq.select_items]}
     if standing:
-        # Mark the networked boundary ops (EXPLAIN metadata: standing
-        # scans subscribe to their sources once and push per-epoch
-        # deltas; standing exchanges use epoch-free namespaces with
-        # epoch-tagged batches).
-        for spec in b.specs.values():
-            if spec.kind in ("scan", "exchange"):
-                spec.params["standing"] = True
         pane = _mark_paned(b, logical, lowered, lq)
         if lq.options.get("shared") is not False:
             # Whole-dataflow sharing: queries whose canonical DAGs and

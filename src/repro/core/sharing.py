@@ -39,8 +39,12 @@ says:
   spine's execution. A stage holds its member spines **by reference**
   and owns their one boundary timer: at a boundary the engine advances
   each member, then the stage, so the demux only ever hands a wave to
-  an execution that has already opened the epoch. A spine no stage
-  feeds (join plans, DHT and local scans) keeps its own timer.
+  an execution that has already opened the epoch. A member that starts
+  while its stage has an execution is seeded from the table's log
+  (:meth:`StageRecord.seed`): the stage scan re-reads what it already
+  emitted that the member's window covers, so the demux keeps no rows.
+  A spine no stage feeds (join plans, DHT and local scans) keeps its
+  own timer.
 
 Shared grid epochs are ABSOLUTE: the origin is ``phase = t0 % every``,
 so epoch ``k`` means instant ``phase + k * every`` on every node
@@ -146,13 +150,7 @@ class SpineRecord(GridRecord):
     """The member plan run once for every subscribed query (``t0`` is
     the phase, so co-tenants on every node agree on epoch numbers)."""
 
-    __slots__ = ("needs_backfill",)
-
-    def __init__(self, key, plan, t0):
-        super().__init__(key, plan, t0)
-        # Set while this (paned) spine still needs its stage's
-        # retained panes; the demux injects them once.
-        self.needs_backfill = False
+    __slots__ = ()
 
     def build(self, engine, k, t_k):
         stage = self.stage
@@ -237,11 +235,9 @@ class StageRecord(GridRecord):
 
     def __init__(self, key, plan, t0):
         scan_spec = plan.ops_of_kind("scan")[0]
-        geometry = scan_spec.params.get("paned")
         specs = [
             OpSpec("stage_scan", "scan", dict(scan_spec.params)),
-            OpSpec("stage_demux", "demux",
-                   {"paned": geometry} if geometry else {}, ["stage_scan"]),
+            OpSpec("stage_demux", "demux", {}, ["stage_scan"]),
         ]
         super().__init__(key, QueryPlan(
             specs, "stage_demux", mode="continuous", every=plan.every,
@@ -269,10 +265,14 @@ class StageRecord(GridRecord):
         # before start() so the initial scan wave fans -- which seeds
         # every member already on the grid.
         execution.ctx.stage = self
-        for member in self.subscribers.values():
-            if member.on_grid:
-                member.needs_backfill = False
         return execution
 
-    def demux(self):
-        return self.execution.ops["stage_demux"]
+    def seed(self, members, k):
+        """Hand ``members``, just built at epoch ``k`` beside this
+        stage's execution, what its scan has already emitted that
+        epoch ``k``'s window covers: one batch per pane, shared by
+        every member joining at this point."""
+        scan = self.execution.ops["stage_scan"]
+        for pane, batch in scan.emitted_for(k):
+            for member in members:
+                member.execution.deliver_scan(batch, k, pane)

@@ -84,3 +84,27 @@ def test_unresolved_docstring_roles_fail(cd, tmp_path, monkeypatch):
         "src/planted_roles.py: unresolved :class:`~collections.Gone`",
         "src/planted_roles.py: unresolved :meth:`stale`",
     ]
+
+
+def test_class_members_must_exist(cd, tmp_path):
+    for top in cd.CODE_DIRS:
+        (tmp_path / top).mkdir()
+    (tmp_path / "src" / "kinds.py").write_text(
+        "class Base:\n    kind = 'x'\n    size: int = 0\n\n"
+        "    def run(self):\n        self.state, self.runs = 1, 0\n\n\n"
+        "class Live(Base):\n    def __init__(self, retain):\n"
+        "        self._retain = retain\n\n\n"
+        "class Foreign(dict):\n    pass\n",
+        encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "`Live.run()`, `Live.kind`, `Live.size`, `Live.state`, `Live.runs`,\n"
+        "`Live._retain`, `Live.__init__`, `Foreign.setdefault`, `x.Live.run`\n"
+        "and `Outside.anything` pass; `Live.retain`, `Base._retain`,\n"
+        "`Live.backfill()` and `see Live.gone` do not.\n",
+        encoding="utf-8")
+    assert cd.check_members() == [
+        "README.md: `Base._retain` names no member of its class",
+        "README.md: `Live.backfill` names no member of its class",
+        "README.md: `Live.gone` names no member of its class",
+        "README.md: `Live.retain` names no member of its class",
+    ]

@@ -380,6 +380,38 @@ class TestPrefixStageRuntime:
             for k in private[i]:
                 assert _rows_match(staged[i][k], private[i][k])
 
+    def test_sampled_fleet_matches_its_sampled_private_twins(self):
+        # The sample rate is part of the prefix: the stage scan samples
+        # each wave once, for every member.
+        sampled = {"sample_rate": 0.2}
+        thresholds = (1.5, 3.5, 5.5)
+        legs = []
+        for options in (sampled, dict(PRIVATE, **sampled)):
+            n = PierNetwork(nodes=8, seed=321)
+            n.create_stream_table("s", [("v", "FLOAT")], window=30.0)
+            for i, address in enumerate(n.addresses()):
+                for j in range(5):  # distinct rows, so sampling bites
+                    install_ticker(n, address, i + 1 + j / 8)
+            site = n.any_address()
+            outs = []
+            for thr in thresholds:
+                results = []
+                n.submit_sql(predicate_sql(thr), node=site,
+                             on_epoch=results.append, options=options)
+                outs.append(results)
+            n.advance(12.0)
+            assert bool(stages(n.node(site).engine)) == (options is sampled)
+            n.advance(40.0 + n.compile_sql(predicate_sql(0)).deadline - 7.0)
+            legs.append([{r.epoch: sorted(r.rows) for r in results}
+                         for results in outs])
+        staged, private = legs
+        for i in range(len(thresholds)):
+            assert set(staged[i]) == set(private[i]) == {1, 2, 3, 4}
+            for k in private[i]:
+                assert _rows_match(staged[i][k], private[i][k])
+        counts = [rows[0][1] for epochs in private for rows in epochs.values()]
+        assert 0 < min(counts) and max(counts) < 5 * 5 * 8
+
     def test_fleet_tree_partials_keep_their_upcall(self, net):
         # Stage-fed members route their tree partials under the shared
         # ``p|`` namespace. Each part must still name its own query's
@@ -476,6 +508,55 @@ class TestPrefixStageRuntime:
         net.advance(45.0)
         assert len({r.epoch for r in first_results}) >= 3
         assert len({r.epoch for r in second_results}) >= 3
+
+    @pytest.mark.parametrize("window", [10, 30])  # unpaned, paned
+    @pytest.mark.parametrize("founder_lifetime", [80, 10])
+    def test_late_joiner_of_a_running_stage_matches_its_private_twin(
+            self, net, window, founder_lifetime):
+        # A node that adopts a member mid-epoch (a missed broadcast
+        # healed by plan sync, a recovered node re-adopting) joins a
+        # stage whose epoch wave has already gone out: the member must
+        # still see that epoch's whole window, as its private twin does.
+        # A founder that lives 10 s leaves the stage held (past every
+        # member's horizon, not yet retired) when the joiner arrives.
+        site = net.any_address()
+        net.submit_sql(life_sql(1.5, founder_lifetime, window), node=site)
+        net.advance(10.0)  # one whole period: the same grid phase
+        held = {}  # address -> plan payloads whose adoption waits
+        for address in net.addresses():
+            if address == site:
+                continue
+            engine = net.node(address).engine
+            held[address] = {}
+            engine._adopt_query = (
+                lambda payload, _held=held[address]:
+                _held.setdefault(payload["qid"], payload))
+
+        def release(engine, payloads):
+            del engine._adopt_query  # the class's own again
+            for payload in payloads.values():
+                engine._adopt_query(payload)
+
+        staged, private = [], []
+        member = net.submit_sql(life_sql(2.5, 40, window), node=site,
+                                on_epoch=staged.append)
+        twin = net.submit_sql(life_sql(2.5, 40, window), node=site,
+                              on_epoch=private.append, options=PRIVATE)
+        # Both adopt 0.5-4.1 s into the member's epoch 1 (grid epoch 2,
+        # which opened at t = 20), staged member first.
+        for i, address in enumerate(held):
+            engine = net.node(address).engine
+            engine.set_timer(10.5 + 0.6 * i, release, engine, held[address])
+        net.advance(15.0)  # every node has adopted both
+        for address in held:
+            engine = net.node(address).engine
+            assert engine.queries[member.qid].record.stage.on_grid
+        net.advance(25.0 + twin.plan.deadline + 5.0)
+        got = {r.epoch: sorted(r.rows) for r in staged}
+        reference = {r.epoch: sorted(r.rows) for r in private}
+        assert set(got) == set(reference) == {1, 2, 3, 4}
+        for k in reference:
+            assert _rows_match(got[k], reference[k]), k
 
     def test_ablation_runs_every_query_private(self, net):
         site = net.any_address()

@@ -73,8 +73,9 @@ class TestStandingLifecycle:
     def test_plan_marked_standing(self, net):
         plan = net.compile_sql(CONTINUOUS_SQL)
         assert plan.standing
+        listing = plan.describe()
         for spec in plan.ops_of_kind("scan") + plan.ops_of_kind("exchange"):
-            assert spec.params.get("standing")
+            assert "{}: {} [standing]".format(spec.op_id, spec.kind) in listing
         # One-shot plans never are.
         assert not net.compile_sql("SELECT COUNT(*) AS n FROM s").standing
 

@@ -9,6 +9,11 @@ Failure modes this catches before merge:
   path that does not exist, or a ``CamelCase`` or ``snake_case``
   identifier that occurs nowhere in the code (docs rot as classes and
   methods are folded and deleted);
+* one of those docs names, in back-ticks, ``Class.member`` for a class
+  of the code that has no such member: no ``def``, class attribute or
+  ``self.`` attribute of that name in the class or its bases (a method
+  deleted from one class can live on in another, so the bare name
+  still occurs);
 * a ``src/`` docstring's Sphinx role (``:class:``, ``:meth:``,
   ``:func:``, ``:mod:``, ``:attr:``) names a target that does not
   resolve: it must be a name in its module or an attribute of a class
@@ -46,6 +51,7 @@ _TICKED = re.compile(r"`([^`\n]+)`")
 _REPO_PATH = re.compile(r"^(?:{})/[\w./-]*$".format("|".join(CODE_DIRS)))
 _CAMEL = re.compile(r"\b_?[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]+)+\b")
 _SNAKE = re.compile(r"^_?[a-z][a-z0-9]*(?:_[a-z0-9]+)*$")
+_MEMBER = re.compile(r"\b(_?[A-Z]\w*)\.(\w+)")
 # :role:`target`, :role:`~target` or :role:`title <target>`.
 _ROLE = re.compile(r":(class|meth|func|mod|attr):`([^`]+)`")
 _ROLE_TARGET = re.compile(r"<([^>]+)>$")
@@ -102,6 +108,76 @@ def check_names():
             if "_" in snake and _SNAKE.match(snake) and snake not in known:
                 stale.add(snake)
         failures.extend("{}: stale name `{}`".format(name, n)
+                        for n in sorted(stale))
+    return failures
+
+
+def _class_members():
+    """Class name -> (base names, member names) across the code: its
+    defs and nested classes, its class-level assignments and the
+    ``self.`` attributes its methods set. A base given by anything but
+    a name is recorded as ``None`` (it cannot be followed)."""
+    classes = {}
+    for top in CODE_DIRS:
+        for path in (REPO / top).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                bases, members = classes.setdefault(node.name, (set(), set()))
+                for base in node.bases:
+                    bases.add(base.id if isinstance(base, ast.Name)
+                              else base.attr if isinstance(base, ast.Attribute)
+                              else None)
+                for stmt in node.body:
+                    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef,
+                                         ast.AsyncFunctionDef)):
+                        members.add(stmt.name)
+                    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                                   else [stmt.target])
+                        members.update(n.id for t in targets
+                                       for n in ast.walk(t)
+                                       if isinstance(n, ast.Name))
+                members.update(
+                    n.attr for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self")
+    return classes
+
+
+def _lineage(classes, name):
+    """``name`` and every class it inherits from, or None when one of
+    them is not the code's own (``object`` adds nothing)."""
+    lineage, todo = set(), [name]
+    while todo:
+        cls = todo.pop()
+        if cls in lineage or cls == "object":
+            continue
+        if cls not in classes:
+            return None
+        lineage.add(cls)
+        todo.extend(classes[cls][0])
+    return lineage
+
+
+def check_members():
+    """Back-ticked ``Class.member`` names a member of that class or of
+    its bases, when the class is the code's own (dunders are exempt)."""
+    classes = _class_members()
+    failures = []
+    for name in NAME_FILES:
+        text = (REPO / name).read_text(encoding="utf-8")
+        stale = set()
+        for span in _TICKED.findall(text):
+            for cls, member in _MEMBER.findall(span):
+                lineage = _lineage(classes, cls)
+                if (lineage is not None and not member.startswith("__")
+                        and not any(member in classes[c][1]
+                                    for c in lineage)):
+                    stale.add("{}.{}".format(cls, member))
+        failures.extend("{}: `{}` names no member of its class".format(name, n)
                         for n in sorted(stale))
     return failures
 
@@ -184,8 +260,8 @@ def check_doctests():
 
 
 def main():
-    failures = (check_links() + check_names() + check_roles()
-                + check_doctests())
+    failures = (check_links() + check_names() + check_members()
+                + check_roles() + check_doctests())
     for failure in failures:
         print("FAIL:", failure)
     if not failures:
