@@ -90,10 +90,12 @@ class OwnerCache(dict):
         """Terminal side, for a payload this node's DHT delivered."""
         dht = self.dht
         origin = route_msg.origin
-        if payload.get("learn") and origin != dht.ref and dht.terminates(route_msg.key):
-            # Only the *owner* answers: an heir that absorbed the key
-            # while the owner is suspected must not get cached, or
-            # batches would go direct to a non-owner for the whole TTL.
+        if payload.get("learn") and origin != dht.ref and dht.at_owner(route_msg):
+            # Only the *owner* answers -- by its own range, or because
+            # the hop that handed the key over said so: an heir that
+            # absorbed the key while the owner is suspected must not
+            # get cached, or batches would go direct to a non-owner
+            # for the whole TTL.
             dht.send_direct(origin.address, {
                 "op": "xowner", "ns": payload["ns"],
                 "rid": payload.get("rid"), "ref": dht.ref,

@@ -7,11 +7,11 @@ reports both.
 
 Messages are passed by reference inside the simulator; they must be
 treated as immutable after send. The routing envelope is the one
-exception: ``hops``, ``hop_ack`` and ``force_terminal`` of a ``Route``
-or ``Lookup`` are rewritten hop by hop by whichever node holds the
-message. A ``Route``'s *payload* is never reassigned or mutated once
-the message exists, which is what lets it be sized once per route
-rather than once per hop.
+exception: ``hops``, ``hop_ack``, ``force_terminal`` and ``handed`` of
+a ``Route`` or ``Lookup`` are rewritten hop by hop by whichever node
+holds the message. A ``Route``'s *payload* is never reassigned or
+mutated once the message exists, which is what lets it be sized once
+per route rather than once per hop.
 """
 
 
@@ -61,7 +61,7 @@ class Lookup(Message):
     kind = "lookup"
     category = "app"
     __slots__ = ("target", "origin", "req_id", "hops", "hop_ack",
-                 "force_terminal", "joining")
+                 "force_terminal", "handed", "joining")
 
     def __init__(self, target, origin, req_id, hops=0):
         self.target = target
@@ -70,6 +70,7 @@ class Lookup(Message):
         self.hops = hops
         self.hop_ack = None  # (address, req) expecting a receipt ack
         self.force_terminal = False  # deliver at next hop (range heir)
+        self.handed = False  # the last hop handed the key to its successor
         self.joining = False  # the origin is joining: never route to it
 
     def wire_size(self):
@@ -102,7 +103,7 @@ class Route(Message):
     kind = "route"
     category = "app"
     __slots__ = ("key", "payload", "origin", "hops", "upcall", "hop_ack",
-                 "force_terminal", "_size")
+                 "force_terminal", "handed", "_size")
 
     def __init__(self, key, payload, origin, hops=0, upcall=None):
         self.key = key
@@ -112,6 +113,7 @@ class Route(Message):
         self.upcall = upcall
         self.hop_ack = None  # (address, req) expecting a receipt ack
         self.force_terminal = False  # deliver at next hop (range heir)
+        self.handed = False  # the last hop handed the key to its successor
         self._size = None  # remembered by wire_size, hop after hop
 
     def wire_size(self):

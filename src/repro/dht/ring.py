@@ -9,7 +9,8 @@ ids consumed under them -- to whoever takes over a key range. The
 stabilise exchange sends only what the other side lacks: the probe
 names no prober (its address is the sender's), carries the
 neighbour-digest hook's digest only when the successor does not hold
-it, and the reply is empty when the prober's echo matched.
+it, and a settled probe echoes nothing; the reply is empty while the
+prober holds the successor's current lists.
 :class:`Ring` is a mixin over :class:`~repro.sim.node.SimNode` and
 :class:`~repro.dht.rpc.RpcNode`, like ``RpcNode`` itself.
 """
@@ -27,10 +28,13 @@ from repro.util.ids import ID_BITS, distance_cw, in_interval
 # Every STABILIZE_PERIOD a node probes its successor (``get_neighbors``,
 # one request and one reply). The probe's sender is the prober, so it is
 # also the notify and, for the receiver, its predecessor's keep-alive. A
-# silent successor is replaced ``rpc_timeout`` after the probe. The
-# reply is empty when the probe echoed the successor's neighbour
-# version, and otherwise carries that version, its predecessor and its
-# successor list (see :meth:`Ring._rpc_get_neighbors`).
+# silent successor is replaced ``rpc_timeout`` after the probe. A
+# settled probe is ``{kind}`` alone: the successor remembers which
+# version of its neighbour lists it last sent this prober, and the
+# reply is empty while that is still its version, else it carries the
+# version, its predecessor and its successor list. The prober names the
+# version it holds (``seen``) only when the successor's memory may be
+# wrong (see :meth:`Ring._stabilize`).
 STABILIZE_PERIOD = 5.0
 # How long a predecessor may stay silent before it is pinged; a settled
 # ring never pings, because the predecessor's probe arrives every
@@ -88,16 +92,19 @@ class Ring:
         # Prober side: (successor address, version, predecessor,
         # successors) from the last reply that carried the lists.
         self._neighbors_heard = None
-        # Responder side of the digest: prober address -> the digest its
-        # last probe carried. Never reset, like the version, so a
-        # prober's belief that we hold its digest stays true.
-        self._digests_heard = {}
+        # Responder side: prober address -> [the digest its last probe
+        # carried, the version last sent it with the lists]. Never
+        # reset, like the version, so a prober's belief that we hold
+        # its digest and know what it holds stays true.
+        self._probers = {}
         # Prober side: (successor address, digest) of the latest probe,
-        # and the same pair once that probe was answered -- what the
-        # successor then holds. Sending, a timeout or another successor
-        # clears the latter, so the digest rides the next probe.
-        self._digest_sent = None
-        self._digest_held = None
+        # and the same pair once that probe was answered -- then the
+        # successor holds that digest and knows which lists we hold.
+        # Sending clears the latter and only the latest probe's answer
+        # sets it, so the next probe states both after a timeout or a
+        # crash, while a probe is open, and to another successor.
+        self._probe_sent = None
+        self._probe_held = None
         self._stabilizer = PeriodicProcess(
             self.clock, STABILIZE_PERIOD, self._stabilize, jitter_rng=rng
         )
@@ -335,7 +342,7 @@ class Ring:
         # as its successor) and, from our predecessor, its keep-alive:
         # one exchange per ring edge per period. Apply the notify rule
         # first so the answer already reflects it. The reply is empty
-        # when the prober echoes the version of this very state; the
+        # when the prober holds the version of this very state; the
         # state is compared as a snapshot, so no assignment to
         # ``successors`` or ``predecessor`` needs a hook.
         self._consider_predecessor(self._sender_ref(src))
@@ -343,18 +350,22 @@ class Ring:
         if state != self._neighbors_answered:
             self._neighbors_answered = state
             self._neighbors_version += 1
-        if request.get("seen") == self._neighbors_version:
+        record = self._probers.get(src)
+        if record is None:
+            record = self._probers[src] = [UNHEARD_DIGEST, None]
+        # A probe without ``seen`` or ``digest`` means "what you last
+        # sent me" and "the digest I sent you last".
+        if request.get("seen", record[1]) == self._neighbors_version:
             respond({})
         else:
+            record[1] = self._neighbors_version
             respond({"version": self._neighbors_version,
                      "predecessor": self.predecessor,
                      "successors": list(self.successors)})
-        # A probe without a digest means "the one I sent you last".
         if "digest" in request:
-            self._digests_heard[src] = request["digest"]
+            record[0] = request["digest"]
         if self._digest_handler is not None:
-            self._digest_handler(
-                self._digests_heard.get(src, UNHEARD_DIGEST), src)
+            self._digest_handler(record[0], src)
 
     def _rpc_notify(self, src, request, respond):
         respond({"accepted": self._consider_predecessor(self._sender_ref(src))})
@@ -410,17 +421,25 @@ class Ring:
         and the next list entry takes over, so a dead successor is
         noticed within ``STABILIZE_PERIOD + rpc_timeout``.
 
-        The probe echoes (``seen``) the version of the lists this
-        successor last sent us, and a successor whose state still has
-        that version answers with an empty reply. The lists reused
-        then are the ones captured here, as the probe leaves, not
-        whatever a later reply cached. A lost reply costs nothing: the
-        next probe echoes the old version and gets the lists again.
+        A successor whose state still has the version of the lists we
+        hold answers with an empty reply. It knows that version: it is
+        the one it last sent us with the lists, unless the reply that
+        carried them was lost. So the probe names the version we hold
+        (``seen``, None for nothing) only when the successor may not
+        know it: no answer to our latest probe to this successor has
+        arrived yet -- it is still open, it timed out, or we crashed
+        since -- or the successor is new. The lists reused on an empty
+        reply are the ones captured here, as the probe leaves, not
+        whatever a later reply cached, and only the latest probe's
+        answer is kept: a late answer to an older one may carry older
+        lists than the successor knows we hold. A lost reply costs
+        nothing: the next probe names the old version and gets the
+        lists again.
 
         The neighbour digest rides the probe only when it differs from
         the one the successor holds: the digest of the latest probe, to
         this successor, once it was answered. A late answer to an older
-        probe proves nothing about the newer one's digest.
+        probe proves nothing about the newer one.
         """
         succ = self.successor
         if succ == self.ref:
@@ -432,12 +451,14 @@ class Ring:
             heard = None
 
         def on_reply(reply):
-            if sent is not None and self._digest_sent is sent:
-                self._digest_held = sent
+            latest = self._probe_sent is sent
+            if latest:
+                self._probe_held = sent
             if "successors" in reply:
                 pred, successors = reply["predecessor"], reply["successors"]
-                self._neighbors_heard = (
-                    succ.address, reply["version"], pred, successors)
+                if latest:
+                    self._neighbors_heard = (
+                        succ.address, reply["version"], pred, successors)
             else:
                 pred, successors = heard[2:]
             head = self.successor
@@ -457,7 +478,6 @@ class Ring:
                 self._notify_successor()
 
         def on_timeout():
-            self._digest_held = None
             self._suspect(succ.address)
             # Successor is gone: fail over to the next live entry.
             if len(self.successors) > 1:
@@ -465,16 +485,17 @@ class Ring:
             else:
                 self.successors = [self.ref]
 
+        held = self._probe_held
+        provider = self._digest_provider
+        sent = (succ.address,
+                provider() if provider is not None else UNHEARD_DIGEST)
         request = {"kind": "get_neighbors"}
-        if heard is not None:
-            request["seen"] = heard[1]
-        sent = None
-        if self._digest_provider is not None:
-            sent = (succ.address, self._digest_provider())
-            if sent != self._digest_held:
-                request["digest"] = sent[1]
-            self._digest_sent = sent
-            self._digest_held = None
+        if held is None or held[0] != succ.address:
+            request["seen"] = heard[1] if heard is not None else None
+        if provider is not None and sent != held:
+            request["digest"] = sent[1]
+        self._probe_sent = sent
+        self._probe_held = None
         self.rpc(succ.address, request, on_reply, on_timeout)
 
     def _notify_successor(self):

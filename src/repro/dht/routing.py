@@ -9,7 +9,7 @@ is a mixin over the node and its :class:`~repro.dht.ring.Ring`.
 """
 
 from repro.dht import messages as msg
-from repro.dht.ring import DELIVERY_DEDUP_TTL
+from repro.dht.ring import DELIVERY_DEDUP_TTL, STABILIZE_PERIOD
 from repro.dht.rpc import ignore_answer
 from repro.util.ids import distance_cw, in_interval
 
@@ -92,9 +92,12 @@ class Routing:
         payload = getattr(message, "payload", None)
         return isinstance(payload, dict) and payload.get("mid") is not None
 
-    def _send_hop(self, nxt, message, target, tried, on_suspect=None, retried=False):
+    def _send_hop(self, nxt, message, target, tried, on_suspect=None,
+                  retried=False, handed=False):
         """Forward ``message`` to ``nxt``, expecting a receipt ack.
 
+        ``handed`` marks the hop that hands the key to our successor
+        because it lies between us and it (see :meth:`_handle_route`).
         Sends nothing itself: the hop is filed in the outbox under
         ``(nxt, guard timeout)``, and one zero-delay timer -- which the
         simulator fires after the whole same-instant cascade -- ships
@@ -104,10 +107,11 @@ class Routing:
         wait = (self.config.hop_retransmit_timeout if retried
                 else self.config.rpc_timeout)
         message.hops += 1
+        message.handed = handed
         hops = self._outbox.get((nxt.address, wait))
         if hops is None:
             hops = self._outbox[(nxt.address, wait)] = (nxt, [])
-        hops[1].append((message, target, tried, on_suspect, retried))
+        hops[1].append((message, target, tried, on_suspect, retried, handed))
         if self._outbox_timer is None:
             self._outbox_timer = self.set_timer(0.0, self._ship_outbox)
 
@@ -151,17 +155,27 @@ class Routing:
         not cost the deliveries beside it their retransmit.
         """
         suspected = self.is_suspect(nxt.address)
-        for message, target, tried, on_suspect, retried in hops:
+        for message, target, tried, on_suspect, retried, handed in hops:
             if not (retried or suspected) and self._dup_sensitive(message):
-                self._send_hop(nxt, message, target, tried, on_suspect, True)
+                self._send_hop(nxt, message, target, tried, on_suspect, True,
+                               handed)
                 continue
             self._suspect(nxt.address)
             if on_suspect is not None:
                 on_suspect()
+            message.handed = False  # back here: no hop handed it over
             self._advance(message, target, tried | {nxt.address})
 
     def _advance(self, message, target, tried):
-        """Terminal-check then forward ``message`` toward ``target``."""
+        """Terminal-check then forward ``message`` toward ``target``.
+
+        A message ends here when it is flagged terminal, when the hop
+        that brought it handed the key over (``handed``; only routes
+        arrive so, see :meth:`_handle_route`), or when we own the key
+        by our own predecessor pointer
+        (:meth:`~repro.dht.ring.Ring.terminates`). A key that lies
+        between us and our successor is handed to it.
+        """
         if message.kind == "lookup" and message.joining:
             # A joiner asks for its successor: the first node after its
             # id other than itself. Peers may still hold it from before
@@ -171,13 +185,14 @@ class Routing:
                 self._terminal(message)
                 return
             tried = tried | {message.origin.address}
-        if message.force_terminal or self.terminates(target):
+        if message.force_terminal or message.handed or self.terminates(target):
             self._terminal(message)
             return
         if in_interval(target, self.id, self.successor.id, inclusive_hi=True):
             if not (self.is_suspect(self.successor.address)
                     or self.successor.address in tried):
-                self._send_hop(self.successor, message, target, tried)
+                self._send_hop(self.successor, message, target, tried,
+                               handed=True)
                 return
             # The key's owner appears dead. The next live successor-list
             # entry inherits its range once stabilization completes, so
@@ -268,21 +283,54 @@ class Routing:
 
     def _handle_lookup(self, message):
         self._ack_hop(message)
+        # Lookups keep the owner check against our own predecessor
+        # pointer: trusting the handing hop answers a lookup for a
+        # crashed predecessor's keys here, before the ring has healed,
+        # with an owner that ground truth does not name yet.
+        message.handed = False
         self._advance(message, message.target, frozenset())
 
     # ------------------------------------------------------------------
     # Key-routed application messages: per-hop upcall, arrival
     # ------------------------------------------------------------------
     def _handle_route(self, message):
+        """A routed message arrived: hop back, upcall, then advance.
+
+        The hop that hands a key over decides (Chord's find_successor
+        contract): a route whose last hop handed the key to us, its
+        sender's successor, ends here -- even when our predecessor
+        pointer still names a crashed host and
+        :meth:`~repro.dht.ring.Ring.terminates` would send it on round
+        the ring. The one exception is a predecessor the sender did not
+        know of, that joined between it and us: when it owns the key
+        and proved itself alive within ``STABILIZE_PERIOD +
+        rpc_timeout``, the route hops back to it, flagged terminal,
+        before any upcall. The upcall's ``at_owner`` and the delivery
+        read the same decision (:meth:`at_owner`).
+        """
         self._ack_hop(message)
+        if message.handed and not self.owns(message.key):
+            pred = self.predecessor
+            if pred is not None and (
+                    self.clock.now - self._predecessor_heard
+                    <= STABILIZE_PERIOD + self.config.rpc_timeout):
+                message.force_terminal = True
+                self._send_hop(pred, message, message.key, frozenset())
+                return
         if message.upcall is not None:
             handler = self._intercepts.get(message.upcall)
             if handler is not None:
-                at_owner = message.force_terminal or self.terminates(message.key)
+                at_owner = message.force_terminal or self.at_owner(message)
                 keep_going = handler(self, message, at_owner)
                 if not keep_going:
                     return
         self._advance(message, message.key, frozenset())
+
+    def at_owner(self, message):
+        """Is this node the owner of the routed ``message`` it holds?
+        Yes when the hop that brought it handed the key over, or when
+        the key lies in our own range."""
+        return message.handed or self.terminates(message.key)
 
     def _route_arrived(self, message):
         """The overlay's own ops run here; any other payload is an app

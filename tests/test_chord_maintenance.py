@@ -239,9 +239,9 @@ class TestNeighborDigest:
         assert len(probes) == 2 * first
         for _src, _dst, wire in probes[first:]:
             # Unchanged: not a byte more than a probe without the hook.
-            assert set(wire.inner) == {"kind", "seen"}
-            bare = {"kind": "get_neighbors", "seen": wire.inner["seen"]}
-            assert wire.wire_size() == 24 + wire_size(bare) == 69
+            assert set(wire.inner) == {"kind"}
+            bare = {"kind": "get_neighbors"}
+            assert wire.wire_size() == 24 + wire_size(bare) == 53
         # Each probed node handed the prober's digest (None: nothing)
         # upward, whether or not this probe carried it.
         assert sorted(heard) == sorted(
@@ -325,8 +325,8 @@ class TestNeighborDelta:
         for _t, _src, _dst, inner in log.replies:
             assert inner == {}
             assert RpcReply(1, inner).wire_size() == 20
-        # Every probe echoed the version its successor last sent.
-        assert all(set(p[3]) == {"kind", "seen"} for p in log.probes)
+        # No probe echoed a version: each successor knows what it sent.
+        assert all(set(p[3]) == {"kind"} for p in log.probes)
 
     def test_a_join_resends_the_changed_lists(self):
         clock, net, nodes, _tap = make_ring(8, seed=3)
@@ -413,6 +413,143 @@ class TestNeighborDelta:
         assert [r.address for r in prober.successors] == ["m3", "m5", "m7", "m6"]
         assert [r.address for r in responder.successors] == [
             "m5", "m7", "m6", "m1"]
+
+    def test_a_prober_that_crashed_before_the_reply_gets_the_lists_again(self):
+        # The responder sent the changed lists, so it remembers the
+        # prober holds them; the prober died before they landed. Its
+        # first probe after it rejoined says what it still holds.
+        clock, net, nodes, _tap = make_ring(8, seed=2)
+        responder = nodes[0]
+        prober, _ = neighbours(nodes, responder)
+        held = prober._neighbors_heard[1]
+        log = Stabilise(clock, net)
+
+        def crash_the_prober(src, dst, inner):
+            if ((src, dst) != (responder.address, prober.address)
+                    or "successors" not in inner):
+                return False
+            prober.crash()
+            return True
+
+        log.drop = crash_the_prober
+        net.node(responder.successors[2].address).crash()
+        while log.drop is not None:
+            clock.run_for(0.05)
+        lost = log.replies[-1]
+        prober.recover(responder.address)
+        clock.run_for(0.5)
+        probe = next(p for p in log.probes
+                     if p[0] > lost[0] and p[1] == prober.address)
+        assert probe[2] == responder.address
+        assert probe[3]["seen"] == held < lost[3]["version"]
+        again = next(r for r in log.replies
+                     if r[0] >= probe[0] and r[2] == prober.address)
+        assert again[3]["version"] >= lost[3]["version"]
+        clock.run_for(6 * ring.STABILIZE_PERIOD)
+        for node in ring_order(nodes):
+            assert node.successors == true_successors(nodes, node)
+
+    def test_after_a_timeout_the_next_probe_says_what_it_holds(self):
+        clock, net, nodes, _tap = make_ring(8, seed=2)
+        responder = nodes[0]
+        prober, _ = neighbours(nodes, responder)
+        log = Stabilise(clock, net)
+        log.drop = lambda src, dst, inner: (
+            (src, dst) == (responder.address, prober.address))
+        lost = await_probe(clock, log, prober)
+        assert set(lost[3]) == {"kind"}
+        clock.run_for(prober.config.rpc_timeout + 0.1)
+        assert prober.is_suspect(responder.address)
+        # The next probe goes to the next successor, which never sent
+        # the prober anything; so does the first one back to the
+        # responder, since the lists the prober holds are not its.
+        probe = await_probe(clock, log, prober)
+        assert probe[2] != responder.address and probe[3]["seen"] is None
+        clock.run_for(ring.SUSPECT_TTL + 2 * ring.STABILIZE_PERIOD)
+        back = [p[3] for p in log.probes
+                if p[0] > probe[0] and p[1:3] == (prober.address,
+                                                   responder.address)]
+        assert back[0] == {"kind": "get_neighbors", "seen": None}
+        assert back[1:] and all(p == {"kind": "get_neighbors"}
+                                for p in back[1:])
+        for node in ring_order(nodes):
+            assert node.successors == true_successors(nodes, node)
+
+    def test_a_probe_leaving_while_one_is_open_says_what_it_holds(self):
+        clock, net, nodes, _tap = make_ring(8, seed=2, rpc_timeout=6.0)
+        responder = nodes[0]
+        prober, _ = neighbours(nodes, responder)
+        held = prober._neighbors_heard[1]
+        log = Stabilise(clock, net)
+        log.drop = lambda src, dst, inner: (
+            (src, dst) == (responder.address, prober.address))
+        assert set(await_probe(clock, log, prober)[3]) == {"kind"}
+        probe = await_probe(clock, log, prober)
+        assert log.drop is None  # the first one is still open
+        assert probe[2] == responder.address and probe[3]["seen"] == held
+        clock.run_for(0.1)
+        # The responder's lists did not change: nothing to resend.
+        assert log.replies[-1][2:] == (prober.address, {})
+
+    def test_a_late_answer_to_an_older_probe_never_rolls_the_lists_back(self):
+        # Two probes open: the older one's lists land after the newer
+        # one's. The responder remembers sending the newer lists, so
+        # the prober must keep those.
+        clock, net, nodes, _tap = make_ring(8, seed=2, rpc_timeout=6.0)
+        responder = nodes[0]
+        prober, _ = neighbours(nodes, responder)
+        responder._stabilizer.stop()  # its lists change only below
+        log = Stabilise(clock, net)
+
+        def hold_and_change(src, dst, inner):
+            if (src, dst) != (responder.address, prober.address):
+                return False
+            responder.successors = responder.successors[:2]
+            return True
+
+        responder.successors = responder.successors[:3]
+        log.hold = hold_and_change
+        t = clock.now
+        await_probe(clock, log, prober)
+        await_probe(clock, log, prober)
+        clock.run_for(0.1)
+        assert log.hold is None and log._held is None  # both answered
+        older, newer = (r[3]["version"] for r in log.full(
+            t, responder.address, prober.address))
+        assert older < newer == prober._neighbors_heard[1]
+        probe = await_probe(clock, log, prober)
+        assert set(probe[3]) == {"kind"}
+        clock.run_for(0.1)
+        assert [r[3] for r in log.replies if r[0] >= probe[0]
+                and r[1:3] == (responder.address, prober.address)] == [{}]
+
+    def test_a_responder_keeps_one_record_per_prober(self):
+        clock, _net, nodes, _tap = make_ring(8, seed=2)
+        responder = nodes[0]
+        pred, _ = neighbours(nodes, responder)
+        other = next(n for n in nodes if n not in (responder, pred))
+        replies = []
+
+        def probe(prober, **request):
+            responder._rpc_get_neighbors(
+                prober.address, dict(kind="get_neighbors", **request),
+                replies.append)
+            return replies[-1]
+
+        version = responder._neighbors_version
+        assert probe(other, seen=None, digest=3)["version"] == version
+        assert probe(other) == {}
+        assert probe(pred) == {}
+        # The responder's lists change; its predecessor hears of it.
+        responder.successors = responder.successors[:2]
+        assert probe(pred)["version"] == version + 1
+        # The other prober still holds the old version, not the new one
+        # the predecessor was sent.
+        assert probe(other)["version"] == version + 1
+        assert probe(other) == {}
+        assert responder._probers[other.address] == [3, version + 1]
+        assert responder._probers[pred.address] == [
+            ring.UNHEARD_DIGEST, version + 1]
 
 
 def await_probe(clock, log, prober):
@@ -509,7 +646,7 @@ class TestDigestEcho:
         while pred.successor != joiner.ref:
             clock.run_for(0.05)
         assert await_probe(clock, log, pred)[2:] == (
-            "late", {"kind": "get_neighbors", "digest": 7})
+            "late", {"kind": "get_neighbors", "seen": None, "digest": 7})
         digests[pred.address] = None
         probe = await_probe(clock, log, pred)
         assert probe[2] == "late" and probe[3]["digest"] is None
