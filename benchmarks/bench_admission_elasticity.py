@@ -1,4 +1,4 @@
-"""Ext-L: admission control + adaptive load management under load.
+"""Ext-L: admission control + owner backpressure under load.
 
 Two exhibits in one bench, both about what happens when offered load
 approaches (and passes) what the testbed can absorb:
@@ -25,8 +25,8 @@ documented HLL error bound (3 sigma + slack).
 whose receivers have finite service capacity
 (``NetworkConfig.service_time`` > 0, so overload is visible as queueing
 delay), a skewed fan-in join runs under the static discipline (fixed
-flush windows and batch caps, no backpressure) and the adaptive one
-(rate-sized flush windows + owner backpressure). The join rehashes a
+flush windows and batch caps) and the adaptive one (owner
+backpressure, ``EngineConfig.backpressure``). The join rehashes a
 high-rate stream on a 90%-skewed key, so each epoch every origin ships
 a large burst toward ONE owner: static fragments each burst into
 cap-sized messages and the owner's service queue collapses into a
@@ -111,22 +111,9 @@ LOAD_LOOKUP_TIMEOUT = 15.0
 # 90%-skewed group key toward the join owners while the sparse
 # ``probe`` side (one row per key per epoch) keeps the output bounded
 # at ~one result row per load row. The hot key's owner is the
-# message-rate hotspot the adaptive knobs exist for.
+# message-rate hotspot backpressure exists for.
 LOAD_SQL = ("SELECT p.mark, l.v FROM probe p, load l WHERE p.tag = l.g "
             "EVERY 5 SECONDS WINDOW 5 SECONDS LIFETIME {l} SECONDS")
-# Hot-group splitting leg (gentler source: 10 rows/s/node, 70% skew).
-# The sliding WINDOW 6 / EVERY 5 makes the plan PANED at the 1s gcd
-# pane, and a paned group-partial edge ships one delta row per
-# (pane, group): the hot group appears in all 5 of an epoch's panes
-# (over the split threshold of 4) while each cold group's ~0.4 rows/s
-# land in only a pane or two. (A tumbling-window plan ships ONE
-# partial per group per epoch -- nothing to split.)
-SPLIT_SQL = ("SELECT g, COUNT(DISTINCT v) AS d, COUNT(*) AS n "
-             "FROM load GROUP BY g EVERY 5 SECONDS WINDOW 6 SECONDS "
-             "LIFETIME {l} SECONDS")
-SPLIT_LIFETIME = 30.0
-SPLIT_HOT_SHARE = 7
-SPLIT_THRESHOLD = 4  # panes/epoch carrying the hot group: 5 > 4
 
 
 def hpa_replicas(observed_rate):
@@ -289,36 +276,26 @@ def run_sweep(seed, steps, verbose=False):
 # ----------------------------------------------------------------------
 # Static vs adaptive at peak load
 # ----------------------------------------------------------------------
-def make_load_config(variant, service_time=None):
+def make_load_config(variant):
     from repro.core.engine import EngineConfig
     from repro.core.network import PierConfig
     from repro.dht.config import DhtConfig
     from repro.sim.network import NetworkConfig
 
-    if variant == "adaptive":
-        engine = EngineConfig(adaptive_flush=True)
-    elif variant == "split":
-        engine = EngineConfig(hot_group_threshold=SPLIT_THRESHOLD)
-    else:
-        engine = EngineConfig(adaptive_flush=False, hot_group_threshold=0)
-    if service_time is None:
-        service_time = SERVICE_TIME
     return PierConfig(
-        engine=engine,
-        network=NetworkConfig(service_time=service_time),
+        engine=EngineConfig(backpressure=variant == "adaptive"),
+        network=NetworkConfig(service_time=SERVICE_TIME),
         dht=DhtConfig(rpc_timeout=LOAD_RPC_TIMEOUT,
                       hop_retransmit_timeout=LOAD_HOP_RETRANSMIT,
                       lookup_timeout=LOAD_LOOKUP_TIMEOUT),
     )
 
 
-def build_load_net(seed, variant, service_time=None,
-                   rows_per_tick=LOAD_ROWS_PER_TICK, hot_share=HOT_SHARE,
-                   probe=False):
+def build_load_net(seed, variant):
     from repro.core.network import PierNetwork
 
     net = PierNetwork(nodes=LOAD_NODES, seed=seed,
-                      config=make_load_config(variant, service_time))
+                      config=make_load_config(variant))
     net.create_stream_table(
         "load", [("g", "INT"), ("v", "INT")], window=2 * EVERY)
 
@@ -327,10 +304,10 @@ def build_load_net(seed, variant, service_time=None,
 
         def tick():
             engine = net.node(address).engine
-            for _ in range(rows_per_tick):
+            for _ in range(LOAD_ROWS_PER_TICK):
                 count[0] += 1
                 k = count[0]
-                g = 0 if k % 10 < hot_share else 1 + k % 7
+                g = 0 if k % 10 < HOT_SHARE else 1 + k % 7
                 engine.stream_append("load", (g, k))
             engine.set_timer(LOAD_TICK, tick)
 
@@ -339,19 +316,18 @@ def build_load_net(seed, variant, service_time=None,
     for i, address in enumerate(net.addresses()):
         net.node(address).engine.set_timer(0.1 + 0.01 * i,
                                            make_tick(address, i))
-    if probe:
-        # Sparse probe side: one row per join key per epoch, from one
-        # node, so the join output mirrors the load stream 1:1.
-        net.create_stream_table(
-            "probe", [("tag", "INT"), ("mark", "INT")], window=2 * EVERY)
-        origin = net.node(net.addresses()[0]).engine
+    # Sparse probe side: one row per join key per epoch, from one node,
+    # so the join output mirrors the load stream 1:1.
+    net.create_stream_table(
+        "probe", [("tag", "INT"), ("mark", "INT")], window=2 * EVERY)
+    origin = net.node(net.addresses()[0]).engine
 
-        def probe_tick():
-            for tag in range(8):
-                origin.stream_append("probe", (tag, int(origin.clock.now)))
-            origin.set_timer(EVERY, probe_tick)
+    def probe_tick():
+        for tag in range(8):
+            origin.stream_append("probe", (tag, int(origin.clock.now)))
+        origin.set_timer(EVERY, probe_tick)
 
-        origin.set_timer(0.35, probe_tick)
+    origin.set_timer(0.35, probe_tick)
     return net
 
 
@@ -359,7 +335,7 @@ def run_load_leg(seed, variant, lifetime):
     """One overloaded standing fan-in join; measure per-epoch lag."""
     from repro.dht.messages import parts_of
 
-    net = build_load_net(seed, variant, probe=True)
+    net = build_load_net(seed, variant)
     net.advance(EVERY)
     net.reset_counters()
 
@@ -368,7 +344,7 @@ def run_load_leg(seed, variant, lifetime):
                             on_epoch=results.append)
     t0 = handle.t0
     arrivals = {}
-    extras = {"xbp": 0, "hot": 0}
+    xbp = [0]
 
     def deliver(src, dst, wire):
         for part in parts_of(wire):
@@ -380,11 +356,8 @@ def run_load_leg(seed, variant, lifetime):
                 epoch = inner.get("epoch")
                 if epoch is not None:
                     arrivals[epoch] = net.now
-                rid = inner.get("rid")
-                if isinstance(rid, tuple) and rid and rid[0] == "hot":
-                    extras["hot"] += 1
             elif op == "xbp":
-                extras["xbp"] += 1
+                xbp[0] += 1
 
     net.net.on_deliver = deliver
     net.advance(lifetime + handle.plan.deadline + 5.0)
@@ -399,8 +372,7 @@ def run_load_leg(seed, variant, lifetime):
         "goodput_rows": goodput,
         "exchange_messages": counters.get("exchange_messages", 0),
         "service_wait": counters.get("service_wait", 0.0),
-        "xbp": extras["xbp"],
-        "hot": extras["hot"],
+        "xbp": xbp[0],
     }
 
 
@@ -429,55 +401,13 @@ def run_load_comparison(seed, lifetime):
     return legs, p95, improvement
 
 
-def run_split_parity(seed):
-    """Hot-group splitting must engage on the skewed group AND change
-    nothing: shards re-merge at the coordinator, so per-epoch answers
-    match the unsplit run exactly (no service queue -- this leg gates
-    correctness, not latency)."""
-    from repro.dht.messages import parts_of
-
-    out = {}
-    for variant in ("static", "split"):
-        net = build_load_net(seed, variant, service_time=0.0,
-                             rows_per_tick=1, hot_share=SPLIT_HOT_SHARE)
-        net.advance(EVERY)
-        results = []
-        handle = net.submit_sql(SPLIT_SQL.format(l=int(SPLIT_LIFETIME)),
-                                on_epoch=results.append)
-        hot = [0]
-
-        def deliver(src, dst, wire, _hot=hot):
-            for part in parts_of(wire):
-                inner = getattr(part, "payload", None)
-                if isinstance(inner, dict):
-                    rid = inner.get("rid")
-                    if isinstance(rid, tuple) and rid and rid[0] == "hot":
-                        _hot[0] += 1
-
-        net.net.on_deliver = deliver
-        net.advance(SPLIT_LIFETIME + handle.plan.deadline + 5.0)
-        out[variant] = {
-            "epochs": {r.epoch: sorted(r.rows) for r in results},
-            "hot": hot[0],
-        }
-    assert out["static"]["hot"] == 0
-    assert out["split"]["hot"] > 0, "hot-group splitting never engaged"
-    assert set(out["split"]["epochs"]) == set(out["static"]["epochs"])
-    for k, want in out["static"]["epochs"].items():
-        assert out["split"]["epochs"][k] == want, (
-            "epoch {}: split {!r} != unsplit {!r}".format(
-                k, out["split"]["epochs"][k], want))
-    return {"hot_rows": out["split"]["hot"],
-            "epochs": len(out["split"]["epochs"])}
-
-
 # ----------------------------------------------------------------------
 # Exhibit + metrics
 # ----------------------------------------------------------------------
-def exhibit(sweep, legs, p95, improvement, split, lifetime):
+def exhibit(sweep, legs, p95, improvement, lifetime):
     from benchmarks._harness import fmt_table
 
-    text = ("Ext-L: admission control + adaptive load management\n"
+    text = ("Ext-L: admission control + owner backpressure\n"
             "(peak {:.0f} rows/s sweep; overload legs: {} nodes x "
             "{:.0f} rows/s, service {:.0f} ms/msg, lifetime {}s)\n\n"
             .format(PEAK_TOTAL_RATE, LOAD_NODES,
@@ -514,15 +444,12 @@ def exhibit(sweep, legs, p95, improvement, split, lifetime):
         ["leg", "epochs", "result rows", "exch msgs",
          "service wait (s)", "p95 lag (s)"], rows)
     text += ("\n\nadaptive p95 epoch lag {:.2f}x lower than static "
-             "({} backpressure signals)\n"
-             "hot-group split parity: {} shard rows across {} epochs, "
-             "answers identical to the unsplit run\n".format(
-                 improvement, legs["adaptive"]["xbp"],
-                 split["hot_rows"], split["epochs"]))
+             "({} backpressure signals)\n".format(
+                 improvement, legs["adaptive"]["xbp"]))
     return text
 
 
-def metrics_from(sweep, legs, p95, improvement, split):
+def metrics_from(sweep, legs, p95, improvement):
     return {
         "replica_path": "-".join(str(r) for r in sweep["replica_path"]),
         "scale_events": sweep["scale_events"],
@@ -542,16 +469,13 @@ def metrics_from(sweep, legs, p95, improvement, split):
             / max(1, legs["adaptive"]["exchange_messages"]), 4),
         "adaptive_goodput_ge_static": True,
         "backpressure_engaged": legs["adaptive"]["xbp"] > 0,
-        "hot_split_parity": True,
-        "hot_split_engaged": split["hot_rows"] > 0,
     }
 
 
 def run_all(seed, steps, lifetime, verbose=False):
     sweep = run_sweep(seed, steps, verbose=verbose)
     legs, p95, improvement = run_load_comparison(seed + 8, lifetime)
-    split = run_split_parity(seed + 13)
-    return sweep, legs, p95, improvement, split
+    return sweep, legs, p95, improvement
 
 
 def test_admission_elasticity(benchmark):
@@ -560,10 +484,10 @@ def test_admission_elasticity(benchmark):
     def run():
         return run_all(seed=23, steps=LOAD_STEPS, lifetime=LOAD_LIFETIME)
 
-    sweep, legs, p95, improvement, split = run_once(benchmark, run)
+    sweep, legs, p95, improvement = run_once(benchmark, run)
     report("admission_elasticity",
-           exhibit(sweep, legs, p95, improvement, split, LOAD_LIFETIME),
-           metrics=metrics_from(sweep, legs, p95, improvement, split),
+           exhibit(sweep, legs, p95, improvement, LOAD_LIFETIME),
+           metrics=metrics_from(sweep, legs, p95, improvement),
            scale="full")
     benchmark.extra_info["lag_improvement"] = round(improvement, 3)
 
@@ -586,13 +510,13 @@ def main(argv=None):
         steps, lifetime = SMOKE_LOAD_STEPS, SMOKE_LOAD_LIFETIME
     else:
         steps, lifetime = LOAD_STEPS, LOAD_LIFETIME
-    sweep, legs, p95, improvement, split = run_all(
+    sweep, legs, p95, improvement = run_all(
         seed=23, steps=steps, lifetime=lifetime, verbose=args.verbose)
-    text = exhibit(sweep, legs, p95, improvement, split, lifetime)
+    text = exhibit(sweep, legs, p95, improvement, lifetime)
     print(text)
     from benchmarks._harness import report, write_metrics
 
-    metrics = metrics_from(sweep, legs, p95, improvement, split)
+    metrics = metrics_from(sweep, legs, p95, improvement)
     if args.smoke:
         write_metrics("admission_elasticity", metrics, scale="smoke")
     else:

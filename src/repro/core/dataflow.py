@@ -37,7 +37,9 @@ sources emit the new epoch's delta; sealing an epoch
 it and discards that epoch's state. How far the two phases separate is
 the plan's *epoch ring width* ``N = QueryPlan.epoch_overlap`` (derived
 by the planner from the flush schedule: the ceiling of the worst flush
-horizon over the period, transfer margin included). The execution
+horizon over the period, transfer margin included; a standing
+execution clamps it at ``RING_MAX_OVERLAP`` and never changes it at
+run time). The execution
 keeps an ordered map of open epoch states and seals epoch ``k - N``
 when opening ``k``, so at most ``N`` epoch states are ever live per
 operator: ``N = 1`` collapses to the classic single-boundary rollover
@@ -51,17 +53,15 @@ create-on-first-touch / discard-on-seal bookkeeping in one place.
 End-of-stream is deliberately absent: a planetary-scale system cannot
 agree on "all rows have arrived", so operators flush on plan-specified
 deadlines and the query site closes each epoch at the plan's deadline.
-Late rows are dropped -- the soft-state philosophy the paper leans on.
+Late rows are dropped, and counted in ``PierEngine.ring_late_drops``
+-- the soft-state philosophy the paper leans on.
 """
 
 from repro.core.batch import RowBatch
 
-# Adaptive epoch ring: a standing execution never keeps more than
-# RING_MAX_OVERLAP epoch states live (this replaced the planner's
-# retired static cap of 16), and narrows a widened ring by one after
-# RING_QUIET_BOUNDARIES drop-free boundaries.
+# A standing execution never keeps more than RING_MAX_OVERLAP epoch
+# states live; the planner records the true, uncapped horizon.
 RING_MAX_OVERLAP = 64
-RING_QUIET_BOUNDARIES = 4
 
 
 def namespace_head(key, spine=False):
@@ -578,7 +578,8 @@ class StandingExecution(_ExecutionBase):
     it emits (:meth:`deliver_scan`).
 
     The execution keeps an ordered map of open epochs bounded by the
-    plan's ring width ``N = plan.epoch_overlap``: opening epoch ``k``
+    plan's ring width ``N = plan.epoch_overlap`` (clamped at
+    ``RING_MAX_OVERLAP``; ``live_epochs``): opening epoch ``k``
     seals every epoch at or below ``k - N``. A sealed epoch's still-
     pending flush timers are cancelled with it; the surviving epochs'
     deadlines -- which may stretch several periods past their boundary
@@ -594,24 +595,11 @@ class StandingExecution(_ExecutionBase):
                          spine=spine, prefix_key=prefix_key)
         self._early = {}  # epoch -> [(op_id, port, rows, pane)]
         self._open_epochs = {epoch: t0}  # epoch -> t_k, ascending
-        # Adaptive ring: the planner records the plan's *true* flush
-        # horizon (no static cap since it was retired); the execution
-        # decides how many epoch states actually stay live. Start
-        # clamped at RING_MAX_OVERLAP, widen by one whenever a boundary
-        # saw late-straggler drops, narrow after a run of quiet
-        # boundaries -- but never below what the tail demonstrably
-        # needs (the staleness high-water mark of recent deliveries).
+        # The planner records the plan's true flush horizon; the
+        # execution keeps that many epochs live, clamped at
+        # RING_MAX_OVERLAP. Rows for an epoch the ring already sealed
+        # drop as late (``engine.ring_late_drops``).
         self.live_epochs = min(plan.epoch_overlap, RING_MAX_OVERLAP)
-        # The planned width stays the floor: it is the flush horizon
-        # the timing walk proved the plan needs, so narrowing below it
-        # would seal epochs before their own flushes fire. Adaptation
-        # happens above it -- widen past the plan on observed drops,
-        # then decay back.
-        self._ring_floor = self.live_epochs
-        self.late_drops = 0  # total late drops at this execution
-        self._drops_since_boundary = 0
-        self._quiet_boundaries = 0
-        self._stale_high = 0  # max delivery staleness seen recently
 
     @property
     def overlap(self):
@@ -627,10 +615,6 @@ class StandingExecution(_ExecutionBase):
         """Epoch boundary: open ``k``, sealing every epoch <= ``k - N``."""
         if self.closed:
             return
-        if self.plan.pane is None:
-            # Paned plans opt out: their pane retention is sized from
-            # the planned width, so the ring must not outgrow it.
-            self._resize_ring()
         for stale in sorted(
             e for e in self._open_epochs if e <= k - self.live_epochs
         ):
@@ -657,40 +641,6 @@ class StandingExecution(_ExecutionBase):
         for e in sorted(e for e in self._early if e <= k):
             for op_id, port, rows, pane in self._early.pop(e):
                 self.deliver_batch(op_id, port, rows, e, pane)
-
-    def _resize_ring(self):
-        """Adapt the ring width to the observed straggler tail.
-
-        Widen by one after any boundary interval that dropped late
-        rows (capped at ``RING_MAX_OVERLAP``); after
-        ``RING_QUIET_BOUNDARIES`` drop-free boundaries, narrow by one
-        back toward the planned floor -- but never below the recent
-        delivery-staleness
-        high-water mark + 1, so a tail that genuinely uses the extra
-        width keeps it and the widen/narrow pair cannot oscillate
-        against real stragglers. The staleness mark decays one epoch
-        per boundary, letting a spike age out.
-        """
-        if self._drops_since_boundary:
-            self._drops_since_boundary = 0
-            self._quiet_boundaries = 0
-            if self.live_epochs < RING_MAX_OVERLAP:
-                self.live_epochs += 1
-                self.engine.ring_widenings += 1
-        else:
-            self._quiet_boundaries += 1
-            needed = max(self._ring_floor, self._stale_high + 1)
-            if (self._quiet_boundaries >= RING_QUIET_BOUNDARIES
-                    and self.live_epochs > needed):
-                self.live_epochs -= 1
-                self._quiet_boundaries = 0
-        if self._stale_high > 0:
-            self._stale_high -= 1
-
-    def _note_late_drop(self):
-        self.late_drops += 1
-        self._drops_since_boundary += 1
-        self.engine.ring_late_drops += 1
 
     def _move_context(self, k, t_k):
         self.ctx.epoch = k
@@ -737,7 +687,7 @@ class StandingExecution(_ExecutionBase):
                 # epoch instead; the pane tag, not the epoch, decides
                 # where it lands.
                 if pane is None or not self._open_epochs:
-                    self._note_late_drop()
+                    self.engine.ring_late_drops += 1
                     return
                 epoch = min(self._open_epochs)
             elif epoch > self.ctx.epoch + 2:
@@ -747,13 +697,6 @@ class StandingExecution(_ExecutionBase):
                     (op_id, port, list(rows), pane)
                 )
                 return
-        elif epoch < self.ctx.epoch:
-            # An open-but-old epoch: how far behind the newest this
-            # delivery ran is the staleness the adaptive ring must
-            # keep covering when it considers narrowing.
-            stale = self.ctx.epoch - epoch
-            if stale > self._stale_high:
-                self._stale_high = stale
         op = self.ops[op_id]
         with self.ctx.in_epoch(epoch):
             if pane is not None:

@@ -65,7 +65,7 @@ PUBLISH_TTL = 120.0  # DHT-table row lifetime when the table names none
 # more than UNDELIVERED_CAP held.
 UNDELIVERED_TTL = 15.0
 UNDELIVERED_CAP = 512
-# Owner backpressure (on with ``EngineConfig.adaptive_flush``): a
+# Owner backpressure (on with ``EngineConfig.backpressure``): a
 # standing namespace whose inflow tops BACKPRESSURE_ROWS_PER_SEC asks
 # its origins to stretch their flushes by up to BACKPRESSURE_FACTOR;
 # each "xbp" lives BACKPRESSURE_TTL seconds, which is also the resend
@@ -107,14 +107,11 @@ class EngineConfig:
                                            False is the flat-tree
                                            reference. On engages only on
                                            a region-labelled topology
-    ``adaptive_flush``             False   ``bench_admission_elasticity``
-                                           (rate-sized flush windows and
-                                           owner backpressure; on by
-                                           default it stretches sparse
-                                           edges' p95 lag, ROADMAP 4a)
-    ``hot_group_threshold``        0       ``bench_admission_elasticity``:
-                                           rows per key per epoch before
-                                           a group shards; 0 never splits
+    ``backpressure``               False   ``bench_admission_elasticity``:
+                                           an overloaded owner asks its
+                                           origins to stretch their
+                                           flushes ("xbp"); False is the
+                                           static reference leg
     ============================== ======= ==============================
     """
 
@@ -122,13 +119,11 @@ class EngineConfig:
         self,
         max_batch_rows=64,
         regional_trees=True,
-        adaptive_flush=False,
-        hot_group_threshold=0,
+        backpressure=False,
     ):
         self.max_batch_rows = max_batch_rows
         self.regional_trees = regional_trees
-        self.adaptive_flush = adaptive_flush
-        self.hot_group_threshold = hot_group_threshold
+        self.backpressure = backpressure
 
 
 class AdoptedQuery:
@@ -188,8 +183,7 @@ class PierEngine:
         self._bp_inflow = {}  # ns -> {"count", "t0", "origins"}
         self._bp_sent = {}  # ns -> last xbp send time
         self._bp_stretch = {}  # ns -> (factor, expiry)
-        self.ring_late_drops = 0  # standing-ring drops (adaptive signal)
-        self.ring_widenings = 0  # adaptive-ring widen events
+        self.ring_late_drops = 0  # rows a standing ring dropped as late
         self._progress_pending = {}  # (qid, epoch) -> count
         self._progress_timer = None
         self._publish_seq = 0
@@ -562,7 +556,7 @@ class PierEngine:
         early rows replay one batch per run of equal tags.
         """
         standing = execution.plan.standing
-        watch = standing and self.config.adaptive_flush
+        watch = standing and self.config.backpressure
 
         def deliver(payload, route_msg):
             rows = payload_rows(payload)
@@ -608,7 +602,7 @@ class PierEngine:
             self.set_timer(0.0, execution.flush_input, op_id, epoch_tag)
 
     # ------------------------------------------------------------------
-    # Owner backpressure (adaptive load management, run-time half)
+    # Owner backpressure
     # ------------------------------------------------------------------
     def _note_exchange_inflow(self, ns, n, origin):
         """Owner-side arrival accounting for one standing namespace:

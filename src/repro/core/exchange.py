@@ -57,13 +57,10 @@ from repro.util.serde import uniform_row_size, wire_size
 # or MAX_BATCH_BYTES (modelled) bytes, whichever comes first.
 FLUSH_DELAY = 0.25
 MAX_BATCH_BYTES = 8192
-# Owners a hot group's later partials are sharded across (hot-group
-# splitting, ``EngineConfig.hot_group_threshold``).
-HOT_GROUP_SHARDS = 4
-# Ceilings for the caps adaptive flush and backpressure may raise: one
-# message never carries more than this, however hot the edge.
-ADAPTIVE_FLUSH_MAX_ROWS = 2048
-ADAPTIVE_FLUSH_MAX_BYTES = 262144
+# Ceilings for the caps owner backpressure may raise: one message
+# never carries more than this, however hot the edge.
+BACKPRESSURE_MAX_ROWS = 2048
+BACKPRESSURE_MAX_BYTES = 262144
 
 
 def payload_rows(payload):
@@ -111,8 +108,7 @@ class Exchange(Operator):
         )
         self._batch_key_fn = self._build_batch_key_fn(spec.params["key"])
         engine = ctx.engine
-        config = engine.config
-        self._max_batch_rows = config.max_batch_rows
+        self._max_batch_rows = engine.config.max_batch_rows
         self._standing = ctx.plan.standing
         # Pane-tagged mode (paned plans whose pane-aware aggregate sits
         # *above* this exchange): remember the pane announced by the
@@ -140,31 +136,10 @@ class Exchange(Operator):
         # Each epoch's state is {"rows": {rid: [rows]}, "bytes": {rid: n}}.
         self._pending = EpochStateRing(lambda: {"rows": {}, "bytes": {}})
         self._timer = None
-        # Adaptive load management. ``adaptive_flush`` sizes the flush
-        # window and batch caps from the observed arrival rate (EWMA
-        # over one-second windows): hot edges gather a whole window
-        # into few large messages, sparse edges stretch the window to
-        # fill batches. The same switch turns on owner backpressure:
-        # an "xbp" from an overloaded owner stretches both further via
-        # the engine's per-namespace factor.
-        self._clock = ctx.clock
-        self._adaptive_flush = config.adaptive_flush
+        # Owner backpressure: an "xbp" from an overloaded owner
+        # stretches the flush window and batch caps toward it via the
+        # engine's per-namespace factor.
         self._stretch_fn = engine.exchange_flush_stretch
-        self._rate = 0.0  # EWMA rows/sec through this exchange
-        self._rate_count = 0
-        self._rate_t0 = None
-        # Hot-group splitting: standing group-partial edges whose one
-        # routing key crosses the threshold within an epoch shard later
-        # partials across k salted keys (k owners); the query site's
-        # duplicate-owner merge re-unifies the group. Paned edges shard
-        # by pane so each pane's history accumulates at one owner.
-        self._hot_threshold = (
-            config.hot_group_threshold
-            if self._standing and spec.params["key"]["kind"] == "group"
-            else 0
-        )
-        self._hot_counts = EpochStateRing(dict)  # epoch -> {rid: rows}
-        self.hot_splits = 0  # rows routed under a shard key (introspection)
 
     def _build_batch_key_fn(self, key_spec):
         """Routing ids for a whole batch (one per row, in row order)."""
@@ -190,74 +165,19 @@ class Exchange(Operator):
             return lambda batch: ["__root__"] * len(batch)
         raise PlanError("unknown exchange key kind {!r}".format(kind))
 
-    def _note_arrivals(self, n):
-        """Fold ``n`` pushed rows into the arrival-rate EWMA (rows/sec,
-        observed through one-second windows)."""
-        now = self._clock.now
-        if self._rate_t0 is None:
-            self._rate_t0 = now
-        elif now - self._rate_t0 >= 1.0:
-            observed = self._rate_count / (now - self._rate_t0)
-            if self._rate == 0.0:
-                self._rate = observed
-            else:
-                self._rate += 0.5 * (observed - self._rate)
-            self._rate_count = 0
-            self._rate_t0 = now
-        self._rate_count += n
-
     def _flush_plan(self):
-        """Current (delay, max_rows, max_bytes) under load adaptation.
-
-        Static configuration returns the configured trio untouched. With
-        ``adaptive_flush`` the window targets one base-cap batch per
-        flush: sparse edges stretch the delay (up to 8x) so batches
-        fill instead of trickling, hot edges keep the base window but
-        raise the caps to one window's worth of rows, so the edge
-        ships a few large messages instead of many cap-sized ones. A
-        live backpressure stretch multiplies all three on top.
-        """
+        """Current (delay, max_rows, max_bytes): the base trio, times
+        the owner's live backpressure stretch (caps clamped at the
+        ``BACKPRESSURE_MAX_*`` ceilings)."""
         delay = FLUSH_DELAY
         max_rows = self._max_batch_rows
         max_bytes = MAX_BATCH_BYTES
-        if self._adaptive_flush and self._rate > 0.0:
-            desired = self._max_batch_rows / self._rate
-            delay = min(max(delay, desired), FLUSH_DELAY * 8.0)
-            target_rows = self._rate * delay
-            if target_rows > max_rows:
-                max_rows = int(min(target_rows, ADAPTIVE_FLUSH_MAX_ROWS))
-                per_row = max(1, max_bytes // max(1, self._max_batch_rows))
-                max_bytes = int(min(
-                    max(max_bytes, max_rows * per_row),
-                    ADAPTIVE_FLUSH_MAX_BYTES,
-                ))
         stretch = self._stretch_fn(self._ns)
         if stretch > 1.0:
             delay *= stretch
-            max_rows = int(min(max_rows * stretch, ADAPTIVE_FLUSH_MAX_ROWS))
-            max_bytes = int(min(max_bytes * stretch,
-                                ADAPTIVE_FLUSH_MAX_BYTES))
+            max_rows = int(min(max_rows * stretch, BACKPRESSURE_MAX_ROWS))
+            max_bytes = int(min(max_bytes * stretch, BACKPRESSURE_MAX_BYTES))
         return delay, max_rows, max_bytes
-
-    def _hot_rid(self, rid, epoch, pane):
-        """Shard a hot group's routing key across k owners.
-
-        Counts pushed rows per (epoch, rid); once a key crosses the
-        threshold its later rows route under ``("hot", rid, shard)``.
-        Paned edges shard by pane (a pane's whole history must
-        accumulate at one owner); unpaned edges round-robin by row
-        count. Delivery and the final fold are rid-agnostic,
-        and the coordinator merges the k owners' partial states for
-        the group exactly as it merges duplicate owners after churn.
-        """
-        counts = self._hot_counts.state(epoch)
-        n = counts.get(rid, 0) + 1
-        counts[rid] = n
-        if n <= self._hot_threshold:
-            return rid
-        self.hot_splits += 1
-        shard = (pane if pane is not None else n) % HOT_GROUP_SHARDS
-        return ("hot", rid, shard)
 
     def push_batch(self, batch, port=0):
         """Routing keys evaluate as columns and the rows append into
@@ -269,9 +189,6 @@ class Exchange(Operator):
         keyed = zip(rows, self._batch_key_fn(batch))
         epoch = self._active_epoch() if self._standing else None
         pane = self._current_pane if self._paned else None
-        if self._adaptive_flush:
-            self._note_arrivals(len(batch))
-        hot = self._hot_threshold and epoch is not None
         delay, max_rows, max_bytes = self._flush_plan()
         pending = self._pending.state(epoch)
         held_rows = pending["rows"]
@@ -279,8 +196,6 @@ class Exchange(Operator):
         # One size for all when the rows are fixed-width throughout.
         row_size = uniform_row_size(rows)
         for row, rid in keyed:
-            if hot:
-                rid = self._hot_rid(rid, epoch, pane)
             # Batches are keyed by (pane, rid): a pane-tagged exchange
             # must never mix two panes' rows in one message, because
             # the tag is per batch.
@@ -388,8 +303,6 @@ class Exchange(Operator):
         # Ship leftovers tagged with the epoch they belong to;
         # receivers that already sealed it drop them as late.
         self._flush_pending(k)
-        if self._hot_threshold:
-            self._hot_counts.seal(k)
 
     def teardown(self):
         # Best effort, like the unbatched path: a row pushed just before

@@ -1,6 +1,6 @@
-"""Adaptive load management at run time: the elastic epoch ring,
-rate-sized exchange flush windows, owner backpressure, hot-group
-splitting, and the simulator's receive-side service queue."""
+"""Load management at run time: the standing epoch ring's planned
+width and late drops, the exchange flush plan, owner backpressure, and
+the simulator's receive-side service queue."""
 
 from types import SimpleNamespace
 
@@ -9,12 +9,14 @@ from stubs import make_engine, make_exchange, make_standing
 
 from repro.core import dataflow, engine as engine_module
 from repro.core import exchange as exchange_module
+from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochStateRing, Operator
+from repro.core.exchange import payload_rows
 from repro.core.network import PierConfig, PierNetwork
 from repro.core.engine import EngineConfig
 from repro.core.operators import register_operator
 from repro.core.opgraph import OpSpec, QueryPlan
-from repro.dht.messages import Route, parts_of
+from repro.dht.messages import Route
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network, NetworkConfig
@@ -22,7 +24,7 @@ from repro.sim.node import SimNode
 
 
 # ----------------------------------------------------------------------
-# Adaptive epoch ring
+# Standing epoch ring
 # ----------------------------------------------------------------------
 @register_operator("load_probe")
 class LoadProbe(Operator):
@@ -58,119 +60,137 @@ def advance(engine, execution, k):
     execution.advance_epoch(k, k * 5.0)
 
 
-class TestAdaptiveRing:
-    def test_late_drop_widens_at_the_next_boundary(self):
+class TestRingWidth:
+    def test_late_drops_leave_the_ring_at_its_planned_width(self):
         engine, execution = make_execution(planned_width=2)
         for k in (1, 2, 3):
             advance(engine, execution, k)
-        assert execution.live_epochs == 2
-        # Epoch 1 is sealed by now: a late un-paned batch drops...
-        execution.deliver_batch("p", 0, [(1,)], epoch=1)
-        assert execution.late_drops == 1
-        assert engine.ring_late_drops == 1
-        # ...and the next boundary widens the ring by one.
-        advance(engine, execution, 4)
-        assert execution.live_epochs == 3
-        assert engine.ring_widenings == 1
-
-    def test_quiet_boundaries_narrow_back_to_the_planned_floor(self):
-        engine, execution = make_execution(planned_width=2)
-        for k in (1, 2, 3):
-            advance(engine, execution, k)
-        execution.deliver_batch("p", 0, [(1,)], epoch=1)  # drop -> widen
-        advance(engine, execution, 4)
-        execution.deliver_batch("p", 0, [(1,)], epoch=1)  # drop -> widen
-        advance(engine, execution, 5)
-        assert execution.live_epochs == 4
-        # RING_QUIET_BOUNDARIES = 4: each narrow step takes a
-        # quiet run; the width decays back to the planned 2, no lower.
-        for k in range(6, 30):
-            advance(engine, execution, k)
-        assert execution.live_epochs == 2
-        assert execution._ring_floor == 2
-
-    def test_stale_deliveries_hold_the_widened_ring_open(self):
-        engine, execution = make_execution(planned_width=2)
-        for k in (1, 2, 3):
-            advance(engine, execution, k)
-        execution.deliver_batch("p", 0, [(1,)], epoch=1)  # widen to 3
-        for k in range(4, 30):
-            advance(engine, execution, k)
-            # Every boundary, rows arrive for the oldest *open* epoch:
-            # staleness live_epochs-1 keeps needing the extra width.
-            execution.deliver_batch("p", 0, [(9,)],
-                                    epoch=min(execution._open_epochs))
-        assert execution.live_epochs == 3
-
-    def test_ring_max_overlap_caps_widening(self, monkeypatch):
-        monkeypatch.setattr(dataflow, "RING_MAX_OVERLAP", 3)
-        engine, execution = make_execution(planned_width=2)
-        for k in range(1, 10):
-            advance(engine, execution, k)
+        drops = 0
+        for k in range(4, 12):
+            # Every boundary, a batch arrives for an epoch the ring
+            # already sealed: it drops as late...
             sealed = min(execution._open_epochs) - 1
-            if sealed >= 0:
-                execution.deliver_batch("p", 0, [(1,)], epoch=sealed)
-        assert execution.live_epochs == 3
+            execution.deliver_batch("p", 0, [(1,)], epoch=sealed)
+            drops += 1
+            assert engine.ring_late_drops == drops
+            advance(engine, execution, k)
+            # ...and the ring keeps exactly the planned two epochs.
+            assert execution.live_epochs == 2
+            assert sorted(execution._open_epochs) == [k - 1, k]
+        assert execution.ops["p"].pushed == []
 
     def test_planned_width_over_engine_cap_is_clamped(self, monkeypatch):
         monkeypatch.setattr(dataflow, "RING_MAX_OVERLAP", 4)
         engine, execution = make_execution(planned_width=40)
         assert execution.live_epochs == 4
-        assert execution._ring_floor == 4
+
+    def test_rows_for_every_open_epoch_still_land(self):
+        engine, execution = make_execution(planned_width=3)
+        for k in range(1, 6):
+            advance(engine, execution, k)
+        assert sorted(execution._open_epochs) == [3, 4, 5]
+        # The oldest open epoch is stale but live: its rows land.
+        for e in (3, 4, 5):
+            execution.deliver_batch("p", 0, [(e,)], epoch=e)
+        assert execution.ops["p"].pushed == [(3,), (4,), (5,)]
+        assert engine.ring_late_drops == 0
+
+    def test_width_one_keeps_only_the_current_epoch(self):
+        engine, execution = make_execution(planned_width=1)
+        assert not execution.overlap
+        for k in range(1, 4):
+            advance(engine, execution, k)
+            assert sorted(execution._open_epochs) == [k]
+        # The epoch just sealed by the rollover is already late.
+        execution.deliver_batch("p", 0, [(1,)], epoch=2)
+        assert engine.ring_late_drops == 1
+        assert execution.ops["p"].pushed == []
+
+    def test_rows_far_ahead_are_neither_parked_nor_counted(self):
+        engine, execution = make_execution(planned_width=2)
+        advance(engine, execution, 1)
+        execution.deliver_batch("p", 0, [(3,)], epoch=3)  # parked
+        execution.deliver_batch("p", 0, [(4,)], epoch=4)  # discarded
+        assert sorted(execution._early) == [3]
+        assert engine.ring_late_drops == 0
+        for k in (2, 3, 4):
+            advance(engine, execution, k)
+        assert execution.ops["p"].pushed == [(3,)]
 
 
 # ----------------------------------------------------------------------
-# Adaptive exchange flush windows
+# Exchange flush plan
 # ----------------------------------------------------------------------
-class TestAdaptiveFlush:
+class TestFlushPlan:
     def test_static_config_returns_the_configured_trio(self):
         config = EngineConfig(max_batch_rows=64)
         exchange = make_exchange(make_engine(config))
         assert exchange._flush_plan() == (0.25, 64, 8192)
 
-    def test_sparse_edge_stretches_the_window_to_fill_batches(self):
-        config = EngineConfig(adaptive_flush=True, max_batch_rows=64)
-        exchange = make_exchange(make_engine(config))
-        exchange._rate = 10.0  # rows/sec: 64-row batches want 6.4s
-        delay, max_rows, _ = exchange._flush_plan()
-        assert delay == 0.25 * 8.0  # clamped at the 8x stretch
-        assert max_rows == 64  # caps untouched on the sparse side
-
-    def test_hot_edge_raises_caps_to_one_window(self):
-        config = EngineConfig(adaptive_flush=True, max_batch_rows=64)
-        exchange = make_exchange(make_engine(config))
-        exchange._rate = 4000.0  # 1000 rows per base window
-        delay, max_rows, max_bytes = exchange._flush_plan()
-        assert delay == 0.25  # hot edges keep the base cadence
-        assert max_rows == 1000
-        assert max_bytes > 8192
-
-    def test_adaptive_caps_clamp_at_the_ceiling(self, monkeypatch):
-        monkeypatch.setattr(exchange_module, "ADAPTIVE_FLUSH_MAX_ROWS", 512)
-        config = EngineConfig(adaptive_flush=True, max_batch_rows=64)
-        exchange = make_exchange(make_engine(config))
-        exchange._rate = 100000.0
-        _delay, max_rows, _ = exchange._flush_plan()
-        assert max_rows == 512
-
-    def test_rate_ewma_tracks_pushed_rows(self):
-        config = EngineConfig(adaptive_flush=True)
-        engine = make_engine(config)
-        exchange = make_exchange(engine)
-        for i in range(30):
-            engine.clock.run_until(i * 0.1)
-            exchange._note_arrivals(10)  # 100 rows/sec
-        assert exchange._rate == pytest.approx(100.0, rel=0.2)
-
-    def test_backpressure_stretch_multiplies_everything(self):
+    @pytest.mark.parametrize("factor, want", [
+        (4.0, (1.0, 256, 32768)),
+        # 64 x 40 rows and 8192 x 40 bytes top both ceilings.
+        (40.0, (10.0, exchange_module.BACKPRESSURE_MAX_ROWS,
+                exchange_module.BACKPRESSURE_MAX_BYTES)),
+    ])
+    def test_backpressure_stretch_multiplies_everything(self, factor, want):
         config = EngineConfig(max_batch_rows=64)
         engine = make_engine(config)
         exchange = make_exchange(engine)
-        engine._on_direct({"op": "xbp", "ns": exchange._ns, "factor": 4.0,
+        engine._on_direct({"op": "xbp", "ns": exchange._ns, "factor": factor,
                            "ttl": 10.0}, src="owner")
-        delay, max_rows, max_bytes = exchange._flush_plan()
-        assert delay == 1.0
-        assert max_rows == 256 and max_bytes == 32768
+        assert exchange._flush_plan() == want
+
+    def test_a_factor_under_one_leaves_the_trio(self):
+        config = EngineConfig(max_batch_rows=64)
+        engine = make_engine(config)
+        exchange = make_exchange(engine)
+        engine._on_direct({"op": "xbp", "ns": exchange._ns, "factor": 0.5,
+                           "ttl": 10.0}, src="owner")
+        assert engine.exchange_flush_stretch(exchange._ns) == 1.0
+        assert exchange._flush_plan() == (0.25, 64, 8192)
+
+    def test_stretch_is_per_namespace(self):
+        config = EngineConfig(max_batch_rows=64)
+        engine = make_engine(config)
+        exchange = make_exchange(engine)
+        engine._on_direct({"op": "xbp", "ns": exchange._ns + "-other",
+                           "factor": 4.0, "ttl": 10.0}, src="owner")
+        assert exchange._flush_plan() == (0.25, 64, 8192)
+
+    @pytest.mark.parametrize("factor, shipped_at_push", [
+        (1.0, [64]),  # the base cap ships a full batch at once
+        (4.0, []),  # a 256-row cap holds all 100 rows
+    ])
+    def test_push_ships_at_the_stretched_cap(self, factor, shipped_at_push):
+        config = EngineConfig(max_batch_rows=64)
+        engine = make_engine(config)
+        exchange = make_exchange(engine, key={"kind": "group"})
+        engine._on_direct({"op": "xbp", "ns": exchange._ns,
+                           "factor": factor, "ttl": 30.0}, src="owner")
+        exchange.push_batch(
+            RowBatch(rows=[(("g",), (float(i),)) for i in range(100)]))
+
+        def shipped():
+            return [len(payload_rows(p)) for _key, p in engine.dht.routed]
+
+        assert shipped() == shipped_at_push
+        delay = exchange._flush_plan()[0]
+        engine.clock.run_until(delay * 0.9)
+        assert shipped() == shipped_at_push
+        engine.clock.run_until(delay)
+        assert sum(shipped()) == 100
+
+    def test_a_hot_group_keeps_one_routing_id(self):
+        # No group is ever sharded: every row of a hot group goes to
+        # the group's own owner, whatever the group's share of the rows.
+        engine = make_engine(EngineConfig(max_batch_rows=1))
+        exchange = make_exchange(engine, key={"kind": "group"})
+        for i in range(50):
+            exchange.push((("g",), (float(i),)))
+        exchange.push((("h",), (1.0,)))
+        rids = [p["rid"] for _key, p in engine.dht.routed]
+        assert rids == [("g",)] * 50 + [("h",)]
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +203,7 @@ class TestBackpressure:
         monkeypatch.setattr(engine_module, "BACKPRESSURE_TTL", 3.0)
 
     def make_net(self):
-        config = PierConfig(engine=EngineConfig(adaptive_flush=True))
+        config = PierConfig(engine=EngineConfig(backpressure=True))
         return PierNetwork(nodes=4, seed=13, config=config)
 
     def test_overloaded_owner_sends_xbp_and_origin_stretches(self):
@@ -274,6 +294,65 @@ class TestBackpressure:
         owner._note_exchange_inflow(ns, 1, "node1")
         assert sent == ["alpha", "node1", "node2", "node3", "zeta"]
 
+    def hot_delivery(self, net):
+        """Owner of a standing namespace, its origin, and the owner's
+        ``send_direct`` log after a second of 500 rows from the origin."""
+        owner = net.node(net.addresses()[0]).engine
+        origin = net.node(net.addresses()[1]).engine
+        sent = []
+        owner.dht.send_direct = lambda addr, payload: sent.append(payload)
+        ns = "q|demo#1|op9|0"
+
+        class Standing:
+            plan = SimpleNamespace(standing=True)
+
+            def deliver_batch(self, op_id, port, rows, epoch, pane):
+                pass
+
+        owner.register_exchange_input(ns, Standing(), "op9", 0)
+        deliver = owner._inputs[ns]
+        deliver({"ns": ns, "rows": [(0,)] * 500, "epoch": 1},
+                Route("k", None, origin.dht.ref))
+        net.advance(1.1)
+        deliver({"ns": ns, "data": (0,), "epoch": 1},
+                Route("k", None, origin.dht.ref))
+        return owner, sent
+
+    def test_backpressure_off_sends_no_xbp(self):
+        net = PierNetwork(nodes=4, seed=13)
+        owner, sent = self.hot_delivery(net)
+        assert [p for p in sent if p.get("op") == "xbp"] == []
+        assert owner._bp_inflow == {}
+
+    def test_hot_delivery_sends_one_xbp(self):
+        owner, sent = self.hot_delivery(self.make_net())
+        xbp = [p for p in sent if p.get("op") == "xbp"]
+        # 500 rows over the 1.1 s window at a 100 rows/s line.
+        assert len(xbp) == 1
+        assert xbp[0]["factor"] == pytest.approx(500 / 1.1 / 100.0)
+
+    def test_a_window_under_the_line_sends_no_xbp(self):
+        net = self.make_net()
+        owner = net.node(net.addresses()[0]).engine
+        sent = []
+        owner.dht.send_direct = lambda addr, payload: sent.append(payload)
+        ns = "q|demo#1|op9|0"
+        owner._note_exchange_inflow(ns, 90, net.addresses()[1])  # 90/s
+        net.advance(1.01)
+        owner._note_exchange_inflow(ns, 1, net.addresses()[1])
+        assert sent == []
+
+    def test_an_owner_own_rows_draw_no_xbp(self):
+        net = self.make_net()
+        owner = net.node(net.addresses()[0]).engine
+        sent = []
+        owner.dht.send_direct = lambda addr, payload: sent.append(payload)
+        ns = "q|demo#1|op9|0"
+        owner._note_exchange_inflow(ns, 500, owner.address)
+        net.advance(1.01)
+        owner._note_exchange_inflow(ns, 1, owner.address)
+        assert sent == []
+
     def test_crash_resets_backpressure_state(self):
         net = self.make_net()
         address = net.addresses()[1]
@@ -283,105 +362,6 @@ class TestBackpressure:
                                   "origins": set()}
         net.crash_node(address)
         assert engine._bp_stretch == {} and engine._bp_inflow == {}
-
-
-# ----------------------------------------------------------------------
-# Hot-group splitting
-# ----------------------------------------------------------------------
-class TestHotGroupSplit:
-    @pytest.fixture
-    def two_shards(self, monkeypatch):
-        monkeypatch.setattr(exchange_module, "HOT_GROUP_SHARDS", 2)
-        return EngineConfig(max_batch_rows=1, hot_group_threshold=5)
-
-    def test_hot_key_shards_after_the_threshold(self, two_shards):
-        engine = make_engine(two_shards)
-        exchange = make_exchange(engine, key={"kind": "group"})
-        for i in range(20):
-            exchange.push((("g",), (float(i),)))
-        rids = [p["rid"] for _key, p in engine.dht.routed]
-        assert rids[:5] == [("g",)] * 5  # under threshold: untouched
-        sharded = rids[5:]
-        assert all(r[0] == "hot" and r[1] == ("g",) for r in sharded)
-        assert {r[2] for r in sharded} == {0, 1}
-        assert exchange.hot_splits == 15
-
-    def test_cold_keys_never_shard(self, two_shards):
-        engine = make_engine(two_shards)
-        exchange = make_exchange(engine, key={"kind": "group"})
-        for g in range(10):  # ten groups, one row each
-            exchange.push((("g{}".format(g),), (1.0,)))
-        assert all(p["rid"][0].startswith("g")
-                   for _key, p in engine.dht.routed)
-        assert exchange.hot_splits == 0
-
-    def test_counts_reset_per_epoch(self, two_shards):
-        exchange = make_exchange(make_engine(two_shards),
-                                 key={"kind": "group"})
-        for i in range(5):
-            exchange.push((("g",), (1.0,)))
-        exchange.seal_epoch(3)
-        assert exchange.hot_splits == 0  # sealed before crossing
-
-    def test_split_answers_match_the_unsplit_run(self, monkeypatch):
-        """Integration parity: a skewed grouped aggregate under
-        hot-group splitting answers exactly what the unsplit run
-        answers -- the coordinator's duplicate-owner merge re-unifies
-        the shards.
-
-        The query slides WINDOW 6 over EVERY 5, so the plan is paned
-        at the 1s gcd pane and the group-partial edge ships one delta
-        row per (pane, group): the hot group crosses the threshold
-        within every epoch. (A tumbling or unpaned plan ships a single
-        partial per group per epoch, so splitting never engages and
-        the parity check would be vacuous.)"""
-        monkeypatch.setattr(exchange_module, "HOT_GROUP_SHARDS", 3)
-
-        def run(threshold):
-            engine = EngineConfig(hot_group_threshold=threshold)
-            net = PierNetwork(nodes=6, seed=21,
-                              config=PierConfig(engine=engine))
-            net.create_stream_table(
-                "s", [("k", "INT"), ("v", "FLOAT")], window=30.0)
-            def install(address, i):
-                def tick():
-                    eng = net.node(address).engine
-                    # Heavy skew: most rows land in group 0.
-                    k = 0 if (i + int(eng.clock.now * 4)) % 8 else 1
-                    eng.stream_append("s", (k, float(i + 1)))
-                    eng.set_timer(0.25, tick)
-                net.node(address).engine.set_timer(0.1, tick)
-
-            for i, address in enumerate(net.addresses()):
-                install(address, i)
-            results = []
-            handle = net.submit_sql(
-                "SELECT k, SUM(v) AS total, COUNT(*) AS n FROM s "
-                "GROUP BY k EVERY 5 SECONDS WINDOW 6 SECONDS "
-                "LIFETIME 20 SECONDS",
-                on_epoch=results.append)
-            hot = [0]
-
-            def deliver(src, dst, wire):
-                for part in parts_of(wire):
-                    inner = getattr(part, "payload", None)
-                    if isinstance(inner, dict):
-                        rid = inner.get("rid")
-                        if isinstance(rid, tuple) and rid and rid[0] == "hot":
-                            hot[0] += 1
-
-            net.net.on_deliver = deliver
-            net.advance(20 + handle.plan.deadline + 3)
-            return {r.epoch: sorted(r.rows) for r in results}, hot[0]
-
-        unsplit, unsplit_hot = run(0)
-        split, split_hot = run(4)
-        assert unsplit_hot == 0
-        assert split_hot > 0, "splitting never engaged: parity is vacuous"
-        shared = set(unsplit) & set(split)
-        assert len(shared) >= 3
-        for epoch in shared:
-            assert split[epoch] == unsplit[epoch], epoch
 
 
 # ----------------------------------------------------------------------

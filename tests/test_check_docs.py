@@ -108,3 +108,29 @@ def test_class_members_must_exist(cd, tmp_path):
         "README.md: `Live.gone` names no member of its class",
         "README.md: `Live.retain` names no member of its class",
     ]
+
+
+def test_stale_constants_and_keywords_fail(cd, tmp_path):
+    for top in cd.CODE_DIRS:
+        (tmp_path / top).mkdir()
+    (tmp_path / "src" / "knobs.py").write_text(
+        "LIVE_CAP = 1\n\n\nclass Config:\n"
+        "    def __init__(self, live_knob=False):\n"
+        "        self.live_knob = live_knob\n",
+        encoding="utf-8")
+    (tmp_path / "BENCHMARK.json").write_text("{}", encoding="utf-8")
+    (tmp_path / ".gitignore").write_text("", encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "`LIVE_CAP`, `Config(live_knob=True)`, `PIER` and `EVERY 5` pass;\n"
+        "`GONE_CAP`, `STALE_MAX_ROWS/BYTES` and `Config(gone_knob=1)`\n"
+        "do not.\n",
+        encoding="utf-8")
+    assert cd.check_names() == [
+        "README.md: stale name `GONE_CAP`",
+        "README.md: stale name `STALE_MAX_ROWS`",
+        "README.md: stale name `gone_knob`",
+    ]
+
+
+def test_the_verify_guide_is_checked():
+    assert ".claude/skills/verify/SKILL.md" in _load_module().NAME_FILES

@@ -38,8 +38,7 @@ class TestKnobs:
             return list(inspect.signature(cls.__init__).parameters)[1:]
 
         assert knobs(EngineConfig) == [
-            "max_batch_rows", "regional_trees", "adaptive_flush",
-            "hot_group_threshold",
+            "max_batch_rows", "regional_trees", "backpressure",
         ]
         assert knobs(PierConfig) == [
             "dht", "engine", "network", "bootstrap", "admission",

@@ -109,9 +109,8 @@ class TestPlannerRingWidth:
 
     def test_absurd_ratio_plans_true_horizon_engine_clamps(self, monkeypatch):
         # Sub-~0.6s periods against a ~9.1s horizon want dozens of live
-        # epoch states. The plan now records the *true* horizon (the
-        # static cap of 16 is retired); the engine's adaptive ring
-        # clamps the live width at dataflow.RING_MAX_OVERLAP.
+        # epoch states. The plan records the *true* horizon; a standing
+        # execution clamps the live width at dataflow.RING_MAX_OVERLAP.
         monkeypatch.setattr(dataflow, "RING_MAX_OVERLAP", 8)
         net = PierNetwork(nodes=8, seed=321)
         net.create_stream_table("s", [("v", "FLOAT")], window=60.0)
@@ -237,7 +236,7 @@ class TestStandingRingLifecycle:
             execution.engine.clock.run_until(k * 5.0)
             execution.advance_epoch(k, k * 5.0)
         assert execution._early == {}
-        assert execution.late_drops == 2
+        assert execution.engine.ring_late_drops == 2
 
 
 # ----------------------------------------------------------------------

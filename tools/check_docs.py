@@ -5,10 +5,12 @@ Failure modes this catches before merge:
 
 * a markdown file links to a repo path that does not exist (docs rot as
   files move);
-* the README or the architecture guide names, in back-ticks, a repo
-  path that does not exist, or a ``CamelCase`` or ``snake_case``
-  identifier that occurs nowhere in the code (docs rot as classes and
-  methods are folded and deleted);
+* the README, the architecture guide or the verify guide
+  (``.claude/skills/verify/SKILL.md``) names, in back-ticks, a repo
+  path that does not exist, or a ``CamelCase``, ``snake_case``,
+  ``UPPER_CASE`` or ``keyword=`` identifier that occurs nowhere in the
+  code (docs rot as classes, methods, constants and knobs are folded
+  and deleted);
 * one of those docs names, in back-ticks, ``Class.member`` for a class
   of the code that has no such member: no ``def``, class attribute or
   ``self.`` attribute of that name in the class or its bases (a method
@@ -45,12 +47,15 @@ DOCTEST_FILES = ["README.md"]
 
 # The docs that describe the tree as it is (ROADMAP / CHANGES also name
 # what was deleted, on purpose) and where their names must be found.
-NAME_FILES = ["README.md", "docs/ARCHITECTURE.md"]
+NAME_FILES = ["README.md", "docs/ARCHITECTURE.md",
+              ".claude/skills/verify/SKILL.md"]
 CODE_DIRS = ["src", "tests", "benchmarks", "tools"]
 _TICKED = re.compile(r"`([^`\n]+)`")
 _REPO_PATH = re.compile(r"^(?:{})/[\w./-]*$".format("|".join(CODE_DIRS)))
 _CAMEL = re.compile(r"\b_?[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]+)+\b")
 _SNAKE = re.compile(r"^_?[a-z][a-z0-9]*(?:_[a-z0-9]+)*$")
+_CONST = re.compile(r"\b_?[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b")
+_KWARG = re.compile(r"\b(_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+)=")
 _MEMBER = re.compile(r"\b(_?[A-Z]\w*)\.(\w+)")
 # :role:`target`, :role:`~target` or :role:`title <target>`.
 _ROLE = re.compile(r":(class|meth|func|mod|attr):`([^`]+)`")
@@ -83,9 +88,10 @@ def check_links():
 
 def check_names():
     """Back-ticked repo paths must exist; back-ticked ``CamelCase`` /
-    ``_CamelCase`` names, and ``snake_case`` / ``_snake_case`` ones
-    (a whole span, less a dotted prefix and a trailing ``()``), must
-    occur somewhere in the code or in ``BENCHMARK.json``."""
+    ``_CamelCase`` and ``UPPER_CASE`` names, ``snake_case`` /
+    ``_snake_case`` ones (a whole span, less a dotted prefix and a
+    trailing ``()``) and ``snake_case=`` keywords must occur somewhere
+    in the code or in ``BENCHMARK.json``."""
     # What .gitignore names is generated by a run, not stale.
     generated = set((REPO / ".gitignore").read_text(encoding="utf-8").split())
     known = set()
@@ -103,7 +109,9 @@ def check_names():
             if (_REPO_PATH.match(path) and path not in generated
                     and not (REPO / path).exists()):
                 stale.add(path)
-            stale.update(n for n in _CAMEL.findall(span) if n not in known)
+            for pattern in (_CAMEL, _CONST, _KWARG):
+                stale.update(n for n in pattern.findall(span)
+                             if n not in known)
             snake = span.removesuffix("()").rsplit(".", 1)[-1]
             if "_" in snake and _SNAKE.match(snake) and snake not in known:
                 stale.add(snake)
