@@ -5,9 +5,9 @@ an extension experiment from DESIGN.md) and must leave a human-readable
 artifact behind: :func:`report` prints the exhibit and also writes it to
 ``benchmarks/results/<name>.txt`` so the output survives pytest's
 capture. Each results file is stamped with the command line and git
-revision that produced it, so a checked-in exhibit always says how to
-regenerate it (results used to be pasted in by hand with no
-provenance). Benchmarks run the simulation exactly once
+revision that produced it, so an exhibit always says how to regenerate
+it. Exhibits are run output, not source: git ignores them and CI
+uploads ``benchmarks/results/`` as an artifact. Benchmarks run the simulation exactly once
 (``benchmark.pedantic(rounds=1)``) -- we are timing a reproduction, not
 micro-optimizing it -- and stash headline numbers in
 ``benchmark.extra_info`` so they land in pytest-benchmark's JSON.

@@ -25,20 +25,22 @@ documented HLL error bound (3 sigma + slack).
 whose receivers have finite service capacity
 (``NetworkConfig.service_time`` > 0, so overload is visible as queueing
 delay), a skewed fan-in join runs under the static discipline (fixed
-flush windows and batch caps) and the adaptive one (owner
-backpressure, ``EngineConfig.backpressure``). The join rehashes a
-high-rate stream on a 90%-skewed key, so each epoch every origin ships
-a large burst toward ONE owner: static fragments each burst into
-cap-sized messages and the owner's service queue collapses into a
-retransmit-amplified meltdown, while the adaptive leg's backpressure
-stretch raises the origins' batch caps (few large messages) and keeps
-the owner under its service capacity. (The overload is of the
-receiver's message queue, which Chord's own keep-alives share: making
-ring maintenance cheaper un-melted the static leg at the old load
-point -- see ``LOAD_ROWS_PER_TICK``.) Gates: the adaptive leg's p95
-epoch lag (last exchange delivery behind its epoch boundary) is
->= 1.2x lower, it ships fewer exchange messages, and it loses no
-result rows relative to the static leg.
+flush windows and batch caps: the engine's backpressure line,
+``BACKPRESSURE_ROWS_PER_SEC``, patched to infinity for that leg only)
+and the adaptive one (owner backpressure, as the engine always runs).
+The join rehashes a high-rate stream on a 90%-skewed key, so each
+epoch every origin ships a large burst toward ONE owner: static
+fragments each burst into cap-sized messages and the owner's service
+queue collapses into a retransmit-amplified meltdown, while the
+adaptive leg's backpressure stretch raises the origins' batch caps
+(few large messages) and keeps the owner under its service capacity.
+(The overload is of the receiver's message queue, which Chord's own
+keep-alives share: making ring maintenance cheaper un-melted the
+static leg at the old load point -- see ``LOAD_ROWS_PER_TICK``.)
+Gates: the adaptive leg's p95 epoch lag (last exchange delivery behind
+its epoch boundary) is >= 1.2x lower, it ships fewer exchange
+messages, and it loses no result rows relative to the static leg,
+which sends no "xbp".
 
 Run standalone with ``python benchmarks/bench_admission_elasticity.py``
 (``--smoke`` for the CI-sized pass; either writes
@@ -276,14 +278,12 @@ def run_sweep(seed, steps, verbose=False):
 # ----------------------------------------------------------------------
 # Static vs adaptive at peak load
 # ----------------------------------------------------------------------
-def make_load_config(variant):
-    from repro.core.engine import EngineConfig
+def make_load_config():
     from repro.core.network import PierConfig
     from repro.dht.config import DhtConfig
     from repro.sim.network import NetworkConfig
 
     return PierConfig(
-        engine=EngineConfig(backpressure=variant == "adaptive"),
         network=NetworkConfig(service_time=SERVICE_TIME),
         dht=DhtConfig(rpc_timeout=LOAD_RPC_TIMEOUT,
                       hop_retransmit_timeout=LOAD_HOP_RETRANSMIT,
@@ -291,11 +291,11 @@ def make_load_config(variant):
     )
 
 
-def build_load_net(seed, variant):
+def build_load_net(seed):
     from repro.core.network import PierNetwork
 
     net = PierNetwork(nodes=LOAD_NODES, seed=seed,
-                      config=make_load_config(variant))
+                      config=make_load_config())
     net.create_stream_table(
         "load", [("g", "INT"), ("v", "INT")], window=2 * EVERY)
 
@@ -331,11 +331,11 @@ def build_load_net(seed, variant):
     return net
 
 
-def run_load_leg(seed, variant, lifetime):
+def run_load_leg(seed, lifetime):
     """One overloaded standing fan-in join; measure per-epoch lag."""
     from repro.dht.messages import parts_of
 
-    net = build_load_net(seed, variant)
+    net = build_load_net(seed)
     net.advance(EVERY)
     net.reset_counters()
 
@@ -385,8 +385,14 @@ def percentile(values, q):
 
 
 def run_load_comparison(seed, lifetime):
-    legs = {v: run_load_leg(seed, v, lifetime)
-            for v in ("static", "adaptive")}
+    from unittest import mock
+
+    from repro.core import engine
+
+    # The static reference: a backpressure line no inflow tops.
+    with mock.patch.object(engine, "BACKPRESSURE_ROWS_PER_SEC", math.inf):
+        legs = {"static": run_load_leg(seed, lifetime)}
+    legs["adaptive"] = run_load_leg(seed, lifetime)
     p95 = {v: percentile(leg["lags"], 0.95) for v, leg in legs.items()}
     improvement = p95["static"] / max(p95["adaptive"], 1e-9)
     assert improvement >= 1.2, (
@@ -397,6 +403,7 @@ def run_load_comparison(seed, lifetime):
         legs["static"]["exchange_messages"]), "adaptive sent MORE messages"
     assert legs["adaptive"]["goodput_rows"] >= legs["static"]["goodput_rows"], (
         "adaptive lost more result rows than static")
+    assert legs["static"]["xbp"] == 0, "the static leg sent xbp"
     assert legs["adaptive"]["xbp"] > 0, "backpressure never engaged"
     return legs, p95, improvement
 

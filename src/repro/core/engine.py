@@ -65,12 +65,12 @@ PUBLISH_TTL = 120.0  # DHT-table row lifetime when the table names none
 # more than UNDELIVERED_CAP held.
 UNDELIVERED_TTL = 15.0
 UNDELIVERED_CAP = 512
-# Owner backpressure (on with ``EngineConfig.backpressure``): a
-# standing namespace whose inflow tops BACKPRESSURE_ROWS_PER_SEC asks
-# its origins to stretch their flushes by up to BACKPRESSURE_FACTOR;
-# each "xbp" lives BACKPRESSURE_TTL seconds, which is also the resend
-# limit. The TTL must outlive a 5 s epoch cadence: stream scans deliver
-# in per-epoch bursts, so a shorter stretch would expire between them.
+# Owner backpressure: every standing namespace whose inflow tops
+# BACKPRESSURE_ROWS_PER_SEC asks its origins to stretch their flushes
+# by up to BACKPRESSURE_FACTOR; each "xbp" lives BACKPRESSURE_TTL
+# seconds, which is also the resend limit. The TTL must outlive a 5 s
+# epoch cadence: stream scans deliver in per-epoch bursts, so a shorter
+# stretch would expire between them.
 BACKPRESSURE_ROWS_PER_SEC = 60.0
 BACKPRESSURE_FACTOR = 8.0
 BACKPRESSURE_TTL = 12.0
@@ -107,23 +107,12 @@ class EngineConfig:
                                            False is the flat-tree
                                            reference. On engages only on
                                            a region-labelled topology
-    ``backpressure``               False   ``bench_admission_elasticity``:
-                                           an overloaded owner asks its
-                                           origins to stretch their
-                                           flushes ("xbp"); False is the
-                                           static reference leg
     ============================== ======= ==============================
     """
 
-    def __init__(
-        self,
-        max_batch_rows=64,
-        regional_trees=True,
-        backpressure=False,
-    ):
+    def __init__(self, max_batch_rows=64, regional_trees=True):
         self.max_batch_rows = max_batch_rows
         self.regional_trees = regional_trees
-        self.backpressure = backpressure
 
 
 class AdoptedQuery:
@@ -556,11 +545,10 @@ class PierEngine:
         early rows replay one batch per run of equal tags.
         """
         standing = execution.plan.standing
-        watch = standing and self.config.backpressure
 
         def deliver(payload, route_msg):
             rows = payload_rows(payload)
-            if watch:
+            if standing:
                 self._note_exchange_inflow(
                     ns, len(rows), route_msg.origin.address)
             execution.deliver_batch(

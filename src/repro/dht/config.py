@@ -28,13 +28,14 @@ class DhtConfig:
                                        the hop is suspected; short caps
                                        what the retransmit adds over
                                        rerouting at once
-    ``proximity_routing``      False   ``bench_geo_regions``, the sharing
-                                       fuzz's regional leg: same-region
-                                       peers win finger slots, next hops
-                                       within a 2x-distance band and
-                                       reroute heirs. False is the flat
-                                       reference leg; on engages only on
-                                       a region-labelled topology
+    ``proximity_routing``      True    ``bench_geo_regions`` and
+                                       ``tests/test_geo_regions.py``:
+                                       False is the flat reference. On,
+                                       same-region peers win finger
+                                       slots, next hops within a
+                                       2x-distance band and reroute
+                                       heirs; it engages only on a
+                                       region-labelled topology
     ========================== ======= ==================================
     """
 
@@ -43,7 +44,7 @@ class DhtConfig:
         rpc_timeout=0.8,
         lookup_timeout=3.0,
         hop_retransmit_timeout=0.4,
-        proximity_routing=False,
+        proximity_routing=True,
     ):
         self.rpc_timeout = rpc_timeout
         self.lookup_timeout = lookup_timeout

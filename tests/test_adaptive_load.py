@@ -2,6 +2,7 @@
 width and late drops, the exchange flush plan, owner backpressure, and
 the simulator's receive-side service queue."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +13,7 @@ from repro.core import exchange as exchange_module
 from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.exchange import payload_rows
-from repro.core.network import PierConfig, PierNetwork
+from repro.core.network import PierNetwork
 from repro.core.engine import EngineConfig
 from repro.core.operators import register_operator
 from repro.core.opgraph import OpSpec, QueryPlan
@@ -203,8 +204,7 @@ class TestBackpressure:
         monkeypatch.setattr(engine_module, "BACKPRESSURE_TTL", 3.0)
 
     def make_net(self):
-        config = PierConfig(engine=EngineConfig(backpressure=True))
-        return PierNetwork(nodes=4, seed=13, config=config)
+        return PierNetwork(nodes=4, seed=13)
 
     def test_overloaded_owner_sends_xbp_and_origin_stretches(self):
         net = self.make_net()
@@ -294,9 +294,10 @@ class TestBackpressure:
         owner._note_exchange_inflow(ns, 1, "node1")
         assert sent == ["alpha", "node1", "node2", "node3", "zeta"]
 
-    def hot_delivery(self, net):
+    def hot_delivery(self):
         """Owner of a standing namespace, its origin, and the owner's
         ``send_direct`` log after a second of 500 rows from the origin."""
+        net = self.make_net()
         owner = net.node(net.addresses()[0]).engine
         origin = net.node(net.addresses()[1]).engine
         sent = []
@@ -318,18 +319,23 @@ class TestBackpressure:
                 Route("k", None, origin.dht.ref))
         return owner, sent
 
-    def test_backpressure_off_sends_no_xbp(self):
-        net = PierNetwork(nodes=4, seed=13)
-        owner, sent = self.hot_delivery(net)
-        assert [p for p in sent if p.get("op") == "xbp"] == []
-        assert owner._bp_inflow == {}
-
     def test_hot_delivery_sends_one_xbp(self):
-        owner, sent = self.hot_delivery(self.make_net())
+        owner, sent = self.hot_delivery()
         xbp = [p for p in sent if p.get("op") == "xbp"]
         # 500 rows over the 1.1 s window at a 100 rows/s line.
         assert len(xbp) == 1
         assert xbp[0]["factor"] == pytest.approx(500 / 1.1 / 100.0)
+
+    def test_an_infinite_line_sends_no_xbp(self, monkeypatch):
+        # The admission bench's static reference leg sets the line to
+        # infinity: the owner still counts its inflow but never asks an
+        # origin to stretch.
+        monkeypatch.setattr(engine_module, "BACKPRESSURE_ROWS_PER_SEC",
+                            math.inf)
+        owner, sent = self.hot_delivery()
+        assert [p for p in sent if p.get("op") == "xbp"] == []
+        assert owner._bp_sent == {}
+        assert owner._bp_inflow["q|demo#1|op9|0"]["count"] == 1
 
     def test_a_window_under_the_line_sends_no_xbp(self):
         net = self.make_net()

@@ -37,9 +37,7 @@ class TestKnobs:
         def knobs(cls):
             return list(inspect.signature(cls.__init__).parameters)[1:]
 
-        assert knobs(EngineConfig) == [
-            "max_batch_rows", "regional_trees", "backpressure",
-        ]
+        assert knobs(EngineConfig) == ["max_batch_rows", "regional_trees"]
         assert knobs(PierConfig) == [
             "dht", "engine", "network", "bootstrap", "admission",
         ]

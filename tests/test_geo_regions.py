@@ -343,10 +343,11 @@ class TestRegionalTrees:
         """Default config: a standing tree edge is two-level exactly
         when the testbed has region labels -- one partial per region
         crosses the backbone -- and single-level on an unlabelled one;
-        ``regional_trees=False`` is the flat reference on the labelled
-        testbed. All three give the same answers."""
+        ``regional_trees=False`` with ``proximity_routing=False`` is the
+        flat reference on the labelled testbed. All three give the same answers."""
         regions = two_region_map()
-        flat_config = PierConfig(engine=EngineConfig(regional_trees=False))
+        flat_config = PierConfig(dht=DhtConfig(proximity_routing=False),
+                                 engine=EngineConfig(regional_trees=False))
         legs = {}
         for leg, kwargs in (
             ("labelled", {"regions": regions}),
