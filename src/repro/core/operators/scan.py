@@ -15,8 +15,8 @@ path: it issues one ``get`` for that key instead and emits the reply
 as one wave.
 
 Under a disposable per-epoch execution the scan runs once, at start.
-Under a :class:`~repro.core.dataflow.StandingExecution` it *subscribes*
-instead of re-scanning:
+Under a :class:`~repro.core.dataflow.StandingExecution` it emits once
+per epoch:
 
 * stream tables: the scan follows the fragment's log
   (:class:`~repro.db.window.TimeWindow`) with a *cursor*, the sequence
@@ -32,14 +32,10 @@ instead of re-scanning:
   (``ctx.prefix_fed``): it only relays the waves the stage injects,
   and a member that starts while its stage runs is seeded from the
   stage scan's log (:meth:`Scan.emitted_for`);
-* dht tables: a TTL'd ``newData`` subscription (renewed every epoch)
-  tracks arriving items by reference; each epoch emits the tracked
-  items still live -- identical to a fresh ``lscan`` because renewals
-  and re-puts update the shared
-  :class:`~repro.dht.storage.StoredItem` in place -- and prunes the
-  dead;
-* local tables: rows never age, every epoch reads all of them, so the
-  scan simply re-reads the fragment (there is no delta to exploit).
+* dht tables and local tables: the node's part of the table is
+  whatever its store or fragment holds now (soft state ages out on its
+  own), so every epoch simply re-reads it -- a fresh ``lscan`` for a
+  DHT table, charged ``len(items)`` exactly as a one-shot scan is.
 
 When the planner marked the plan *paned* (``WINDOW > EVERY`` above a
 pane-aware aggregate), the standing stream scan goes one step further:
@@ -95,7 +91,7 @@ class Scan(Operator):
         )
         # Prefix-fed: a shared scan stage feeds this execution via
         # StandingExecution.deliver_scan; this scan goes passive (no
-        # subscription, no per-epoch emission) and only relays injected
+        # cursor, no per-epoch emission) and only relays injected
         # waves. Examinations are charged once at the stage.
         self._prefix_fed = ctx.prefix_fed
         self._table_def = None
@@ -106,8 +102,6 @@ class Scan(Operator):
         self._seen = 0
         # Unpaned: (epoch, first, end) sequence numbers of the last wave.
         self._wave = None
-        self._tracked = {}  # dht mode: item key -> StoredItem (by ref)
-        self._sub_token = None
         self._awaiting = False  # get mode: the reply is still to come
         if self._paned:
             geometry = spec.params["paned"]  # set by the planner
@@ -157,23 +151,15 @@ class Scan(Operator):
             self.ctx.dht.get(table_name, self.spec.params["key"],
                              self._fetched)
             return
-        if not self._standing:
-            if source == "dht":
-                items = self.ctx.dht.lscan(table_name)
-                self._count(len(items))
-                self._emit_rows([tuple(item.value) for item in items])
-            elif source == "stream":
+        if source == "stream":
+            if not self._standing:
                 # Charged as a pass over everything the horizon
                 # retains, though two bisects select the window.
                 fragment = self.ctx.fragment(table_name)
                 self._count(len(fragment))
                 self._emit_rows(fragment.scan_window(
                     self.ctx.t0 - self._window(), self.ctx.t0))
-            else:
-                self._emit_local()
-            return
-        # Standing (subscription) mode.
-        if source == "stream":
+                return
             # Start at the oldest retained row, charged once as the
             # seed. Sharing happens a level up: a spine or a stage is
             # one execution, hence one scan, however many it serves.
@@ -181,8 +167,6 @@ class Scan(Operator):
             self._cursor = log.first_live()
             self._seen = log.end
             self._count(self._seen - self._cursor)
-        elif source == "dht":
-            self._subscribe_dht(table_name)
         self._emit_epoch(self.ctx.epoch, self.ctx.t0)
 
     def _fetched(self, values):
@@ -195,34 +179,10 @@ class Scan(Operator):
         self._count(len(rows))
         self._emit_rows(rows)
 
-    def _subscribe_dht(self, table_name):
-        """Seed from the store, then hear about every later arrival."""
-        self._tracked = {i.key(): i for i in self.ctx.dht.lscan(table_name)}
-        self._sub_token = self.ctx.dht.new_data(
-            table_name, self._on_new_item, ttl=self._sub_ttl()
-        )
-
-    def _sub_ttl(self):
-        # Outlive one missed boundary, not a dead query: the next
-        # advance renews; a crashed execution lets it age out.
-        return 2.0 * (self.ctx.plan.every or 30.0)
-
-    def _on_new_item(self, item):
-        self._tracked[item.key()] = item
-        self._count(1)
-
     def open_epoch(self, k, t_k):
-        """Emit epoch ``k``'s delta (subscription mode only)."""
+        """Emit epoch ``k``'s wave (standing mode only)."""
         if not self._standing or self._prefix_fed:
             return
-        if self._sub_token is not None:
-            table_name = self.spec.params["table"]
-            if not self.ctx.dht.renew_new_data(
-                table_name, self._sub_token, self._sub_ttl()
-            ):
-                # The subscription aged out (e.g. this node crashed
-                # and recovered): re-seed, exactly like a fresh adoption.
-                self._subscribe_dht(table_name)
         self._emit_epoch(k, t_k)
 
     def _emit_epoch(self, k, t_k):
@@ -347,26 +307,12 @@ class Scan(Operator):
         self.emit_batch(batch)
 
     def _emit_dht_epoch(self):
-        now = self.ctx.clock.now
-        dead, out = [], []
-        for key, item in self._tracked.items():
-            if item.expires_at > now:
-                out.append(tuple(item.value))
-            else:
-                dead.append(key)
-        self._count(len(self._tracked))
-        for key in dead:
-            del self._tracked[key]
-        self._emit_rows(out)
+        items = self.ctx.dht.lscan(self.spec.params["table"])
+        self._count(len(items))
+        self._emit_rows([tuple(item.value) for item in items])
 
     def teardown(self):
         if self._log is not None:
             self._count(self._log.end - self._seen)  # the unread tail
             self._log = None
-        if self._sub_token is not None:
-            self.ctx.dht.remove_new_data(
-                self.spec.params["table"], self._sub_token
-            )
-            self._sub_token = None
-        self._tracked = {}
         self._awaiting = False

@@ -5,7 +5,7 @@ This package provides:
 
 * :mod:`repro.dht.chord` -- the primary overlay's node. Its public
   methods are the PIER-facing API the query engine calls: ``put / get /
-  renew / lscan / new_data / route / broadcast / send_direct``,
+  renew / lscan / route / broadcast / send_direct``,
   mirroring the original system, plus one ``on_deliver`` upcall.
 * :mod:`repro.dht.ring` -- Chord membership and upkeep: successor
   lists, finger tables, stabilization, key handoff.

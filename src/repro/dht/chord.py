@@ -75,7 +75,6 @@ class ChordNode(SimNode, RpcNode, Ring, Routing):
     ``get``          fetch all instances for (namespace, resourceId)
     ``renew``        extend an item's TTL (soft-state keep-alive)
     ``lscan``        iterate the items of a namespace stored *at this node*
-    ``new_data``     subscribe to arrivals in a namespace at this node
     ``route``        deliver an application payload to a key's owner, with
                      optional per-hop upcalls (in-network combining)
     ``on_deliver``   the one handler for routed application payloads
@@ -312,23 +311,6 @@ class ChordNode(SimNode, RpcNode, Ring, Routing):
     def lscan(self, namespace):
         """Locally stored live items of a namespace (PIER's scan access)."""
         return self.store.lscan(namespace)
-
-    def new_data(self, namespace, callback, ttl=None):
-        """Subscribe to arrivals in a namespace stored at this node.
-
-        ``ttl`` makes the subscription soft state: the store's sweeper
-        drops it once expired, so a subscriber that dies with an epoch
-        can never leak its callback. Returns the subscription token for
-        :meth:`renew_new_data`.
-        """
-        return self.store.on_new_data(namespace, callback, ttl)
-
-    def renew_new_data(self, namespace, token, ttl):
-        """Extend a TTL'd subscription (standing scans renew per epoch)."""
-        return self.store.renew_new_data(namespace, token, ttl)
-
-    def remove_new_data(self, namespace, token=None):
-        self.store.remove_new_data(namespace, token)
 
     def send_direct(self, dst_address, payload):
         """Point-to-point app message (PIER uses this for result return)."""

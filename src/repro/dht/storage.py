@@ -67,9 +67,6 @@ class SoftStateStore:
         self._expiry_heap = []  # (expires_at, seq, key); entries are lazy
         self._heap_seq = 0  # tie-break so keys never get compared
         self._heap_deadline = {}  # key -> latest deadline queued in the heap
-        self._new_data_callbacks = {}  # ns -> {token: (callback, expires_at|None)}
-        self._next_callback_expiry = None  # earliest TTL'd subscription deadline
-        self._next_sub_token = 0
 
     def __len__(self):
         return len(self._items)
@@ -115,17 +112,16 @@ class SoftStateStore:
         self._heap_deadline.pop(key, None)
 
     def _adopt(self, item):
-        """Index ``item``, firing newData if its key is genuinely new.
+        """Index ``item`` under its key.
 
-        A key whose previous item has already expired counts as new: an
-        unswept corpse must not shadow the live replacement, or a
-        subscriber would never hear about the re-published row.
+        A key whose previous item has already expired takes the new
+        item: an unswept corpse must not shadow the live replacement.
 
         A re-put of a *live* key is folded into the existing
         :class:`StoredItem` in place rather than replacing the object.
-        Handoff and standing-scan subscribers hold these items by
-        reference (the sweep already relies on that for renewals), so
-        the refresh must stay visible through the reference they keep.
+        Handoff shares these items by reference with the node that
+        received them (the sweep already relies on that for renewals),
+        so the refresh must stay visible through that reference.
         """
         key = item.key()
         existing = self._items.get(key)
@@ -135,11 +131,10 @@ class SoftStateStore:
             self._push_expiry(existing, key)
             return existing
         self._index(item, key)
-        self._fire_new_data(item.namespace, item)
         return item
 
     def put(self, namespace, resource_id, instance_id, value, ttl):
-        """Insert or refresh an item; firing any newData subscribers."""
+        """Insert or refresh an item; returns the stored item."""
         if ttl <= 0:
             raise ValueError("ttl must be positive")
         item = StoredItem(
@@ -148,13 +143,11 @@ class SoftStateStore:
         return self._adopt(item)
 
     def put_item(self, item):
-        """Adopt an already-built item (bulk transfer path) verbatim.
+        """Adopt an already-built item (handoff path) verbatim.
 
-        Fires newData subscribers for genuinely new keys: a row migrated
-        here by churn handoff is *new to this node*, and a continuous
-        scan subscribed at the new owner must wake for it just as it
-        would for a fresh publish. An item whose TTL lapsed in transit
-        is dead on arrival and not adopted at all.
+        The item object itself is stored (or folded into a live one of
+        the same key), so handoff shares it by reference. An item whose
+        TTL lapsed in transit is dead on arrival and not adopted at all.
         """
         if item.expires_at <= self.clock.now:
             return
@@ -177,18 +170,6 @@ class SoftStateStore:
         item.expires_at = self.clock.now + ttl
         self._push_expiry(item, key)
         return True
-
-    def remove_namespace(self, namespace):
-        """Drop a whole namespace (query teardown fast-path).
-
-        Subscriptions go with it: a torn-down query's namespace will
-        never see data this node should announce, and keeping the
-        callbacks would pin dead executions in memory.
-        """
-        doomed = list(self._by_namespace.get(namespace, {}).items())
-        for key, item in doomed:
-            self._discard(key, item)
-        self._new_data_callbacks.pop(namespace, None)
 
     # ------------------------------------------------------------------
     # Reads
@@ -220,83 +201,14 @@ class SoftStateStore:
         return list(self._by_namespace)
 
     # ------------------------------------------------------------------
-    # Subscriptions and maintenance
+    # Maintenance
     # ------------------------------------------------------------------
-    def on_new_data(self, namespace, callback, ttl=None):
-        """Register a callback fired when a *new* item lands in ``namespace``.
-
-        With a ``ttl`` the subscription is itself soft state -- the
-        sweeper drops it once expired, matching how everything else in
-        the store ages out. Without one it lives until the namespace is
-        removed (or ``remove_new_data``). Returns a subscription token;
-        a long-lived subscriber (a standing continuous scan) passes it
-        to :meth:`renew_new_data` each epoch instead of re-subscribing,
-        which would duplicate the callback.
-        """
-        expires_at = None if ttl is None else self.clock.now + ttl
-        self._next_sub_token += 1
-        token = self._next_sub_token
-        self._new_data_callbacks.setdefault(namespace, {})[token] = (
-            callback, expires_at
-        )
-        self._note_sub_expiry(expires_at)
-        return token
-
-    def renew_new_data(self, namespace, token, ttl):
-        """Extend a TTL'd subscription; returns False if it aged out.
-
-        Like item renewal, an expired subscription is reclaimed on the
-        spot rather than resurrected -- the subscriber must re-subscribe
-        (and re-seed itself) because arrivals during the gap were lost.
-        """
-        bucket = self._new_data_callbacks.get(namespace)
-        entry = bucket.get(token) if bucket else None
-        if entry is None:
-            return False
-        callback, expires_at = entry
-        if expires_at is not None and expires_at <= self.clock.now:
-            del bucket[token]
-            if not bucket:
-                del self._new_data_callbacks[namespace]
-            return False
-        new_expiry = None if ttl is None else self.clock.now + ttl
-        bucket[token] = (callback, new_expiry)
-        self._note_sub_expiry(new_expiry)
-        return True
-
-    def _note_sub_expiry(self, expires_at):
-        if expires_at is not None and (
-            self._next_callback_expiry is None
-            or expires_at < self._next_callback_expiry
-        ):
-            self._next_callback_expiry = expires_at
-
-    def remove_new_data(self, namespace, token=None):
-        if token is None:
-            self._new_data_callbacks.pop(namespace, None)
-            return
-        bucket = self._new_data_callbacks.get(namespace)
-        if bucket is not None:
-            bucket.pop(token, None)
-            if not bucket:
-                del self._new_data_callbacks[namespace]
-
-    def _fire_new_data(self, namespace, item):
-        now = self.clock.now
-        bucket = self._new_data_callbacks.get(namespace)
-        if not bucket:
-            return
-        for callback, expires_at in list(bucket.values()):
-            if expires_at is None or expires_at > now:
-                callback(item)
-
     def sweep(self):
         """Reclaim expired items; returns how many were removed.
 
         Pops the expiry heap only down to ``now``: cost is proportional
         to what actually expired (plus lazy entries superseded by a
-        renew), never to the store's total size. Expired TTL'd
-        subscriptions are pruned on the same pass.
+        renew), never to the store's total size.
         """
         now = self.clock.now
         removed = 0
@@ -319,30 +231,7 @@ class SoftStateStore:
                 continue
             self._discard(key, item)
             removed += 1
-        self._sweep_callbacks(now)
         return removed
-
-    def _sweep_callbacks(self, now):
-        # The common case is no TTL'd subscriptions at all; the earliest
-        # deadline lets that case (and any not-yet-due one) skip the
-        # scan over every subscribed namespace.
-        if self._next_callback_expiry is None or self._next_callback_expiry > now:
-            return
-        next_expiry = None
-        for namespace in list(self._new_data_callbacks):
-            entries = {
-                token: (cb, exp)
-                for token, (cb, exp) in self._new_data_callbacks[namespace].items()
-                if exp is None or exp > now
-            }
-            if entries:
-                self._new_data_callbacks[namespace] = entries
-                for _cb, exp in entries.values():
-                    if exp is not None and (next_expiry is None or exp < next_expiry):
-                        next_expiry = exp
-            else:
-                del self._new_data_callbacks[namespace]
-        self._next_callback_expiry = next_expiry
 
     def clear(self):
         """Drop everything (node crash: soft state does not survive)."""
@@ -351,5 +240,3 @@ class SoftStateStore:
         self._by_resource.clear()
         self._expiry_heap = []
         self._heap_deadline.clear()
-        self._new_data_callbacks.clear()
-        self._next_callback_expiry = None

@@ -230,13 +230,3 @@ class Network:
         self.inbound_bytes[dst] = self.inbound_bytes.get(dst, 0) + size
         self.inbound_messages[dst] = self.inbound_messages.get(dst, 0) + 1
         node.handle_message(src, payload)
-
-    def broadcast_local(self, src, payload):
-        """Deliver ``payload`` to every live node (test/bench helper only).
-
-        Real PIER never does this -- dissemination rides the overlay --
-        but baselines (flooding) and test fixtures use it.
-        """
-        for address in self.live_addresses():
-            if address != src:
-                self.send(src, address, payload)

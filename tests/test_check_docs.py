@@ -64,6 +64,26 @@ def test_stale_names_fail_and_live_names_pass(cd, tmp_path):
     ]
 
 
+def test_ticked_directory_of_ignored_output_is_generated(cd, tmp_path):
+    # A fresh checkout has no such directory: git ignores every file a
+    # run writes there, so the directory itself is never committed.
+    for top in cd.CODE_DIRS:
+        (tmp_path / top).mkdir()
+    (tmp_path / "BENCHMARK.json").write_text("{}", encoding="utf-8")
+    (tmp_path / ".gitignore").write_text(
+        "benchmarks/results/*.json\nbenchmarks/results/*.txt\n",
+        encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "Benches write to `benchmarks/results/`, uploaded from\n"
+        "`benchmarks/results`; `benchmarks/res/` and\n"
+        "`benchmarks/results/old/` are not generated.\n",
+        encoding="utf-8")
+    assert cd.check_names() == [
+        "README.md: stale name `benchmarks/res/`",
+        "README.md: stale name `benchmarks/results/old/`",
+    ]
+
+
 def test_unresolved_docstring_roles_fail(cd, tmp_path, monkeypatch):
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "planted_roles.py").write_text(

@@ -1,4 +1,4 @@
-"""Soft-state store: TTL expiry, renewal, subscriptions."""
+"""Soft-state store: TTL expiry, renewal, adoption of handed-off items."""
 
 import pytest
 
@@ -88,118 +88,77 @@ class TestScans:
         picked = store.items_in_range(lambda item: item.resource_id == "a")
         assert len(picked) == 1
 
-    def test_remove_namespace(self, store):
-        store.put("ns", "a", 1, 1, ttl=10)
-        store.put("keep", "b", 1, 2, ttl=10)
-        store.remove_namespace("ns")
-        assert store.lscan("ns") == []
-        assert len(store.lscan("keep")) == 1
-
     def test_clear(self, store):
         store.put("ns", "a", 1, 1, ttl=10)
         store.clear()
         assert len(store) == 0
 
+    def test_lscan_reads_the_store_as_it_is_now(self, store, clock):
+        # A standing DHT scan calls lscan at every boundary, so each
+        # call must reflect puts and expiries since the one before.
+        store.put("ns", "a", 1, "a", ttl=5)
+        assert [i.value for i in store.lscan("ns")] == ["a"]
+        store.put("ns", "b", 1, "b", ttl=50)
+        assert sorted(i.value for i in store.lscan("ns")) == ["a", "b"]
+        clock.run_until(6)  # "a" expired, sweep has not run
+        assert [i.value for i in store.lscan("ns")] == ["b"]
 
-class TestNewData:
-    def test_callback_fires_on_new(self, store):
-        seen = []
-        store.on_new_data("ns", lambda item: seen.append(item.value))
-        store.put("ns", "k", 1, "x", ttl=10)
-        assert seen == ["x"]
+    def test_clear_leaves_nothing_to_sweep(self, store, clock):
+        store.put("ns", "a", 1, 1, ttl=5)
+        store.put("other", "b", 1, 2, ttl=5)
+        store.clear()
+        clock.run_until(6)
+        assert store.sweep() == 0
+        store.put("ns", "a", 1, 3, ttl=5)
+        assert [i.value for i in store.lscan("ns")] == [3]
+        assert store.lscan("other") == []
 
-    def test_callback_not_fired_on_overwrite(self, store):
-        seen = []
-        store.on_new_data("ns", lambda item: seen.append(item.value))
-        store.put("ns", "k", 1, "x", ttl=10)
-        store.put("ns", "k", 1, "y", ttl=10)
-        assert seen == ["x"]
 
-    def test_callback_scoped_to_namespace(self, store):
-        seen = []
-        store.on_new_data("ns", lambda item: seen.append(item.value))
-        store.put("other", "k", 1, "x", ttl=10)
-        assert seen == []
-
-    def test_remove_new_data(self, store):
-        seen = []
-        store.on_new_data("ns", seen.append)
-        store.remove_new_data("ns")
-        store.put("ns", "k", 1, "x", ttl=10)
-        assert seen == []
-
-    def test_put_item_fires_for_new_keys(self, store, clock):
-        # Churn handoff adopts items via put_item; a scan subscribed at
-        # the new owner must wake for rows that are new to this node.
-        seen = []
-        store.on_new_data("ns", lambda item: seen.append(item.value))
-        migrated = StoredItem("ns", "k", 1, "moved", clock.now + 30)
-        store.put_item(migrated)
-        assert seen == ["moved"]
-
-    def test_put_item_silent_for_known_or_dead_keys(self, store, clock):
-        store.put("ns", "k", 1, "here", ttl=30)
-        seen = []
-        store.on_new_data("ns", lambda item: seen.append(item.value))
-        store.put_item(StoredItem("ns", "k", 1, "again", clock.now + 30))
-        store.put_item(StoredItem("ns", "k2", 9, "corpse", clock.now - 1))
-        assert seen == []
-        # The dead-in-transit item was not adopted, only the live key.
+class TestAdopt:
+    def test_put_item_of_live_key_updates_in_place(self, store, clock):
+        # Handoff shares StoredItem objects by reference, so a refresh
+        # of a live key must stay visible through the object held.
+        held = store.put("ns", "k", 1, "here", ttl=30)
+        store.put_item(StoredItem("ns", "k", 1, "again", clock.now + 60))
+        assert store.get("ns", "k") == [held]
+        assert held.value == "again"
+        assert held.expires_at == clock.now + 60
         assert len(store) == 1
-        assert store.get("ns", "k2") == []
 
-    def test_put_item_over_expired_corpse_fires(self, store, clock):
+    def test_put_item_dead_in_transit_is_not_adopted(self, store, clock):
+        store.put_item(StoredItem("ns", "k", 9, "corpse", clock.now - 1))
+        assert len(store) == 0
+        assert store.get("ns", "k") == []
+        assert store.namespaces() == []
+
+    def test_put_item_over_expired_corpse_installs_new_value(
+            self, store, clock):
         # A range can leave and come back (handoff out, interim owner
         # departs): the returning live item shares its key with this
-        # node's expired, unswept copy. Like put(), the corpse must not
-        # shadow the arrival from subscribers.
+        # node's expired, unswept copy, which must not shadow it.
         store.put("ns", "k", 1, "stale", ttl=5)
         clock.run_until(6)  # expired, sweep has not run
-        seen = []
-        store.on_new_data("ns", lambda item: seen.append(item.value))
-        store.put_item(StoredItem("ns", "k", 1, "returned", clock.now + 30))
-        assert seen == ["returned"]
+        returned = StoredItem("ns", "k", 1, "returned", clock.now + 30)
+        store.put_item(returned)
+        assert store.lscan("ns") == [returned]
+        assert store.get("ns", "k")[0].value == "returned"
 
-    def test_remove_namespace_drops_subscriptions(self, store):
-        seen = []
-        store.on_new_data("ns", seen.append)
-        store.put("ns", "k", 1, "x", ttl=10)
-        store.remove_namespace("ns")
-        store.put("ns", "k2", 1, "y", ttl=10)
-        assert len(seen) == 1  # only the pre-teardown arrival
-
-    def test_clear_drops_subscriptions(self, store):
-        seen = []
-        store.on_new_data("ns", seen.append)
-        store.clear()
-        store.put("ns", "k", 1, "x", ttl=10)
-        assert seen == []
-
-    def test_subscription_ttl_expires(self, store, clock):
-        seen = []
-        store.on_new_data("ns", lambda item: seen.append(item.value), ttl=5)
-        store.put("ns", "k", 1, "early", ttl=30)
+    def test_put_item_of_new_key_is_stored_by_reference(self, store, clock):
+        handed = StoredItem("ns", "k", 1, "handed", clock.now + 5)
+        store.put_item(handed)
+        assert store.lscan("ns") == [handed]
+        assert store.lscan("other") == []
         clock.run_until(6)
-        store.put("ns", "k2", 1, "late", ttl=30)
-        assert seen == ["early"]
+        assert store.sweep() == 1  # adoption queued its deadline
+        assert len(store) == 0
 
-    def test_put_over_expired_corpse_fires_again(self, store, clock):
-        # An unswept corpse must not shadow a live replacement: the
-        # re-published key is new as far as subscribers are concerned.
-        seen = []
-        store.on_new_data("ns", lambda item: seen.append(item.value))
+    def test_put_over_expired_corpse_installs_new_value(self, store, clock):
         store.put("ns", "k", 1, "first", ttl=5)
         clock.run_until(6)  # expired, sweep has not run
         store.put("ns", "k", 1, "second", ttl=5)
-        assert seen == ["first", "second"]
-
-    def test_sweep_prunes_expired_subscriptions(self, store, clock):
-        store.on_new_data("ns", lambda item: None, ttl=5)
-        store.on_new_data("other", lambda item: None)  # no TTL: persists
-        clock.run_until(6)
-        store.sweep()
-        assert "ns" not in store._new_data_callbacks
-        assert "other" in store._new_data_callbacks
+        assert [i.value for i in store.lscan("ns")] == ["second"]
+        assert store.sweep() == 0  # the corpse's deadline no longer counts
+        assert [i.value for i in store.get("ns", "k")] == ["second"]
 
 
 class TestStaleState:
@@ -277,10 +236,3 @@ class TestStaleState:
         clock.run_until(6)  # the first put's deadline has passed
         assert store.sweep() == 0
         assert store.get("ns", "k")[0].value == "new"
-
-    def test_remove_namespace_then_sweep_is_clean(self, store, clock):
-        store.put("ns", "k", 1, "x", ttl=5)
-        store.remove_namespace("ns")
-        clock.run_until(6)
-        assert store.sweep() == 0  # heap entry is stale, not double-counted
-        assert len(store) == 0

@@ -50,9 +50,7 @@ import random
 
 import pytest
 
-from repro.core.engine import EngineConfig
-from repro.core.network import PierConfig, PierNetwork
-from repro.dht.config import DhtConfig
+from repro.core.network import PierNetwork
 
 TRIALS = int(os.environ.get("PIER_FUZZ_TRIALS", "50"))
 BASE_SEED = int(os.environ.get("PIER_FUZZ_SEED", "94082"))
@@ -160,13 +158,8 @@ def _install_ticker(net, address, base, period, log):
 
 def run_leg(schedule, shared):
     """Run one leg of the differential; returns per-query epoch rows."""
-    regional = schedule["regions"] is not None
-    config = PierConfig(
-        dht=DhtConfig(proximity_routing=regional),
-        engine=EngineConfig(regional_trees=regional),
-    )
     net = PierNetwork(nodes=schedule["nodes"], seed=schedule["seed"],
-                      config=config, regions=schedule["regions"])
+                      regions=schedule["regions"])
     retention = max(q["window"] for q in schedule["queries"])
     net.create_stream_table(
         "s", [("v", "FLOAT")], window=2 * retention + schedule["every"]

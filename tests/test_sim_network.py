@@ -115,14 +115,6 @@ class TestDelivery:
         assert len(b.received) == 1 and c.received == []
         assert net.inbound_bytes.keys() == {"b"}
 
-    def test_broadcast_local_reaches_all_but_sender(self, net, clock):
-        Recorder(net, "a")
-        b = Recorder(net, "b")
-        c = Recorder(net, "c")
-        net.broadcast_local("a", "ping")
-        clock.run_until(1)
-        assert len(b.received) == 1 and len(c.received) == 1
-
 
 class TestLoss:
     def test_loss_rate_drops_messages(self, clock):

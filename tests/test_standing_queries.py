@@ -271,11 +271,11 @@ class TestEpochTags:
 
 class TestChurn:
     def test_subscriber_crash_successor_serves_next_epoch(self):
-        # A standing query over a DHT table: the storing node's standing
-        # scan subscribed to newData. When it crashes, the publisher's
-        # keep-alive re-put lands at the successor, whose own standing
-        # subscription wakes for the handed-off key, so the next epoch's
-        # answer still includes the row.
+        # A standing query over a DHT table: every node's standing scan
+        # re-reads its store (``lscan``) at each boundary. When the
+        # storing node crashes, the publisher's keep-alive re-put lands
+        # at the successor, whose own scan reads the key at the next
+        # boundary, so the next epoch's answer still includes the row.
         net = PierNetwork(nodes=8, seed=77)
         net.create_dht_table("kv", [("k", "STR"), ("v", "INT")],
                              partition_key="k", ttl=12.0)
@@ -299,6 +299,37 @@ class TestChurn:
         counts = [r.rows[0][0] if r.rows else 0 for r in results]
         # The final epochs see the row again at its new home.
         assert counts[-1] == 1
+
+    def test_standing_dht_scan_charges_its_store_each_epoch(self):
+        # A standing DHT scan reads ``lscan`` at every boundary, as a
+        # one-shot scan does: one examination per live item stored at
+        # the node, nothing per arrival, nothing for expired items.
+        net = PierNetwork(nodes=4, seed=11)
+        net.create_dht_table("kv", [("k", "STR"), ("v", "INT")],
+                             partition_key="k", ttl=300.0)
+        for i in range(6):
+            net.publish("node0", "kv", ("k{}".format(i), i))
+        net.publish("node0", "kv", ("brief", 99), ttl=12.0)
+        net.advance(2)
+        results = []
+        net.submit_sql(
+            "SELECT COUNT(*) AS n FROM kv EVERY 10 SECONDS "
+            "LIFETIME 100 SECONDS",
+            node="node0", on_epoch=results.append,
+        )
+        net.advance(15)
+        for i in range(6, 9):  # arrivals between two boundaries
+            net.publish("node0", "kv", ("k{}".format(i), i))
+        net.advance(2)  # delivered; "brief" has expired
+        nodes = [net.node(a) for a in net.addresses()]
+        stored = [len(n.chord.lscan("kv")) for n in nodes]
+        assert sum(stored) == 9
+        before = [n.engine.rows_scanned for n in nodes]
+        net.advance(10)  # exactly one boundary
+        assert [n.engine.rows_scanned - b
+                for n, b in zip(nodes, before)] == stored
+        net.advance(10)
+        assert results[-1].rows == [(9,)]
 
     def test_late_joiner_delivers_from_next_boundary(self, net):
         victim = net.addresses()[5]
@@ -331,6 +362,144 @@ class TestChurn:
         # Zombie handlers must not survive into the recovered node.
         assert not net.node(victim).engine._inputs
         assert not net.node(victim).chord._intercepts
+
+
+def dht_kv_net(ttl=300.0):
+    net = PierNetwork(nodes=4, seed=11)
+    net.create_dht_table("kv", [("k", "STR"), ("v", "INT")],
+                         partition_key="k", ttl=ttl)
+    return net
+
+
+def epoch_rows(results):
+    """Each epoch's one (COUNT, SUM) row, ``(0, None)`` when empty."""
+    return [r.rows[0] if r.rows else (0, None) for r in results]
+
+
+STANDING_KV_SQL = (
+    "SELECT COUNT(*) AS n, SUM(v) AS s FROM kv EVERY 10 SECONDS "
+    "LIFETIME {} SECONDS"
+)
+
+
+class TestStandingDhtScan:
+    """What a standing DHT scan emits is whatever ``lscan`` returns at
+    the boundary: it keeps no copy of the store between epochs."""
+
+    def test_arrival_is_read_from_a_later_boundary(self):
+        net = dht_kv_net()
+        for i in range(3):
+            net.publish("node0", "kv", ("k{}".format(i), i))
+        net.advance(2)
+        results = []
+        net.submit_sql(STANDING_KV_SQL.format(100), node="node0",
+                       on_epoch=results.append)
+        net.advance(35)
+        assert results
+        assert set(epoch_rows(results)) == {(3, 3)}
+        net.publish("node1", "kv", ("late", 100))
+        net.advance(30)
+        assert epoch_rows(results)[-1] == (4, 103)
+
+    def test_key_filter_keeps_the_standing_scan(self):
+        # A one-shot query pinned to one partition key becomes a single
+        # ``get``; a continuous one keeps its per-epoch scan, so a row
+        # of that key published mid-query is read at a later boundary.
+        net = dht_kv_net()
+        net.publish("node0", "kv", ("other", 7))
+        net.advance(2)
+        results = []
+        handle = net.submit_sql(
+            "SELECT COUNT(*) AS n, SUM(v) AS s FROM kv WHERE k = 'late' "
+            "EVERY 10 SECONDS LIFETIME 100 SECONDS",
+            node="node0", on_epoch=results.append)
+        assert not any("key" in spec.params
+                       for spec in handle.plan.sources())
+        net.advance(35)
+        assert results
+        assert set(epoch_rows(results)) == {(0, None)}
+        net.publish("node1", "kv", ("late", 100))
+        net.publish("node2", "kv", ("late", 20))
+        net.advance(30)
+        assert epoch_rows(results)[-1] == (2, 120)
+
+    def test_stopped_publication_ages_out_of_later_epochs(self):
+        net = dht_kv_net()
+        net.publish("node0", "kv", ("fixed", 1))
+        kept = net.publish("node1", "kv", ("kept", 10), ttl=6.0,
+                           keep_alive=True)
+        net.advance(2)
+        results = []
+        net.submit_sql(STANDING_KV_SQL.format(120), node="node0",
+                       on_epoch=results.append)
+        net.advance(45)  # several times the kept row's TTL
+        assert set(epoch_rows(results)) == {(2, 11)}
+        net.stop_publishing("node1", "kv", kept)
+        net.advance(30)  # one TTL plus two boundaries
+        assert epoch_rows(results)[-1] == (1, 1)
+
+    def test_storing_node_crash_loses_an_unmaintained_row(self):
+        # No keep-alive: the row lived only in the crashed store, and
+        # the scan holds no copy of its own to go on emitting.
+        net = dht_kv_net()
+        net.publish("node0", "kv", ("alpha", 5))
+        net.advance(2)
+        owner = next(a for a in net.addresses()
+                     if net.node(a).chord.lscan("kv"))
+        results = []
+        net.submit_sql(STANDING_KV_SQL.format(100),
+                       node=next(a for a in net.addresses() if a != owner),
+                       on_epoch=results.append)
+        net.advance(35)
+        assert set(epoch_rows(results)) == {(1, 5)}
+        net.crash_node(owner)
+        net.advance(30)
+        assert epoch_rows(results)[-1] == (0, None)
+
+    def test_last_epoch_matches_a_oneshot_scan_at_rest(self):
+        net = dht_kv_net()
+        for i in range(9):
+            net.publish("node{}".format(i % 4), "kv",
+                        ("k{}".format(i), i * i))
+        net.advance(2)
+        results = []
+        net.submit_sql(STANDING_KV_SQL.format(100), node="node3",
+                       on_epoch=results.append)
+        net.advance(35)
+        oneshot = net.run_sql("SELECT COUNT(*) AS n, SUM(v) AS s FROM kv",
+                              node="node1")
+        assert oneshot.rows == [(9, 204)]
+        assert epoch_rows(results)[-1] == oneshot.rows[0]
+
+    def test_oneshot_scan_charges_its_store_once(self):
+        # The charge a standing scan pays per boundary is the one-shot's.
+        net = dht_kv_net()
+        for i in range(9):
+            net.publish("node0", "kv", ("k{}".format(i), i))
+        net.advance(2)
+        nodes = [net.node(a) for a in net.addresses()]
+        stored = [len(n.chord.lscan("kv")) for n in nodes]
+        assert sum(stored) == 9
+        before = [n.engine.rows_scanned for n in nodes]
+        net.run_sql("SELECT COUNT(*) AS n FROM kv", node="node0")
+        assert [n.engine.rows_scanned - b
+                for n, b in zip(nodes, before)] == stored
+
+    def test_closed_query_reads_no_store(self):
+        # Nothing is charged per arrival, and nothing stays subscribed
+        # once the query's lifetime is over.
+        net = dht_kv_net()
+        net.publish("node0", "kv", ("k0", 0))
+        net.advance(2)
+        net.submit_sql(STANDING_KV_SQL.format(30), node="node0")
+        net.advance(60)
+        nodes = [net.node(a) for a in net.addresses()]
+        before = [n.engine.rows_scanned for n in nodes]
+        assert sum(before) > 0
+        for i in range(1, 6):
+            net.publish("node2", "kv", ("k{}".format(i), i))
+        net.advance(30)
+        assert [n.engine.rows_scanned for n in nodes] == before
 
 
 class TestStopTombstone:

@@ -92,8 +92,14 @@ def check_names():
     ``_snake_case`` ones (a whole span, less a dotted prefix and a
     trailing ``()``) and ``snake_case=`` keywords must occur somewhere
     in the code or in ``BENCHMARK.json``."""
-    # What .gitignore names is generated by a run, not stale.
-    generated = set((REPO / ".gitignore").read_text(encoding="utf-8").split())
+    # What .gitignore names is generated by a run, not stale; so is a
+    # directory that holds only such output (a pattern lies under it).
+    ignored = (REPO / ".gitignore").read_text(encoding="utf-8").split()
+
+    def generated(path):
+        under = path.rstrip("/") + "/"
+        return path in ignored or any(p.startswith(under) for p in ignored)
+
     known = set()
     sources = [REPO / "BENCHMARK.json"]  # the metric names
     for top in CODE_DIRS:
@@ -106,7 +112,7 @@ def check_names():
         for span in _TICKED.findall((REPO / name).read_text(encoding="utf-8")):
             # `tests/test_x.py::TestY` and `src/a.py:12` name the file.
             path = span.split(":", 1)[0]
-            if (_REPO_PATH.match(path) and path not in generated
+            if (_REPO_PATH.match(path) and not generated(path)
                     and not (REPO / path).exists()):
                 stale.add(path)
             for pattern in (_CAMEL, _CONST, _KWARG):
