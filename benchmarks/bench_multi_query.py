@@ -45,10 +45,8 @@ Run standalone with ``python benchmarks/bench_multi_query.py``
 (``--smoke`` for a quick pass usable next to tier-1).
 """
 
-import math
 import sys
 
-from repro.core.network import PierNetwork
 from repro.core.sharing import SpineRecord, StageRecord
 
 NODES = 12
@@ -110,27 +108,9 @@ def prefix_sql(i):
 
 
 def build_net(seed, nodes):
-    net = PierNetwork(nodes=nodes, seed=seed)
-    net.create_stream_table(
-        "node_stats", [("rate_kbps", "FLOAT")], window=2 * WINDOW
-    )
-    rng = net.rng.fork("rates")
+    from benchmarks._harness import ticker_net
 
-    def make_ticker(address, base):
-        step = [0]
-
-        def tick():
-            engine = net.node(address).engine
-            step[0] += 1
-            engine.stream_append("node_stats", (base + (step[0] % 7),))
-            engine.set_timer(SAMPLE_PERIOD, tick)
-
-        return tick
-
-    for address in net.addresses():
-        tick = make_ticker(address, 10.0 + 90.0 * rng.random())
-        net.node(address).engine.set_timer(0.1, tick)
-    return net
+    return ticker_net(seed, nodes, retention=2 * WINDOW, period=SAMPLE_PERIOD)
 
 
 def run_fleet(seed, nodes, q, shared):
@@ -326,6 +306,8 @@ def run_prefix_sweep(seed, nodes, qs):
 
 def check_prefix_sweep(stats, qs):
     """Per-query parity vs the sharing-off ablation + the <=1.5x bars."""
+    from benchmarks._harness import rows_match
+
     unshared = stats["unshared"]
     reference = unshared["per_query"][0]
     assert len(reference) >= 2, "ablation reference produced too few epochs"
@@ -337,7 +319,7 @@ def check_prefix_sweep(stats, qs):
                     q, i, sorted(epochs), sorted(twin))
             )
             for k in twin:
-                assert _rows_match(epochs[k], twin[k]), (
+                assert rows_match(epochs[k], twin[k]), (
                     "prefix Q={} query {}: epoch {} diverged from the "
                     "sharing-off twin ({!r} vs {!r})".format(
                         q, i, k, epochs[k], twin[k])
@@ -368,23 +350,6 @@ def check_prefix_sweep(stats, qs):
     return ratios
 
 
-def _rows_match(a, b):
-    """Row-set equality with float tolerance (merge order may differ
-    between the spine and a private execution)."""
-    if len(a) != len(b):
-        return False
-    for row_a, row_b in zip(a, b):
-        if len(row_a) != len(row_b):
-            return False
-        for va, vb in zip(row_a, row_b):
-            if isinstance(va, float) or isinstance(vb, float):
-                if not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-9):
-                    return False
-            elif va != vb:
-                return False
-    return True
-
-
 def run_sweep(seed, nodes, qs):
     stats = {"shared": {}, "unshared": {}}
     for q in qs:
@@ -398,6 +363,8 @@ def run_sweep(seed, nodes, qs):
 
 def check_sweep(stats, qs):
     """Parity, the <=1.5x sharing bar, and the unshared cost exhibit."""
+    from benchmarks._harness import rows_match
+
     shared = stats["shared"]
     unshared = stats["unshared"][UNSHARED_Q]
 
@@ -411,14 +378,14 @@ def check_sweep(stats, qs):
                     q, i, sorted(epochs), sorted(reference))
             )
             for k in reference:
-                assert _rows_match(epochs[k], reference[k]), (
+                assert rows_match(epochs[k], reference[k]), (
                     "Q={} query {}: epoch {} diverged from the private "
                     "twin ({!r} vs {!r})".format(
                         q, i, k, epochs[k], reference[k])
                 )
     for i, epochs in enumerate(unshared["per_query"]):
         for k in reference:
-            assert _rows_match(epochs[k], reference[k]), (
+            assert rows_match(epochs[k], reference[k]), (
                 "unshared query {} disagrees with query 0".format(i)
             )
 

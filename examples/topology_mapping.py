@@ -47,7 +47,7 @@ def main():
     for src, _dst in pairs:
         fanout[src] = fanout.get(src, 0) + 1
     print("\nMost-connected routers (reachable destinations):")
-    for src in sorted(fanout, key=fanout.get, reverse=True)[:5]:
+    for src in sorted(fanout, key=lambda r: (-fanout[r], r))[:5]:
         print("   {:<6} -> {:>3} routers  |{}|".format(
             src, fanout[src], "#" * fanout[src]))
 

@@ -197,9 +197,6 @@ class SoftStateStore:
         """Every live item at this node (graceful-leave handoff)."""
         return [item for item in self._items.values() if self._live(item)]
 
-    def namespaces(self):
-        return list(self._by_namespace)
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------

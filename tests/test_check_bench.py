@@ -9,6 +9,7 @@ get pinned here with real files under a tmp dir.
 
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
@@ -167,6 +168,26 @@ class TestStaleResults:
         harness.begin("b")  # nothing to remove is not an error
         harness.write_metrics("b", {"parity": True}, scale="smoke")
         assert cb.check() == 0
+
+
+class TestRowsMatch:
+    """The one row comparator every parity gate and test shares."""
+
+    rows_match = staticmethod(_load_module(_HARNESS).rows_match)
+
+    def test_rows_of_different_arity_differ(self):
+        assert not self.rows_match([(1, 2)], [(1, 2, 3)])
+        assert not self.rows_match([(1, 2, 3)], [(1, 2)])
+
+    def test_a_float_one_ulp_away_matches(self):
+        total = 1234.5678
+        assert self.rows_match([("a", total, 3)],
+                               [("a", math.nextafter(total, math.inf), 3)])
+
+    def test_other_values_and_row_counts_must_be_equal(self):
+        assert not self.rows_match([("a", 1.0, 3)], [("a", 1.0, 4)])
+        assert not self.rows_match([("a", 1.0)], [("a", 1.001)])
+        assert not self.rows_match([(1,)], [(1,), (1,)])
 
 
 class TestRecord:

@@ -129,7 +129,7 @@ class TestAdopt:
         store.put_item(StoredItem("ns", "k", 9, "corpse", clock.now - 1))
         assert len(store) == 0
         assert store.get("ns", "k") == []
-        assert store.namespaces() == []
+        assert not store._by_namespace
 
     def test_put_item_over_expired_corpse_installs_new_value(
             self, store, clock):
@@ -169,7 +169,7 @@ class TestStaleState:
         # The corpse is gone from every index, not just hidden.
         assert len(store) == 0
         assert store.lscan("ns") == []
-        assert store.namespaces() == []
+        assert not store._by_namespace
 
     def test_shortened_deadline_swept_promptly(self, store, clock):
         # A re-put with a shorter TTL must be reclaimed at the *new*
@@ -180,7 +180,7 @@ class TestStaleState:
         clock.run_until(6)
         assert store.sweep() == 1
         assert len(store) == 0
-        assert store.namespaces() == []
+        assert not store._by_namespace
 
     def test_heap_stays_bounded_under_renewal(self, store, clock):
         # A continuously maintained row (keep_alive republish / periodic

@@ -3,11 +3,10 @@ prefix (scan-stage) sharing across different queries, the one grid
 record lifecycle both go through (one boundary timer, one append hook),
 and parity with private executions."""
 
-import math
-
 import pytest
 from stubs import live_stream_scans
 
+from benchmarks._harness import rows_match
 from repro.core.dataflow import StandingExecution
 from repro.core.engine import PierEngine
 from repro.core.network import PierNetwork
@@ -61,19 +60,6 @@ VARIANTS = (
     "SELECT SUM(v) AS grand_total, COUNT(*) AS how_many FROM s "
     "WHERE 100 > v AND 2 < v " + TAIL,
 )
-
-
-def _rows_match(a, b):
-    if len(a) != len(b):
-        return False
-    for row_a, row_b in zip(a, b):
-        for va, vb in zip(row_a, row_b):
-            if isinstance(va, float) or isinstance(vb, float):
-                if not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-9):
-                    return False
-            elif va != vb:
-                return False
-    return True
 
 
 class TestCanonicalization:
@@ -173,7 +159,7 @@ class TestSpineRuntime:
             epochs = {r.epoch: sorted(r.rows) for r in results}
             assert set(epochs) == set(reference)
             for k in reference:
-                assert _rows_match(epochs[k], reference[k])
+                assert rows_match(epochs[k], reference[k])
 
     def test_different_geometry_control_gets_its_own_spine(self, net):
         site = net.any_address()
@@ -378,7 +364,7 @@ class TestPrefixStageRuntime:
             assert set(staged[i]) == set(private[i])
             assert len(staged[i]) >= 3
             for k in private[i]:
-                assert _rows_match(staged[i][k], private[i][k])
+                assert rows_match(staged[i][k], private[i][k])
 
     def test_sampled_fleet_matches_its_sampled_private_twins(self):
         # The sample rate is part of the prefix: the stage scan samples
@@ -408,7 +394,7 @@ class TestPrefixStageRuntime:
         for i in range(len(thresholds)):
             assert set(staged[i]) == set(private[i]) == {1, 2, 3, 4}
             for k in private[i]:
-                assert _rows_match(staged[i][k], private[i][k])
+                assert rows_match(staged[i][k], private[i][k])
         counts = [rows[0][1] for epochs in private for rows in epochs.values()]
         assert 0 < min(counts) and max(counts) < 5 * 5 * 8
 
@@ -556,7 +542,7 @@ class TestPrefixStageRuntime:
         reference = {r.epoch: sorted(r.rows) for r in private}
         assert set(got) == set(reference) == {1, 2, 3, 4}
         for k in reference:
-            assert _rows_match(got[k], reference[k]), k
+            assert rows_match(got[k], reference[k]), k
 
     def test_ablation_runs_every_query_private(self, net):
         site = net.any_address()
@@ -677,7 +663,7 @@ class TestOneLifecycle:
         reference = {r.epoch: sorted(r.rows) for r in private_results}
         assert set(twin) == set(reference) == {1, 2}
         for k in reference:
-            assert _rows_match(twin[k], reference[k])
+            assert rows_match(twin[k], reference[k])
         assert {r.epoch for r in long_results} >= set(range(1, 6))
 
     def test_last_member_out_leaves_nothing_behind(self, net):
@@ -863,5 +849,5 @@ class TestOneBatchPerWave:
         for name in ("staged", "co-tenant"):
             assert {r.epoch for r in legs[name]} == {1, 2, 3}
         staged = {r.epoch: sorted(r.rows) for r in legs["staged"]}
-        assert _rows_match(staged[1], private[1])
+        assert rows_match(staged[1], private[1])
         assert staged == private

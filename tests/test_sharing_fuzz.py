@@ -43,13 +43,13 @@ Trial count/seed are env-tunable: ``PIER_FUZZ_TRIALS`` (default 50)
 and ``PIER_FUZZ_SEED`` (base seed, default 94082).
 """
 
-import math
 import os
 import pathlib
 import random
 
 import pytest
 
+from benchmarks._harness import rows_match
 from repro.core.network import PierNetwork
 
 TRIALS = int(os.environ.get("PIER_FUZZ_TRIALS", "50"))
@@ -229,21 +229,6 @@ def run_leg(schedule, shared):
     }
 
 
-def _rows_match(a, b):
-    if len(a) != len(b):
-        return False
-    for row_a, row_b in zip(a, b):
-        if len(row_a) != len(row_b):
-            return False
-        for va, vb in zip(row_a, row_b):
-            if isinstance(va, float) or isinstance(vb, float):
-                if not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-9):
-                    return False
-            elif va != vb:
-                return False
-    return True
-
-
 def compare_legs(schedule, shared, ablation):
     """Per-query, per-epoch equality under the comparison discipline."""
     seed = schedule["seed"]
@@ -269,7 +254,7 @@ def compare_legs(schedule, shared, ablation):
                 "seed {}: query {} epoch {} missing from {} leg".format(
                     seed, i, k, "shared" if k not in got else "ablation")
             )
-            assert _rows_match(got[k], want[k]), (
+            assert rows_match(got[k], want[k]), (
                 "seed {}: query {} epoch {} diverged under sharing "
                 "({!r} vs {!r})".format(seed, i, k, got[k], want[k])
             )
@@ -307,7 +292,7 @@ def check_ground_truth(schedule, leg, name):
             vs = [v for ts, v in passing if lo < ts <= hi]
             # No qualifying row anywhere: no partial, so no answer row.
             want = [TRUTH[q["form"]](vs)] if vs else []
-            assert _rows_match(rows, want), (
+            assert rows_match(rows, want), (
                 "seed {}: query {} epoch {} on the {} leg is {!r}, ground "
                 "truth {!r}".format(seed, i, k, name, rows, want)
             )
