@@ -1,24 +1,24 @@
 """Shared plumbing for the benchmark suite.
 
 Every bench regenerates one exhibit (the paper's Figure 1 / Table 1, or
-an extension experiment from DESIGN.md) and must leave a human-readable
-artifact behind: :func:`report` prints the exhibit and also writes it to
+an extension experiment from DESIGN.md) through exactly one entry
+point, its pytest test, and must leave a human-readable artifact
+behind: :func:`report` prints the exhibit and also writes it to
 ``benchmarks/results/<name>.txt`` so the output survives pytest's
 capture. Each results file is stamped with the command line and git
 revision that produced it, so an exhibit always says how to regenerate
 it. Exhibits are run output, not source: git ignores them and CI
-uploads ``benchmarks/results/`` as an artifact. Benchmarks run the simulation exactly once
-(``benchmark.pedantic(rounds=1)``) -- we are timing a reproduction, not
-micro-optimizing it -- and stash headline numbers in
-``benchmark.extra_info`` so they land in pytest-benchmark's JSON.
+uploads ``benchmarks/results/`` as an artifact.
 
-Sizes are chosen to finish in tens of seconds; override with the
-``PIER_BENCH_SCALE`` environment variable (e.g. ``=full`` for the
-paper-scale 300-node, 30-minute Figure 1 run).
+One size switch, the ``PIER_BENCH_SCALE`` environment variable, picks
+every bench's geometry: unset, the gated exhibits run their CI-sized
+pass and the others a tens-of-seconds default; ``=full`` runs the
+gated exhibits at full size and the others at paper scale (e.g. the
+300-node, 30-minute Figure 1 run).
 
-Alongside the text exhibit, benchmarks emit their headline numbers as
-machine-readable JSON (:func:`write_metrics`, or the ``metrics``
-argument to :func:`report`): ``benchmarks/results/<name>.json`` with
+A gated bench starts with :func:`begin` and ends with :func:`report`
+given its headline numbers, which are also written as machine-readable
+JSON (:func:`write_metrics`): ``benchmarks/results/<name>.json`` with
 the command line, git revision, scale and a flat ``{metric: value}``
 dict. ``tools/check_bench.py`` compares those files against the
 checked-in baselines in ``benchmarks/baselines/`` -- parity booleans
@@ -37,7 +37,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def full_scale():
-    """True when the user asked for paper-scale runs."""
+    """True when ``PIER_BENCH_SCALE=full`` asks for full-size runs."""
     return os.environ.get("PIER_BENCH_SCALE", "").lower() == "full"
 
 
@@ -78,7 +78,7 @@ def provenance():
     )
 
 
-def report(name, text, metrics=None, scale=None):
+def report(name, text, metrics=None):
     """Print an exhibit and persist it under benchmarks/results/.
 
     The persisted copy is prefixed with provenance comments (command
@@ -94,7 +94,7 @@ def report(name, text, metrics=None, scale=None):
     path = RESULTS_DIR / "{}.txt".format(name)
     path.write_text(header + text + "\n", encoding="utf-8")
     if metrics is not None:
-        write_metrics(name, metrics, scale=scale)
+        write_metrics(name, metrics)
     return path
 
 
@@ -109,7 +109,7 @@ def begin(name):
     (RESULTS_DIR / "{}.json".format(name)).unlink(missing_ok=True)
 
 
-def write_metrics(name, metrics, scale=None):
+def write_metrics(name, metrics):
     """Persist a bench's headline numbers as machine-readable JSON.
 
     ``metrics`` is a flat dict of JSON scalars: parity checks as
@@ -122,7 +122,7 @@ def write_metrics(name, metrics, scale=None):
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "bench": name,
-        "scale": scale or ("full" if full_scale() else "smoke"),
+        "scale": "full" if full_scale() else "smoke",
         "generated_by": " ".join(sys.argv),
         "git_rev": _git_rev(),
         "metrics": dict(metrics),
@@ -133,9 +133,13 @@ def write_metrics(name, metrics, scale=None):
     return path
 
 
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def percentile(values, q):
+    """The nearest-rank ``q`` quantile of ``values`` (0.0 when empty)."""
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
+    return ordered[idx]
 
 
 def fmt_table(headers, rows):

@@ -42,13 +42,24 @@ its epoch boundary) is >= 1.2x lower, it ships fewer exchange
 messages, and it loses no result rows relative to the static leg,
 which sends no "xbp".
 
-Run standalone with ``python benchmarks/bench_admission_elasticity.py``
-(``--smoke`` for the CI-sized pass; either writes
-``results/admission_elasticity.json`` for the regression gate).
+Runs under pytest (a 3-step sweep and 35 s overload legs by default,
+5 steps and 60 s with ``PIER_BENCH_SCALE=full``) and writes
+``results/admission_elasticity.json`` for the regression gate.
 """
 
 import math
-import sys
+from unittest import mock
+
+from benchmarks._harness import (
+    begin, fmt_table, full_scale, percentile, report,
+)
+from repro.core import engine as engine_module
+from repro.core.admission import AdmissionPolicy, bound_query_cost
+from repro.core.network import PierConfig, PierNetwork
+from repro.core.sql import parse_query
+from repro.dht.config import DhtConfig
+from repro.dht.messages import parts_of
+from repro.sim.network import NetworkConfig
 
 EVERY = 5.0
 
@@ -130,9 +141,6 @@ def hpa_replicas(observed_rate):
 def build_sweep_net(seed, replicas, offered_rate):
     """A testbed with ``replicas`` nodes sourcing ``offered_rate``
     rows/sec in total; each node cycles DISTINCT_CYCLE values."""
-    from repro.core.admission import AdmissionPolicy
-    from repro.core.network import PierConfig, PierNetwork
-
     policy = AdmissionPolicy(budget_units=BUDGET_UNITS)
     net = PierNetwork(nodes=replicas, seed=seed,
                       config=PierConfig(admission=policy))
@@ -157,11 +165,8 @@ def build_sweep_net(seed, replicas, offered_rate):
     return net
 
 
-def admission_step(seed, replicas, fraction, verbose=False):
+def admission_step(seed, replicas, fraction):
     """One load step: observe, scale, and take the three decisions."""
-    from repro.core.admission import bound_query_cost
-    from repro.core.sql import parse_query
-
     offered = fraction * PEAK_TOTAL_RATE
     net = build_sweep_net(seed, replicas, offered)
     net.advance(WARM)
@@ -186,13 +191,6 @@ def admission_step(seed, replicas, fraction, verbose=False):
                            net.catalog, now=net.now).units_per_sec()
     refused_bound = raw if raw > GATE_UNITS else None
 
-    if verbose:
-        print("  load {:>4.0%}: observed {:5.1f} rows/s, replicas {}, "
-              "distinct bound {:7.1f} -> {}".format(
-                  fraction, observed, replicas,
-                  distinct_adm["bound"]["units_per_sec"],
-                  [d["kind"] for d in distinct_adm["degradations"]]
-                  or "exact"))
     return {
         "fraction": fraction,
         "observed_rate": observed,
@@ -206,12 +204,12 @@ def admission_step(seed, replicas, fraction, verbose=False):
     }
 
 
-def run_sweep(seed, steps, verbose=False):
+def run_sweep(seed, steps):
     """Sweep offered load; gate the admission pattern and accuracy."""
     replicas = MIN_REPLICAS
     rows = []
     for fraction in steps:
-        step = admission_step(seed, replicas, fraction, verbose=verbose)
+        step = admission_step(seed, replicas, fraction)
         replicas = step["replicas"]
         rows.append(step)
 
@@ -279,10 +277,6 @@ def run_sweep(seed, steps, verbose=False):
 # Static vs adaptive at peak load
 # ----------------------------------------------------------------------
 def make_load_config():
-    from repro.core.network import PierConfig
-    from repro.dht.config import DhtConfig
-    from repro.sim.network import NetworkConfig
-
     return PierConfig(
         network=NetworkConfig(service_time=SERVICE_TIME),
         dht=DhtConfig(rpc_timeout=LOAD_RPC_TIMEOUT,
@@ -292,8 +286,6 @@ def make_load_config():
 
 
 def build_load_net(seed):
-    from repro.core.network import PierNetwork
-
     net = PierNetwork(nodes=LOAD_NODES, seed=seed,
                       config=make_load_config())
     net.create_stream_table(
@@ -333,8 +325,6 @@ def build_load_net(seed):
 
 def run_load_leg(seed, lifetime):
     """One overloaded standing fan-in join; measure per-epoch lag."""
-    from repro.dht.messages import parts_of
-
     net = build_load_net(seed)
     net.advance(EVERY)
     net.reset_counters()
@@ -376,21 +366,9 @@ def run_load_leg(seed, lifetime):
     }
 
 
-def percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
 def run_load_comparison(seed, lifetime):
-    from unittest import mock
-
-    from repro.core import engine
-
     # The static reference: a backpressure line no inflow tops.
-    with mock.patch.object(engine, "BACKPRESSURE_ROWS_PER_SEC", math.inf):
+    with mock.patch.object(engine_module, "BACKPRESSURE_ROWS_PER_SEC", math.inf):
         legs = {"static": run_load_leg(seed, lifetime)}
     legs["adaptive"] = run_load_leg(seed, lifetime)
     p95 = {v: percentile(leg["lags"], 0.95) for v, leg in legs.items()}
@@ -412,8 +390,6 @@ def run_load_comparison(seed, lifetime):
 # Exhibit + metrics
 # ----------------------------------------------------------------------
 def exhibit(sweep, legs, p95, improvement, lifetime):
-    from benchmarks._harness import fmt_table
-
     text = ("Ext-L: admission control + owner backpressure\n"
             "(peak {:.0f} rows/s sweep; overload legs: {} nodes x "
             "{:.0f} rows/s, service {:.0f} ms/msg, lifetime {}s)\n\n"
@@ -479,66 +455,14 @@ def metrics_from(sweep, legs, p95, improvement):
     }
 
 
-def run_all(seed, steps, lifetime, verbose=False):
-    sweep = run_sweep(seed, steps, verbose=verbose)
-    legs, p95, improvement = run_load_comparison(seed + 8, lifetime)
-    return sweep, legs, p95, improvement
-
-
-def test_admission_elasticity(benchmark):
-    from benchmarks._harness import report, run_once
-
-    def run():
-        return run_all(seed=23, steps=LOAD_STEPS, lifetime=LOAD_LIFETIME)
-
-    sweep, legs, p95, improvement = run_once(benchmark, run)
-    report("admission_elasticity",
-           exhibit(sweep, legs, p95, improvement, LOAD_LIFETIME),
-           metrics=metrics_from(sweep, legs, p95, improvement),
-           scale="full")
-    benchmark.extra_info["lag_improvement"] = round(improvement, 3)
-
-
-def main(argv=None):
-    import argparse
-
-    from benchmarks._harness import begin
-
+def test_admission_elasticity():
     begin("admission_elasticity")
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="quick 3-step sweep + shorter overload legs (same gates)",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        steps, lifetime = SMOKE_LOAD_STEPS, SMOKE_LOAD_LIFETIME
-    else:
+    if full_scale():
         steps, lifetime = LOAD_STEPS, LOAD_LIFETIME
-    sweep, legs, p95, improvement = run_all(
-        seed=23, steps=steps, lifetime=lifetime, verbose=args.verbose)
-    text = exhibit(sweep, legs, p95, improvement, lifetime)
-    print(text)
-    from benchmarks._harness import report, write_metrics
-
-    metrics = metrics_from(sweep, legs, p95, improvement)
-    if args.smoke:
-        write_metrics("admission_elasticity", metrics, scale="smoke")
     else:
-        report("admission_elasticity", text, metrics=metrics,
-               scale="full")
-    print("ok: replicas {}, degrade mask {}, refuse mask {}; adaptive "
-          "p95 lag {:.3f}s vs static {:.3f}s ({:.2f}x)".format(
-              metrics["replica_path"], metrics["degrade_mask"],
-              metrics["refuse_mask"], p95["adaptive"], p95["static"],
-              improvement))
-    return 0
-
-
-if __name__ == "__main__":
-    import pathlib
-
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    sys.exit(main())
+        steps, lifetime = SMOKE_LOAD_STEPS, SMOKE_LOAD_LIFETIME
+    sweep = run_sweep(23, steps)
+    legs, p95, improvement = run_load_comparison(31, lifetime)
+    report("admission_elasticity",
+           exhibit(sweep, legs, p95, improvement, lifetime),
+           metrics_from(sweep, legs, p95, improvement))

@@ -18,7 +18,7 @@ central, with the gap growing linearly in N. Total network bytes go the
 -- an honest cost of the DHT substrate that EXPERIMENTS.md discusses.
 """
 
-from benchmarks._harness import fmt_table, report, run_once
+from benchmarks._harness import fmt_table, report
 from repro.baselines.centralized import CentralizedAggregation
 from repro.core.network import PierNetwork
 
@@ -55,45 +55,41 @@ def run_query(net, site, options=None):
     }
 
 
-def test_aggregation_scaling(benchmark):
+def test_aggregation_scaling():
     sizes = [32, 64, 128]
 
-    def run():
-        rows = []
-        for n in sizes:
-            expected_sum = sum(
-                float(i + j) for i in range(n) for j in range(ROWS_PER_NODE)
-            )
-            net = build_net(n, seed=20 + n)
-            site = net.any_address()
-            result, tree = run_query(net, site)
-            assert result.rows[0] == (expected_sum, n * ROWS_PER_NODE)
-            rows_site_tree = len(result.rows)
+    rows = []
+    for n in sizes:
+        expected_sum = sum(
+            float(i + j) for i in range(n) for j in range(ROWS_PER_NODE)
+        )
+        net = build_net(n, seed=20 + n)
+        site = net.any_address()
+        result, tree = run_query(net, site)
+        assert result.rows[0] == (expected_sum, n * ROWS_PER_NODE)
+        rows_site_tree = len(result.rows)
 
-            net = build_net(n, seed=20 + n)
-            site = net.any_address()
-            result, rehash = run_query(net, site,
-                                       options={"aggregation_tree": False})
-            assert result.rows[0] == (expected_sum, n * ROWS_PER_NODE)
+        net = build_net(n, seed=20 + n)
+        site = net.any_address()
+        result, rehash = run_query(net, site,
+                                   options={"aggregation_tree": False})
+        assert result.rows[0] == (expected_sum, n * ROWS_PER_NODE)
 
-            net = build_net(n, seed=20 + n)
-            site = net.any_address()
-            before_site = net.inbound_bytes(site)
-            central_rows, stats = CentralizedAggregation(net).run(
-                "m", [], [("SUM", "v"), ("COUNT", None)], node=site,
-            )
-            central_site = net.inbound_bytes(site) - before_site
-            assert central_rows[0] == (expected_sum, n * ROWS_PER_NODE)
+        net = build_net(n, seed=20 + n)
+        site = net.any_address()
+        before_site = net.inbound_bytes(site)
+        central_rows, stats = CentralizedAggregation(net).run(
+            "m", [], [("SUM", "v"), ("COUNT", None)], node=site,
+        )
+        central_site = net.inbound_bytes(site) - before_site
+        assert central_rows[0] == (expected_sum, n * ROWS_PER_NODE)
 
-            rows.append((
-                n,
-                tree["site_bytes"], central_site,
-                tree["hotspot_bytes"], rehash["hotspot_bytes"],
-                rows_site_tree, stats["raw_rows_collected"],
-            ))
-        return rows
-
-    rows = run_once(benchmark, run)
+        rows.append((
+            n,
+            tree["site_bytes"], central_site,
+            tree["hotspot_bytes"], rehash["hotspot_bytes"],
+            rows_site_tree, stats["raw_rows_collected"],
+        ))
 
     text = "Ext-B: aggregation strategies -- fan-in at the bottleneck link\n"
     text += "(global SUM+COUNT over {} rows/node; hotspot = busiest\n".format(

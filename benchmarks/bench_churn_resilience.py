@@ -12,7 +12,7 @@ for hour-scale sessions and declines, without the query ever failing,
 as sessions shrink.
 """
 
-from benchmarks._harness import fmt_table, report, run_once
+from benchmarks._harness import fmt_table, report
 from repro.core.network import PierNetwork
 
 NODES = 60
@@ -76,20 +76,16 @@ def run_level(mean_session, seed):
     return fractions
 
 
-def test_churn_resilience(benchmark):
+def test_churn_resilience():
     levels = [("none", None), ("1 hour", 3600.0), ("10 min", 600.0),
               ("2 min", 120.0)]
 
-    def run():
-        rows = []
-        for label, mean_session in levels:
-            fractions = run_level(mean_session, seed=31)
-            mean_f = sum(fractions) / len(fractions)
-            rows.append((label, len(fractions), round(mean_f, 3),
-                         round(min(fractions), 3)))
-        return rows
-
-    rows = run_once(benchmark, run)
+    rows = []
+    for label, mean_session in levels:
+        fractions = run_level(mean_session, seed=31)
+        mean_f = sum(fractions) / len(fractions)
+        rows.append((label, len(fractions), round(mean_f, 3),
+                     round(min(fractions), 3)))
 
     text = "Ext-D: answer completeness vs churn (continuous COUNT query)\n"
     text += "({} nodes, epoch {}s, {}s run; completeness = counted samples /"

@@ -10,7 +10,7 @@ small set of neighbors" (paper §2). The measurable consequence:
 
 import math
 
-from benchmarks._harness import fmt_table, full_scale, report, run_once
+from benchmarks._harness import fmt_table, full_scale, report
 from repro.dht.bootstrap import build_chord_ring
 from repro.dht.chord import ChordNode, storage_key
 from repro.dht.config import DhtConfig
@@ -45,20 +45,16 @@ def chord_mean_hops(n, seed):
     return sum(hops) / len(hops), len(hops), max(0.0, maintenance_rate)
 
 
-def test_dht_scaling(benchmark):
+def test_dht_scaling():
     sizes = [16, 32, 64, 128, 256, 512] if full_scale() else [16, 32, 64, 128, 256]
 
-    def run():
-        rows = []
-        for n in sizes:
-            chord_hops, chord_done, upkeep = chord_mean_hops(n, seed=3)
-            rows.append((
-                n, round(chord_hops, 2), round(math.log2(n), 1),
-                round(upkeep, 1), chord_done,
-            ))
-        return rows
-
-    rows = run_once(benchmark, run)
+    rows = []
+    for n in sizes:
+        chord_hops, chord_done, upkeep = chord_mean_hops(n, seed=3)
+        rows.append((
+            n, round(chord_hops, 2), round(math.log2(n), 1),
+            round(upkeep, 1), chord_done,
+        ))
 
     text = "Ext-C: DHT routing scalability (mean lookup hops)\n"
     text += "({} probes per point)\n\n".format(PROBES)

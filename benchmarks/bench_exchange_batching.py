@@ -33,12 +33,11 @@ Two further sweeps extend the ablation beyond the rehash join:
   over-count, and never fabricate groups, with batching no more
   fragile than the per-row wire format.
 
-Run standalone with ``python benchmarks/bench_exchange_batching.py``
-(``--smoke`` for a 32-node quick pass usable next to tier-1).
+Runs under pytest: 32 nodes (a 2x exchange-message floor) by default,
+100 nodes (the 3x floor) with ``PIER_BENCH_SCALE=full``.
 """
 
-import sys
-
+from benchmarks._harness import begin, fmt_table, full_scale, report
 from repro.core.engine import EngineConfig
 from repro.core.network import PierConfig, PierNetwork
 from repro.sim.network import NetworkConfig
@@ -169,6 +168,7 @@ def check_sweep(expected_rows, stats, min_ratio):
 # Aggregation sweep: tree-mode vs rehash, clean and lossy
 # ----------------------------------------------------------------------
 AGG_NODES = 48
+SMOKE_AGG_NODES = 24
 AGG_GROUPS = 8
 AGG_ROWS_PER_NODE = 12
 AGG_SQL = (
@@ -284,8 +284,6 @@ def check_agg_sweep(stats):
 
 
 def agg_exhibit(nodes, stats, total_ref):
-    from benchmarks._harness import fmt_table
-
     text = (
         "\n\nAggregation sweep: tree vs rehash, clean and {}% lossy\n"
         "({} nodes, {} rows over {} groups; reference count {})\n\n".format(
@@ -326,8 +324,6 @@ def agg_exhibit(nodes, stats, total_ref):
 
 
 def exhibit(nodes, samples, expected_rows, stats, ratios):
-    from benchmarks._harness import fmt_table
-
     text = "Ext-F: exchange batching on a rehash join\n"
     text += "({} nodes, {} reading rows + {} attr rows, {} result rows)\n\n".format(
         nodes, nodes * ATTRS_PER_NODE * samples, ATTR_DOMAIN, expected_rows
@@ -351,77 +347,23 @@ def exhibit(nodes, samples, expected_rows, stats, ratios):
     return text
 
 
-def test_exchange_batching(benchmark):
-    from benchmarks._harness import report, run_once
-
-    def run():
-        expected_rows, stats = run_sweep()
-        ratios = check_sweep(expected_rows, stats, min_ratio=3.0)
-        agg_stats = run_agg_sweep()
-        total_ref = check_agg_sweep(agg_stats)
-        return expected_rows, stats, ratios, agg_stats, total_ref
-
-    expected_rows, stats, ratios, agg_stats, total_ref = run_once(benchmark, run)
-    text = exhibit(NODES, SAMPLES_PER_ATTR, expected_rows, stats, ratios)
-    text += agg_exhibit(AGG_NODES, agg_stats, total_ref)
-    report("exchange_batching", text)
-    for label, out in stats:
-        benchmark.extra_info[label] = {
-            "messages": out["messages"],
-            "bytes": out["bytes"],
-            "exchange_messages": out["exchange_messages"],
-            "result_latency": out["result_latency"],
-        }
-    for label, out in agg_stats.items():
-        benchmark.extra_info["agg:" + label] = {
-            "messages": out["messages"],
-            "exchange_messages": out["exchange_messages"],
-            "lost": out["lost"],
-        }
-
-
-def main(argv=None):
-    import argparse
-
-    from benchmarks._harness import begin
-
+def test_exchange_batching():
     begin("exchange_batching")
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="quick 32-node pass (same checks, 2x exchange-message floor)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        nodes, samples, min_ratio, agg_nodes = SMOKE_NODES, SMOKE_SAMPLES, 2.0, 24
+    if full_scale():
+        nodes, samples, min_ratio, agg_nodes = (
+            NODES, SAMPLES_PER_ATTR, 3.0, AGG_NODES)
     else:
         nodes, samples, min_ratio, agg_nodes = (
-            NODES, SAMPLES_PER_ATTR, 3.0, AGG_NODES
-        )
+            SMOKE_NODES, SMOKE_SAMPLES, 2.0, SMOKE_AGG_NODES)
     expected_rows, stats = run_sweep(nodes=nodes, samples=samples)
     ratio, bytes_ratio = check_sweep(expected_rows, stats, min_ratio)
-    print(exhibit(nodes, samples, expected_rows, stats, (ratio, bytes_ratio)))
     agg_stats = run_agg_sweep(nodes=agg_nodes)
     total_ref = check_agg_sweep(agg_stats)
-    print(agg_exhibit(agg_nodes, agg_stats, total_ref))
-    from benchmarks._harness import write_metrics
-
-    write_metrics("exchange_batching", {
+    text = exhibit(nodes, samples, expected_rows, stats, (ratio, bytes_ratio))
+    text += agg_exhibit(agg_nodes, agg_stats, total_ref)
+    report("exchange_batching", text, {
         "parity": True,
         "agg_within_bounds": True,
         "exchange_message_reduction": round(ratio, 4),
         "bytes_reduction": round(bytes_ratio, 4),
-    }, scale="smoke" if args.smoke else "full")
-    print("ok: results identical, exchange messages {:.2f}x >= {}x and "
-          "bytes {:.2f}x >= {}x fewer; aggregation sweep (tree + lossy) "
-          "within bounds".format(ratio, min_ratio, bytes_ratio, BYTES_FLOOR))
-    return 0
-
-
-if __name__ == "__main__":
-    import pathlib
-
-    # Run as a script, ``benchmarks`` is not a package on sys.path yet.
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    sys.exit(main())
+    })

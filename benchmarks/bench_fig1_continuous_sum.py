@@ -18,41 +18,38 @@ wall time). Set PIER_BENCH_SCALE=full for the paper's 300 hosts /
 30 minutes.
 """
 
-from benchmarks._harness import fmt_table, full_scale, report, run_once
+from benchmarks._harness import fmt_table, full_scale, report
 from repro.apps.monitoring import MonitoringApp
 from repro.workloads.planetlab import build_planetlab_network
 
 
-def test_figure1_continuous_sum(benchmark):
+def test_figure1_continuous_sum():
     num_hosts = 300 if full_scale() else 120
     duration = 1800.0 if full_scale() else 600.0
     every = 30.0
 
-    def run():
-        net = build_planetlab_network(num_hosts, seed=1)
-        app = MonitoringApp(net, sample_period=5.0, window=30.0).install()
-        site = net.any_address()
-        # Background churn: PlanetLab-like hour-scale sessions.
-        net.start_churn(mean_session=3600.0, mean_downtime=180.0,
-                        on_join=app.on_join, exclude=[site])
-        net.advance(app.window)
-        app.start_query(node=site, every=every, lifetime=duration)
-        # Mid-run outage: a site-wide failure of ~15% of hosts.
-        half = duration / 2
-        net.advance(half)
-        victims = [a for a in net.live_addresses() if a != site]
-        victims = victims[: max(1, int(0.15 * num_hosts))]
-        for address in victims:
-            net.crash_node(address)
-        net.advance(90)
-        for address in victims:
-            if not net.node(address).alive:
-                net.recover_node(address)
-                app.on_join(address)
-        net.advance(duration - half - 90 + 60)
-        return app.series, net
-
-    (series, net) = run_once(benchmark, run)
+    net = build_planetlab_network(num_hosts, seed=1)
+    app = MonitoringApp(net, sample_period=5.0, window=30.0).install()
+    site = net.any_address()
+    # Background churn: PlanetLab-like hour-scale sessions.
+    net.start_churn(mean_session=3600.0, mean_downtime=180.0,
+                    on_join=app.on_join, exclude=[site])
+    net.advance(app.window)
+    app.start_query(node=site, every=every, lifetime=duration)
+    # Mid-run outage: a site-wide failure of ~15% of hosts.
+    half = duration / 2
+    net.advance(half)
+    victims = [a for a in net.live_addresses() if a != site]
+    victims = victims[: max(1, int(0.15 * num_hosts))]
+    for address in victims:
+        net.crash_node(address)
+    net.advance(90)
+    for address in victims:
+        if not net.node(address).alive:
+            net.recover_node(address)
+            app.on_join(address)
+    net.advance(duration - half - 90 + 60)
+    series = app.series
 
     rows = [
         (round(t), total, responding)
@@ -75,6 +72,3 @@ def test_figure1_continuous_sum(benchmark):
     outage_floor = min(counts[len(counts) // 2 - 1: len(counts) // 2 + 3])
     assert outage_floor < max(counts)
     assert counts[-1] > 0.7 * num_hosts  # recovered
-    benchmark.extra_info["epochs"] = len(series)
-    benchmark.extra_info["max_responding"] = max(counts)
-    benchmark.extra_info["min_responding"] = min(counts)

@@ -11,47 +11,43 @@ recall collapses for rare terms at small TTL and costs 1-2 orders of
 magnitude more messages when pushed to full coverage.
 """
 
-from benchmarks._harness import fmt_table, full_scale, report, run_once
+from benchmarks._harness import fmt_table, full_scale, report
 from repro.apps.filesharing import FileSharingApp, count_get_hops
 from repro.baselines.flooding import FloodingNetwork
 from repro.core.network import PierNetwork
 
 
-def test_filesharing_search(benchmark):
+def test_filesharing_search():
     num_nodes = 80 if full_scale() else 40
 
-    def run():
-        net = PierNetwork(nodes=num_nodes, seed=53)
-        app = FileSharingApp(net).publish_corpus(files_per_node=6)
-        net.advance(3)
-        popularity = app.term_popularity()
-        ranked = sorted(popularity, key=popularity.get, reverse=True)
-        popular = ranked[0]
-        rare = ranked[-1]
+    net = PierNetwork(nodes=num_nodes, seed=53)
+    app = FileSharingApp(net).publish_corpus(files_per_node=6)
+    net.advance(3)
+    popularity = app.term_popularity()
+    ranked = sorted(popularity, key=popularity.get, reverse=True)
+    popular = ranked[0]
+    rare = ranked[-1]
 
-        overlay = FloodingNetwork(net.addresses(), degree=4, seed=54)
-        overlay.load_corpus(app.corpus)
-        get_hops = count_get_hops(net)
+    overlay = FloodingNetwork(net.addresses(), degree=4, seed=54)
+    overlay.load_corpus(app.corpus)
+    get_hops = count_get_hops(net)
 
-        rows = []
-        for label, term in (("popular", popular), ("rare", rare)):
-            truth = set(app.ground_truth([term]))
-            before = len(get_hops)
-            found = set(app.search_sql([term]))
-            dht_msgs = len(get_hops) - before
-            dht_recall = len(found & truth) / max(1, len(truth))
-            for ttl in (2, 4, int(num_nodes / 2)):
-                flood_found, stats = overlay.search([term], ttl=ttl)
-                recall = len(set(flood_found) & truth) / max(1, len(truth))
-                rows.append((
-                    label, popularity[term], "flood ttl={}".format(ttl),
-                    stats["messages"], round(recall, 2),
-                ))
-            rows.append((label, popularity[term], "DHT get",
-                         dht_msgs, round(dht_recall, 2)))
-        return rows
-
-    rows = run_once(benchmark, run)
+    rows = []
+    for label, term in (("popular", popular), ("rare", rare)):
+        truth = set(app.ground_truth([term]))
+        before = len(get_hops)
+        found = set(app.search_sql([term]))
+        dht_msgs = len(get_hops) - before
+        dht_recall = len(found & truth) / max(1, len(truth))
+        for ttl in (2, 4, int(num_nodes / 2)):
+            flood_found, stats = overlay.search([term], ttl=ttl)
+            recall = len(set(flood_found) & truth) / max(1, len(truth))
+            rows.append((
+                label, popularity[term], "flood ttl={}".format(ttl),
+                stats["messages"], round(recall, 2),
+            ))
+        rows.append((label, popularity[term], "DHT get",
+                     dht_msgs, round(dht_recall, 2)))
 
     text = "Ext-F: keyword search, DHT inverted index vs flooding\n"
     text += "({} nodes, Zipfian term popularity)\n\n".format(num_nodes)

@@ -37,12 +37,14 @@ reconciliation recovers the EXACT answer -- post-heal epochs,
 including windows spanning the partition, must match a no-failure
 reference run bit for bit.
 
-Run standalone with ``python benchmarks/bench_geo_regions.py``
-(``--smoke`` for the CI-sized pass; either writes
-``results/geo_regions.json`` for the benchmark-regression gate).
+Runs under pytest (12 nodes by default, 24 with
+``PIER_BENCH_SCALE=full``) and writes ``results/geo_regions.json`` for
+the benchmark-regression gate.
 """
 
-import sys
+from benchmarks._harness import (
+    begin, fmt_table, full_scale, percentile, report,
+)
 
 REGIONS = ("us", "eu", "ap", "sa")
 NODES_PER_REGION = 6
@@ -182,14 +184,6 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
     }
 
 
-def percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
 def run_sweep(seed, per_region, lifetime):
     out = {v: run_leg(seed, per_region, v, lifetime) for v in VARIANTS}
 
@@ -300,8 +294,6 @@ def run_failure_leg(seed, per_region, lifetime):
 
 
 def exhibit(per_region, lifetime, out, ratios, per_epoch, p95, failure):
-    from benchmarks._harness import fmt_table
-
     nodes = per_region * len(REGIONS)
     text = ("Ext-K: region-aware execution -- proximity routing + "
             "region-local aggregation trees\n"
@@ -341,12 +333,6 @@ def exhibit(per_region, lifetime, out, ratios, per_epoch, p95, failure):
     return text
 
 
-def run_all(seed, per_region, lifetime):
-    out, ratios, per_epoch, p95 = run_sweep(seed, per_region, lifetime)
-    failure = run_failure_leg(seed + 1, per_region, lifetime)
-    return out, ratios, per_epoch, p95, failure
-
-
 def metrics_from(ratios, p95, failure):
     return {
         "parity": True,
@@ -363,64 +349,15 @@ def metrics_from(ratios, p95, failure):
     }
 
 
-def test_geo_regions(benchmark):
-    from benchmarks._harness import report, run_once
-
-    def run():
-        return run_all(seed=11, per_region=NODES_PER_REGION,
-                       lifetime=LIFETIME)
-
-    out, ratios, per_epoch, p95, failure = run_once(benchmark, run)
-    report("geo_regions",
-           exhibit(NODES_PER_REGION, LIFETIME, out, ratios, per_epoch,
-                   p95, failure),
-           metrics=metrics_from(ratios, p95, failure),
-           scale="full")
-    benchmark.extra_info["ratios"] = {
-        k: round(v, 3) for k, v in ratios.items()
-    }
-
-
-def main(argv=None):
-    import argparse
-
-    from benchmarks._harness import begin
-
+def test_geo_regions():
     begin("geo_regions")
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="quick 12-node pass (same parity + reduction checks)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        per_region, lifetime = SMOKE_NODES_PER_REGION, SMOKE_LIFETIME
-    else:
+    if full_scale():
         per_region, lifetime = NODES_PER_REGION, LIFETIME
-    out, ratios, per_epoch, p95, failure = run_all(
-        seed=11, per_region=per_region, lifetime=lifetime
-    )
-    text = exhibit(per_region, lifetime, out, ratios, per_epoch, p95,
-                   failure)
-    print(text)
-    from benchmarks._harness import report, write_metrics
-
-    metrics = metrics_from(ratios, p95, failure)
-    if args.smoke:
-        write_metrics("geo_regions", metrics, scale="smoke")
     else:
-        report("geo_regions", text, metrics=metrics, scale="full")
-    print("ok: parity on all paths; cross-region exchange bytes "
-          "{:.2f}x lower; p95 lag {:.3f}s vs {:.3f}s flat; partition "
-          "leg recovered exactly".format(
-              ratios["cross_bytes_vs_flat"], p95["regional"],
-              p95["flat"]))
-    return 0
-
-
-if __name__ == "__main__":
-    import pathlib
-
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    sys.exit(main())
+        per_region, lifetime = SMOKE_NODES_PER_REGION, SMOKE_LIFETIME
+    out, ratios, per_epoch, p95 = run_sweep(11, per_region, lifetime)
+    failure = run_failure_leg(12, per_region, lifetime)
+    report("geo_regions",
+           exhibit(per_region, lifetime, out, ratios, per_epoch, p95,
+                   failure),
+           metrics_from(ratios, p95, failure))

@@ -16,7 +16,7 @@ regardless; SHJ always pays full rehash of both sides.
 
 import pytest
 
-from benchmarks._harness import fmt_table, report, run_once
+from benchmarks._harness import fmt_table, report
 from repro.core.network import PierNetwork
 
 NODES = 48
@@ -77,22 +77,18 @@ def run_strategy(net, strategy, table_s="s"):
 
 
 @pytest.mark.parametrize("match_fraction", [0.05, 0.5])
-def test_join_strategies(benchmark, match_fraction):
-    def run():
-        out = []
-        expected = int(NODES * R_ROWS_PER_NODE * match_fraction)
-        net = build_net(7, match_fraction)
-        shj = run_strategy(net, "shj")
-        net2 = build_net(7, match_fraction)
-        bloom = run_strategy(net2, "bloom")
-        net3 = build_net(7, match_fraction, with_dht_s=True)
-        fm = run_strategy(net3, "auto", table_s="s_pub")
-        for name, stats in (("SHJ", shj), ("Bloom", bloom), ("FM", fm)):
-            out.append((name, stats["rows"], stats["messages"],
-                        stats["route_bytes"], stats["bytes"]))
-        return expected, out
-
-    expected, out = run_once(benchmark, run)
+def test_join_strategies(match_fraction):
+    out = []
+    expected = int(NODES * R_ROWS_PER_NODE * match_fraction)
+    net = build_net(7, match_fraction)
+    shj = run_strategy(net, "shj")
+    net2 = build_net(7, match_fraction)
+    bloom = run_strategy(net2, "bloom")
+    net3 = build_net(7, match_fraction, with_dht_s=True)
+    fm = run_strategy(net3, "auto", table_s="s_pub")
+    for name, stats in (("SHJ", shj), ("Bloom", bloom), ("FM", fm)):
+        out.append((name, stats["rows"], stats["messages"],
+                    stats["route_bytes"], stats["bytes"]))
 
     text = "Ext-A: join strategy comparison (match fraction = {})\n".format(
         match_fraction)
@@ -111,5 +107,3 @@ def test_join_strategies(benchmark, match_fraction):
     if match_fraction <= 0.1:
         # Selective join: Bloom must move far fewer rehash bytes.
         assert by_name["Bloom"][2] < 0.6 * by_name["SHJ"][2]
-    for name, (rows, msgs, route, total) in by_name.items():
-        benchmark.extra_info[name] = {"messages": msgs, "rehash_bytes": route}

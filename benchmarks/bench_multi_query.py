@@ -41,12 +41,13 @@ query's), and runs the same fleet with every query opted out
 (``{"shared": False}``) as the per-query parity reference -- sharing
 must be invisible to answers.
 
-Run standalone with ``python benchmarks/bench_multi_query.py``
-(``--smoke`` for a quick pass usable next to tier-1).
+Runs under pytest: 8 nodes and Q in {1, 100} by default, 12 nodes and
+the sweeps above with ``PIER_BENCH_SCALE=full``.
 """
 
-import sys
-
+from benchmarks._harness import (
+    begin, fmt_table, full_scale, report, rows_match, ticker_net,
+)
 from repro.core.sharing import SpineRecord, StageRecord
 
 NODES = 12
@@ -108,8 +109,6 @@ def prefix_sql(i):
 
 
 def build_net(seed, nodes):
-    from benchmarks._harness import ticker_net
-
     return ticker_net(seed, nodes, retention=2 * WINDOW, period=SAMPLE_PERIOD)
 
 
@@ -306,8 +305,6 @@ def run_prefix_sweep(seed, nodes, qs):
 
 def check_prefix_sweep(stats, qs):
     """Per-query parity vs the sharing-off ablation + the <=1.5x bars."""
-    from benchmarks._harness import rows_match
-
     unshared = stats["unshared"]
     reference = unshared["per_query"][0]
     assert len(reference) >= 2, "ablation reference produced too few epochs"
@@ -363,8 +360,6 @@ def run_sweep(seed, nodes, qs):
 
 def check_sweep(stats, qs):
     """Parity, the <=1.5x sharing bar, and the unshared cost exhibit."""
-    from benchmarks._harness import rows_match
-
     shared = stats["shared"]
     unshared = stats["unshared"][UNSHARED_Q]
 
@@ -425,8 +420,6 @@ def check_sweep(stats, qs):
 
 
 def prefix_exhibit(nodes, qs, stats, ratios):
-    from benchmarks._harness import fmt_table
-
     text = ("Common-subplan sharing: one scan stage under Q "
             "different-predicate queries\n({} nodes, same geometry; every "
             "query its own WHERE threshold, own spine,\n own tail -- only "
@@ -461,8 +454,6 @@ def prefix_exhibit(nodes, qs, stats, ratios):
 
 
 def exhibit(nodes, qs, stats, ratios):
-    from benchmarks._harness import fmt_table
-
     text = ("Ext-I: near-duplicate standing queries on one subscription "
             "spine\n({} nodes, epoch {}s, window {}s, lifetime {}s, "
             "sample every {}s;\n {} surface forms cycled per fleet, all "
@@ -507,74 +498,21 @@ def exhibit(nodes, qs, stats, ratios):
     return text
 
 
-def test_multi_query(benchmark):
-    from benchmarks._harness import report, run_once
-
-    def run():
-        stats = run_sweep(seed=7, nodes=NODES, qs=QS)
-        ratios = check_sweep(stats, QS)
-        pstats = run_prefix_sweep(seed=7, nodes=NODES, qs=PREFIX_QS)
-        ratios.update(check_prefix_sweep(pstats, PREFIX_QS))
-        return stats, pstats, ratios
-
-    stats, pstats, ratios = run_once(benchmark, run)
-    report("multi_query",
-           exhibit(NODES, QS, stats, ratios) + "\n"
-           + prefix_exhibit(NODES, PREFIX_QS, pstats, ratios))
-    for key, value in ratios.items():
-        benchmark.extra_info[key] = round(value, 4)
-
-
-def main(argv=None):
-    import argparse
-
-    from benchmarks._harness import begin
-
+def test_multi_query():
     begin("multi_query")
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="quick 8-node pass over Q in {1, 100} (same checks)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        nodes, qs, pqs = SMOKE_NODES, SMOKE_QS, SMOKE_PREFIX_QS
-    else:
+    if full_scale():
         nodes, qs, pqs = NODES, QS, PREFIX_QS
+    else:
+        nodes, qs, pqs = SMOKE_NODES, SMOKE_QS, SMOKE_PREFIX_QS
     stats = run_sweep(seed=7, nodes=nodes, qs=qs)
     ratios = check_sweep(stats, qs)
-    print(exhibit(nodes, qs, stats, ratios))
     pstats = run_prefix_sweep(seed=7, nodes=nodes, qs=pqs)
     ratios.update(check_prefix_sweep(pstats, pqs))
-    print(prefix_exhibit(nodes, pqs, pstats, ratios))
-    from benchmarks._harness import write_metrics
-
-    write_metrics("multi_query", {
-        "parity": True,
-        "scan_ratio_100": round(ratios["scan_ratio_100"], 4),
-        "xmsg_ratio_100": round(ratios["xmsg_ratio_100"], 4),
-        "unshared_scan_x": round(ratios["unshared_scan_x"], 4),
-        "unshared_xmsg_x": round(ratios["unshared_xmsg_x"], 4),
-        "hop_shortcut_frac": round(ratios["hop_shortcut_frac"], 4),
-        "prefix_parity": True,
-        "prefix_scan_ratio_100": round(ratios["prefix_scan_ratio_100"], 4),
-        "prefix_xmsg_ratio_100": round(ratios["prefix_xmsg_ratio_100"], 4),
-        "prefix_unshared_scan_x": round(ratios["prefix_unshared_scan_x"], 4),
-    }, scale="smoke" if args.smoke else "full")
-    print("ok: {} fleets share one spine with per-query parity; Q=100 "
-          "costs {:.2f}x scans / {:.2f}x hops of Q=1".format(
-              len(qs), ratios["scan_ratio_100"], ratios["xmsg_ratio_100"]))
-    print("ok: {} different-predicate queries ride one scan stage at "
-          "{:.2f}x one query's scans, answers identical to the "
-          "sharing-off ablation".format(
-              max(pqs), ratios["prefix_scan_ratio_100"]))
-    return 0
-
-
-if __name__ == "__main__":
-    import pathlib
-
-    # Run as a script, ``benchmarks`` is not a package on sys.path yet.
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    sys.exit(main())
+    metrics = {key: round(ratios[key], 4) for key in (
+        "scan_ratio_100", "xmsg_ratio_100", "unshared_scan_x",
+        "unshared_xmsg_x", "hop_shortcut_frac", "prefix_scan_ratio_100",
+        "prefix_xmsg_ratio_100", "prefix_unshared_scan_x")}
+    metrics.update(parity=True, prefix_parity=True)
+    report("multi_query",
+           exhibit(nodes, qs, stats, ratios) + "\n"
+           + prefix_exhibit(nodes, pqs, pstats, ratios), metrics)

@@ -11,7 +11,7 @@ scales with the closure size (the number of derived facts), which is
 the semi-naive property.
 """
 
-from benchmarks._harness import fmt_table, full_scale, report, run_once
+from benchmarks._harness import fmt_table, full_scale, report
 from repro.apps.topology import TopologyApp
 from repro.core.network import PierNetwork
 
@@ -40,7 +40,7 @@ def run_graph(kind, n, degree, seed):
     }
 
 
-def test_recursive_topology(benchmark):
+def test_recursive_topology():
     graphs = [
         ("ring", 16, 1),
         ("scale_free", 24, 4),
@@ -49,19 +49,15 @@ def test_recursive_topology(benchmark):
     if full_scale():
         graphs.append(("scale_free", 48, 4))
 
-    def run():
-        rows = []
-        for kind, n, degree in graphs:
-            stats = run_graph(kind, n, degree, seed=17)
-            rows.append((
-                "{}({})".format(kind, n), stats["edges"], stats["facts"],
-                stats["truth"], "yes" if stats["exact"] else "NO",
-                round(stats["sim_seconds"], 1),
-                round(stats["messages"] / max(1, stats["facts"]), 1),
-            ))
-        return rows
-
-    rows = run_once(benchmark, run)
+    rows = []
+    for kind, n, degree in graphs:
+        stats = run_graph(kind, n, degree, seed=17)
+        rows.append((
+            "{}({})".format(kind, n), stats["edges"], stats["facts"],
+            stats["truth"], "yes" if stats["exact"] else "NO",
+            round(stats["sim_seconds"], 1),
+            round(stats["messages"] / max(1, stats["facts"]), 1),
+        ))
 
     text = "Ext-E: recursive reachability over router graphs\n"
     text += "(24-node PIER testbed; link table DHT-partitioned on src)\n\n"

@@ -35,15 +35,17 @@ reports a ratio. Four sections, each writing its own results file for
   ``APPROX_COUNT_DISTINCT`` / ``APPROX_TOPK`` within their sketches'
   error bounds of the exact answers.
 
-Run with ``python benchmarks/bench_standing_windows.py`` (``--smoke``
-for the CI-sized pass) or under pytest; either writes each section's
+Runs under pytest, CI-sized by default and at full size with
+``PIER_BENCH_SCALE=full``; writes each section's
 ``results/<section>.json`` and ``.txt`` exhibit.
 """
 
 import math
-import sys
 from unittest import mock
 
+from benchmarks._harness import (
+    begin, fmt_table, full_scale, report, rows_match, ticker_net,
+)
 from repro.core import planner
 from repro.core.aggregates import aggregate_by_name
 from repro.core.dataflow import StandingExecution
@@ -153,8 +155,6 @@ def sum_vs_polls(seed, nodes, every, lifetime, retention, warmup,
                  options=None, period=2.0, delay=0.1, probe=None):
     """Fig. 1's SUM over ``every``-second windows on twin ticker
     testbeds: standing on one, polled on the other."""
-    from benchmarks._harness import ticker_net
-
     def testbed():
         net = ticker_net(seed, nodes, retention, period=period, delay=delay)
         net.advance(warmup)
@@ -182,8 +182,6 @@ def parity(label, got, want, exact=False, same_epochs=True, min_epochs=4):
     """Assert ``got`` answers each epoch it shares with the reference
     ``want`` alike (``==`` when ``exact``, else ``rows_match``), on at
     least ``min_epochs`` epochs; returns how many it compared."""
-    from benchmarks._harness import rows_match
-
     if same_epochs:
         assert set(got) == set(want), "{}: different epochs ({} vs {})".format(
             label, sorted(got), sorted(want))
@@ -217,8 +215,6 @@ def _ratio(reference, leg, key):
 # continuous_standing: standing vs polling, tree and rehash
 # ----------------------------------------------------------------------
 def continuous_standing(smoke):
-    from benchmarks._harness import fmt_table
-
     nodes, lifetime = (24, 40.0) if smoke else (48, 80.0)
     metrics, ratios, rows = {"parity": True}, {}, []
     for mode, tree in (("tree", True), ("rehash", False)):
@@ -267,8 +263,6 @@ def _runs_standing(net, handle):
 
 
 def sliding_windows(smoke):
-    from benchmarks._harness import fmt_table, ticker_net
-
     nodes, ratios, lifetime = ((16, (1, 4), 60.0) if smoke
                                else (48, (1, 2, 4, 8), 80.0))
     metrics, folds, rows = {"parity": True}, {}, []
@@ -330,8 +324,6 @@ def _bloom_net(nodes):
 
 
 def epoch_overlap(smoke):
-    from benchmarks._harness import fmt_table
-
     nodes, ratios = (12, (1, 2, 4)) if smoke else (20, (1, 2, 4, 8))
     metrics, rows = {"parity": True}, []
     # Stretch the rehash transfer to the tree's so the flush horizon is
@@ -394,8 +386,6 @@ def _tree(seed, nodes, every, window, lifetime):
     intrusion-log shape): a group goes quiet once its bucket passes,
     which is exactly where shipping full window states every epoch is
     pure overlap redundancy."""
-    from benchmarks._harness import ticker_net
-
     legs = paned_vs_scratch(
         lambda: ticker_net(
             seed, nodes, window + every, table="events",
@@ -423,8 +413,6 @@ def _join(seed, nodes, every, window, lifetime):
     """A stream probe side joined against a DHT-published table, with a
     paned aggregate above: panes cross the asynchronous fetch, so the
     join stops re-probing (and re-folding) the overlap."""
-    from benchmarks._harness import ticker_net
-
     def build():
         net = ticker_net(
             seed, nodes, window + every, table="events",
@@ -457,8 +445,6 @@ def _join(seed, nodes, every, window, lifetime):
 
 def _sketches(seed, nodes, every, window, lifetime, cardinality=96):
     """HyperLogLog and Count-Min pane partials against exact answers."""
-    from benchmarks._harness import ticker_net
-
     out = {}
     for label, sql in SKETCH_SQL.items():
         # Zipf-ish skew: low ids recur (heavy hitters), high ids churn.
@@ -510,8 +496,6 @@ def _sketches(seed, nodes, every, window, lifetime, cardinality=96):
 
 
 def distributed_panes(smoke):
-    from benchmarks._harness import fmt_table
-
     nodes, lifetime = (12, 60.0) if smoke else (24, 80.0)
     window = 4 * EVERY
     legs, tree = _tree(SEED, nodes, EVERY, window, lifetime)
@@ -558,51 +542,18 @@ def distributed_panes(smoke):
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# The entry point
 # ----------------------------------------------------------------------
 SECTIONS = (continuous_standing, sliding_windows, epoch_overlap,
             distributed_panes)
 
 
-def run_all(smoke):
+def test_standing_windows():
     """Run every section, asserting its gates, and write each section's
-    exhibit and results file; returns section -> metrics."""
-    from benchmarks._harness import begin, report
-
+    exhibit and results file."""
     for section in SECTIONS:
         begin(section.__name__)
-    out = {}
+    smoke = not full_scale()
     for section in SECTIONS:
         text, metrics = section(smoke)
-        report(section.__name__, text, metrics,
-               scale="smoke" if smoke else "full")
-        out[section.__name__] = metrics
-    return out
-
-
-def test_standing_windows(benchmark):
-    from benchmarks._harness import run_once
-
-    benchmark.extra_info.update(run_once(benchmark, lambda: run_all(False)))
-
-
-def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="the CI-sized pass (same parity and reduction checks)",
-    )
-    args = parser.parse_args(argv)
-    run_all(args.smoke)
-    print("ok: every section's parity and reduction gates hold")
-    return 0
-
-
-if __name__ == "__main__":
-    import pathlib
-
-    # Run as a script, ``benchmarks`` is not a package on sys.path yet.
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    sys.exit(main())
+        report(section.__name__, text, metrics)

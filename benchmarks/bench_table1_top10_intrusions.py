@@ -7,22 +7,18 @@ aggregated in-network. The reproduced table must match the paper's
 ranking exactly and the counts verbatim.
 """
 
-from benchmarks._harness import fmt_table, full_scale, report, run_once
+from benchmarks._harness import fmt_table, full_scale, report
 from repro.apps.snort import SnortApp
 from repro.workloads.planetlab import build_planetlab_network
 from repro.workloads.snort_rules import TABLE1_RULES
 
 
-def test_table1_top10_rules(benchmark):
+def test_table1_top10_rules():
     num_hosts = 300 if full_scale() else 150
 
-    def run():
-        net = build_planetlab_network(num_hosts, seed=2)
-        app = SnortApp(net).install()
-        result = app.top_rules(10)
-        return app, result
-
-    app, result = run_once(benchmark, run)
+    net = build_planetlab_network(num_hosts, seed=2)
+    app = SnortApp(net).install()
+    result = app.top_rules(10)
 
     rows = [(str(rule), descr, hits) for rule, descr, hits in result.rows]
     text = "Table 1: network-wide top ten intrusion detection rules\n"
@@ -37,4 +33,3 @@ def test_table1_top10_rules(benchmark):
     assert [(r, d) for r, d, _h in result.rows] == \
         [(r, d) for r, d, _h in TABLE1_RULES]
     assert [h for _r, _d, h in result.rows] == [h for _r, _d, h in TABLE1_RULES]
-    benchmark.extra_info["reporters"] = len(result.reporters)

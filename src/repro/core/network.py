@@ -29,7 +29,7 @@ from repro.core.sql import parse_query
 from repro.db.catalog import Catalog, TableDef
 from repro.db.schema import Column, Schema
 from repro.db.types import type_by_name
-from repro.dht.bootstrap import build_chord_ring, join_chord_ring
+from repro.dht.bootstrap import build_chord_ring
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
 from repro.sim.churn import ChurnConfig, ChurnProcess
@@ -49,14 +49,10 @@ LATENCY_SCALE = 0.15
 class PierConfig:
     """Knobs for a PierNetwork testbed."""
 
-    def __init__(self, dht=None, engine=None, network=None,
-                 bootstrap="oracle", admission=None):
+    def __init__(self, dht=None, engine=None, network=None, admission=None):
         self.dht = dht if dht is not None else DhtConfig()
         self.engine = engine if engine is not None else EngineConfig()
         self.network = network if network is not None else NetworkConfig()
-        if bootstrap not in ("oracle", "protocol"):
-            raise PierError("bootstrap must be 'oracle' or 'protocol'")
-        self.bootstrap = bootstrap
         # An AdmissionPolicy (core.admission), or None to admit all.
         self.admission = admission
 
@@ -124,12 +120,8 @@ class PierNetwork:
                 self.latency.place_random(address)
             self._make_node(address)
 
-        chord_nodes = [n.chord for n in self.nodes.values()]
-        if self.config.bootstrap == "oracle":
-            build_chord_ring(chord_nodes)
-            self.clock.run_for(1.0)  # let first maintenance jitter settle
-        else:
-            join_chord_ring(chord_nodes, self.clock)
+        build_chord_ring([n.chord for n in self.nodes.values()])
+        self.clock.run_for(1.0)  # let first maintenance jitter settle
 
     def _make_node(self, address):
         chord = ChordNode(

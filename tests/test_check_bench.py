@@ -4,9 +4,11 @@ The gate is CI's last line of defense against a benchmark silently
 regressing (or silently not running), so its own semantics -- exact
 parity, the +/- tolerance band edges, missing metrics/results, scale
 mismatch, --record kind inference, and the step-summary drift table --
-get pinned here with real files under a tmp dir.
+get pinned here with real files under a tmp dir, beside the shape of
+the benches that feed it (one pytest entry point each).
 """
 
+import ast
 import importlib.util
 import json
 import math
@@ -160,14 +162,46 @@ class TestStaleResults:
         # it; a bench removes its own as its first act.
         harness = _load_module(_HARNESS)
         monkeypatch.setattr(harness, "RESULTS_DIR", cb.RESULTS_DIR)
+        monkeypatch.delenv("PIER_BENCH_SCALE", raising=False)
         _write_baseline(cb, "b", {"parity": ("exact", True)})
         _write_result(cb, "b", {"parity": True})  # the previous run's
         assert cb.check() == 0
         harness.begin("b")  # ...and the bench dies before write_metrics
         assert cb.check() == 1
         harness.begin("b")  # nothing to remove is not an error
-        harness.write_metrics("b", {"parity": True}, scale="smoke")
+        harness.write_metrics("b", {"parity": True})
         assert cb.check() == 0
+
+
+class TestOneEntryPoint:
+    """Each exhibit runs one way: its one pytest test, sized by
+    ``PIER_BENCH_SCALE`` alone. A second entry point (a ``main()``
+    with its own size flags) or a timing fixture is a second way to run
+    it, with its own geometry and its own results."""
+
+    BENCHES = sorted(_HARNESS.parent.glob("bench_*.py"))
+
+    def test_the_suite_is_collected(self):
+        assert len(self.BENCHES) == 13
+
+    @pytest.mark.parametrize("path", BENCHES, ids=lambda p: p.stem)
+    def test_one_test_and_no_cli(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)]
+        assert len([n for n in top if n.startswith("test_")]) == 1
+        assert "main" not in top
+        for node in tree.body:
+            assert not (isinstance(node, ast.If)
+                        and "__main__" in ast.unparse(node.test))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "argparse" not in imported
+        params = {arg.arg for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  for arg in node.args.args + node.args.kwonlyargs}
+        assert "benchmark" not in params
 
 
 class TestRowsMatch:

@@ -38,9 +38,7 @@ class TestKnobs:
             return list(inspect.signature(cls.__init__).parameters)[1:]
 
         assert knobs(EngineConfig) == ["max_batch_rows", "regional_trees"]
-        assert knobs(PierConfig) == [
-            "dht", "engine", "network", "bootstrap", "admission",
-        ]
+        assert knobs(PierConfig) == ["dht", "engine", "network", "admission"]
         assert knobs(AdmissionPolicy) == ["budget_units"]
         assert knobs(StatsCatalog) == []
         assert knobs(DhtConfig) == [
@@ -51,7 +49,8 @@ class TestKnobs:
         for cls in (EngineConfig, DhtConfig, NetworkConfig, AdmissionPolicy):
             assert vars(cls()).keys() == set(knobs(cls))
 
-    @pytest.mark.parametrize("cls", [EngineConfig, DhtConfig, AdmissionPolicy])
+    @pytest.mark.parametrize("cls", [
+        EngineConfig, DhtConfig, NetworkConfig, PierConfig, AdmissionPolicy])
     def test_every_knob_has_a_caller(self, cls):
         """The census rule, checked: each field is passed as ``name=``
         somewhere outside ``tests/`` and outside its class's own

@@ -113,13 +113,19 @@ class TestFacade:
         with pytest.raises(PierError):
             small_net.node("ghost")
 
-    def test_bad_bootstrap_mode_rejected(self):
-        with pytest.raises(PierError):
-            PierConfig(bootstrap="teleport")
-
-    def test_protocol_bootstrap_builds_working_net(self):
-        net = PierNetwork(nodes=6, seed=704,
-                          config=PierConfig(bootstrap="protocol"))
+    def test_protocol_joined_members_answer_exactly(self):
+        """Half the ring rejoins through the join protocol, one node at
+        a time as ``join_chord_ring`` joins them, instead of the oracle
+        wiring: rows inserted afterwards still sum exactly."""
+        net = PierNetwork(nodes=6, seed=704)
+        rejoined = net.addresses()[1:4]
+        for address in rejoined:
+            net.crash_node(address)
+        net.advance(5)
+        for address in rejoined:
+            net.recover_node(address)
+            net.advance(10)
+        assert set(net.live_addresses()) == set(net.addresses())
         net.create_local_table("t", [("v", "INT")])
         for i, address in enumerate(net.addresses()):
             net.insert(address, "t", [(i,)])

@@ -1,6 +1,6 @@
 """Benchmark-regression gate: compare results against checked-in baselines.
 
-Every benchmark smoke run writes its headline numbers as JSON under
+Every gated benchmark run writes its headline numbers as JSON under
 ``benchmarks/results/<name>.json`` (see ``benchmarks/_harness.py``:
 ``write_metrics``). This tool compares each checked-in baseline in
 ``benchmarks/baselines/`` against the results file of the same name:
@@ -74,8 +74,8 @@ def record(tolerance):
     results = sorted(RESULTS_DIR.glob("*.json"))
     if not results:
         raise SystemExit(
-            "check_bench: no results to record -- run the benchmark "
-            "smokes first (benchmarks/bench_*.py --smoke)"
+            "check_bench: no results to record -- run the benchmarks "
+            "first (PYTHONPATH=src python -m pytest benchmarks/bench_*.py)"
         )
     for path in results:
         payload = _load(path)
