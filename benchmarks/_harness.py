@@ -27,11 +27,12 @@ the CI benchmark-regression gate.
 """
 
 import json
-import math
 import os
 import pathlib
 import subprocess
 import sys
+
+from benchmarks.perf.reference import RowLog
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -171,28 +172,6 @@ def _numeric(cell):
     return cell.replace(",", "").replace(".", "").replace("-", "").isdigit()
 
 
-def rows_match(a, b):
-    """Row-list equality that forgives float sums an ulp apart.
-
-    Two correct paths may merge partial sums in different orders
-    (another rendezvous tree, a sliding window's merge/unmerge, a
-    spine vs a private twin), which perturbs a float by an ulp; every
-    other value, and every row's arity, must match exactly.
-    """
-    if len(a) != len(b):
-        return False
-    for row_a, row_b in zip(a, b):
-        if len(row_a) != len(row_b):
-            return False
-        for va, vb in zip(row_a, row_b):
-            if isinstance(va, float) or isinstance(vb, float):
-                if not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-9):
-                    return False
-            elif va != vb:
-                return False
-    return True
-
-
 def rate_sample(engine, i, step, base):
     """The fig1 sample: a node's base rate plus a 7-step sawtooth."""
     return (base + (step % 7),)
@@ -202,7 +181,11 @@ def ticker_net(seed, nodes, retention, table="node_stats",
                columns=(("rate_kbps", "FLOAT"),), value=rate_sample,
                period=2.0, delay=0.1):
     """A testbed whose every node appends one row to a stream table
-    every ``period`` seconds, the first ``delay`` seconds in.
+    every ``period`` seconds, the first ``delay`` seconds in, and the
+    ``RowLog`` that takes each row at the instant it is appended:
+    ``log.window(table, t - W, t)`` is what an epoch closing at ``t``
+    over ``W`` seconds must read, the one ground truth of every
+    ticker-fed exhibit.
 
     The row is ``value(engine, i, step, base)`` for the ``i``-th node's
     ``step``-th tick (from 1); ``base`` is that node's draw, in
@@ -213,6 +196,7 @@ def ticker_net(seed, nodes, retention, table="node_stats",
     net = PierNetwork(nodes=nodes, seed=seed)
     net.create_stream_table(table, list(columns), window=retention)
     rng = net.rng.fork("rates")
+    log = RowLog()
 
     def ticker(address, i, base):
         step = [0]
@@ -220,7 +204,9 @@ def ticker_net(seed, nodes, retention, table="node_stats",
         def tick():
             engine = net.node(address).engine
             step[0] += 1
-            engine.stream_append(table, value(engine, i, step[0], base))
+            row = value(engine, i, step[0], base)
+            engine.stream_append(table, row)
+            log.add(engine.clock.now, address, table, [row])
             engine.set_timer(period, tick)
 
         return tick
@@ -228,4 +214,4 @@ def ticker_net(seed, nodes, retention, table="node_stats",
     for i, address in enumerate(net.addresses()):
         tick = ticker(address, i, 10.0 + 90.0 * rng.random())
         net.node(address).engine.set_timer(delay, tick)
-    return net
+    return net, log

@@ -13,14 +13,15 @@ StandingExecution, hence one stream scan and one set of exchange flows
 The sweep submits Q in {1, 100, 1000} near-duplicates at the same sim
 instant and measures rows scanned and exchange hops for the whole
 fleet; an ``unshared`` leg (``{"shared": False}``) runs the 100-query
-fleet as private executions for the per-query parity reference and the
-cost-of-not-sharing exhibit. A control query over a *different* window
-geometry rides along and must stay off the spine.
+fleet as private executions for the cost-of-not-sharing exhibit. A
+control query over a *different* window geometry rides along and must
+stay off the spine.
 
 Acceptance properties asserted here:
 
-* every query in the shared fleet returns per-epoch results identical
-  to its private (unshared) twin -- sharing is invisible to answers;
+* every query, shared, unshared or the control, answers each epoch as
+  the rows its testbed appended (``ticker_net``'s ``RowLog``) do,
+  recomputed in plain Python: sharing is invisible to answers;
 * at Q=100 the shared fleet's rows scanned and exchange hops are each
   <= 1.5x the single-query run (the fleet costs about one query);
 * the unshared fleet pays per-query: strictly more scans and exchange
@@ -38,16 +39,14 @@ waves into every query's private tail. The sweep submits Q in
 (bar: the 100-query fleet scans <= 1.5x ONE query's rows) and the
 wire messages that carry its exchange traffic (bar: <= 1.5x ONE
 query's), and runs the same fleet with every query opted out
-(``{"shared": False}``) as the per-query parity reference -- sharing
-must be invisible to answers.
+(``{"shared": False}``) for the cost exhibit.
 
 Runs under pytest: 8 nodes and Q in {1, 100} by default, 12 nodes and
 the sweeps above with ``PIER_BENCH_SCALE=full``.
 """
 
-from benchmarks._harness import (
-    begin, fmt_table, full_scale, report, rows_match, ticker_net,
-)
+from benchmarks._harness import begin, fmt_table, full_scale, report, ticker_net
+from benchmarks.perf.reference import same_rows
 from repro.core.sharing import SpineRecord, StageRecord
 
 NODES = 12
@@ -60,6 +59,7 @@ EVERY = 10.0
 WINDOW = 10.0
 LIFETIME = 30.0
 SAMPLE_PERIOD = 2.0
+EPOCHS = list(range(1, int(LIFETIME // EVERY) + 1))
 
 SMOKE_NODES = 8
 SMOKE_QS = (1, 100)
@@ -93,38 +93,79 @@ def variant_sql(i):
     )
 
 
-def prefix_sql(i):
-    """A per-query predicate: same scan + epoch grid, different tail.
-
-    Thresholds land inside the ticker's value range so every query
+def threshold(i):
+    """Thresholds land inside the ticker's value range so every query
     filters a different (nonempty) subset -- no two plans canonicalize
-    together, yet all share the one scan stage.
-    """
-    threshold = 8.0 + (i % DISTINCT_PREDICATES)
+    together, yet all share the one scan stage."""
+    return 8.0 + (i % DISTINCT_PREDICATES)
+
+
+def prefix_sql(i):
+    """A per-query predicate: same scan + epoch grid, different tail."""
     return (
         "SELECT SUM(rate_kbps) AS total_rate, COUNT(*) AS samples "
-        "FROM node_stats WHERE rate_kbps > {} ".format(threshold)
+        "FROM node_stats WHERE rate_kbps > {} ".format(threshold(i))
         + TAIL.format(int(EVERY), int(WINDOW), int(LIFETIME))
     )
 
 
+def variant_keeps(_i, rate):
+    """Every variant's WHERE clause, in Python."""
+    return 5 < rate < 500
+
+
+def check_answers(label, run, keeps, window=WINDOW):
+    """Assert query i of ``run`` answered every epoch of its lifetime
+    with the SUM and COUNT of the rates ``run``'s tickers appended in
+    the epoch's window that ``keeps(i, rate)`` passes."""
+    for i, epochs in enumerate(run["per_query"]):
+        assert sorted(epochs) == EPOCHS, "{} query {}: epochs {}".format(
+            label, i, sorted(epochs))
+        for k, rows in epochs.items():
+            hi = run["t0"] + k * EVERY
+            rates = [v for (v,) in run["log"].window(
+                "node_stats", hi - window, hi) if keeps(i, v)]
+            want = [(sum(rates), len(rates))] if rates else []
+            assert same_rows(rows, want), (
+                "{} query {}: epoch {} answered {!r}, the appended rows "
+                "{!r}".format(label, i, k, rows, want))
+
+
 def build_net(seed, nodes):
-    return ticker_net(seed, nodes, retention=2 * WINDOW, period=SAMPLE_PERIOD)
+    """The ticker testbed and its log, the first window filled."""
+    net, log = ticker_net(seed, nodes, retention=2 * WINDOW,
+                          period=SAMPLE_PERIOD)
+    net.advance(WINDOW)
+    return net, log
+
+
+def _moved(net):
+    sent = net.message_counters()
+    return {"messages": sent.get("messages_sent", 0),
+            "exchange_messages": sent.get("exchange_messages", 0),
+            "rows_scanned": sum(n.engine.rows_scanned
+                                for n in net.nodes.values())}
+
+
+def _measured(label, net, log, before, fleet, keeps):
+    """What a fleet moved, once every query's answers are checked."""
+    run = {k: v - before[k] for k, v in _moved(net).items()}
+    run.update(queries=len(fleet), log=log, t0=fleet[0].t0,
+               per_query=[{k: r.rows for k, r in h.results.items()}
+                          for h in fleet])
+    check_answers(label, run, keeps)
+    return run
 
 
 def run_fleet(seed, nodes, q, shared):
     """Submit ``q`` near-duplicates at one instant; measure the fleet."""
-    net = build_net(seed, nodes)
-    net.advance(WINDOW)  # fill the first window
-    before = dict(net.message_counters())
-    scans_before = sum(n.engine.rows_scanned for n in net.nodes.values())
+    net, log = build_net(seed, nodes)
+    before = _moved(net)
     site = net.any_address()
     options = None if shared else {"shared": False}
     fleet = []
     for i in range(q):
-        results = []
-        handle = net.submit_sql(variant_sql(i), node=site,
-                                on_epoch=results.append, options=options)
+        handle = net.submit_sql(variant_sql(i), node=site, options=options)
         assert handle.plan.standing
         if shared:
             assert handle.plan.metadata.get("spine"), (
@@ -132,11 +173,11 @@ def run_fleet(seed, nodes, q, shared):
             )
         else:
             assert handle.plan.metadata.get("spine") is None
-        fleet.append((handle, results))
-    assert len({h.plan.metadata.get("spine") for h, _r in fleet}) == 1, (
+        fleet.append(handle)
+    assert len({h.plan.metadata.get("spine") for h in fleet}) == 1, (
         "near-duplicates canonicalized to different signatures"
     )
-    net.advance(LIFETIME + fleet[0][0].plan.deadline + 5.0)
+    net.advance(LIFETIME + fleet[0].plan.deadline + 5.0)
     if shared and q > 1:
         # The whole fleet rides one StandingExecution per node.
         for address in net.addresses():
@@ -148,8 +189,6 @@ def run_fleet(seed, nodes, q, shared):
                         "{}: spine carries {} of {} subscribers".format(
                             address, len(rec.subscribers), q)
                     )
-    after = net.message_counters()
-    scans_after = sum(n.engine.rows_scanned for n in net.nodes.values())
     # Tree-edge hop caching: combiner forwards that went direct to the
     # learned terminal owner instead of re-walking the stable route.
     # Closed combiners fold their counters into the engine totals;
@@ -161,39 +200,28 @@ def run_fleet(seed, nodes, q, shared):
         for combiner in n.engine.combiners.values():
             forwards += combiner.forwarded
             shortcuts += combiner.hop_shortcuts
-    return {
-        "queries": q,
-        "tree_forwards": forwards,
-        "tree_hop_shortcuts": shortcuts,
-        "per_query": [
-            {r.epoch: sorted(r.rows) for r in results}
-            for _h, results in fleet
-        ],
-        "messages": after.get("messages_sent", 0) - before.get("messages_sent", 0),
-        "exchange_messages": (after.get("exchange_messages", 0)
-                              - before.get("exchange_messages", 0)),
-        "rows_scanned": scans_after - scans_before,
-    }
+    run = _measured("shared={} Q={}".format(shared, q), net, log, before,
+                    fleet, variant_keeps)
+    run.update(tree_forwards=forwards, tree_hop_shortcuts=shortcuts)
+    return run
 
 
 def run_control(seed, nodes):
     """A different-geometry query next to the fleet: own spine, own
-    answers. Unmeasured -- it exists to prove sharing has a boundary."""
-    net = build_net(seed, nodes)
-    net.advance(WINDOW)
+    answers, each epoch over its own (wider) window. Unmeasured -- it
+    exists to prove sharing has a boundary."""
+    net, log = build_net(seed, nodes)
     site = net.any_address()
-    fleet_results = []
-    fleet_handle = net.submit_sql(variant_sql(0), node=site,
-                                  on_epoch=fleet_results.append)
-    control_results = []
-    control_handle = net.submit_sql(CONTROL_SQL, node=site,
-                                    on_epoch=control_results.append)
-    assert (control_handle.plan.metadata.get("spine")
-            != fleet_handle.plan.metadata.get("spine")), (
+    fleet = net.submit_sql(variant_sql(0), node=site)
+    control = net.submit_sql(CONTROL_SQL, node=site)
+    assert (control.plan.metadata.get("spine")
+            != fleet.plan.metadata.get("spine")), (
         "different-geometry control joined the fleet's spine"
     )
-    net.advance(LIFETIME + control_handle.plan.deadline + 5.0)
-    return {r.epoch: sorted(r.rows) for r in control_results}
+    net.advance(LIFETIME + control.plan.deadline + 5.0)
+    check_answers("control", {
+        "per_query": [{k: r.rows for k, r in control.results.items()}],
+        "log": log, "t0": control.t0}, variant_keeps, 2 * WINDOW)
 
 
 def tap_exchange_wire(net):
@@ -223,32 +251,28 @@ def run_prefix_fleet(seed, nodes, q, shared):
     """Submit ``q`` different-predicate queries at one instant.
 
     ``shared=False`` submits the identical fleet under
-    ``{"shared": False}`` -- every query fully private -- as the parity
-    reference and the cost exhibit.
+    ``{"shared": False}`` -- every query fully private -- for the cost
+    exhibit.
     """
-    net = build_net(seed, nodes)
-    net.advance(WINDOW)  # fill the first window
-    before = dict(net.message_counters())
-    scans_before = sum(n.engine.rows_scanned for n in net.nodes.values())
+    net, log = build_net(seed, nodes)
+    before = _moved(net)
     exchange_wire = tap_exchange_wire(net)
     site = net.any_address()
     fleet = []
     for i in range(q):
-        results = []
         handle = net.submit_sql(prefix_sql(i), node=site,
-                                on_epoch=results.append,
                                 options=None if shared else {"shared": False})
         assert handle.plan.standing
         if shared:
             assert handle.plan.metadata.get("prefix"), (
                 "query {} was not stamped prefix-shareable".format(i)
             )
-        fleet.append((handle, results))
+        fleet.append(handle)
     if shared:
-        assert len({h.plan.metadata.get("prefix") for h, _r in fleet}) == 1, (
+        assert len({h.plan.metadata.get("prefix") for h in fleet}) == 1, (
             "different-predicate fleet split into multiple prefix keys"
         )
-        assert (len({h.plan.metadata.get("spine") for h, _r in fleet})
+        assert (len({h.plan.metadata.get("spine") for h in fleet})
                 == min(q, DISTINCT_PREDICATES)), (
             "distinct predicates should NOT canonicalize to one spine"
         )
@@ -278,21 +302,11 @@ def run_prefix_fleet(seed, nodes, q, shared):
             assert not any(isinstance(rec, (SpineRecord, StageRecord))
                            for rec in engine.records.values())
             assert readers == q  # every private query reads the table itself
-    net.advance(LIFETIME + fleet[0][0].plan.deadline + 5.0 - 2 * EVERY - 1.0)
-    after = net.message_counters()
-    scans_after = sum(n.engine.rows_scanned for n in net.nodes.values())
-    return {
-        "queries": q,
-        "per_query": [
-            {r.epoch: sorted(r.rows) for r in results}
-            for _h, results in fleet
-        ],
-        "messages": after.get("messages_sent", 0) - before.get("messages_sent", 0),
-        "exchange_messages": (after.get("exchange_messages", 0)
-                              - before.get("exchange_messages", 0)),
-        "exchange_wire": exchange_wire[0],
-        "rows_scanned": scans_after - scans_before,
-    }
+    net.advance(LIFETIME + fleet[0].plan.deadline + 5.0 - 2 * EVERY - 1.0)
+    run = _measured("prefix shared={} Q={}".format(shared, q), net, log,
+                    before, fleet, lambda i, rate: rate > threshold(i))
+    run["exchange_wire"] = exchange_wire[0]
+    return run
 
 
 def run_prefix_sweep(seed, nodes, qs):
@@ -304,23 +318,8 @@ def run_prefix_sweep(seed, nodes, qs):
 
 
 def check_prefix_sweep(stats, qs):
-    """Per-query parity vs the sharing-off ablation + the <=1.5x bars."""
+    """The <=1.5x bars (every answer was checked as it ran)."""
     unshared = stats["unshared"]
-    reference = unshared["per_query"][0]
-    assert len(reference) >= 2, "ablation reference produced too few epochs"
-    for q, leg in stats["shared"].items():
-        for i, epochs in enumerate(leg["per_query"]):
-            twin = unshared["per_query"][i]
-            assert set(epochs) == set(twin), (
-                "prefix Q={} query {}: epochs {} != ablation twin {}".format(
-                    q, i, sorted(epochs), sorted(twin))
-            )
-            for k in twin:
-                assert rows_match(epochs[k], twin[k]), (
-                    "prefix Q={} query {}: epoch {} diverged from the "
-                    "sharing-off twin ({!r} vs {!r})".format(
-                        q, i, k, epochs[k], twin[k])
-                )
     base = stats["shared"][min(qs)]
     big = stats["shared"][max(qs)]
     ratios = {
@@ -354,41 +353,15 @@ def run_sweep(seed, nodes, qs):
     stats["unshared"][UNSHARED_Q] = run_fleet(
         seed, nodes, min(UNSHARED_Q, max(qs)), shared=False
     )
-    stats["control_epochs"] = run_control(seed, nodes)
+    run_control(seed, nodes)
     return stats
 
 
 def check_sweep(stats, qs):
-    """Parity, the <=1.5x sharing bar, and the unshared cost exhibit."""
+    """The <=1.5x sharing bar and the unshared cost exhibit (every
+    answer was checked as it ran)."""
     shared = stats["shared"]
     unshared = stats["unshared"][UNSHARED_Q]
-
-    # Every query in every shared fleet answers like its private twin.
-    reference = unshared["per_query"][0]
-    assert len(reference) >= 2, "reference produced too few epochs"
-    for q, leg in shared.items():
-        for i, epochs in enumerate(leg["per_query"]):
-            assert set(epochs) == set(reference), (
-                "Q={} query {}: epochs {} != reference {}".format(
-                    q, i, sorted(epochs), sorted(reference))
-            )
-            for k in reference:
-                assert rows_match(epochs[k], reference[k]), (
-                    "Q={} query {}: epoch {} diverged from the private "
-                    "twin ({!r} vs {!r})".format(
-                        q, i, k, epochs[k], reference[k])
-                )
-    for i, epochs in enumerate(unshared["per_query"]):
-        for k in reference:
-            assert rows_match(epochs[k], reference[k]), (
-                "unshared query {} disagrees with query 0".format(i)
-            )
-
-    # The control stayed off the spine and still answered.
-    control = stats["control_epochs"]
-    assert control and len(control) >= 2, "control query produced no epochs"
-    assert all(rows for rows in control.values())
-
     base = shared[min(qs)]
     big = shared[100] if 100 in shared else shared[max(qs)]
     ratios = {
@@ -440,8 +413,8 @@ def prefix_exhibit(nodes, qs, stats, ratios):
         rows,
     )
     text += (
-        "\n\nper-query results: every staged query identical to its "
-        "private (shared: False) twin\n"
+        "\n\nper-query results: every staged and sharing-off query "
+        "identical to the appended rows\n"
         "{} different predicates vs 1 (staged): rows scanned {:.2f}x "
         "(bar: <= 1.5x), exchange wire messages {:.2f}x (bar: <= 1.5x)\n"
         "sharing off at Q={}: {:.2f}x the scans of the staged fleet\n"
@@ -475,8 +448,8 @@ def exhibit(nodes, qs, stats, ratios):
         rows,
     )
     text += (
-        "\n\nper-query results: every shared query identical to its "
-        "private twin\n"
+        "\n\nper-query results: every shared, unshared and control query "
+        "identical to the appended rows\n"
         "100 near-duplicates vs 1 (shared): rows scanned {:.2f}x, "
         "exchange hops {:.2f}x (bar: <= 1.5x)\n"
         "not sharing at Q={}: {:.2f}x the scans, {:.2f}x the exchange "

@@ -46,17 +46,29 @@ class RevisitTap:
     """
 
     def __init__(self):
-        # message -> (nodes it arrived at, origin first; hop -> where
-        # in that list the hop's first arrival went)
+        # walk -> (nodes it arrived at, origin first; hop -> where in
+        # that list the hop's first arrival went; what names the walk)
         self._walks = {}
         self.route_revisits = []  # (node, key) per revisiting hop
         self.lookup_revisits = 0
 
+    @staticmethod
+    def _walk(message):
+        """Every delivery is its own copy of the envelope, so a walk is
+        named by what its copies share: a route by its payload (one
+        dict per route), a lookup by its origin's ref object (one per
+        node incarnation) and request id. The walk holds what it is
+        named by, so no ``id`` is reused while the tap lives."""
+        if message.kind == "route":
+            return id(message.payload), message.payload
+        return (id(message.origin), message.req_id), message.origin
+
     def arrive(self, src, dst, message):
-        walk = self._walks.get(message)
+        name, held = self._walk(message)
+        walk = self._walks.get(name)
         if walk is None:
-            walk = self._walks[message] = ([message.origin.address], {})
-        visited, hops = walk
+            walk = self._walks[name] = ([message.origin.address], {}, held)
+        visited, hops, _held = walk
         since = hops.get((src, dst))
         if since is not None and src not in visited[since:]:
             return  # a retransmit: the sender never got the message back

@@ -6,6 +6,8 @@ cache-directed one (``route_via``), on a 3-node ring with maintenance
 off so nothing else is on the wire; ``Network.on_deliver`` is the tap.
 """
 
+import copy
+
 import pytest
 
 from repro.dht import messages as msg
@@ -15,6 +17,7 @@ from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
+from repro.util.ids import sha1_id
 from repro.util.rng import SeededRng
 
 LATENCY = 0.02
@@ -221,6 +224,51 @@ class TestHopLadder:
         assert len(routes(tape, n1)) == 1
         assert [e[0] for e in routes(tape, n2)] == [RPC_TIMEOUT + LATENCY]
         assert rows == [(n2.address, "row")]
+
+
+class TestOneEnvelopePerDelivery:
+    def test_a_retransmit_while_the_first_copy_walks_is_consumed_once(self):
+        """A two-hop walk ``n0 -> hop -> owner``: the hop's ack is lost
+        and so is its first send on to the owner, so the first copy is
+        still walking (the hop's retransmit is due) when ``n0``
+        retransmits. Each holder rewrites only its own envelope: no walk
+        reads another's ``handed`` or ``hop_ack``, and the delivery id
+        is consumed at the owner alone."""
+        clock, net, nodes, _tape, rows = make_ring(6)
+        n0, hop, owner = nodes[0], nodes[2], nodes[3]
+        key = next(k for k in (sha1_id(("two-walks", i)) for i in range(100))
+                   if owner.owns(k))
+        acks, sent = [], []
+
+        def lose(src, dst, p):
+            if p.kind == "direct" and p.payload.get("op") == "hop_ack":
+                acks.append(src)
+                return len(acks) == 1
+            if p.kind in ("route", "hop_bundle"):
+                sent.append((src, dst))
+                return len(sent) == 2
+            return False
+
+        net.lose = lose
+        n0.route(key, delivery(n0, "row"))
+        clock.run_for(10.0)
+        assert sent[:2] == [(n0.address, hop.address),
+                            (hop.address, owner.address)]
+        assert acks[0] == hop.address
+        assert rows == [(owner.address, "row")]
+
+    @pytest.mark.parametrize("message", [
+        msg.Route(None, None, None), msg.Lookup(None, None, None),
+        msg.HopBundle([]),
+    ], ids=["route", "lookup", "hop_bundle"])
+    def test_a_copy_is_the_same_envelope(self, message):
+        """Every slot, a later one included, reaches the copy."""
+        for name in message.__slots__:
+            setattr(message, name, object())
+        twin = copy.copy(message)
+        assert twin is not message and type(twin) is type(message)
+        assert all(getattr(twin, name) is getattr(message, name)
+                   for name in message.__slots__)
 
 
 class TestStaleOwnerCache:

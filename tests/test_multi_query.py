@@ -6,7 +6,7 @@ and parity with private executions."""
 import pytest
 from stubs import live_stream_scans
 
-from benchmarks._harness import rows_match
+from benchmarks.perf.reference import same_rows
 from repro.core.dataflow import StandingExecution
 from repro.core.engine import PierEngine
 from repro.core.network import PierNetwork
@@ -159,7 +159,7 @@ class TestSpineRuntime:
             epochs = {r.epoch: sorted(r.rows) for r in results}
             assert set(epochs) == set(reference)
             for k in reference:
-                assert rows_match(epochs[k], reference[k])
+                assert same_rows(epochs[k], reference[k])
 
     def test_different_geometry_control_gets_its_own_spine(self, net):
         site = net.any_address()
@@ -364,7 +364,7 @@ class TestPrefixStageRuntime:
             assert set(staged[i]) == set(private[i])
             assert len(staged[i]) >= 3
             for k in private[i]:
-                assert rows_match(staged[i][k], private[i][k])
+                assert same_rows(staged[i][k], private[i][k])
 
     def test_sampled_fleet_matches_its_sampled_private_twins(self):
         # The sample rate is part of the prefix: the stage scan samples
@@ -394,7 +394,7 @@ class TestPrefixStageRuntime:
         for i in range(len(thresholds)):
             assert set(staged[i]) == set(private[i]) == {1, 2, 3, 4}
             for k in private[i]:
-                assert rows_match(staged[i][k], private[i][k])
+                assert same_rows(staged[i][k], private[i][k])
         counts = [rows[0][1] for epochs in private for rows in epochs.values()]
         assert 0 < min(counts) and max(counts) < 5 * 5 * 8
 
@@ -542,7 +542,7 @@ class TestPrefixStageRuntime:
         reference = {r.epoch: sorted(r.rows) for r in private}
         assert set(got) == set(reference) == {1, 2, 3, 4}
         for k in reference:
-            assert rows_match(got[k], reference[k]), k
+            assert same_rows(got[k], reference[k]), k
 
     def test_ablation_runs_every_query_private(self, net):
         site = net.any_address()
@@ -663,7 +663,7 @@ class TestOneLifecycle:
         reference = {r.epoch: sorted(r.rows) for r in private_results}
         assert set(twin) == set(reference) == {1, 2}
         for k in reference:
-            assert rows_match(twin[k], reference[k])
+            assert same_rows(twin[k], reference[k])
         assert {r.epoch for r in long_results} >= set(range(1, 6))
 
     def test_last_member_out_leaves_nothing_behind(self, net):
@@ -849,5 +849,5 @@ class TestOneBatchPerWave:
         for name in ("staged", "co-tenant"):
             assert {r.epoch for r in legs[name]} == {1, 2, 3}
         staged = {r.epoch: sorted(r.rows) for r in legs["staged"]}
-        assert rows_match(staged[1], private[1])
+        assert same_rows(staged[1], private[1])
         assert staged == private

@@ -24,13 +24,14 @@ Comparison discipline:
 
 Both legs run on one scheduler, so a boundary or window bug common to
 both would cancel out of that comparison. Crash-free trials therefore
-also check each leg against *ground truth*: the tickers log every
-``(timestamp, node, v)`` they append, and every reported epoch of every
-never-stopped query must equal a plain-Python recomputation of its
-aggregate over ``v > thr`` in ``(t_k - window, t_k]``. An epoch with a
-qualifying row stamped within a microsecond of either window edge is
-left out of that check (not tie-broken): whether such a row makes the
-wave depends on which same-instant event fired first on each node.
+also check each leg against *ground truth*: the tickers log every row
+they append in the perf benchmark's ``RowLog``, and every reported
+epoch of every never-stopped query must equal a plain-Python
+recomputation of its aggregate over ``v > thr`` in
+``(t_k - window, t_k]``. An epoch with a qualifying row stamped within
+a microsecond of either window edge is left out of that check (not
+tie-broken): whether such a row makes the wave depends on which
+same-instant event fired first on each node.
 
 Every assertion is stamped with the trial seed; a failing seed is also
 appended to ``tests/fuzz_failures/sharing_fuzz.txt`` (uploaded as a CI
@@ -49,7 +50,7 @@ import random
 
 import pytest
 
-from benchmarks._harness import rows_match
+from benchmarks.perf.reference import RowLog, same_rows
 from repro.core.network import PierNetwork
 
 TRIALS = int(os.environ.get("PIER_FUZZ_TRIALS", "50"))
@@ -150,7 +151,7 @@ def _install_ticker(net, address, base, period, log):
         step[0] += 1
         v = base + (step[0] % 4)
         engine.stream_append("s", (v,))
-        log.append((engine.clock.now, address, v))
+        log.add(engine.clock.now, address, "s", [(v,)])
         engine.set_timer(period, tick)
 
     net.node(address).engine.set_timer(0.1, tick)
@@ -165,7 +166,7 @@ def run_leg(schedule, shared):
         "s", [("v", "FLOAT")], window=2 * retention + schedule["every"]
     )
     addresses = net.addresses()
-    appended = []  # (timestamp, node, v) of every row, for ground truth
+    appended = RowLog()  # every row, for ground truth
     for i, address in enumerate(addresses):
         _install_ticker(net, address, float(i), schedule["tick"], appended)
     site = addresses[0]
@@ -254,7 +255,7 @@ def compare_legs(schedule, shared, ablation):
                 "seed {}: query {} epoch {} missing from {} leg".format(
                     seed, i, k, "shared" if k not in got else "ablation")
             )
-            assert rows_match(got[k], want[k]), (
+            assert same_rows(got[k], want[k]), (
                 "seed {}: query {} epoch {} diverged under sharing "
                 "({!r} vs {!r})".format(seed, i, k, got[k], want[k])
             )
@@ -276,23 +277,21 @@ def compare_legs(schedule, shared, ablation):
 def check_ground_truth(schedule, leg, name):
     """Every reported epoch of every never-stopped query on ``leg``
     against a recomputation from the tickers' own log."""
-    seed = schedule["seed"]
+    seed, log = schedule["seed"], leg["appended"]
     checked = 0
     for i, q in enumerate(schedule["queries"]):
         if q["stop_at"] is not None:
             continue
-        passing = [(ts, v) for ts, _node, v in leg["appended"]
-                   if v > q["thr"]]
         for k, rows in leg["per_query"][i].items():
             hi = leg["t0"][i] + k * schedule["every"]
             lo = hi - q["window"]
-            if any(min(abs(ts - lo), abs(ts - hi)) < EDGE_TIE
-                   for ts, _v in passing):
+            if any(v > q["thr"] for edge in (lo, hi) for (v,) in
+                   log.window("s", edge - EDGE_TIE, edge + EDGE_TIE)):
                 continue
-            vs = [v for ts, v in passing if lo < ts <= hi]
+            vs = [v for (v,) in log.window("s", lo, hi) if v > q["thr"]]
             # No qualifying row anywhere: no partial, so no answer row.
             want = [TRUTH[q["form"]](vs)] if vs else []
-            assert rows_match(rows, want), (
+            assert same_rows(rows, want), (
                 "seed {}: query {} epoch {} on the {} leg is {!r}, ground "
                 "truth {!r}".format(seed, i, k, name, rows, want)
             )

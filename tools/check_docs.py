@@ -25,8 +25,8 @@ Failure modes this catches before merge:
 * a README code block's shown output drifts from what the code actually
   prints (the examples are doctests and really run).
 
-Usage: ``PYTHONPATH=src python tools/check_docs.py`` from the repo
-root. Exit status is the number of failures.
+Usage: ``python tools/check_docs.py`` from the repo root (it puts
+``src/`` on ``sys.path`` itself). Exit status is the number of failures.
 """
 
 import ast
@@ -274,6 +274,7 @@ def check_doctests():
 
 
 def main():
+    sys.path[:0] = [str(REPO / "src")]
     failures = (check_links() + check_names() + check_members()
                 + check_roles() + check_doctests())
     for failure in failures:
