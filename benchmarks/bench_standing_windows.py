@@ -138,20 +138,20 @@ def _counters(net):
     }
 
 
-def _leg(net, before, epochs, t0, every, window):
-    """What a leg answered (``epochs``: epoch -> rows) and moved."""
+def _leg(net, before, epochs, count, t0, every, window):
+    """What a leg answered (``epochs``: epoch -> rows, each of its
+    ``count``, as one dropped would flatter a ratio gate) and moved."""
+    assert sorted(epochs) == list(range(1, count + 1)), sorted(epochs)
     leg = {k: v - before[k] for k, v in _counters(net).items()}
-    leg.update(epochs=epochs, num_epochs=len(epochs), t0=t0, every=every,
+    leg.update(epochs=epochs, num_epochs=count, t0=t0, every=every,
                window=window)
     return leg
 
 
 def standing(net, sql, lifetime, options=None, probe=None):
-    """Run ``sql`` as one standing query from the first node to its end.
-
-    Returns the plan and the leg. ``probe = (at, check)`` calls
-    ``check(net, handle)`` ``at`` seconds in.
-    """
+    """Run ``sql`` as one standing query to its end; returns the plan
+    and the leg. ``probe = (at, check)`` calls ``check(net, handle)``
+    ``at`` seconds in."""
     before = _counters(net)
     handle = net.submit_sql(sql, node=net.any_address(), options=options)
     plan = handle.plan
@@ -164,7 +164,8 @@ def standing(net, sql, lifetime, options=None, probe=None):
         run -= at
     net.advance(run)
     epochs = {k: r.rows for k, r in handle.results.items()}
-    return plan, _leg(net, before, epochs, handle.t0, plan.every,
+    count = int(plan.lifetime / plan.every + 1e-9)  # k * every <= lifetime
+    return plan, _leg(net, before, epochs, count, handle.t0, plan.every,
                       plan.window)
 
 
@@ -187,7 +188,7 @@ def polls(net, sql, every, count, options=None):
     net.advance(max(plan.deadline for plan in plans) + 5.0)
     epochs = {k: results[-1].rows if results else []
               for k, (_plan, results) in enumerate(pending, 1)}
-    return plans, _leg(net, before, epochs, t0, every, plans[0].window)
+    return plans, _leg(net, before, epochs, count, t0, every, plans[0].window)
 
 
 def sum_vs_polls(label, seed, nodes, every, lifetime, retention, warmup,

@@ -5,18 +5,20 @@ Each message has a ``kind`` used for dispatch and a ``category``
 overlay upkeep traffic from query traffic -- the DHT-scaling bench
 reports both.
 
-A message on the wire is a value. Most are passed by reference inside
-the simulator and must be treated as immutable after send. The routing
-envelope is the one exception: ``hops``, ``hop_ack``, ``force_terminal``
-and ``handed`` of a ``Route`` or ``Lookup`` are rewritten hop by hop by
-whichever node holds the message, so ``Network`` hands every receiver
-its own shallow copy of a ``Route``, a ``Lookup``, or a ``HopBundle``
-and each of its parts. A retransmit then never shares per-hop fields
-with a first copy still walking. A ``Route``'s *payload* is shared by
-those copies: it is never reassigned or mutated once the message
-exists, which is what lets it be sized once per route rather than once
-per hop.
+A message on the wire is a value. ``Network`` hands every receiver
+``message.for_receiver()``: most messages are passed by reference and
+must be treated as immutable after send. The routing envelope is the
+one exception: ``hops``, ``hop_ack``, ``force_terminal`` and ``handed``
+of a ``Route`` or ``Lookup`` are rewritten hop by hop by whichever node
+holds the message, so each receiver gets its own shallow copy of a
+``Route``, a ``Lookup``, or a ``HopBundle`` and each of its parts. A
+retransmit then never shares per-hop fields with a first copy still
+walking. A ``Route``'s *payload* is shared by those copies: it is never
+reassigned or mutated once the message exists, which is what lets it
+be sized once per route rather than once per hop.
 """
+
+import copy
 
 
 class Message:
@@ -26,6 +28,11 @@ class Message:
     def wire_size(self):
         """Default size model: category + kind headers only."""
         return 16
+
+    def for_receiver(self):
+        """What one delivery hands its receiver: this message itself,
+        immutable after send (module docstring)."""
+        return self
 
 
 class RpcRequest(Message):
@@ -77,15 +84,8 @@ class Lookup(Message):
         self.handed = False  # the last hop handed the key to its successor
         self.joining = False  # the origin is joining: never route to it
 
-    def __copy__(self):
-        # The receiver's own envelope (module docstring). Spelled out:
-        # ``copy``'s generic slot copy costs ~8x as much, once per hop.
-        twin = Lookup(self.target, self.origin, self.req_id, self.hops)
-        twin.hop_ack = self.hop_ack
-        twin.force_terminal = self.force_terminal
-        twin.handed = self.handed
-        twin.joining = self.joining
-        return twin
+    def for_receiver(self):
+        return copy.copy(self)  # its own per-hop fields
 
     def wire_size(self):
         return 20 + 16 + 8  # id + origin + counters
@@ -130,15 +130,8 @@ class Route(Message):
         self.handed = False  # the last hop handed the key to its successor
         self._size = None  # remembered by wire_size, hop after hop
 
-    def __copy__(self):
-        # The receiver's own envelope, sharing the payload (see Lookup).
-        twin = Route(self.key, self.payload, self.origin, self.hops,
-                     self.upcall)
-        twin.hop_ack = self.hop_ack
-        twin.force_terminal = self.force_terminal
-        twin.handed = self.handed
-        twin._size = self._size
-        return twin
+    def for_receiver(self):
+        return copy.copy(self)  # its own per-hop fields, the payload shared
 
     def wire_size(self):
         size = self._size
@@ -170,10 +163,10 @@ class HopBundle(Message):
         self.parts = parts
         self.hop_ack = None  # (address, req), as on a lone Route
 
-    def __copy__(self):
-        twin = HopBundle(self.parts)
-        twin.hop_ack = self.hop_ack
-        return twin
+    def for_receiver(self):
+        bundle = copy.copy(self)
+        bundle.parts = [part.for_receiver() for part in self.parts]
+        return bundle
 
     def wire_size(self):
         # kind/category header + the one ack slot + every part in full.

@@ -6,8 +6,6 @@ dissemination, rehash traffic, result return -- goes through
 collected here are complete.
 """
 
-import copy
-
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.util.errors import SimulationError
 from repro.util.serde import wire_size
@@ -231,21 +229,8 @@ class Network:
         self.counters.add("messages_delivered")
         self.inbound_bytes[dst] = self.inbound_bytes.get(dst, 0) + size
         self.inbound_messages[dst] = self.inbound_messages.get(dst, 0) + 1
-        node.handle_message(src, _own_envelope(payload))
-
-
-def _own_envelope(payload):
-    """What the receiver of ``payload`` holds: a message on the wire is
-    a value. A routed message (``route`` / ``lookup``, alone or as a
-    ``hop_bundle``'s part) carries per-hop fields its holder rewrites
-    as it forwards; a retransmit can leave one message on two walks at
-    once, so each delivery gets its own envelope (the payload inside is
-    never rewritten and stays shared)."""
-    kind = getattr(payload, "kind", None)
-    if kind in ("route", "lookup"):
-        return copy.copy(payload)
-    if kind == "hop_bundle":
-        bundle = copy.copy(payload)
-        bundle.parts = [copy.copy(part) for part in payload.parts]
-        return bundle
-    return payload
+        # A message on the wire is a value: the message decides what
+        # its receiver holds (``dht/messages.py``).
+        for_receiver = getattr(payload, "for_receiver", None)
+        node.handle_message(
+            src, payload if for_receiver is None else for_receiver())

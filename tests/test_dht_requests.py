@@ -6,8 +6,6 @@ cache-directed one (``route_via``), on a 3-node ring with maintenance
 off so nothing else is on the wire; ``Network.on_deliver`` is the tap.
 """
 
-import copy
-
 import pytest
 
 from repro.dht import messages as msg
@@ -256,19 +254,6 @@ class TestOneEnvelopePerDelivery:
                             (hop.address, owner.address)]
         assert acks[0] == hop.address
         assert rows == [(owner.address, "row")]
-
-    @pytest.mark.parametrize("message", [
-        msg.Route(None, None, None), msg.Lookup(None, None, None),
-        msg.HopBundle([]),
-    ], ids=["route", "lookup", "hop_bundle"])
-    def test_a_copy_is_the_same_envelope(self, message):
-        """Every slot, a later one included, reaches the copy."""
-        for name in message.__slots__:
-            setattr(message, name, object())
-        twin = copy.copy(message)
-        assert twin is not message and type(twin) is type(message)
-        assert all(getattr(twin, name) is getattr(message, name)
-                   for name in message.__slots__)
 
 
 class TestStaleOwnerCache:
