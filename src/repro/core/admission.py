@@ -36,6 +36,7 @@ a degraded query's share/prefix signatures reflect what actually runs
 from repro.core.catalog import query_stats_key
 from repro.core.logical import AggCall
 from repro.util.errors import PierError
+from repro.util.sketches import HyperLogLog
 
 # Ladder bounds: widening stops at 4x the requested EVERY, sampling at
 # a 5% keep rate.
@@ -249,13 +250,13 @@ def _swap_sketches(lq, degradations):
     for item, name in lq.select_items:
         if isinstance(item, AggCall) and item.func_name == "COUNT_DISTINCT":
             item.func_name = "APPROX_COUNT_DISTINCT"
-            precision = item.params[0] if item.params else 10
             degradations.append({
                 "kind": "sketch",
                 "column": name,
                 "aggregate": "APPROX_COUNT_DISTINCT",
-                # HLL standard error; see aggregates.ApproxCountDistinct.
-                "relative_error": round(1.04 / (2 ** precision) ** 0.5, 4),
+                # The sketch aggregates.ApproxCountDistinct builds.
+                "relative_error": round(
+                    HyperLogLog(*item.params).relative_error, 4),
             })
             swapped = True
     return swapped

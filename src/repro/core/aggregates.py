@@ -6,17 +6,13 @@ accumulate local partials, the aggregation tree *merges* partials at
 every hop, and only the root runs *final*. AVG therefore carries
 (sum, count), never a ratio.
 
-Paned sliding-window aggregation adds a second axis to the protocol:
-when a continuous query's window overlaps its epoch period
-(``WINDOW > EVERY``), per-epoch deltas are folded into *panes* of width
-``gcd(WINDOW, EVERY)`` and each epoch's answer is assembled from pane
-partials instead of from raw rows. Aggregates that are *invertible*
-(``invertible = True``) additionally support :meth:`Aggregate.unmerge`,
-which subtracts a pane's partial back out of a running window state --
-so advancing the window costs O(panes changed) merges instead of
-re-merging the whole window. Non-invertible aggregates (MIN, MAX,
-COUNT DISTINCT) fall back to re-merging the window's live panes, which
-is still O(panes) per epoch rather than O(rows).
+Paned sliding-window aggregation needs nothing more: when a continuous
+query's window overlaps its epoch period (``WINDOW > EVERY``),
+per-epoch deltas are folded into *panes* of width ``gcd(WINDOW,
+EVERY)`` and each epoch's answer merges the window's live pane
+partials -- O(panes) per epoch rather than O(rows). No aggregate ever
+subtracts a partial back out, which float rounding and NULLs would
+make inexact.
 """
 
 from repro.util.errors import PlanError
@@ -31,16 +27,10 @@ class Aggregate:
     ``merge`` combines two states, and ``final`` turns a state into the
     answer. States must be immutable values (numbers, tuples,
     frozensets) so partials can be shipped, held, and snapshotted
-    without defensive copying. Invertible aggregates set
-    ``invertible = True`` and implement :meth:`unmerge`.
+    without defensive copying.
     """
 
     name = "abstract"
-
-    #: Whether :meth:`unmerge` can subtract a previously merged state
-    #: back out. Only invertible aggregates get the O(1)-per-pane
-    #: sliding-window path; the rest re-merge live panes.
-    invertible = False
 
     def init(self):
         """Return the empty partial state (the fold's identity)."""
@@ -53,16 +43,6 @@ class Aggregate:
     def merge(self, left, right):
         """Combine two partial states into one."""
         raise NotImplementedError
-
-    def unmerge(self, state, part):
-        """Remove a previously merged ``part`` from ``state``.
-
-        Only meaningful when ``invertible``; the paned window keeps the
-        raw pane partial around exactly so it can be handed back here
-        when the pane slides out of the window. ``unmerge(merge(s, p),
-        p)`` must equal ``s`` (up to float rounding).
-        """
-        raise PlanError("{} is not invertible".format(self.name))
 
     def add_many(self, state, values):
         """Fold a column of values into ``state`` (vectorized ``add``).
@@ -87,7 +67,6 @@ class CountStar(Aggregate):
     """COUNT(*): counts rows; the only aggregate that ignores its input."""
 
     name = "COUNT(*)"
-    invertible = True
 
     def init(self):
         return 0
@@ -101,15 +80,11 @@ class CountStar(Aggregate):
     def merge(self, left, right):
         return left + right
 
-    def unmerge(self, state, part):
-        return state - part
-
 
 class Count(Aggregate):
     """COUNT(expr): counts non-null values."""
 
     name = "COUNT"
-    invertible = True
 
     def init(self):
         return 0
@@ -123,21 +98,15 @@ class Count(Aggregate):
     def merge(self, left, right):
         return left + right
 
-    def unmerge(self, state, part):
-        return state - part
-
 
 class Sum(Aggregate):
     """SUM(expr): null-preserving sum (SUM over no rows is NULL).
 
-    A ``None`` state means "no non-null input yet"; unmerging an
-    all-null pane therefore leaves the state untouched, and a pane with
-    real values can only be unmerged from a state that once absorbed it
-    (so the state is never ``None`` when ``part`` is not).
+    A ``None`` state means "no non-null input yet", so a window whose
+    panes hold only NULLs answers NULL.
     """
 
     name = "SUM"
-    invertible = True
 
     def init(self):
         return None  # SUM of no rows is NULL, per SQL
@@ -160,16 +129,9 @@ class Sum(Aggregate):
             return left
         return left + right
 
-    def unmerge(self, state, part):
-        if part is None:
-            return state
-        return state - part
-
 
 class Min(Aggregate):
-    """MIN(expr): not invertible -- removing the minimum would need the
-    runner-up, which a scalar state cannot carry. The paned window
-    re-merges live panes instead."""
+    """MIN(expr): the smaller non-null value; NULL over no values."""
 
     name = "MIN"
 
@@ -192,7 +154,7 @@ class Min(Aggregate):
 
 
 class Max(Aggregate):
-    """MAX(expr): see :class:`Min` -- merge-only, pane-re-merge fallback."""
+    """MAX(expr): the larger non-null value; NULL over no values."""
 
     name = "MAX"
 
@@ -221,9 +183,9 @@ class CountDistinct(Aggregate):
     tree combiner merges sets, so intermediate messages carry the
     distinct values seen so far. That is exactly how PIER had to do it
     too: distinct-counting is not algebraically compressible without
-    sketches, which the original also did not ship. Set union has no
-    inverse (an element may be present in several panes), so it is not
-    invertible either.
+    sketches, which the original also did not ship. A paned window
+    re-merges its panes' sets, so a value present in several panes
+    counts once.
     """
 
     name = "COUNT_DISTINCT"
@@ -252,15 +214,16 @@ class ApproxCountDistinct(Aggregate):
     states are a few hundred bytes regardless of cardinality, merge is
     register-wise max (associative, commutative, idempotent), and the
     answer is within ``~1.04 / sqrt(2 ** p)`` relative standard error.
-    Registers are maxima, so there is no inverse -- paned windows
-    re-merge live pane partials, which stays O(panes) *constant-size*
-    merges where the exact fallback re-merges whole value sets.
+    A paned window re-merges O(panes) *constant-size* registers where
+    the exact aggregate re-merges whole value sets.
     """
 
     name = "APPROX_COUNT_DISTINCT"
 
-    def __init__(self, precision=10):
-        self._empty = HyperLogLog(precision)
+    def __init__(self, *precision):
+        # ``precision`` is the SQL parameter, or empty for the sketch's
+        # own default.
+        self._empty = HyperLogLog(*precision)
 
     def init(self):
         return self._empty
@@ -288,22 +251,12 @@ class ApproxTopK(Aggregate):
     under-count and over-count by at most ``epsilon * N``
     (``epsilon = e / width``) with high probability, so any value whose
     true count clears the k-th count by ``2 * epsilon * N`` is
-    guaranteed to appear.
-
-    Count-Min is *linear*, so the aggregate is invertible: unmerging a
-    retiring pane subtracts its sketch counters exactly
-    (``CountMinSketch.unmerge``), and candidates whose estimate drops
-    to zero -- values that lived only in the retired pane -- are
-    dropped before re-trimming. A stale candidate kept alive by
-    hash-collision noise still obeys the one-sided error bound (its
-    estimate is at most ``epsilon * N`` over its true count of zero),
-    so sliding windows keep the documented APPROX_TOPK guarantees
-    while paying O(panes changed) sketch work instead of re-merging
-    the whole window.
+    guaranteed to appear. A paned window re-merges its panes'
+    sketches and candidate sets, so these guarantees hold over exactly
+    the window's rows.
     """
 
     name = "APPROX_TOPK"
-    invertible = True
 
     def __init__(self, k=10, depth=4, width=256):
         self.k = k
@@ -324,15 +277,6 @@ class ApproxTopK(Aggregate):
         sketch = left[0].merge(right[0])
         return (sketch, self._trim(sketch, left[1] | right[1]))
 
-    def unmerge(self, state, part):
-        """Subtract a retiring pane: exact on counters, one-sided on
-        candidates (mirrors the SUM/COUNT pane protocol)."""
-        sketch = state[0].unmerge(part[0])
-        survivors = frozenset(
-            v for v in state[1] if sketch.estimate(v) > 0
-        )
-        return (sketch, self._trim(sketch, survivors))
-
     def _trim(self, sketch, candidates):
         if len(candidates) <= self._cap:
             return candidates
@@ -351,7 +295,6 @@ class Avg(Aggregate):
     """AVG via a (sum, count) partial -- merge-safe, unlike a ratio."""
 
     name = "AVG"
-    invertible = True
 
     def init(self):
         return (0, 0)
@@ -363,9 +306,6 @@ class Avg(Aggregate):
 
     def merge(self, left, right):
         return (left[0] + right[0], left[1] + right[1])
-
-    def unmerge(self, state, part):
-        return (state[0] - part[0], state[1] - part[1])
 
     def final(self, state):
         total, count = state

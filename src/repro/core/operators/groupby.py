@@ -43,44 +43,31 @@ class PaneWindow:
     """Per-pane partial states plus per-epoch window assembly.
 
     A paned final's pane store: it merges pane *increments* arriving
-    over the exchange, and :meth:`assemble` produces an epoch's window
-    from its panes:
-
-    * when every aggregate is invertible, one running state per group
-      is slid -- ``merge`` the panes entering the window, ``unmerge``
-      the panes leaving -- so advancing costs O(panes changed);
-    * otherwise the window's live panes are re-merged, still O(panes)
-      per epoch, never O(rows).
-
-    Versions detect a pane that grew *after* it was merged into the
-    running state (a late increment, such as a boundary-straggler row
-    shipped an epoch later): the running state is then stale and is
-    rebuilt from the raw panes.
+    over the exchange, and :meth:`assemble` re-merges the window's live
+    panes into each epoch's answer -- O(panes) merges per epoch, never
+    O(rows). Every assembly reads the raw panes and keeps no running
+    state, so a pane that grows after an epoch read it (a late
+    increment, such as a boundary-straggler row shipped an epoch later)
+    is simply in the next assembly, and the answer is exactly what a
+    from-scratch merge of the window's partials gives -- SUM over only
+    NULLs stays NULL, and a large value leaving the window takes
+    nothing with it.
 
     ``retain_panes`` keeps that many pane ranges behind the newest
     window's low edge: under an overlapping-epoch ring an *older*
     still-open epoch can reflush (streaming refinement) after the
-    newest epoch already advanced the window, and its re-assembly --
-    served statelessly by re-merging, leaving the running state pinned
-    to the newest window -- needs those panes to still exist.
+    newest epoch already advanced the window, and its re-assembly needs
+    those panes to still exist.
     """
 
     def __init__(self, agg_specs, retain_panes):
         self._specs = agg_specs
-        self._invertible = all(s.agg.invertible for s in agg_specs)
         self._retain = retain_panes
         self._panes = {}  # pane -> {gvals: [states]}
-        self._versions = {}  # pane -> fold count
-        self._window = {}  # gvals -> running [states] (invertible only)
-        self._window_panes = set()
-        self._window_refs = {}  # gvals -> live pane count
-        self._merged_versions = {}  # pane -> version when merged
-        self._hi = None  # newest assembled window's high edge
 
     def entry(self, pane, gvals):
         """The mutable state list for (pane, group), created on first
-        fold; every call bumps the pane's version."""
-        self._versions[pane] = self._versions.get(pane, 0) + 1
+        fold."""
         store = self._panes.setdefault(pane, {})
         states = store.get(gvals)
         if states is None:
@@ -88,30 +75,10 @@ class PaneWindow:
         return states
 
     def assemble(self, lo, hi):
-        """``(gvals, states)`` pairs for the window ``[lo, hi)``."""
-        if self._hi is not None and hi < self._hi:
-            # An older still-open epoch re-assembling after the newest
-            # advanced: serve it statelessly, touch nothing.
-            return self._remerge(lo, hi)
-        self._hi = hi
-        if not self._invertible:
-            self._prune(lo)
-            return self._remerge(lo, hi)
-        if any(self._versions.get(p, 0) != v
-               for p, v in self._merged_versions.items()):
-            # A merged pane grew after the fact (a late increment): the
-            # running state no longer matches the raw panes, so rebuild
-            # it from them.
-            self._window = {}
-            self._window_panes = set()
-            self._window_refs = {}
-            self._merged_versions = {}
-        self._slide(lo, hi)
-        self._prune(lo)
-        return [(gvals, tuple(states))
-                for gvals, states in self._window.items()]
-
-    def _remerge(self, lo, hi):
+        """``(gvals, states)`` pairs for the window ``[lo, hi)``; drops
+        the panes no window still to come (or still open) can read."""
+        cutoff = lo - self._retain
+        self._panes = {p: d for p, d in self._panes.items() if p >= cutoff}
         merged = {}
         for p in range(lo, hi):
             for gvals, states in self._panes.get(p, {}).items():
@@ -123,60 +90,8 @@ class PaneWindow:
                         held[i] = spec.agg.merge(held[i], states[i])
         return [(gvals, tuple(states)) for gvals, states in merged.items()]
 
-    def _slide(self, lo, hi):
-        """Move the running window state to cover panes ``[lo, hi)``.
-
-        Original flushes advance monotonically (epoch k-1's deadline
-        precedes epoch k's even when the epochs overlap), so panes only
-        ever retire off the old edge and join on the new one.
-        """
-        for p in sorted(self._window_panes):
-            if lo <= p < hi:
-                continue
-            for gvals, states in self._panes.get(p, {}).items():
-                held = self._window[gvals]
-                for i, spec in enumerate(self._specs):
-                    held[i] = spec.agg.unmerge(held[i], states[i])
-                self._window_refs[gvals] -= 1
-                if self._window_refs[gvals] == 0:
-                    del self._window[gvals]
-                    del self._window_refs[gvals]
-            self._window_panes.discard(p)
-            self._merged_versions.pop(p, None)
-        for p in range(lo, hi):
-            if p in self._window_panes:
-                continue
-            self._window_panes.add(p)
-            self._merged_versions[p] = self._versions.get(p, 0)
-            for gvals, states in self._panes.get(p, {}).items():
-                held = self._window.get(gvals)
-                if held is None:
-                    self._window[gvals] = list(states)
-                    self._window_refs[gvals] = 1
-                else:
-                    for i, spec in enumerate(self._specs):
-                        held[i] = spec.agg.merge(held[i], states[i])
-                    self._window_refs[gvals] += 1
-
-    def _prune(self, lo):
-        """Drop panes no window still to come (or still open) can read."""
-        cutoff = lo - self._retain
-        self._panes = {
-            p: d for p, d in self._panes.items()
-            if p >= cutoff or p in self._window_panes
-        }
-        self._versions = {
-            p: v for p, v in self._versions.items() if p in self._panes
-        }
-
     def clear(self):
         self._panes = {}
-        self._versions = {}
-        self._window = {}
-        self._window_panes = set()
-        self._window_refs = {}
-        self._merged_versions = {}
-        self._hi = None
 
 
 def _emit_states(op, pairs):
@@ -317,9 +232,9 @@ class GroupByFinal(Operator):
     *Paned* finals (distributed sliding windows) hold the window's pane
     partials instead: arriving increments -- announced by the
     pane-tagged exchange's delivery -- merge into their pane's store,
-    and each epoch's flush assembles the window from pane partials
-    (:class:`PaneWindow`), so per-epoch owner work is O(panes changed)
-    rather than O(groups x nodes). A late increment triggers a
+    and each epoch's flush re-merges the window's pane partials
+    (:class:`PaneWindow`): O(window panes) merges per group and epoch,
+    whatever the window's row count. A late increment triggers a
     refinement reflush of every flushed, still-open epoch whose window
     covers its pane.
     """

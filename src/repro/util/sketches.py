@@ -13,13 +13,10 @@ relative standard error ``~1.04 / sqrt(2 ** p)``.
 Both are *algebraic* in the sense aggregation trees need: ``merge`` of
 two sketches over disjoint (or overlapping, for HLL) inputs equals the
 sketch of the combined input, and merging is associative and
-commutative, so per-hop combining and pane partials both work.
-Count-Min is additionally *linear* -- counters subtract -- so
-``unmerge`` can retire a pane from a sliding window exactly.
-HyperLogLog registers are maxima and have no inverse; paned windows
-re-merge its live pane partials instead (O(panes) constant-size merges
-per epoch, which is the point: the exact set-based fallback re-merges
-O(distinct values)).
+commutative, so per-hop combining and pane partials both work: a paned
+window re-merges its live pane sketches, O(panes) constant-size merges
+per epoch where the exact set-based aggregate re-merges O(distinct
+values).
 
 Instances are behaviourally immutable, like every aggregate state in
 this codebase: ``add`` and ``merge`` return new sketches and never
@@ -88,21 +85,6 @@ class CountMinSketch:
         )
         return CountMinSketch(self.depth, self.width, rows,
                               self.total + other.total)
-
-    def unmerge(self, other):
-        """Counter-wise difference: retire a previously merged part.
-
-        Linearity makes this exact -- ``merge(s, p).unmerge(p)`` has
-        the same counters as ``s`` -- which is what gives sketch-backed
-        sliding windows an invertible path.
-        """
-        self._check_geometry(other)
-        rows = tuple(
-            tuple(a - b for a, b in zip(mine, theirs))
-            for mine, theirs in zip(self.rows, other.rows)
-        )
-        return CountMinSketch(self.depth, self.width, rows,
-                              self.total - other.total)
 
     def _check_geometry(self, other):
         if (self.depth, self.width) != (other.depth, other.width):

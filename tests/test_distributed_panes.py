@@ -412,8 +412,8 @@ class TestPaneMechanics:
             states = window.entry(pane, ("g",))
             states[0] = specs[0].agg.add(states[0], value)
         # Epoch k: window [1, 4); then the older epoch k-1 re-assembles
-        # [0, 3) -- its panes must still exist and the newest running
-        # window must stay pinned.
+        # [0, 3) -- its panes must still exist, and the newest window
+        # must read the same afterwards.
         newest = dict(window.assemble(1, 4))
         assert newest[("g",)] == (14.0,)
         older = dict(window.assemble(0, 3))

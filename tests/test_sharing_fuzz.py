@@ -28,7 +28,9 @@ also check each leg against *ground truth*: the tickers log every row
 they append in the perf benchmark's ``RowLog``, and every reported
 epoch of every never-stopped query must equal a plain-Python
 recomputation of its aggregate over ``v > thr`` in
-``(t_k - window, t_k]``. An epoch with a qualifying row stamped within
+``(t_k - window, t_k]``. Each trial also appends one 2**60 row early
+on, so a window that loses the small values summed beside a huge one
+after it leaves cannot pass. An epoch with a qualifying row stamped within
 a microsecond of either window edge is left out of that check (not
 tie-broken): whether such a row makes the wave depends on which
 same-instant event fired first on each node.
@@ -130,10 +132,15 @@ def make_schedule(seed):
         k = rng.randint(2, 3)
         regions = {"node{}".format(i): "r{}".format(i % k)
                    for i in range(nodes)}
+    # Spike (drawn last for the same reason): one row of 2**60 on one
+    # node in the first two periods. Its ulp (256) swallows the tickers'
+    # values, so a window assembly that subtracts the spike back out
+    # when it leaves loses the values summed beside it too.
+    spike = {"node": rng.randrange(nodes), "at": rng.uniform(0, 2 * every)}
     return {
         "seed": seed, "nodes": nodes, "every": every, "window": window,
         "lifetime": lifetime, "queries": queries, "crashes": crashes,
-        "tick": tick, "regions": regions,
+        "tick": tick, "regions": regions, "spike": spike,
     }
 
 
@@ -157,6 +164,15 @@ def _install_ticker(net, address, base, period, log):
     net.node(address).engine.set_timer(0.1, tick)
 
 
+def _install_spike(net, address, at, log):
+    def spike():
+        engine = net.node(address).engine
+        engine.stream_append("s", (2.0 ** 60,))
+        log.add(engine.clock.now, address, "s", [(2.0 ** 60,)])
+
+    net.node(address).engine.set_timer(at, spike)
+
+
 def run_leg(schedule, shared):
     """Run one leg of the differential; returns per-query epoch rows."""
     net = PierNetwork(nodes=schedule["nodes"], seed=schedule["seed"],
@@ -169,6 +185,8 @@ def run_leg(schedule, shared):
     appended = RowLog()  # every row, for ground truth
     for i, address in enumerate(addresses):
         _install_ticker(net, address, float(i), schedule["tick"], appended)
+    spike = schedule["spike"]
+    _install_spike(net, addresses[spike["node"]], spike["at"], appended)
     site = addresses[0]
 
     events = []
@@ -336,6 +354,9 @@ def test_sharing_differential(trial):
 # submission-instant epoch: late adopters on an unpaned plan (1 333 vs
 # 1 330, 382 vs 369), and an unread wave over rows the bounded stream
 # log had evicted by the private twin's first epoch (1 052 vs 1 026).
-@pytest.mark.parametrize("seed", [94096, 777163, 220411])
+# And a paned SUM that slid its running state by subtraction: once the
+# 2**60 spike left the window it took the small values summed beside
+# it along (query 1, epoch 3 read 62.0 where the rows sum to 193.0).
+@pytest.mark.parametrize("seed", [94096, 777163, 220411, 777002])
 def test_pinned_seeds(seed):
     _run_trial(seed)

@@ -4,26 +4,29 @@ Three layers of coverage:
 
 * pane arithmetic (``repro.db.window`` helpers);
 * a property test driving a paned partial's pane increments into its
-  final (``stubs.PanedGroupBy``): for random ``WINDOW/EVERY`` ratios
-  and every aggregate (invertible and not), the final's window
-  assembly must equal from-scratch window evaluation epoch for epoch;
+  final (``stubs.PanedGroupBy``): for random ``WINDOW/EVERY`` ratios,
+  every aggregate, and values mixing NULLs, ints, floats and one
+  magnitude that swamps the rest, the final's window assembly must
+  equal from-scratch window evaluation epoch for epoch;
 * integration: paned plans produce the same per-epoch answers as the
   from-scratch ablation while folding fewer rows, and a plan whose
   flush schedule straddles the epoch boundary runs as one
   StandingExecution (no rebuild-per-epoch fallback).
 """
 
+import math
 import random
 
 import pytest
 from stubs import PanedGroupBy
 
+from benchmarks.perf.reference import RowLog
 from repro.core.aggregates import AggSpec
 from repro.core.dataflow import StandingExecution
 from repro.core.network import PierNetwork
 from repro.db.expressions import col
 from repro.db.schema import Schema
-from repro.db.types import INT, STR
+from repro.db.types import FLOAT, STR
 from repro.db.window import pane_index, pane_width, window_pane_range
 
 
@@ -82,12 +85,15 @@ class Sink:
         pass
 
 
-SCHEMA = Schema.of(("g", STR), ("v", INT))
+SCHEMA = Schema.of(("g", STR), ("v", FLOAT))
+# NULLs, ints, floats, and 1e16, whose ulp (2.0) swallows every other
+# value added to it. Group "n" draws only NULLs.
+VALUES = (None, 1, 2, 3, 7, 0.5, 2.25, 1e16)
 
 
-def _specs():
+def _specs(aggs):
     specs = []
-    for func, arg in ALL_AGGS:
+    for func, arg in aggs:
         name = "COUNT(*)" if arg is None else func
         specs.append(AggSpec(
             "COUNT" if func == "COUNT(*)" else func,
@@ -116,15 +122,31 @@ def _reference(rows_by_pane, lo, hi, agg_specs):
     }
 
 
+def _same_final(a, b):
+    # A pane merge adds in another order than a row-by-row fold.
+    if isinstance(a, float) and isinstance(b, float):
+        return math.isclose(a, b, rel_tol=1e-9)
+    return a == b
+
+
+def _same_window(got, want):
+    return got.keys() == want.keys() and all(
+        all(map(_same_final, got[g], want[g])) for g in got
+    )
+
+
 class TestPanedPropertyParity:
     """Paned == from-scratch for random geometries, all aggregates."""
 
+    # Every aggregate alone, then all of them in one final.
+    @pytest.mark.parametrize("aggs", [[a] for a in ALL_AGGS] + [ALL_AGGS],
+                             ids=[f for f, _ in ALL_AGGS] + ["all"])
     @pytest.mark.parametrize("trial", range(12))
-    def test_random_geometry_parity(self, trial):
+    def test_random_geometry_parity(self, trial, aggs):
         rng = random.Random(4200 + trial)
         e = rng.randint(1, 4)  # panes per epoch period
         w = e * rng.randint(2, 5) + rng.randrange(2) * e  # panes per window
-        agg_specs = _specs()
+        agg_specs = _specs(aggs)
         op = PanedGroupBy(agg_specs, SCHEMA, [col("g")], e, w)
         sink = Sink()
         op.wire(sink, 0)
@@ -137,10 +159,10 @@ class TestPanedPropertyParity:
             start = lo if next_pane is None else max(lo, next_pane)
             # The scan's contract: emit each pane's rows exactly once.
             for p in range(start, hi):
-                rows = [
-                    (rng.choice("abc"), rng.choice([None, 1, 2, 3, 7]))
-                    for _ in range(rng.randint(0, 4))
-                ]
+                rows = []
+                for _ in range(rng.randint(0, 4)):
+                    g = rng.choice("abcn")
+                    rows.append((g, None if g == "n" else rng.choice(VALUES)))
                 if rows:
                     rows_by_pane[p] = rows
                     op.open_pane(p)
@@ -156,18 +178,17 @@ class TestPanedPropertyParity:
                 for gvals, states in sink.rows
             }
             want = _reference(rows_by_pane, lo, hi, agg_specs)
-            assert got == want, (
+            assert _same_window(got, want), (
                 "trial {} epoch {} (e={}, w={}): paned {!r} != "
                 "from-scratch {!r}".format(trial, k, e, w, got, want)
             )
 
     def test_straggler_into_merged_pane_rebuilds_window(self):
-        # A row can land in a pane *after* the final merged that pane
-        # into its invertible running window (an append stamped exactly
-        # on a boundary, emitted one epoch late, ships as a second
-        # increment of the pane). The version guard must rebuild the
-        # running state so later windows include the row and its
-        # eventual retirement unmerges exactly what was merged.
+        # A row can land in a pane *after* an epoch already read that
+        # pane (an append stamped exactly on a boundary, emitted one
+        # epoch late, ships as a second increment of the pane). Every
+        # later window that covers the pane must include the row, and
+        # the first window past it must hold neither row.
         agg_specs = [AggSpec("SUM", col("v"), "total"),
                      AggSpec("COUNT", None, "n")]
         op = PanedGroupBy(agg_specs, SCHEMA, [col("g")], 1, 3)
@@ -278,7 +299,7 @@ class TestPanedIntegration:
         assert per_path[0] == per_path[1]
         assert per_path[0]
 
-    def test_paned_non_invertible_grouped(self):
+    def test_paned_min_max_grouped(self):
         sql = ("SELECT tag, MIN(v) AS lo, MAX(v) AS hi FROM s GROUP BY tag "
                "EVERY 10 SECONDS WINDOW 30 SECONDS LIFETIME 40 SECONDS")
         rows = [("even" if i % 2 == 0 else "odd", float(i + 1))
@@ -293,6 +314,67 @@ class TestPanedIntegration:
         assert per_path[0] == per_path[1]
         for _epoch, got in per_path[0]:
             assert got == [("even", 1.0, 7.0), ("odd", 2.0, 8.0)]
+
+
+class TestPanedNulls:
+    """A group whose non-NULL rows stop: once they leave the window,
+    SUM and AVG read NULL (not 0.0) and COUNT(v) reads 0, on the paned
+    plan, its ``{"paned": False}`` twin and the appended rows alike."""
+
+    SQL = ("SELECT g, SUM(v) AS total, AVG(v) AS mean, COUNT(v) AS n "
+           "FROM s GROUP BY g EVERY 10 SECONDS WINDOW 20 SECONDS "
+           "LIFETIME 70 SECONDS")
+    FADE_AT = 25.0  # "fading" appends NULL from here on
+
+    def _run(self, options):
+        net = PierNetwork(nodes=6, seed=23)
+        net.create_stream_table("s", [("g", "STR"), ("v", "FLOAT")],
+                                window=60.0)
+        log = RowLog()
+        for i, address in enumerate(net.addresses()):
+            def tick(address=address, v=i + 0.5):
+                engine = net.node(address).engine
+                now = engine.clock.now
+                rows = [("live", v),
+                        ("fading", v if now < self.FADE_AT else None)]
+                for row in rows:
+                    engine.stream_append("s", row)
+                log.add(now, address, "s", rows)
+                engine.set_timer(2.0, tick)
+
+            net.node(address).engine.set_timer(0.1, tick)
+        results = []
+        handle = net.submit_sql(self.SQL, on_epoch=results.append,
+                                options=options)
+        net.advance(90.0)
+        return handle, log, {r.epoch: sorted(r.rows) for r in results}
+
+    @staticmethod
+    def _truth(log, lo, hi):
+        by_group = {}
+        for g, v in log.window("s", lo, hi):
+            by_group.setdefault(g, []).append(v)
+        rows = []
+        for g, values in sorted(by_group.items()):
+            vs = [v for v in values if v is not None]
+            # Halves sum exactly in binary: no float tolerance needed.
+            rows.append((g, sum(vs) if vs else None,
+                         sum(vs) / len(vs) if vs else None, len(vs)))
+        return rows
+
+    def test_sum_and_avg_go_null_when_values_leave(self):
+        handle, log, paned = self._run(None)
+        assert handle.plan.pane is not None
+        _scratch_handle, _log, scratch = self._run({"paned": False})
+        assert paned == scratch
+        faded = 0
+        for k, rows in paned.items():
+            hi = handle.t0 + k * 10.0
+            assert rows == self._truth(log, hi - 20.0, hi), "epoch {}".format(k)
+            if hi - 20.0 >= self.FADE_AT:
+                assert ("fading", None, None, 0) in rows, "epoch {}".format(k)
+                faded += 1
+        assert faded >= 2
 
 
 class TestOverlappingEpochs:
