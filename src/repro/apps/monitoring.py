@@ -62,11 +62,6 @@ class MonitoringApp:
         )
         return self._handle
 
-    def stop_query(self):
-        if self._handle is not None:
-            self._handle.stop()
-            self._handle = None
-
     def run(self, duration, every=30.0, node=None):
         """Convenience: install, query, advance; returns the series."""
         if not self.workload._processes:

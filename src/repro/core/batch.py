@@ -19,9 +19,9 @@ lists with their source where possible. That is what lets a prefix
 stage hand one wave's batch to every member in place: the first
 member's predicate builds the columns, every later one reads them.
 
-The row-dict adapter seam lives here too (``from_dicts`` /
-``to_dicts``), delegating to the schema's positional adapters -- the
-boundary where external dict-shaped rows enter or leave the dataflow.
+The row-dict adapter lives here too (``from_dicts``), delegating to
+the schema's positional adapter -- the boundary where external
+dict-shaped rows enter the dataflow.
 """
 
 from itertools import compress
@@ -60,13 +60,6 @@ class RowBatch:
         """Adapter in: dict-shaped rows -> positional batch via schema."""
         return cls(rows=[schema.row_from_dict(d) for d in dicts],
                    schema=schema)
-
-    def to_dicts(self, schema=None):
-        """Adapter out: positional rows -> dicts via schema."""
-        schema = schema if schema is not None else self.schema
-        if schema is None:
-            raise ValueError("RowBatch.to_dicts needs a schema")
-        return [schema.row_to_dict(row) for row in self.rows()]
 
     def __len__(self):
         if self._rows is not None:

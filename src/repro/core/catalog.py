@@ -144,9 +144,6 @@ class StatsCatalog:
         if row_bytes is not None:
             stats.row_bytes = float(row_bytes)
 
-    def seed_groups(self, stats_key, n):
-        self._groups[stats_key] = float(n)
-
     # -- cost-bounder reads --------------------------------------------
     def arrival_rate(self, table, now=None):
         """Observed appends/sec for ``table`` (0.0 when never seen)."""

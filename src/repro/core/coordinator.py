@@ -95,11 +95,6 @@ class QueryHandle:
     def result(self, epoch=0):
         return self.results.get(epoch)
 
-    def latest_result(self):
-        if not self.results:
-            return None
-        return self.results[max(self.results)]
-
     def stop(self):
         self.coordinator.stop(self.qid)
 

@@ -322,7 +322,7 @@ class Operator:
             "{} does not accept input".format(type(self).__name__)
         )
 
-    def push(self, row, port=0):
+    def push(self, row, port=0):  # noqa: DEF001 -- unit tests feed rows here; perf trace wraps it
         """Receive one row on ``port``: a one-row ``push_batch``."""
         self.push_batch(RowBatch(rows=[row]), port)
 
@@ -350,10 +350,6 @@ class Operator:
         """Execution is closing: release subscriptions, ship leftovers."""
         pass
 
-    def emit(self, row):
-        """Push ``row`` to every wired consumer: a one-row ``emit_batch``."""
-        self.emit_batch(RowBatch(rows=[row]))
-
     def emit_batch(self, batch):
         """Push a :class:`RowBatch` to every wired consumer."""
         for consumer, port in self.consumers:
@@ -363,8 +359,8 @@ class Operator:
         """A paned producer announces the pane its next rows belong to.
 
         Stateless operators forward the marker down the local chain;
-        pane-aware stateful operators (group-by partials and finals,
-        top-k, bloom stages, pane-tagged exchanges) override this to
+        the pane-aware operators of the group-by chain (group-by
+        partials and finals, pane-tagged exchanges) override this to
         switch their accumulation bucket and stop the propagation.
         Markers also survive the network: a pane-tagged exchange stamps
         each batch with the pane it was pushed under, and delivery

@@ -106,7 +106,6 @@ class PierNetwork:
         # feedback update the same view the cost bounder reads.
         self.catalog.stats = StatsCatalog()
         self.nodes = {}
-        self._churn = None
 
         if addresses is None:
             addresses = ["node{}".format(i) for i in range(nodes)]
@@ -240,7 +239,7 @@ class PierNetwork:
             plan.metadata["admission"] = decision.as_dict()
         return plan
 
-    def explain_sql(self, sql, options=None):
+    def explain_sql(self, sql, options=None):  # noqa: DEF001 -- public facade, README documents it
         """Human-readable physical plan (ops, edges, flush deadlines)."""
         return self.compile_sql(sql, options).describe()
 
@@ -323,21 +322,16 @@ class PierNetwork:
             if on_join is not None:
                 on_join(address)
 
-        self._churn = ChurnProcess(
+        churn = ChurnProcess(
             self.clock, ChurnConfig(mean_session, mean_downtime),
             self.rng.fork("churn"), leave, join,
         )
         excluded = set(exclude)
         for address in self.nodes:
             if address not in excluded:
-                self._churn.manage(address)
-        self._churn.start()
-        return self._churn
-
-    def stop_churn(self):
-        if self._churn is not None:
-            self._churn.stop()
-            self._churn = None
+                churn.manage(address)
+        churn.start()
+        return churn
 
     # ------------------------------------------------------------------
     # Measurement

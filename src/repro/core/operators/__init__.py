@@ -31,10 +31,6 @@ def create_operator(ctx, spec):
     return cls(ctx, spec)
 
 
-def registered_kinds():
-    return sorted(_REGISTRY)
-
-
 # Import for side effect: each module registers its operators.
 from repro.core.operators import scan  # noqa: E402,F401
 from repro.core.operators import filter as filter_op  # noqa: E402,F401

@@ -71,7 +71,7 @@ class QueryPlan:
         # overlap). ``pane`` is the pane geometry ({"width", "every",
         # "window"} -- width in seconds, the others in panes) when the
         # plan uses paned sliding-window aggregation (WINDOW > EVERY
-        # over a pane-aware operator chain); the same geometry rides on
+        # over a stream scan feeding a group-by); the same geometry rides on
         # the marked op specs. The planner decides both.
         epoch_overlap = int(epoch_overlap)
         if epoch_overlap < 1:

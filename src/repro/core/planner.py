@@ -143,7 +143,7 @@ def _plan_flat(lq, catalog):
 
     # Lower the DAG in its deterministic topological order. ``lowered``
     # maps each logical node (by identity) to its physical info: at
-    # least {"op": root_op_id}; joins add "strategy" (+ bloom "stages"),
+    # least {"op": root_op_id}; joins add "strategy",
     # aggregates add "partial"/"exchange"/"final" so the pane walk can
     # find the whole lowered cluster.
     lowered = {}
@@ -329,33 +329,26 @@ def _mark_paned(b, logical, lowered, lq):
 
     Paned evaluation applies when the window overlaps the period
     (``WINDOW > EVERY``, commensurable on the millisecond grid) and a
-    stream-table scan's rows reach a pane-aware stateful operator
-    through pane-transparent operators. The walk runs over the
-    *logical* DAG (one consumer per node by construction) and maps each
-    step onto its lowered physical specs: ``filter``/``project`` nodes
-    are stateless row operators, a ``join`` is transparent when it
-    lowered to fetch-matches and was entered from the probe side (the
-    probe row's pane rides the asynchronous DHT get). Three terminal
-    shapes:
+    stream-table scan's rows reach an ``aggregate`` through
+    pane-transparent operators. The walk runs over the *logical* DAG
+    (one consumer per node by construction) and maps each step onto its
+    lowered physical specs: ``filter``/``project`` nodes are stateless
+    row operators, a ``join`` is transparent when it lowered to
+    fetch-matches and was entered from the probe side (the probe row's
+    pane rides the asynchronous DHT get).
 
-    * ``aggregate`` -- the panes go *distributed*, since grouped
-      aggregation always feeds an exchange into a ``groupby_final``:
-      the lowered ``groupby_partial`` ships each pane's increment once
-      (when new rows touched it), the exchange stamps every batch with
-      its pane so delivery can re-announce it, and the final holds the
-      window's pane partials at the group's owner and assembles each
-      epoch's window there -- so the overlap never crosses the wire
-      again. Tree combiners merge same-(epoch, pane) partials
-      mid-route; their routing keys drop the per-epoch rendezvous salt,
-      because a window's panes must accumulate at a *stable* owner
-      across the epochs that share them.
-    * ``topk`` -- node-local panes: the operator assembles each
-      epoch's window itself.
-    * a ``join`` lowered with Bloom stages -- the entered side's
-      ``bloom_stage`` keeps per-pane filter partials and row buffers,
-      OR-merging the window's pane filters each epoch instead of
-      rebuilding the filter from a re-scan (the join above stays
-      from-scratch).
+    The panes go *distributed*, since grouped aggregation always feeds
+    an exchange into a ``groupby_final``: the lowered
+    ``groupby_partial`` ships each pane's increment once (when new rows
+    touched it), the exchange stamps every batch with its pane so
+    delivery can re-announce it, and the final holds the window's pane
+    partials at the group's owner and assembles each epoch's window
+    there -- so the overlap never crosses the wire again. Tree combiners
+    merge same-(epoch, pane) partials mid-route; their routing keys drop
+    the per-epoch rendezvous salt, because a window's panes must
+    accumulate at a *stable* owner across the epochs that share them.
+    Every other stateful operator (top-k, Bloom stages, hash joins)
+    re-reads its window from scratch each epoch.
 
     Returns the first marked geometry, or None when the plan keeps
     from-scratch evaluation (the ``paned`` query option forces that).
@@ -387,33 +380,31 @@ def _mark_paned(b, logical, lowered, lq):
         chain = _pane_chain(b, consumers, lowered, node)
         if chain is None:
             continue
-        transparent, terminal_node, terminal_spec = chain
+        transparent, agg_info = chain
         b.specs[lowered[id(node)]["op"]].params["paned"] = geometry
         for spec in transparent:
             if spec.kind == "fetch_matches":
                 spec.params["paned"] = geometry
-        terminal_spec.params["paned"] = geometry
-        if terminal_spec.kind == "groupby_partial":
-            agg_info = lowered[id(terminal_node)]
-            exchange = b.specs[agg_info["exchange"]]
-            exchange.params["paned"] = geometry
-            if "combine" in exchange.params:
-                exchange.params["combine"] = dict(
-                    exchange.params["combine"], paned=True
-                )
-            b.specs[agg_info["final"]].params["paned"] = geometry
+        b.specs[agg_info["partial"]].params["paned"] = geometry
+        exchange = b.specs[agg_info["exchange"]]
+        exchange.params["paned"] = geometry
+        if "combine" in exchange.params:
+            exchange.params["combine"] = dict(
+                exchange.params["combine"], paned=True
+            )
+        b.specs[agg_info["final"]].params["paned"] = geometry
         if marked is None:
             marked = geometry
     return marked
 
 
 def _pane_chain(b, consumers, lowered, scan_node):
-    """Walk from a scan's logical node to its pane-aware consumer.
+    """Walk from a scan's logical node to the aggregate above it.
 
-    Returns ``(transparent_specs, terminal_node, terminal_spec)`` or
-    None when the rows do not reach a pane-aware operator (e.g. they
-    cross a symmetric-hash exchange, whose rehash scatters a pane's
-    rows across owners mid-epoch).
+    Returns ``(transparent_specs, aggregate_lowered_info)`` or None when
+    the rows do not reach an aggregate through pane-transparent
+    operators (e.g. they cross a symmetric-hash exchange, whose rehash
+    scatters a pane's rows across owners mid-epoch, or a top-k).
     """
     transparent = []
     node = scan_node
@@ -427,19 +418,13 @@ def _pane_chain(b, consumers, lowered, scan_node):
             transparent.append(b.specs[info["op"]])
             node = parent
             continue
-        if parent.kind == "join":
-            if info["strategy"] == "fm" and parent.inputs[0] is node:
-                transparent.append(b.specs[info["op"]])
-                node = parent
-                continue
-            if info["strategy"] == "bloom":
-                side = 0 if parent.inputs[0] is node else 1
-                return transparent, parent, b.specs[info["stages"][side]]
-            return None
+        if (parent.kind == "join" and info["strategy"] == "fm"
+                and parent.inputs[0] is node):
+            transparent.append(b.specs[info["op"]])
+            node = parent
+            continue
         if parent.kind == "aggregate":
-            return transparent, parent, b.specs[info["partial"]]
-        if parent.kind == "topk":
-            return transparent, parent, b.specs[info["op"]]
+            return transparent, info
         return None
 
 
@@ -471,7 +456,7 @@ def _lower_join(b, lq, node, lowered):
 
     info = {"strategy": strategy}
     if strategy == "bloom":
-        left_op, right_op = info["stages"] = _plan_bloom_stages(
+        left_op, right_op = _plan_bloom_stages(
             b, left_op, left_schema, right_op, right_schema, pairs)
     info["op"] = _hash_join(b, left_op, left_schema, right_op, right_schema,
                             pairs, residual, rehash=not b.site)

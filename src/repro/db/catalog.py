@@ -74,13 +74,5 @@ class Catalog:
     def has_table(self, name):
         return name in self._tables
 
-    def drop(self, name):
-        if name not in self._tables:
-            raise CatalogError("unknown table {!r}".format(name))
-        del self._tables[name]
-
-    def table_names(self):
-        return sorted(self._tables)
-
     def __len__(self):
         return len(self._tables)

@@ -116,9 +116,6 @@ class Schema:
             return self.row_from_dict(values)
         return self.coerce_row(values)
 
-    def row_to_dict(self, row):
-        return {c.name: v for c, v in zip(self.columns, row)}
-
     def __eq__(self, other):
         return isinstance(other, Schema) and [
             (c.name, c.type.name) for c in self.columns

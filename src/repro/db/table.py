@@ -32,16 +32,6 @@ class LocalTable:
         for row in rows:
             self.insert(row)
 
-    def delete_where(self, predicate_fn):
-        """Remove rows where ``predicate_fn(row)`` is truthy; returns count."""
-        before = len(self._rows)
-        self._rows = [r for r in self._rows if not predicate_fn(r)]
-        return before - len(self._rows)
-
-    def replace_all(self, rows):
-        """Swap in a fresh row set (per-epoch metric refresh)."""
-        self._rows = [self.schema.row(r) for r in rows]
-
     def scan(self):
         return self._rows
 

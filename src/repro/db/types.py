@@ -20,9 +20,6 @@ class ColumnType:
         self.exact_type = python_types[0]
         self._coerce_fn = coerce_fn
 
-    def validate(self, value):
-        return value is None or isinstance(value, self.python_types)
-
     def coerce(self, value):
         """Convert ``value`` into this type; raise CatalogError if impossible."""
         if value is None or isinstance(value, self.python_types):

@@ -13,7 +13,7 @@ Two ways to stand up a Chord overlay:
 """
 
 from repro.dht.ring import STABILIZE_PERIOD, SUCCESSOR_LIST_LENGTH
-from repro.util.ids import ID_BITS, distance_cw, in_interval
+from repro.util.ids import ID_BITS, distance_cw
 
 
 def build_chord_ring(nodes, start_maintenance=True):
@@ -92,34 +92,3 @@ def join_chord_ring(nodes, clock, settle_rounds=None):
         node.join(first.address)
         clock.run_for(rounds * STABILIZE_PERIOD)
     return clock.now - start
-
-
-def ring_is_consistent(nodes):
-    """Check every live node's successor pointer against ground truth.
-
-    A diagnostic for tests: True when the successor graph of live nodes
-    forms the single cycle that sorted ids dictate.
-    """
-    live = sorted((n for n in nodes if n.alive), key=lambda n: n.id)
-    if not live:
-        return True
-    n = len(live)
-    for i, node in enumerate(live):
-        expected = live[(i + 1) % n]
-        if n == 1:
-            expected = node
-        if node.successor != expected.ref:
-            return False
-    return True
-
-
-def owner_of(nodes, key):
-    """Ground-truth owner of ``key`` among live nodes (test oracle)."""
-    live = sorted((n for n in nodes if n.alive), key=lambda n: n.id)
-    if not live:
-        return None
-    for node in live:
-        prev = live[live.index(node) - 1]
-        if in_interval(key, prev.id, node.id, inclusive_hi=True):
-            return node
-    return live[0]

@@ -72,9 +72,6 @@ class GeoLatency(LatencyModel):
     def place_random(self, address):
         self.place(address, self._rng.random(), self._rng.random())
 
-    def coordinates(self, address):
-        return self._coords.get(address)
-
     def delay(self, src, dst):
         a = self._coords.get(src)
         b = self._coords.get(dst)

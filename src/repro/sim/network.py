@@ -78,10 +78,6 @@ class Network:
     def live_addresses(self):
         return [a for a, n in self._nodes.items() if n.alive]
 
-    def is_alive(self, address):
-        node = self._nodes.get(address)
-        return node is not None and node.alive
-
     def __len__(self):
         return len(self._nodes)
 

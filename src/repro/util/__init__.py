@@ -1,4 +1,4 @@
-"""Shared utilities: ring arithmetic, Bloom filters, Zipf sampling, RNG, stats.
+"""Shared utilities: ring arithmetic, Bloom filters, Zipf sampling, RNG, counters.
 
 These are the leaf dependencies of every other subpackage; nothing in
 ``repro.util`` imports from elsewhere in the project.
@@ -22,7 +22,7 @@ from repro.util.ids import (
     sha1_id,
 )
 from repro.util.rng import SeededRng
-from repro.util.stats import Counter, Histogram, RunningStat
+from repro.util.stats import Counter
 from repro.util.zipf import ZipfSampler
 
 __all__ = [
@@ -30,12 +30,10 @@ __all__ = [
     "CatalogError",
     "Counter",
     "DhtError",
-    "Histogram",
     "ID_BITS",
     "ID_SPACE",
     "PierError",
     "PlanError",
-    "RunningStat",
     "SeededRng",
     "SimulationError",
     "SqlError",

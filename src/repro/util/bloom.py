@@ -67,10 +67,6 @@ class BloomFilter:
         merged._count = self._count + other._count
         return merged
 
-    def fill_ratio(self):
-        """Fraction of bits set -- a health check for sizing."""
-        return bin(self._bits).count("1") / self.num_bits
-
     def size_bytes(self):
         """Wire size if serialized as a packed bit array."""
         return (self.num_bits + 7) // 8

@@ -1,61 +1,4 @@
-"""Small statistics helpers used by the benchmark harnesses.
-
-Benchmarks report hop counts, message counts and latencies; these
-accumulators avoid materializing full sample lists where a running
-summary suffices (Welford for mean/variance, fixed-width histogram for
-distributions).
-"""
-
-import math
-
-
-class RunningStat:
-    """Welford's online mean/variance with min/max tracking."""
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value):
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self):
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self):
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stdev(self):
-        return math.sqrt(self.variance)
-
-    def summary(self):
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum if self.count else None,
-        }
-
-    def __repr__(self):
-        return "RunningStat(count={}, mean={:.4g}, stdev={:.4g})".format(
-            self.count, self.mean, self.stdev
-        )
+"""Counters for the simulator's and the DHT's message and byte totals."""
 
 
 class Counter:
@@ -80,47 +23,3 @@ class Counter:
 
     def __repr__(self):
         return "Counter({})".format(self._counts)
-
-
-class Histogram:
-    """Fixed-bin histogram over ``[lo, hi)`` with overflow/underflow bins."""
-
-    def __init__(self, lo, hi, num_bins):
-        if hi <= lo:
-            raise ValueError("hi must exceed lo")
-        if num_bins <= 0:
-            raise ValueError("num_bins must be positive")
-        self.lo = lo
-        self.hi = hi
-        self.num_bins = num_bins
-        self._width = (hi - lo) / num_bins
-        self.bins = [0] * num_bins
-        self.underflow = 0
-        self.overflow = 0
-        self.stat = RunningStat()
-
-    def add(self, value):
-        self.stat.add(value)
-        if value < self.lo:
-            self.underflow += 1
-        elif value >= self.hi:
-            self.overflow += 1
-        else:
-            self.bins[int((value - self.lo) / self._width)] += 1
-
-    def percentile(self, q):
-        """Approximate percentile from bin midpoints (q in [0, 100])."""
-        if not 0 <= q <= 100:
-            raise ValueError("q must be in [0, 100]")
-        total = self.stat.count
-        if total == 0:
-            return None
-        target = q / 100 * total
-        seen = self.underflow
-        if seen >= target and self.underflow:
-            return self.lo
-        for i, count in enumerate(self.bins):
-            seen += count
-            if seen >= target:
-                return self.lo + (i + 0.5) * self._width
-        return self.hi

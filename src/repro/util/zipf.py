@@ -27,24 +27,7 @@ class ZipfSampler:
         self._cdf = list(itertools.accumulate(w / total for w in weights))
         # Guard against float round-off leaving the last bucket shy of 1.0.
         self._cdf[-1] = 1.0
-        self._weights = [w / total for w in weights]
 
     def sample(self):
         """Draw one rank in ``1..n`` (rank 1 is the most popular)."""
         return bisect.bisect_left(self._cdf, self._rng.random()) + 1
-
-    def sample_many(self, k):
-        return [self.sample() for _ in range(k)]
-
-    def probability(self, rank):
-        """Exact probability mass of ``rank``."""
-        if not 1 <= rank <= self.n:
-            raise ValueError("rank out of range")
-        return self._weights[rank - 1]
-
-    def expected_counts(self, total):
-        """Expected hit counts per rank given ``total`` draws.
-
-        Used to calibrate the Snort workload against Table 1's counts.
-        """
-        return [total * w for w in self._weights]

@@ -8,7 +8,7 @@ popularity, file corpora for keyword search, and router-level graphs
 for recursive topology queries.
 """
 
-from repro.workloads.generators import RateProcess, StatsWorkload, poisson
+from repro.workloads.generators import RateProcess, StatsWorkload
 from repro.workloads.planetlab import build_planetlab_network, planetlab_placements
 from repro.workloads.snort_rules import TABLE1_RULES, SnortWorkload
 
@@ -19,5 +19,4 @@ __all__ = [
     "TABLE1_RULES",
     "build_planetlab_network",
     "planetlab_placements",
-    "poisson",
 ]

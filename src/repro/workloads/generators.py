@@ -15,22 +15,6 @@ monitoring daemons.
 import math
 
 
-def poisson(rng, lam):
-    """Poisson sample; Knuth for small lambda, normal approx for large."""
-    if lam <= 0:
-        return 0
-    if lam < 30:
-        threshold = math.exp(-lam)
-        k = 0
-        p = 1.0
-        while True:
-            p *= rng.random()
-            if p <= threshold:
-                return k
-            k += 1
-    return max(0, round(rng.gauss(lam, math.sqrt(lam))))
-
-
 class RateProcess:
     """One host's outbound-rate time series (kbps)."""
 

@@ -87,7 +87,7 @@ def stats_catalog(rate=100.0, row_bytes=64.0, groups=None, stats_key=None):
     if rate is not None:
         catalog.stats.seed("s", rate=rate, row_bytes=row_bytes)
     if groups is not None:
-        catalog.stats.seed_groups(stats_key, groups)
+        catalog.stats.note_group_count(stats_key, groups)
     return catalog
 
 

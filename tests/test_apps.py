@@ -84,9 +84,9 @@ class TestMonitoringApp:
         net = PierNetwork(nodes=6, seed=404)
         app = MonitoringApp(net, sample_period=5.0, window=20.0).install()
         net.advance(20)
-        app.start_query(every=10.0, lifetime=500.0)
+        handle = app.start_query(every=10.0, lifetime=500.0)
         net.advance(25)
-        app.stop_query()
+        handle.stop()
         seen = len(app.series)
         net.advance(50)
         assert len(app.series) <= seen + 1

@@ -157,7 +157,7 @@ class TestConfigAndTree:
             self, lint, tmp_path, monkeypatch, capsys):
         (tmp_path / "ruff.toml").write_text("line-length = 100\n",
                                             encoding="utf-8")
-        for folder in ("src/pkg", "tests", "scripts"):
+        for folder in ("src/pkg", "examples", "tests", "scripts"):
             (tmp_path / folder).mkdir(parents=True)
         (tmp_path / "src" / "pkg" / "mod.py").write_text(textwrap.dedent("""\
             import functools
@@ -192,8 +192,12 @@ class TestConfigAndTree:
             def spare():  # noqa: DEF001 -- kept on purpose
                 return 4
             """), encoding="utf-8")
-        (tmp_path / "tests" / "test_mod.py").write_text(
+        (tmp_path / "examples" / "demo.py").write_text(
             "from pkg.mod import Kept\nKept().called()\n", encoding="utf-8")
+        # A test calling a definition does not keep it alive: code only
+        # tests call is dead to the program.
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from pkg.mod import dead\ndead().orphan()\n", encoding="utf-8")
         # A directory outside the usage roots references nothing.
         (tmp_path / "scripts" / "run.py").write_text(
             "dead = orphan = 1\nprint(dead, orphan)\n", encoding="utf-8")

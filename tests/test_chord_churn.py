@@ -28,8 +28,10 @@ To re-record after a deliberate protocol change, run this file as a
 script in the tree that is to become the oracle and paste the table.
 """
 
+from ring_oracle import owner_of, ring_is_consistent
+
 from repro.dht import ring
-from repro.dht.bootstrap import build_chord_ring, owner_of, ring_is_consistent
+from repro.dht.bootstrap import build_chord_ring
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock

@@ -14,9 +14,11 @@ Rings are oracle-built over a constant latency; ``Network.on_deliver``
 is the tap.
 """
 
+from ring_oracle import owner_of
+
 from repro.core.owners import OwnerCache
 from repro.dht import messages as msg
-from repro.dht.bootstrap import build_chord_ring, owner_of
+from repro.dht.bootstrap import build_chord_ring
 from repro.dht.chord import ChordNode
 from repro.dht.config import DhtConfig
 from repro.dht.ring import STABILIZE_PERIOD

@@ -15,10 +15,12 @@ from collections import Counter
 
 import pytest
 
+from ring_oracle import owner_of, ring_is_consistent
+
 from repro.core.network import PierNetwork
 from repro.core.plansync import SYNC_OP
 from repro.dht import ring
-from repro.dht.bootstrap import build_chord_ring, owner_of, ring_is_consistent
+from repro.dht.bootstrap import build_chord_ring
 from repro.dht.chord import ChordNode, NodeRef
 from repro.dht.config import DhtConfig
 from repro.dht.messages import RpcReply

@@ -150,7 +150,6 @@ class TestRowBatch:
         dicts = [{"a": 1, "b": 2, "s": "x"}, {"a": 3, "b": 4, "s": "y"}]
         batch = RowBatch.from_dicts(dicts, SCHEMA)
         assert batch.rows() == [(1, 2, "x"), (3, 4, "y")]
-        assert batch.to_dicts() == dicts
 
     def test_columnar_wire_uniform_tuples_only(self):
         assert columnar_wire([(1, "a"), (2, "b")]) == [[1, 2], ["a", "b"]]
@@ -364,34 +363,6 @@ class TestChunkingInvariance:
 
         assert drive(build, rows, False) == drive(build, rows, True)
 
-    def test_topk_paned(self):
-        rng = random.Random(301)
-        rows = random_rows(rng, 12)
-        panes = sorted(rng.randint(0, 2) for _ in rows)
-
-        def build():
-            return make("topk", {
-                "sort_keys": [(col("b"), True)], "limit": 3,
-                "schema": SCHEMA,
-                "paned": {"width": 1.0, "every": 1, "window": 3},
-            }, standing=True)
-
-        def run(batch_mode):
-            op, sink = build()
-            for pane in sorted(set(panes)):
-                chunk = [r for r, p in zip(rows, panes) if p == pane]
-                op.open_pane(pane)
-                if batch_mode:
-                    op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
-                else:
-                    for row in chunk:
-                        op.push(row)
-            op.ctx.epoch = op.ctx.active_epoch = 3
-            op.flush()
-            return sink.rows
-
-        assert run(False) == run(True)
-
     @pytest.mark.parametrize("n", SIZES)
     def test_groupby_partial(self, n):
         rows = random_rows(random.Random(400 + n), n)
@@ -603,9 +574,9 @@ class TestChunkingInvariance:
         assert bsink.batches == 2
         assert bsink.rows == [(1, 1, "x"), (2, 1, "x"), (3, 1, "x")]
 
-    def test_base_push_and_emit_are_one_row_batches(self):
-        # push/emit exist once, on the base: each wraps its row in a
-        # one-row batch, port preserved.
+    def test_base_push_is_a_one_row_batch(self):
+        # push exists once, on the base: it wraps its row in a one-row
+        # batch, port preserved.
         class TwoPort(Operator):
             def __init__(self):
                 self.got = []
@@ -617,10 +588,6 @@ class TestChunkingInvariance:
         op = TwoPort()
         op.push((1,), port=1)
         assert op.got == [(1, [(1,)])]
-        source = TwoPort()
-        source.wire(op, 1)
-        source.emit((2,))
-        assert op.got == [(1, [(1,)]), (1, [(2,)])]
 
     def test_emit_batch_feeds_batch_consumers_whole(self):
         class Source(Operator):
@@ -950,14 +917,11 @@ class TestFetchMatchesParity:
 # Bloom stage: chunking-invariant buffer/fold, batch-granularity release
 # ----------------------------------------------------------------------
 class TestBloomStageParity:
-    def _build(self, paned=False):
-        params = {
+    def _build(self):
+        return make("bloom_stage", {
             "side": "left", "key_exprs": [col("s")], "schema": SCHEMA,
             "capacity": 64, "fp_rate": 0.01, "group": "g",
-        }
-        if paned:
-            params["paned"] = {"every": 1, "window": 3}
-        return make("bloom_stage", params, standing=paned)
+        })
 
     @staticmethod
     def _filter_of(values):
@@ -1000,29 +964,6 @@ class TestBloomStageParity:
             return None if state is None else state["filter"]._bits
 
         assert bits(False) == bits(True)
-
-    def test_paned_release_parity(self):
-        rng = random.Random(960)
-        rows = random_rows(rng, 14)
-        panes = sorted(rng.randint(0, 2) for _ in rows)
-        other = self._filter_of(["y", ""])
-
-        def run(batch_mode):
-            op, sink = self._build(paned=True)
-            for pane in sorted(set(panes)):
-                chunk = [r for r, p in zip(rows, panes) if p == pane]
-                op.open_pane(pane)
-                if batch_mode:
-                    op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
-                else:
-                    for row in chunk:
-                        op.push(row)
-            op.ctx.epoch = op.ctx.active_epoch = 2
-            op._epochs.state(2)  # arm the epoch (flush would do this)
-            op.control({"filters": {"right": other}})
-            return sink.rows
-
-        assert run(False) == run(True)
 
     def test_missing_opposite_filter_releases_all(self):
         rows = random_rows(random.Random(970), 6)

@@ -7,7 +7,7 @@ from repro.core.aggregates import AggSpec
 from repro.core.batch import RowBatch
 from repro.core.dataflow import Operator
 from repro.core.opgraph import OpSpec
-from repro.core.operators import create_operator, registered_kinds
+from repro.core.operators import _REGISTRY, create_operator
 from repro.core.operators.topk import sort_rows
 from repro.db.expressions import BinaryOp, col, lit
 from repro.db.schema import Schema
@@ -40,7 +40,7 @@ SCHEMA = Schema.of(("a", INT), ("b", INT), ("s", STR))
 
 class TestRegistry:
     def test_known_kinds_present(self):
-        have = registered_kinds()
+        have = set(_REGISTRY)
         for kind in ("scan", "select", "project", "shj", "fetch_matches",
                      "groupby_partial", "groupby_final", "topk", "distinct",
                      "result", "exchange", "bloom_stage"):

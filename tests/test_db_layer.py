@@ -22,7 +22,6 @@ class TestTypes:
         assert isinstance(INT.coerce(True), int)
 
     def test_float_accepts_int(self):
-        assert FLOAT.validate(3)
         assert FLOAT.coerce(3) == 3
 
     def test_none_passes_all_types(self):
@@ -96,7 +95,6 @@ class TestSchema:
         s = self.make()
         row = s.row_from_dict({"a": 1, "b": "x"})
         assert row == (1, "x")
-        assert s.row_to_dict(row) == {"a": 1, "b": "x"}
 
     def test_row_from_dict_missing_column(self):
         with pytest.raises(CatalogError):
@@ -124,14 +122,6 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             Catalog().lookup("ghost")
 
-    def test_drop(self):
-        c = Catalog()
-        c.define(TableDef("t", Schema.of(("a", INT))))
-        c.drop("t")
-        assert not c.has_table("t")
-        with pytest.raises(CatalogError):
-            c.drop("t")
-
     def test_dht_table_needs_partition_key(self):
         with pytest.raises(CatalogError):
             TableDef("t", Schema.of(("a", INT)), source="dht")
@@ -143,12 +133,6 @@ class TestCatalog:
     def test_unknown_source_kind(self):
         with pytest.raises(CatalogError):
             TableDef("t", Schema.of(("a", INT)), source="magnetic_tape")
-
-    def test_table_names_sorted(self):
-        c = Catalog()
-        c.define(TableDef("zeta", Schema.of(("a", INT))))
-        c.define(TableDef("alpha", Schema.of(("a", INT))))
-        assert c.table_names() == ["alpha", "zeta"]
 
 
 class TestLocalTable:
@@ -165,19 +149,6 @@ class TestLocalTable:
         t = self.make()
         t.insert(("5", 9))
         assert t.scan() == [(5, "9")]
-
-    def test_delete_where(self):
-        t = self.make()
-        t.insert_many([(1, "x"), (2, "y"), (3, "z")])
-        removed = t.delete_where(lambda row: row[0] >= 2)
-        assert removed == 2
-        assert t.scan() == [(1, "x")]
-
-    def test_replace_all(self):
-        t = self.make()
-        t.insert((1, "x"))
-        t.replace_all([(9, "q")])
-        assert t.scan() == [(9, "q")]
 
     def test_len_and_clear(self):
         t = self.make()

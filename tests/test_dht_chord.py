@@ -1,11 +1,8 @@
 """Chord overlay: ring correctness, routing, storage, failure handling."""
 
-from repro.dht.bootstrap import (
-    build_chord_ring,
-    join_chord_ring,
-    owner_of,
-    ring_is_consistent,
-)
+from ring_oracle import owner_of, ring_is_consistent
+
+from repro.dht.bootstrap import build_chord_ring, join_chord_ring
 from repro.dht import messages as msg
 from repro.dht.chord import ChordNode, storage_key
 from repro.dht.config import DhtConfig

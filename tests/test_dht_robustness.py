@@ -1,7 +1,9 @@
 """Routing robustness: suspects, heir delivery, no loops, split-brain."""
 
+from ring_oracle import owner_of
+
 from repro.core.network import PierNetwork
-from repro.dht.bootstrap import build_chord_ring, owner_of
+from repro.dht.bootstrap import build_chord_ring
 from repro.dht.chord import ChordNode, storage_key
 from repro.dht.ring import SUSPECT_TTL
 from repro.dht.config import DhtConfig

@@ -2,13 +2,14 @@
 
 Coverage layers:
 
-* planner marking: which shapes go distributed (grouped aggregation,
-  fetch-matches joins, bloom legs), which stay node-local (top-k), and
-  which keep from-scratch evaluation (SHJ joins, non-overlapping
-  windows);
-* integration parity: grouped tree aggregation, fetch-matches joins
-  and bloom joins answer identically to the from-scratch ablation
-  while folding fewer partial-state rows at group owners;
+* planner marking: panes live on the group-by chain only (grouped
+  aggregation, probe-side fetch-matches joins below it); top-k, Bloom
+  joins, SHJ joins, plain projections and non-overlapping windows keep
+  from-scratch evaluation;
+* integration: grouped tree aggregation and fetch-matches joins answer
+  identically to the from-scratch ablation while folding fewer
+  partial-state rows at group owners, and a sliding Bloom join answers
+  every epoch with the join of the appended rows;
 * mechanics: pane-tagged batches never mix panes, the tree combiner
   holds per-(epoch, pane) partials, and a paned final assembles older
   still-open epochs statelessly (refinement reflush after the window
@@ -18,6 +19,7 @@ Coverage layers:
 import pytest
 from stubs import make_engine, make_exchange
 
+from benchmarks.perf.reference import RowLog, same_rows
 from repro.core.network import PierNetwork
 
 GROUPED_SQL = (
@@ -33,10 +35,13 @@ def make_net(nodes=8, seed=77, columns=(("bucket", "INT"), ("v", "FLOAT")),
     return net
 
 
-def install_ticker(net, address, row_fn, period=2.0, table="s"):
+def install_ticker(net, address, row_fn, period=2.0, table="s", log=None):
     def tick():
         engine = net.node(address).engine
-        engine.stream_append(table, row_fn(engine))
+        row = row_fn(engine)
+        engine.stream_append(table, row)
+        if log is not None:
+            log.add(engine.clock.now, address, table, [row])
         engine.set_timer(period, tick)
 
     net.node(address).engine.set_timer(0.1, tick)
@@ -102,19 +107,6 @@ class TestPlannerMarking:
         )
         # Both stream scans feed exchanges below the join: no pane path.
         assert plan.pane is None
-
-    def test_bloom_legs_marked_paned(self):
-        net = make_net(nodes=4, columns=(("k", "INT"), ("v", "FLOAT")))
-        net.create_stream_table("t", [("k", "INT"), ("w", "FLOAT")],
-                                window=60.0)
-        plan = net.compile_sql(
-            "SELECT s.k AS k, t.w AS w FROM s, t WHERE s.k = t.k "
-            "EVERY 10 SECONDS WINDOW 40 SECONDS LIFETIME 60 SECONDS",
-            options={"join_strategy": "bloom"},
-        )
-        stages = plan.ops_of_kind("bloom_stage")
-        assert len(stages) == 2
-        assert all(stage.params.get("paned") for stage in stages)
 
     def test_non_overlapping_window_stays_unpaned(self):
         net = make_net(nodes=4)
@@ -238,54 +230,41 @@ class TestDistributedParity:
             assert outcomes["paned"][k] == outcomes["scratch"][k]
         assert 2 * folded["paned"] <= folded["scratch"]
 
-    def test_bloom_stage_paned_parity(self):
+    def test_sliding_bloom_join_matches_appended_rows(self):
         sql = ("SELECT l.k AS k, l.v AS lv, r.v AS rv FROM lt l, rt r "
                "WHERE l.k = r.k EVERY 8 SECONDS WINDOW 24 SECONDS "
                "LIFETIME 32 SECONDS")
+        net = PierNetwork(nodes=6, seed=3)
+        net.create_stream_table("lt", [("k", "INT"), ("v", "INT")],
+                                window=32.0)
+        net.create_stream_table("rt", [("k", "INT"), ("v", "INT")],
+                                window=32.0)
+        log = RowLog()
+        for i, address in enumerate(net.addresses()):
+            def row_fn(engine, i=i):
+                return ((i * 7 + int(engine.clock.now)) % 16, i)
 
-        def build():
-            net = PierNetwork(nodes=6, seed=3)
-            net.create_stream_table("lt", [("k", "INT"), ("v", "INT")],
-                                    window=32.0)
-            net.create_stream_table("rt", [("k", "INT"), ("v", "INT")],
-                                    window=32.0)
-            for i, address in enumerate(net.addresses()):
-                def row_fn(engine, i=i):
-                    return ((i * 7 + int(engine.clock.now)) % 16, i)
+            install_ticker(net, address, row_fn, table="lt", log=log)
+            if i % 2 == 0:
+                def rrow_fn(engine, i=i):
+                    return ((i * 5 + int(engine.clock.now)) % 16, 100 + i)
 
-                install_ticker(net, address, row_fn, table="lt")
-                if i % 2 == 0:
-                    def rrow_fn(engine, i=i):
-                        return ((i * 5 + int(engine.clock.now)) % 16,
-                                100 + i)
-
-                    install_ticker(net, address, rrow_fn, table="rt")
-            net.advance(26.0)
-            return net
-
-        outcomes = {}
-        scanned = {}
-        for label, paned in (("paned", True), ("scratch", False)):
-            net = build()
-            options = {"join_strategy": "bloom"}
-            if not paned:
-                options["paned"] = False
-            results = []
-            handle = net.submit_sql(sql, on_epoch=results.append,
-                                    options=options)
-            if paned:
-                assert all(s.params.get("paned") for s in
-                           handle.plan.ops_of_kind("bloom_stage"))
-            net.advance(32 + handle.plan.deadline + 5.0)
-            outcomes[label] = {r.epoch: sorted(r.rows) for r in results}
-            scanned[label] = sum(
-                n.engine.rows_scanned for n in net.nodes.values()
-            )
-        shared = set(outcomes["paned"]) & set(outcomes["scratch"])
-        assert len(shared) >= 3
-        for k in shared:
-            assert outcomes["paned"][k] == outcomes["scratch"][k]
-        assert scanned["paned"] < scanned["scratch"]
+                install_ticker(net, address, rrow_fn, table="rt", log=log)
+        net.advance(26.0)
+        results = []
+        handle = net.submit_sql(sql, on_epoch=results.append,
+                                options={"join_strategy": "bloom"})
+        assert handle.plan.pane is None
+        assert handle.plan.ops_of_kind("bloom_stage")
+        net.advance(32 + handle.plan.deadline + 5.0)
+        answers = {r.epoch: r.rows for r in results}
+        assert sorted(answers) == [1, 2, 3, 4]
+        for k, rows in answers.items():
+            hi = handle.t0 + k * 8.0
+            right = log.window("rt", hi - 24.0, hi)
+            want = [(lk, lv, rv) for lk, lv in log.window("lt", hi - 24.0, hi)
+                    for rk, rv in right if lk == rk]
+            assert want and same_rows(rows, want), "epoch {}".format(k)
 
     def test_sketch_aggregate_rides_distributed_panes(self):
         net = make_net(nodes=6, seed=5, columns=(("src", "STR"),),
@@ -421,14 +400,19 @@ class TestPaneMechanics:
         assert dict(window.assemble(1, 4))[("g",)] == (14.0,)
 
 
-@pytest.mark.parametrize("sql,expect_pane", [
+@pytest.mark.parametrize("sql,options", [
     ("SELECT v FROM s ORDER BY v DESC LIMIT 3 EVERY 10 SECONDS "
-     "WINDOW 40 SECONDS LIFETIME 40 SECONDS", True),
+     "WINDOW 40 SECONDS LIFETIME 40 SECONDS", None),
     ("SELECT v FROM s EVERY 10 SECONDS WINDOW 40 SECONDS "
-     "LIFETIME 40 SECONDS", False),
-])
-def test_topk_still_marks_but_projection_does_not(sql, expect_pane):
+     "LIFETIME 40 SECONDS", None),
+    ("SELECT s.v AS v, t.w AS w FROM s, t WHERE s.v = t.w "
+     "EVERY 10 SECONDS WINDOW 40 SECONDS LIFETIME 60 SECONDS",
+     {"join_strategy": "bloom"}),
+], ids=["topk", "projection", "bloom_join"])
+def test_plans_without_an_aggregate_stay_unpaned(sql, options):
     net = PierNetwork(nodes=4, seed=1)
     net.create_stream_table("s", [("v", "FLOAT")], window=60.0)
-    plan = net.compile_sql(sql)
-    assert (plan.pane is not None) == expect_pane
+    net.create_stream_table("t", [("w", "FLOAT")], window=60.0)
+    plan = net.compile_sql(sql, options=options)
+    assert plan.standing and plan.pane is None
+    assert not any(op.params.get("paned") for op in plan.specs.values())

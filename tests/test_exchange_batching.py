@@ -177,7 +177,7 @@ class TestJoinEquivalence:
             )
             net.advance(140)
             leaves = churn.leaves
-            net.stop_churn()
+            churn.stop()
             assert leaves > 0  # churn really happened during the run
             per_config.append(
                 [r.rows[0][0] if r.rows else 0 for r in results]

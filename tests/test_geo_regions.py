@@ -522,4 +522,5 @@ class TestRegionOwnerCache:
                         .format(address, ref.address)
                     )
                 cached = engine.owners.learned(ns, rid)
-                assert cached is None or net.net.is_alive(cached.address)
+                assert (cached is None
+                        or cached.address in net.net.live_addresses())

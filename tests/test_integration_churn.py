@@ -82,12 +82,12 @@ class TestContinuousUnderChurn:
         net.advance(200)
         assert churn.leaves > 5
         assert churn.joins > 3
-        net.stop_churn()
+        churn.stop()
 
 
 class TestRingHealing:
     def test_ring_heals_after_wave_of_failures(self, net):
-        from repro.dht.bootstrap import ring_is_consistent
+        from ring_oracle import ring_is_consistent
 
         for address in net.addresses()[3:8]:
             net.crash_node(address)

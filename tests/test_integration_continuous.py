@@ -79,16 +79,6 @@ class TestEpochs:
         net.advance(40)
         assert len(results) <= seen + 1  # at most one in-flight epoch lands
 
-    def test_latest_result_accessor(self, net):
-        handle = net.submit_sql(
-            "SELECT COUNT(*) AS n FROM s EVERY 5 SECONDS WINDOW 5 SECONDS "
-            "LIFETIME 20 SECONDS",
-        )
-        net.advance(40)
-        latest = handle.latest_result()
-        assert latest is not None
-        assert latest.epoch == max(handle.results)
-
     def test_grouped_continuous(self, net):
         net.create_stream_table("tagged", [("tag", "STR"), ("v", "FLOAT")],
                                 window=30.0)

@@ -10,8 +10,10 @@ from collections import defaultdict
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ring_oracle import owner_of
+
 from repro.core.network import PierNetwork
-from repro.dht.bootstrap import build_chord_ring, owner_of
+from repro.dht.bootstrap import build_chord_ring
 from repro.dht.chord import ChordNode, storage_key
 from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock

@@ -161,9 +161,3 @@ class TestLatencyModels:
         rng = SeededRng(2)
         model = GeoLatency(rng, jitter_sigma=0.0)
         assert model.delay("ghost1", "ghost2") > 0
-
-    def test_geo_coordinates_accessor(self):
-        model = GeoLatency(SeededRng(2))
-        model.place("a", 0.3, 0.4)
-        assert model.coordinates("a") == (0.3, 0.4)
-        assert model.coordinates("missing") is None

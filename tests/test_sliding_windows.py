@@ -287,17 +287,34 @@ class TestPanedIntegration:
         # path must do at least 2x less aggregation work.
         assert outcomes["paned"][1] * 2 <= outcomes["scratch"][1]
 
-    def test_paned_topk_matches_from_scratch(self):
+    def test_sliding_topk_matches_appended_rows(self):
         sql = ("SELECT v FROM s ORDER BY v DESC LIMIT 3 EVERY 10 SECONDS "
                "WINDOW 40 SECONDS LIFETIME 40 SECONDS")
-        per_path = []
-        for options in (None, {"paned": False}):
-            _net, handle, results, folded = run_continuous(
-                sql, seed=9, advance=60.0, options=options
-            )
-            per_path.append([(r.epoch, sorted(r.rows)) for r in results])
-        assert per_path[0] == per_path[1]
-        assert per_path[0]
+        net = PierNetwork(nodes=8, seed=9)
+        net.create_stream_table("s", [("v", "FLOAT")], window=60.0)
+        log = RowLog()
+        for i, address in enumerate(net.addresses()):
+            def tick(address=address, i=i):
+                engine = net.node(address).engine
+                now = engine.clock.now
+                # Each node's values peak and fall away, so the top 3
+                # moves as the window slides.
+                row = (float((i * 11 + int(now) * 3) % 37),)
+                engine.stream_append("s", row)
+                log.add(now, address, "s", [row])
+                engine.set_timer(2.0, tick)
+
+            net.node(address).engine.set_timer(0.1, tick)
+        results = []
+        handle = net.submit_sql(sql, on_epoch=results.append)
+        assert handle.plan.pane is None
+        net.advance(60.0)
+        answers = {r.epoch: r.rows for r in results}
+        assert sorted(answers) == [1, 2, 3, 4]
+        for k, rows in answers.items():
+            hi = handle.t0 + k * 10.0
+            want = sorted(log.window("s", hi - 40.0, hi), reverse=True)[:3]
+            assert [tuple(row) for row in rows] == want, "epoch {}".format(k)
 
     def test_paned_min_max_grouped(self):
         sql = ("SELECT tag, MIN(v) AS lo, MAX(v) AS hi FROM s GROUP BY tag "

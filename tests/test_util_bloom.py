@@ -6,6 +6,11 @@ from hypothesis import given, strategies as st
 from repro.util.bloom import BloomFilter
 
 
+def fill_ratio(bf):
+    """Fraction of the filter's bits set."""
+    return bin(bf._bits).count("1") / bf.num_bits
+
+
 class TestConstruction:
     def test_rejects_nonpositive_bits(self):
         with pytest.raises(ValueError):
@@ -124,7 +129,7 @@ class TestStrideCoverage:
         bf = BloomFilter(129, 3)  # 129 = 3 * 43
         for i in range(30):
             bf.add(("present", i))
-        assert bf.fill_ratio() > 0.4  # probes spread across the table
+        assert fill_ratio(bf) > 0.4  # probes spread across the table
         false_positives = sum(
             1 for i in range(2000) if ("absent", i) in bf
         )
@@ -138,9 +143,9 @@ class TestSizing:
 
     def test_fill_ratio_grows(self):
         bf = BloomFilter(128, 3)
-        assert bf.fill_ratio() == 0.0
+        assert fill_ratio(bf) == 0.0
         bf.add("a")
-        first = bf.fill_ratio()
+        first = fill_ratio(bf)
         for i in range(50):
             bf.add(i)
-        assert bf.fill_ratio() > first
+        assert fill_ratio(bf) > first

@@ -1,49 +1,6 @@
-"""Statistics helpers versus the standard library's answers."""
+"""The named message/byte counters."""
 
-import statistics
-
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.util.stats import Counter, Histogram, RunningStat
-
-floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-class TestRunningStat:
-    def test_empty(self):
-        s = RunningStat()
-        assert s.count == 0
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    @given(st.lists(floats, min_size=1, max_size=100))
-    def test_mean_matches_statistics(self, values):
-        s = RunningStat()
-        for v in values:
-            s.add(v)
-        assert s.mean == pytest.approx(statistics.fmean(values), abs=1e-6, rel=1e-6)
-
-    @given(st.lists(floats, min_size=2, max_size=100))
-    def test_variance_matches_statistics(self, values):
-        s = RunningStat()
-        for v in values:
-            s.add(v)
-        expected = statistics.variance(values)
-        assert s.variance == pytest.approx(expected, rel=1e-6, abs=1e-5)
-
-    def test_min_max(self):
-        s = RunningStat()
-        for v in (3, -1, 7, 2):
-            s.add(v)
-        assert s.minimum == -1
-        assert s.maximum == 7
-
-    def test_summary_keys(self):
-        s = RunningStat()
-        s.add(1.0)
-        summary = s.summary()
-        assert set(summary) == {"count", "mean", "stdev", "min", "max"}
+from repro.util.stats import Counter
 
 
 class TestCounter:
@@ -62,42 +19,3 @@ class TestCounter:
         d = c.as_dict()
         d["x"] = 100
         assert c.get("x") == 1
-
-
-class TestHistogram:
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(5, 5, 4)
-
-    def test_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            Histogram(0, 1, 0)
-
-    def test_bins_fill(self):
-        h = Histogram(0, 10, 10)
-        for v in (0.5, 1.5, 1.7, 9.9):
-            h.add(v)
-        assert h.bins[0] == 1
-        assert h.bins[1] == 2
-        assert h.bins[9] == 1
-
-    def test_underflow_overflow(self):
-        h = Histogram(0, 10, 5)
-        h.add(-3)
-        h.add(42)
-        assert h.underflow == 1
-        assert h.overflow == 1
-
-    def test_percentile_empty_is_none(self):
-        assert Histogram(0, 1, 4).percentile(50) is None
-
-    def test_percentile_rejects_bad_q(self):
-        h = Histogram(0, 1, 4)
-        with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_median_near_center(self):
-        h = Histogram(0, 100, 100)
-        for v in range(100):
-            h.add(v)
-        assert 40 <= h.percentile(50) <= 60

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.util.rng import SeededRng
-from repro.workloads import poisson
 from repro.workloads.generators import RateProcess
 from repro.workloads.graphs import (
     edge_rows,
@@ -61,23 +60,6 @@ class TestRateProcess:
         import statistics
 
         assert max(samples) > 10 * statistics.median(samples)
-
-
-class TestPoisson:
-    def test_zero_lambda(self):
-        assert poisson(SeededRng(1), 0) == 0
-
-    def test_small_lambda_mean(self):
-        rng = SeededRng(2)
-        samples = [poisson(rng, 3.0) for _ in range(3000)]
-        assert abs(sum(samples) / len(samples) - 3.0) < 0.2
-
-    def test_large_lambda_mean(self):
-        rng = SeededRng(3)
-        samples = [poisson(rng, 500.0) for _ in range(500)]
-        mean = sum(samples) / len(samples)
-        assert abs(mean - 500) < 10
-        assert all(s >= 0 for s in samples)
 
 
 class TestSnortRules:

@@ -14,7 +14,8 @@ Stdlib only. Reports, as ``path:line: code message``:
 * ``DEF001`` -- a top-level def or class, or a method of a top-level
   class, in ``src/`` whose name occurs as a NAME token nowhere else in
   the ``.py`` files of ``USAGE_DIRS`` (no ruff rule does this: it is
-  the whole-tree reference count that finds dead code). A decorated
+  the whole-tree reference count that finds dead code). ``tests/`` is
+  not among them, so a definition only tests call is reported too. A decorated
   definition counts as used -- its decorator files it somewhere, as
   ``register_operator`` does -- and so does a dunder. Checked on the
   default whole-tree run only.
@@ -38,8 +39,9 @@ import tokenize
 from collections import Counter
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-# Where a definition in src/ may be referenced from.
-USAGE_DIRS = ("src", "tests", "benchmarks", "tools", "examples")
+# Where a definition in src/ may be referenced from. Not tests/: code
+# that only tests call is dead to the program.
+USAGE_DIRS = ("src", "benchmarks", "tools", "examples")
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*([A-Z][A-Z0-9]*(?:[,\s]+[A-Z][A-Z0-9]*)*))?", re.I)
 _IGNORE_LINE = re.compile(r'^"([^"]+)"\s*=\s*\[([^\]]*)\]')
