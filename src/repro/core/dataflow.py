@@ -271,9 +271,9 @@ class Operator:
 
     An operator sees rows only through ``push_batch``: it is the one
     data entry point every operator implements, and rows move between
-    operators only as :class:`~repro.core.batch.RowBatch`. ``push`` and
-    ``emit`` exist once, here, as one-row-batch conveniences; no
-    subclass overrides them.
+    operators only as :class:`~repro.core.batch.RowBatch`. ``push``
+    exists once, here, as a one-row-batch convenience; no subclass
+    overrides it.
 
     Standing executions add the epoch lifecycle. ``open_epoch(k, t_k)``
     begins epoch ``k``: sources emit the new epoch's delta, stateful

@@ -183,6 +183,70 @@ class TestTopK:
         op.flush()
         assert [(r[0], r[1]) for r in sink.rows] == [(2, 5), (1, 2), (1, 9)]
 
+    def test_ascending_keeps_the_smallest(self):
+        op, sink = make("topk", {
+            "sort_keys": [(col("a"), False)], "limit": 2, "schema": SCHEMA,
+        })
+        op.push_batch(RowBatch.from_rows(
+            [(a, 0, "") for a in (3, 1, 4, 1, 5)], SCHEMA))
+        op.flush()
+        assert [r[0] for r in sink.rows] == [1, 1]
+
+    def test_limit_above_row_count_emits_every_row_sorted(self):
+        op, sink = make("topk", {
+            "sort_keys": [(col("a"), True)], "limit": 10, "schema": SCHEMA,
+        })
+        for a in (2, 7, 5):
+            op.push((a, 0, ""))
+        op.flush()
+        assert [r[0] for r in sink.rows] == [7, 5, 2]
+
+    def test_no_limit_sorts_without_cutting(self):
+        op, sink = make("topk", {
+            "sort_keys": [(col("b"), False)], "limit": None, "schema": SCHEMA,
+        })
+        for b in (9, 3, 6, 3):
+            op.push((0, b, ""))
+        op.flush()
+        assert [r[1] for r in sink.rows] == [3, 3, 6, 9]
+
+    def test_flush_empties_the_buffer(self):
+        op, sink = make("topk", {
+            "sort_keys": [(col("a"), True)], "limit": 2, "schema": SCHEMA,
+        })
+        op.flush()
+        assert sink.rows == []
+        op.push((4, 0, ""))
+        op.flush()
+        op.flush()
+        assert sink.rows == [(4, 0, "")]
+
+    def test_live_epochs_are_cut_apart(self):
+        op, sink = make("topk", {
+            "sort_keys": [(col("a"), True)], "limit": 1, "schema": SCHEMA,
+        })
+        ctx = op.ctx
+        for epoch, values in ((1, (3, 8)), (2, (5, 1))):
+            with ctx.in_epoch(epoch):
+                for a in values:
+                    op.push((a, 0, ""))
+        with ctx.in_epoch(2):
+            op.flush()
+        with ctx.in_epoch(1):
+            op.flush()
+        assert [r[0] for r in sink.rows] == [5, 8]
+
+    def test_sealed_epoch_drops_its_rows(self):
+        op, sink = make("topk", {
+            "sort_keys": [(col("a"), True)], "limit": 3, "schema": SCHEMA,
+        })
+        with op.ctx.in_epoch(1):
+            op.push((9, 0, ""))
+        op.seal_epoch(1)
+        with op.ctx.in_epoch(1):
+            op.flush()
+        assert sink.rows == []
+
     def test_nulls_sort_last(self):
         rows = [(None, 0, ""), (3, 0, ""), (1, 0, "")]
         ordered = sort_rows(rows, [(col("a"), False)], SCHEMA)
@@ -301,3 +365,62 @@ class TestBloomStage:
         op.control({"filters": {}})
         op.control({"filters": {}})
         assert len(sink.rows) == 1
+
+    def _stage(self, side="left", sent=None):
+        class Ctx(StubCtx):
+            def send_to_origin(self, payload):
+                if sent is not None:
+                    sent.append(payload)
+
+        op = create_operator(Ctx(), OpSpec("x", "bloom_stage", {
+            "side": side, "key_exprs": [col("a")], "schema": SCHEMA,
+            "capacity": 64, "group": "g",
+        }))
+        sink = Sink()
+        op.wire(sink, 0)
+        return op, sink
+
+    @staticmethod
+    def _filter_of(*keys):
+        from repro.util.bloom import BloomFilter
+
+        bloom = BloomFilter.for_capacity(64)
+        for key in keys:
+            bloom.add((key,))
+        return bloom
+
+    def test_flush_ships_the_epochs_own_filter(self):
+        sent = []
+        op, _sink = self._stage(side="right", sent=sent)
+        for epoch, a in ((1, 11), (2, 22)):
+            with op.ctx.in_epoch(epoch):
+                op.push((a, 0, ""))
+        with op.ctx.in_epoch(2):
+            op.flush()
+        (payload,) = sent
+        assert (payload["op"], payload["epoch"], payload["side"],
+                payload["op_id"]) == ("qbloom", 2, "right", "g")
+        assert (22,) in payload["filter"]
+        assert (11,) not in payload["filter"]
+
+    def test_release_is_scoped_to_its_epoch(self):
+        op, sink = self._stage()
+        for epoch, keys in ((1, (1, 2)), (2, (1, 3))):
+            with op.ctx.in_epoch(epoch):
+                for a in keys:
+                    op.push((a, epoch, ""))
+        with op.ctx.in_epoch(1):
+            op.control({"filters": {"right": self._filter_of(1)}})
+        assert sink.rows == [(1, 1, "")]
+        with op.ctx.in_epoch(2):
+            op.control({"filters": {"right": self._filter_of(1, 3)}})
+        assert sink.rows == [(1, 1, ""), (1, 2, ""), (3, 2, "")]
+
+    def test_sealed_epoch_drops_late_filters(self):
+        op, sink = self._stage()
+        with op.ctx.in_epoch(1):
+            op.push((1, 0, ""))
+        op.seal_epoch(1)
+        with op.ctx.in_epoch(1):
+            op.control({"filters": {}})
+        assert sink.rows == []

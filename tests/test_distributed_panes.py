@@ -55,6 +55,46 @@ def bucketed_tickers(net):
         )
 
 
+def check_sliding_bloom_join(every, window, nodes, seed):
+    """Run a Bloom join of two sliding streams for four epochs and check
+    every epoch's answer against the join on ``k`` of the rows appended
+    in ``(hi - window, hi]``."""
+    sql = ("SELECT l.k AS k, l.v AS lv, r.v AS rv FROM lt l, rt r "
+           "WHERE l.k = r.k EVERY {} SECONDS WINDOW {} SECONDS "
+           "LIFETIME {} SECONDS").format(every, window, 4 * every)
+    net = PierNetwork(nodes=nodes, seed=seed)
+    net.create_stream_table("lt", [("k", "INT"), ("v", "INT")],
+                            window=float(window + every))
+    net.create_stream_table("rt", [("k", "INT"), ("v", "INT")],
+                            window=float(window + every))
+    log = RowLog()
+    for i, address in enumerate(net.addresses()):
+        def row_fn(engine, i=i):
+            return ((i * 7 + int(engine.clock.now)) % 16, i)
+
+        install_ticker(net, address, row_fn, table="lt", log=log)
+        if i % 2 == 0:
+            def rrow_fn(engine, i=i):
+                return ((i * 5 + int(engine.clock.now)) % 16, 100 + i)
+
+            install_ticker(net, address, rrow_fn, table="rt", log=log)
+    net.advance(window + 2.0)
+    results = []
+    handle = net.submit_sql(sql, on_epoch=results.append,
+                            options={"join_strategy": "bloom"})
+    assert handle.plan.pane is None
+    assert handle.plan.ops_of_kind("bloom_stage")
+    net.advance(4 * every + handle.plan.deadline + 5.0)
+    answers = {r.epoch: r.rows for r in results}
+    assert sorted(answers) == [1, 2, 3, 4]
+    for k, rows in answers.items():
+        hi = handle.t0 + k * every
+        right = log.window("rt", hi - window, hi)
+        want = [(lk, lv, rv) for lk, lv in log.window("lt", hi - window, hi)
+                for rk, rv in right if lk == rk]
+        assert want and same_rows(rows, want), "epoch {}".format(k)
+
+
 class TestPlannerMarking:
     def test_grouped_aggregation_goes_distributed(self):
         net = make_net(nodes=4)
@@ -231,40 +271,18 @@ class TestDistributedParity:
         assert 2 * folded["paned"] <= folded["scratch"]
 
     def test_sliding_bloom_join_matches_appended_rows(self):
-        sql = ("SELECT l.k AS k, l.v AS lv, r.v AS rv FROM lt l, rt r "
-               "WHERE l.k = r.k EVERY 8 SECONDS WINDOW 24 SECONDS "
-               "LIFETIME 32 SECONDS")
-        net = PierNetwork(nodes=6, seed=3)
-        net.create_stream_table("lt", [("k", "INT"), ("v", "INT")],
-                                window=32.0)
-        net.create_stream_table("rt", [("k", "INT"), ("v", "INT")],
-                                window=32.0)
-        log = RowLog()
-        for i, address in enumerate(net.addresses()):
-            def row_fn(engine, i=i):
-                return ((i * 7 + int(engine.clock.now)) % 16, i)
+        check_sliding_bloom_join(every=8, window=24, nodes=6, seed=3)
 
-            install_ticker(net, address, row_fn, table="lt", log=log)
-            if i % 2 == 0:
-                def rrow_fn(engine, i=i):
-                    return ((i * 5 + int(engine.clock.now)) % 16, 100 + i)
-
-                install_ticker(net, address, rrow_fn, table="rt", log=log)
-        net.advance(26.0)
-        results = []
-        handle = net.submit_sql(sql, on_epoch=results.append,
-                                options={"join_strategy": "bloom"})
-        assert handle.plan.pane is None
-        assert handle.plan.ops_of_kind("bloom_stage")
-        net.advance(32 + handle.plan.deadline + 5.0)
-        answers = {r.epoch: r.rows for r in results}
-        assert sorted(answers) == [1, 2, 3, 4]
-        for k, rows in answers.items():
-            hi = handle.t0 + k * 8.0
-            right = log.window("rt", hi - 24.0, hi)
-            want = [(lk, lv, rv) for lk, lv in log.window("lt", hi - 24.0, hi)
-                    for rk, rv in right if lk == rk]
-            assert want and same_rows(rows, want), "epoch {}".format(k)
+    # A tumbling window, a window that is not a multiple of EVERY, and
+    # a larger fleet all rebuild each epoch's filters from the window.
+    @pytest.mark.parametrize("every,window,nodes,seed", [
+        (10, 10, 6, 4),
+        (6, 15, 5, 11),
+        (8, 32, 9, 23),
+    ], ids=["tumbling", "ragged_window", "nine_nodes"])
+    def test_sliding_bloom_join_geometries(self, every, window, nodes, seed):
+        check_sliding_bloom_join(every=every, window=window, nodes=nodes,
+                                 seed=seed)
 
     def test_sketch_aggregate_rides_distributed_panes(self):
         net = make_net(nodes=6, seed=5, columns=(("src", "STR"),),
@@ -408,7 +426,15 @@ class TestPaneMechanics:
     ("SELECT s.v AS v, t.w AS w FROM s, t WHERE s.v = t.w "
      "EVERY 10 SECONDS WINDOW 40 SECONDS LIFETIME 60 SECONDS",
      {"join_strategy": "bloom"}),
-], ids=["topk", "projection", "bloom_join"])
+    ("SELECT v FROM s WHERE v > 1.0 ORDER BY v ASC LIMIT 2 "
+     "EVERY 10 SECONDS WINDOW 40 SECONDS LIFETIME 40 SECONDS", None),
+    ("SELECT v FROM s LIMIT 2 EVERY 10 SECONDS WINDOW 40 SECONDS "
+     "LIFETIME 40 SECONDS", None),
+    ("SELECT s.v AS v, t.w AS w FROM s, t WHERE s.v = t.w "
+     "EVERY 10 SECONDS WINDOW 40 SECONDS LIFETIME 60 SECONDS",
+     {"join_strategy": "shj"}),
+], ids=["topk", "projection", "bloom_join", "filtered_topk", "limit_only",
+        "shj_join"])
 def test_plans_without_an_aggregate_stay_unpaned(sql, options):
     net = PierNetwork(nodes=4, seed=1)
     net.create_stream_table("s", [("v", "FLOAT")], window=60.0)
@@ -416,3 +442,24 @@ def test_plans_without_an_aggregate_stay_unpaned(sql, options):
     plan = net.compile_sql(sql, options=options)
     assert plan.standing and plan.pane is None
     assert not any(op.params.get("paned") for op in plan.specs.values())
+
+
+# The group-by chain is the one pane path: the scan, the pane-tagged
+# exchange and both group-by halves carry the same geometry, whatever
+# filter sits below the aggregate or sort sits above it.
+@pytest.mark.parametrize("sql", [
+    "SELECT COUNT(*) AS n FROM s EVERY 10 SECONDS WINDOW 40 SECONDS "
+    "LIFETIME 40 SECONDS",
+    "SELECT bucket, SUM(v) AS t FROM s WHERE v > 2.0 GROUP BY bucket "
+    "EVERY 10 SECONDS WINDOW 40 SECONDS LIFETIME 40 SECONDS",
+    "SELECT bucket, SUM(v) AS t FROM s GROUP BY bucket ORDER BY t DESC "
+    "LIMIT 2 EVERY 10 SECONDS WINDOW 40 SECONDS LIFETIME 40 SECONDS",
+], ids=["ungrouped_count", "filtered_group_by", "sorted_group_by"])
+def test_group_by_chain_is_the_pane_path(sql):
+    net = make_net(nodes=4)
+    plan = net.compile_sql(sql)
+    assert plan.pane == {"width": 10.0, "every": 1, "window": 4}
+    marked = [op for op in plan.specs.values() if op.params.get("paned")]
+    assert sorted(op.kind for op in marked) == [
+        "exchange", "groupby_final", "groupby_partial", "scan"]
+    assert all(op.params["paned"] == plan.pane for op in marked)

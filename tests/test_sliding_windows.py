@@ -246,6 +246,42 @@ def run_continuous(sql, seed=77, nodes=8, advance=80.0, options=None,
     return net, handle, results, folded
 
 
+def check_sliding_topk(order, limit, every, window, seed, nodes=8):
+    """Run ``SELECT v ... ORDER BY v <order> LIMIT <limit>`` over a
+    sliding window for four epochs, and check every epoch's answer
+    against the cut of the rows appended in ``(hi - window, hi]``."""
+    sql = ("SELECT v FROM s ORDER BY v {} LIMIT {} EVERY {} SECONDS "
+           "WINDOW {} SECONDS LIFETIME {} SECONDS").format(
+               order, limit, every, window, 4 * every)
+    net = PierNetwork(nodes=nodes, seed=seed)
+    net.create_stream_table("s", [("v", "FLOAT")], window=60.0)
+    log = RowLog()
+    for i, address in enumerate(net.addresses()):
+        def tick(address=address, i=i):
+            engine = net.node(address).engine
+            now = engine.clock.now
+            # Each node's values peak and fall away, so the top k moves
+            # as the window slides.
+            row = (float((i * 11 + int(now) * 3) % 37),)
+            engine.stream_append("s", row)
+            log.add(now, address, "s", [row])
+            engine.set_timer(2.0, tick)
+
+        net.node(address).engine.set_timer(0.1, tick)
+    results = []
+    handle = net.submit_sql(sql, on_epoch=results.append)
+    assert handle.plan.pane is None
+    net.advance(4 * every + 20.0)
+    answers = {r.epoch: r.rows for r in results}
+    assert sorted(answers) == [1, 2, 3, 4]
+    for k, rows in answers.items():
+        hi = handle.t0 + k * every
+        window_rows = log.window("s", hi - window, hi)
+        want = sorted(window_rows, reverse=(order == "DESC"))[:limit]
+        assert want, "epoch {}".format(k)
+        assert [tuple(row) for row in rows] == want, "epoch {}".format(k)
+
+
 class TestPanedIntegration:
     SQL = ("SELECT SUM(v) AS total, COUNT(*) AS n FROM s EVERY 10 SECONDS "
            "WINDOW 40 SECONDS LIFETIME 60 SECONDS")
@@ -288,33 +324,23 @@ class TestPanedIntegration:
         assert outcomes["paned"][1] * 2 <= outcomes["scratch"][1]
 
     def test_sliding_topk_matches_appended_rows(self):
-        sql = ("SELECT v FROM s ORDER BY v DESC LIMIT 3 EVERY 10 SECONDS "
-               "WINDOW 40 SECONDS LIFETIME 40 SECONDS")
-        net = PierNetwork(nodes=8, seed=9)
-        net.create_stream_table("s", [("v", "FLOAT")], window=60.0)
-        log = RowLog()
-        for i, address in enumerate(net.addresses()):
-            def tick(address=address, i=i):
-                engine = net.node(address).engine
-                now = engine.clock.now
-                # Each node's values peak and fall away, so the top 3
-                # moves as the window slides.
-                row = (float((i * 11 + int(now) * 3) % 37),)
-                engine.stream_append("s", row)
-                log.add(now, address, "s", [row])
-                engine.set_timer(2.0, tick)
+        check_sliding_topk("DESC", 3, every=10, window=40, seed=9)
 
-            net.node(address).engine.set_timer(0.1, tick)
-        results = []
-        handle = net.submit_sql(sql, on_epoch=results.append)
-        assert handle.plan.pane is None
-        net.advance(60.0)
-        answers = {r.epoch: r.rows for r in results}
-        assert sorted(answers) == [1, 2, 3, 4]
-        for k, rows in answers.items():
-            hi = handle.t0 + k * 10.0
-            want = sorted(log.window("s", hi - 40.0, hi), reverse=True)[:3]
-            assert [tuple(row) for row in rows] == want, "epoch {}".format(k)
+    # Ascending cuts, limits above and below the node count, a tumbling
+    # window (WINDOW == EVERY) and a window that is not a multiple of
+    # EVERY all run the same from-scratch cut.
+    @pytest.mark.parametrize("order,limit,every,window,seed", [
+        ("ASC", 2, 5, 20, 4),
+        ("DESC", 10, 10, 30, 12),
+        ("ASC", 1, 6, 18, 21),
+        ("DESC", 3, 10, 10, 5),
+        ("DESC", 4, 8, 20, 30),
+    ], ids=["asc_quarter", "desc_wide_limit", "asc_top1", "tumbling",
+            "ragged_window"])
+    def test_sliding_topk_geometries(self, order, limit, every, window,
+                                     seed):
+        check_sliding_topk(order, limit, every=every, window=window,
+                           seed=seed)
 
     def test_paned_min_max_grouped(self):
         sql = ("SELECT tag, MIN(v) AS lo, MAX(v) AS hi FROM s GROUP BY tag "
