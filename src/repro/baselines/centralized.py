@@ -52,20 +52,14 @@ class CentralizedAggregation:
         groups = {}
         for row in raw_rows:
             gvals = tuple(row[index[c]] for c in group_columns)
-            states = groups.get(gvals)
-            if states is None:
-                states = [aggregate_by_name(f if col is not None else "COUNT(*)").init()
-                          for f, col in aggregates]
-                groups[gvals] = states
-            for i, (func, col) in enumerate(aggregates):
-                agg = aggregate_by_name(func if col is not None else "COUNT(*)")
-                value = row[index[col]] if col is not None else None
-                states[i] = agg.add(states[i], value)
+            groups.setdefault(gvals, []).append(row)
         out = []
-        for gvals, states in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-            finals = tuple(
-                aggregate_by_name(f if col is not None else "COUNT(*)").final(s)
-                for (f, col), s in zip(aggregates, states)
-            )
-            out.append(gvals + finals)
+        for gvals, rows in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+            finals = []
+            for func, col in aggregates:
+                agg = aggregate_by_name(func if col is not None else "COUNT(*)")
+                values = [row[index[col]] if col is not None else None
+                          for row in rows]
+                finals.append(agg.final(agg.add_many(agg.init(), values)))
+            out.append(gvals + tuple(finals))
         return out

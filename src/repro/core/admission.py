@@ -17,7 +17,7 @@ queries walk a degradation ladder, cheapest honest answer first:
    ``MAX_EVERY_FACTOR``) amortizes the per-epoch group-fold and
    exchange terms; the answer stays exact, just less frequent;
 3. **sample** -- scans keep only a deterministic hash-sampled fraction
-   of rows (``options["sample_rate"]``, floored at
+   of rows (``LogicalQuery.sample_rate``, floored at
    ``MIN_SAMPLE_RATE``), trading answer fidelity for load. Applied
    last because its error, unlike the sketch's, carries no bound.
 
@@ -146,7 +146,7 @@ def bound_query_cost(lq, catalog, now=None):
         rate += table_rate
         row_bytes = max(row_bytes, stats.avg_row_bytes(name))
     rows_scanned = rate * lq.every
-    sample = float(lq.options.get("sample_rate", 1.0))
+    sample = 1.0 if lq.sample_rate is None else float(lq.sample_rate)
     exchange_rows = rows_scanned * sample
     fold_groups = exchange_rows
     if lq.group_by:
@@ -294,13 +294,13 @@ def _sample(lq, catalog, now, budget, degradations):
     # still hashed), so shrink the rate until the whole bound fits
     # or the floor stops us.
     while rate >= MIN_SAMPLE_RATE:
-        lq.options["sample_rate"] = rate
+        lq.sample_rate = rate
         bound = bound_query_cost(lq, catalog, now)
         if bound.units_per_sec() <= budget or rate == MIN_SAMPLE_RATE:
             break
         rate = max(MIN_SAMPLE_RATE, rate / 2.0)
     degradations.append({
         "kind": "sample",
-        "rate": lq.options["sample_rate"],
+        "rate": lq.sample_rate,
     })
     return bound

@@ -1,10 +1,12 @@
 """Aggregate functions with decomposable partial states.
 
 In-network aggregation needs every aggregate in the classic
-init/add/merge/final form (Gray et al.'s algebraic aggregates): nodes
+init/fold/merge/final form (Gray et al.'s algebraic aggregates): nodes
 accumulate local partials, the aggregation tree *merges* partials at
 every hop, and only the root runs *final*. AVG therefore carries
-(sum, count), never a ratio.
+(sum, count), never a ratio. Folding is by column only: ``add_many``
+folds one column of input values into a state, and a caller with a
+single value folds a one-value column.
 
 Paned sliding-window aggregation needs nothing more: when a continuous
 query's window overlaps its epoch period (``WINDOW > EVERY``),
@@ -23,11 +25,11 @@ class Aggregate:
     """One aggregate function in decomposable form.
 
     Subclasses implement the algebraic protocol: ``init`` produces an
-    empty partial state, ``add`` folds one input value into a state,
-    ``merge`` combines two states, and ``final`` turns a state into the
-    answer. States must be immutable values (numbers, tuples,
-    frozensets) so partials can be shipped, held, and snapshotted
-    without defensive copying.
+    empty partial state, ``add_many`` folds a column of input values
+    into a state, ``merge`` combines two states, and ``final`` turns a
+    state into the answer. States must be immutable values (numbers,
+    tuples, frozensets) so partials can be shipped, held, and
+    snapshotted without defensive copying.
     """
 
     name = "abstract"
@@ -36,27 +38,19 @@ class Aggregate:
         """Return the empty partial state (the fold's identity)."""
         raise NotImplementedError
 
-    def add(self, state, value):
-        """Fold one input value into ``state``; returns the new state."""
+    def add_many(self, state, values):
+        """Fold a column of values into ``state``, in order; returns
+        the new state.
+
+        One call over a column must equal folding its values one at a
+        time (one-value columns), float accumulation order included,
+        so a state never depends on how the input was chunked.
+        """
         raise NotImplementedError
 
     def merge(self, left, right):
         """Combine two partial states into one."""
         raise NotImplementedError
-
-    def add_many(self, state, values):
-        """Fold a column of values into ``state`` (vectorized ``add``).
-
-        The default loops ``add`` in order, so overrides must stay
-        *exactly* equal to that loop -- including float accumulation
-        order -- not merely mathematically equivalent. Counting
-        aggregates override it with integer arithmetic; SUM, MIN and
-        MAX with the same loop, ``add`` inlined.
-        """
-        add = self.add
-        for value in values:
-            state = add(state, value)
-        return state
 
     def final(self, state):
         """Finish a state into the user-visible value (identity here)."""
@@ -70,9 +64,6 @@ class CountStar(Aggregate):
 
     def init(self):
         return 0
-
-    def add(self, state, value):
-        return state + 1
 
     def add_many(self, state, values):
         return state + len(values)
@@ -88,9 +79,6 @@ class Count(Aggregate):
 
     def init(self):
         return 0
-
-    def add(self, state, value):
-        return state + (0 if value is None else 1)
 
     def add_many(self, state, values):
         return state + sum(1 for v in values if v is not None)
@@ -110,11 +98,6 @@ class Sum(Aggregate):
 
     def init(self):
         return None  # SUM of no rows is NULL, per SQL
-
-    def add(self, state, value):
-        if value is None:
-            return state
-        return value if state is None else state + value
 
     def add_many(self, state, values):
         for value in values:
@@ -138,19 +121,16 @@ class Min(Aggregate):
     def init(self):
         return None
 
-    def add(self, state, value):
-        if value is None:
-            return state
-        return value if state is None else min(state, value)
-
     def add_many(self, state, values):
-        # min(state, value) is value only when value < state.
         for value in values:
             if value is not None and (state is None or value < state):
                 state = value
         return state
 
-    merge = add
+    def merge(self, left, right):
+        if right is None:
+            return left
+        return right if left is None else min(left, right)
 
 
 class Max(Aggregate):
@@ -161,19 +141,16 @@ class Max(Aggregate):
     def init(self):
         return None
 
-    def add(self, state, value):
-        if value is None:
-            return state
-        return value if state is None else max(state, value)
-
     def add_many(self, state, values):
-        # max(state, value) is value only when value > state.
         for value in values:
             if value is not None and (state is None or value > state):
                 state = value
         return state
 
-    merge = add
+    def merge(self, left, right):
+        if right is None:
+            return left
+        return right if left is None else max(left, right)
 
 
 class CountDistinct(Aggregate):
@@ -193,10 +170,8 @@ class CountDistinct(Aggregate):
     def init(self):
         return frozenset()
 
-    def add(self, state, value):
-        if value is None:
-            return state
-        return state | {value}
+    def add_many(self, state, values):
+        return state.union(v for v in values if v is not None)
 
     def merge(self, left, right):
         return left | right
@@ -228,10 +203,11 @@ class ApproxCountDistinct(Aggregate):
     def init(self):
         return self._empty
 
-    def add(self, state, value):
-        if value is None:
-            return state
-        return state.add(value)
+    def add_many(self, state, values):
+        for value in values:
+            if value is not None:
+                state = state.add(value)
+        return state
 
     def merge(self, left, right):
         return left.merge(right)
@@ -266,12 +242,13 @@ class ApproxTopK(Aggregate):
     def init(self):
         return (self._empty, frozenset())
 
-    def add(self, state, value):
-        if value is None:
-            return state
+    def add_many(self, state, values):
         sketch, candidates = state
-        sketch = sketch.add(value)
-        return (sketch, self._trim(sketch, candidates | {value}))
+        for value in values:
+            if value is not None:
+                sketch = sketch.add(value)
+                candidates = self._trim(sketch, candidates | {value})
+        return (sketch, candidates)
 
     def merge(self, left, right):
         sketch = left[0].merge(right[0])
@@ -299,10 +276,13 @@ class Avg(Aggregate):
     def init(self):
         return (0, 0)
 
-    def add(self, state, value):
-        if value is None:
-            return state
-        return (state[0] + value, state[1] + 1)
+    def add_many(self, state, values):
+        total, count = state
+        for value in values:
+            if value is not None:
+                total += value
+                count += 1
+        return (total, count)
 
     def merge(self, left, right):
         return (left[0] + right[0], left[1] + right[1])

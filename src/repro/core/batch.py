@@ -19,9 +19,12 @@ lists with their source where possible. That is what lets a prefix
 stage hand one wave's batch to every member in place: the first
 member's predicate builds the columns, every later one reads them.
 
-The row-dict adapter lives here too (``from_dicts``), delegating to
-the schema's positional adapter -- the boundary where external
-dict-shaped rows enter the dataflow.
+A batch carries everything its rows need downstream. On a paned plan
+that includes the *pane* its rows belong to (``pane``; None for
+unpaned rows): the paned scan, the paned group-by partial and
+fetch-matches set it, ``take`` keeps it and ``Project`` copies it, and
+the paned group-by and the pane-tagged exchange read it -- so no
+operator keeps a "current pane" and no marker travels beside the rows.
 """
 
 from itertools import compress
@@ -33,33 +36,20 @@ class RowBatch:
     ``schema`` is optional: mid-pipeline batches (a Project's output)
     may carry ``None`` when no consumer needs name resolution --
     operators compile their expressions against the planner's schema at
-    build time, not against the batch.
+    build time, not against the batch. ``pane`` is the pane every row
+    of the batch belongs to on a paned plan, else None. The row or
+    column lists passed in are taken over, not copied.
     """
 
-    __slots__ = ("schema", "_rows", "_columns")
+    __slots__ = ("schema", "pane", "_rows", "_columns")
 
-    def __init__(self, rows=None, columns=None, schema=None):
+    def __init__(self, rows=None, columns=None, schema=None, pane=None):
         if rows is None and columns is None:
             raise ValueError("RowBatch needs rows or columns")
         self.schema = schema
+        self.pane = pane
         self._rows = rows
         self._columns = columns
-
-    @classmethod
-    def from_rows(cls, rows, schema=None):
-        """Wrap a list of positional tuples (the list is taken over)."""
-        return cls(rows=list(rows), schema=schema)
-
-    @classmethod
-    def from_columns(cls, columns, schema=None):
-        """Wrap per-column lists (equal length; the lists are taken over)."""
-        return cls(columns=list(columns), schema=schema)
-
-    @classmethod
-    def from_dicts(cls, dicts, schema):
-        """Adapter in: dict-shaped rows -> positional batch via schema."""
-        return cls(rows=[schema.row_from_dict(d) for d in dicts],
-                   schema=schema)
 
     def __len__(self):
         if self._rows is not None:
@@ -72,10 +62,6 @@ class RowBatch:
         if self._rows is None:
             self._rows = list(zip(*self._columns))
         return self._rows
-
-    def iter_rows(self):
-        """Iterate positional tuples."""
-        return iter(self.rows())
 
     def columns(self):
         """The batch as per-column lists (materialized once).
@@ -98,7 +84,7 @@ class RowBatch:
         return self.columns()[index]
 
     def take(self, mask):
-        """Rows where ``mask`` is truthy, as a new batch.
+        """Rows where ``mask`` is truthy, as a new batch of this pane.
 
         Truthiness -- not ``is True`` -- so a predicate column holding
         ``None`` (SQL three-valued logic) filters exactly like an
@@ -112,12 +98,12 @@ class RowBatch:
             kept = [list(compress(col, mask)) for col in columns]
             if len(kept[0]) == len(columns[0]):
                 return self
-            return RowBatch(columns=kept, schema=self.schema)
+            return RowBatch(columns=kept, schema=self.schema, pane=self.pane)
         rows = self.rows()
         kept = list(compress(rows, mask))
         if len(kept) == len(rows):
             return self
-        return RowBatch(rows=kept, schema=self.schema)
+        return RowBatch(rows=kept, schema=self.schema, pane=self.pane)
 
     def project(self, cols):
         """A new batch of the named (or positional) columns, in order.

@@ -31,6 +31,7 @@ on quiescence: no node has produced a novel tuple for ``QUIET_PERIOD``
 seconds means the fixpoint is reached.
 """
 
+from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochExecution
 from repro.core.engine import retire_instant
 
@@ -224,21 +225,19 @@ class Coordinator:
             else:
                 for i, spec in enumerate(agg_specs):
                     held[i] = spec.agg.merge(held[i], states[i])
-        internal_schema = aggregate["internal_schema"]
-        having = aggregate["having"]
-        having_fn = having.compile(internal_schema) if having is not None else None
-        select_fns = [e.compile(internal_schema) for e in aggregate["select_exprs"]]
-        out = []
-        for gvals, states in merged.items():
-            finals = tuple(
+        schema = aggregate["internal_schema"]
+        internal = RowBatch(rows=[
+            tuple(gvals) + tuple(
                 spec.agg.final(state)
-                for spec, state in zip(agg_specs, states)
-            )
-            internal_row = tuple(gvals) + finals
-            if having_fn is not None and not having_fn(internal_row):
-                continue
-            out.append(tuple(fn(internal_row) for fn in select_fns))
-        return out
+                for spec, state in zip(agg_specs, states))
+            for gvals, states in merged.items()
+        ], schema=schema)
+        having = aggregate["having"]
+        if having is not None:
+            internal = internal.take(having.compile_batch(schema)(internal))
+        columns = [e.compile_batch(schema)(internal)
+                   for e in aggregate["select_exprs"]]
+        return list(zip(*columns))
 
     def _finish_query(self, handle):
         handle.finished = True

@@ -289,11 +289,9 @@ class Operator:
     :class:`EpochStateRing`), which the execution scopes around every
     delivery and flush.
 
-    Paned plans additionally thread ``open_pane(p)`` markers through
-    the local chain between a stream scan and the pane-aware stateful
-    operator above it: the scan announces which pane the next emitted
-    rows belong to, stateless operators forward the marker, and the
-    pane-aware consumer switches its accumulation bucket.
+    Rows arrive only through :meth:`push_batch`, and a batch carries
+    everything they need: on a paned plan that includes their pane
+    (``RowBatch.pane``), which the pane-aware operators read.
     """
 
     def __init__(self, ctx, spec):
@@ -322,7 +320,7 @@ class Operator:
             "{} does not accept input".format(type(self).__name__)
         )
 
-    def push(self, row, port=0):  # noqa: DEF001 -- unit tests feed rows here; perf trace wraps it
+    def push(self, row, port=0):  # noqa: DEF001 -- unit tests feed rows here
         """Receive one row on ``port``: a one-row ``push_batch``."""
         self.push_batch(RowBatch(rows=[row]), port)
 
@@ -354,32 +352,6 @@ class Operator:
         """Push a :class:`RowBatch` to every wired consumer."""
         for consumer, port in self.consumers:
             consumer.push_batch(batch, port)
-
-    def open_pane(self, pane):
-        """A paned producer announces the pane its next rows belong to.
-
-        Stateless operators forward the marker down the local chain;
-        the pane-aware operators of the group-by chain (group-by
-        partials and finals, pane-tagged exchanges) override this to
-        switch their accumulation bucket and stop the propagation.
-        Markers also survive the network: a pane-tagged exchange stamps
-        each batch with the pane it was pushed under, and delivery
-        re-announces it on the receiving side before pushing the rows.
-        """
-        for consumer, _port in self.consumers:
-            consumer.open_pane(pane)
-
-    def announce_pane(self, pane):
-        """Tell consumers which pane the next emitted rows belong to.
-
-        Producers that *re-emit* pane-bucketed state (a delta-shipping
-        group-by partial, a fetch-matches join releasing async replies)
-        use this instead of ``open_pane`` -- calling their own
-        ``open_pane`` would hit their receiver override rather than
-        their consumers.
-        """
-        for consumer, _port in self.consumers:
-            consumer.open_pane(pane)
 
     def reset_batch(self):
         """A cumulative upstream operator is about to re-emit its full
@@ -666,8 +638,7 @@ class StandingExecution(_ExecutionBase):
         state if it is open here, drop it as late if it is older than
         the newest open epoch (sealed, or skipped by a jump), park it as
         early if this node has not opened it yet. ``pane``
-        is the batch's pane tag (paned plans); it is re-announced to
-        the receiving operator before the rows land."""
+        is the payload's pane tag (paned plans), put on the batch."""
         if self.closed:
             return
         if epoch is None:
@@ -693,28 +664,28 @@ class StandingExecution(_ExecutionBase):
                     (op_id, port, list(rows), pane)
                 )
                 return
-        op = self.ops[op_id]
         with self.ctx.in_epoch(epoch):
-            if pane is not None:
-                op.open_pane(pane)
-            op.push_batch(RowBatch(rows=list(rows)), port)
+            self.ops[op_id].push_batch(
+                RowBatch(rows=list(rows), pane=pane), port)
 
-    def deliver_scan(self, batch, epoch, pane=None):
+    def deliver_scan(self, batch, epoch):
         """One scan wave from the shared stage, for ``epoch``.
 
         A stage-fed member's scan is passive; the stage's demux calls
         this instead, with the one :class:`RowBatch` every member of
         the stage reads (and
         :meth:`~repro.core.sharing.StageRecord.seed`, with a joiner's
-        seed). Unlike :meth:`deliver_batch` there is nothing
-        to drop or park: the wave comes from this node's own stage,
-        which advances every member to ``epoch`` before it emits (and
-        builds a joiner before seeding it), so the epoch is open
-        here. A stage-stamped plan has exactly one scan.
+        seed), and the member's scan emits it as it is, pane and all:
+        its rows were examined, charged and sampled once at the stage.
+        Unlike :meth:`deliver_batch` there is nothing to drop or park:
+        the wave comes from this node's own stage, which advances every
+        member to ``epoch`` before it emits (and builds a joiner before
+        seeding it), so the epoch is open here. A stage-stamped plan
+        has exactly one scan.
         """
         (scan,) = self.plan.ops_of_kind("scan")
         with self.ctx.in_epoch(epoch):
-            self.ops[scan.op_id].inject_batch(batch, pane)
+            self.ops[scan.op_id].emit_batch(batch)
 
     def close(self):
         self._early = {}

@@ -111,11 +111,10 @@ class Exchange(Operator):
         self._max_batch_rows = engine.config.max_batch_rows
         self._standing = ctx.plan.standing
         # Pane-tagged mode (paned plans whose pane-aware aggregate sits
-        # *above* this exchange): remember the pane announced by the
-        # upstream producer and stamp every batch with it, so delivery
-        # on the far side can re-announce the pane before the rows land.
+        # *above* this exchange): stamp every message with the pane of
+        # the batch its rows came in, so delivery on the far side puts
+        # it back on the batch it builds.
         self._paned = bool(spec.params.get("paned"))
-        self._current_pane = None
         self._owners = engine.owners
         self._mid_fn = ctx.dht.fresh_mid
         # Region-aware two-level trees: a standing tree edge on a
@@ -188,7 +187,7 @@ class Exchange(Operator):
         rows = batch.rows()
         keyed = zip(rows, self._batch_key_fn(batch))
         epoch = self._active_epoch() if self._standing else None
-        pane = self._current_pane if self._paned else None
+        pane = batch.pane
         delay, max_rows, max_bytes = self._flush_plan()
         pending = self._pending.state(epoch)
         held_rows = pending["rows"]
@@ -283,15 +282,6 @@ class Exchange(Operator):
                                            upcall=self._upcall)
                 return
         self.ctx.dht.route(key, payload, self._upcall)
-
-    def open_pane(self, pane):
-        """Pane markers stop at the exchange either way: a pane-tagged
-        exchange records the pane and stamps it on the batches it ships
-        (delivery re-announces it on the far side); an unpaned exchange
-        swallows the marker so it cannot leak through the locally wired
-        consumer edge."""
-        if self._paned:
-            self._current_pane = pane
 
     def flush(self):
         if self._timer is not None:

@@ -70,7 +70,12 @@ class AggCall:
 
 
 class LogicalQuery:
-    """A resolved query, independent of surface syntax."""
+    """A resolved query, independent of surface syntax.
+
+    ``sample_rate`` is not a query option: only the admission policy's
+    degradation ladder sets it (``core/admission.py``), and it always
+    labels the answer approximate. None keeps every row.
+    """
 
     def __init__(self, tables, select_items, where=None, group_by=None,
                  having=None, order_by=None, limit=None, every=None,
@@ -87,6 +92,7 @@ class LogicalQuery:
         self.lifetime = lifetime
         self.options = options if options is not None else {}
         self.recursive = recursive  # RecursiveSpec or None
+        self.sample_rate = None
 
 
 class RecursiveSpec:
@@ -173,11 +179,19 @@ class LogicalPlan:
         h.update(self.root.signature().encode("utf-8"))
         h.update("|{}|{}".format(self.query.every, self.query.window)
                  .encode("utf-8"))
-        options = sorted(
-            (k, v) for k, v in self.query.options.items() if k != "shared"
-        )
-        h.update(repr(options).encode("utf-8"))
+        h.update(self._options_digest())
         return h.hexdigest()[:16]
+
+    def _options_digest(self):
+        """What both signatures hash of the query's settings: every
+        option except the ``shared`` knob, and the admission sample
+        rate (a sampled query never shares with its unsampled twin)."""
+        options = [
+            (k, v) for k, v in self.query.options.items() if k != "shared"
+        ]
+        if self.query.sample_rate is not None:
+            options.append(("sample_rate", self.query.sample_rate))
+        return repr(sorted(options)).encode("utf-8")
 
     def scan_nodes(self):
         return [n for n in self.nodes if n.kind == "scan"]
@@ -204,10 +218,7 @@ class LogicalPlan:
         h.update(scans[0].signature().encode("utf-8"))
         h.update("|{}|{}".format(self.query.every, self.query.window)
                  .encode("utf-8"))
-        options = sorted(
-            (k, v) for k, v in self.query.options.items() if k != "shared"
-        )
-        h.update(repr(options).encode("utf-8"))
+        h.update(self._options_digest())
         return h.hexdigest()[:16]
 
     def pinned_keys(self):

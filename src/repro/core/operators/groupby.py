@@ -18,15 +18,16 @@ standing execution can run every live epoch's aggregation concurrently
 through one instance.
 
 *Paned* plans (``params["paned"]``, standing plans with
-``WINDOW > EVERY``) go further. Rows arrive bucketed by pane (the scan
-sends ``open_pane`` markers) and the partial ships each pane's
-**increment** exactly once -- announced downstream with
-``announce_pane`` so the pane-tagged exchange stamps it onto the batch.
-The *final* holds the window's pane partials at the group's owner and
-assembles every epoch's window there (:class:`PaneWindow`). The overlap
-therefore never crosses the wire again: per epoch only the panes that
-actually grew travel, and the final folds O(changed panes) state rows
-instead of every group's full window state from every node.
+``WINDOW > EVERY``) go further. Rows arrive in batches of one pane
+(``RowBatch.pane``, set by the scan) and the partial ships each pane's
+**increment** exactly once, as a batch of that pane, which the
+pane-tagged exchange stamps onto its messages. The *final* reads the
+pane off each arriving batch, holds the window's pane partials at the
+group's owner and assembles every epoch's window there
+(:class:`PaneWindow`). The overlap therefore never crosses the wire
+again: per epoch only the panes that actually grew travel, and the
+final folds O(changed panes) state rows instead of every group's full
+window state from every node.
 
 Params (partial): ``group_exprs``, ``agg_specs``, ``schema``, optional
 ``paned`` geometry (``{"width", "every", "window"}``). Params (final):
@@ -94,11 +95,12 @@ class PaneWindow:
         self._panes = {}
 
 
-def _emit_states(op, pairs):
-    """One flush's ``(gvals, states)`` pairs, out of ``op`` as one batch."""
+def _emit_states(op, pairs, pane=None):
+    """One flush's ``(gvals, states)`` pairs, out of ``op`` as one
+    batch of ``pane``."""
     rows = [(tuple(gvals), tuple(states)) for gvals, states in pairs]
     if rows:
-        op.emit_batch(RowBatch(rows=rows))
+        op.emit_batch(RowBatch(rows=rows, pane=pane))
 
 
 @register_operator("groupby_partial")
@@ -119,14 +121,10 @@ class GroupByPartial(Operator):
             geometry = spec.params["paned"]
             self._panes_per_every = geometry["every"]
             self._panes_per_window = geometry["window"]
-            self._current_pane = None
             # Unshipped per-pane increments: each pane's partial crosses
             # the wire once, at the first flush after rows touched it;
             # the final holds the window's panes.
             self._unshipped_panes = {}  # pane -> {gvals: [states]}
-
-    def open_pane(self, pane):
-        self._current_pane = pane
 
     def push_batch(self, batch, port=0):
         """Evaluate group keys and aggregate inputs as whole columns,
@@ -142,6 +140,8 @@ class GroupByPartial(Operator):
         n = len(batch)
         if n == 0:
             return
+        store = (self._unshipped_panes.setdefault(batch.pane, {})
+                 if self._paned else self._epochs.state(self._active_epoch()))
         group_cols = [fn(batch) for fn in self._batch_group_fns]
         arg_cols = [fn(batch) for fn in self._batch_arg_fns]
         if not group_cols:
@@ -161,23 +161,14 @@ class GroupByPartial(Operator):
                 (gvals, [[col[j] for j in indices] for col in arg_cols])
                 for gvals, indices in buckets.items()
             )
+        specs = self._agg_specs
         for gvals, cols in groups:
-            states = self._group_states(gvals)
-            for i, spec in enumerate(self._agg_specs):
+            states = store.get(gvals)
+            if states is None:
+                states = store[gvals] = [a.agg.init() for a in specs]
+            for i, spec in enumerate(specs):
                 states[i] = spec.agg.add_many(states[i], cols[i])
         self._note(n)
-
-    def _group_states(self, gvals):
-        """The mutable state list for one group under the current mode
-        (unshipped pane / epoch ring)."""
-        if self._paned:
-            store = self._unshipped_panes.setdefault(self._current_pane, {})
-        else:
-            store = self._epochs.state(self._active_epoch())
-        states = store.get(gvals)
-        if states is None:
-            states = store[gvals] = [a.agg.init() for a in self._agg_specs]
-        return states
 
     def flush(self):
         if not self._paned:
@@ -199,8 +190,7 @@ class GroupByPartial(Operator):
             store = self._unshipped_panes.pop(pane)
             if pane < lo:
                 continue
-            self.announce_pane(pane)
-            _emit_states(self, store.items())
+            _emit_states(self, store.items(), pane)
 
     def seal_epoch(self, k):
         # Unpaned: whatever survived the flush dies with its epoch.
@@ -230,8 +220,9 @@ class GroupByFinal(Operator):
     beside it.
 
     *Paned* finals (distributed sliding windows) hold the window's pane
-    partials instead: arriving increments -- announced by the
-    pane-tagged exchange's delivery -- merge into their pane's store,
+    partials instead: arriving increments -- batches whose pane the
+    pane-tagged exchange's delivery put back -- merge into their pane's
+    store,
     and each epoch's flush re-merges the window's pane partials
     (:class:`PaneWindow`): O(window panes) merges per group and epoch,
     whatever the window's row count. A late increment triggers a
@@ -255,7 +246,6 @@ class GroupByFinal(Operator):
             geometry = spec.params["paned"]
             self._panes_per_every = geometry["every"]
             self._panes_per_window = geometry["window"]
-            self._current_pane = None
             # Older still-open epochs of the ring may reflush after the
             # newest advanced the window: retain their panes.
             overlap = ctx.plan.epoch_overlap
@@ -268,9 +258,6 @@ class GroupByFinal(Operator):
         if entry["timer"] is not None:
             entry["timer"].cancel()
             entry["timer"] = None
-
-    def open_pane(self, pane):
-        self._current_pane = pane
 
     def _window_range(self, epoch):
         return window_pane_range(
@@ -285,11 +272,7 @@ class GroupByFinal(Operator):
         self._note(len(rows))
         specs = self._agg_specs
         if self._paned:
-            pane = self._current_pane
-            if pane is None:
-                # Untagged arrival (defensive): file it under the
-                # epoch's newest pane so it is never silently dropped.
-                pane = self._window_range(epoch)[1] - 1
+            pane = batch.pane
             for gvals, states in rows:
                 held = self._window.entry(pane, tuple(gvals))
                 for i, spec in enumerate(specs):

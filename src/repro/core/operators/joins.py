@@ -23,13 +23,13 @@ tables, exactly as tearing down a rebuilt execution did.
 
 Fetch-matches is additionally *pane-transparent* on paned plans
 (``params["paned"]``): a joined row belongs to the pane of the stream
-row that probed for it, so the operator records the pane each probe was
-pushed under, and re-announces it downstream when the asynchronous
-reply releases the joins -- which is what lets a paned aggregate sit
-above a stream-probed join. The inner DHT relation is treated as
-quasi-static over a window (its rows are TTL'd soft state): a probe
-joins against the table as of the epoch its pane first closed, exactly
-like the pane partials the aggregate caches.
+row that probed for it, so the operator keeps each probe row's batch
+pane (``RowBatch.pane``) beside it, and emits the joins the
+asynchronous reply releases in batches of that pane -- which is what
+lets a paned aggregate sit above a stream-probed join. The inner DHT
+relation is treated as quasi-static over a window (its rows are TTL'd
+soft state): a probe joins against the table as of the epoch its pane
+first closed, exactly like the pane partials the aggregate caches.
 """
 
 from repro.core.batch import RowBatch
@@ -134,23 +134,12 @@ class FetchMatches(Operator):
         residual = spec.params.get("residual")
         if residual is not None:
             out_schema = probe_schema.concat(spec.params["table_schema"])
-            self._residual = residual.compile(out_schema)
+            self._batch_residual = residual.compile_batch(out_schema)
         else:
-            self._residual = None
+            self._batch_residual = None
         self._dedup = spec.params.get("dedup_keys", False)
-        self._paned = bool(spec.params.get("paned"))
-        self._current_pane = None
         # epoch -> {"cache": {...}, "waiting": {...}}
         self._epochs = EpochStateRing(lambda: {"cache": {}, "waiting": {}})
-
-    def open_pane(self, pane):
-        # Pane-transparent, not pane-forwarding: emissions are async,
-        # so the marker is replayed at join-release time instead of
-        # being propagated now.
-        if self._paned:
-            self._current_pane = pane
-        else:
-            super().open_pane(pane)
 
     def push_batch(self, batch, port=0):
         """Evaluate the probe keys as one column, then split the batch
@@ -165,7 +154,7 @@ class FetchMatches(Operator):
         epoch = self._active_epoch()
         entry = self._epochs.state(epoch)
         keys = self._batch_probe_key(batch)
-        pane = self._current_pane if self._paned else None
+        pane = batch.pane
         cache = entry["cache"]
         waiting = entry["waiting"]
         dedup = self._dedup
@@ -206,22 +195,23 @@ class FetchMatches(Operator):
     def _release(self, probes):
         """Join each ``(probe row, pane, matches)`` in order and emit
         one batch per run of probes from one pane: joined rows belong
-        to their probe row's pane, announced before the run."""
-        joined, announced = [], None
+        to their probe row's pane."""
+        joined, run_pane = [], None
         for probe_row, pane, matches in probes:
-            if pane is not None and pane != announced:
-                self._emit_joined(joined)
-                joined = []
-                self.announce_pane(pane)
-                announced = pane
+            if pane != run_pane:
+                self._emit_joined(joined, run_pane)
+                joined, run_pane = [], pane
             joined.extend(probe_row + match for match in matches)
-        self._emit_joined(joined)
+        self._emit_joined(joined, run_pane)
 
-    def _emit_joined(self, joined):
-        if self._residual is not None:
-            joined = [row for row in joined if self._residual(row)]
-        if joined:
-            self.emit_batch(RowBatch(rows=joined))
+    def _emit_joined(self, joined, pane):
+        if not joined:
+            return
+        out = RowBatch(rows=joined, pane=pane)
+        if self._batch_residual is not None:
+            out = out.take(self._batch_residual(out))
+        if len(out):
+            self.emit_batch(out)
 
     def seal_epoch(self, k):
         self._epochs.seal(k)

@@ -77,25 +77,17 @@ class Demux(Operator):
     which needs no guards, because the engine advances the members
     before the stage at a boundary: whoever is ``on_grid`` has already
     opened ``k`` (one still waiting for its first epoch is not on the
-    grid). Pane markers from the stage scan ride along so pane-aware
-    tails bucket waves exactly as a private scan would announce them.
+    grid).
 
-    A wave is one batch: the stage scan's own :class:`RowBatch` goes to
-    every member as it is, read-only, so its columns are built once
-    (by the first member's predicate) and every later member's filter
-    and fold read them in place.
+    A wave is one batch: the stage scan's own :class:`RowBatch`, pane
+    and all, goes to every member as it is, read-only, so its columns
+    are built once (by the first member's predicate) and every later
+    member's filter and fold read them in place.
 
     The demux keeps no rows: a member that joins a running stage is
     seeded from the stage scan's log
     (:meth:`~repro.core.sharing.StageRecord.seed`).
     """
-
-    def __init__(self, ctx, spec):
-        super().__init__(ctx, spec)
-        self._pane = None  # current pane marker from the stage scan
-
-    def open_pane(self, pane):
-        self._pane = pane  # marker consumed here, not propagated
 
     def push_batch(self, batch, port=0):
         if not len(batch):
@@ -103,7 +95,7 @@ class Demux(Operator):
         k = self._active_epoch()
         for member in self.ctx.stage.members():
             if member.on_grid:
-                member.execution.deliver_scan(batch, k, self._pane)
+                member.execution.deliver_scan(batch, k)
 
 
 @register_operator("result")

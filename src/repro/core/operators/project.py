@@ -4,9 +4,9 @@ Params: ``exprs`` (list of Expr), ``schema`` (input Schema). Output
 column names are a planning-time concern; rows stay positional.
 
 Each output expression's batch evaluator produces one whole column,
-and the results are re-wrapped as a column-built batch -- bare column
-references pass their input column through by reference, so a pure
-reorder/narrowing projection copies nothing.
+and the results are re-wrapped as a column-built batch of the input's
+pane -- bare column references pass their input column through by
+reference, so a pure reorder/narrowing projection copies nothing.
 """
 
 from repro.core.batch import RowBatch
@@ -25,6 +25,5 @@ class Project(Operator):
     def push_batch(self, batch, port=0):
         if len(batch) == 0:
             return
-        self.emit_batch(
-            RowBatch(columns=[fn(batch) for fn in self._batch_fns])
-        )
+        self.emit_batch(RowBatch(
+            columns=[fn(batch) for fn in self._batch_fns], pane=batch.pane))

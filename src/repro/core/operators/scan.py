@@ -29,8 +29,9 @@ per epoch:
   every epoch. Queries share a scan by sharing the execution it belongs
   to (a spine, or the scan stage under many spines -- see
   :mod:`repro.core.sharing`); a stage-fed member's scan is *passive*
-  (``ctx.prefix_fed``): it only relays the waves the stage injects,
-  and a member that starts while its stage runs is seeded from the
+  (``ctx.prefix_fed``): the stage hands its waves to the member
+  (``StandingExecution.deliver_scan``), which the scan emits as they
+  are, and a member that starts while its stage runs is seeded from the
   stage scan's log (:meth:`Scan.emitted_for`);
 * dht tables and local tables: the node's part of the table is
   whatever its store or fragment holds now (soft state ages out on its
@@ -40,11 +41,11 @@ per epoch:
 When the planner marked the plan *paned* (``WINDOW > EVERY`` above a
 pane-aware aggregate), the standing stream scan goes one step further:
 instead of re-emitting the window overlap every epoch, it buckets its
-delta into panes of width ``plan.pane``, announces each bucket with an
-``open_pane`` marker, and emits every row exactly once. The pane-aware
-operator downstream keeps the pane partials and assembles each epoch's
-window from them, so nothing in the overlap is ever re-scanned *or*
-re-aggregated.
+delta into panes of width ``plan.pane``, emits each bucket as one
+batch tagged with its pane (``RowBatch.pane``), and so emits every row
+exactly once. The pane-aware operator downstream keeps the pane
+partials and assembles each epoch's window from them, so nothing in
+the overlap is ever re-scanned *or* re-aggregated.
 
 Params: ``table`` (catalog name), ``key`` (get access path). The
 optional ``alias`` only matters
@@ -91,8 +92,8 @@ class Scan(Operator):
         )
         # Prefix-fed: a shared scan stage feeds this execution via
         # StandingExecution.deliver_scan; this scan goes passive (no
-        # cursor, no per-epoch emission) and only relays injected
-        # waves. Examinations are charged once at the stage.
+        # cursor, no per-epoch emission). Examinations are charged once
+        # at the stage.
         self._prefix_fed = ctx.prefix_fed
         self._table_def = None
         # Stream mode: the fragment's log, the oldest sequence number a
@@ -118,19 +119,21 @@ class Scan(Operator):
     def _count(self, n):
         self.ctx.engine.note_rows_scanned(n)
 
-    def _batch(self, rows):
-        """The sampled part of ``rows`` (taken over) as one RowBatch,
-        or None when nothing is left."""
+    def _batch(self, rows, pane=None):
+        """The sampled part of ``rows`` (taken over) as one RowBatch of
+        ``pane``, or None when nothing is left."""
         threshold = self._sample_threshold
         if threshold is not None and rows:
             rows = [r for r in rows if _sample_keep(r, threshold)]
         if rows:
-            return RowBatch(rows=rows, schema=self._table_def.schema)
+            return RowBatch(rows=rows, schema=self._table_def.schema,
+                            pane=pane)
         return None
 
-    def _emit_rows(self, rows):
-        """Emit one scan wave as a single RowBatch."""
-        batch = self._batch(rows)
+    def _emit_rows(self, rows, pane=None):
+        """Emit one scan wave (or one pane's bucket) as a single
+        RowBatch."""
+        batch = self._batch(rows, pane)
         if batch is not None:
             self.emit_batch(batch)
 
@@ -145,7 +148,7 @@ class Scan(Operator):
         self._table_def = self.ctx.engine.catalog.lookup(table_name)
         source = self._table_def.source
         if self._prefix_fed:
-            return  # passive: the prefix stage injects our rows
+            return  # passive: the prefix stage hands us its waves
         if "key" in self.spec.params:
             self._awaiting = True
             self.ctx.dht.get(table_name, self.spec.params["key"],
@@ -244,8 +247,7 @@ class Scan(Operator):
         self._count(examined)
         self._cursor = start + examined
         for p in sorted(buckets):
-            self.open_pane(p)
-            self._emit_rows(buckets[p])
+            self._emit_rows(buckets[p], p)
 
     def _panes(self, k, start, end):
         """Log rows ``[start, end)`` that epoch ``k``'s window covers,
@@ -269,7 +271,7 @@ class Scan(Operator):
 
     def emitted_for(self, k):
         """What this standing stream scan has already emitted that
-        epoch ``k``'s window covers, as ``(pane, RowBatch)`` pairs.
+        epoch ``k``'s window covers, as RowBatches (one per pane).
 
         Re-read from the log: a member that starts beside a running
         stage is seeded with them and sees the window a private scan
@@ -287,24 +289,8 @@ class Scan(Operator):
             buckets = {None: log.rows_in(max(lo, log.first_live()), hi)}
         else:
             return []
-        seeds = ((p, self._batch(buckets[p])) for p in sorted(buckets))
-        return [(p, batch) for p, batch in seeds if batch is not None]
-
-    def inject_batch(self, batch, pane=None):
-        """Relay one wave from a shared prefix stage (prefix-fed mode).
-
-        The caller (``StandingExecution.deliver_scan``) has already
-        scoped the epoch; rows were examined and charged once at the
-        stage, so no ``_count`` here. The pane marker is re-announced
-        first so pane-aware consumers bucket the wave correctly. The
-        stage hands every member the same batch, emitted as it is:
-        batches are read-only, so the first member's transpose is the
-        only one. A sampled stage has already sampled it: its members
-        share one sample rate, which the prefix signature covers.
-        """
-        if pane is not None:
-            self.announce_pane(pane)
-        self.emit_batch(batch)
+        seeds = (self._batch(buckets[p], p) for p in sorted(buckets))
+        return [batch for batch in seeds if batch is not None]
 
     def _emit_dht_epoch(self):
         items = self.ctx.dht.lscan(self.spec.params["table"])

@@ -22,13 +22,19 @@ from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.operators import register_operator
 
 
-def make_sort_cmp(sort_keys, schema):
-    """A comparator over rows honouring per-key ASC/DESC."""
-    compiled = [(expr.compile(schema), desc) for expr, desc in sort_keys]
+def sort_rows(rows, sort_keys, schema):
+    """``rows`` sorted best first, honouring per-key ASC/DESC.
 
-    def cmp(row_a, row_b):
-        for fn, desc in compiled:
-            a, b = fn(row_a), fn(row_b)
+    Each sort key evaluates as one column over the rows; a stable sort
+    of row indices then compares those columns key by key.
+    """
+    batch = RowBatch(rows=rows, schema=schema)
+    keys = [(expr.compile_batch(schema)(batch), desc)
+            for expr, desc in sort_keys]
+
+    def cmp(i, j):
+        for values, desc in keys:
+            a, b = values[i], values[j]
             if a == b:
                 continue
             # None sorts last regardless of direction, like SQL NULLS LAST.
@@ -41,12 +47,8 @@ def make_sort_cmp(sort_keys, schema):
             return -1 if desc else 1
         return 0
 
-    return cmp
-
-
-def sort_rows(rows, sort_keys, schema):
-    """Sort rows by the compiled comparator (best first)."""
-    return sorted(rows, key=functools.cmp_to_key(make_sort_cmp(sort_keys, schema)))
+    order = sorted(range(len(rows)), key=functools.cmp_to_key(cmp))
+    return [rows[i] for i in order]
 
 
 @register_operator("topk")

@@ -61,7 +61,7 @@ __all__ = ["plan_query"]
 # split a query off its spine and stage.
 QUERY_OPTIONS = frozenset({
     "aggregation_tree", "join_strategy", "paned", "recursion_deadline",
-    "sample_rate", "shared",
+    "shared",
 })
 
 # The offsets (seconds) the timing walk adds up to place flush
@@ -126,10 +126,9 @@ def plan_query(lq, catalog):
     key = query_stats_key(lq)
     if key is not None:
         plan.metadata["stats_key"] = key
-    sample = lq.options.get("sample_rate")
-    if sample is not None:
+    if lq.sample_rate is not None:
         for spec in plan.ops_of_kind("scan"):
-            spec.params["sample"] = sample
+            spec.params["sample"] = lq.sample_rate
     return plan
 
 
@@ -233,7 +232,8 @@ def _plan_flat(lq, catalog):
                         and scans[0].attrs["table_def"].source == "stream"):
                     prefix = logical.prefix_signature()
                     if prefix is not None:
-                        metadata["prefix"] = prefix
+                        metadata["prefix"] = prefix + _wave_suffix(
+                            pane, lq, scans[0].attrs["table_def"])
 
     finishing = {}
     if agg_finishing is not None:
@@ -253,6 +253,22 @@ def _plan_flat(lq, catalog):
         deadline=deadline, finishing=finishing, metadata=metadata,
         epoch_overlap=epoch_overlap, pane=pane,
     )
+
+
+def _wave_suffix(pane, lq, table_def):
+    """What a stage's scan waves are, beyond the prefix signature.
+
+    A stage clones its scan from its first member, so its members must
+    read the same waves. A paned scan emits each row once, in pane
+    batches; an unpaned scan whose window exceeds EVERY re-emits the
+    whole window each epoch. The two share a prefix signature (same
+    table and geometry), so the unpaned, overlapping one gets a suffix
+    -- the paned and the tumbling stages keep their keys as they are.
+    """
+    window = lq.window if lq.window is not None else table_def.window
+    if pane is None and window is not None and window > lq.every:
+        return ":whole"
+    return ""
 
 
 def _site_access(logical, lq):
@@ -340,8 +356,8 @@ def _mark_paned(b, logical, lowered, lq):
     The panes go *distributed*, since grouped aggregation always feeds
     an exchange into a ``groupby_final``: the lowered
     ``groupby_partial`` ships each pane's increment once (when new rows
-    touched it), the exchange stamps every batch with its pane so
-    delivery can re-announce it, and the final holds the window's pane
+    touched it), the exchange stamps every message with its batch's
+    pane so delivery can put it back, and the final holds the window's pane
     partials at the group's owner and assembles each epoch's window
     there -- so the overlap never crosses the wire again. Tree combiners
     merge same-(epoch, pane) partials mid-route; their routing keys drop
@@ -589,7 +605,7 @@ def _lower_aggregation(b, lq, node, lowered):
         else:
             rewritten = _rewrite_group_expr(item, group_exprs, internal_schema)
             try:
-                rewritten.compile(internal_schema)
+                rewritten.compile_batch(internal_schema)
             except CatalogError:
                 raise PlanError(
                     "SELECT item {!r} is neither an aggregate nor derivable "
@@ -639,7 +655,7 @@ def _compile_order_by(lq, schema):
     sort_keys = list(lq.order_by)
     # Validate references now so a bad ORDER BY fails at plan time.
     for expr, _desc in sort_keys:
-        expr.compile(schema)
+        expr.compile_batch(schema)
     return sort_keys
 
 

@@ -226,9 +226,12 @@ class StageRecord(GridRecord):
 
     ``subscribers`` maps spine key -> :class:`SpineRecord`; ``plan`` is
     the two-op stage plan, cloned from the first member's scan spec so
-    pane geometry and batching carry over (every co-tenant lowers an
-    identical scan spec by construction: it is covered by the prefix
-    signature).
+    pane geometry, sampling and batching carry over. Every member reads
+    the waves that spec emits, which is right because the prefix stamp
+    covers what decides them: the table, EVERY, WINDOW and the options
+    (sample rate included) through the prefix signature, and whether an
+    overlapping window is paned or re-emitted whole through the
+    planner's ``:whole`` suffix.
     """
 
     __slots__ = ()
@@ -273,6 +276,6 @@ class StageRecord(GridRecord):
         epoch ``k``'s window covers: one batch per pane, shared by
         every member joining at this point."""
         scan = self.execution.ops["stage_scan"]
-        for pane, batch in scan.emitted_for(k):
+        for batch in scan.emitted_for(k):
             for member in members:
-                member.execution.deliver_scan(batch, k, pane)
+                member.execution.deliver_scan(batch, k)

@@ -1,46 +1,35 @@
-"""Scalar expression trees, compiled to closures over row tuples.
+"""Scalar expression trees, compiled to column evaluators.
 
-Expressions appear in SELECT lists, WHERE/HAVING predicates and join
-conditions. ``expr.compile(schema)`` resolves column names to positions
-once and returns a plain function of the row, so per-tuple evaluation
-does no name lookups -- the standard interpreted-engine compromise.
+Expressions appear in SELECT lists, WHERE/HAVING predicates, ORDER BY
+keys and join conditions. ``expr.compile_batch(schema)`` resolves
+column names to positions once (an unknown name raises then, which is
+how the planner checks names) and returns a function that takes a
+:class:`repro.core.batch.RowBatch` and yields one *value list* (one
+entry per row), computed with column loops. That is the only way an
+expression evaluates: callers holding loose rows wrap them in a batch.
 
 SQL three-valued logic is simplified to Python semantics with one
 carve-out: any comparison or arithmetic against None yields None, and
 None is falsy in predicates, which matches the observable behaviour of
 SQL WHERE for the queries PIER runs.
-
-Vectorized operators use ``expr.compile_batch(schema)`` instead: the
-returned function takes a :class:`repro.core.batch.RowBatch` and
-yields one *value list* (one entry per row), computed with column
-loops. Every override must be value-identical to mapping the row
-closure over the batch -- including the None carve-out -- and the base
-class guarantees it by defaulting to exactly that mapping.
 """
 
 from repro.util.errors import PlanError
 
 
 class Expr:
-    """Base class. Subclasses implement compile/column_refs/display."""
-
-    def compile(self, schema):
-        raise NotImplementedError
+    """Base class. Subclasses implement compile_batch/column_refs/display."""
 
     def compile_batch(self, schema):
         """Compile to a batch evaluator: RowBatch -> list of values.
 
-        The fallback maps the row closure over the batch, so every
-        expression kind works on batches; hot kinds override with
-        column loops: a column reference returns the batch's own
-        column (shared, so a batch several filters read is transposed
-        once), a comparison with a non-NULL constant is one
-        comprehension over the other side's values, and every other
-        binary, unary or function call maps its operator over its
-        inputs' value lists.
+        A column reference returns the batch's own column (shared, so a
+        batch several filters read is transposed once), a comparison
+        with a non-NULL constant is one comprehension over the other
+        side's values, and every other binary, unary or function call
+        maps its operator over its inputs' value lists.
         """
-        fn = self.compile(schema)
-        return lambda batch: [fn(row) for row in batch.iter_rows()]
+        raise NotImplementedError
 
     def column_refs(self):
         """All column names this expression reads (for pushdown analysis)."""
@@ -57,10 +46,6 @@ class ColumnRef(Expr):
     def __init__(self, name):
         self.name = name
 
-    def compile(self, schema):
-        index = schema.index_of(self.name)
-        return lambda row: row[index]
-
     def compile_batch(self, schema):
         index = schema.index_of(self.name)
         # The batch's own column list, shared: callers must not mutate.
@@ -76,10 +61,6 @@ class ColumnRef(Expr):
 class Literal(Expr):
     def __init__(self, value):
         self.value = value
-
-    def compile(self, schema):
-        value = self.value
-        return lambda row: value
 
     def compile_batch(self, schema):
         value = self.value
@@ -117,8 +98,9 @@ _BINARY_FNS = {
 }
 
 # Column kernels for a comparison with a constant ``c`` on the right:
-# one comprehension each, value-identical to mapping the row closure
-# (None in, None out). A constant on the left uses the flipped kernel.
+# one comprehension each, value-identical to mapping ``_BINARY_FNS``
+# over the column (None in, None out). A constant on the left uses the
+# flipped kernel.
 _COMPARE_KERNELS = {
     "=": lambda vs, c: [None if v is None else v == c for v in vs],
     "!=": lambda vs, c: [None if v is None else v != c for v in vs],
@@ -138,12 +120,6 @@ class BinaryOp(Expr):
         self.op = op
         self.left = left
         self.right = right
-
-    def compile(self, schema):
-        fn = _BINARY_FNS[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: fn(left(row), right(row))
 
     def compile_batch(self, schema):
         kernel = self._constant_kernel(schema)
@@ -183,12 +159,6 @@ class UnaryOp(Expr):
         self.op = op
         self.operand = operand
 
-    def compile(self, schema):
-        operand = self.operand.compile(schema)
-        if self.op == "NOT":
-            return lambda row: not operand(row)
-        return lambda row: None if operand(row) is None else -operand(row)
-
     def compile_batch(self, schema):
         operand = self.operand.compile_batch(schema)
         if self.op == "NOT":
@@ -222,15 +192,10 @@ class FuncCall(Expr):
         self.name = name
         self.args = list(args)
 
-    def compile(self, schema):
-        fn = _SCALAR_FNS[self.name]
-        compiled = [a.compile(schema) for a in self.args]
-        return lambda row: fn(*(c(row) for c in compiled))
-
     def compile_batch(self, schema):
-        if not self.args:
-            return super().compile_batch(schema)
         fn = _SCALAR_FNS[self.name]
+        if not self.args:
+            return lambda batch: [fn() for _ in range(len(batch))]
         compiled = [a.compile_batch(schema) for a in self.args]
         return lambda batch: list(
             map(fn, *(c(batch) for c in compiled))

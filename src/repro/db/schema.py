@@ -39,7 +39,7 @@ class Schema:
             [tuple(t() for t in self.exact_types)])
 
     @classmethod
-    def of(cls, *name_type_pairs):
+    def of(cls, *name_type_pairs):  # noqa: DEF001 -- the test suite writes its schemas with it
         """Shorthand: ``Schema.of(("a", INT), ("b", STR))``."""
         return cls(Column(name, t) for name, t in name_type_pairs)
 

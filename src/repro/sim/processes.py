@@ -38,10 +38,6 @@ class PeriodicProcess:
             self._event.cancel()
             self._event = None
 
-    @property
-    def running(self):
-        return self._running
-
     def _tick(self):
         if not self._running:
             return

@@ -50,13 +50,6 @@ class CountMinSketch:
         self.rows = rows if rows is not None else ((0,) * width,) * depth
         self.total = total  # sum of all added counts (error-bound N)
 
-    @classmethod
-    def for_error(cls, epsilon, delta=0.01):
-        """Size a sketch for ``+/- epsilon * N`` at confidence 1-delta."""
-        width = max(8, math.ceil(math.e / epsilon))
-        depth = max(1, math.ceil(math.log(1.0 / delta)))
-        return cls(depth=depth, width=width)
-
     def _columns(self, item):
         digest = sha1_id(("cm", item))
         for d in range(self.depth):

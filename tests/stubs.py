@@ -14,6 +14,7 @@ definition of "a query context with nothing behind it";
 :func:`live_stream_scans` is the one probe for "who reads this table".
 """
 
+from repro.core.batch import RowBatch
 from repro.core.dataflow import LocalQueryContext, StandingExecution
 from repro.core.engine import PierEngine
 from repro.core.exchange import Exchange
@@ -117,7 +118,7 @@ class PanedGroupBy:
     pane increments feed the final's pane store, as they would across a
     pane-tagged exchange, and the final assembles each epoch's window.
 
-    Drive it like one operator: ``open_pane`` / ``push`` rows, set
+    Drive it like one operator: ``push`` rows with their pane, set
     ``ctx.epoch`` / ``ctx.active_epoch``, ``flush()`` (partial, then
     final); ``wire`` a sink to the final's output.
     """
@@ -138,11 +139,8 @@ class PanedGroupBy:
     def wire(self, consumer, port):
         self.final.wire(consumer, port)
 
-    def open_pane(self, pane):
-        self.partial.open_pane(pane)
-
-    def push(self, row):
-        self.partial.push(row)
+    def push(self, row, pane):
+        self.partial.push_batch(RowBatch(rows=[row], pane=pane))
 
     def flush(self):
         self.partial.flush()

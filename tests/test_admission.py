@@ -11,8 +11,10 @@ from repro.core.admission import (
 )
 from repro.core.catalog import StatsCatalog, query_stats_key
 from repro.core.network import PierConfig, PierNetwork
+from repro.core.planner import plan_query
 from repro.core.sql import parse_query
 from repro.db.catalog import Catalog
+from repro.util.errors import PlanError
 from repro.util.serde import wire_size
 
 
@@ -130,7 +132,7 @@ class TestCostBounder:
     def test_sampling_sheds_exchange_but_not_scan(self):
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
         full = bound_query_cost(lq, stats_catalog())
-        lq.options["sample_rate"] = 0.1
+        lq.sample_rate = 0.1
         sampled = bound_query_cost(lq, stats_catalog())
         assert sampled.rows_scanned == full.rows_scanned  # still examined
         assert sampled.exchange_rows == pytest.approx(
@@ -219,7 +221,7 @@ class TestAdmissionLadder:
         assert decision.admitted
         (deg,) = decision.degradations
         assert deg["kind"] == "sample" and deg["rate"] == 0.05
-        assert lq.options["sample_rate"] == 0.05
+        assert lq.sample_rate == 0.05
 
     def test_refusal_carries_the_bound(self):
         lq = parse_query("SELECT COUNT(*) AS n FROM s" + CONT)
@@ -317,6 +319,19 @@ class TestAdmissionEndToEnd:
         net.advance(10 + handle.plan.deadline + 3)
         assert results and all(r.approximate is None for r in results)
 
+    def test_a_caller_cannot_ask_for_a_sampled_answer(self):
+        # A sample rate is admission's to set, and it labels the answer
+        # approximate; a caller's would answer a sample unlabeled.
+        net = PierNetwork(nodes=8, seed=5)
+        net.create_local_table("t", [("v", "INT")])
+        for address in net.addresses():
+            net.insert(address, "t", [(i,) for i in range(100)])
+        sql = "SELECT COUNT(*) AS n FROM t"
+        exact = net.run_sql(sql)
+        assert exact.rows == [(800,)] and exact.approximate is None
+        with pytest.raises(PlanError, match="sample_rate"):
+            net.run_sql(sql, options={"sample_rate": 0.1})
+
     def test_refused_query_never_disseminates(self):
         net = admission_net(budget=10.0)
         net.catalog.stats.seed("s", rate=500.0, row_bytes=48.0)
@@ -401,11 +416,12 @@ class TestScanSampling:
                     lambda engine, i=i: (i, int(engine.clock.now * 10)),
                     period=0.25)
             results = []
-            options = {"sample_rate": rate} if rate is not None else None
-            handle = net.submit_sql(
-                "SELECT COUNT(*) AS n FROM s EVERY 5 SECONDS "
-                "LIFETIME 15 SECONDS",
-                on_epoch=results.append, options=options)
+            # The rate rides the logical query, as the ladder sets it.
+            lq = parse_query("SELECT COUNT(*) AS n FROM s EVERY 5 SECONDS "
+                             "LIFETIME 15 SECONDS")
+            lq.sample_rate = rate
+            handle = net.submit_plan(plan_query(lq, net.catalog),
+                                     on_epoch=results.append)
             if rate is not None:
                 scans = handle.plan.ops_of_kind("scan")
                 assert all(s.params.get("sample") == rate for s in scans)

@@ -210,5 +210,48 @@ class TestConfigAndTree:
         # The rule is whole-tree: a run over named paths skips it.
         assert lint.main([str(tmp_path / "src")]) == 0
 
+    def test_method_kind_decorators_do_not_keep_a_definition(
+            self, lint, tmp_path, monkeypatch, capsys):
+        # @classmethod, @staticmethod and @property file nothing
+        # anywhere: a definition only they wrap and only tests call is
+        # dead, while one a filing decorator wraps counts as used.
+        (tmp_path / "ruff.toml").write_text("line-length = 100\n",
+                                            encoding="utf-8")
+        for folder in ("src/pkg", "examples", "tests"):
+            (tmp_path / folder).mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "mod.py").write_text(textwrap.dedent("""\
+            import functools
+
+
+            class Box:
+                @classmethod
+                def build(cls):
+                    return cls()
+
+                @staticmethod
+                def helper():
+                    return 1
+
+                @property
+                def size(self):
+                    return 2
+
+                @functools.cached_property
+                def filed(self):
+                    return 3
+            """), encoding="utf-8")
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from pkg.mod import Box\nprint(Box)\n", encoding="utf-8")
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from pkg.mod import Box\nBox.build().helper()\nBox().size\n",
+            encoding="utf-8")
+        monkeypatch.setattr(lint, "REPO", tmp_path)
+        assert lint.main([]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "src/pkg/mod.py:6: DEF001 `build` is defined but never referenced",
+            "src/pkg/mod.py:10: DEF001 `helper` is defined but never referenced",
+            "src/pkg/mod.py:14: DEF001 `size` is defined but never referenced",
+        ]
+
     def test_this_tree_is_clean(self, lint, capsys):
         assert lint.main([]) == 0, capsys.readouterr().out

@@ -30,7 +30,7 @@ from repro.core.dataflow import Operator
 from repro.core.exchange import payload_rows
 from repro.core.opgraph import OpSpec
 from repro.core.operators import create_operator
-from repro.db.expressions import BinaryOp, FuncCall, col, lit
+from repro.db.expressions import _BINARY_FNS, BinaryOp, FuncCall, col, lit
 from repro.db.schema import Schema
 from repro.db.types import ANY, INT, STR
 from repro.sim.clock import SimClock
@@ -64,7 +64,7 @@ class BatchSink(Operator):
 
     def push_batch(self, batch, port=0):
         self.batches += 1
-        self.rows.extend(batch.iter_rows())
+        self.rows.extend(batch.rows())
 
 
 def make(kind, params, standing=False):
@@ -96,11 +96,10 @@ SIZES = (0, 1, 2, 5, 17)
 class TestRowBatch:
     def test_rows_columns_round_trip(self):
         rows = [(1, 2, "x"), (3, 4, "y")]
-        by_rows = RowBatch.from_rows(rows, SCHEMA)
+        by_rows = RowBatch(rows=rows, schema=SCHEMA)
         assert by_rows.columns() == [[1, 3], [2, 4], ["x", "y"]]
-        by_cols = RowBatch.from_columns([[1, 3], [2, 4], ["x", "y"]])
+        by_cols = RowBatch(columns=[[1, 3], [2, 4], ["x", "y"]])
         assert by_cols.rows() == rows
-        assert list(by_rows.iter_rows()) == rows
         assert len(by_rows) == len(by_cols) == 2
 
     def test_needs_rows_or_columns(self):
@@ -108,28 +107,28 @@ class TestRowBatch:
             RowBatch()
 
     def test_empty_batch_transposes_per_schema(self):
-        batch = RowBatch.from_rows([], SCHEMA)
+        batch = RowBatch(rows=[], schema=SCHEMA)
         assert len(batch) == 0
         assert batch.columns() == [[], [], []]
-        assert RowBatch.from_rows([]).columns() == []
+        assert RowBatch(rows=[]).columns() == []
 
     def test_take_is_truthy_not_is_true(self):
-        batch = RowBatch.from_rows([(1, 0, "a"), (2, 0, "b"), (3, 0, "c")])
+        batch = RowBatch(rows=[(1, 0, "a"), (2, 0, "b"), (3, 0, "c")])
         kept = batch.take([None, False, 7])
         assert kept.rows() == [(3, 0, "c")]
         assert batch.take([0, "", None]).rows() == []
 
     def test_take_all_pass_returns_self(self):
-        batch = RowBatch.from_columns([[1, 2], [3, 4]])
+        batch = RowBatch(columns=[[1, 2], [3, 4]])
         assert batch.take([1, True]) is batch
 
     def test_take_on_column_built_batch(self):
-        batch = RowBatch.from_columns([[1, 2, 3], ["a", "b", "c"]])
+        batch = RowBatch(columns=[[1, 2, 3], ["a", "b", "c"]])
         kept = batch.take([True, None, True])
         assert kept.rows() == [(1, "a"), (3, "c")]
 
     def test_take_keeps_columns_once_they_are_built(self):
-        batch = RowBatch.from_rows([(1, 0, "a"), (2, 0, "b"), (3, 0, "c")])
+        batch = RowBatch(rows=[(1, 0, "a"), (2, 0, "b"), (3, 0, "c")])
         batch.columns()
         kept = batch.take([True, False, True])
         assert kept._rows is None
@@ -140,16 +139,24 @@ class TestRowBatch:
         assert batch.columns() == [[1, 2, 3], [0, 0, 0], ["a", "b", "c"]]
 
     def test_project_by_name_and_position(self):
-        batch = RowBatch.from_rows([(1, 2, "x"), (3, 4, "y")], SCHEMA)
+        batch = RowBatch(rows=[(1, 2, "x"), (3, 4, "y")], schema=SCHEMA)
         assert batch.project(["s", "a"]).rows() == [("x", 1), ("y", 3)]
         assert batch.project([1]).rows() == [(2,), (4,)]
         # Projection shares column lists with the source batch.
         assert batch.project(["a"]).column(0) is batch.column(0)
 
     def test_dict_adapters(self):
+        # Dict-shaped rows enter through the schema's positional adapter.
         dicts = [{"a": 1, "b": 2, "s": "x"}, {"a": 3, "b": 4, "s": "y"}]
-        batch = RowBatch.from_dicts(dicts, SCHEMA)
+        batch = RowBatch(rows=[SCHEMA.row(d) for d in dicts], schema=SCHEMA)
         assert batch.rows() == [(1, 2, "x"), (3, 4, "y")]
+
+    def test_take_keeps_the_pane(self):
+        batch = RowBatch(rows=[(1,), (2,)], pane=4)
+        assert batch.take([True, False]).pane == 4
+        batch.columns()
+        assert batch.take([False, True]).pane == 4
+        assert RowBatch(rows=[(1,)]).pane is None
 
     def test_columnar_wire_uniform_tuples_only(self):
         assert columnar_wire([(1, "a"), (2, "b")]) == [[1, 2], ["a", "b"]]
@@ -166,7 +173,7 @@ class TestSelectNullSemantics:
     def _run(self, predicate, rows, batch_mode):
         op, sink = make("select", {"predicate": predicate, "schema": SCHEMA})
         if batch_mode:
-            op.push_batch(RowBatch.from_rows(rows, SCHEMA))
+            op.push_batch(RowBatch(rows=rows, schema=SCHEMA))
         else:
             for row in rows:
                 op.push(row)
@@ -210,7 +217,7 @@ class TestSelectNullSemantics:
 
 
 # ----------------------------------------------------------------------
-# Column kernels: value-identical to the row closures they replace
+# Column kernels: value-identical to their operator, value by value
 # ----------------------------------------------------------------------
 NAN = float("nan")
 MIXED = Schema.of(("x", ANY))
@@ -241,6 +248,9 @@ class TestComparisonKernels:
     @pytest.mark.parametrize("op", COMPARISONS)
     @pytest.mark.parametrize("literal_left", [False, True])
     def test_equal_to_the_row_closure(self, op, literal_left):
+        # The reference is the binary operator itself, applied to one
+        # value pair at a time.
+        fn = _BINARY_FNS[op]
         cases = [(NUMBERS, c) for c in (0, 1, 2.5, -3.0, NAN, True, False)]
         cases += [(STRINGS, c) for c in ("", "a", "b")]
         if op in ("=", "!="):
@@ -252,21 +262,22 @@ class TestComparisonKernels:
             expr = BinaryOp(op, *sides)
             assert expr._constant_kernel(MIXED) is not None
             rows = [(v,) for v in values]
-            row_fn = expr.compile(MIXED)
+            want = [fn(constant, v) if literal_left else fn(v, constant)
+                    for v in values]
             kernel = expr.compile_batch(MIXED)
-            _same_values(kernel(RowBatch.from_rows(rows, MIXED)),
-                         [row_fn(row) for row in rows])
+            _same_values(kernel(RowBatch(rows=rows, schema=MIXED)), want)
 
     def test_null_literal_keeps_the_generic_path(self):
         expr = BinaryOp("<", col("x"), lit(None))
         assert expr._constant_kernel(MIXED) is None
-        batch = RowBatch.from_rows([(v,) for v in NUMBERS], MIXED)
+        batch = RowBatch(rows=[(v,) for v in NUMBERS], schema=MIXED)
         assert expr.compile_batch(MIXED)(batch) == [None] * len(NUMBERS)
 
 
 class TestAddMany:
     @pytest.mark.parametrize("name", ["SUM", "MIN", "MAX"])
     def test_bit_identical_to_the_add_loop(self, name):
+        # One fold over a column equals folding it one value at a time.
         agg = AggSpec(name, col("a"), "out").agg
         rng = random.Random(name)
         # Signed zeros tie and NaN compares false: MIN/MAX must keep
@@ -281,7 +292,7 @@ class TestAddMany:
             for start in (agg.init(), rng.uniform(-1.0, 1.0)):
                 looped = start
                 for value in values:
-                    looped = agg.add(looped, value)
+                    looped = agg.add_many(looped, [value])
                 _same_values([agg.add_many(start, values)], [looped])
 
 
@@ -291,11 +302,11 @@ class TestAddMany:
 def drive(make_op, rows, batch_mode, flush=True, epochs=None, panes=None):
     """Feed rows through one operator instance and return the sink rows.
 
-    ``batch_mode=False`` feeds N one-row batches through the base
-    ``push`` wrapper, ``batch_mode=True`` one N-row batch (an empty
-    batch when there are no rows). ``epochs`` / ``panes`` optionally
-    tag each batch: the rows are split into per-(epoch, pane) chunks
-    fed in order, mimicking epoch/pane-tagged deliver_batch.
+    ``batch_mode=False`` feeds N one-row batches, ``batch_mode=True``
+    one N-row batch (an empty batch when there are no rows).
+    ``epochs`` / ``panes`` optionally tag each batch: the rows are split
+    into per-(epoch, pane) chunks fed in order, mimicking
+    epoch/pane-tagged deliver_batch.
     """
     op, sink = make_op()
     chunks = [(None, None, rows)]
@@ -311,13 +322,11 @@ def drive(make_op, rows, batch_mode, flush=True, epochs=None, panes=None):
     for epoch, pane, chunk in chunks:
         if epoch is not None:
             op.ctx.epoch = op.ctx.active_epoch = epoch
-        if pane is not None:
-            op.open_pane(pane)
         if batch_mode:
-            op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+            op.push_batch(RowBatch(rows=chunk, schema=SCHEMA, pane=pane))
         else:
             for row in chunk:
-                op.push(row)
+                op.push_batch(RowBatch(rows=[row], pane=pane))
     if flush:
         op.flush()
     return sink.rows
@@ -412,10 +421,10 @@ class TestChunkingInvariance:
             chunk = [rows[0]]
             for i, row in enumerate(rows[1:]):
                 if cuts >> i & 1:
-                    op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+                    op.push_batch(RowBatch(rows=chunk, schema=SCHEMA))
                     chunk = []
                 chunk.append(row)
-            op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+            op.push_batch(RowBatch(rows=chunk, schema=SCHEMA))
             op.flush()
             ((gvals, states),) = sink.rows
             assert gvals == ()
@@ -441,12 +450,12 @@ class TestChunkingInvariance:
             op, sink = build()
             for pane in sorted(set(panes)):
                 chunk = [r for r, p in zip(rows, panes) if p == pane]
-                op.open_pane(pane)
                 if batch_mode:
-                    op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+                    op.push_batch(
+                        RowBatch(rows=chunk, schema=SCHEMA, pane=pane))
                 else:
                     for row in chunk:
-                        op.push(row)
+                        op.push_batch(RowBatch(rows=[row], pane=pane))
             op.ctx.epoch = op.ctx.active_epoch = 3
             op.flush()
             return sink.rows
@@ -475,7 +484,7 @@ class TestChunkingInvariance:
                 chunk = [r for r, e in zip(rows, epochs) if e == epoch]
                 op.ctx.epoch = op.ctx.active_epoch = epoch
                 if batch_mode:
-                    op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+                    op.push_batch(RowBatch(rows=chunk, schema=SCHEMA))
                 else:
                     for row in chunk:
                         op.push(row)
@@ -533,12 +542,12 @@ class TestChunkingInvariance:
     def test_distinct_seal_epoch_releases_state(self):
         op, sink = make("distinct", {}, standing=True)
         op.ctx.epoch = op.ctx.active_epoch = 1
-        op.push_batch(RowBatch.from_rows(
-            [(1, 1, "x"), (1, 1, "x"), (2, 2, "y")], SCHEMA))
+        op.push_batch(RowBatch(
+            rows=[(1, 1, "x"), (1, 1, "x"), (2, 2, "y")], schema=SCHEMA))
         assert len(sink.rows) == 2
         op.seal_epoch(1)
         op.ctx.epoch = op.ctx.active_epoch = 2
-        op.push_batch(RowBatch.from_rows([(1, 1, "x")], SCHEMA))
+        op.push_batch(RowBatch(rows=[(1, 1, "x")], schema=SCHEMA))
         assert len(sink.rows) == 3  # sealed epoch's memory is gone
 
     def test_distinct_batch_progress_notes_aggregate(self):
@@ -553,8 +562,8 @@ class TestChunkingInvariance:
 
         op, sink = make("distinct", {"report_progress": True})
         op.ctx.engine = Eng()
-        op.push_batch(RowBatch.from_rows(
-            [(1, 1, "x"), (1, 1, "x"), (2, 2, "y"), (3, 3, "z")], SCHEMA))
+        op.push_batch(RowBatch(
+            rows=[(1, 1, "x"), (1, 1, "x"), (2, 2, "y"), (3, 3, "z")], schema=SCHEMA))
         assert sink.rows == [(1, 1, "x"), (2, 2, "y"), (3, 3, "z")]
         assert op.ctx.engine.notes == [3]
 
@@ -565,12 +574,12 @@ class TestChunkingInvariance:
         bsink = BatchSink()
         op.consumers = []
         op.wire(bsink, 0)
-        op.push_batch(RowBatch.from_rows([(1, 1, "x"), (1, 1, "x")], SCHEMA))
+        op.push_batch(RowBatch(rows=[(1, 1, "x"), (1, 1, "x")], schema=SCHEMA))
         assert bsink.rows == [(1, 1, "x")]
         assert bsink.batches == 1
-        op.push_batch(RowBatch.from_rows([(2, 1, "x"), (3, 1, "x")], SCHEMA))
+        op.push_batch(RowBatch(rows=[(2, 1, "x"), (3, 1, "x")], schema=SCHEMA))
         assert bsink.batches == 2
-        op.push_batch(RowBatch.from_rows([(2, 1, "x")], SCHEMA))
+        op.push_batch(RowBatch(rows=[(2, 1, "x")], schema=SCHEMA))
         assert bsink.batches == 2
         assert bsink.rows == [(1, 1, "x"), (2, 1, "x"), (3, 1, "x")]
 
@@ -597,7 +606,7 @@ class TestChunkingInvariance:
         source = Source()
         sink = BatchSink()
         source.wire(sink, 0)
-        source.emit_batch(RowBatch.from_rows([(1,), (2,), (3,)]))
+        source.emit_batch(RowBatch(rows=[(1,), (2,), (3,)]))
         assert sink.batches == 1
         assert sink.rows == [(1,), (2,), (3,)]
 
@@ -637,7 +646,7 @@ class TestSymmetricHashJoinParity:
         for port, chunk in feeds:
             schema = SCHEMA if port == 0 else self.RIGHT
             if batch_mode:
-                op.push_batch(RowBatch.from_rows(chunk, schema), port=port)
+                op.push_batch(RowBatch(rows=chunk, schema=schema), port=port)
             else:
                 for row in chunk:
                     op.push(row, port=port)
@@ -686,14 +695,14 @@ class TestSymmetricHashJoinParity:
         bsink = BatchSink()
         op.consumers = []
         op.wire(bsink, 0)
-        op.push_batch(RowBatch.from_rows([(7, "p"), (7, "q")], self.RIGHT),
+        op.push_batch(RowBatch(rows=[(7, "p"), (7, "q")], schema=self.RIGHT),
                       port=1)
         assert bsink.batches == 0
-        op.push_batch(RowBatch.from_rows([(1, 7, "x")], SCHEMA), port=0)
+        op.push_batch(RowBatch(rows=[(1, 7, "x")], schema=SCHEMA), port=0)
         assert bsink.batches == 1
         assert bsink.rows == [(1, 7, "x", 7, "p"), (1, 7, "x", 7, "q")]
-        op.push_batch(RowBatch.from_rows([(8, "p")], self.RIGHT), port=1)
-        op.push_batch(RowBatch.from_rows([(2, 8, "y")], SCHEMA), port=0)
+        op.push_batch(RowBatch(rows=[(8, "p")], schema=self.RIGHT), port=1)
+        op.push_batch(RowBatch(rows=[(2, 8, "y")], schema=SCHEMA), port=0)
         assert bsink.batches == 2
         assert bsink.rows[-1] == (2, 8, "y", 8, "p")
 
@@ -704,8 +713,8 @@ class TestSymmetricHashJoinParity:
         bsink = BatchSink()
         op.consumers = []
         op.wire(bsink, 0)
-        op.push_batch(RowBatch.from_rows(
-            [(1, 7, "x"), (2, 7, "y"), (3, 7, "z")], SCHEMA), port=0)
+        op.push_batch(RowBatch(
+            rows=[(1, 7, "x"), (2, 7, "y"), (3, 7, "z")], schema=SCHEMA), port=0)
         assert bsink.batches == 0
         op.push((7, "p"), port=1)
         assert bsink.batches == 1
@@ -738,17 +747,15 @@ class FetchDht(RecordingDht):
 
 
 class PaneSink(Sink):
-    """Sink recording pane announcements interleaved with rows."""
+    """Sink recording each batch's pane ahead of its rows."""
 
     def __init__(self):
         super().__init__()
         self.events = []
 
-    def open_pane(self, pane):
-        self.events.append(("pane", pane))
-
     def push_batch(self, batch, port=0):
         super().push_batch(batch)
+        self.events.append(("pane", batch.pane))
         self.events.extend(("row", row) for row in batch.rows())
 
 
@@ -789,7 +796,7 @@ class TestFetchMatchesParity:
                   if rows else [[]])
         for chunk in chunks:
             if batch_mode:
-                op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+                op.push_batch(RowBatch(rows=chunk, schema=SCHEMA))
             else:
                 for row in chunk:
                     op.push(row)
@@ -836,7 +843,7 @@ class TestFetchMatchesParity:
         def waiting(batch_mode):
             op, _sink, dht = self._build(table_rows)
             if batch_mode:
-                op.push_batch(RowBatch.from_rows(rows, SCHEMA))
+                op.push_batch(RowBatch(rows=rows, schema=SCHEMA))
             else:
                 for row in rows:
                     op.push(row)
@@ -853,20 +860,20 @@ class TestFetchMatchesParity:
     def test_dedup_cache_hits_skip_refetch(self):
         table_rows = {7: [(7, "p")]}
         op, sink, dht = self._build(table_rows, dedup=True)
-        op.push_batch(RowBatch.from_rows([(1, 7, "x")], SCHEMA))
+        op.push_batch(RowBatch(rows=[(1, 7, "x")], schema=SCHEMA))
         dht.release_all()
         assert sink.rows == [(1, 7, "x", 7, "p")]
         # Second batch on the same key: joined straight from the cache,
         # no new get dispatched.
-        op.push_batch(RowBatch.from_rows(
-            [(2, 7, "y"), (3, 7, "z")], SCHEMA))
+        op.push_batch(RowBatch(
+            rows=[(2, 7, "y"), (3, 7, "z")], schema=SCHEMA))
         assert dht.gets == 1
         assert sink.rows == [(1, 7, "x", 7, "p"), (2, 7, "y", 7, "p"),
                              (3, 7, "z", 7, "p")]
 
     def test_pane_announcements_replay_parity(self):
-        # Paned standing plan: joins released by an async reply must be
-        # re-announced under their probe row's pane, identically
+        # Paned standing plan: joins released by an async reply must
+        # leave in batches of their probe row's pane, identically
         # under either chunking.
         rng = random.Random(995)
         table_rows = self._table_for(rng)
@@ -877,16 +884,24 @@ class TestFetchMatchesParity:
             op, sink, dht = self._build(table_rows, paned=True)
             for pane in sorted(set(panes)):
                 chunk = [r for r, p in zip(rows, panes) if p == pane]
-                op.open_pane(pane)
                 if batch_mode:
-                    op.push_batch(RowBatch.from_rows(chunk, SCHEMA))
+                    op.push_batch(
+                        RowBatch(rows=chunk, schema=SCHEMA, pane=pane))
                 else:
                     for row in chunk:
-                        op.push(row)
+                        op.push_batch(RowBatch(rows=[row], pane=pane))
             dht.release_all()
             return sink.events
 
-        assert run(False) == run(True)
+        events = run(True)
+        assert run(False) == events
+        pane_of = dict(zip(rows, panes))
+        current = None
+        for kind, value in events:
+            if kind == "pane":
+                current = value
+            else:
+                assert pane_of[value[:3]] == current
 
     def test_one_reply_releases_one_batch(self):
         # Every probe waiting on a key joins into one batch when the
@@ -894,20 +909,20 @@ class TestFetchMatchesParity:
         op, sink, dht = self._build({3: [(3, "p"), (3, "q")]}, dedup=True)
         sizes = []
         sink.push_batch = lambda batch, port=0: sizes.append(len(batch))
-        op.push_batch(RowBatch.from_rows([(1, 3, "x"), (2, 3, "y")], SCHEMA))
+        op.push_batch(RowBatch(rows=[(1, 3, "x"), (2, 3, "y")], schema=SCHEMA))
         dht.release_all()
-        op.push_batch(RowBatch.from_rows([(4, 3, "z"), (5, 3, "w")], SCHEMA))
+        op.push_batch(RowBatch(rows=[(4, 3, "z"), (5, 3, "w")], schema=SCHEMA))
         assert sizes == [4, 4]
 
     def test_empty_batch_is_inert(self):
         op, sink, dht = self._build({})
-        op.push_batch(RowBatch.from_rows([], SCHEMA))
+        op.push_batch(RowBatch(rows=[], schema=SCHEMA))
         assert dht.gets == 0 and sink.rows == []
 
     def test_sealed_epoch_drops_late_reply(self):
         op, sink, dht = self._build({3: [(3, "p")]})
         op.ctx.epoch = op.ctx.active_epoch = 1
-        op.push_batch(RowBatch.from_rows([(1, 3, "x")], SCHEMA))
+        op.push_batch(RowBatch(rows=[(1, 3, "x")], schema=SCHEMA))
         op.seal_epoch(1)
         dht.release_all()  # reply lands after the epoch closed
         assert sink.rows == []
@@ -938,7 +953,7 @@ class TestBloomStageParity:
         def run(batch_mode):
             op, sink = self._build()
             if batch_mode:
-                op.push_batch(RowBatch.from_rows(rows, SCHEMA))
+                op.push_batch(RowBatch(rows=rows, schema=SCHEMA))
             else:
                 for row in rows:
                     op.push(row)
@@ -956,7 +971,7 @@ class TestBloomStageParity:
         def bits(batch_mode):
             op, _sink = self._build()
             if batch_mode:
-                op.push_batch(RowBatch.from_rows(rows, SCHEMA))
+                op.push_batch(RowBatch(rows=rows, schema=SCHEMA))
             else:
                 for row in rows:
                     op.push(row)
@@ -968,7 +983,7 @@ class TestBloomStageParity:
     def test_missing_opposite_filter_releases_all(self):
         rows = random_rows(random.Random(970), 6)
         op, sink = self._build()
-        op.push_batch(RowBatch.from_rows(rows, SCHEMA))
+        op.push_batch(RowBatch(rows=rows, schema=SCHEMA))
         op.control({"filters": {}})
         assert sink.rows == rows
 
@@ -979,8 +994,8 @@ class TestBloomStageParity:
         bsink = BatchSink()
         op.consumers = []
         op.wire(bsink, 0)
-        op.push_batch(RowBatch.from_rows(
-            [(1, 1, "x"), (2, 2, "q"), (3, 3, "x")], SCHEMA))
+        op.push_batch(RowBatch(
+            rows=[(1, 1, "x"), (2, 2, "q"), (3, 3, "x")], schema=SCHEMA))
         op.control({"filters": {"right": other}})
         assert bsink.batches == 1
         assert bsink.rows == [(1, 1, "x"), (3, 3, "x")]
@@ -1017,7 +1032,7 @@ class TestExchangeChunkingInvariance:
             one_by_one.push(row)
         one_by_one.flush()
         batched = self._exchange(sent_batched)
-        batched.push_batch(RowBatch.from_rows(rows, SCHEMA))
+        batched.push_batch(RowBatch(rows=rows, schema=SCHEMA))
         batched.flush()
         assert (self._normalize(sent_one_by_one)
                 == self._normalize(sent_batched))
@@ -1043,7 +1058,7 @@ class TestExchangeChunkingInvariance:
             exchange = self._exchange(sent, key=key)
             exchange._max_batch_rows = 10 ** 6  # only the byte cap cuts
             for start in range(0, len(rows), 30):
-                exchange.push_batch(RowBatch.from_rows(rows[start:start + 30]))
+                exchange.push_batch(RowBatch(rows=rows[start:start + 30]))
             exchange.flush()
         assert self._normalize(shipped[True]) == self._normalize(shipped[False])
         assert len(shipped[True]) > 6
@@ -1052,7 +1067,7 @@ class TestExchangeChunkingInvariance:
         rows = [(1, 2, "x"), (3, 4, "y"), (5, 6, "x")]
         sent = []
         exchange = self._exchange(sent)
-        exchange.push_batch(RowBatch.from_rows(rows, SCHEMA))
+        exchange.push_batch(RowBatch(rows=rows, schema=SCHEMA))
         exchange.flush()
         shapes = {p["op"] for _k, p in sent}
         assert "deliver_batch" in shapes
@@ -1068,7 +1083,7 @@ class TestExchangeChunkingInvariance:
         rows = [(1, 2, "x"), (3, 4), (5,)]
         sent = []
         exchange = self._exchange(sent, key={"kind": "const"})
-        exchange.push_batch(RowBatch.from_rows(rows))
+        exchange.push_batch(RowBatch(rows=rows))
         exchange.flush()
         [(_key, payload)] = sent
         assert payload["op"] == "deliver_batch"
@@ -1079,6 +1094,6 @@ class TestExchangeChunkingInvariance:
         rows = [(1, 2, "x"), (3, 4, "y")]
         sent = []
         exchange = self._exchange(sent, max_batch_rows=1)
-        exchange.push_batch(RowBatch.from_rows(rows, SCHEMA))
+        exchange.push_batch(RowBatch(rows=rows, schema=SCHEMA))
         assert [p["op"] for _k, p in sent] == ["deliver", "deliver"]
         assert [p["data"] for _k, p in sent] == rows

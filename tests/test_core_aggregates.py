@@ -21,7 +21,7 @@ values = st.lists(st.integers(-1000, 1000), min_size=0, max_size=60)
 def fold(agg, items):
     state = agg.init()
     for item in items:
-        state = agg.add(state, item)
+        state = agg.add_many(state, [item])
     return state
 
 
@@ -103,13 +103,13 @@ class TestAggSpec:
     def test_compile_arg_batch(self):
         schema = Schema.of(("v", FLOAT))
         spec = AggSpec("SUM", col("v"), "total")
-        batch = RowBatch.from_rows([(3.5,), (1.0,)], schema)
+        batch = RowBatch(rows=[(3.5,), (1.0,)], schema=schema)
         assert spec.compile_arg_batch(schema)(batch) == [3.5, 1.0]
 
     def test_compile_no_arg_returns_none(self):
         spec = AggSpec("COUNT", None, "n")
         schema = Schema.of(("v", FLOAT))
-        batch = RowBatch.from_rows([(1,), (2,)], schema)
+        batch = RowBatch(rows=[(1,), (2,)], schema=schema)
         assert spec.compile_arg_batch(schema)(batch) == [None, None]
 
     def test_repr_readable(self):

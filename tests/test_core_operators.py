@@ -53,7 +53,7 @@ class TestRegistry:
     def test_base_push_batch_not_implemented(self):
         base = Operator(StubCtx(), OpSpec("x", "abstract", {}))
         with pytest.raises(NotImplementedError):
-            base.push_batch(RowBatch.from_rows([(1,)]))
+            base.push_batch(RowBatch(rows=[(1,)]))
         with pytest.raises(NotImplementedError):
             base.push((1,))  # the one-row wrapper lands in push_batch
 
@@ -187,8 +187,8 @@ class TestTopK:
         op, sink = make("topk", {
             "sort_keys": [(col("a"), False)], "limit": 2, "schema": SCHEMA,
         })
-        op.push_batch(RowBatch.from_rows(
-            [(a, 0, "") for a in (3, 1, 4, 1, 5)], SCHEMA))
+        op.push_batch(RowBatch(
+            rows=[(a, 0, "") for a in (3, 1, 4, 1, 5)], schema=SCHEMA))
         op.flush()
         assert [r[0] for r in sink.rows] == [1, 1]
 

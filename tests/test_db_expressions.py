@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.batch import RowBatch
 from repro.db.expressions import (
     BinaryOp,
     FuncCall,
@@ -20,7 +21,9 @@ SCHEMA = Schema.of(("a", INT), ("b", INT), ("s", STR))
 
 
 def ev(expr, row):
-    return expr.compile(SCHEMA)(row)
+    """``expr``'s value on one row: a one-row batch's one value."""
+    (value,) = expr.compile_batch(SCHEMA)(RowBatch(rows=[row]))
+    return value
 
 
 class TestBasics:
@@ -32,7 +35,7 @@ class TestBasics:
 
     def test_unknown_column_fails_at_compile(self):
         with pytest.raises(CatalogError):
-            col("zzz").compile(SCHEMA)
+            col("zzz").compile_batch(SCHEMA)
 
     def test_arithmetic(self):
         expr = BinaryOp("+", BinaryOp("*", col("a"), lit(10)), col("b"))

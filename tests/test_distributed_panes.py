@@ -20,6 +20,7 @@ import pytest
 from stubs import make_engine, make_exchange
 
 from benchmarks.perf.reference import RowLog, same_rows
+from repro.core.batch import RowBatch
 from repro.core.network import PierNetwork
 
 GROUPED_SQL = (
@@ -316,11 +317,9 @@ class TestPaneMechanics:
         exchange = make_exchange(
             engine, key={"kind": "group"},
             paned={"width": 1.0, "every": 1, "window": 4})
-        exchange.open_pane(7)
-        exchange.push((("g",), (1,)))
-        exchange.push((("g",), (2,)))
-        exchange.open_pane(8)
-        exchange.push((("g",), (3,)))
+        exchange.push_batch(RowBatch(rows=[(("g",), (1,))], pane=7))
+        exchange.push_batch(RowBatch(rows=[(("g",), (2,))], pane=7))
+        exchange.push_batch(RowBatch(rows=[(("g",), (3,))], pane=8))
         exchange.flush()
         by_pane = {}
         from repro.core.exchange import payload_rows
@@ -407,7 +406,7 @@ class TestPaneMechanics:
         window = PaneWindow(specs, retain_panes=1)
         for pane, value in ((0, 1.0), (1, 2.0), (2, 4.0), (3, 8.0)):
             states = window.entry(pane, ("g",))
-            states[0] = specs[0].agg.add(states[0], value)
+            states[0] = specs[0].agg.add_many(states[0], [value])
         # Epoch k: window [1, 4); then the older epoch k-1 re-assembles
         # [0, 3) -- its panes must still exist, and the newest window
         # must read the same afterwards.

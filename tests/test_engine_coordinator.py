@@ -69,13 +69,12 @@ class TestKnobs:
         read = re.findall(r'options\.get\("(\w+)"', inspect.getsource(planner))
         assert sorted(set(read)) == sorted(planner.QUERY_OPTIONS) == [
             "aggregation_tree", "join_strategy", "paned",
-            "recursion_deadline", "sample_rate", "shared",
+            "recursion_deadline", "shared",
         ]
 
     def test_every_query_option_has_a_caller(self):
         """Each option is named (quoted) somewhere outside ``tests/``
-        and outside the planner that reads it; ``sample_rate``'s one
-        writer is the admission policy's degradation ladder."""
+        and outside the planner that reads it."""
         callers = _sources(
             exclude=pathlib.Path(inspect.getsourcefile(planner)).resolve())
         unset = sorted(name for name in planner.QUERY_OPTIONS

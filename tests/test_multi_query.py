@@ -6,11 +6,13 @@ and parity with private executions."""
 import pytest
 from stubs import live_stream_scans
 
-from benchmarks.perf.reference import same_rows
+from benchmarks.perf.reference import RowLog, same_rows
 from repro.core.dataflow import StandingExecution
 from repro.core.engine import PierEngine
 from repro.core.network import PierNetwork
+from repro.core.planner import plan_query
 from repro.core.sharing import SpineRecord, StageRecord
+from repro.core.sql import parse_query
 from repro.dht.ring import STABILIZE_PERIOD
 
 
@@ -311,6 +313,63 @@ class TestPrefixSignatures:
         assert longer == base
 
 
+class TestPanedBesideUnpaned:
+    """A paned and an unpaned query over one stream table, with the
+    same EVERY and WINDOW, share a prefix signature but not their scan
+    waves: the paned scan emits each row once, in pane batches, and
+    the unpaned one re-emits the whole window every epoch. A stage
+    clones its scan from its first member, so the two must land on
+    stages of their own, whichever is submitted first."""
+
+    SUM = "SELECT SUM(v) AS total, COUNT(*) AS n FROM s"
+    TOPK = "SELECT v FROM s ORDER BY v DESC LIMIT 3"
+    GEOMETRY = " EVERY 10 SECONDS WINDOW 30 SECONDS LIFETIME 60 SECONDS"
+
+    @pytest.mark.parametrize("first", ["SUM", "TOPK"])
+    def test_every_epoch_matches_the_appended_rows(self, first):
+        net = PierNetwork(nodes=8, seed=5)
+        net.create_stream_table("s", [("v", "FLOAT")], window=60.0)
+        log = RowLog()
+        for i, address in enumerate(net.addresses()):
+            step = iter(range(10 ** 6))
+
+            def tick(address=address, base=100.0 + i, step=step):
+                # Values fall over time, so a window's top rows are its
+                # oldest: a top-k fed pane deltas cannot pass.
+                engine = net.node(address).engine
+                v = base - next(step)
+                engine.stream_append("s", (v,))
+                log.add(engine.clock.now, address, "s", [(v,)])
+                engine.set_timer(1.0, tick)
+
+            net.node(address).engine.set_timer(0.1, tick)
+        truth = {
+            "SUM": lambda vs: [(sum(vs), len(vs))] if vs else [],
+            "TOPK": lambda vs: [(v,) for v in sorted(vs, reverse=True)[:3]],
+        }
+        order = [first] + [name for name in truth if name != first]
+        site = net.any_address()
+        results, handles = {}, {}
+        for name in order:
+            results[name] = []
+            handles[name] = net.submit_sql(
+                getattr(self, name) + self.GEOMETRY, node=site,
+                on_epoch=results[name].append)
+        assert handles["SUM"].plan.pane is not None
+        assert handles["TOPK"].plan.pane is None
+        net.advance(12.0)
+        assert len(stages(net.node(site).engine)) == 2
+        net.advance(60.0 + handles["SUM"].plan.deadline)
+        for name in order:
+            t0 = handles[name].t0
+            assert {r.epoch for r in results[name]} == set(range(1, 7))
+            for r in results[name]:
+                hi = t0 + 10.0 * r.epoch
+                vs = [v for (v,) in log.window("s", hi - 30.0, hi)]
+                assert same_rows(r.rows, truth[name](vs)), (
+                    name, r.epoch, r.rows)
+
+
 class TestPrefixStageRuntime:
     def test_different_predicate_fleet_rides_one_stage(self, net):
         site = net.any_address()
@@ -368,11 +427,11 @@ class TestPrefixStageRuntime:
 
     def test_sampled_fleet_matches_its_sampled_private_twins(self):
         # The sample rate is part of the prefix: the stage scan samples
-        # each wave once, for every member.
-        sampled = {"sample_rate": 0.2}
+        # each wave once, for every member. It rides the logical query,
+        # as the admission ladder sets it.
         thresholds = (1.5, 3.5, 5.5)
         legs = []
-        for options in (sampled, dict(PRIVATE, **sampled)):
+        for options in (None, PRIVATE):
             n = PierNetwork(nodes=8, seed=321)
             n.create_stream_table("s", [("v", "FLOAT")], window=30.0)
             for i, address in enumerate(n.addresses()):
@@ -382,11 +441,13 @@ class TestPrefixStageRuntime:
             outs = []
             for thr in thresholds:
                 results = []
-                n.submit_sql(predicate_sql(thr), node=site,
-                             on_epoch=results.append, options=options)
+                lq = parse_query(predicate_sql(thr), options)
+                lq.sample_rate = 0.2
+                n.submit_plan(plan_query(lq, n.catalog), node=site,
+                              on_epoch=results.append)
                 outs.append(results)
             n.advance(12.0)
-            assert bool(stages(n.node(site).engine)) == (options is sampled)
+            assert bool(stages(n.node(site).engine)) == (options is None)
             n.advance(40.0 + n.compile_sql(predicate_sql(0)).deadline - 7.0)
             legs.append([{r.epoch: sorted(r.rows) for r in results}
                          for results in outs])
@@ -596,9 +657,9 @@ class TestOneLifecycle:
             log.append((fired(), "advance", execution, k))
             real_advance(execution, k, t_k)
 
-        def wave(execution, rows, k, pane=None):
+        def wave(execution, batch, k):
             log.append((fired(), "wave", execution, k))
-            real_wave(execution, rows, k, pane)
+            real_wave(execution, batch, k)
 
         def set_timer(engine, delay, callback, *args):
             if callback == engine._on_boundary:
@@ -734,10 +795,10 @@ class TestOneBatchPerWave:
         waves = []  # (address, epoch, pane, execution, batch, rows then)
         real_wave = StandingExecution.deliver_scan
 
-        def wave(execution, batch, k, pane=None):
-            waves.append((execution.engine.address, k, pane, execution,
-                          batch, list(batch.rows())))
-            real_wave(execution, batch, k, pane)
+        def wave(execution, batch, k):
+            waves.append((execution.engine.address, k, batch.pane,
+                          execution, batch, list(batch.rows())))
+            real_wave(execution, batch, k)
 
         monkeypatch.setattr(StandingExecution, "deliver_scan", wave)
         return waves

@@ -1,7 +1,8 @@
 """Differential fuzz suite for shared standing dataflows.
 
 Every trial draws a random fleet schedule -- different-predicate
-queries (plus some identical twins), staggered submission instants,
+queries (plus some identical twins, and in half the trials one
+unpaned top-k beside the paned aggregates), staggered submission instants,
 early stops, injected crash/recovery events, and (in some trials) a
 region-labelled topology running proximity routing plus two-level
 regional aggregation trees -- and runs it TWICE from the same seed:
@@ -32,7 +33,7 @@ both would cancel out of that comparison. Crash-free trials therefore
 also check each leg against *ground truth*: the tickers log every row
 they append in the perf benchmark's ``RowLog``, and every reported
 epoch of every never-stopped query must equal a plain-Python
-recomputation of its aggregate over ``v > thr`` in
+recomputation of its answer over ``v > thr`` in
 ``(t_k - window, t_k]``. Each trial also appends one 2**60 row early
 on, so a window that loses the small values summed beside a huge one
 after it leaves cannot pass. An epoch with a qualifying row stamped within
@@ -64,25 +65,35 @@ TRIALS = int(os.environ.get("PIER_FUZZ_TRIALS", "50"))
 BASE_SEED = int(os.environ.get("PIER_FUZZ_SEED", "94082"))
 FAILURES = pathlib.Path(__file__).parent / "fuzz_failures" / "sharing_fuzz.txt"
 
-# Three select-list shapes: same scan prefix, different tails/spines.
+# Four select-list shapes: same scan prefix, different tails/spines.
+# The three aggregates are paned whenever WINDOW > EVERY; the top-k
+# (last) never is, so it puts an unpaned member beside paned ones.
 FORMS = (
     "SELECT SUM(v) AS total, COUNT(*) AS n FROM s WHERE v > {thr}",
     "SELECT COUNT(*) AS n FROM s WHERE v > {thr}",
     "SELECT MAX(v) AS top, COUNT(*) AS n FROM s WHERE v > {thr}",
+    "SELECT v FROM s WHERE v > {thr} ORDER BY v DESC LIMIT 3",
 )
-# The same three select lists over the qualifying values, in Python.
+TOPK = 3  # the unpaned form; the schedule stream draws the others
+# The same four select lists over the qualifying values, in Python:
+# the answer rows when some value qualifies.
 TRUTH = (
-    lambda vs: (sum(vs), len(vs)),
-    lambda vs: (len(vs),),
-    lambda vs: (max(vs), len(vs)),
+    lambda vs: [(sum(vs), len(vs))],
+    lambda vs: [(len(vs),)],
+    lambda vs: [(max(vs), len(vs))],
+    lambda vs: [(v,) for v in sorted(vs, reverse=True)[:3]],
 )
 EDGE_TIE = 1e-6  # a row this close to a window edge is a same-instant race
 TAIL = " EVERY {e} SECONDS WINDOW {w} SECONDS LIFETIME {life} SECONDS"
 PRIVATE = {"shared": False}  # the ablation leg: every plan unstamped
 
 
-def make_schedule(seed):
-    """One reproducible trial: fleet + stops + crash/recovery events."""
+def make_schedule(seed, unpaned=True):
+    """One reproducible trial: fleet + stops + crash/recovery events.
+
+    With ``unpaned``, half the trials turn one query into the top-k
+    form, drawn from a stream of its own so that every other draw stays
+    what the seed made it."""
     rng = random.Random(seed)
     every = rng.choice([5.0, 10.0])
     window = every * rng.choice([1, 2, 3])
@@ -95,7 +106,7 @@ def make_schedule(seed):
             twin = rng.choice(queries)
             form, thr = twin["form"], twin["thr"]
         else:
-            form = rng.randrange(len(FORMS))
+            form = rng.randrange(TOPK)
             thr = round(rng.uniform(0.5, nodes - 0.5), 2)
         submit_at = every * rng.randint(0, 2)
         if rng.random() < 0.2:
@@ -142,6 +153,10 @@ def make_schedule(seed):
     # values, so a window assembly that subtracts the spike back out
     # when it leaves loses the values summed beside it too.
     spike = {"node": rng.randrange(nodes), "at": rng.uniform(0, 2 * every)}
+    if unpaned:
+        forms = random.Random("unpaned/{}".format(seed))
+        if forms.random() < 0.5:
+            forms.choice(queries)["form"] = TOPK
     return {
         "seed": seed, "nodes": nodes, "every": every, "window": window,
         "lifetime": lifetime, "queries": queries, "crashes": crashes,
@@ -322,7 +337,7 @@ def check_ground_truth(schedule, leg, name):
                 continue
             vs = [v for (v,) in log.window("s", lo, hi) if v > q["thr"]]
             # No qualifying row anywhere: no partial, so no answer row.
-            want = [TRUTH[q["form"]](vs)] if vs else []
+            want = TRUTH[q["form"]](vs) if vs else []
             assert same_rows(rows, want), (
                 "seed {}: query {} epoch {} on the {} leg is {!r}, ground "
                 "truth {!r}".format(seed, i, k, name, rows, want)
@@ -344,8 +359,8 @@ def _record_failure(seed, exc):
         )
 
 
-def _run_trial(seed):
-    schedule = make_schedule(seed)
+def _run_trial(seed, unpaned=True):
+    schedule = make_schedule(seed, unpaned)
     try:
         shared = run_leg(schedule, shared=True)
         ablation = run_leg(schedule, shared=False)
@@ -378,4 +393,5 @@ def test_sharing_differential(trial):
                          [94096, 777163, 220411, 777002, 31764, 123929,
                           555065, 555089])
 def test_pinned_seeds(seed):
-    _run_trial(seed)
+    # Replayed as they were found: no query turned into the top-k.
+    _run_trial(seed, unpaned=False)

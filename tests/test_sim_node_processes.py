@@ -179,10 +179,16 @@ class TestPeriodicProcess:
         assert len(ticks) == 2
 
     def test_callback_can_stop_itself(self, clock):
-        p = PeriodicProcess(clock, 1.0, lambda: p.stop())
+        ticks = []
+
+        def tick():
+            ticks.append(clock.now)
+            p.stop()
+
+        p = PeriodicProcess(clock, 1.0, tick)
         p.start()
         clock.run_until(5)
-        assert not p.running
+        assert len(ticks) == 1
 
     def test_double_start_is_noop(self, clock):
         ticks = []

@@ -81,9 +81,6 @@ class Sink:
     def reset_batch(self):
         pass
 
-    def open_pane(self, pane):
-        pass
-
 
 SCHEMA = Schema.of(("g", STR), ("v", FLOAT))
 # NULLs, ints, floats, and 1e16, whose ulp (2.0) swallows every other
@@ -114,7 +111,7 @@ def _reference(rows_by_pane, lo, hi, agg_specs):
             )
             for i, spec in enumerate(agg_specs):
                 arg = None if spec.arg is None else row[1]
-                states[i] = spec.agg.add(states[i], arg)
+                states[i] = spec.agg.add_many(states[i], [arg])
     return {
         gvals: tuple(s.agg.final(state)
                      for s, state in zip(agg_specs, states))
@@ -165,9 +162,8 @@ class TestPanedPropertyParity:
                     rows.append((g, None if g == "n" else rng.choice(VALUES)))
                 if rows:
                     rows_by_pane[p] = rows
-                    op.open_pane(p)
                     for row in rows:
-                        op.push(row)
+                        op.push(row, p)
             next_pane = hi
             op.ctx.epoch = op.ctx.active_epoch = k
             sink.rows = []
@@ -194,14 +190,12 @@ class TestPanedPropertyParity:
         op = PanedGroupBy(agg_specs, SCHEMA, [col("g")], 1, 3)
         sink = Sink()
         op.wire(sink, 0)
-        op.open_pane(0)
-        op.push(("a", 5))
+        op.push(("a", 5), 0)
         expectations = {1: {("a",): (5, 1)}}
         op.ctx.epoch = op.ctx.active_epoch = 1
         op.flush()
         assert dict(sink.rows) == expectations[1]
-        op.open_pane(0)  # straggler: pane 0 already merged
-        op.push(("a", 2))
+        op.push(("a", 2), 0)  # straggler: pane 0 already merged
         for k, expect in ((2, {("a",): (7, 2)}), (3, {("a",): (7, 2)}),
                           (4, {})):
             op.ctx.epoch = op.ctx.active_epoch = k
@@ -214,8 +208,7 @@ class TestPanedPropertyParity:
         op = PanedGroupBy(agg_specs, SCHEMA, [col("g")], 1, 2)
         sink = Sink()
         op.wire(sink, 0)
-        op.open_pane(0)
-        op.push(("a", 5))
+        op.push(("a", 5), 0)
         for k, expect in ((1, {("a",): (5,)}), (2, {("a",): (5,)}), (3, {})):
             op.ctx.epoch = op.ctx.active_epoch = k
             sink.rows = []

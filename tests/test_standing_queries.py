@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from stubs import live_stream_scans, make_engine, make_exchange
 
+from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochExecution, LocalQueryContext, Operator
 from repro.core.engine import TEARDOWN_SLACK, EngineConfig, retire_instant
 from repro.core.network import PierNetwork
@@ -879,8 +880,8 @@ class TestOwnerRoute:
         else:
             def send(salted=False):
                 with exchange.ctx.in_epoch(self.EPOCH):
-                    exchange.open_pane(pane)
-                    exchange.push((self.RID, (1.0,)))
+                    exchange.push_batch(
+                        RowBatch(rows=[(self.RID, (1.0,))], pane=pane))
         return send, engine, exchange._ns, exchange._route_ns, sent
 
     def _learn(self, engine, ns):
@@ -1002,10 +1003,9 @@ class EventSink(Operator):
         self.consumers = []
 
     def push_batch(self, batch, port=0):
+        if batch.pane is not None:
+            self.events.append(("pane", batch.pane))
         self.events.append(("rows", batch.rows()))
-
-    def open_pane(self, pane):
-        self.events.append(("pane", pane))
 
 
 SCAN_SHAPES = {

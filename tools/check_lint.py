@@ -15,10 +15,11 @@ Stdlib only. Reports, as ``path:line: code message``:
   class, in ``src/`` whose name occurs as a NAME token nowhere else in
   the ``.py`` files of ``USAGE_DIRS`` (no ruff rule does this: it is
   the whole-tree reference count that finds dead code). ``tests/`` is
-  not among them, so a definition only tests call is reported too. A decorated
-  definition counts as used -- its decorator files it somewhere, as
-  ``register_operator`` does -- and so does a dunder. Checked on the
-  default whole-tree run only.
+  not among them, so a definition only tests call is reported too. A
+  definition with a decorator that may file it somewhere, as
+  ``register_operator`` does, counts as used, and so does a dunder;
+  ``@classmethod``, ``@staticmethod`` and ``@property`` file nothing.
+  Checked on the default whole-tree run only.
 
 ``line-length`` and ``[lint.per-file-ignores]`` are read out of
 ``ruff.toml`` by hand (``tomllib`` is missing on Python 3.10), and
@@ -275,15 +276,22 @@ def python_files(root):
             yield path
 
 
+# Decorators that only make a method of another kind: a definition
+# they wrap is no more used than a plain one.
+_METHOD_KINDS = {"classmethod", "staticmethod", "property"}
+
+
 def _definitions(tree):
-    """Undecorated, non-dunder top-level defs and classes of a module,
-    and the same among the members of its top-level classes."""
+    """Non-dunder top-level defs and classes of a module, and the same
+    among the members of its top-level classes, except those with a
+    decorator that may file them somewhere."""
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for definition in [node, *members]:
             if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef,
                                         ast.ClassDef))
-                    and not definition.decorator_list
+                    and all(isinstance(d, ast.Name) and d.id in _METHOD_KINDS
+                            for d in definition.decorator_list)
                     and not (definition.name.startswith("__")
                              and definition.name.endswith("__"))):
                 yield definition
