@@ -164,9 +164,8 @@ def standing(net, sql, lifetime, options=None, probe=None):
         run -= at
     net.advance(run)
     epochs = {k: r.rows for k, r in handle.results.items()}
-    count = int(plan.lifetime / plan.every + 1e-9)  # k * every <= lifetime
-    return plan, _leg(net, before, epochs, count, handle.t0, plan.every,
-                      plan.window)
+    return plan, _leg(net, before, epochs, plan.last_epoch, handle.t0,
+                      plan.every, plan.window)
 
 
 def polls(net, sql, every, count, options=None):
@@ -471,9 +470,10 @@ def _join(seed, nodes, every, window, lifetime):
     legs = paned_vs_scratch(
         "join", build, JOIN_SQL.format(e=every, w=window, l=lifetime),
         lifetime, window, "events", by_severity)
-    fm = legs["paned"][0].ops_of_kind("fetch_matches")
-    assert fm and fm[0].params.get("paned"), (
-        "join plan did not mark fetch_matches pane-transparent")
+    plan = legs["paned"][0]
+    assert (plan.ops_of_kind("fetch_matches") and plan.pane is not None
+            and plan.ops_of_kind("groupby_partial")[0].params["paned"]
+            == plan.pane), "panes did not cross the fetch-matches join"
     scratch, paned = legs["scratch"][1], legs["paned"][1]
     ratio = _ratio(scratch, paned, "rows_folded")
     assert ratio >= 2.0, "join fold reduction only {:.2f}x".format(ratio)

@@ -69,7 +69,7 @@ class FileSharingApp:
                 while len(terms) < terms_per_file:
                     terms.add(VOCABULARY[sampler.sample() - 1])
                 self.corpus[file_id] = (address, sorted(terms))
-                for term in terms:
+                for term in sorted(terms):
                     self.net.publish(
                         address, self.table, (term, file_id, address)
                     )

@@ -105,24 +105,6 @@ class RowBatch:
             return self
         return RowBatch(rows=kept, schema=self.schema, pane=self.pane)
 
-    def project(self, cols):
-        """A new batch of the named (or positional) columns, in order.
-
-        ``cols`` may be attribute names (resolved through the schema)
-        or integer positions. Column lists are shared with the source
-        batch, not copied.
-        """
-        schema = self.schema
-        indices = [
-            c if isinstance(c, int) else schema.index_of(c) for c in cols
-        ]
-        out_schema = None
-        if schema is not None and all(not isinstance(c, int) for c in cols):
-            out_schema = schema.project(list(cols))
-        columns = self.columns()
-        return RowBatch(columns=[columns[i] for i in indices],
-                        schema=out_schema)
-
     def __repr__(self):
         shape = "?" if self._rows is None and self._columns is None else (
             "{}x{}".format(len(self), len(self.columns()))

@@ -12,6 +12,11 @@ At each epoch's deadline the coordinator applies the *finishing* step
 cannot be fully in-network) and hands an :class:`EpochResult` to the
 caller.
 
+One close rule serves every plan: epoch ``k``, from the plan's
+``first_epoch`` to its ``last_epoch`` (:mod:`repro.core.opgraph`),
+closes at ``plan.t_k(t0, k) + plan.deadline``. The engines and the
+Bloom round-trips run the same grid.
+
 A one-shot plan whose every scan is a keyed ``get``
 (``QueryPlan.at_site``: the planner pinned each scan to one DHT
 partition key) is not broadcast at all. The coordinator builds its one
@@ -26,14 +31,13 @@ Stopping a query is one broadcast too; engines tombstone the stopped
 qid, and the same anti-entropy carries the tombstone to nodes the stop
 missed.
 
-Recursive queries additionally watch progress reports and close early
-on quiescence: no node has produced a novel tuple for ``QUIET_PERIOD``
-seconds means the fixpoint is reached.
+Recursive queries additionally watch progress reports and close their
+one epoch 0 early on quiescence: no node has produced a novel tuple for
+``QUIET_PERIOD`` seconds means the fixpoint is reached.
 """
 
 from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochExecution
-from repro.core.engine import retire_instant
 
 # Recursive quiescence: no progress report for QUIET_PERIOD seconds is
 # the fixpoint, but never before MIN_RUNTIME -- the first reports need
@@ -135,12 +139,9 @@ class Coordinator:
                 "t0": t0,
                 "origin": self.engine.address,
             })
-        if plan.mode == "continuous":
-            self._schedule_close(handle, 1)
-        else:
-            self._schedule_close(handle, 0)
-            if plan.mode == "recursive":
-                self._schedule_quiescence_check(handle)
+        self._schedule_close(handle, plan.first_epoch)
+        if plan.recursive:
+            self._schedule_quiescence_check(handle)
         if plan.metadata.get("bloom_broadcast_offset") is not None:
             self._schedule_bloom(handle, 0)
         return handle
@@ -150,7 +151,7 @@ class Coordinator:
     # ------------------------------------------------------------------
     def _schedule_close(self, handle, epoch):
         plan = handle.plan
-        t_k = handle.t0 + (epoch * plan.every if plan.mode == "continuous" else 0)
+        t_k = plan.t_k(handle.t0, epoch)
         close_at = t_k + plan.deadline
         self.engine.set_timer(
             max(0.0, close_at - self.clock.now), self._close_epoch, handle, epoch, t_k
@@ -185,13 +186,9 @@ class Coordinator:
         handle.results[epoch] = result
         if handle.on_epoch is not None:
             handle.on_epoch(result)
-        plan = handle.plan
-        if plan.mode == "continuous":
-            next_epoch = epoch + 1
-            if plan.lifetime is None or next_epoch * plan.every <= plan.lifetime:
-                self._schedule_close(handle, next_epoch)
-            else:
-                self._finish_query(handle)
+        last = handle.plan.last_epoch
+        if last is None or epoch < last:
+            self._schedule_close(handle, epoch + 1)
         else:
             self._finish_query(handle)
 
@@ -260,7 +257,7 @@ class Coordinator:
             "ctl": "stop",
             "token": "stop|{}".format(handle.qid),
             "qid": handle.qid,
-            "until": retire_instant(handle.plan, handle.t0),
+            "until": handle.plan.retire_instant(handle.t0),
         })
 
     # ------------------------------------------------------------------
@@ -304,15 +301,16 @@ class Coordinator:
 
     def _schedule_bloom(self, handle, epoch):
         """Arm the merge-and-broadcast step of epoch ``epoch``'s filter
-        round-trip. Continuous plans re-run the round-trip every epoch
-        (a standing execution's bloom stages hold per-epoch filter
-        state)."""
+        round-trip, up to the plan's last epoch. Continuous plans re-run
+        the round-trip every epoch (a standing execution's bloom stages
+        hold per-epoch filter state); their epoch 0 carries no filters,
+        its timer only arms epoch 1."""
         plan = handle.plan
-        if plan.mode == "continuous" and plan.lifetime is not None \
-                and epoch * plan.every > plan.lifetime:
+        last = plan.last_epoch
+        if last is not None and epoch > last:
             return
         offset = plan.metadata["bloom_broadcast_offset"]
-        t_k = handle.t0 + (epoch * plan.every if plan.mode == "continuous" else 0)
+        t_k = plan.t_k(handle.t0, epoch)
         self.engine.set_timer(
             max(0.0, t_k + offset - self.clock.now),
             self._broadcast_bloom, handle, epoch,
@@ -333,8 +331,7 @@ class Coordinator:
                 "filters": filters,
             })
         handle.bloom_done = max(handle.bloom_done, epoch)
-        if handle.plan.mode == "continuous":
-            self._schedule_bloom(handle, epoch + 1)
+        self._schedule_bloom(handle, epoch + 1)
 
     # ------------------------------------------------------------------
     # Recursive quiescence

@@ -11,16 +11,18 @@ One engine runs on every node, calling that node's
   the grid, boundary, advance, retire, close). The record's kind says
   what is built and when (see :mod:`repro.core.sharing`): a *spine*
   shared by every query whose plan carries one logical share signature
-  (``plan.metadata["spine"]``) and epoch phase, a *private* or
-  *one-epoch* record of the query's own, and the scan *stage* feeding
-  spines that differ but scan one stream table alike
-  (``plan.metadata["prefix"]``). Continuous plans run a long-lived
-  :class:`~repro.core.dataflow.StandingExecution` whose operators roll
-  over through the open/seal epoch lifecycle at every boundary (the
-  plan's ring width ``QueryPlan.epoch_overlap`` says how many epoch
-  states stay live, so flush schedules spanning several periods and
-  per-epoch bloom round-trips fit it too); one-shot and recursive
-  plans a disposable :class:`~repro.core.dataflow.EpochExecution`,
+  (``plan.metadata["spine"]``) and epoch phase, a *private* record of
+  the query's own, and the scan *stage* feeding spines that differ but
+  scan one stream table alike (``plan.metadata["prefix"]``), each on
+  its plan's epoch grid, the one the query site closes; a subscriber
+  retires at ``QueryPlan.retire_instant``. Continuous plans run a
+  long-lived :class:`~repro.core.dataflow.StandingExecution` whose
+  operators roll over through the open/seal epoch lifecycle at every
+  boundary (the plan's ring width ``QueryPlan.epoch_overlap`` says how
+  many epoch states stay live, so flush schedules spanning several
+  periods and per-epoch bloom round-trips fit it too); one-shot and
+  recursive plans a disposable
+  :class:`~repro.core.dataflow.EpochExecution`,
 * takes the exchange deliveries its DHT node terminates (``on_deliver``)
   to the operator input claiming the namespace -- once per epoch for
   disposable executions, once per *query* for standing ones; every
@@ -56,7 +58,6 @@ from repro.util.serde import wire_size
 
 # Timings and caps no bench, example or app ever set: a knob nobody
 # turns is a constant. Tests that need a small value monkeypatch it.
-TEARDOWN_SLACK = 2.0  # straggler grace past plan.deadline before teardown
 TREE_HOLD_DELAY = 0.8  # how long a combiner holds partials to merge them
 PROGRESS_BATCH_DELAY = 0.5  # recursion progress notes coalesce this long
 PUBLISH_TTL = 120.0  # DHT-table row lifetime when the table names none
@@ -74,18 +75,6 @@ UNDELIVERED_CAP = 512
 BACKPRESSURE_ROWS_PER_SEC = 60.0
 BACKPRESSURE_FACTOR = 8.0
 BACKPRESSURE_TTL = 12.0
-
-
-def retire_instant(plan, t0):
-    """When every node is done with a plan submitted at ``t0``: its
-    last epoch's window, the deadline and the straggler grace; for a
-    one-shot or recursive plan, the deadline and the grace. A
-    continuous plan without LIFETIME never retires (``math.inf``)."""
-    if plan.mode != "continuous":
-        return t0 + plan.deadline + TEARDOWN_SLACK
-    if plan.lifetime is None:
-        return math.inf
-    return t0 + plan.lifetime + plan.deadline + TEARDOWN_SLACK
 
 
 class EngineConfig:
@@ -307,7 +296,7 @@ class PierEngine:
         if qid in self.queries:
             return  # a plan sync racing the broadcast, or vice versa
         plan = payload["plan"]
-        if self.clock.now >= retire_instant(plan, payload["t0"]):
+        if self.clock.now >= plan.retire_instant(payload["t0"]):
             return  # past the instant every node retires it (_join_shared)
         self.owners.sweep()
         if self.plansync.buried(qid):
@@ -371,7 +360,7 @@ class PierEngine:
                 rec.stage = stage
         query.record = rec
         rec.subscribe(query)
-        retire_at = retire_instant(plan, query.t0)
+        retire_at = plan.retire_instant(query.t0)
         if retire_at < math.inf:
             # The subscriber retires on its own clock, once its last
             # epoch has settled (a plan sync landing mid-final-epoch
@@ -421,7 +410,7 @@ class PierEngine:
         if stage is not None and stage.on_grid:
             k_now = stage.execution.current_epoch
         elif k_now is None:
-            k_now = rec.epoch_at(self.clock.now)
+            k_now = rec.plan.epoch_at(rec.t0, self.clock.now)
         if rec.next_timer is not None:
             rec.next_timer.cancel()  # waiting: re-decided below
             rec.next_timer = None
@@ -437,7 +426,7 @@ class PierEngine:
         if k_now < first:
             if stage is None:
                 rec.next_timer = self.set_timer(
-                    max(0.0, rec.t_k(first) - self.clock.now),
+                    max(0.0, rec.plan.t_k(rec.t0, first) - self.clock.now),
                     self._on_boundary, rec, first,
                 )
             elif not stage.on_grid:
@@ -476,7 +465,7 @@ class PierEngine:
         rec.on_grid = last is None or k <= last
         if not rec.on_grid:
             return  # until a joiner re-enters at its current epoch
-        t_k = rec.t_k(k)
+        t_k = rec.plan.t_k(rec.t0, k)
         if rec.execution is None:
             rec.execution = rec.build(self, k, t_k)
             rec.execution.start()

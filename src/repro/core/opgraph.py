@@ -13,9 +13,18 @@ on). ``flush_offsets`` maps op ids to seconds-after-epoch-start, and
 ``deadline`` is when the query site stops listening. The planner spaces
 offsets by network stage so a flush's output has time to traverse the
 exchange that follows it.
+
+So is the epoch grid: a continuous plan's epochs are EVERY apart, from
+1 (epoch 0, the submission instant, reads nothing) to the last that
+LIFETIME reaches; a one-shot or recursive plan has the one epoch 0. The
+query site closes, and every engine runs, exactly these epochs.
 """
 
+import math
+
 from repro.util.errors import PlanError
+
+TEARDOWN_SLACK = 2.0  # straggler grace past plan.deadline before teardown
 
 
 class OpSpec:
@@ -114,6 +123,48 @@ class QueryPlan:
         return self.mode == "continuous"
 
     @property
+    def recursive(self):
+        """Its one epoch may close early, at the fixpoint."""
+        return self.mode == "recursive"
+
+    @property
+    def first_epoch(self):
+        """The first epoch anyone reads."""
+        return 1 if self.standing else 0
+
+    @property
+    def last_epoch(self):
+        """The last epoch: the last grid instant LIFETIME reaches (None
+        without LIFETIME), or 0 for a plan with one epoch. The one place
+        LIFETIME / EVERY is rounded."""
+        if not self.standing:
+            return 0
+        if self.lifetime is None:
+            return None
+        return int(self.lifetime / self.every + 1e-9)
+
+    def t_k(self, origin, k):
+        """The instant of epoch ``k`` on the grid from ``origin``."""
+        return origin + k * self.every if self.standing else origin
+
+    def epoch_at(self, origin, now):
+        """The epoch in progress at ``now`` on the grid from ``origin``."""
+        if not self.standing:
+            return 0
+        return int(max(0.0, now - origin) // self.every)
+
+    def retire_instant(self, t0):
+        """When every node is done with this plan submitted at ``t0``:
+        its lifetime, the deadline and the straggler grace; for a
+        one-shot or recursive plan, the deadline and the grace. A
+        continuous plan without LIFETIME never retires (``math.inf``)."""
+        if not self.standing:
+            return t0 + self.deadline + TEARDOWN_SLACK
+        if self.lifetime is None:
+            return math.inf
+        return t0 + self.lifetime + self.deadline + TEARDOWN_SLACK
+
+    @property
     def at_site(self):
         """Does this plan run only at its query site? A one-shot plan
         whose every scan reads by keyed ``get`` (the planner's access
@@ -138,7 +189,7 @@ class QueryPlan:
                 tag = " [standing]"
             if spec.params.get("paned"):
                 tag += " [paned]"
-            if "key" in spec.params:
+            if spec.kind == "scan" and "key" in spec.params:
                 tag += " [get {!r}]".format(spec.params["key"])
             lines.append("{}: {}{}{}{}".format(
                 op_id, spec.kind, tag, inputs, flush))

@@ -202,6 +202,7 @@ def _plan_flat(lq, catalog):
             lowered[id(node)] = {"op": result_id}
         else:  # pragma: no cover - build_logical_plan emits no other kind
             raise PlanError("unknown logical node kind {!r}".format(node.kind))
+    _drop_unconsumed(b, result_id)
     # A site-run plan's result op hands its rows to the coordinator with
     # no wire in between, so its answer is whole once that op has
     # flushed; the close timer, armed after the flush timers, fires
@@ -253,6 +254,21 @@ def _plan_flat(lq, catalog):
         deadline=deadline, finishing=finishing, metadata=metadata,
         epoch_overlap=epoch_overlap, pane=pane,
     )
+
+
+def _drop_unconsumed(b, root_id):
+    """Drop every spec nothing reads. A fetch-matches join gets its
+    inner table's rows by DHT get, so the scan (and filter) lowered for
+    that table feed nothing. Op ids stay as they are: they name exchange
+    namespaces."""
+    while True:
+        read = {i for spec in b.specs.values() for i in spec.inputs}
+        unread = [op_id for op_id in b.specs
+                  if op_id != root_id and op_id not in read]
+        if not unread:
+            return
+        for op_id in unread:
+            del b.specs[op_id]
 
 
 def _wave_suffix(pane, lq, table_def):
@@ -393,14 +409,10 @@ def _mark_paned(b, logical, lowered, lq):
             "every": round(every / width),
             "window": round(window / width),
         }
-        chain = _pane_chain(b, consumers, lowered, node)
-        if chain is None:
+        agg_info = _pane_chain(consumers, lowered, node)
+        if agg_info is None:
             continue
-        transparent, agg_info = chain
         b.specs[lowered[id(node)]["op"]].params["paned"] = geometry
-        for spec in transparent:
-            if spec.kind == "fetch_matches":
-                spec.params["paned"] = geometry
         b.specs[agg_info["partial"]].params["paned"] = geometry
         exchange = b.specs[agg_info["exchange"]]
         exchange.params["paned"] = geometry
@@ -414,15 +426,15 @@ def _mark_paned(b, logical, lowered, lq):
     return marked
 
 
-def _pane_chain(b, consumers, lowered, scan_node):
+def _pane_chain(consumers, lowered, scan_node):
     """Walk from a scan's logical node to the aggregate above it.
 
-    Returns ``(transparent_specs, aggregate_lowered_info)`` or None when
-    the rows do not reach an aggregate through pane-transparent
-    operators (e.g. they cross a symmetric-hash exchange, whose rehash
-    scatters a pane's rows across owners mid-epoch, or a top-k).
+    Returns the aggregate's lowered info, or None when the rows do not
+    reach an aggregate through pane-transparent operators (e.g. they
+    cross a symmetric-hash exchange, whose rehash scatters a pane's rows
+    across owners mid-epoch, or a top-k). The operators passed on the
+    way carry no mark: each batch carries its own pane.
     """
-    transparent = []
     node = scan_node
     while True:
         downstream = consumers.get(node, ())
@@ -430,17 +442,13 @@ def _pane_chain(b, consumers, lowered, scan_node):
             return None
         parent = downstream[0]
         info = lowered[id(parent)]
-        if parent.kind in ("filter", "project"):
-            transparent.append(b.specs[info["op"]])
-            node = parent
-            continue
-        if (parent.kind == "join" and info["strategy"] == "fm"
+        if parent.kind in ("filter", "project") or (
+                parent.kind == "join" and info["strategy"] == "fm"
                 and parent.inputs[0] is node):
-            transparent.append(b.specs[info["op"]])
             node = parent
             continue
         if parent.kind == "aggregate":
-            return transparent, info
+            return info
         return None
 
 
@@ -466,6 +474,11 @@ def _lower_join(b, lq, node, lowered):
         if not fm:
             raise PlanError("fetch-matches needs {} partitioned on the "
                             "join column".format(right_def.name))
+        inner = node.inputs[1]
+        if inner.kind == "filter":
+            # Inner rows come by get, not through the inner leg's scan
+            # (dropped unconsumed): its pushed-down filter checks them.
+            residual = _and_all([p for p in (residual, inner.attrs["predicate"]) if p is not None])
         join_id = _fetch_matches(b, left_op, left_schema, right_def,
                                  right_schema, pairs, residual)
         return {"op": join_id, "strategy": "fm"}

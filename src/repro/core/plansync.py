@@ -17,7 +17,7 @@ and a node a stop broadcast missed drops the query at its next
 exchange. One-shot and recursive plans never take part.
 
 A tombstone lasts until the stopped plan's retire instant
-(:func:`~repro.core.engine.retire_instant`), which the stop broadcast
+(:meth:`~repro.core.opgraph.QueryPlan.retire_instant`), which the stop broadcast
 carries: until then a node the stop missed may still run the plan and
 advertise it. A plan without LIFETIME never retires, and neither does
 its tombstone.

@@ -21,16 +21,12 @@ says:
   translated to that subscriber's own epoch number -- the coordinator
   cannot tell shared from private answers.
 
-* :class:`PrivateRecord` -- a continuous plan the planner left
-  unstamped (bloom-staged, ``{"shared": False}``): key = qid, grid
-  origin = the query's own ``t0``, one subscriber at offset 0, and the
-  reference dataflow -- a private ``StandingExecution`` under ``q|``
-  namespaces with its own scan.
-
-* :class:`OneEpochRecord` -- one-shot and recursive plans: a private
-  record whose grid is the single instant ``t0``. Epoch 0 is the only
-  epoch, there is no next boundary, and the execution is a disposable
-  :class:`~repro.core.dataflow.EpochExecution`.
+* :class:`PrivateRecord` -- any plan the planner left unstamped
+  (one-shot, recursive, bloom-staged, ``{"shared": False}``): key =
+  qid, grid origin = the query's own ``t0``, one subscriber at offset
+  0, and the execution its plan needs: the reference dataflow (a
+  private ``StandingExecution`` under ``q|`` namespaces with its own
+  scan), or a disposable :class:`~repro.core.dataflow.EpochExecution`.
 
 * :class:`StageRecord` -- common-subplan sharing. Spines whose plans
   *differ* (predicates, groups, output shapes) but scan the same
@@ -46,17 +42,20 @@ says:
   A spine no stage feeds (join plans, DHT and local scans) keeps its
   own timer.
 
-Shared grid epochs are ABSOLUTE: the origin is ``phase = t0 % every``,
-so epoch ``k`` means instant ``phase + k * every`` on every node
-whenever the plan broadcast arrived. A query submitted at ``t0`` sits
-at ``offset = (t0 - phase) / every`` (an exact integer by construction)
+Every record reads its grid off its plan (:mod:`repro.core.opgraph`),
+the grid the query site closes; a one-shot or recursive plan's is the
+single epoch 0 at ``t0``, with no next boundary. Shared grid epochs
+are ABSOLUTE: the origin is ``phase = t0 % every``, so epoch ``k``
+means instant ``phase + k * every`` on every node whenever the plan
+broadcast arrived. A query submitted at ``t0`` sits at
+``offset = (t0 - phase) / every`` (an exact integer by construction)
 and its own epoch ``j`` is grid epoch ``offset + j``. Stages and their
 members share the phase, so a stage epoch IS the member's epoch.
 
 Nobody reads a subscriber's epoch 0 (its submission instant), so a
-record first builds at its earliest subscriber's ``offset + 1``, where
-the scan's initial full-window emission seeds the window history
-exactly like a private twin's.
+record first builds at its earliest subscriber's ``offset +
+first_epoch``, where the scan's initial full-window emission seeds the
+window history exactly like a private twin's.
 
 Soft-state discipline matches the rest of the engine: a crash wipes
 every record; queries that still matter come back through the ring
@@ -75,14 +74,13 @@ def found_record(query, share_key):
     plan = query.plan
     if share_key is not None:
         return SpineRecord(share_key, plan, query.t0 % plan.every)
-    if plan.mode == "continuous":
-        return PrivateRecord(query.qid, plan, query.t0)
-    return OneEpochRecord(query.qid, plan, query.t0)
+    return PrivateRecord(query.qid, plan, query.t0)
 
 
 class GridRecord:
-    """One execution on an epoch grid (epoch ``k`` is the instant
-    ``t0 + k * every``) and the subscribers that still need it."""
+    """One execution on its plan's epoch grid (epoch ``k`` is the
+    instant ``plan.t_k(t0, k)``) and the subscribers that still need
+    it."""
 
     __slots__ = ("key", "plan", "t0", "subscribers", "execution",
                  "next_timer", "on_grid", "stage")
@@ -100,33 +98,23 @@ class GridRecord:
         self.on_grid = False
         self.stage = None  # the StageRecord feeding (and advancing) us
 
-    def epoch_at(self, now):
-        """The grid epoch in progress at ``now``."""
-        return int(max(0.0, now - self.t0) // self.plan.every)
-
-    def t_k(self, k):
-        return self.t0 + k * self.plan.every
-
     def next_boundary(self, k):
         """When this record's own timer opens epoch ``k + 1``; None when
-        its stage advances it instead."""
-        if self.stage is not None:
+        its stage advances it instead, or its plan has one epoch."""
+        if self.stage is not None or not self.plan.standing:
             return None
-        return self.t_k(k) + self.plan.every
+        return self.plan.t_k(self.t0, k) + self.plan.every
 
     def subscribe(self, query):
-        """Place ``query`` on this grid: its offset, and its last epoch
-        when it has a LIFETIME."""
-        plan = query.plan
-        query.offset = int(round((query.t0 - self.t0) / plan.every))
+        """Place ``query`` on this grid: its last epoch (a private
+        record's origin is the query's ``t0``: offset 0)."""
+        query.last_epoch = query.plan.last_epoch
         self.subscribers[query.qid] = query
-        if plan.lifetime is not None:
-            query.last_epoch = int(plan.lifetime / plan.every + 1e-9)
 
     def first_epoch(self):
         """The first grid epoch anyone reads: the earliest
-        subscriber's epoch 1."""
-        return min(sub.offset for sub in self.subscribers.values()) + 1
+        subscriber's first epoch."""
+        return min(s.offset for s in self.subscribers.values()) + self.plan.first_epoch
 
     def last_needed_epoch(self):
         """Last grid epoch any subscriber still needs, or None if one
@@ -151,6 +139,11 @@ class SpineRecord(GridRecord):
     the phase, so co-tenants on every node agree on epoch numbers)."""
 
     __slots__ = ()
+
+    def subscribe(self, query):
+        """Offset: how many periods ``query.t0`` lies past the phase."""
+        query.offset = int(round((query.t0 - self.t0) / self.plan.every))
+        super().subscribe(query)
 
     def build(self, engine, k, t_k):
         stage = self.stage
@@ -179,46 +172,18 @@ class SpineRecord(GridRecord):
 
 
 class PrivateRecord(GridRecord):
-    """One query's own standing execution: the reference dataflow."""
+    """One query's own execution: the reference dataflow."""
 
     __slots__ = ()
 
     def build(self, engine, k, t_k):
         (query,) = self.subscribers.values()
-        return StandingExecution(
-            engine, self.plan, self.key, k, t_k, query.origin
-        )
+        execution = (StandingExecution if self.plan.standing
+                     else EpochExecution)
+        return execution(engine, self.plan, self.key, k, t_k, query.origin)
 
     def left(self, engine):
         engine.owners.forget(namespace_head(self.key))
-
-
-class OneEpochRecord(GridRecord):
-    """A plan with no period: epoch 0 at ``t0`` is all there is."""
-
-    __slots__ = ()
-
-    def epoch_at(self, now):
-        return 0
-
-    def first_epoch(self):
-        return 0
-
-    def t_k(self, k):
-        return self.t0
-
-    def next_boundary(self, k):
-        return None
-
-    def subscribe(self, query):
-        query.last_epoch = 0
-        self.subscribers[query.qid] = query
-
-    def build(self, engine, k, t_k):
-        (query,) = self.subscribers.values()
-        return EpochExecution(
-            engine, self.plan, self.key, k, t_k, query.origin
-        )
 
 
 class StageRecord(GridRecord):

@@ -103,6 +103,11 @@ class TestAccessPathChoice:
         assert "at the query site" in text
         assert "at the query site" not in plan(
             catalog, "SELECT v FROM d").describe()
+        # Only a scan reads by get; an exchange's routing key is no get.
+        grouped = plan(catalog, "SELECT v, COUNT(*) AS n FROM t GROUP BY v")
+        (line,) = [line for line in grouped.describe().splitlines()
+                   if ": exchange" in line]
+        assert "[get" not in line
 
 
 @pytest.fixture(scope="module")

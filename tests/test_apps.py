@@ -1,5 +1,9 @@
 """The four demo applications, end to end."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps import FileSharingApp, MonitoringApp, SnortApp, TopologyApp
@@ -126,6 +130,34 @@ class TestFileSharingApp:
     def test_popularity_zipfian(self, app):
         pop = sorted(app.term_popularity().values(), reverse=True)
         assert pop[0] > 3 * pop[-1]
+
+
+PUBLISH_TRACE = """
+from repro.apps import FileSharingApp
+from repro.core.network import PierNetwork
+
+net = PierNetwork(nodes=6, seed=9)
+sends = []
+net.net.on_deliver = lambda src, dst, message: sends.append(
+    (net.now, src, dst, message.kind))
+FileSharingApp(net).publish_corpus(files_per_node=3)
+net.advance(3)
+print(sends)
+"""
+
+
+def test_publish_order_does_not_depend_on_the_hash_seed():
+    # Terms are strings, so a set of them iterates in an order that
+    # PYTHONHASHSEED decides; the corpus must publish in one order.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    traces = []
+    for seed in ("0", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        traces.append(subprocess.run(
+            [sys.executable, "-c", PUBLISH_TRACE], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert traces[0] == traces[1]
+    assert len(traces[0]) > 1000
 
 
 class TestTopologyApp:

@@ -138,13 +138,6 @@ class TestRowBatch:
         assert batch.rows() == [(1, 0, "a"), (2, 0, "b"), (3, 0, "c")]
         assert batch.columns() == [[1, 2, 3], [0, 0, 0], ["a", "b", "c"]]
 
-    def test_project_by_name_and_position(self):
-        batch = RowBatch(rows=[(1, 2, "x"), (3, 4, "y")], schema=SCHEMA)
-        assert batch.project(["s", "a"]).rows() == [("x", 1), ("y", 3)]
-        assert batch.project([1]).rows() == [(2,), (4,)]
-        # Projection shares column lists with the source batch.
-        assert batch.project(["a"]).column(0) is batch.column(0)
-
     def test_dict_adapters(self):
         # Dict-shaped rows enter through the schema's positional adapter.
         dicts = [{"a": 1, "b": 2, "s": "x"}, {"a": 3, "b": 4, "s": "y"}]

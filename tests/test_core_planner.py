@@ -163,6 +163,45 @@ class TestJoinPlans:
         assert p.flush_offsets[partial] > SCAN_READY + REHASH_XFER - 0.01
 
 
+class TestEveryOpIsRead:
+    """A plan holds no op that feeds nothing: a fetch-matches join gets
+    its inner table by DHT get, so that table's scan is not lowered
+    into the plan (op ids keep their numbers)."""
+
+    RECURSIVE = (
+        "WITH RECURSIVE reach AS ("
+        "  SELECT src, dst FROM link "
+        "UNION "
+        "  SELECT r.src AS src, l.dst AS dst FROM reach AS r, link AS l "
+        "  WHERE r.dst = l.src"
+        ") SELECT src, dst FROM reach"
+    )
+
+    @pytest.mark.parametrize("sql, options", [
+        ("SELECT t.a, d.v FROM t, d WHERE t.a = d.k AND d.v = 'x'", None),
+        ("SELECT d.v, SUM(s.w) AS z FROM ticks s, d WHERE s.k = d.k "
+         "GROUP BY d.v EVERY 10 SECONDS WINDOW 40 SECONDS", None),
+        ("SELECT t.a, u.y FROM t, u WHERE t.a = u.x AND u.y = 'q'", None),
+        ("SELECT t.a, u.y FROM t, u WHERE t.a = u.x",
+         {"join_strategy": "bloom"}),
+        ("SELECT a.v AS x, b.v AS y FROM d AS a, d AS b "
+         "WHERE a.v = b.v AND a.k = 1 AND b.k = 2", None),
+        (RECURSIVE, None),
+    ], ids=["fm", "paned-fm-standing", "shj", "bloom", "at-site",
+            "recursive"])
+    def test_every_non_root_op_has_a_consumer(self, catalog, sql, options):
+        catalog.define(TableDef("ticks", Schema.of(("k", INT), ("w", FLOAT)),
+                                source="stream", window=60.0))
+        p = plan(catalog, sql, options)
+        for op_id in p.specs:
+            assert op_id == p.root_id or p.consumers_of(op_id), op_id
+
+    def test_fm_plan_keeps_its_op_ids(self, catalog):
+        p = plan(catalog, "SELECT t.a, d.v FROM t, d WHERE t.a = d.k")
+        assert sorted(p.specs) == ["op1", "op3", "op4", "op5"]
+        assert p.ops_of_kind("fetch_matches")[0].op_id == "op3"
+
+
 class TestContinuousPlans:
     def test_continuous_mode(self, catalog):
         p = plan(catalog,

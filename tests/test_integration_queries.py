@@ -168,6 +168,18 @@ class TestDhtTables:
         )
         assert r.rows == [(1, "one"), (2, "two"), (3, "three")]
 
+    def test_fm_join_keeps_the_inner_filter(self, net):
+        net.create_dht_table("dim", [("id", "INT"), ("label", "STR")],
+                             partition_key="id", ttl=600)
+        for pair in [(1, "one"), (2, "two"), (3, "three")]:
+            net.publish("node0", "dim", pair)
+        net.advance(3)
+        sql = ("SELECT t.k AS k, d.label AS label FROM t, dim AS d "
+               "WHERE t.k = d.id AND d.label <> 'two' ORDER BY k")
+        fm = net.run_sql(sql)
+        shj = net.run_sql(sql, options={"join_strategy": "shj"})
+        assert fm.rows == shj.rows == [(1, "one"), (3, "three")]
+
     def test_dht_rows_expire(self, net):
         net.create_dht_table("ephemeral", [("pk", "STR"), ("v", "INT")],
                              partition_key="pk", ttl=5.0)

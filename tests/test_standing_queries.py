@@ -8,10 +8,10 @@ from stubs import live_stream_scans, make_engine, make_exchange
 
 from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochExecution, LocalQueryContext, Operator
-from repro.core.engine import TEARDOWN_SLACK, EngineConfig, retire_instant
+from repro.core.engine import EngineConfig
 from repro.core.network import PierNetwork
 from repro.core.operators.scan import Scan
-from repro.core.opgraph import OpSpec, QueryPlan
+from repro.core.opgraph import TEARDOWN_SLACK, OpSpec, QueryPlan
 from repro.core.owners import epoch_route_ns
 from repro.core.sharing import SpineRecord
 from repro.db.catalog import TableDef
@@ -524,8 +524,8 @@ class TestStopTombstone:
         net.advance(2)
         assert handle.qid not in engine.queries
         # The tombstone lasts until the plan retires, as the stop said.
-        assert engine.plansync.tombstones[handle.qid] == retire_instant(
-            handle.plan, handle.t0)
+        until = handle.plan.retire_instant(handle.t0)
+        assert engine.plansync.tombstones[handle.qid] == until
         assert not engine.records
         # The successor sent its lists, the deaf node its own back.
         successor = chord.successor.address
@@ -587,7 +587,7 @@ class TestStopTombstone:
     def test_tombstone_expires(self, net):
         engine = net.node(net.addresses()[2]).engine
         plan = net.compile_sql(CONTINUOUS_SQL)  # LIFETIME 40
-        engine._stop_query("ghost#1", retire_instant(plan, net.now))
+        engine._stop_query("ghost#1", plan.retire_instant(net.now))
         assert "ghost#1" in engine.plansync.tombstones
         net.advance(40 + plan.deadline + TEARDOWN_SLACK + 1)
         # Once the plan retired, a (hypothetical) fresh adoption of the
@@ -598,7 +598,7 @@ class TestStopTombstone:
             "origin": net.addresses()[0],
         })
         assert "ghost#1" in engine.queries
-        engine._stop_query("ghost#1", retire_instant(plan, net.now))
+        engine._stop_query("ghost#1", plan.retire_instant(net.now))
 
     def test_learnt_tombstone_keeps_the_later_forget_at(self):
         engine = make_engine()
@@ -769,7 +769,7 @@ class TestFirstEpoch:
 
         def build(record, engine, k, t_k):
             (sub,) = record.subscribers.values()
-            built.append((record.t_k(sub.offset + 1), engine.clock.now))
+            built.append((record.plan.t_k(record.t0, sub.offset + 1), engine.clock.now))
             return real_build(record, engine, k, t_k)
 
         monkeypatch.setattr(SpineRecord, "build", build)
