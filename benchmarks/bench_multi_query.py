@@ -29,12 +29,13 @@ Acceptance properties asserted here:
 * the different-geometry control never joins the spine and still
   answers.
 
-A second sweep exercises the layer BELOW whole-plan sharing: common
-*sub*-plan sharing. Q queries with pairwise-different WHERE predicates
-cannot share a spine (their dataflows differ), but they all scan the
-same stream table on the same epoch grid, so the engines run ONE
-shared prefix stage (scan -> demux) per node and fan each epoch's scan
-waves into every query's private tail. The sweep submits Q in
+A second sweep exercises sharing BELOW the whole plan. Q queries with
+pairwise-different WHERE thresholds cannot share a spine (their
+dataflows differ), but they all scan the same stream table on the same
+epoch grid, so the engines run ONE shared prefix stage (scan -> demux)
+per node; and since each WHERE is one ``rate_kbps > constant``, the
+stage feeds ONE predicate family, which folds each row once for every
+threshold and ships one partial per node. The sweep submits Q in
 {1, 10, 100} different-predicate queries, measures fleet rows scanned
 (bar: the 100-query fleet scans <= 1.5x ONE query's rows) and the
 wire messages that carry its exchange traffic (bar: <= 1.5x ONE
@@ -47,7 +48,7 @@ the sweeps above with ``PIER_BENCH_SCALE=full``.
 
 from benchmarks._harness import begin, fmt_table, full_scale, report, ticker_net
 from benchmarks.perf.reference import same_rows
-from repro.core.sharing import SpineRecord, StageRecord
+from repro.core.sharing import FamilyRecord, SpineRecord, StageRecord
 
 NODES = 12
 QS = (1, 100, 1000)
@@ -272,9 +273,8 @@ def run_prefix_fleet(seed, nodes, q, shared):
         assert len({h.plan.metadata.get("prefix") for h in fleet}) == 1, (
             "different-predicate fleet split into multiple prefix keys"
         )
-        assert (len({h.plan.metadata.get("spine") for h in fleet})
-                == min(q, DISTINCT_PREDICATES)), (
-            "distinct predicates should NOT canonicalize to one spine"
+        assert len({h.plan.metadata.get("family") for h in fleet}) == 1, (
+            "different-threshold fleet split into several families"
         )
     # Probe mid-run, while the stage is alive: the whole fleet's scans
     # ride ONE prefix stage (one scan reading the table) per node.
@@ -292,11 +292,15 @@ def run_prefix_fleet(seed, nodes, q, shared):
                 "{}: {} prefix stages for one fleet".format(
                     address, len(stages))
             )
-            members = len(stages[0].members())
-            assert members == min(q, DISTINCT_PREDICATES), (
-                "{}: stage carries {} of {} member spines".format(
-                    address, members, min(q, DISTINCT_PREDICATES))
+            # The stage feeds one family, which serves every predicate.
+            (family,) = stages[0].members()
+            assert isinstance(family, FamilyRecord)
+            served = len(family.layout.cuts)
+            assert served == min(q, DISTINCT_PREDICATES), (
+                "{}: family folds {} of {} predicates".format(
+                    address, served, min(q, DISTINCT_PREDICATES))
             )
+            assert len(family.subscribers) == q
             assert readers == 1
         else:
             assert not any(isinstance(rec, (SpineRecord, StageRecord))
@@ -395,8 +399,8 @@ def check_sweep(stats, qs):
 def prefix_exhibit(nodes, qs, stats, ratios):
     text = ("Common-subplan sharing: one scan stage under Q "
             "different-predicate queries\n({} nodes, same geometry; every "
-            "query its own WHERE threshold, own spine,\n own tail -- only "
-            "the scan prefix is common)\n\n".format(nodes))
+            "query its own WHERE threshold, all one\n predicate family -- "
+            "one fold for every threshold)\n\n".format(nodes))
     rows = []
     for q in qs:
         leg = stats["shared"][q]

@@ -17,6 +17,8 @@ subtracts a partial back out, which float rounding and NULLs would
 make inexact.
 """
 
+from bisect import bisect_left, bisect_right
+
 from repro.util.errors import PlanError
 from repro.util.sketches import CountMinSketch, HyperLogLog
 
@@ -290,6 +292,75 @@ class Avg(Aggregate):
     def final(self, state):
         total, count = state
         return total / count if count else None
+
+
+class FamilyAggregate(Aggregate):
+    """A predicate family's state (:mod:`repro.core.sharing`): a dict
+    ``member key -> states``, each what that member's own partial would
+    hold (no key: no row). It merges key by key, never in place, and
+    stands in an ``agg_specs`` list where an :class:`AggSpec` would
+    (``agg`` is itself); :class:`FamilyLayout` builds it."""
+
+    def __init__(self, specs):
+        self.specs = list(specs)  # the members' aggregates, in order
+        self.agg = self
+
+    def init(self):
+        return {}
+
+    def merge(self, left, right):
+        if not left or not right:
+            return left or right
+        merged = dict(left)
+        for key, states in right.items():
+            held = merged.get(key)
+            merged[key] = states if held is None else self.merge_states(
+                held, states)
+        return merged
+
+    def merge_states(self, left, right):
+        """One member's state tuples, merged aggregate by aggregate."""
+        return tuple(spec.agg.merge(a, b)
+                     for spec, a, b in zip(self.specs, left, right))
+
+
+class FamilyLayout:
+    """``members`` (key -> constant) cut the value line at their ``m``
+    sorted distinct constants into ``m + 1`` intervals; ``bisect(cuts,
+    v)`` is ``v``'s, a value equal to a constant landing on the side
+    ``op`` wants. Under ``>`` / ``>=`` the member at constant ``j``
+    reads the intervals above ``j``, under ``<`` / ``<=`` those up to
+    ``j``; ``span`` is the range some member reads."""
+
+    __slots__ = ("members", "cuts", "bisect", "span", "_order", "_keys")
+
+    def __init__(self, op, members):
+        self.members = dict(members)
+        self.cuts = sorted(set(self.members.values()))
+        m = len(self.cuts)
+        upper = op in (">", ">=")
+        self.bisect = bisect_left if op in (">", "<=") else bisect_right
+        self.span = (1, m) if upper else (0, m - 1)
+        # Suffixes top down or prefixes bottom up; interval i completes
+        # the members listed under it.
+        self._order = range(m, 0, -1) if upper else range(m)
+        index = {c: j + upper for j, c in enumerate(self.cuts)}
+        self._keys = [[] for _ in range(m + 1)]
+        for key, constant in self.members.items():
+            self._keys[index[constant]].append(key)
+
+    def spread(self, intervals, family):
+        """``(key, states)`` per member some of ``intervals`` (interval
+        -> states) reaches: each suffix or prefix, merged once."""
+        acc = None
+        for i in self._order:
+            part = intervals.get(i)
+            if part is not None:
+                acc = tuple(part) if acc is None else family.merge_states(
+                    acc, part)
+            if acc is not None:
+                for key in self._keys[i]:
+                    yield key, acc
 
 
 _REGISTRY = {

@@ -688,6 +688,14 @@ class StandingExecution(_ExecutionBase):
             self.ops[scan.op_id].emit_batch(batch)
 
     def close(self):
-        self._early = {}
+        early, self._early = self._early, {}
         self._open_epochs = {}
         super().close()
+        # Rows sent for an epoch not opened here go back to the
+        # engine's early-row buffer, for whoever registers the namespace
+        # next (a family's joiner founding it anew) to replay.
+        for epoch in sorted(early):
+            for op_id, port, rows, pane in early[epoch]:
+                self.engine._on_unclaimed_delivery({
+                    "ns": self.ctx.namespace(op_id, port), "rows": rows,
+                    "epoch": epoch, "pane": pane}, None)

@@ -11,9 +11,11 @@ One engine runs on every node, calling that node's
   the grid, boundary, advance, retire, close). The record's kind says
   what is built and when (see :mod:`repro.core.sharing`): a *spine*
   shared by every query whose plan carries one logical share signature
-  (``plan.metadata["spine"]``) and epoch phase, a *private* record of
-  the query's own, and the scan *stage* feeding spines that differ but
-  scan one stream table alike (``plan.metadata["prefix"]``), each on
+  (``plan.metadata["spine"]``) and epoch phase, a predicate *family*
+  for plans that differ only in a threshold constant
+  (``plan.metadata["family"]``), a *private* record of the query's
+  own, and the scan *stage* feeding spines and families that differ
+  but scan one stream table alike (``plan.metadata["prefix"]``), each on
   its plan's epoch grid, the one the query site closes; a subscriber
   retires at ``QueryPlan.retire_instant``. Continuous plans run a
   long-lived :class:`~repro.core.dataflow.StandingExecution` whose
@@ -313,10 +315,11 @@ class PierEngine:
 
         ``kind`` names the planner's stamp in ``plan.metadata``:
         ``"spine"`` is the logical share signature (identical bodies
-        share the whole dataflow), ``"prefix"`` the logical *prefix*
-        signature (plans that differ in predicates/groups yet scan the
-        same stream table on the same grid share one scan stage). The
-        two are hashed in separate domains, so one dict holds both.
+        share the whole dataflow), ``"family"`` the predicate family's
+        (only a threshold constant differs), ``"prefix"`` the logical
+        *prefix* signature (plans that differ in predicates/groups yet
+        scan the same stream table on the same grid share one scan
+        stage). Each is hashed in its own domain: one dict holds all.
 
         The signature alone is not enough: two identical queries
         submitted half a period apart tick on different grids. The key
@@ -334,7 +337,7 @@ class PierEngine:
 
     def _join_shared(self, query):
         """Enroll an adopted query as a subscriber of its grid record:
-        the spine under its share key, else a record keyed by its qid.
+        its family or spine, else a record keyed by its qid.
 
         The first subscriber founds the record and, when the plan
         carries a prefix stamp, makes it a member of that stage
@@ -344,7 +347,8 @@ class PierEngine:
         epochs map onto the grid through its offset.
         """
         plan = query.plan
-        share_key = self._share_key(plan, query.t0, "spine")
+        share_key = (self._share_key(plan, query.t0, "family")
+                     or self._share_key(plan, query.t0, "spine"))
         rec = self.records.get(share_key or query.qid)
         if rec is None:
             rec = found_record(query, share_key)
@@ -466,11 +470,13 @@ class PierEngine:
         if not rec.on_grid:
             return  # until a joiner re-enters at its current epoch
         t_k = rec.plan.t_k(rec.t0, k)
-        if rec.execution is None:
+        built = rec.execution is None
+        if built:
             rec.execution = rec.build(self, k, t_k)
             rec.execution.start()
         else:
             rec.execution.advance_epoch(k, t_k)
+        rec.opened(k, built)
         boundary = rec.next_boundary(k)
         if boundary is not None:
             rec.next_timer = self.set_timer(
@@ -751,6 +757,10 @@ class PierEngine:
             return
         if op == "qres":
             self.coordinator.on_result(payload)
+        elif op == "qparts":  # a family's qres, one part per member
+            for qid, epoch, rows in payload["parts"]:
+                self.coordinator.on_result(dict(
+                    payload, op="qres", qid=qid, epoch=epoch, rows=rows))
         elif op == "qprog":
             self.coordinator.on_progress(payload)
         elif op == "qbloom":

@@ -39,6 +39,7 @@ from repro.db.expressions import (
     FuncCall,
     Literal,
     UnaryOp,
+    column_threshold,
     conjuncts as _conjuncts,
     equi_join_pairs,
 )
@@ -220,6 +221,28 @@ class LogicalPlan:
                  .encode("utf-8"))
         h.update(self._options_digest())
         return h.hexdigest()[:16]
+
+    def family_signature(self):
+        """Digest of a standing query's *predicate family*, or None: a
+        scan, a whole WHERE that is one :func:`column_threshold`, SUM /
+        COUNT / AVG / MIN / MAX with or without GROUP BY, and the
+        output. It covers the prefix signature and the DAG above the
+        scan with the constant taken out (the column by position)."""
+        if [n.kind for n in self.nodes] != [
+                "scan", "filter", "aggregate", "output"]:
+            return None
+        _scan, where, agg, output = self.nodes
+        threshold = column_threshold(where.attrs["predicate"])
+        if threshold is None or any(
+                call.func_name not in ("SUM", "COUNT", "AVG", "MIN", "MAX")
+                or call.params
+                for call in agg.attrs["agg_calls"]):
+            return None
+        name, op, _constant = threshold
+        return hashlib.sha1("family:{}|{}{}?|{}".format(
+            self.prefix_signature(), where.schema.index_of(name), op,
+            "\x1f".join(agg.parts + output.parts)).encode("utf-8"),
+        ).hexdigest()[:16]
 
     def pinned_keys(self):
         """The partition-key value each DHT-table scan is pinned to.

@@ -37,6 +37,7 @@ Params (partial): ``group_exprs``, ``agg_specs``, ``schema``, optional
 from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.operators import register_operator
+from repro.db.expressions import ColumnRef
 from repro.db.window import window_pane_range
 
 
@@ -140,8 +141,7 @@ class GroupByPartial(Operator):
         n = len(batch)
         if n == 0:
             return
-        store = (self._unshipped_panes.setdefault(batch.pane, {})
-                 if self._paned else self._epochs.state(self._active_epoch()))
+        store = self._store(batch)
         group_cols = [fn(batch) for fn in self._batch_group_fns]
         arg_cols = [fn(batch) for fn in self._batch_arg_fns]
         if not group_cols:
@@ -170,12 +170,22 @@ class GroupByPartial(Operator):
                 states[i] = spec.agg.add_many(states[i], cols[i])
         self._note(n)
 
+    def _store(self, batch):
+        """Where ``batch`` folds: its pane's or the active epoch's."""
+        if self._paned:
+            return self._unshipped_panes.setdefault(batch.pane, {})
+        return self._epochs.state(self._active_epoch())
+
+    def _pairs(self, store):
+        """The ``(gvals, states)`` pairs a flush ships."""
+        return store.items()
+
     def flush(self):
         if not self._paned:
             # Emit-and-clear: post-flush stragglers die with their epoch,
             # exactly as they did inside a torn-down execution.
             held = self._epochs.seal(self._active_epoch())
-            _emit_states(self, (held or {}).items())
+            _emit_states(self, self._pairs(held or {}))
             return
         lo, hi = window_pane_range(
             self._active_epoch(), self._panes_per_every,
@@ -190,7 +200,7 @@ class GroupByPartial(Operator):
             store = self._unshipped_panes.pop(pane)
             if pane < lo:
                 continue
-            _emit_states(self, store.items(), pane)
+            _emit_states(self, self._pairs(store), pane)
 
     def seal_epoch(self, k):
         # Unpaned: whatever survived the flush dies with its epoch.
@@ -202,6 +212,66 @@ class GroupByPartial(Operator):
         self._epochs.clear()
         if self._paned:
             self._unshipped_panes = {}
+
+
+@register_operator("family_partial")
+class FamilyPartial(GroupByPartial):
+    """A predicate family's members' partials at once: each row folds
+    once, into its interval of ``ctx.spine.layout``, held as ``{layout:
+    {gvals: {interval: [states]}}}`` per pane or epoch. A flush ships
+    one ``FamilyAggregate`` state per group. Params: those of
+    ``groupby_partial``, the threshold's ``column`` and ``op``, and the
+    ``family`` aggregate."""
+
+    def __init__(self, ctx, spec):
+        super().__init__(ctx, spec)
+        self._value_fn = ColumnRef(spec.params["column"]).compile_batch(
+            spec.params["schema"])
+        self._family = spec.params["family"]
+
+    def push_batch(self, batch, port=0):
+        self.fold(batch, self.ctx.spine.layout)
+
+    def fold(self, batch, layout):
+        """Fold ``batch`` for ``layout``'s members. A row no member reads
+        (NULL, NaN, outside ``layout.span``) folds nowhere."""
+        if layout is None or not len(batch):
+            return
+        bisect, cuts = layout.bisect, layout.cuts
+        lo, hi = layout.span
+        group_cols = [fn(batch) for fn in self._batch_group_fns]
+        keys = list(zip(*group_cols)) if group_cols else None
+        buckets = {}  # (gvals, interval) -> row positions, in order
+        for i, v in enumerate(self._value_fn(batch)):
+            if v is not None and v == v:
+                at = bisect(cuts, v)
+                if lo <= at <= hi:
+                    buckets.setdefault((keys[i] if keys else (), at),
+                                       []).append(i)
+        if not buckets:
+            return
+        arg_cols = [fn(batch) for fn in self._batch_arg_fns]
+        segment = self._store(batch).setdefault(layout, {})
+        specs = self._agg_specs
+        for (gvals, at), rows in buckets.items():
+            states = segment.setdefault(gvals, {}).setdefault(
+                at, [a.agg.init() for a in specs])
+            for i, spec in enumerate(specs):
+                states[i] = spec.agg.add_many(
+                    states[i], [arg_cols[i][j] for j in rows])
+            self._note(len(rows))
+
+    def _pairs(self, store):
+        """Each group's family state; a member that left ships nothing."""
+        members, family = self.ctx.spine.subscribers, self._family
+        merged = {}
+        for layout, segment in store.items():
+            for gvals, intervals in segment.items():
+                spread = {key: states for key, states
+                          in layout.spread(intervals, family)
+                          if key in members}
+                merged[gvals] = family.merge(merged.get(gvals), spread)
+        return [(gvals, (held,)) for gvals, held in merged.items() if held]
 
 
 @register_operator("groupby_final")

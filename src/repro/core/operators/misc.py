@@ -7,7 +7,7 @@ which the engine reports to the query site as quiescence.
 
 ``result`` is the query-site boundary: rows are batched briefly and
 sent directly (not via DHT routing) to the origin node, exactly how
-PIER returns answers.
+PIER returns answers (a predicate family's, split per member).
 
 Stateful operators here keep their per-``ctx.active_epoch`` state in an
 :class:`~repro.core.dataflow.EpochStateRing`, so an overlapping-epoch
@@ -120,6 +120,7 @@ class ResultReturn(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         self._replace = spec.params.get("replace", False)
+        self._family = spec.params.get("family", False)
         self._batches = EpochStateRing(list)  # epoch -> [rows]
         self._timer = None
 
@@ -146,6 +147,9 @@ class ResultReturn(Operator):
             return
         if not self._replace:
             self._batches.seal(epoch)
+        if self._family:
+            self._send_parts(epoch, rows)
+            return
         # One target (the query's own site) for private executions; a
         # spine fans the same rows to every subscriber whose window
         # this epoch answers, each under its own qid and epoch number.
@@ -160,6 +164,29 @@ class ResultReturn(Operator):
                 "rows": list(rows),
                 "replace": self._replace,
             }, origin)
+
+    def _send_parts(self, epoch, rows):
+        """A predicate family's answer: each subscriber gets its own
+        key's rows (:class:`~repro.core.aggregates.FamilyAggregate`),
+        none when no group has its key. All parts bound for one site
+        ride one ``qparts`` message; a lone part is a plain ``qres``."""
+        by_origin = {}
+        for qid, origin, their_epoch in self.ctx.result_targets(epoch):
+            part = [(gvals, states[qid]) for gvals, (states,) in rows
+                    if qid in states]
+            if part:
+                by_origin.setdefault(origin, []).append(
+                    (qid, their_epoch, part))
+        for origin, parts in by_origin.items():
+            if len(parts) > 1:
+                payload = {"op": "qparts", "parts": parts}
+            else:
+                ((qid, their_epoch, part),) = parts
+                payload = {"op": "qres", "qid": qid, "epoch": their_epoch,
+                           "rows": part}
+            payload.update(node=self.ctx.engine.address,
+                           replace=self._replace)
+            self.ctx.send_to_origin(payload, origin)
 
     def flush(self):
         if self._timer is not None:

@@ -28,7 +28,8 @@ concurrent queries with the same signature and epoch phase on one
 shared spine, and single-stream-scan plans with their
 ``prefix_signature`` (``metadata["prefix"]``) so spines that differ
 only above the scan are fed by one scan stage (see
-``core/sharing.py``).
+``core/sharing.py``). A threshold aggregate gets its
+``family_signature`` (``metadata["family"]``) instead of a spine.
 
 Recursive queries (transitive-closure shape) become cyclic graphs:
 base rows enter a DHT-partitioned ``distinct``; novel rows feed both
@@ -36,9 +37,10 @@ result return and a join against the edge relation whose output cycles
 back into the same ``distinct`` -- semi-naive evaluation as dataflow.
 """
 
+import copy
 import math
 
-from repro.core.aggregates import AggSpec
+from repro.core.aggregates import AggSpec, FamilyAggregate
 from repro.core.catalog import query_stats_key
 from repro.core.logical import (
     AggCall,
@@ -47,7 +49,7 @@ from repro.core.logical import (
     split_where as _split_where,
 )
 from repro.core.opgraph import OpSpec, QueryPlan
-from repro.db.expressions import ColumnRef, equi_join_pairs
+from repro.db.expressions import ColumnRef, column_threshold, equi_join_pairs
 from repro.db.schema import Column, Schema
 from repro.db.types import ANY
 from repro.db.window import pane_width
@@ -223,18 +225,25 @@ def _plan_flat(lq, catalog):
             # at result return. Bloom plans stay private -- their
             # per-epoch coordinator round-trip is keyed to one qid.
             if b.bloom_broadcast_offset is None:
-                metadata["spine"] = logical.share_signature()
                 # Prefix sharing: single-stream-table plans also carry
                 # the scan-stage signature, so queries with *different*
                 # predicates/groups over the same (table, geometry) can
-                # share one scan stage with a demux into private tails.
+                # share one scan stage with a demux into private tails
+                # (a threshold aggregate's: its predicate family's).
+                family = None
                 scans = logical.scan_nodes()
                 if (len(scans) == 1
                         and scans[0].attrs["table_def"].source == "stream"):
                     prefix = logical.prefix_signature()
                     if prefix is not None:
-                        metadata["prefix"] = prefix + _wave_suffix(
+                        suffix = _wave_suffix(
                             pane, lq, scans[0].attrs["table_def"])
+                        metadata["prefix"] = prefix + suffix
+                        family = logical.family_signature()
+                if family is not None:
+                    metadata["family"] = family + suffix
+                else:
+                    metadata["spine"] = logical.share_signature()
 
     finishing = {}
     if agg_finishing is not None:
@@ -254,6 +263,36 @@ def _plan_flat(lq, catalog):
         deadline=deadline, finishing=finishing, metadata=metadata,
         epoch_overlap=epoch_overlap, pane=pane,
     )
+
+
+def family_plan(plan):
+    """A member's plan as its predicate family runs it for every
+    member: no filter, a ``family_partial``, one
+    :class:`~repro.core.aggregates.FamilyAggregate` through exchange,
+    tree and final, and a result op that splits it per member. Op ids,
+    timing and geometry stay the member's."""
+    (select,) = plan.ops_of_kind("select")
+    column, op, _constant = column_threshold(select.params["predicate"])
+    (partial,) = plan.ops_of_kind("groupby_partial")
+    family = FamilyAggregate(partial.params["agg_specs"])
+    specs = {}
+    for spec in plan.specs.values():
+        kind, params, inputs = spec.kind, spec.params, spec.inputs
+        if spec is partial:
+            kind, inputs = "family_partial", select.inputs
+            params = dict(params, column=column, op=op, family=family)
+        elif "combine" in params:
+            params = dict(params, combine=dict(
+                params["combine"], agg_specs=[family]))
+        elif kind == "groupby_final":
+            params = dict(params, agg_specs=[family])
+        elif kind == "result":
+            params = dict(params, family=True)
+        if spec is not select:
+            specs[spec.op_id] = OpSpec(spec.op_id, kind, params, inputs)
+    shared = copy.copy(plan)
+    shared.specs = specs
+    return shared
 
 
 def _drop_unconsumed(b, root_id):

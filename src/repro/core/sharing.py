@@ -21,6 +21,15 @@ says:
   translated to that subscriber's own epoch number -- the coordinator
   cannot tell shared from private answers.
 
+* :class:`FamilyRecord` -- a spine for queries in phase whose plans
+  differ only in a threshold constant (``metadata["family"]``, see
+  ``LogicalPlan.family_signature``): ONE
+  :func:`~repro.core.planner.family_plan` folds each row once, into its
+  interval between the members' constants, and ships every member's
+  suffix (or prefix) state keyed by qid
+  (:class:`~repro.core.aggregates.FamilyAggregate`), which the owner
+  splits into each member's answer, one message per site.
+
 * :class:`PrivateRecord` -- any plan the planner left unstamped
   (one-shot, recursive, bloom-staged, ``{"shared": False}``): key =
   qid, grid origin = the query's own ``t0``, one subscriber at offset
@@ -28,11 +37,11 @@ says:
   private ``StandingExecution`` under ``q|`` namespaces with its own
   scan), or a disposable :class:`~repro.core.dataflow.EpochExecution`.
 
-* :class:`StageRecord` -- common-subplan sharing. Spines whose plans
-  *differ* (predicates, groups, output shapes) but scan the same
-  stream table on the same grid ride one stage: a two-op scan -> demux
-  plan whose demux fans each epoch's scan waves into every member
-  spine's execution. A stage holds its member spines **by reference**
+* :class:`StageRecord` -- common-subplan sharing. Spines and families
+  whose plans *differ* (predicates, groups, output shapes) but scan the
+  same stream table on the same grid ride one stage: a two-op scan ->
+  demux plan whose demux fans each epoch's scan waves into every
+  member's execution. A stage holds its members **by reference**
   and owns their one boundary timer: at a boundary the engine advances
   each member, then the stage, so the demux only ever hands a wave to
   an execution that has already opened the epoch. A member that starts
@@ -62,19 +71,24 @@ every record; queries that still matter come back through the ring
 neighbours' plan anti-entropy and re-form their records from scratch.
 """
 
+from repro.core.aggregates import FamilyLayout
 from repro.core.dataflow import (
     EpochExecution, StandingExecution, namespace_head,
 )
 from repro.core.opgraph import OpSpec, QueryPlan
+from repro.core.planner import family_plan
+from repro.db.expressions import column_threshold
 
 
 def found_record(query, share_key):
     """The record ``query`` founds when none it could join runs here
-    yet: a spine under its share key, else a record of its own."""
+    yet: its family or spine under its share key, else a record of its
+    own."""
     plan = query.plan
-    if share_key is not None:
-        return SpineRecord(share_key, plan, query.t0 % plan.every)
-    return PrivateRecord(query.qid, plan, query.t0)
+    if share_key is None:
+        return PrivateRecord(query.qid, plan, query.t0)
+    kind = FamilyRecord if "family" in plan.metadata else SpineRecord
+    return kind(share_key, plan, query.t0 % plan.every)
 
 
 class GridRecord:
@@ -130,6 +144,10 @@ class GridRecord:
         """Records advanced at this record's boundary, before it."""
         return ()
 
+    def opened(self, k, built):
+        """Epoch ``k`` is open here (``built``: the execution was built
+        for it)."""
+
     def left(self, engine):
         """The record closed: settle what it held outside itself."""
 
@@ -169,6 +187,55 @@ class SpineRecord(GridRecord):
         engine.owners.forget(namespace_head(self.key, spine=True))
         if self.stage is not None:
             engine._drop_subscriber(self.stage, self.key)
+
+
+class FamilyRecord(SpineRecord):
+    """A predicate family's one execution; ``layout`` cuts at the
+    constants of the members reading now (from each one's first epoch
+    through its last, as its own spine would)."""
+
+    __slots__ = ("layout", "_fold")
+
+    def __init__(self, key, plan, t0):
+        super().__init__(key, family_plan(plan), t0)
+        self.layout = None
+        (self._fold,) = self.plan.ops_of_kind("family_partial")
+
+    def subscribe(self, query):
+        """A member joining a running family may start reading now."""
+        super().subscribe(query)
+        if self.on_grid and self.execution is not None:
+            self.opened(self.execution.current_epoch, False)
+
+    def opened(self, k, built):
+        """Re-cut the layout for the members reading at ``k``. A new
+        execution is seeded by its stage, as a spine is; those who start
+        reading in a running one fold a seed under their keys alone."""
+        reading = {}  # qid -> the member's constant
+        for qid, _origin, _j in self.result_targets(k):
+            (select,) = self.subscribers[qid].plan.ops_of_kind("select")
+            reading[qid] = column_threshold(select.params["predicate"])[2]
+        if built:
+            self.layout = None
+        held = self.layout.members if self.layout else {}
+        if reading == held:
+            return
+        op, op_id = self._fold.params["op"], self._fold.op_id
+        self.layout = FamilyLayout(op, reading) if reading else None
+        joiners = {q: c for q, c in reading.items() if q not in held}
+        execution, stage = self.execution, self.stage.execution
+        if built or not joiners or stage is None:
+            return
+        seed = FamilyLayout(op, joiners)
+        with execution.ctx.in_epoch(k):
+            for batch in stage.ops["stage_scan"].emitted_for(k):
+                execution.ops[op_id].fold(batch, seed)
+        # A late joiner's epoch ``k`` flush may be past, as a spine built
+        # now would find its own: the seed ships at once.
+        engine = execution.engine
+        if (self.plan.t_k(self.t0, k) + self.plan.flush_offsets[op_id]
+                <= engine.clock.now):
+            engine.set_timer(0.0, execution.flush_input, op_id, k)
 
 
 class PrivateRecord(GridRecord):

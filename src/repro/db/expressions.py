@@ -227,6 +227,22 @@ def conjuncts(expr):
     return [expr]
 
 
+def column_threshold(expr):
+    """``(column name, op, constant)`` when ``expr`` compares a column
+    with a number by ``<``, ``<=``, ``>`` or ``>=`` (``5 < x`` is ``x >
+    5``); else None."""
+    if not isinstance(expr, BinaryOp) or expr.op not in ("<", "<=", ">",
+                                                         ">="):
+        return None
+    op, column, constant = expr.op, expr.left, expr.right
+    if isinstance(column, Literal):
+        op, column, constant = _FLIPPED[op], constant, column
+    if (isinstance(column, ColumnRef) and isinstance(constant, Literal)
+            and type(constant.value) in (int, float)):
+        return column.name, op, constant.value
+    return None
+
+
 def equi_join_pairs(expr, left_schema, right_schema):
     """Extract equi-join column pairs from a predicate.
 

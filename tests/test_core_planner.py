@@ -216,6 +216,90 @@ class TestContinuousPlans:
         assert p.lifetime == 100.0
 
 
+class TestFamilyStamp:
+    """Which standing plans ride a predicate family
+    (``metadata["family"]``) instead of a spine of their own."""
+
+    TAIL = " EVERY 10 SECONDS WINDOW 30 SECONDS LIFETIME 60 SECONDS"
+
+    @pytest.fixture
+    def stamp(self, catalog):
+        catalog.define(TableDef("ev", Schema.of(
+            ("v", FLOAT), ("w", FLOAT), ("host", STR), ("k", INT)),
+            source="stream", window=60.0))
+
+        def stamp(select, where, rest="", options=None, tables="ev"):
+            sql = "SELECT {} FROM {}{}{}".format(
+                select, tables, " WHERE " + where if where else "", rest)
+            return plan(catalog, sql + self.TAIL, options).metadata
+        return stamp
+
+    @pytest.mark.parametrize("select, where, rest", [
+        ("SUM(v) AS s, COUNT(*) AS n", "v > 5", ""),
+        ("COUNT(*) AS n", "5 < v", ""),
+        ("COUNT(v) AS n", "v > 5", ""),
+        ("AVG(v) AS a", "v <= 5", ""),
+        ("MIN(w) AS m", "v >= 5", ""),
+        ("MAX(v) AS m", "v < 5", ""),
+        ("host, SUM(v) AS s", "v > 5", " GROUP BY host"),
+    ])
+    def test_one_threshold_under_an_exact_aggregate_is_stamped(
+            self, stamp, select, where, rest):
+        metadata = stamp(select, where, rest)
+        assert metadata["family"] and metadata["prefix"]
+        assert "spine" not in metadata
+
+    @pytest.mark.parametrize("select, where, rest", [
+        # bench_multi_query's VARIANTS: two comparisons.
+        ("SUM(v) AS s, COUNT(*) AS n", "v > 5 AND v < 500", ""),
+        ("SUM(v) AS s", "v < 5 OR v > 50", ""),
+        ("SUM(v) AS s", "v > w", ""),
+        ("SUM(v) AS s", "v = 5", ""),
+        ("COUNT(DISTINCT host) AS d", "v > 5", ""),
+        ("APPROX_COUNT_DISTINCT(host) AS d", "v > 5", ""),
+        ("APPROX_TOPK(host, 3) AS t", "v > 5", ""),
+        ("v", "v > 5", " ORDER BY v DESC LIMIT 3"),
+        # The fig1_sum shape: no WHERE at all.
+        ("SUM(v) AS s, COUNT(*) AS n", "", ""),
+    ])
+    def test_anything_else_is_not(self, stamp, select, where, rest):
+        metadata = stamp(select, where, rest)
+        assert "family" not in metadata
+        assert metadata["spine"]
+
+    def test_joins_and_the_opt_out_are_not(self, stamp):
+        for strategy in ("fm", "shj"):
+            join = stamp("SUM(ev.v) AS s", "ev.k = d.k AND ev.v > 5",
+                         options={"join_strategy": strategy},
+                         tables="ev, d")
+            assert "family" not in join
+        private = stamp("SUM(v) AS s", "v > 5", options={"shared": False})
+        assert "family" not in private and "prefix" not in private
+
+    def test_members_differ_only_in_the_constant(self, stamp):
+        base = stamp("SUM(v) AS s, COUNT(*) AS n", "v > 5")["family"]
+        assert stamp("SUM(v) AS x, COUNT(*) AS y", "v > 7.5")["family"] == base
+        assert stamp("SUM(v) AS s, COUNT(*) AS n", "5 < v")["family"] == base
+        for select, where in [("SUM(v) AS s, COUNT(*) AS n", "v >= 5"),
+                              ("SUM(v) AS s, COUNT(*) AS n", "w > 5"),
+                              ("SUM(v) AS s", "v > 5"),
+                              ("COUNT(*) AS n, SUM(v) AS s", "v > 5")]:
+            assert stamp(select, where)["family"] != base
+
+    def test_family_plan_drops_the_filter_and_keeps_the_timing(self, catalog):
+        from repro.core.planner import family_plan
+
+        member = plan(catalog, "SELECT SUM(v) AS s FROM stream WHERE v > 5"
+                      + self.TAIL)
+        family = family_plan(member)
+        assert kinds(family) == sorted(
+            k if k != "groupby_partial" else "family_partial"
+            for k in kinds(member) if k != "select")
+        assert family.flush_offsets == member.flush_offsets
+        assert family.deadline == member.deadline
+        assert family.pane == member.pane
+
+
 class TestRecursivePlans:
     SQL = (
         "WITH RECURSIVE reach AS ("

@@ -245,9 +245,18 @@ class TestSpineRuntime:
 
 def predicate_sql(threshold):
     """Same scan + geometry as VARIANTS, different WHERE predicate:
-    never spine-shareable with the others, always stage-shareable."""
+    never spine-shareable with the others, always stage-shareable, and
+    every threshold one member of the same predicate family."""
     return ("SELECT SUM(v) AS total, COUNT(*) AS n FROM s "
             "WHERE v > {} ".format(threshold) + TAIL)
+
+
+def range_sql(threshold):
+    """:func:`predicate_sql` with an upper bound too: two comparisons
+    are no predicate family, so each member keeps a spine of its own
+    (the bound passes every ticker value)."""
+    return predicate_sql(threshold).replace(
+        " EVERY", " AND v < 100 EVERY", 1)
 
 
 PRIVATE = {"shared": False}  # the per-query opt-out: the reference leg
@@ -275,7 +284,7 @@ class TestPrefixSignatures:
     def test_select_list_does_not_split_the_prefix(self, net):
         base = net.compile_sql(VARIANTS[0])
         other = net.compile_sql(
-            "SELECT MAX(v) AS top FROM s WHERE v > 7 " + TAIL
+            "SELECT MAX(v) AS top FROM s WHERE v > 7 AND v < 9 " + TAIL
         )
         assert base.metadata["prefix"] == other.metadata["prefix"]
         assert base.metadata["spine"] != other.metadata["spine"]
@@ -374,7 +383,7 @@ class TestPrefixStageRuntime:
     def test_different_predicate_fleet_rides_one_stage(self, net):
         site = net.any_address()
         fleet = [
-            net.submit_sql(predicate_sql(1.5 + i), node=site)
+            net.submit_sql(range_sql(1.5 + i), node=site)
             for i in range(4)
         ]
         # Four different predicates: four spines, ONE prefix.
@@ -475,7 +484,7 @@ class TestPrefixStageRuntime:
             chord.route = spy
         site = net.any_address()
         for i in range(4):
-            net.submit_sql(predicate_sql(1.5 + i), node=site)
+            net.submit_sql(range_sql(1.5 + i), node=site)
         net.advance(32.0)  # three epochs in, every member still live
         upcalls = {}  # delivery ns -> upcall, of p|-routed tree edges
         absorbed = {}  # upcall -> partials its combiners merged mid-route
@@ -505,7 +514,7 @@ class TestPrefixStageRuntime:
         fleet = []
         for i in range(3):
             results = []
-            fleet.append(net.submit_sql(predicate_sql(1.5 + i), node=site,
+            fleet.append(net.submit_sql(range_sql(1.5 + i), node=site,
                                         on_epoch=results.append))
             outs.append(results)
         net.advance(12.0)
@@ -538,17 +547,17 @@ class TestPrefixStageRuntime:
     def test_staggered_join_lands_on_the_running_stage(self, net):
         site = net.any_address()
         first_results = []
-        net.submit_sql(predicate_sql(1.5), node=site,
+        net.submit_sql(range_sql(1.5), node=site,
                        on_epoch=first_results.append)
         net.advance(10.0)  # one whole period: same grid phase
         second_results = []
-        net.submit_sql(predicate_sql(4.5), node=site,
+        net.submit_sql(range_sql(4.5), node=site,
                        on_epoch=second_results.append)
         engine = net.node(site).engine
         assert len(spines(engine)) == 2
         assert len(stages(engine)) == 1
         net.advance(3.3)  # mid-period: different phase
-        net.submit_sql(predicate_sql(6.5), node=site)
+        net.submit_sql(range_sql(6.5), node=site)
         assert len(stages(engine)) == 2, (
             "off-phase query must get its own stage grid"
         )
@@ -627,6 +636,12 @@ def life_sql(threshold, lifetime, window=10):
             .format(threshold, window, lifetime))
 
 
+def range_life_sql(threshold, lifetime, window=10):
+    """:func:`life_sql` as a spine of its own (see :func:`range_sql`)."""
+    return life_sql(threshold, lifetime, window).replace(
+        " EVERY", " AND v < 100 EVERY", 1)
+
+
 class TestOneLifecycle:
     """Spines and stages are one grid record with one lifecycle; a
     stage advances its own members, so a node runs ONE boundary timer
@@ -635,7 +650,7 @@ class TestOneLifecycle:
     def test_stage_owns_the_one_boundary_timer(self, net, monkeypatch):
         site = net.any_address()
         for i in range(4):
-            net.submit_sql(predicate_sql(1.5 + i), node=site)
+            net.submit_sql(range_sql(1.5 + i), node=site)
         net.advance(12.0)  # inside epoch 1
         for address in net.addresses():
             (stage,) = stages(net.node(address).engine)
@@ -691,10 +706,10 @@ class TestOneLifecycle:
     def test_held_member_is_skipped_and_rejoined_exactly(self, net, window,
                                                          join_at):
         site = net.any_address()
-        short = life_sql(1.5, 20, window)
+        short = range_life_sql(1.5, 20, window)
         net.submit_sql(short, node=site)
         long_results = []
-        net.submit_sql(life_sql(2.5, 80, window), node=site,
+        net.submit_sql(range_life_sql(2.5, 80, window), node=site,
                        on_epoch=long_results.append)
         net.advance(25.0)  # epoch 2: the short query's last
         engine = net.node(site).engine
@@ -756,7 +771,7 @@ class TestOneLifecycle:
     def test_crash_and_recover_reforms_one_stage(self, net):
         site = net.any_address()
         for i in range(3):
-            net.submit_sql(life_sql(1.5 + i, 200), node=site)
+            net.submit_sql(range_life_sql(1.5 + i, 200), node=site)
         victim = [a for a in net.addresses() if a != site][0]
         net.advance(15.0)
         before = {m.key for m in stages(net.node(victim).engine)[0].members()}
@@ -808,7 +823,7 @@ class TestOneBatchPerWave:
                                                window):
         site = net.any_address()
         for i in range(4):
-            net.submit_sql(life_sql(1.5 + i, 40, window), node=site)
+            net.submit_sql(range_life_sql(1.5 + i, 40, window), node=site)
         waves = self.record_waves(monkeypatch)
         net.advance(35.0)
         by_wave = {}
@@ -828,10 +843,10 @@ class TestOneBatchPerWave:
     def test_joiners_share_one_backfill_batch_per_pane(self, net,
                                                        monkeypatch):
         site = net.any_address()
-        first = net.submit_sql(life_sql(1.5, 80, 30), node=site)
+        first = net.submit_sql(range_life_sql(1.5, 80, 30), node=site)
         net.advance(20.0)  # two whole periods: the same grid phase
         waves = self.record_waves(monkeypatch)
-        joiners = [net.submit_sql(life_sql(2.5 + i, 80, 30), node=site)
+        joiners = [net.submit_sql(range_life_sql(2.5 + i, 80, 30), node=site)
                    for i in range(3)]
         net.advance(5.0)  # adopted mid-epoch, before the next boundary
         # Nobody reads a joiner's submission-instant epoch, so nothing

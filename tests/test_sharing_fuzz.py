@@ -2,11 +2,13 @@
 
 Every trial draws a random fleet schedule -- different-predicate
 queries (plus some identical twins, and in half the trials one
-unpaned top-k beside the paned aggregates), staggered submission instants,
+unpaned top-k beside the paned aggregates; in some, ``<`` or ``>=``
+thresholds and AVG or MIN forms), staggered submission instants,
 early stops, injected crash/recovery events, and (in some trials) a
 region-labelled topology running proximity routing plus two-level
 regional aggregation trees -- and runs it TWICE from the same seed:
-once with sharing on (spines + prefix stages + co-routed exchanges)
+once with sharing on (spines, predicate families, prefix stages and
+co-routed exchanges)
 and once with every query submitted under the ``{"shared": False}``
 option, the ablation where each runs its own fully private plan.
 Sharing is an optimization, never a semantics change, so each query's
@@ -33,7 +35,7 @@ both would cancel out of that comparison. Crash-free trials therefore
 also check each leg against *ground truth*: the tickers log every row
 they append in the perf benchmark's ``RowLog``, and every reported
 epoch of every never-stopped query must equal a plain-Python
-recomputation of its answer over ``v > thr`` in
+recomputation of its answer over ``v OP thr`` in
 ``(t_k - window, t_k]``. Each trial also appends one 2**60 row early
 on, so a window that loses the small values summed beside a huge one
 after it leaves cannot pass. An epoch with a qualifying row stamped within
@@ -52,6 +54,7 @@ Trial count/seed are env-tunable: ``PIER_FUZZ_TRIALS`` (default 50)
 and ``PIER_FUZZ_SEED`` (base seed, default 94082).
 """
 
+import operator
 import os
 import pathlib
 import random
@@ -65,35 +68,46 @@ TRIALS = int(os.environ.get("PIER_FUZZ_TRIALS", "50"))
 BASE_SEED = int(os.environ.get("PIER_FUZZ_SEED", "94082"))
 FAILURES = pathlib.Path(__file__).parent / "fuzz_failures" / "sharing_fuzz.txt"
 
-# Four select-list shapes: same scan prefix, different tails/spines.
-# The three aggregates are paned whenever WINDOW > EVERY; the top-k
-# (last) never is, so it puts an unpaned member beside paned ones.
+# Six select-list shapes: same scan prefix, different tails. The
+# aggregates are paned whenever WINDOW > EVERY, and each threshold is a
+# member of its form's predicate family; the top-k (index 3) never is
+# either, so it puts an unpaned spine beside paned families.
 FORMS = (
-    "SELECT SUM(v) AS total, COUNT(*) AS n FROM s WHERE v > {thr}",
-    "SELECT COUNT(*) AS n FROM s WHERE v > {thr}",
-    "SELECT MAX(v) AS top, COUNT(*) AS n FROM s WHERE v > {thr}",
-    "SELECT v FROM s WHERE v > {thr} ORDER BY v DESC LIMIT 3",
+    "SELECT SUM(v) AS total, COUNT(*) AS n FROM s WHERE v {op} {thr}",
+    "SELECT COUNT(*) AS n FROM s WHERE v {op} {thr}",
+    "SELECT MAX(v) AS top, COUNT(*) AS n FROM s WHERE v {op} {thr}",
+    "SELECT v FROM s WHERE v {op} {thr} ORDER BY v DESC LIMIT 3",
+    "SELECT AVG(v) AS mean, COUNT(*) AS n FROM s WHERE v {op} {thr}",
+    "SELECT MIN(v) AS low, SUM(v) AS total FROM s WHERE v {op} {thr}",
 )
-TOPK = 3  # the unpaned form; the schedule stream draws the others
-# The same four select lists over the qualifying values, in Python:
-# the answer rows when some value qualifies.
+TOPK = 3  # the unpaned form; the schedule stream draws the first three
+FAMILY_FORMS = (4, 5)  # AVG and MIN: the family stream draws these
+# The same select lists over the qualifying values, in Python: the
+# answer rows when some value qualifies.
 TRUTH = (
     lambda vs: [(sum(vs), len(vs))],
     lambda vs: [(len(vs),)],
     lambda vs: [(max(vs), len(vs))],
     lambda vs: [(v,) for v in sorted(vs, reverse=True)[:3]],
+    lambda vs: [(sum(vs) / len(vs), len(vs))],
+    lambda vs: [(min(vs), sum(vs))],
 )
+# What each query's WHERE keeps: ``>`` unless the family stream drew
+# another direction.
+KEEP = {">": operator.gt, "<": operator.lt, ">=": operator.ge}
 EDGE_TIE = 1e-6  # a row this close to a window edge is a same-instant race
 TAIL = " EVERY {e} SECONDS WINDOW {w} SECONDS LIFETIME {life} SECONDS"
 PRIVATE = {"shared": False}  # the ablation leg: every plan unstamped
 
 
-def make_schedule(seed, unpaned=True):
+def make_schedule(seed, unpaned=True, family=True):
     """One reproducible trial: fleet + stops + crash/recovery events.
 
     With ``unpaned``, half the trials turn one query into the top-k
     form, drawn from a stream of its own so that every other draw stays
-    what the seed made it."""
+    what the seed made it. With ``family``, a third stream, drawn after
+    every other, turns some queries' ``>`` into ``<`` or ``>=`` and
+    some aggregates into the AVG or MIN form."""
     rng = random.Random(seed)
     every = rng.choice([5.0, 10.0])
     window = every * rng.choice([1, 2, 3])
@@ -116,7 +130,7 @@ def make_schedule(seed, unpaned=True):
         if rng.random() < 0.25:
             stop_at = submit_at + rng.uniform(0.5, 0.9) * lifetime
         queries.append({
-            "form": form, "thr": thr, "window": w,
+            "form": form, "op": ">", "thr": thr, "window": w,
             "submit_at": submit_at, "stop_at": stop_at,
         })
     # Anchor: the first query submits at t=0 and runs its whole life,
@@ -157,6 +171,13 @@ def make_schedule(seed, unpaned=True):
         forms = random.Random("unpaned/{}".format(seed))
         if forms.random() < 0.5:
             forms.choice(queries)["form"] = TOPK
+    if family:
+        draws = random.Random("family/{}".format(seed))
+        for q in queries:
+            if draws.random() < 0.4:
+                q["op"] = draws.choice(("<", ">="))
+            if q["form"] != TOPK and draws.random() < 0.4:
+                q["form"] = draws.choice(FAMILY_FORMS)
     return {
         "seed": seed, "nodes": nodes, "every": every, "window": window,
         "lifetime": lifetime, "queries": queries, "crashes": crashes,
@@ -165,7 +186,7 @@ def make_schedule(seed, unpaned=True):
 
 
 def _sql(schedule, q):
-    return FORMS[q["form"]].format(thr=q["thr"]) + TAIL.format(
+    return FORMS[q["form"]].format(op=q["op"], thr=q["thr"]) + TAIL.format(
         e=schedule["every"], w=q["window"], life=schedule["lifetime"]
     )
 
@@ -332,10 +353,11 @@ def check_ground_truth(schedule, leg, name):
         for k, rows in leg["per_query"][i].items():
             hi = leg["t0"][i] + k * schedule["every"]
             lo = hi - q["window"]
-            if any(v > q["thr"] for edge in (lo, hi) for (v,) in
+            keep = KEEP[q["op"]]
+            if any(keep(v, q["thr"]) for edge in (lo, hi) for (v,) in
                    log.window("s", edge - EDGE_TIE, edge + EDGE_TIE)):
                 continue
-            vs = [v for (v,) in log.window("s", lo, hi) if v > q["thr"]]
+            vs = [v for (v,) in log.window("s", lo, hi) if keep(v, q["thr"])]
             # No qualifying row anywhere: no partial, so no answer row.
             want = TRUTH[q["form"]](vs) if vs else []
             assert same_rows(rows, want), (
@@ -359,8 +381,8 @@ def _record_failure(seed, exc):
         )
 
 
-def _run_trial(seed, unpaned=True):
-    schedule = make_schedule(seed, unpaned)
+def _run_trial(seed, unpaned=True, family=True):
+    schedule = make_schedule(seed, unpaned, family)
     try:
         shared = run_leg(schedule, shared=True)
         ablation = run_leg(schedule, shared=False)
@@ -393,5 +415,6 @@ def test_sharing_differential(trial):
                          [94096, 777163, 220411, 777002, 31764, 123929,
                           555065, 555089])
 def test_pinned_seeds(seed):
-    # Replayed as they were found: no query turned into the top-k.
-    _run_trial(seed, unpaned=False)
+    # Replayed as they were found: no query turned into the top-k, none
+    # into another direction or family form.
+    _run_trial(seed, unpaned=False, family=False)
