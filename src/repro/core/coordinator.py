@@ -1,10 +1,15 @@
 """The query site: dissemination, collection, finishing, lifecycle.
 
-Any node can be a query site. Submitting a query broadcasts its plan
-over the overlay once. Plans are soft state like everything else: a
-node that the broadcast missed, or that crashed and recovered, gets a
-continuous plan back from its ring neighbours' anti-entropy (see
-:mod:`repro.core.engine`), not from this site. Result rows stream back
+Any node can be a query site. Submitting a query adopts its plan at
+this site's engine at once and files it for the instant's one plan
+broadcast: the first plan filed in an instant arms a zero-delay timer,
+which sends every plan the site submitted in that instant over the
+overlay as one payload (``plans``: qid -> plan, under one ``t0`` and
+origin), so a fleet submitted together costs one broadcast tree, not
+one per query. Plans are soft state like everything else: a node that
+the broadcast missed, or that crashed and recovered, gets a continuous
+plan back from its ring neighbours' anti-entropy (see
+:mod:`repro.core.plansync`), not from this site. Result rows stream back
 as direct messages tagged with the epoch they belong to; collection is
 keyed by that tag, and rows for an already-closed epoch are dropped.
 At each epoch's deadline the coordinator applies the *finishing* step
@@ -111,6 +116,8 @@ class Coordinator:
         self.clock = engine.clock
         self._seq = 0
         self.active = {}  # qid -> QueryHandle
+        # qid -> plan submitted this instant, adopted here, not yet sent
+        self._unsent = {}
         engine.coordinator = self
 
     # ------------------------------------------------------------------
@@ -129,14 +136,13 @@ class Coordinator:
                 self.engine, plan, qid, 0, t0, self.engine.address)
             handle.execution.start()
         else:
-            self.dht.broadcast({
-                "ctl": "plan",
-                # "|0" keeps the token the size it had while plans
-                # were re-broadcast, so one-shot traffic is unchanged.
-                "token": "plan|{}|0".format(qid),
-                "qid": qid,
-                "plan": plan,
-                "t0": t0,
+            # Arm the flush before adopting: the relay sends then go
+            # out ahead of any zero-delay timer the adoption sets.
+            if not self._unsent:
+                self.engine.set_timer(0.0, self._broadcast_plans)
+            self._unsent[qid] = plan
+            self.engine._adopt_query({
+                "qid": qid, "plan": plan, "t0": t0,
                 "origin": self.engine.address,
             })
         self._schedule_close(handle, plan.first_epoch)
@@ -145,6 +151,22 @@ class Coordinator:
         if plan.metadata.get("bloom_broadcast_offset") is not None:
             self._schedule_bloom(handle, 0)
         return handle
+
+    def _broadcast_plans(self):
+        """Send every plan submitted here this instant as one broadcast.
+
+        The token names the batch by its first qid (a site never reuses
+        one) and its plan count."""
+        plans, self._unsent = self._unsent, {}
+        if not plans:
+            return  # each was stopped in its submit instant
+        self.dht.broadcast({
+            "ctl": "plan",
+            "token": "plan|{}|{}".format(next(iter(plans)), len(plans)),
+            "t0": self.clock.now,
+            "origin": self.engine.address,
+            "plans": plans,
+        })
 
     # ------------------------------------------------------------------
     # Epoch close + finishing
@@ -247,6 +269,7 @@ class Coordinator:
         if handle is None:
             return
         self._finish_query(handle)
+        self._unsent.pop(qid, None)  # stopped before it went out
         if handle.execution is None:  # else it ran only here
             self._broadcast_stop(handle)
 
@@ -357,3 +380,6 @@ class Coordinator:
         for handle in self.active.values():
             handle.finished = True
         self.active = {}
+        # The flush timer died with the node: a list left here would
+        # keep the next submit from arming another.
+        self._unsent = {}

@@ -279,7 +279,11 @@ class PierEngine:
             return
         ctl = payload.get("ctl")
         if ctl == "plan":
-            self._adopt_query(payload)
+            for qid, plan in payload["plans"].items():
+                self._adopt_query({
+                    "qid": qid, "plan": plan, "t0": payload["t0"],
+                    "origin": payload["origin"],
+                })
         elif ctl == "stop":
             self._stop_query(payload["qid"], payload["until"])
         elif ctl == "bloom":

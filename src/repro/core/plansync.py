@@ -1,12 +1,15 @@
 """Plan anti-entropy: a node's continuous plans and stop tombstones kept
 in step with its ring neighbours.
 
-A plan is broadcast once, and engines keep only soft state: a crash
-loses adopted queries and tombstones, and a broadcast can miss a node.
-What brings them back is this module. A node's successor holds a
-digest of the node's live continuous qids and unexpired tombstones,
-and at every stabilise probe the node sends it compares that digest
-with its own (:meth:`~repro.dht.chord.ChordNode.on_neighbor_digest`:
+A plan travels in one broadcast, beside every plan its site submitted
+in the same instant (:meth:`~repro.core.coordinator.Coordinator.submit`),
+and engines keep only soft state: a crash loses adopted queries and
+tombstones, and a broadcast can miss a node -- when a copy and its
+repair are both lost, the range that copy covered misses every plan of
+the batch at once. What brings them back is this module. A node's
+successor holds a digest of the node's live continuous qids and
+unexpired tombstones, and at every stabilise probe the node sends it
+compares that digest with its own (:meth:`~repro.dht.chord.ChordNode.on_neighbor_digest`:
 the digest rides the probe only when the successor may lack it). On a
 mismatch the two swap qid lists in ``qsync`` direct messages, each
 adopts the other's tombstones, and each sends only the plans the
