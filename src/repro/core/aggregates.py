@@ -294,6 +294,13 @@ class Avg(Aggregate):
         return total / count if count else None
 
 
+def merge_into(held, agg_specs, states):
+    """Merge ``states`` into the list ``held`` in place, ``held`` on the
+    left: one merge order everywhere, so float sums stay bit-identical."""
+    for i, spec in enumerate(agg_specs):
+        held[i] = spec.agg.merge(held[i], states[i])
+
+
 class FamilyAggregate(Aggregate):
     """A predicate family's state (:mod:`repro.core.sharing`): a dict
     ``member key -> states``, each what that member's own partial would

@@ -34,6 +34,7 @@ stable route every epoch. Only *forwards* shortcut -- the senders below
 still walk, so mid-route combiners upstream stay in the path.
 """
 
+from repro.core.aggregates import merge_into
 from repro.core.exchange import payload_rows
 from repro.dht.chord import storage_key
 
@@ -100,9 +101,7 @@ class TreeCombiner:
         if held is None:
             self._held[(epoch, pane, gvals)] = [list(states), salted]
         else:
-            merged = held[0]
-            for i, spec in enumerate(self.agg_specs):
-                merged[i] = spec.agg.merge(merged[i], states[i])
+            merge_into(held[0], self.agg_specs, states)
             held[1] = held[1] or salted
 
     def _forward(self):

@@ -1,4 +1,4 @@
-"""The query site: dissemination, collection, finishing, lifecycle.
+"""The query site: dissemination, collection, the close, lifecycle.
 
 Any node can be a query site. Submitting a query adopts its plan at
 this site's engine at once and files it for the instant's one plan
@@ -12,25 +12,21 @@ plan back from its ring neighbours' anti-entropy (see
 :mod:`repro.core.plansync`), not from this site. Result rows stream back
 as direct messages tagged with the epoch they belong to; collection is
 keyed by that tag, and rows for an already-closed epoch are dropped.
-At each epoch's deadline the coordinator applies the *finishing* step
-(global ORDER BY / LIMIT over collected rows -- the one thing that
-cannot be fully in-network) and hands an :class:`EpochResult` to the
-caller.
 
 One close rule serves every plan: epoch ``k``, from the plan's
 ``first_epoch`` to its ``last_epoch`` (:mod:`repro.core.opgraph`),
 closes at ``plan.t_k(t0, k) + plan.deadline``. The engines and the
-Bloom round-trips run the same grid.
+Bloom round-trips run the same grid. A close pushes the epoch's rows
+through the plan's site fragment (:mod:`repro.core.site`: what cannot
+be finished in-network) and hands an :class:`EpochResult` to the
+caller.
 
 A one-shot plan whose every scan is a keyed ``get``
-(``QueryPlan.at_site``: the planner pinned each scan to one DHT
-partition key) is not broadcast at all. The coordinator builds its one
-:class:`~repro.core.dataflow.EpochExecution` here like any other; the
-execution's context reads ``at_site`` off the plan and hands result
-rows to :meth:`Coordinator.on_result` without a wire in between. The
-answer closes at the plan's deadline, which for such a plan is one get
-round-trip plus the operators' holds (no dissemination, no result
-return, no collection).
+(``QueryPlan.at_site``) is not broadcast at all: its one
+:class:`~repro.core.dataflow.EpochExecution` runs here, hands result
+rows to :meth:`Coordinator.on_result` without a wire in between, and
+closes at the plan's deadline -- one get round-trip plus the
+operators' holds.
 
 Stopping a query is one broadcast too; engines tombstone the stopped
 qid, and the same anti-entropy carries the tombstone to nodes the stop
@@ -41,8 +37,8 @@ one epoch 0 early on quiescence: no node has produced a novel tuple for
 ``QUIET_PERIOD`` seconds means the fixpoint is reached.
 """
 
-from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochExecution
+from repro.core.site import SiteStage
 
 # Recursive quiescence: no progress report for QUIET_PERIOD seconds is
 # the fixpoint, but never before MIN_RUNTIME -- the first reports need
@@ -101,6 +97,7 @@ class QueryHandle:
         self.last_progress = t0
         self.finished = False
         self.execution = None  # the plan's one execution if it runs here
+        self.site = SiteStage(plan)  # the plan's site fragment
 
     def result(self, epoch=0):
         return self.results.get(epoch)
@@ -169,7 +166,7 @@ class Coordinator:
         })
 
     # ------------------------------------------------------------------
-    # Epoch close + finishing
+    # Epoch close
     # ------------------------------------------------------------------
     def _schedule_close(self, handle, epoch):
         plan = handle.plan
@@ -185,26 +182,20 @@ class Coordinator:
         rows = handle.raw.pop(epoch, [])
         for node_rows in handle.raw_replace.pop(epoch, {}).values():
             rows.extend(node_rows)
-        rows = self._finish(handle.plan, rows)
+        rows = handle.site.run(epoch, rows)
         metadata = handle.plan.metadata
-        if handle.plan.finishing.get("aggregate") is not None:
+        stats_key, stats = metadata.get("stats_key"), self.engine.catalog.stats
+        if (stats_key and stats is not None
+                and handle.plan.ops_of_kind("groupby_final")):
             # Close the cardinality feedback loop: observed group counts
             # feed the admission cost bounder's exchange/fold terms.
-            stats_key = metadata.get("stats_key")
-            stats = self.engine.catalog.stats
-            if stats_key and stats is not None:
-                stats.note_group_count(stats_key, len(rows))
-        admission = metadata.get("admission")
-        approximate = None
-        if admission and admission.get("approximate"):
-            approximate = admission.get("degradations")
+            stats.note_group_count(stats_key, len(rows))
+        admission = metadata.get("admission") or {}
         result = EpochResult(
-            handle.qid, epoch, t_k, rows,
-            metadata.get("columns"),
-            handle.reporters.pop(epoch, set()),
-            self.clock.now,
-            approximate=approximate,
-        )
+            handle.qid, epoch, t_k, rows, metadata.get("columns"),
+            handle.reporters.pop(epoch, set()), self.clock.now,
+            approximate=(admission.get("degradations")
+                         if admission.get("approximate") else None))
         handle.results[epoch] = result
         if handle.on_epoch is not None:
             handle.on_epoch(result)
@@ -213,50 +204,6 @@ class Coordinator:
             self._schedule_close(handle, epoch + 1)
         else:
             self._finish_query(handle)
-
-    def _finish(self, plan, rows):
-        """Query-site finishing: reconcile group owners, finalize
-        aggregates, HAVING, projection, and the global sort/cut that
-        in-network operators cannot do."""
-        finishing = plan.finishing
-        aggregate = finishing.get("aggregate")
-        if aggregate is not None:
-            rows = self._finish_aggregate(aggregate, rows)
-        order_by = finishing.get("order_by")
-        if order_by:
-            from repro.core.operators.topk import sort_rows
-
-            rows = sort_rows(rows, order_by, finishing["schema"])
-        limit = finishing.get("limit")
-        if limit is not None:
-            rows = rows[:limit]
-        return list(rows)
-
-    def _finish_aggregate(self, aggregate, rows):
-        """Merge (group_values, states) rows from (possibly duplicate)
-        group owners, finalize, filter, and project into SELECT order."""
-        agg_specs = aggregate["agg_specs"]
-        merged = {}
-        for gvals, states in rows:
-            held = merged.get(gvals)
-            if held is None:
-                merged[gvals] = list(states)
-            else:
-                for i, spec in enumerate(agg_specs):
-                    held[i] = spec.agg.merge(held[i], states[i])
-        schema = aggregate["internal_schema"]
-        internal = RowBatch(rows=[
-            tuple(gvals) + tuple(
-                spec.agg.final(state)
-                for spec, state in zip(agg_specs, states))
-            for gvals, states in merged.items()
-        ], schema=schema)
-        having = aggregate["having"]
-        if having is not None:
-            internal = internal.take(having.compile_batch(schema)(internal))
-        columns = [e.compile_batch(schema)(internal)
-                   for e in aggregate["select_exprs"]]
-        return list(zip(*columns))
 
     def _finish_query(self, handle):
         handle.finished = True

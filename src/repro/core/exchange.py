@@ -17,8 +17,7 @@ Key specs (``params["key"]``):
 
 * ``{"kind": "exprs", "exprs": [...], "schema": s}`` -- hash computed columns,
 * ``{"kind": "group"}`` -- row is ``(group_values, states)``; hash group_values,
-* ``{"kind": "row"}`` -- hash the whole row (recursion's dup-elim partitioning),
-* ``{"kind": "const"}`` -- single rendezvous key (global aggregates).
+* ``{"kind": "row"}`` -- hash the whole row (recursion's dup-elim partitioning).
 
 Rows are not shipped one message at a time: pushes buffer per routing
 key for a short flush window (``FLUSH_DELAY``) and travel as one
@@ -160,8 +159,6 @@ class Exchange(Operator):
             return lambda batch: [row[0] for row in batch.rows()]
         if kind == "row":
             return lambda batch: batch.rows()
-        if kind == "const":
-            return lambda batch: ["__root__"] * len(batch)
         raise PlanError("unknown exchange key kind {!r}".format(kind))
 
     def _flush_plan(self):

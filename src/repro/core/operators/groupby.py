@@ -4,9 +4,9 @@
 per-group aggregate states and, at their flush deadline, emit compact
 ``(group_values, states)`` pairs -- these are what the exchange ships
 (and what the aggregation tree merges per hop). ``final`` instances run
-at each group's DHT owner: they merge arriving partials and emit
-finished rows (group columns then aggregate results) at their own
-deadline.
+at each group's DHT owner: they merge arriving partials and emit the
+merged pairs at their own deadline. The query site runs one more final
+over every owner's pairs, which emits finished rows.
 
 A node with zero matching rows emits nothing, so global aggregates
 naturally report over the *responding* nodes only -- the semantics
@@ -31,9 +31,11 @@ window state from every node.
 
 Params (partial): ``group_exprs``, ``agg_specs``, ``schema``, optional
 ``paned`` geometry (``{"width", "every", "window"}``). Params (final):
-``agg_specs``, optional ``paned``.
+``agg_specs``, optional ``paned``, and ``finalize`` (the query site's:
+emit group columns then each aggregate's ``final``, not pairs).
 """
 
+from repro.core.aggregates import merge_into
 from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochStateRing, Operator
 from repro.core.operators import register_operator
@@ -88,8 +90,7 @@ class PaneWindow:
                 if held is None:
                     merged[gvals] = list(states)
                 else:
-                    for i, spec in enumerate(self._specs):
-                        held[i] = spec.agg.merge(held[i], states[i])
+                    merge_into(held, self._specs, states)
         return [(gvals, tuple(states)) for gvals, states in merged.items()]
 
     def clear(self):
@@ -292,8 +293,7 @@ class GroupByFinal(Operator):
     *Paned* finals (distributed sliding windows) hold the window's pane
     partials instead: arriving increments -- batches whose pane the
     pane-tagged exchange's delivery put back -- merge into their pane's
-    store,
-    and each epoch's flush re-merges the window's pane partials
+    store, and each epoch's flush re-merges the window's pane partials
     (:class:`PaneWindow`): O(window panes) merges per group and epoch,
     whatever the window's row count. A late increment triggers a
     refinement reflush of every flushed, still-open epoch whose window
@@ -303,6 +303,7 @@ class GroupByFinal(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         self._agg_specs = spec.params["agg_specs"]
+        self._finalize = spec.params.get("finalize", False)
         self._note = ctx.engine.note_rows_merged
         # epoch -> {"groups", "flushed", "timer"}; sealing an epoch
         # cancels its pending refinement reflush so sealed groups can
@@ -344,9 +345,8 @@ class GroupByFinal(Operator):
         if self._paned:
             pane = batch.pane
             for gvals, states in rows:
-                held = self._window.entry(pane, tuple(gvals))
-                for i, spec in enumerate(specs):
-                    held[i] = spec.agg.merge(held[i], states[i])
+                merge_into(self._window.entry(pane, tuple(gvals)), specs,
+                           states)
             # Streaming refinement: every flushed, still-open epoch
             # whose window covers this pane now has a stale answer.
             for e, entry in self._epochs.items():
@@ -365,8 +365,7 @@ class GroupByFinal(Operator):
             if held is None:
                 groups[gvals] = list(states)
             else:
-                for i, spec in enumerate(specs):
-                    held[i] = spec.agg.merge(held[i], states[i])
+                merge_into(held, specs, states)
         if entry["flushed"] and entry["timer"] is None:
             entry["timer"] = self.ctx.dht.set_timer(
                 0.4, self._reflush, epoch
@@ -385,10 +384,17 @@ class GroupByFinal(Operator):
             pairs = self._window.assemble(lo, hi)
         else:
             pairs = entry["groups"].items()
-        # Ship mergeable *states*, not finalized values: during ring
-        # healing two nodes can both act as a group's owner, and the
-        # query site can only reconcile them if states stay algebraic.
-        _emit_states(self, pairs)
+        # Owners ship mergeable *states*, not finalized values: during
+        # ring healing two nodes can both act as a group's owner, and
+        # only the query site's final, which sees both, finalizes.
+        if not self._finalize:
+            _emit_states(self, pairs)
+            return
+        specs = self._agg_specs
+        rows = [tuple(gvals) + tuple(s.agg.final(x) for s, x in zip(specs, states))
+                for gvals, states in pairs]
+        if rows:
+            self.emit_batch(RowBatch(rows=rows))
 
     def seal_epoch(self, k):
         # The pane store outlives epochs by design (later windows reuse

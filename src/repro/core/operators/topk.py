@@ -1,8 +1,8 @@
 """Top-k: ORDER BY ... LIMIT k, network-aware.
 
 A ``partial`` top-k runs before the wire (each node forwards only its
-local top k, a classic bandwidth saver); the query site applies the
-same sort/cut again globally in its finishing step. Because top-k is
+local top k, a classic bandwidth saver); the query site's fragment
+runs one more top-k over every node's rows. Because top-k is
 not decomposable the partial phase is *safe* only because every node's
 true top k is a superset of its contribution to the global top k.
 

@@ -51,7 +51,7 @@ class QueryPlan:
 
     def __init__(self, specs, root_id, mode="oneshot", every=None, window=None,
                  lifetime=None, flush_offsets=None, deadline=10.0,
-                 finishing=None, metadata=None, epoch_overlap=1, pane=None):
+                 site_specs=(), metadata=None, epoch_overlap=1, pane=None):
         self.specs = {spec.op_id: spec for spec in specs}
         if len(self.specs) != len(specs):
             raise PlanError("duplicate op ids in plan")
@@ -68,10 +68,9 @@ class QueryPlan:
         self.lifetime = lifetime  # soft-state: engines stop after this (s)
         self.flush_offsets = flush_offsets if flush_offsets is not None else {}
         self.deadline = deadline  # query site closes an epoch at t0+deadline
-        # Finishing runs at the query site over collected rows:
-        # {"order_by": [(expr, desc)], "limit": n} -- the final global
-        # sort/cut that in-network operators can only approximate.
-        self.finishing = finishing if finishing is not None else {}
+        # The site fragment (:mod:`repro.core.site`), in chain order;
+        # out of ``specs``, so no engine builds it and no byte ships it.
+        self.site_specs = list(site_specs)
         self.metadata = metadata if metadata is not None else {}
         # ``epoch_overlap`` is the epoch ring width N: how many epoch
         # states a standing execution keeps live at once (the planner
@@ -199,6 +198,9 @@ class QueryPlan:
                 " (standing, {} live epochs)".format(self.epoch_overlap)
                 if self.epoch_overlap > 1 else " (standing)"
             )
+        if self.site_specs:
+            lines.append("site: " + " -> ".join(
+                spec.kind for spec in self.site_specs))
         where = " at the query site" if self.at_site else ""
         lines.append("root: {} mode: {}{}{} deadline: {:.1f}s".format(
             self.root_id, self.mode, standing, where, self.deadline))

@@ -150,7 +150,7 @@ def _plan_flat(lq, catalog):
     lowered = {}
     schema = None
     sort_keys = []
-    agg_finishing = None
+    site = []  # the site fragment's (kind, params), in chain order
     result_id = None
     for node in logical.nodes:
         if node.kind == "scan":
@@ -170,7 +170,7 @@ def _plan_flat(lq, catalog):
         elif node.kind == "join":
             lowered[id(node)] = _lower_join(b, lq, node, lowered)
         elif node.kind == "aggregate":
-            agg_finishing, lowered[id(node)] = _lower_aggregation(
+            site, lowered[id(node)] = _lower_aggregation(
                 b, lq, node, lowered)
             schema = _output_schema(lq)
             sort_keys = _compile_order_by(lq, schema)
@@ -198,8 +198,7 @@ def _plan_flat(lq, catalog):
             # Aggregate answers refine as stragglers arrive, so the
             # query site keeps each node's latest batch, not appends.
             child = lowered[id(node.inputs[0])]["op"]
-            result_id = b.add("result",
-                              {"replace": agg_finishing is not None}, [child])
+            result_id = b.add("result", {"replace": bool(site)}, [child])
             b.flush(result_id, 0.0 if b.site else RESULT_SEND)
             lowered[id(node)] = {"op": result_id}
         else:  # pragma: no cover - build_logical_plan emits no other kind
@@ -245,23 +244,17 @@ def _plan_flat(lq, catalog):
                 else:
                     metadata["spine"] = logical.share_signature()
 
-    finishing = {}
-    if agg_finishing is not None:
-        finishing["aggregate"] = agg_finishing
-        finishing["schema"] = schema
-    if sort_keys:
-        finishing["order_by"] = sort_keys
-        finishing["schema"] = schema
-    if lq.limit is not None:
-        finishing["limit"] = lq.limit
-        finishing.setdefault("schema", schema)
+    if sort_keys or lq.limit is not None:
+        # The global sort/cut a partial top-k can only approximate.
+        site.append(("topk", {
+            "sort_keys": sort_keys, "limit": lq.limit, "schema": schema}))
     if b.bloom_broadcast_offset is not None:
         metadata["bloom_broadcast_offset"] = b.bloom_broadcast_offset
     return QueryPlan(
         list(b.specs.values()), result_id, mode=mode, every=lq.every,
         window=lq.window, lifetime=lq.lifetime, flush_offsets=b.flush_offsets,
-        deadline=deadline, finishing=finishing, metadata=metadata,
-        epoch_overlap=epoch_overlap, pane=pane,
+        deadline=deadline, metadata=metadata, epoch_overlap=epoch_overlap,
+        pane=pane, site_specs=[OpSpec(kind, kind, params) for kind, params in site],
     )
 
 
@@ -608,7 +601,7 @@ def _fm_applicable(right_def, pairs, right_schema):
 
 
 def _lower_aggregation(b, lq, node, lowered):
-    """Lower one logical aggregate; returns (finishing, lowered-info).
+    """Lower one logical aggregate; returns (site chain, lowered-info).
 
     Partials fold where the rows are and an exchange ships them to each
     group's owner; on a site-run plan every row is already at the query
@@ -646,7 +639,7 @@ def _lower_aggregation(b, lq, node, lowered):
     b.flush(final_id, HOLD)
 
     # Final operators emit mergeable (group_values, states) rows; the
-    # query site reconciles owners (ring healing can split a group
+    # site fragment reconciles owners (ring healing can split a group
     # across two acting owners), finalizes, applies HAVING and projects
     # into SELECT order -- all over a handful of group rows.
     internal_schema = _aggregation_internal_schema(lq, group_exprs, agg_specs)
@@ -664,15 +657,14 @@ def _lower_aggregation(b, lq, node, lowered):
                     "from the GROUP BY columns".format(item.display())
                 )
             select_exprs.append(rewritten)
-    agg_finishing = {
-        "agg_specs": agg_specs,
-        "internal_schema": internal_schema,
-        "select_exprs": select_exprs,
-        "having": lq.having,
-    }
+    site = [("groupby_final", {"agg_specs": agg_specs, "finalize": True})]
+    if lq.having is not None:
+        site.append(("select", {
+            "predicate": lq.having, "schema": internal_schema}))
+    site.append(("project", {"exprs": select_exprs, "schema": internal_schema}))
     info = {"op": final_id, "partial": partial_id,
             "exchange": exchange_id, "final": final_id}
-    return agg_finishing, info
+    return site, info
 
 
 def _aggregation_internal_schema(lq, group_exprs, agg_specs):
@@ -786,7 +778,7 @@ def _plan_recursive(lq, catalog):
     metadata = {"columns": [name for _item, name in lq.select_items]}
     return QueryPlan(
         list(b.specs.values()), result_id, mode="recursive", flush_offsets={},
-        deadline=deadline, finishing={}, metadata=metadata,
+        deadline=deadline, metadata=metadata,
     )
 
 

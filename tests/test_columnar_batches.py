@@ -1073,9 +1073,11 @@ class TestExchangeChunkingInvariance:
     def test_ragged_rows_fall_back_to_the_rows_wire_shape(self):
         # Rows of unequal arity cannot transpose into columns: the
         # message keeps the row shape and still decodes to the rows.
+        # A literal key gives all three one routing id, so one message.
         rows = [(1, 2, "x"), (3, 4), (5,)]
         sent = []
-        exchange = self._exchange(sent, key={"kind": "const"})
+        exchange = self._exchange(
+            sent, key={"kind": "exprs", "exprs": [lit(0)], "schema": SCHEMA})
         exchange.push_batch(RowBatch(rows=rows))
         exchange.flush()
         [(_key, payload)] = sent

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.planner import REHASH_XFER, SCAN_READY, plan_query
+from repro.core.planner import REHASH_XFER, SCAN_READY, family_plan, plan_query
 from repro.core.sql import parse_query
 from repro.db.catalog import Catalog, TableDef
 from repro.db.schema import Schema
@@ -32,6 +32,11 @@ def kinds(p):
     return sorted(s.kind for s in p.specs.values())
 
 
+def site_kinds(p):
+    """The site fragment's operator kinds, in chain order."""
+    return [s.kind for s in p.site_specs]
+
+
 class TestSimplePlans:
     def test_select_project_result(self, catalog):
         p = plan(catalog, "SELECT a FROM t WHERE b > 1")
@@ -50,13 +55,16 @@ class TestSimplePlans:
     def test_order_limit_adds_topk_and_finishing(self, catalog):
         p = plan(catalog, "SELECT a FROM t ORDER BY a DESC LIMIT 3")
         assert "topk" in kinds(p)
-        assert p.finishing["limit"] == 3
-        assert p.finishing["order_by"][0][1] is True
+        (topk,) = p.site_specs
+        assert topk.kind == "topk"
+        assert topk.params["limit"] == 3
+        assert topk.params["sort_keys"][0][1] is True
 
     def test_order_without_limit_no_topk(self, catalog):
         p = plan(catalog, "SELECT a FROM t ORDER BY a")
         assert "topk" not in kinds(p)
-        assert "order_by" in p.finishing
+        (topk,) = p.site_specs
+        assert topk.params["sort_keys"] and topk.params["limit"] is None
 
     def test_columns_metadata(self, catalog):
         p = plan(catalog, "SELECT a AS alpha, b FROM t")
@@ -90,8 +98,9 @@ class TestAggregationPlans:
 
     def test_having_moves_to_query_site_finishing(self, catalog):
         p = plan(catalog, "SELECT b, SUM(a) AS s FROM t GROUP BY b HAVING s > 10")
-        aggregate = p.finishing["aggregate"]
-        assert aggregate["having"] is not None
+        assert site_kinds(p) == ["groupby_final", "select", "project"]
+        assert p.site_specs[1].params["predicate"] is not None
+        assert "select" not in kinds(p)
         # The final op feeds the result directly; filtering happens over
         # reconciled group states at the query site.
         final = p.ops_of_kind("groupby_final")[0].op_id
@@ -103,6 +112,50 @@ class TestAggregationPlans:
         assert p.specs[p.root_id].params["replace"] is True
         p2 = plan(catalog, "SELECT a FROM t")
         assert p2.specs[p2.root_id].params["replace"] is False
+
+
+class TestSiteFragment:
+    """What the query site runs after collection (``site_specs``): the
+    owners' merge, HAVING, the SELECT list and ORDER BY / LIMIT, each
+    lowered only when the query needs it, and never into ``specs``."""
+
+    FAMILY = ("SELECT COUNT(*) AS n FROM stream WHERE v > 5 EVERY 10 "
+              "SECONDS WINDOW 10 SECONDS LIFETIME 60 SECONDS")
+
+    @pytest.mark.parametrize("sql, chain", [
+        ("SELECT b, SUM(a) AS s FROM t GROUP BY b",
+         ["groupby_final", "project"]),
+        ("SELECT b, SUM(a) AS s FROM t GROUP BY b HAVING s > 10",
+         ["groupby_final", "select", "project"]),
+        ("SELECT b, SUM(a) AS s FROM t GROUP BY b ORDER BY s DESC LIMIT 2",
+         ["groupby_final", "project", "topk"]),
+        ("SELECT a FROM t ORDER BY a LIMIT 2", ["topk"]),
+        ("SELECT a FROM t WHERE b > 1", []),
+        (FAMILY, ["groupby_final", "project"]),
+    ], ids=["aggregate", "having", "order-limit", "topk-only", "plain",
+            "family-member"])
+    def test_chain_per_query_shape(self, catalog, sql, chain):
+        p = plan(catalog, sql)
+        assert site_kinds(p) == chain
+        assert not {s.op_id for s in p.site_specs} & set(p.specs)
+        sites = [line for line in p.describe().splitlines()
+                 if line.startswith("site:")]
+        assert sites == (["site: " + " -> ".join(chain)] if chain else [])
+        finals = [s for s in p.site_specs if s.kind == "groupby_final"]
+        assert [s.params["finalize"] for s in finals] == [True] * len(finals)
+        assert not any(s.params.get("finalize")
+                       for s in p.ops_of_kind("groupby_final"))
+
+    def test_family_member_keeps_its_own_chain(self, catalog):
+        """The family's owners split its state per member before the
+        rows leave, so each member's site merges its own aggregates."""
+        p = plan(catalog, self.FAMILY)
+        assert "family" in p.metadata
+        (final,) = p.ops_of_kind("groupby_final")
+        shared = family_plan(p)
+        assert shared.site_specs == p.site_specs
+        assert (p.site_specs[0].params["agg_specs"]
+                == final.params["agg_specs"])
 
 
 class TestJoinPlans:

@@ -93,6 +93,17 @@ def _sources(exclude):
     )
 
 
+class TestSiteCensus:
+    def test_the_site_finishes_only_through_operators(self):
+        """The query site finishes an epoch on the plan's site fragment
+        (``core/site.py``), not on a hand-written copy of the merge,
+        finalize, HAVING, projection and sort its operators run."""
+        text = (SRC / "core" / "coordinator.py").read_text(encoding="utf-8")
+        assert [word for word in (
+            "compile_batch", "agg.merge", "agg.final", "sort_rows")
+            if word in text] == []
+
+
 class TestRecordingDht:
     def test_the_fake_offers_only_chord_node_names(self):
         """The engine calls its ``ChordNode`` directly and
@@ -320,6 +331,88 @@ class TestExplain:
     def test_explain_shows_flush_offsets(self, net):
         text = net.explain_sql("SELECT SUM(v) AS s FROM t")
         assert "flush@" in text
+
+
+class TestSiteReconciliation:
+    """What the query site makes of the rows it collected: the EpochResult
+    equals a plain-Python recomputation from exactly those rows."""
+
+    AGG = ("SELECT k, SUM(v) AS s, COUNT(*) AS n FROM e GROUP BY k "
+           "HAVING n > 1 ORDER BY s DESC LIMIT 2")
+    MEMBER = "SELECT k, COUNT(*) AS n FROM e WHERE v > {} GROUP BY k"
+    TOP = "SELECT k, v FROM e ORDER BY v DESC LIMIT 3"
+
+    @pytest.fixture
+    def site(self):
+        n = PierNetwork(nodes=4, seed=601)
+        n.create_local_table("e", [("k", "INT"), ("v", "FLOAT")])  # empty
+        handles = {name: n.submit_sql(sql, node="node0") for name, sql in (
+            ("agg", self.AGG), ("b", self.MEMBER.format(1)),
+            ("c", self.MEMBER.format(5)), ("top", self.TOP))}
+        return n, handles
+
+    def test_owners_refinements_having_family_and_cut(self, site):
+        net, h = site
+        engine = net.node("node0").engine
+
+        def qres(name, node, rows, replace=True):
+            engine.coordinator.on_result({
+                "op": "qres", "qid": h[name].qid, "epoch": 0,
+                "node": node, "rows": rows, "replace": replace})
+
+        # Two acting owners of group 1 (ring healing), a group HAVING
+        # drops (3: n = 1), and node3's refinement replacing its first
+        # batch.
+        agg = {"node1": [((1,), (10.0, 1)), ((2,), (5.0, 2))],
+               "node2": [((1,), (7.5, 2)), ((3,), (50.0, 1))],
+               "node3": [((4,), (100.0, 5))]}
+        for node, rows in agg.items():
+            qres("agg", node, rows)
+        agg["node3"] = [((4,), (3.0, 3))]
+        qres("agg", "node3", agg["node3"])
+        # A predicate family's owner answers two members in one qparts.
+        members = {"b": {"node2": [((1,), (4,)), ((2,), (1,))],
+                         "node3": [((1,), (1,))]},
+                   "c": {"node2": [((1,), (2,))]}}
+        engine._on_direct({"op": "qparts", "node": "node2", "replace": True,
+                           "parts": [(h[name].qid, 0, members[name]["node2"])
+                                     for name in ("b", "c")]}, None)
+        qres("b", "node3", members["b"]["node3"])
+        # A plain ORDER BY / LIMIT across three nodes' appended rows.
+        top = {"node1": [(1, 2.0), (2, 9.0)], "node2": [(3, 4.0), (4, 8.0)],
+               "node3": [(5, 1.0)]}
+        for node, rows in top.items():
+            qres("top", node, rows, replace=False)
+        net.advance(max(handle.plan.deadline for handle in h.values()) + 1)
+
+        sums, counts = {}, {}
+        for rows in agg.values():
+            for (k,), (s, n) in rows:
+                sums[k] = sums.get(k, 0.0) + s
+                counts[k] = counts.get(k, 0) + n
+        assert h["agg"].result(0).rows == sorted(
+            ((k, sums[k], counts[k]) for k in sums if counts[k] > 1),
+            key=lambda row: -row[1])[:2]
+        for name, by_node in members.items():
+            n = {}
+            for rows in by_node.values():
+                for (k,), (count,) in rows:
+                    n[k] = n.get(k, 0) + count
+            assert sorted(h[name].result(0).rows) == sorted(n.items())
+        assert h["top"].result(0).rows == sorted(
+            (row for rows in top.values() for row in rows),
+            key=lambda row: -row[1])[:3]
+
+    def test_no_epoch_state_outlives_the_close(self, site):
+        net, h = site
+        engine = net.node("node0").engine
+        engine.coordinator.on_result({
+            "op": "qres", "qid": h["agg"].qid, "epoch": 0, "node": "node1",
+            "rows": [((1,), (2.0, 2))], "replace": True})
+        net.advance(h["agg"].plan.deadline + 1)
+        assert h["agg"].result(0).rows == [(1, 2.0, 2)]
+        for op in h["agg"].site.ops:
+            assert len(getattr(op, "_epochs", ())) == 0
 
 
 class TestEpochResultApi:
